@@ -632,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--no-arbitrate", action="store_true",
                        help="disable admission arbitration")
     fleet.add_argument("--parallel", default="serial",
-                       choices=["serial", "thread", "process"],
-                       help="execution mode for tenant bins (results are "
-                            "bit-identical across modes)")
+                       choices=["serial", "process"],
+                       help="where tenant stacks are hosted: this process "
+                            "or fork workers (results are bit-identical)")
     fleet.add_argument("--checkpoint-dir", default=None,
                        help="directory for durable fleet checkpoints")
     fleet.add_argument("--checkpoint-every", type=int, default=0,

@@ -4,9 +4,9 @@ One :class:`TenantContext` per tenant (the complete self-management
 stack, lifted out of the driver), one :class:`FleetOrganizer` across
 them (tuning-budget arbitration plus prior sharing), and a
 :class:`FleetDriver` ticking every tenant's closed loop in lockstep
-simulated time — serially or concurrently (``parallel="thread" |
-"process"``) behind a commit-ordered arbiter barrier that keeps
-concurrent runs bit-identical to serial. ``build_fleet`` is the
+simulated time — hosted in this process or in fork workers
+(``parallel="process"``) behind one commit-ordered arbiter barrier that
+keeps the two bit-identical. ``build_fleet`` is the
 one-call constructor the CLI and benchmarks use.
 """
 

@@ -28,16 +28,17 @@ never reaches into another tenant's components:
 Urgent work is never arbitrated: SLA-violation triggers are admitted
 unconditionally and guard escalations bypass admission entirely.
 
-**Concurrent fleets.** The decision logic is factored into pure
-functions over small picklable snapshots so the parallel fleet driver
-can run tenant ticks in worker processes while keeping every arbiter
-decision deterministic: :func:`compute_digest` captures the slice of a
-tenant another tenant's admission may read (hotness, observed mix,
-guard state — values that only change at tick time),
-:class:`ArbiterView` freezes the arbiter's mutable state plus all
-digests, and :func:`rule_admission` / :func:`replay_gate` /
-:func:`attempt_replay` reproduce the serial decisions bit-for-bit from
-those snapshots (``tests/fleet/test_parallel.py`` holds the identity).
+**One decision path.** The decision logic is pure functions over small
+picklable snapshots, so a tenant tick can run wherever the tenant's
+stack lives — in this process or in a fork worker — and rule
+identically: :func:`compute_digest` captures the slice of a tenant
+another tenant's admission may read (hotness, observed mix, guard state
+— values that only change at tick time), :class:`ArbiterView` freezes
+the arbiter's mutable state plus all digests, and
+:func:`rule_admission` / :func:`replay_gate` / :func:`attempt_replay`
+decide from those snapshots alone. The tenant host
+(:mod:`repro.fleet.parallel`) records each ruling and harvest; the
+fleet driver applies them here in tick order.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from repro.configuration.actions import Action
 from repro.configuration.delta import ConfigurationDelta
 from repro.core.organizer import Organizer, OrganizerRunReport
-from repro.core.triggers import SlaViolationTrigger, TriggerDecision
+from repro.core.triggers import SlaViolationTrigger
 from repro.fleet.context import TenantContext
 from repro.forecasting.scenarios import Forecast, WorkloadScenario
 from repro.guard.forecast_miss import total_variation
@@ -175,7 +176,8 @@ class AdmissionRuling:
     reason: str
     #: increment the tenant's defer count (waiting for a cluster prior)
     deferred: bool = False
-    #: apply the ``_note_admitted`` bookkeeping (stamp + per-bin set)
+    #: apply the admitted bookkeeping (cooldown stamp, per-bin set,
+    #: defer count cleared)
     noted: bool = False
     now_ms: float = 0.0
 
@@ -452,26 +454,6 @@ def attempt_replay(
     )
 
 
-class _LocalTransport:
-    """Replay transport over in-process contexts (the serial fleet)."""
-
-    def __init__(self, organizer: "FleetOrganizer") -> None:
-        self._organizer = organizer
-
-    def active_reconfigurations(self) -> int:
-        return self._organizer.active_reconfigurations()
-
-    def digest(self, tenant: str) -> TenantDigest:
-        organizer = self._organizer
-        return compute_digest(organizer._tenants[tenant], organizer.config)
-
-    def attempt(self, prior: TuningPrior, tenant: str) -> ReplayOutcome | None:
-        organizer = self._organizer
-        return attempt_replay(
-            organizer._tenants[tenant], prior, organizer.config
-        )
-
-
 class FleetOrganizer:
     """Arbitrates tuning budget and shares priors across tenant contexts."""
 
@@ -490,9 +472,6 @@ class FleetOrganizer:
         self._replays: dict[str, int] = {}
         #: tenants force-quarantined by the fleet (restore failures)
         self._quarantined: set[str] = set()
-        #: replay transport override (the parallel driver installs one
-        #: that routes attempts to worker processes); None = in-process
-        self._transport = None
 
     @property
     def config(self) -> FleetConfig:
@@ -576,65 +555,36 @@ class FleetOrganizer:
     def register(self, ctx: TenantContext) -> None:
         """Put one tenant under fleet arbitration.
 
-        Installs the admission hook and the commit listener on the
-        tenant's organizer; everything else stays the tenant's own.
+        Registration order is the arbiter's iteration order (rankings,
+        replay rounds). The organizer hooks that feed the arbiter are
+        installed by the tenant's host, not here.
         """
         if ctx.tenant in self._tenants:
             raise ValueError(f"tenant {ctx.tenant!r} already registered")
         self._tenants[ctx.tenant] = ctx
-        self.rebind(ctx)
-
-    def rebind(self, ctx: TenantContext) -> None:
-        """(Re)install the arbiter hooks on ``ctx``'s organizer.
-
-        Used at registration and again after the parallel driver merges
-        worker state back (the merged context carries a fresh organizer
-        whose hooks were detached for transfer).
-        """
-        organizer = ctx.organizer
-        if self._config.arbitrate:
-            organizer.set_admission(
-                lambda org, decision, _ctx=ctx: self._admit(_ctx, decision)
-            )
-        organizer.set_commit_listener(
-            lambda org, report, _ctx=ctx: self._harvest(_ctx, report)
-        )
 
     def begin_bin(self) -> None:
         """Reset per-bin admission accounting (called at bin start)."""
         self._admitted_this_bin.clear()
 
-    def active_reconfigurations(self, exclude: str | None = None) -> int:
+    def active_reconfigurations(self) -> int:
         """Tenants currently holding an active probation commit."""
         return sum(
             1
-            for tenant, ctx in self._tenants.items()
-            if tenant != exclude
-            and ctx.organizer.guard.active_commit is not None
+            for ctx in self._tenants.values()
+            if ctx.organizer.guard.active_commit is not None
         )
 
     # ------------------------------------------------------------------
-    # decision snapshots (the parallel driver ships these to workers)
+    # decision snapshots (the fleet driver ships these to tenant hosts)
 
-    def digest(self, ctx: TenantContext) -> TenantDigest:
-        """Live digest of one registered tenant."""
-        return compute_digest(ctx, self._config)
-
-    def view(
-        self, digests: dict[str, TenantDigest] | None = None
-    ) -> ArbiterView:
+    def view(self, digests: dict[str, TenantDigest]) -> ArbiterView:
         """Freeze the arbiter's mutable state (plus digests) for a ruling.
 
-        Without ``digests`` they are computed live from the registered
-        contexts, in registration order; the parallel driver passes its
-        digest cache instead (same order, same values — every digest
-        field is tick-stable).
+        ``digests`` is the fleet driver's digest cache, in registration
+        order; every digest field is tick-stable, so the cache equals a
+        live read of every tenant.
         """
-        if digests is None:
-            digests = {
-                tenant: self.digest(ctx)
-                for tenant, ctx in self._tenants.items()
-            }
         return ArbiterView(
             config=self._config,
             digests=dict(digests),
@@ -646,39 +596,16 @@ class FleetOrganizer:
 
     def apply_ruling(self, ruling: AdmissionRuling) -> None:
         """Apply the arbiter mutations one admission ruling implies."""
+        tenant = ruling.tenant
         if ruling.deferred:
-            self._defers[ruling.tenant] = (
-                self._defers.get(ruling.tenant, 0) + 1
-            )
+            self._defers[tenant] = self._defers.get(tenant, 0) + 1
         if ruling.noted:
-            self._note_admitted(ruling.tenant, ruling.now_ms)
+            self._last_admitted_ms[tenant] = ruling.now_ms
+            self._admitted_this_bin.add(tenant)
+            self._defers.pop(tenant, None)
 
     # ------------------------------------------------------------------
-    # admission (the per-tenant organizer calls this from tick())
-
-    def _admit(
-        self, ctx: TenantContext, decision: TriggerDecision
-    ) -> tuple[bool, str]:
-        ruling = rule_admission(
-            self.view(), self.digest(ctx), decision.trigger
-        )
-        self.apply_ruling(ruling)
-        return ruling.admitted, ruling.reason
-
-    def _note_admitted(self, tenant: str, now_ms: float) -> None:
-        self._last_admitted_ms[tenant] = now_ms
-        self._admitted_this_bin.add(tenant)
-        self._defers.pop(tenant, None)
-
-    # ------------------------------------------------------------------
-    # prior harvesting (the organizer's commit listener)
-
-    def _harvest(
-        self, ctx: TenantContext, report: OrganizerRunReport
-    ) -> None:
-        self.ingest_harvest(
-            build_harvest(ctx, report, self._config.mix_window_bins)
-        )
+    # prior harvesting (commits recorded by the tenant hosts)
 
     def ingest_harvest(self, record: HarvestRecord) -> None:
         """Account one committed pass and maybe turn it into a prior.
@@ -715,17 +642,7 @@ class FleetOrganizer:
     # ------------------------------------------------------------------
     # prior replay (driven by the fleet driver after each bin)
 
-    def set_transport(self, transport) -> None:
-        """Install (or clear) the replay transport.
-
-        The transport answers three questions — how many tenants are
-        busy, what is a tenant's digest, and what does a validate-then-
-        apply attempt return — against wherever the tenant stacks
-        currently live. ``None`` restores the in-process default.
-        """
-        self._transport = transport
-
-    def replay_round(self) -> list[ReplayOutcome]:
+    def replay_round(self, transport) -> list[ReplayOutcome]:
         """Try every unattempted (prior, look-alike tenant) pair once.
 
         Validation prices the prior's cluster mix — rescaled to the
@@ -733,10 +650,14 @@ class FleetOrganizer:
         with and without the prior's actions; the pass applies only when
         the priced improvement clears the configured margin. The
         fleet-wide reconfiguration cap applies to replays too.
+
+        ``transport`` answers three questions against wherever the
+        tenant stacks live — how many tenants are busy, what is a
+        tenant's digest, and what does a validate-then-apply attempt
+        return (:class:`repro.fleet.parallel.HostReplayTransport`).
         """
         if not self._config.share_priors:
             return []
-        transport = self._transport or _LocalTransport(self)
         round_outcomes: list[ReplayOutcome] = []
         for prior in self._priors:
             for tenant in self._tenants:

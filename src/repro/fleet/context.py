@@ -239,7 +239,7 @@ class TenantContext:
     def transfer_snapshot(self) -> bytes:
         """Pickle this context for transfer out of a fleet worker.
 
-        The arbiter hooks are detached (they close over worker-local
+        The arbiter hooks are detached (they are bound to the host's
         recorders) and the workload slots are nulled: the trace holds
         query-family sampler closures that cannot pickle, and the parent
         still owns its own copy — the workload is immutable, so nothing
@@ -268,8 +268,8 @@ class TenantContext:
         parent's own trace (stripped for transfer), and the records list
         stays the parent's: the driver appends bin records parent-side
         as ticks complete, so the parent copy is the complete one. The
-        caller must re-install the arbiter hooks (``FleetOrganizer.
-        rebind``) afterwards.
+        caller must re-install the arbiter hooks (``LocalHost.arm``)
+        afterwards.
         """
         from repro.core.simulation import ClosedLoopSimulation
 

@@ -12,23 +12,26 @@ one-tenant fleet bit-identical to the legacy
 ``ClosedLoopSimulation(db, trace, seed).run()`` loop (the golden tests
 in ``tests/fleet/`` hold this on multiple seeds).
 
-**Execution modes.** ``parallel="serial"`` (the default) is the legacy
-loop. ``"thread"`` and ``"process"`` run each bin's *execute* phases
-concurrently across tenants — the only phase that scales with cores —
-then rendezvous at a commit-ordered barrier: plugin ticks (where the
-self-management loop and the fleet arbiter run) happen one tenant at a
-time in the same hot-first order as the serial loop. Everything the
-arbiter reads about a tenant changes only at tick time, so the barrier
-makes all three modes **bit-identical** — same bin records, same event
-streams, same commits (``tests/fleet/test_parallel.py`` holds this on
-multiple seeds). Process mode forks persistent workers
-(:mod:`repro.fleet.parallel`) and merges their state back before
-reporting.
+**One bin loop, two hosts.** Every fleet bin is the same attempt: all
+tenants' *execute* phases run first — the only phase that scales with
+cores — then the plugin ticks (where the self-management loop and the
+fleet arbiter decide) rendezvous at a commit-ordered barrier, one
+tenant at a time, hot-first, each against a frozen arbiter view whose
+recorded rulings are applied before the next tenant ticks. Where the
+tenant stacks live is the only difference between the modes
+(:mod:`repro.fleet.parallel`): ``parallel="serial"`` (the default)
+hosts every tenant in this process, ``"process"`` hosts them in forked
+persistent workers and merges their state back before reporting.
+Everything the arbiter reads about a tenant changes only at tick time,
+so both are **bit-identical** — same bin records, same event streams,
+same commits (``tests/fleet/test_parallel.py`` holds this on multiple
+seeds).
 
 Fleet rollups are **incremental**: every tenant registry gets a
-:class:`~repro.telemetry.metrics.DeltaTracker`, and per-bin counter
-deltas accumulate into the report as bins complete —
-:meth:`FleetDriver.report` never re-walks the registries.
+:class:`~repro.telemetry.metrics.DeltaTracker`, the hosts return the
+moved counters with every reply, and they accumulate into the report as
+bins complete — :meth:`FleetDriver.report` never re-walks the
+registries.
 
 :func:`build_fleet` is the canonical constructor: it lays out tenants
 with :func:`~repro.fleet.workload.tenant_specs` (skewed volumes, shared
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,6 +62,7 @@ from repro.fleet.arbiter import (
     FleetOrganizer,
     ReplayOutcome,
     TenantDigest,
+    compute_digest,
 )
 from repro.fleet.checkpoint import (
     CheckpointError,
@@ -74,6 +77,13 @@ from repro.fleet.checkpoint import (
     write_encoded,
 )
 from repro.fleet.context import TenantContext
+from repro.fleet.parallel import (
+    HARVEST,
+    FleetWorkerPool,
+    HostReplayTransport,
+    LocalHost,
+    WorkerCrashed,
+)
 from repro.fleet.workload import (
     TenantSpec,
     build_tenant_suite,
@@ -90,10 +100,10 @@ from repro.kpi.metrics import (
     WORKER_RESTARTS,
 )
 from repro.plan.cache import PlanCacheStats
-from repro.telemetry.metrics import DeltaTracker, MetricRegistry
+from repro.telemetry.metrics import MetricRegistry
 
 #: Execution modes accepted by :class:`FleetDriver`.
-PARALLEL_MODES = ("serial", "thread", "process")
+PARALLEL_MODES = ("serial", "process")
 
 
 @dataclass
@@ -153,6 +163,17 @@ class FleetReport:
         return sum(s.replays for s in self.summaries)
 
 
+def _load_source(source: FleetCheckpoint | Path | str) -> FleetCheckpoint:
+    """Resolve a checkpoint object, file, or directory (newest loadable
+    epoch wins; file-level corruption falls back to older ones)."""
+    if not isinstance(source, (str, Path)):
+        return source
+    path = Path(source)
+    if path.is_dir():
+        return latest_checkpoint(path)[0]
+    return load_checkpoint(path)
+
+
 class FleetDriver:
     """Ticks every tenant's closed loop, hot-first, bin by bin."""
 
@@ -195,19 +216,19 @@ class FleetDriver:
         self._n_bins = min(len(ctx.trace.bins) for ctx in self._contexts)
         #: the only bin :meth:`run_bin` will accept next (re-entry guard)
         self._next_bin = 0
+        # the in-process host: runs the bins in serial mode; in process
+        # mode it snapshots the parent contexts while no pool is forked
+        self._local = LocalHost(self._contexts, self._arbiter.config)
         # incremental rollup: a one-time baseline walk here, then only
-        # per-bin dirty-counter drains — report() never re-walks the
-        # registries, it sums this latest-value cache instead
-        self._trackers: dict[str, DeltaTracker] = {
-            ctx.tenant: ctx.telemetry.registry.delta_tracker()
-            for ctx in self._contexts
-        }
+        # the moved counters the hosts return — report() never re-walks
+        # the registries, it sums this latest-value cache instead
         self._latest: dict[str, dict[str, float]] = {
             ctx.tenant: ctx.telemetry.registry.snapshot_counters()
             for ctx in self._contexts
         }
-        # process-mode machinery (inert in serial/thread modes)
-        self._pool = None
+        self._pool: FleetWorkerPool | None = None
+        #: every tenant's digest as of its last tick or replay; empty
+        #: means "reseed from the parent contexts before the next bin"
         self._digests: dict[str, TenantDigest] = {}
         # fault-tolerance machinery: counters and events live in the
         # fleet's OWN registry/log, never in tenant ones — a checkpointed
@@ -319,16 +340,11 @@ class FleetDriver:
                 f"bin {index} is out of range (fleet has {self._n_bins})"
             )
         if self._mode == "process":
-            # begin_bin happens inside: crash recovery rolls the arbiter
-            # back to the bin boundary and must re-begin each re-run bin
-            records = self._run_bin_process(index)
-        elif self._mode == "thread":
-            self._arbiter.begin_bin()
-            records = self._run_bin_thread(index)
+            records = self._run_bin_supervised(index)
         else:
             self._arbiter.begin_bin()
-            records = self._run_bin_serial(index)
-        self._next_bin = index + 1
+            records = self._bin_attempt(index, self._host())
+            self._next_bin = index + 1
         if (
             self._checkpoint_dir is not None
             and self._checkpoint_every > 0
@@ -337,35 +353,7 @@ class FleetDriver:
             self._checkpoint_periodic()
         return records
 
-    def _run_bin_serial(self, index: int) -> dict[str, BinRecord]:
-        records: dict[str, BinRecord] = {}
-        for ctx in self._bin_order(index):
-            record = ctx.simulation.run_bin(index)
-            ctx.records.append(record)
-            records[ctx.tenant] = record
-        self._arbiter.replay_round()
-        self._drain_trackers()
-        return records
-
-    def _run_bin_thread(self, index: int) -> dict[str, BinRecord]:
-        """Parallel execute phases, then the serial hot-first tick barrier."""
-        order = self._bin_order(index)
-        max_workers = min(self._workers or len(order), len(order))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            pendings = {
-                ctx.tenant: pool.submit(ctx.simulation.execute_bin, index)
-                for ctx in order
-            }
-        records: dict[str, BinRecord] = {}
-        for ctx in order:
-            record = ctx.simulation.finish_bin(pendings[ctx.tenant].result())
-            ctx.records.append(record)
-            records[ctx.tenant] = record
-        self._arbiter.replay_round()
-        self._drain_trackers()
-        return records
-
-    def _run_bin_process(self, index: int) -> dict[str, BinRecord]:
+    def _run_bin_supervised(self, index: int) -> dict[str, BinRecord]:
         """Run bin ``index`` on the worker pool, surviving worker death.
 
         Crash recovery is transactional at bin granularity: every bin
@@ -377,47 +365,44 @@ class FleetDriver:
         itself was what crashed) re-executes deterministically — the
         golden tests hold that a SIGKILL'd worker leaves bin records,
         events, and final configurations bit-identical to an undisturbed
-        run.
+        run. Each completed bin ends by refreshing the restore point
+        from a live worker snapshot, so a crash only ever rolls back the
+        bin in flight.
         """
-        from repro.fleet.parallel import WorkerCrashed
-
         recoveries = 0
         while True:
             try:
-                pool = self._ensure_pool()
-                # catch-up after a rollback to an older restore point
-                while self._next_bin < index:
+                pool = self._host()
+                # normally just ``index``; after a rollback to an older
+                # restore point, every bin since it
+                for current in range(self._next_bin, index + 1):
+                    # recovery rolled the arbiter back to the boundary,
+                    # so each re-run bin re-begins
                     self._arbiter.begin_bin()
-                    self._process_bin_attempt(self._next_bin, pool)
-                    self._next_bin += 1
-                self._arbiter.begin_bin()
-                return self._process_bin_attempt(index, pool)
+                    self._maybe_chaos_kill(current, pool)
+                    records = self._bin_attempt(current, pool)
+                    self._next_bin = current + 1
+                    self._restore_point = self._capture_checkpoint()
+                return records
             except WorkerCrashed as crash:
                 recoveries += 1
                 if recoveries > self._max_crash_recoveries:
                     raise
                 self._recover_from_crash(crash)
 
-    def _process_bin_attempt(
-        self, index: int, pool
-    ) -> dict[str, BinRecord]:
-        """One attempt at one bin: the thread-mode barrier with ticks
-        RPC'd to fork workers.
+    def _bin_attempt(self, index: int, host) -> dict[str, BinRecord]:
+        """One attempt at one bin: execute all, then the tick barrier.
 
-        The canonical arbiter stays in this process: each tick ships a
-        frozen view out, and the worker's recorded rulings/harvests are
-        applied back — in tick order — before the next tenant ticks, so
-        the arbiter state evolves exactly as in the serial loop. The
-        attempt ends by refreshing the crash restore point from a live
-        worker snapshot.
+        The canonical arbiter stays here: each tick ships a frozen view
+        to the tenant's host, and the rulings/harvests the tick recorded
+        are applied back — in tick order — before the next tenant ticks,
+        so the arbiter state evolves the same wherever the tenants live.
+        The bin ends with one replay round over the digest cache.
         """
-        from repro.fleet.parallel import HARVEST, PoolReplayTransport
-
-        self._maybe_chaos_kill(index, pool)
-        pool.execute_all(index)
+        host.execute_all(index)
         records: dict[str, BinRecord] = {}
         for ctx in self._bin_order(index):
-            result = pool.tick(
+            result = host.tick(
                 ctx.tenant, self._arbiter.view(digests=self._digests)
             )
             for kind, payload in result.actions:
@@ -429,15 +414,9 @@ class FleetDriver:
             self._accumulate(ctx.tenant, result.counter_updates)
             ctx.records.append(result.record)
             records[ctx.tenant] = result.record
-        transport = PoolReplayTransport(
-            pool, self._digests, self._accumulate
+        self._arbiter.replay_round(
+            HostReplayTransport(host, self._digests, self._accumulate)
         )
-        self._arbiter.set_transport(transport)
-        try:
-            self._arbiter.replay_round()
-        finally:
-            self._arbiter.set_transport(None)
-        self._refresh_restore_point(pool, index + 1)
         return records
 
     def _maybe_chaos_kill(self, index: int, pool) -> None:
@@ -483,26 +462,28 @@ class FleetDriver:
         return self.report()
 
     # ------------------------------------------------------------------
-    # process-mode pool lifecycle
+    # host lifecycle
 
-    def _ensure_pool(self):
-        """Start (or return) the worker pool; parent state must be current.
+    def _host(self):
+        """The tenant host the next bin runs on.
 
-        A fresh fork also captures the crash restore point *before*
-        forking — at that moment the parent contexts are exact copies of
-        what the workers start from, so a crash in the very first bin of
-        the pool's life can roll back too.
+        Serial mode: the in-process host. Process mode: the worker pool,
+        forked on demand — the crash restore point is captured *before*
+        forking, when the parent contexts are exact copies of what the
+        workers start from, so a crash in the very first bin of the
+        pool's life can roll back too. The digest cache is empty exactly
+        when the parent contexts are current (start, restore, pool
+        merged back), so that is when it is reseeded from them.
         """
-        if self._pool is None:
-            from repro.fleet.parallel import FleetWorkerPool
-
-            self._restore_point = self._capture_checkpoint()
-            # digests seeded from the live contexts: at fork time the
-            # workers are exact copies, so cache and workers agree
+        if not self._digests:
             self._digests = {
-                ctx.tenant: self._arbiter.digest(ctx)
+                ctx.tenant: compute_digest(ctx, self._arbiter.config)
                 for ctx in self._contexts
             }
+        if self._mode == "serial":
+            return self._local
+        if self._pool is None:
+            self._restore_point = self._capture_checkpoint()
             self._pool = FleetWorkerPool(
                 self._contexts,
                 self._arbiter.config,
@@ -526,8 +507,6 @@ class FleetDriver:
         point (the last bin boundary — no bins are lost, sync happens at
         boundaries) and merge from the restored contexts instead.
         """
-        from repro.fleet.parallel import WorkerCrashed
-
         recoveries = 0
         while self._pool is not None:
             pool, self._pool = self._pool, None
@@ -549,14 +528,8 @@ class FleetDriver:
             try:
                 for tenant, moved, blob in collected:
                     self._accumulate(tenant, moved)
-                    ctx = self.tenant(tenant)
-                    ctx.absorb_transfer(blob)
-                    self._arbiter.rebind(ctx)
-                    # same registry object as before pickling on the
-                    # worker side, so the tracker keeps its baseline
-                    self._trackers[tenant] = (
-                        ctx.telemetry.registry.delta_tracker()
-                    )
+                    self.tenant(tenant).absorb_transfer(blob)
+                self._local.arm()
             finally:
                 pool.stop()
             self._digests = {}
@@ -567,23 +540,16 @@ class FleetDriver:
     def _capture_checkpoint(self) -> FleetCheckpoint:
         """Bundle the fleet's current bin-boundary state.
 
-        With a live worker pool the tenant blobs come from a
-        non-destructive worker snapshot (the workers keep running);
-        otherwise each parent context pickles itself —
-        ``transfer_snapshot`` detaches the arbiter hooks for pickling,
-        so every context is rebound immediately after. Either way the
-        run continues bit-identically to one that never checkpointed.
+        The tenant blobs come from a non-destructive snapshot of
+        whichever host holds the live tenant stacks — the worker pool
+        when one is forked, the in-process host otherwise — so the run
+        continues bit-identically to one that never checkpointed.
         """
+        host = self._pool if self._pool is not None else self._local
         blob_map: dict[str, bytes] = {}
-        if self._pool is not None:
-            for tenant, moved, blob in self._pool.snapshot():
-                self._accumulate(tenant, moved)
-                blob_map[tenant] = blob
-        else:
-            self._drain_trackers()
-            for ctx in self._contexts:
-                blob_map[ctx.tenant] = ctx.transfer_snapshot()
-                self._arbiter.rebind(ctx)
+        for tenant, moved, blob in host.snapshot():
+            self._accumulate(tenant, moved)
+            blob_map[tenant] = blob
         tenants = [
             TenantState(
                 tenant=ctx.tenant,
@@ -606,19 +572,6 @@ class FleetDriver:
             ),
         )
 
-    def _refresh_restore_point(self, pool, next_bin: int) -> None:
-        """Re-capture the crash restore point from a live pool snapshot.
-
-        Runs at the end of every successful process-mode bin attempt,
-        *before* ``run_bin`` advances ``next_bin`` — hence the explicit
-        parameter. Bounded data loss: a crash ever only rolls back the
-        bin in flight.
-        """
-        del pool  # _capture_checkpoint snapshots via self._pool
-        self._restore_point = replace(
-            self._capture_checkpoint(), next_bin=next_bin
-        )
-
     def checkpoint(self, directory: Path | str | None = None) -> Path:
         """Write a durable checkpoint of the current bin boundary.
 
@@ -638,17 +591,19 @@ class FleetDriver:
         started = time.perf_counter()
         written = self._prepare_checkpoint()
         path = write_checkpoint(written, target)
-        self._ckpt_writes.inc()
         self._ckpt_bytes.inc(path.stat().st_size)
+        self._note_checkpoint_written(started, written.next_bin, path)
+        return path
+
+    def _note_checkpoint_written(
+        self, started: float, epoch: int, path: Path
+    ) -> None:
+        """Count one checkpoint and the synchronous time it cost the run."""
+        self._ckpt_writes.inc()
         self._ckpt_write_ms.inc((time.perf_counter() - started) * 1000.0)
         self._fleet_events.append(
-            {
-                "kind": "checkpoint",
-                "epoch": written.next_bin,
-                "path": str(path),
-            }
+            {"kind": "checkpoint", "epoch": epoch, "path": str(path)}
         )
-        return path
 
     def _prepare_checkpoint(self) -> FleetCheckpoint:
         """Capture (or reuse) the bundle and apply scheduled chaos damage."""
@@ -718,15 +673,7 @@ class FleetDriver:
             target=_write, name="fleet-ckpt-writer", daemon=True
         )
         self._ckpt_thread.start()
-        self._ckpt_writes.inc()
-        self._ckpt_write_ms.inc((time.perf_counter() - started) * 1000.0)
-        self._fleet_events.append(
-            {
-                "kind": "checkpoint",
-                "epoch": written.next_bin,
-                "path": str(path),
-            }
-        )
+        self._note_checkpoint_written(started, written.next_bin, path)
 
     def _ckpt_join(self) -> None:
         """Wait out the in-flight background checkpoint write, if any."""
@@ -757,22 +704,8 @@ class FleetDriver:
         of the fleet restores normally.
         """
         self._ckpt_join()  # never read epochs under an in-flight write
-        if isinstance(source, (str, Path)):
-            path = Path(source)
-            if path.is_dir():
-                ckpt, _ = latest_checkpoint(path)
-            else:
-                ckpt = load_checkpoint(path)
-        else:
-            ckpt = source
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.abandon()
-        self._restore_in_place(
-            ckpt,
-            max_restore_attempts=max_restore_attempts,
-            quarantine_failures=True,
-        )
+        ckpt = _load_source(source)
+        self._restore_in_place(ckpt, max_restore_attempts)
         self._restore_point = ckpt
         self._ckpt_restores.inc()
         self._fleet_events.append(
@@ -782,9 +715,8 @@ class FleetDriver:
     def _recover_from_crash(self, crash) -> None:
         """Roll back to the restore point after a worker death.
 
-        Abandon the surviving workers (their state is post-crash and
-        about to be discarded), restore every tenant and the arbiter to
-        the last bin boundary, and let the caller refork and re-execute.
+        Restore every tenant and the arbiter to the last bin boundary
+        and let the caller refork and re-execute.
         A tenant that cannot restore even here (possible when the
         restore point came from a chaos-damaged disk checkpoint) is
         quarantined like any other restore failure — the fleet degrades
@@ -804,27 +736,23 @@ class FleetDriver:
                 ),
             }
         )
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.abandon()
         if self._restore_point is None:  # pragma: no cover - invariant
             raise RuntimeError(
                 "worker crashed before any restore point was captured"
             ) from crash
-        self._restore_in_place(
-            self._restore_point,
-            max_restore_attempts=1,
-            quarantine_failures=True,
-        )
+        self._restore_in_place(self._restore_point, max_restore_attempts=1)
 
     def _restore_in_place(
-        self,
-        ckpt: FleetCheckpoint,
-        *,
-        max_restore_attempts: int,
-        quarantine_failures: bool,
+        self, ckpt: FleetCheckpoint, max_restore_attempts: int
     ) -> None:
-        """Reset the fleet to ``ckpt``'s bin boundary, tenant by tenant."""
+        """Reset the fleet to ``ckpt``'s bin boundary, tenant by tenant.
+
+        Any live workers are abandoned without a drain: what they hold
+        is about to be replaced.
+        """
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.abandon()
         self._arbiter.restore_state(ckpt.arbiter)
         for ctx in self._contexts:
             try:
@@ -847,19 +775,12 @@ class FleetDriver:
                 except Exception as exc:
                     failure = f"snapshot failed to apply: {exc}"
             if failure is not None:
-                if not quarantine_failures:
-                    raise CheckpointError(
-                        f"tenant {ctx.tenant} failed to restore: {failure}"
-                    )
                 self._quarantine_tenant(ctx, failure)
-            self._arbiter.rebind(ctx)
             ctx.records[:] = list(state.records)
             # verbatim, not rebuilt: the cache's insertion order is part
             # of the rollup's float-sum identity
             self._latest[ctx.tenant] = dict(state.counters)
-            self._trackers[ctx.tenant] = (
-                ctx.telemetry.registry.delta_tracker()
-            )
+        self._local.arm()  # absorbed contexts carry fresh organizers
         self._next_bin = ckpt.next_bin
         self._digests = {}
 
@@ -907,14 +828,7 @@ class FleetDriver:
         original run never having stopped (held by
         ``tests/fleet/test_checkpoint.py`` across seeds and modes).
         """
-        if isinstance(source, (str, Path)):
-            path = Path(source)
-            if path.is_dir():
-                ckpt, _ = latest_checkpoint(path)
-            else:
-                ckpt = load_checkpoint(path)
-        else:
-            ckpt = source
+        ckpt = _load_source(source)
         if ckpt.build_args is None:
             raise CheckpointError(
                 "checkpoint carries no build_fleet arguments (the fleet "
@@ -941,10 +855,6 @@ class FleetDriver:
     def _accumulate(self, tenant: str, moved: dict[str, float]) -> None:
         """Overlay one drain (current values of moved counters)."""
         self._latest[tenant].update(moved)
-
-    def _drain_trackers(self) -> None:
-        for tenant, tracker in self._trackers.items():
-            self._accumulate(tenant, tracker.drain())
 
     def _rollup_counters(self) -> dict[str, float]:
         """Sum the latest-value cache — bit-equal to a registry walk.
@@ -977,7 +887,10 @@ class FleetDriver:
             )
         self._ckpt_join()  # the run is only "done" once durably written
         self.sync_workers()
-        self._drain_trackers()
+        # anything that moved outside a host reply (pool merged back,
+        # a caller driving a tenant by hand between bins)
+        for tenant, moved in self._local.drain():
+            self._accumulate(tenant, moved)
         window = min(final_window_bins, self._next_bin)
         summaries: list[TenantSummary] = []
         for ctx in self._contexts:

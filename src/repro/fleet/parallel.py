@@ -1,35 +1,37 @@
-"""Fork-based worker pool for the parallel fleet driver.
+"""Tenant hosts: where tenant stacks live during a fleet bin.
 
 The fleet loop has exactly one phase that scales with cores: executing
 each tenant's queries for the bin. Everything arbiter-visible — KPI
 samples, predictor history, guard state — mutates only inside the
-plugin tick, so the :class:`~repro.fleet.driver.FleetDriver` can run all
-execute phases concurrently and then serialize the ticks at a
-commit-ordered barrier (hot-first, the same order as the serial loop)
-without changing a single decision. This module is the process-mode
-transport for that plan:
+plugin tick, so the :class:`~repro.fleet.driver.FleetDriver` runs all
+execute phases first and then serializes the ticks at a commit-ordered
+barrier (hot-first) against frozen arbiter views. This module is the
+host side of that one loop:
 
-- :class:`FleetWorkerPool` forks workers that each own a subset of
-  tenant contexts (fork start method only: contexts hold sampler
-  closures that cannot pickle, so they must be inherited by memory
-  image). The parent broadcasts ``execute`` for a bin, then drives one
-  ``tick`` RPC per tenant in barrier order.
-- Inside a worker, :class:`TickRecorder` stands in for the fleet
-  arbiter: the parent ships a frozen
-  :class:`~repro.fleet.arbiter.ArbiterView` with each tick, the
-  recorder answers the organizer's admission hook from it via the same
-  pure :func:`~repro.fleet.arbiter.rule_admission` the serial arbiter
-  uses, and every ruling and harvested commit is recorded
-  chronologically for the parent to apply to the canonical arbiter.
+- :class:`LocalHost` owns a set of tenant contexts and answers the
+  per-bin protocol — ``execute_all``, ``tick``, ``replay``,
+  ``snapshot`` — in whatever process it lives in. The serial fleet is
+  one ``LocalHost`` over every context in the driver's process.
+- :class:`FleetWorkerPool` is N of them behind pipes: it forks workers
+  that each run a ``LocalHost`` over a round-robin slice of the tenants
+  (fork start method only: contexts hold sampler closures that cannot
+  pickle, so they must be inherited by memory image) and exposes the
+  same protocol to the driver.
+- Inside a host, :class:`TickRecorder` stands in for the fleet arbiter:
+  the driver ships a frozen :class:`~repro.fleet.arbiter.ArbiterView`
+  with each tick, the recorder answers the organizer's admission hook
+  from it via the pure :func:`~repro.fleet.arbiter.rule_admission`, and
+  every ruling and harvested commit is recorded chronologically for the
+  driver to apply to the canonical arbiter.
 - Each tick reply carries a fresh
-  :class:`~repro.fleet.arbiter.TenantDigest` (the parent's digest cache
+  :class:`~repro.fleet.arbiter.TenantDigest` (the driver's digest cache
   is how later admissions and replay gates see this tenant) plus the
   current values of its moved counters for the incremental fleet
   rollup.
-- Replay validation (:func:`~repro.fleet.arbiter.attempt_replay`) is an
-  RPC to the owning worker; the cheap digest-only gates run parent-side
-  against the cache.
-- ``sync`` pickles each context back
+- Replay validation (:func:`~repro.fleet.arbiter.attempt_replay`) runs
+  on the host that owns the tenant; the cheap digest-only gates run
+  driver-side against the cache (:class:`HostReplayTransport`).
+- ``sync`` pickles each pooled context back
   (:meth:`~repro.fleet.context.TenantContext.transfer_snapshot`) so the
   parent's contexts end the run carrying the workers' state.
 """
@@ -118,14 +120,14 @@ class ReplayResult:
 
 
 class TickRecorder:
-    """Worker-side stand-in for the fleet arbiter during one tick.
+    """Host-side stand-in for the fleet arbiter during one tick.
 
     Rules on admissions with :func:`rule_admission` over the view the
-    parent shipped, exactly as the serial arbiter would, and records
-    every ruling and harvest in call order. Mid-tick arbiter mutations
-    (a guard-escalation commit clears the tenant's defer count *before*
-    the admission check in the same tick) are mirrored onto the local
-    view copy so a later ruling in the same tick sees them.
+    driver shipped and records every ruling and harvest in call order.
+    Mid-tick arbiter mutations (a guard-escalation commit clears the
+    tenant's defer count *before* the admission check in the same tick)
+    are mirrored onto the local view copy so a later ruling in the same
+    tick sees them.
     """
 
     def __init__(self, ctx: TenantContext, config: FleetConfig) -> None:
@@ -165,89 +167,118 @@ class TickRecorder:
         self._view.defers.pop(self._ctx.tenant, None)
 
 
-def _worker_main(conn, contexts: list[TenantContext], config: FleetConfig):
-    """One worker: owns its contexts, answers the parent's RPCs."""
-    try:
-        tenants = {ctx.tenant: ctx for ctx in contexts}
-        recorders: dict[str, TickRecorder] = {}
-        trackers = {}
-        for ctx in contexts:
-            recorder = TickRecorder(ctx, config)
-            recorders[ctx.tenant] = recorder
-            # replace the inherited parent-arbiter hooks: decisions in
-            # this process come from the shipped views, nothing else
+class LocalHost:
+    """Owns tenant contexts and answers the fleet's per-bin protocol.
+
+    Every tick and replay reply carries the tenant's post-call digest
+    and the current values of its moved counters, so the driver never
+    reads a hosted context between bin boundaries.
+    """
+
+    def __init__(
+        self, contexts: list[TenantContext], config: FleetConfig
+    ) -> None:
+        self._contexts = list(contexts)
+        self._by_tenant = {ctx.tenant: ctx for ctx in self._contexts}
+        self._config = config
+        self._recorders = {
+            ctx.tenant: TickRecorder(ctx, config) for ctx in self._contexts
+        }
+        self._trackers: dict = {}
+        self._pending: dict[str, PendingBin] = {}
+        self.arm()
+
+    def arm(self) -> None:
+        """(Re)install the recorder hooks and re-acquire the trackers.
+
+        Needed at start and whenever a context's organizer or registry
+        was swapped or detached under the host: ``transfer_snapshot``
+        detaches the hooks for pickling, ``absorb_transfer`` replaces
+        both objects. A registry hands back its one tracker, so the
+        drain baseline survives the round trip.
+        """
+        for ctx in self._contexts:
+            recorder = self._recorders[ctx.tenant]
             ctx.organizer.set_admission(
-                recorder.admission if config.arbitrate else None
+                recorder.admission if self._config.arbitrate else None
             )
             ctx.organizer.set_commit_listener(recorder.commit)
-            trackers[ctx.tenant] = ctx.telemetry.registry.delta_tracker()
-        pending: dict[str, PendingBin] = {}
+            self._trackers[ctx.tenant] = (
+                ctx.telemetry.registry.delta_tracker()
+            )
+
+    def execute_all(self, bin_index: int) -> None:
+        """Run every hosted tenant's execute phase for ``bin_index``."""
+        for ctx in self._contexts:
+            self._pending[ctx.tenant] = ctx.simulation.execute_bin(bin_index)
+
+    def tick(self, tenant: str, view: ArbiterView) -> TickResult:
+        """Tick one tenant against a frozen arbiter view (barrier order)."""
+        ctx = self._by_tenant[tenant]
+        recorder = self._recorders[tenant]
+        recorder.arm(view)
+        record = ctx.simulation.finish_bin(self._pending.pop(tenant))
+        return TickResult(
+            tenant=tenant,
+            record=record,
+            digest=compute_digest(ctx, self._config),
+            actions=recorder.actions,
+            counter_updates=self._trackers[tenant].drain(),
+        )
+
+    def replay(self, tenant: str, prior: TuningPrior) -> ReplayResult:
+        """Validate (and maybe apply) a prior on one hosted tenant."""
+        ctx = self._by_tenant[tenant]
+        outcome = attempt_replay(ctx, prior, self._config)
+        return ReplayResult(
+            outcome=outcome,
+            digest=compute_digest(ctx, self._config),
+            counter_updates=self._trackers[tenant].drain(),
+        )
+
+    def drain(self) -> list[tuple[str, dict[str, float]]]:
+        """Per tenant, the current values of the counters that moved."""
+        return [
+            (ctx.tenant, self._trackers[ctx.tenant].drain())
+            for ctx in self._contexts
+        ]
+
+    def snapshot(self) -> list[tuple[str, dict[str, float], bytes]]:
+        """Drain and pickle every tenant: (tenant, moved, pickle).
+
+        The host keeps running afterwards, so the hooks the pickling
+        detached are re-armed — or every later tick here would run
+        un-arbitrated.
+        """
+        blobs = [
+            (tenant, moved, self._by_tenant[tenant].transfer_snapshot())
+            for tenant, moved in self.drain()
+        ]
+        self.arm()
+        return blobs
+
+
+def _worker_main(conn, contexts: list[TenantContext], config: FleetConfig):
+    """One worker: a :class:`LocalHost` answering the parent's RPCs."""
+    try:
+        # replaces the hooks inherited from the parent's host: decisions
+        # in this process come from the shipped views, nothing else
+        host = LocalHost(contexts, config)
+        handlers = {
+            "execute": host.execute_all,
+            "tick": host.tick,
+            "replay": host.replay,
+            "snapshot": host.snapshot,
+        }
         while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "execute":
-                for ctx in contexts:
-                    pending[ctx.tenant] = ctx.simulation.execute_bin(msg[1])
-                conn.send(("ok",))
-            elif cmd == "tick":
-                _, tenant, view = msg
-                ctx = tenants[tenant]
-                recorder = recorders[tenant]
-                recorder.arm(view)
-                record = ctx.simulation.finish_bin(pending.pop(tenant))
-                conn.send(
-                    (
-                        "ok",
-                        TickResult(
-                            tenant=tenant,
-                            record=record,
-                            digest=compute_digest(ctx, config),
-                            actions=recorder.actions,
-                            counter_updates=trackers[tenant].drain(),
-                        ),
-                    )
-                )
-            elif cmd == "replay":
-                _, tenant, prior = msg
-                ctx = tenants[tenant]
-                outcome = attempt_replay(ctx, prior, config)
-                conn.send(
-                    (
-                        "ok",
-                        ReplayResult(
-                            outcome=outcome,
-                            digest=compute_digest(ctx, config),
-                            counter_updates=trackers[tenant].drain(),
-                        ),
-                    )
-                )
-            elif cmd in ("sync", "snapshot"):
-                blobs = [
-                    (
-                        ctx.tenant,
-                        trackers[ctx.tenant].drain(),
-                        ctx.transfer_snapshot(),
-                    )
-                    for ctx in contexts
-                ]
-                if cmd == "snapshot":
-                    # transfer_snapshot detached the organizer hooks for
-                    # pickling; a snapshotting worker keeps running, so
-                    # re-arm the recorders or every later tick in this
-                    # process would run un-arbitrated
-                    for ctx in contexts:
-                        recorder = recorders[ctx.tenant]
-                        ctx.organizer.set_admission(
-                            recorder.admission if config.arbitrate else None
-                        )
-                        ctx.organizer.set_commit_listener(recorder.commit)
-                conn.send(("ok", blobs))
-            elif cmd == "stop":
+            cmd, *args = conn.recv()
+            if cmd == "stop":
                 conn.send(("ok",))
                 return
-            else:  # pragma: no cover - protocol guard
+            if cmd not in handlers:  # pragma: no cover - protocol guard
                 conn.send(("error", f"unknown command {cmd!r}"))
                 return
+            conn.send(("ok", handlers[cmd](*args)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -256,7 +287,8 @@ def _worker_main(conn, contexts: list[TenantContext], config: FleetConfig):
 
 
 class FleetWorkerPool:
-    """Forked workers, each owning a round-robin slice of the tenants.
+    """Forked :class:`LocalHost` workers, each owning a round-robin slice
+    of the tenants, behind the same per-bin protocol.
 
     The pool is **supervised**: every parent-side wait on a worker is a
     poll-with-timeout loop interleaved with ``is_alive()`` checks, so a
@@ -279,11 +311,11 @@ class FleetWorkerPool:
     ) -> None:
         try:
             mp = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - platform-dependent
+        except ValueError as exc:
             raise RuntimeError(
                 "parallel='process' needs the fork start method (tenant "
                 "workloads hold closures that cannot pickle); use "
-                "parallel='thread' on this platform"
+                "parallel='serial' on this platform"
             ) from exc
         if rpc_timeout_s <= 0:
             raise ValueError("rpc_timeout_s must be positive")
@@ -414,28 +446,27 @@ class FleetWorkerPool:
         return self._recv(worker)
 
     def sync(self) -> list[tuple[str, dict[str, float], bytes]]:
-        """Drain and snapshot every tenant: (tenant, moved, pickle)."""
-        return self._collect_snapshots("sync")
+        """Drain and snapshot every tenant: (tenant, moved, pickle).
+
+        The last call before :meth:`stop`: the parent absorbs the
+        pickles and the workers' state ends with them.
+        """
+        for worker in range(len(self._conns)):
+            self._send(worker, ("snapshot",))
+        collected: list[tuple[str, dict[str, float], bytes]] = []
+        for worker in range(len(self._conns)):
+            collected.extend(self._recv(worker))
+        return collected
 
     def snapshot(self) -> list[tuple[str, dict[str, float], bytes]]:
-        """Like :meth:`sync`, but the workers keep running.
+        """:meth:`sync` mid-run: the workers keep running.
 
         The workers re-arm their recorder hooks after pickling, so the
         pool stays usable for the next bin — this is how the driver
         refreshes its crash restore point (and writes periodic durable
         checkpoints) without tearing the pool down every interval.
         """
-        return self._collect_snapshots("snapshot")
-
-    def _collect_snapshots(
-        self, cmd: str
-    ) -> list[tuple[str, dict[str, float], bytes]]:
-        for worker in range(len(self._conns)):
-            self._send(worker, (cmd,))
-        collected: list[tuple[str, dict[str, float], bytes]] = []
-        for worker in range(len(self._conns)):
-            collected.extend(self._recv(worker))
-        return collected
+        return self.sync()
 
     # ------------------------------------------------------------------
     # supervision and teardown
@@ -522,20 +553,19 @@ class FleetWorkerPool:
         self._procs = []
 
 
-class PoolReplayTransport:
-    """Replay transport over a worker pool plus the parent digest cache.
+class HostReplayTransport:
+    """Replay transport over a tenant host plus the driver's digest cache.
 
     Digest-only gates read the cache (every entry is post-tick fresh);
-    the expensive validate-then-apply attempt is an RPC to the tenant's
-    owning worker, whose reply refreshes the cache — so a replay applied
-    earlier in the round is visible to every later cap check and gate,
-    exactly as in the serial round.
+    the expensive validate-then-apply attempt runs on the host that owns
+    the tenant, whose reply refreshes the cache — so a replay applied
+    earlier in the round is visible to every later cap check and gate.
     """
 
-    def __init__(self, pool, digests, on_updates) -> None:
-        self._pool = pool
+    def __init__(self, host, digests, on_updates) -> None:
+        self._host = host
         self._digests = digests
-        #: callback(tenant, moved-counter values) into the parent's
+        #: callback(tenant, moved-counter values) into the driver's
         #: incremental rollup cache
         self._on_updates = on_updates
 
@@ -546,7 +576,7 @@ class PoolReplayTransport:
         return self._digests[tenant]
 
     def attempt(self, prior: TuningPrior, tenant: str) -> ReplayOutcome | None:
-        result = self._pool.replay(tenant, prior)
+        result = self._host.replay(tenant, prior)
         self._digests[tenant] = result.digest
         self._on_updates(tenant, result.counter_updates)
         return result.outcome

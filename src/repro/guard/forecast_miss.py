@@ -38,13 +38,15 @@ def total_variation(
         return 0.0
     if p_total <= 0 or q_total <= 0:
         return 1.0
-    keys = set(p) | set(q)
+    # sorted: set order follows the per-process string hash salt, and
+    # float addition is not associative — fleet workers must agree to
+    # the last digit
     return 0.5 * sum(
         abs(
             max(0.0, p.get(key, 0.0)) / p_total
             - max(0.0, q.get(key, 0.0)) / q_total
         )
-        for key in keys
+        for key in sorted(set(p) | set(q))
     )
 
 

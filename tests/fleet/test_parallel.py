@@ -1,7 +1,7 @@
-"""Golden tests: parallel fleet modes are bit-identical to the serial loop.
+"""Golden tests: the process-hosted fleet is bit-identical to the serial one.
 
-The concurrent driver's claim is strong — thread and process modes must
-produce exactly the serial run: same bin records, same per-tenant event
+The claim is strong — hosting the tenants in fork workers must produce
+exactly the serial run: same bin records, same per-tenant event
 streams (arbiter reason strings included), same final physical
 configurations, same rollup counters, same arbitration totals. These
 tests hold that on multiple seeds, plus the mid-run sync/resume path of
@@ -62,7 +62,7 @@ def _run(mode, seed, **kwargs):
 
 @pytest.fixture(scope="module")
 def serial_fingerprints():
-    """Serial-arm fingerprints, computed once per seed for both modes."""
+    """Serial-arm fingerprints, computed once per seed."""
     cache = {}
 
     def get(seed):
@@ -71,11 +71,6 @@ def serial_fingerprints():
         return cache[seed]
 
     return get
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_thread_mode_is_bit_identical(serial_fingerprints, seed):
-    assert _fingerprint(*_run("thread", seed)) == serial_fingerprints(seed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -121,3 +116,14 @@ def test_labelled_metrics_identical_across_modes():
 def test_unknown_parallel_mode_rejected():
     with pytest.raises(ValueError, match="unknown parallel mode"):
         build_fleet(2, bins=2, rows=1_000, parallel="greenlet")
+
+
+def test_thread_mode_is_rejected_naming_the_valid_modes(capsys):
+    """Thread mode is gone: both entry points say what is left."""
+    from repro.__main__ import main
+
+    with pytest.raises(ValueError, match=r"'serial', 'process'"):
+        build_fleet(1, bins=1, rows=200, parallel="thread")
+    with pytest.raises(SystemExit):
+        main(["fleet", "--parallel", "thread"])
+    assert "'serial', 'process'" in capsys.readouterr().err

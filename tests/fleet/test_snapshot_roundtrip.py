@@ -37,13 +37,13 @@ def _built(seed):
 def test_snapshot_absorb_snapshot_is_a_fixed_point(seed):
     fleet = _built(seed)
     ctx = fleet.tenants[0]
-    arbiter = fleet.arbiter
+    host = fleet._local
 
     def round_trip():
         blob = ctx.transfer_snapshot()
-        arbiter.rebind(ctx)  # snapshot detaches the arbiter hooks
+        host.arm()  # snapshot detaches the recorder hooks
         ctx.absorb_transfer(blob)
-        arbiter.rebind(ctx)
+        host.arm()  # the absorbed organizer and registry are new objects
         return blob
 
     round_trip()  # first absorb canonicalises the pickle layout
@@ -62,17 +62,17 @@ def test_absorbed_context_continues_bit_identically(seed):
     control = _built(seed)
     pickled = _built(seed)
     for ctx in pickled.tenants:
-        blob = ctx.transfer_snapshot()
-        pickled.arbiter.rebind(ctx)
-        ctx.absorb_transfer(blob)
-        pickled.arbiter.rebind(ctx)
+        ctx.absorb_transfer(ctx.transfer_snapshot())
+    # the host re-arms what the round trip detached and swapped: the
+    # recorder hooks (else the remaining bins run un-arbitrated) and
+    # the registries' trackers
+    pickled._local.arm()
 
     control.run()
     pickled.run()
-    # compare the tenants' own registries/logs directly: the manual
-    # round trip above bypasses the driver's tracker rebinding (the
-    # driver-integrated path is covered by test_checkpoint), and the
-    # property under test is the context round trip itself
+    # compare the tenants' own registries/logs directly: the property
+    # under test is the context round trip itself (the driver-integrated
+    # path is covered by test_checkpoint)
     for a, b in zip(control.tenants, pickled.tenants):
         assert list(a.records) == list(b.records)
         assert (

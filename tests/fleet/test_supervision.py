@@ -161,6 +161,17 @@ def _make_pool(**kwargs):
     return pool, registry, events
 
 
+def test_no_fork_start_method_points_at_serial_mode(monkeypatch):
+    import multiprocessing
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    with pytest.raises(RuntimeError, match="parallel='serial'"):
+        _make_pool()
+
+
 def test_dead_worker_raises_worker_crashed_not_hang():
     pool, _, _ = _make_pool()
     try:

@@ -1,5 +1,10 @@
 """Total-variation distance and the forecast-miss streak machine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.forecasting.scenarios import Forecast, WorkloadScenario
@@ -52,6 +57,30 @@ def test_symmetry_and_range():
 
 def test_negative_frequencies_are_clamped():
     assert total_variation({"a": 1.0, "b": -5.0}, {"a": 1.0}) == 0.0
+
+
+def test_last_float_digits_do_not_depend_on_the_hash_seed():
+    """Fleet workers are separate interpreters with their own string
+    hash salt: the distance must not be summed in set order."""
+    script = (
+        "from repro.guard import total_variation\n"
+        "p = {f'family_{i}': 1.0 / (i + 3) for i in range(12)}\n"
+        "q = {f'family_{i}': 1.0 / (i * i + 7) for i in range(4, 16)}\n"
+        "print(total_variation(p, q).hex())\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    seen = set()
+    for salt in ("1", "2", "3", "4"):
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": salt, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        seen.add(out.stdout.strip())
+    assert len(seen) == 1, seen
 
 
 def test_dominance_swap_distance():

@@ -25,6 +25,7 @@ from repro.policy.engine import POLICY_TRIGGER
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
+from tests.fleet.test_arbiter import _admit
 
 
 def _prepare(retail_suite, bins=5, per_bin=25):
@@ -189,8 +190,6 @@ def _fake_context(tenant, active_commit=None):
         organizer=SimpleNamespace(
             guard=SimpleNamespace(active_commit=active_commit),
             last_tuning_ms=None,
-            set_admission=lambda hook: None,
-            set_commit_listener=lambda hook: None,
         ),
         monitor=SimpleNamespace(mean=lambda metric, last_n=None: 10.0),
         predictor=SimpleNamespace(
@@ -209,10 +208,10 @@ def test_policy_passes_are_arbitrated_not_urgent():
     other = _fake_context("t1", active_commit=object())
     arbiter.register(ctx)
     arbiter.register(other)
-    admitted, reason = arbiter._admit(ctx, _decision(POLICY_TRIGGER))
+    admitted, reason = _admit(arbiter, ctx, _decision(POLICY_TRIGGER))
     assert not admitted
     assert "cap" in reason
-    admitted, reason = arbiter._admit(ctx, _decision("sla_violation"))
+    admitted, reason = _admit(arbiter, ctx, _decision("sla_violation"))
     assert admitted
     assert "urgent" in reason
 
@@ -221,6 +220,6 @@ def test_policy_passes_admitted_when_nothing_competes():
     arbiter = FleetOrganizer()
     ctx = _fake_context("t0")
     arbiter.register(ctx)
-    admitted, reason = arbiter._admit(ctx, _decision(POLICY_TRIGGER))
+    admitted, reason = _admit(arbiter, ctx, _decision(POLICY_TRIGGER))
     assert admitted
     assert reason == "admitted"
