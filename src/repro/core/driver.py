@@ -38,8 +38,6 @@ class DriverConfig:
 
     #: duration of one observation bin (predictor time resolution)
     bin_duration_ms: float = 60_000.0
-    #: evaluate triggers every N ticks (observation happens every tick)
-    check_every_ticks: int = 1
     organizer: OrganizerConfig = field(default_factory=OrganizerConfig)
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
     #: seasonal period (bins) for the default forecast model
@@ -89,7 +87,6 @@ class Driver(Plugin):
         self._triggers = triggers
         self._reconfiguration_weight = reconfiguration_weight
         self._db: Database | None = None
-        self._ticks = 0
 
     # ------------------------------------------------------------------
     # plugin lifecycle
@@ -162,7 +159,7 @@ class Driver(Plugin):
         db = self.database
         self.predictor.observe()
         self.monitor.sample()
-        # the commit guard runs every tick, not every check interval: a
+        # the commit guard runs before the trigger check: a
         # regressing commit rolls back as soon as the evidence is in, and
         # a forecast miss escalates without waiting for a trigger pass
         guard_report = self.organizer.guard_tick()
@@ -174,15 +171,13 @@ class Driver(Plugin):
             )
         if self.cost_maintenance is not None:
             self.cost_maintenance.on_tick(now_ms)
-        self._ticks += 1
-        if self._ticks % self._config.check_every_ticks == 0:
-            report = self.organizer.tick()
-            if report is not None:
-                self.events.log(
-                    db.clock.now_ms,
-                    EventKind.APPLY,
-                    f"applied tuning pass over {report.order}",
-                )
+        report = self.organizer.tick()
+        if report is not None:
+            self.events.log(
+                db.clock.now_ms,
+                EventKind.APPLY,
+                f"applied tuning pass over {report.order}",
+            )
 
     def tune_now(self) -> OrganizerRunReport | None:
         """Force a tuning pass immediately (manual mode).

@@ -94,8 +94,6 @@ class OrganizerConfig:
     #: defer non-urgent tunings until a low-utilization window
     require_idle: bool = False
     idle_utilization_threshold: float = 0.5
-    #: skip applying a pass whose predicted benefit is below this
-    min_predicted_benefit_ms: float = 0.0
     #: when set, tune only the features whose single-tuning one-time costs
     #: fit this budget, ranked by impact per cost (Section III-A)
     tuning_time_budget_ms: float | None = None
@@ -420,7 +418,7 @@ class Organizer:
         report = executor.rollback(
             self._db,
             list(commit.inverse_actions),
-            (commit.saved_epoch, commit.saved_pool),
+            commit.epoch_mark,
         )
         now = self._db.clock.now_ms
         _, offenders = self._guard.resolve_rollback(now)
@@ -712,7 +710,6 @@ class Organizer:
         # the committed pass enters probation: its inverse actions are
         # retained instead of discarded, so a confirmed KPI regression
         # can undo it bit-identically (see repro.guard)
-        saved_epoch, saved_pool = pre_pass
         self._guard.open_probation(
             self._db.clock.now_ms,
             features=tuple(
@@ -721,8 +718,7 @@ class Organizer:
             inverse_actions=tuple(
                 a for r in ok_runs for a in r.report.inverse_actions
             ),
-            saved_epoch=saved_epoch,
-            saved_pool=saved_pool,
+            epoch_mark=pre_pass,
             record_id=record_id,
         )
         deltas = interval.deltas()
@@ -1008,13 +1004,11 @@ class Organizer:
                     measured_benefit_ms=cost_before_ms - cost_after_ms,
                 )
             )
-            saved_epoch, saved_pool = pre_pass
             self._guard.open_probation(
                 now,
                 features=features,
                 inverse_actions=tuple(report.inverse_actions),
-                saved_epoch=saved_epoch,
-                saved_pool=saved_pool,
+                epoch_mark=pre_pass,
                 record_id=record_id,
             )
             span.tag(

@@ -10,15 +10,7 @@ from repro.cost.learned import LearnedCostModel
 from repro.cost.logical import LogicalCostModel
 from repro.cost.maintenance import AdaptiveCostMaintenancePlugin
 from repro.cost.physical import PhysicalCostModel
-from repro.cost.what_if import WhatIfCacheStats, WhatIfOptimizer
-from repro.cost.workload_cost import (
-    QueryCostFn,
-    estimator_cost_fn,
-    expected_cost_ms,
-    forecast_costs,
-    scenario_cost_ms,
-    worst_scenario_cost_ms,
-)
+from repro.cost.what_if import WhatIfOptimizer
 
 __all__ = [
     "AdaptiveCostMaintenancePlugin",
@@ -26,15 +18,8 @@ __all__ = [
     "LearnedCostModel",
     "LogicalCostModel",
     "PhysicalCostModel",
-    "QueryCostFn",
-    "WhatIfCacheStats",
     "WhatIfOptimizer",
     "calibration_queries",
-    "estimator_cost_fn",
-    "expected_cost_ms",
-    "forecast_costs",
     "run_design_exploration",
     "run_startup_calibration",
-    "scenario_cost_ms",
-    "worst_scenario_cost_ms",
 ]

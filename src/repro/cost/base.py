@@ -23,18 +23,3 @@ class CostEstimator(ABC):
     @abstractmethod
     def estimate_query_ms(self, query: Query) -> float:
         """Estimated runtime of one execution of ``query``."""
-
-    def estimate_workload_ms(
-        self, frequencies: dict[str, float], sample_queries: dict[str, Query]
-    ) -> float:
-        """Estimated cost of a frequency-weighted workload.
-
-        Templates without a sample query cannot be priced and are skipped.
-        """
-        total = 0.0
-        for key, frequency in frequencies.items():
-            query = sample_queries.get(key)
-            if query is None or frequency <= 0:
-                continue
-            total += frequency * self.estimate_query_ms(query)
-        return total

@@ -8,24 +8,20 @@ raw/unaccounted action path, costs are taken with zero side effects
 restores the previous state — the simulated clock, counters, plan cache,
 and buffer pool never notice.
 
-Measured (probe-mode) costs are memoised in an LRU cache keyed on
-``(config_epoch, query)``: the database's configuration epoch identifies
-the pricing-relevant state, so repeated pricing of the same query under
-the same (hypothetical) configuration — the dominant pattern in
-dependence measurement, candidate assessment, and trigger evaluation —
-becomes a dict hit. The cache is semantically invisible: every mutation
-that can change a probe-mode cost bumps the epoch, and
-:meth:`WhatIfOptimizer.hypothetical` restores the pre-delta epoch after
-rollback only when the rollback was exact (see the buffer-pool guard).
+Measured (probe-mode) costs are memoised in a
+:class:`~repro.util.lru.BoundedLRU` keyed ``(config_epoch, query)``, so
+repeated pricing of the same query under the same (hypothetical)
+configuration — the dominant pattern in dependence measurement,
+candidate assessment, and trigger evaluation — becomes a dict hit. What
+keeps the cache semantically invisible is the epoch contract in
+``docs/planner.md`` ("Epochs and caches").
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.configuration.delta import ConfigurationDelta
@@ -40,6 +36,7 @@ from repro.kpi.metrics import (
     WHATIF_SCENARIO_COVERAGE,
 )
 from repro.telemetry.metrics import MetricRegistry
+from repro.util.lru import BoundedLRU, CacheStats
 from repro.workload.query import Query
 
 if TYPE_CHECKING:
@@ -47,49 +44,6 @@ if TYPE_CHECKING:
 
 #: Default bound on cached ``(config_epoch, query)`` cost entries.
 DEFAULT_CACHE_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class WhatIfCacheStats:
-    """Cumulative counters of the what-if cost cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    size: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of pricings answered from the cache; 0 when unused."""
-        priced = self.hits + self.misses
-        return self.hits / priced if priced else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "size": float(self.size),
-            "hit_rate": self.hit_rate,
-        }
-
-    @classmethod
-    def aggregate(
-        cls, stats: Iterable["WhatIfCacheStats"]
-    ) -> "WhatIfCacheStats":
-        """Fleet rollup: field-wise sum over per-tenant cache stats.
-
-        Each tenant's optimizer owns its own cache and stats; the fleet
-        view is this explicit sum, with ``hit_rate`` derived from the
-        summed hits/misses rather than averaged per tenant.
-        """
-        hits = misses = evictions = size = 0
-        for s in stats:
-            hits += s.hits
-            misses += s.misses
-            evictions += s.evictions
-            size += s.size
-        return cls(hits=hits, misses=misses, evictions=evictions, size=size)
 
 
 class WhatIfOptimizer:
@@ -120,13 +74,12 @@ class WhatIfOptimizer:
         spikes (see :meth:`FaultInjector.probe_spike_ms`), modelling the
         measurement noise of what-if probing on a loaded system.
         """
-        if cache_size < 0:
-            raise ValueError("cache_size must be non-negative")
         self._db = database
         self._estimator = estimator
         self._injector = injector
-        self._cache_size = cache_size
-        self._cache: OrderedDict[tuple[int, Query], float] = OrderedDict()
+        self._cache: BoundedLRU[tuple[int, Query], float] = BoundedLRU(
+            cache_size
+        )
         self._registry = registry if registry is not None else MetricRegistry()
         self._hits = self._registry.counter(WHATIF_CACHE_HITS)
         self._misses = self._registry.counter(WHATIF_CACHE_MISSES)
@@ -158,11 +111,11 @@ class WhatIfOptimizer:
     @property
     def cache_size(self) -> int:
         """Configured LRU bound of the cost cache (0 = disabled)."""
-        return self._cache_size
+        return self._cache.capacity
 
     @property
-    def cache_stats(self) -> WhatIfCacheStats:
-        return WhatIfCacheStats(
+    def cache_stats(self) -> CacheStats:
+        return CacheStats(
             hits=int(self._hits.value),
             misses=int(self._misses.value),
             evictions=int(self._evictions.value),
@@ -186,16 +139,17 @@ class WhatIfOptimizer:
         bind a no-op). ``replace=True`` rebinds names held by another
         optimizer's counters (re-attach semantics).
         """
-        if registry is self._registry:
-            return
-        for metric in (
-            self._hits,
-            self._misses,
-            self._evictions,
-            self._size_gauge,
-            self._coverage_gauge,
-        ):
-            registry.adopt(metric, replace=replace)
+        if registry is not self._registry:
+            registry.adopt_all(
+                (
+                    self._hits,
+                    self._misses,
+                    self._evictions,
+                    self._size_gauge,
+                    self._coverage_gauge,
+                ),
+                replace=replace,
+            )
 
     def clear_cache(self) -> None:
         """Drop all cached costs (counters are kept)."""
@@ -217,63 +171,42 @@ class WhatIfOptimizer:
 
     def query_cost_ms(self, query: Query) -> float:
         """Cost of one query under the current (possibly hypothetical)
-        configuration. Measured probes run through the executor, so they
-        share the database's compiled-plan cache: re-pricing a query the
-        engine has planned under the same plan epoch skips compilation."""
-        if self._estimator is not None:
-            return self._estimator.estimate_query_ms(query)
-        if self._cache_size > 0:
-            key = (self._db.config_epoch, query)
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits.inc()
-                return cached
-            self._misses.inc()
-        cost = self._measured_cost(query)
-        if self._cache_size > 0:
-            self._cache[key] = cost
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-                self._evictions.inc()
-        return cost
+        configuration: a one-element :meth:`batch_query_costs`."""
+        return self.batch_query_costs((query,))[0]
 
     def batch_query_costs(self, queries: Sequence[Query]) -> list[float]:
-        """Costs of many queries, in order — the batched counterpart of
-        :meth:`query_cost_ms`.
+        """Costs of many queries, in order, under the current (possibly
+        hypothetical) configuration — the one pricing loop.
 
-        The configuration epoch is read once (probe-mode executions never
-        bump it) and cache lookups run in one pass with the counters
-        updated in aggregate, so assessors pricing whole template sets pay
-        the epoch/bookkeeping overhead once per batch instead of once per
-        query. Returned costs, cache contents, and cumulative counter
-        totals are identical to sequential :meth:`query_cost_ms` calls —
-        a query repeated within the batch misses once and hits after.
+        Measured probes run through the executor, so they share the
+        database's compiled-plan cache: re-pricing a query the engine has
+        planned under the same plan epoch skips compilation. The
+        configuration epoch is read once (probe-mode executions never
+        bump it) and the counters are updated in aggregate, so assessors
+        pricing whole template sets pay the epoch/bookkeeping overhead
+        once per batch instead of once per query. A query repeated within
+        the batch misses once and hits after.
         """
         if self._estimator is not None:
             return [
                 self._estimator.estimate_query_ms(query) for query in queries
             ]
-        if self._cache_size == 0:
+        cache = self._cache
+        if cache.capacity == 0:
             return [self._measured_cost(query) for query in queries]
         epoch = self._db.config_epoch
-        cache = self._cache
         costs: list[float] = []
         hits = misses = evictions = 0
         for query in queries:
             key = (epoch, query)
             cached = cache.get(key)
             if cached is not None:
-                cache.move_to_end(key)
                 hits += 1
                 costs.append(cached)
                 continue
             misses += 1
             cost = self._measured_cost(query)
-            cache[key] = cost
-            if len(cache) > self._cache_size:
-                cache.popitem(last=False)
-                evictions += 1
+            evictions += cache.put(key, cost)
             costs.append(cost)
         if hits:
             self._hits.inc(float(hits))
@@ -328,14 +261,6 @@ class WhatIfOptimizer:
             for scenario in forecast.scenarios
         }
 
-    def expected_forecast_cost(self, forecast: Forecast) -> float:
-        """Probability-weighted cost across all scenarios."""
-        costs = self.forecast_costs(forecast)
-        return sum(
-            scenario.probability * costs[scenario.name]
-            for scenario in forecast.scenarios
-        )
-
     # ------------------------------------------------------------------
     # hypothetical configurations
 
@@ -345,36 +270,24 @@ class WhatIfOptimizer:
     ) -> Iterator["WhatIfOptimizer"]:
         """Apply ``delta`` raw, yield, then roll back. Nestable.
 
-        On exit the pre-delta configuration epoch is restored, so costs
-        cached for the surrounding state stay valid and a later
-        re-application of the same delta revisits the same epochs (cache
-        reuse). The restore is skipped when the rollback was inexact:
-        raw actions can only *remove* buffer-pool entries (invalidation,
-        capacity shrink), never add them, so an unchanged (entry count,
-        used bytes) pair proves the pool — and with it the whole
-        pricing-relevant state — was restored bit-identically.
+        On exit the database's epochs are rewound to the pre-delta mark
+        (:meth:`Database.rewind_epoch`), so costs cached for the
+        surrounding state stay valid and a later re-application of the
+        same delta revisits the same epochs (cache reuse).
         """
-        pool = self._db.executor.buffer_pool
-        saved_epoch = self._db.config_epoch
-        saved_pool = (pool.entry_count, pool.used_bytes)
+        mark = self._db.epoch_mark()
         try:
             inverse = delta.apply_raw(self._db)
         except Exception:
             # delta.apply_raw undid its own partial prefix; fix the epoch
             # the same way a normal exit would
-            if (pool.entry_count, pool.used_bytes) == saved_pool:
-                self._db.restore_config_epoch(saved_epoch)
-            else:
-                self._db.bump_config_epoch()
+            self._db.rewind_epoch(mark)
             raise
         try:
             yield self
         finally:
             inverse.apply_raw(self._db)
-            if (pool.entry_count, pool.used_bytes) == saved_pool:
-                self._db.restore_config_epoch(saved_epoch)
-            else:
-                self._db.bump_config_epoch()
+            self._db.rewind_epoch(mark)
 
     def cost_with(
         self,
@@ -385,22 +298,3 @@ class WhatIfOptimizer:
         """Scenario cost as if ``delta`` were applied."""
         with self.hypothetical(delta):
             return self.scenario_cost_ms(scenario, sample_queries)
-
-    def cost_many(
-        self,
-        deltas: Sequence[ConfigurationDelta],
-        scenario: WorkloadScenario,
-        sample_queries: dict[str, Query],
-    ) -> list[float]:
-        """Scenario costs for many alternative deltas, in order.
-
-        Each delta is hypothetically applied and rolled back exactly once;
-        inside every application the scenario is priced through the batched
-        path, so comparing N candidate configurations costs N
-        apply/rollback cycles plus N batched pricings — never N×templates
-        epoch reads.
-        """
-        return [
-            self.cost_with(delta, scenario, sample_queries)
-            for delta in deltas
-        ]

@@ -9,7 +9,6 @@ the plugin host the driver attaches through.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from repro.dbms.storage_tiers import StorageTier, migration_cost_ms
 from repro.dbms.table import DEFAULT_TARGET_CHUNK_SIZE, Table
 from repro.errors import PlacementError
 from repro.plan.planner import QueryPlanner
+from repro.util.lru import BoundedLRU
 from repro.util.timer import SimulatedClock
 from repro.workload.query import Query
 from repro.workload.sql import parse_sql
@@ -33,8 +33,56 @@ from repro.workload.sql import parse_sql
 _KNOB_APPLY_MS = 0.05
 #: Simulated cost of dropping an index (unlink + deallocate).
 _INDEX_DROP_MS = 0.02
-#: Bound on the memoised epoch-transition table (see bump_config_epoch).
+#: Bound on the memoised epoch-transition tables (see _EpochCounter).
 _EPOCH_MEMO_CAPACITY = 65_536
+
+#: What :meth:`Database.epoch_mark` returns: the config epoch and the
+#: buffer-pool fingerprint ``(entry count, used bytes)`` taken with it.
+EpochMark = tuple[int, tuple[int, int]]
+
+
+class _EpochCounter:
+    """One epoch: the current value and the allocator behind it.
+
+    Values come from a monotonically increasing allocation count, so
+    distinct states never share one. With a ``token`` (a deterministic
+    description of the mutation) the transition ``(old value, token) ->
+    new value`` is memoised: re-applying the same mutation from the same
+    epoch — the dominant pattern when the what-if optimizer re-explores
+    a hypothetical state it has visited before — lands on the same
+    value, so whatever is cached for that state is reused. Tokens must
+    determine the resulting state given the starting state (action
+    descriptions qualify; anything time- or randomness-dependent does
+    not).
+    """
+
+    __slots__ = ("value", "_allocated", "_transitions")
+
+    def __init__(self) -> None:
+        self.value = 0
+        self._allocated = 0
+        self._transitions: BoundedLRU[tuple[int, str], int] = BoundedLRU(
+            _EPOCH_MEMO_CAPACITY
+        )
+
+    def bump(self, token: str | None = None) -> int:
+        if token is None:
+            self._allocated += 1
+            self.value = self._allocated
+            return self.value
+        key = (self.value, token)
+        known = self._transitions.get(key)
+        if known is None:
+            self._allocated += 1
+            known = self._allocated
+            self._transitions.put(key, known)
+        self.value = known
+        return known
+
+    def restore(self, value: int) -> None:
+        """Go back to an earlier value; the allocation count is *not*
+        rewound, so values stay unambiguous."""
+        self.value = value
 
 
 @dataclass
@@ -86,33 +134,22 @@ class Database:
         self.plugin_host = PluginHost(self)
         self.counters = RuntimeCounters()
         self._default_encoding = default_encoding
-        # configuration-epoch machinery: the epoch identifies the current
-        # pricing-relevant state (physical design, knobs, buffer pool) so
-        # what-if cost caches can key on it; see bump_config_epoch
-        self._config_epoch = 0
-        self._epoch_alloc = 0
-        self._epoch_transitions: OrderedDict[tuple[int, str], int] = (
-            OrderedDict()
-        )
-        # plan-epoch machinery: a coarser epoch identifying only the
-        # *structural* state compiled plans depend on (physical design,
-        # schema, knobs) — buffer-pool traffic bumps the config epoch but
-        # not this one, since plans resolve tiers at bind time; see
-        # bump_plan_epoch
-        self._plan_epoch = 0
-        self._plan_epoch_alloc = 0
-        self._plan_epoch_transitions: OrderedDict[tuple[int, str], int] = (
-            OrderedDict()
-        )
+        # the config epoch identifies the pricing-relevant state (physical
+        # design, knobs, buffer pool); the coarser plan epoch only the
+        # *structural* state compiled plans depend on — see the
+        # config_epoch and plan_epoch properties
+        self._config_epoch = _EpochCounter()
+        self._plan_epoch = _EpochCounter()
         # config epoch -> plan epoch, so restoring a config epoch after an
         # exact what-if rollback restores the matching plan epoch too
-        self._plan_epoch_of_config: OrderedDict[int, int] = OrderedDict(
-            {0: 0}
+        self._plan_epoch_of_config: BoundedLRU[int, int] = BoundedLRU(
+            _EPOCH_MEMO_CAPACITY
         )
+        self._plan_epoch_of_config.put(0, 0)
 
     def _read_plan_epoch(self) -> int:
         """Picklable ``epoch_fn`` for the planner (see ``__init__``)."""
-        return self._plan_epoch
+        return self._plan_epoch.value
 
     # ------------------------------------------------------------------
     # configuration identity
@@ -130,40 +167,21 @@ class Database:
         directly through :meth:`Table.append` is expected to precede
         tuning; such appends do not bump the epoch.
         """
-        return self._config_epoch
+        return self._config_epoch.value
 
     def bump_config_epoch(self, token: str | None = None) -> int:
         """Mark the pricing-relevant state as changed; returns the epoch.
 
-        With a ``token`` (a deterministic description of the mutation) the
-        transition ``(old_epoch, token) -> new_epoch`` is memoised:
-        re-applying the same mutation from the same epoch — the dominant
-        pattern when the what-if optimizer re-explores a hypothetical
-        state it has visited before — lands on the same epoch, so cached
-        costs for that state are reused. Tokens must determine the
-        resulting state given the starting state (action descriptions
-        qualify; anything time- or randomness-dependent does not).
+        Tokened transitions are memoised (see :class:`_EpochCounter`), so
+        cached costs for a re-explored hypothetical state are reused.
         """
         if token is not None:
             # a tokened bump describes a structural mutation (raw action
             # application), which invalidates compiled plans as well
-            self.bump_plan_epoch(token)
-            key = (self._config_epoch, token)
-            known = self._epoch_transitions.get(key)
-            if known is not None:
-                self._epoch_transitions.move_to_end(key)
-                self._config_epoch = known
-                self._note_plan_epoch()
-                return known
-            self._epoch_alloc += 1
-            self._epoch_transitions[key] = self._epoch_alloc
-            if len(self._epoch_transitions) > _EPOCH_MEMO_CAPACITY:
-                self._epoch_transitions.popitem(last=False)
-        else:
-            self._epoch_alloc += 1
-        self._config_epoch = self._epoch_alloc
-        self._note_plan_epoch()
-        return self._config_epoch
+            self._plan_epoch.bump(token)
+        epoch = self._config_epoch.bump(token)
+        self._plan_epoch_of_config.put(epoch, self._plan_epoch.value)
+        return epoch
 
     @property
     def plan_epoch(self) -> int:
@@ -179,54 +197,55 @@ class Database:
         ``(plan_epoch, query)``. Appends are covered separately by the
         planner's chunk-count guard.
         """
-        return self._plan_epoch
+        return self._plan_epoch.value
 
     def bump_plan_epoch(self, token: str | None = None) -> int:
         """Mark the structural state as changed; returns the plan epoch.
 
-        Same memoisation contract as :meth:`bump_config_epoch`: tokened
-        transitions are remembered so the what-if optimizer re-exploring a
-        hypothetical configuration lands back on a plan epoch it has
-        compiled under before, and cached plans for that state are reused.
+        Tokened transitions are memoised (see :class:`_EpochCounter`), so
+        the what-if optimizer re-exploring a hypothetical configuration
+        lands back on a plan epoch it has compiled under before.
         """
-        if token is not None:
-            key = (self._plan_epoch, token)
-            known = self._plan_epoch_transitions.get(key)
-            if known is not None:
-                self._plan_epoch_transitions.move_to_end(key)
-                self._plan_epoch = known
-                return known
-            self._plan_epoch_alloc += 1
-            self._plan_epoch_transitions[key] = self._plan_epoch_alloc
-            if len(self._plan_epoch_transitions) > _EPOCH_MEMO_CAPACITY:
-                self._plan_epoch_transitions.popitem(last=False)
-        else:
-            self._plan_epoch_alloc += 1
-        self._plan_epoch = self._plan_epoch_alloc
-        return self._plan_epoch
-
-    def _note_plan_epoch(self) -> None:
-        """Record which plan epoch the current config epoch maps to."""
-        mapping = self._plan_epoch_of_config
-        mapping[self._config_epoch] = self._plan_epoch
-        mapping.move_to_end(self._config_epoch)
-        if len(mapping) > _EPOCH_MEMO_CAPACITY:
-            mapping.popitem(last=False)
+        return self._plan_epoch.bump(token)
 
     def restore_config_epoch(self, epoch: int) -> None:
         """Reset the epoch after the caller restored the exact physical
-        state that ``epoch`` described (what-if rollback). The allocation
-        counter is *not* rewound, so epochs stay unambiguous. The plan
-        epoch that was current at ``epoch`` is restored alongside; if that
+        state that ``epoch`` described (what-if rollback). The plan epoch
+        that was current at ``epoch`` is restored alongside; if that
         mapping has aged out, a fresh plan epoch is allocated instead
         (plans recompile — safe, never stale)."""
-        self._config_epoch = epoch
+        self._config_epoch.restore(epoch)
         known = self._plan_epoch_of_config.get(epoch)
         if known is not None:
-            self._plan_epoch = known
+            self._plan_epoch.restore(known)
         else:
-            self.bump_plan_epoch()
-        self._note_plan_epoch()
+            self._plan_epoch.bump()
+        self._plan_epoch_of_config.put(epoch, self._plan_epoch.value)
+
+    def epoch_mark(self) -> EpochMark:
+        """The state :meth:`rewind_epoch` needs: the config epoch and the
+        buffer-pool fingerprint that will prove a rollback was exact."""
+        pool = self.executor.buffer_pool
+        return self._config_epoch.value, (pool.entry_count, pool.used_bytes)
+
+    def rewind_epoch(self, mark: EpochMark) -> None:
+        """Fix the epochs after the caller rolled the configuration back
+        to what it was at ``mark``.
+
+        The marked epochs are restored when the rollback was exact, so
+        everything cached for the marked state stays valid. Raw actions
+        can only *remove* buffer-pool entries (invalidation, capacity
+        shrink), never add them, so an unchanged (entry count, used
+        bytes) pair proves the pool — and with it the whole
+        pricing-relevant state — was restored bit-identically. Otherwise
+        the state is new and gets a fresh config epoch.
+        """
+        epoch, pool_then = mark
+        pool = self.executor.buffer_pool
+        if (pool.entry_count, pool.used_bytes) == pool_then:
+            self.restore_config_epoch(epoch)
+        else:
+            self.bump_config_epoch()
 
     # ------------------------------------------------------------------
     # schema and data
@@ -393,8 +412,8 @@ class Database:
     def runtime_snapshot(self) -> dict[str, float]:
         """KPI source: counters plus current memory/tier state."""
         snap = self.counters.snapshot()
-        snap["config_epoch"] = float(self._config_epoch)
-        snap["plan_epoch"] = float(self._plan_epoch)
+        snap["config_epoch"] = float(self._config_epoch.value)
+        snap["plan_epoch"] = float(self._plan_epoch.value)
         snap["memory_bytes"] = float(self.memory_bytes())
         snap["index_bytes"] = float(self.index_bytes())
         snap["now_ms"] = self.clock.now_ms

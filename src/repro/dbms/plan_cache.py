@@ -11,17 +11,17 @@ The predictor builds time series by periodically *snapshotting* the cache
 and diffing counts — the cache itself stores only aggregates, like its
 real-world counterparts.
 
-Not to be confused with :class:`repro.plan.cache.CompiledPlanCache`, which
-memoises *how to execute* a query (the compiled
-:class:`~repro.plan.ir.PhysicalPlan`); this cache records *execution
-history* per template for the workload predictor.
+Not to be confused with the planner's compiled-plan cache
+(:mod:`repro.plan.planner`), which memoises *how to execute* a query;
+this cache records *execution history* per template for the workload
+predictor. Both sit on :class:`~repro.util.lru.BoundedLRU`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.util.lru import BoundedLRU
 from repro.workload.query import Query, QueryTemplate
 
 
@@ -51,13 +51,12 @@ class QueryPlanCache:
     def __init__(self, capacity: int = 1024) -> None:
         if capacity <= 0:
             raise ValueError("plan cache capacity must be positive")
-        self._capacity = capacity
-        self._entries: OrderedDict[str, PlanCacheEntry] = OrderedDict()
+        self._entries: BoundedLRU[str, PlanCacheEntry] = BoundedLRU(capacity)
         self._evictions = 0
 
     @property
     def capacity(self) -> int:
-        return self._capacity
+        return self._entries.capacity
 
     @property
     def evictions(self) -> int:
@@ -77,12 +76,8 @@ class QueryPlanCache:
                 sample_query=query,
                 first_seen_ms=now_ms,
             )
-            self._entries[key] = entry
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            self._evictions += self._entries.put(key, entry)
         else:
-            self._entries.move_to_end(key)
             entry.sample_query = query
         entry.execution_count += 1
         entry.total_ms += elapsed_ms
@@ -91,7 +86,7 @@ class QueryPlanCache:
         return entry
 
     def entry(self, key: str) -> PlanCacheEntry | None:
-        return self._entries.get(key)
+        return self._entries.peek(key)
 
     def entries(self) -> list[PlanCacheEntry]:
         return list(self._entries.values())

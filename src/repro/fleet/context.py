@@ -32,7 +32,7 @@ from repro.core.organizer import Organizer
 from repro.core.triggers import TuningTrigger
 from repro.cost.calibration import run_design_exploration
 from repro.cost.maintenance import AdaptiveCostMaintenancePlugin
-from repro.cost.what_if import WhatIfCacheStats, WhatIfOptimizer
+from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.database import Database
 from repro.faults.injector import FaultInjector
 from repro.forecasting.analyzer import WorkloadAnalyzer
@@ -40,12 +40,12 @@ from repro.forecasting.models.ensemble import ModelFactory
 from repro.forecasting.models.seasonal import SeasonalNaive
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.kpi.monitor import RuntimeKPIMonitor
-from repro.plan.cache import PlanCacheStats
 from repro.telemetry import Telemetry
 from repro.tuning.executors.sequential import SequentialExecutor
 from repro.tuning.features.base import FeatureTuner
 from repro.tuning.selectors.base import Selector
 from repro.tuning.tuner import Tuner
+from repro.util.lru import CacheStats
 
 if TYPE_CHECKING:
     from repro.core.driver import Driver, DriverConfig
@@ -224,12 +224,12 @@ class TenantContext:
     # per-tenant observability (the fleet rollup reads these)
 
     @property
-    def whatif_stats(self) -> WhatIfCacheStats:
+    def whatif_stats(self) -> CacheStats:
         """This tenant's what-if cost-cache stats (never shared)."""
         return self.optimizer.cache_stats
 
     @property
-    def plan_stats(self) -> PlanCacheStats:
+    def plan_stats(self) -> CacheStats:
         """This tenant's compiled-plan cache stats (never shared)."""
         return self.database.planner.cache_stats
 

@@ -55,7 +55,6 @@ from repro.core.triggers import (
     PeriodicTrigger,
     TuningTrigger,
 )
-from repro.cost.what_if import WhatIfCacheStats
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.fleet.arbiter import (
     FleetConfig,
@@ -99,8 +98,8 @@ from repro.kpi.metrics import (
     FLEET_TENANT_QUARANTINES,
     WORKER_RESTARTS,
 )
-from repro.plan.cache import PlanCacheStats
 from repro.telemetry.metrics import MetricRegistry
+from repro.util.lru import CacheStats
 
 #: Execution modes accepted by :class:`FleetDriver`.
 PARALLEL_MODES = ("serial", "process")
@@ -120,8 +119,8 @@ class TenantSummary:
     full_passes: int
     replays: int
     reconfigurations: int
-    whatif: WhatIfCacheStats
-    plan: PlanCacheStats
+    whatif: CacheStats
+    plan: CacheStats
     events: int
 
 
@@ -131,9 +130,9 @@ class FleetReport:
 
     summaries: list[TenantSummary]
     #: aggregated what-if cache stats (explicit per-tenant sum)
-    whatif: WhatIfCacheStats
+    whatif: CacheStats
     #: aggregated compiled-plan cache stats (explicit per-tenant sum)
-    plan: PlanCacheStats
+    plan: CacheStats
     #: counters summed across every tenant's registry
     counters: dict[str, float] = field(default_factory=dict)
     #: fleet-infrastructure counters (checkpoint writes/restores, worker
@@ -920,8 +919,8 @@ class FleetDriver:
             )
         return FleetReport(
             summaries=summaries,
-            whatif=WhatIfCacheStats.aggregate(s.whatif for s in summaries),
-            plan=PlanCacheStats.aggregate(s.plan for s in summaries),
+            whatif=CacheStats.aggregate(s.whatif for s in summaries),
+            plan=CacheStats.aggregate(s.plan for s in summaries),
             # the incremental rollup (baseline + per-bin drains); the
             # equivalence with a full registry walk is held by
             # tests/fleet/test_stats.py

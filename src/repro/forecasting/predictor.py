@@ -66,7 +66,10 @@ class WorkloadPredictor:
         bin_counts: dict[str, float] = {}
         for key, (count, _total_ms) in snapshot.items():
             previous = self._last_counts.get(key, 0)
-            delta = max(0, count - previous)
+            # a count below the last snapshot's means the entry was
+            # evicted from the plan cache and recreated since: its
+            # executions all belong to this bin
+            delta = count if count < previous else count - previous
             bin_counts[key] = float(delta)
             if key not in self._history:
                 self._history[key] = [0.0] * self._bin_count

@@ -8,7 +8,6 @@ lifecycle.
 """
 
 from repro.plan.binder import resolve_tier
-from repro.plan.cache import CompiledPlanCache, PlanCacheStats
 from repro.plan.ir import PRUNE_CHECK_UNITS, PhysicalPlan, PlanStep, StepKind
 from repro.plan.kernel import PlanKernel, kernel_for
 from repro.plan.planner import DEFAULT_PLAN_CACHE_SIZE, QueryPlanner
@@ -16,9 +15,7 @@ from repro.plan.planner import DEFAULT_PLAN_CACHE_SIZE, QueryPlanner
 __all__ = [
     "DEFAULT_PLAN_CACHE_SIZE",
     "PRUNE_CHECK_UNITS",
-    "CompiledPlanCache",
     "PhysicalPlan",
-    "PlanCacheStats",
     "PlanKernel",
     "PlanStep",
     "QueryPlanner",

@@ -3,25 +3,20 @@
 ``QueryPlanner.plan_for`` compiles ``(query, table)`` under the database's
 current *plan epoch* into a :class:`~repro.plan.ir.PhysicalPlan` — an
 ordered per-chunk step list choosing prune / index-probe / full-scan —
-and memoises the result in an epoch-keyed LRU
-(:class:`~repro.plan.cache.CompiledPlanCache`). The query executor runs
-compiled plans against real chunk data; the physical cost model prices
-the *same* plan objects from statistics; the what-if optimizer's
-probe-mode executions flow through the executor and therefore share the
-cache too. Before this layer existed the executor and the cost model each
+and memoises the result in a :class:`~repro.util.lru.BoundedLRU` keyed
+``(plan_epoch, query)``. The query executor runs compiled plans against
+real chunk data; the physical cost model prices the *same* plan objects
+from statistics; the what-if optimizer's probe-mode executions flow
+through the executor and therefore share the cache too. Before this layer existed the executor and the cost model each
 walked the chunks themselves and could silently drift; now the planner is
 the single place access paths are chosen (the paper's §II-A.d requirement
 that cost-model error come "purely from selectivity estimation").
 
-Cache coherence: the plan epoch (see
-:attr:`repro.dbms.database.Database.plan_epoch`) bumps on every
-structural mutation — index create/drop, re-encode, sort, placement,
-knob flips — so configuration changes invalidate cached plans, while
-buffer-pool traffic (which compiled plans survive, tiers being resolved
-at bind time) does not. Appends are covered by a chunk-count guard at
-lookup time. A planner constructed without an ``epoch_fn`` (or with
-``cache_size=0``) compiles fresh on every call — the behaviour of a
-standalone executor outside a :class:`~repro.dbms.database.Database`.
+Cache coherence is the plan epoch's job (``docs/planner.md``, "Epochs
+and caches"); appends are covered by a chunk-count guard at lookup time.
+A planner constructed without an ``epoch_fn`` (or with ``cache_size=0``)
+compiles fresh on every call — the behaviour of a standalone executor
+outside a :class:`~repro.dbms.database.Database`.
 
 The ``plan_compiles`` / ``plan_cache_*`` counters live in a telemetry
 :class:`~repro.telemetry.metrics.MetricRegistry` (the driver adopts them
@@ -33,9 +28,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.plan.cache import CompiledPlanCache, PlanCacheStats
 from repro.plan.ir import PhysicalPlan
 from repro.telemetry.metrics import MetricRegistry
+from repro.util.lru import BoundedLRU, CacheStats
 
 if TYPE_CHECKING:
     from repro.dbms.table import Table
@@ -74,7 +69,9 @@ class QueryPlanner:
         when omitted and can be surfaced later via :meth:`bind_registry`.
         """
         self._epoch_fn = epoch_fn
-        self._cache = CompiledPlanCache(cache_size if epoch_fn else 0)
+        self._cache: BoundedLRU[tuple[int, "Query"], PhysicalPlan] = (
+            BoundedLRU(cache_size if epoch_fn else 0)
+        )
         self._registry = registry if registry is not None else MetricRegistry()
         self._compiles = self._registry.counter(PLAN_COMPILES)
         self._compile_chunks = self._registry.counter(PLAN_COMPILE_CHUNKS)
@@ -99,8 +96,8 @@ class QueryPlanner:
         return self._cache.capacity
 
     @property
-    def cache_stats(self) -> PlanCacheStats:
-        return PlanCacheStats(
+    def cache_stats(self) -> CacheStats:
+        return CacheStats(
             hits=int(self._hits.value),
             misses=int(self._misses.value),
             evictions=int(self._evictions.value),
@@ -122,18 +119,19 @@ class QueryPlanner:
         :meth:`~repro.telemetry.metrics.MetricRegistry.adopt`), so counts
         stay continuous and bumps are visible through both registries.
         """
-        if registry is self._registry:
-            return
-        for metric in (
-            self._compiles,
-            self._compile_chunks,
-            self._hits,
-            self._misses,
-            self._evictions,
-            self._invalidations,
-            self._size_gauge,
-        ):
-            registry.adopt(metric, replace=replace)
+        if registry is not self._registry:
+            registry.adopt_all(
+                (
+                    self._compiles,
+                    self._compile_chunks,
+                    self._hits,
+                    self._misses,
+                    self._evictions,
+                    self._invalidations,
+                    self._size_gauge,
+                ),
+                replace=replace,
+            )
 
     def resize_cache(self, cache_size: int) -> None:
         """Re-bound the LRU (0 disables caching); shrinking evicts."""
@@ -197,16 +195,17 @@ class QueryPlanner:
         if self._epoch_fn is None or self._cache.capacity == 0:
             return self.compile(query, table)
         epoch = self._epoch_fn()
-        plan = self._cache.get(epoch, query)
+        key = (epoch, query)
+        plan = self._cache.get(key)
         if plan is not None:
             if plan.chunk_count == len(table.chunks()):
                 self._hits.inc()
                 return plan
-            self._cache.discard(epoch, query)
+            self._cache.pop(key)
             self._invalidations.inc()
         self._misses.inc()
         plan = self.compile(query, table)
-        evicted = self._cache.put(epoch, query, plan)
+        evicted = self._cache.put(key, plan)
         if evicted:
             self._evictions.inc(float(evicted))
         return plan

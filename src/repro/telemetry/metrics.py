@@ -11,7 +11,7 @@ dict lookup on the hot path.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 #: Separator between a tenant label and a metric name in labelled
 #: snapshots (``tenant::metric``); bare names mean the single-tenant path.
@@ -214,6 +214,14 @@ class MetricRegistry:
             # drain reconcile it against the tracker baseline
             metric._dirty.add(metric.name)
         return metric
+
+    def adopt_all(
+        self, metrics: Iterable[Counter | Gauge], replace: bool = False
+    ) -> None:
+        """:meth:`adopt` each of a component's metrics — the body of every
+        component-side ``bind_registry``."""
+        for metric in metrics:
+            self.adopt(metric, replace=replace)
 
     # ------------------------------------------------------------------
     # reading

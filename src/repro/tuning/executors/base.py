@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.configuration.actions import Action
 from repro.configuration.delta import ConfigurationDelta
-from repro.dbms.database import Database
+from repro.dbms.database import Database, EpochMark
 from repro.errors import ActionError, TuningAbortedError
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RetryPolicy
@@ -161,15 +161,14 @@ class TuningExecutor(ABC):
     # shared failure machinery
 
     @staticmethod
-    def snapshot(db: Database) -> tuple[int, tuple[int, int]]:
-        """Pre-pass state needed for an exact rollback: the config epoch
-        and the buffer-pool fingerprint proving the restore was exact.
+    def snapshot(db: Database) -> EpochMark:
+        """Pre-pass state needed for an exact rollback: the database's
+        :meth:`~repro.dbms.database.Database.epoch_mark`.
 
         Public because the commit guard captures the same snapshot
         before a pass it may later have to undo (see :meth:`rollback`).
         """
-        pool = db.executor.buffer_pool
-        return db.config_epoch, (pool.entry_count, pool.used_bytes)
+        return db.epoch_mark()
 
     def _apply_action(
         self,
@@ -213,29 +212,22 @@ class TuningExecutor(ABC):
         self,
         db: Database,
         inverse_stack: list[Action],
-        saved: tuple[int, tuple[int, int]],
+        saved: EpochMark,
         report: ApplicationReport,
     ) -> None:
         """Undo the applied prefix via its inverse actions (LIFO).
 
         Rollback is real reconfiguration effort: the clock and the
         database counters both advance by the inverse-action work. The
-        config epoch is restored to its pre-pass value when the
-        buffer-pool fingerprint proves the restore was exact (raw
-        actions only ever *remove* pool entries), so what-if cache
-        entries for the pre-pass configuration stay valid.
+        epochs are rewound to the pre-pass mark, so what-if cache entries
+        for the pre-pass configuration stay valid after an exact restore.
         """
-        saved_epoch, saved_pool = saved
         with self._tracer.span("rollback", actions=len(inverse_stack)):
             work = 0.0
             for inverse in reversed(inverse_stack):
                 work += inverse.estimate_cost_ms(db)
                 inverse.apply_raw(db)
-            pool = db.executor.buffer_pool
-            if (pool.entry_count, pool.used_bytes) == saved_pool:
-                db.restore_config_epoch(saved_epoch)
-            else:
-                db.bump_config_epoch()
+            db.rewind_epoch(saved)
             db.clock.advance(work)
             if inverse_stack:
                 db.counters.reconfigurations += len(inverse_stack)
@@ -251,13 +243,13 @@ class TuningExecutor(ABC):
         self,
         db: Database,
         inverse_actions: list[Action],
-        saved: tuple[int, tuple[int, int]],
+        saved: EpochMark,
         strategy: str = "guard_rollback",
     ) -> ApplicationReport:
         """Public rollback entry point for *post-commit* rollbacks.
 
         The commit guard retains a clean pass's inverse actions and its
-        pre-pass snapshot (see :meth:`_snapshot`); when the pass later
+        pre-pass snapshot (see :meth:`snapshot`); when the pass later
         turns out to regress runtime KPIs, the organizer undoes it here —
         through the exact machinery a failed application already uses,
         so clock/counter accounting and the config-epoch restore rules
@@ -273,7 +265,7 @@ class TuningExecutor(ABC):
         self,
         db: Database,
         inverse_stack: list[Action],
-        saved: tuple[int, tuple[int, int]],
+        saved: EpochMark,
         report: ApplicationReport,
         action: Action,
         exc: Exception,

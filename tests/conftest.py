@@ -17,10 +17,13 @@ from repro.workload.benchmarks import BenchmarkSuite, build_retail_suite
 
 
 def make_small_database(
-    rows: int = 5_000, chunk_size: int = 1_000, seed: int = 0
+    rows: int = 5_000,
+    chunk_size: int = 1_000,
+    seed: int = 0,
+    plan_cache_capacity: int = 1024,
 ) -> Database:
     """A small single-table database for unit tests."""
-    db = Database()
+    db = Database(plan_cache_capacity=plan_cache_capacity)
     schema = TableSchema.build(
         "events",
         [

@@ -130,13 +130,3 @@ def test_calibration_queries_cover_all_columns():
     queries = calibration_queries(db)
     columns_hit = {p.column for q in queries for p in q.predicates}
     assert columns_hit == {"id", "user", "kind", "value"}
-
-
-def test_estimate_workload_ms_skips_unknown_templates():
-    db = make_small_database(rows=1_000)
-    model = LogicalCostModel(db)
-    query = Query("events", aggregate="count")
-    cost = model.estimate_workload_ms(
-        {"known": 2.0, "unknown": 5.0}, {"known": query}
-    )
-    assert cost == pytest.approx(2.0 * model.estimate_query_ms(query))

@@ -104,9 +104,6 @@ def test_scenario_and_forecast_costs():
     per_query = optimizer.query_cost_ms(query)
     costs = optimizer.forecast_costs(forecast)
     assert costs["expected"] == pytest.approx(5.0 * per_query)
-    assert optimizer.expected_forecast_cost(forecast) == pytest.approx(
-        5.0 * per_query
-    )
 
 
 def test_cost_with_applies_and_reverts():
@@ -314,26 +311,6 @@ def test_batch_query_costs_uncached_and_estimated():
     assert estimated.batch_query_costs(queries) == [
         model.estimate_query_ms(q) for q in queries
     ]
-
-
-def test_cost_many_matches_cost_with():
-    db = make_small_database(rows=5_000)
-    optimizer = WhatIfOptimizer(db)
-    forecast = point_forecast(
-        {_query().template().key: 10.0}, {_query().template().key: _query()}
-    )
-    scenario = forecast.scenarios[0]
-    deltas = [
-        ConfigurationDelta([CreateIndexAction("events", ("user",))]),
-        ConfigurationDelta([SetKnobAction(SCAN_THREADS_KNOB, 8)]),
-        ConfigurationDelta([]),
-    ]
-    many = optimizer.cost_many(deltas, scenario, forecast.sample_queries)
-    each = [
-        optimizer.cost_with(delta, scenario, forecast.sample_queries)
-        for delta in deltas
-    ]
-    assert many == each
 
 
 # ----------------------------------------------------------------------

@@ -1,47 +1,48 @@
 """Tests for per-tenant cache stats, explicit aggregation, and rollups."""
 
-from repro.cost.what_if import WhatIfCacheStats
+import pytest
+
 from repro.fleet import build_fleet
-from repro.plan.cache import PlanCacheStats
 from repro.telemetry.metrics import (
     MetricRegistry,
     rollup_counters,
     tenant_metric,
 )
+from repro.util.lru import CacheStats
 
 BINS = 4
 ROWS = 2_000
 
 
-def test_plan_cache_stats_aggregate_sums_counts():
-    parts = [
-        PlanCacheStats(hits=10, misses=5, evictions=1, invalidations=0, size=4),
-        PlanCacheStats(hits=2, misses=3, evictions=0, invalidations=2, size=1),
-    ]
-    total = PlanCacheStats.aggregate(parts)
-    assert total.hits == 12
-    assert total.misses == 8
-    assert total.evictions == 1
-    assert total.invalidations == 2
-    assert total.size == 5
-    assert total.hit_rate == 12 / 20
-
-
-def test_whatif_cache_stats_aggregate_sums_counts():
-    parts = [
-        WhatIfCacheStats(hits=7, misses=3, evictions=2, size=3),
-        WhatIfCacheStats(hits=1, misses=1, evictions=0, size=1),
-    ]
-    total = WhatIfCacheStats.aggregate(parts)
-    assert total.hits == 8
-    assert total.misses == 4
-    assert total.evictions == 2
-    assert total.size == 4
+@pytest.mark.parametrize(
+    "parts, expected",
+    [
+        pytest.param(
+            [
+                CacheStats(hits=10, misses=5, evictions=1, invalidations=0, size=4),
+                CacheStats(hits=2, misses=3, evictions=0, invalidations=2, size=1),
+            ],
+            CacheStats(hits=12, misses=8, evictions=1, invalidations=2, size=5),
+            id="plan",
+        ),
+        pytest.param(
+            [
+                CacheStats(hits=7, misses=3, evictions=2, size=3),
+                CacheStats(hits=1, misses=1, evictions=0, size=1),
+            ],
+            CacheStats(hits=8, misses=4, evictions=2, size=4),
+            id="whatif",
+        ),
+    ],
+)
+def test_cache_stats_aggregate_sums_counts(parts, expected):
+    total = CacheStats.aggregate(parts)
+    assert total == expected
+    assert total.hit_rate == expected.hits / (expected.hits + expected.misses)
 
 
 def test_aggregate_of_nothing_is_zero():
-    assert PlanCacheStats.aggregate([]) == PlanCacheStats()
-    assert WhatIfCacheStats.aggregate([]) == WhatIfCacheStats()
+    assert CacheStats.aggregate([]) == CacheStats()
 
 
 def test_tenant_metric_prefixes():

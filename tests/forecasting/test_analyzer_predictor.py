@@ -93,6 +93,22 @@ def test_predictor_builds_series_from_plan_cache_diffs():
     assert predictor.history_bins == 2
 
 
+def test_predictor_counts_a_template_recreated_after_eviction():
+    # A x5 | B, C, A x3 through a two-entry plan cache: B and C push A
+    # out, so A's entry is recreated and its count restarts below the
+    # last snapshot's 5 — all three executions belong to the second bin
+    db = make_small_database(rows=1_000, plan_cache_capacity=2)
+    predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))
+    _run_workload(db, 5, 0)
+    key = next(iter(predictor.observe()))
+    db.execute("SELECT COUNT(*) FROM events")
+    db.execute("SELECT COUNT(*) FROM events WHERE value < 5")
+    assert db.plan_cache.entry(key) is None
+    _run_workload(db, 3, 1)
+    assert predictor.observe()[key] == 3.0
+    np.testing.assert_array_equal(predictor.series()[key], [5.0, 3.0])
+
+
 def test_predictor_pads_new_templates_with_zeros():
     db = make_small_database(rows=1_000)
     predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))

@@ -94,8 +94,7 @@ def _open(guard, now_ms, features=("index_selection",)):
         now_ms,
         features=features,
         inverse_actions=(SetKnobAction(SCAN_THREADS_KNOB, 1),),
-        saved_epoch=1,
-        saved_pool=(0, 0),
+        epoch_mark=(1, (0, 0)),
     )
 
 
@@ -125,8 +124,7 @@ def test_no_probation_when_disabled_or_nothing_reversible():
         10.0,
         features=("index_selection",),
         inverse_actions=(),
-        saved_epoch=1,
-        saved_pool=(0, 0),
+        epoch_mark=(1, (0, 0)),
     )
     assert empty is None
     assert guard.active_commit is None
