@@ -1,35 +1,52 @@
 """Configuration actions: the atomic steps that change a database's
 configuration instance.
 
-Every action supports three modes:
-
-- :meth:`Action.apply` — accounted application through the
-  :class:`~repro.dbms.database.Database` facade (advances the simulated
-  clock, counts as a reconfiguration, returns the one-time cost);
-- :meth:`Action.apply_raw` — *unaccounted* application used by the what-if
-  optimizer: mutates the physical structures directly and returns the
-  inverse actions needed to roll back;
-- :meth:`Action.estimate_cost_ms` — predicts the one-time cost without
-  applying anything (the "reconfiguration costs" of Section II-D.b).
+An action is the one implementation of its change. A subclass gives
+:meth:`Action.estimate_cost_ms` — the one-time cost of applying it now
+(the "reconfiguration costs" of Section II-D.b) — and
+:meth:`Action.apply_raw` — the mutation, unaccounted, returning the
+inverse actions that roll it back. Every configuration change in the
+system is those two in that order, followed by
+``Database._record_reconfiguration`` unless it is a what-if:
+:meth:`Action.apply` (behind the ``Database`` primitives), the tuning
+executors, what-if evaluation. See docs/components.md, "Changing the
+configuration".
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.dbms.chunk import Chunk
 from repro.dbms.database import Database
 from repro.dbms.knobs import BUFFER_POOL_KNOB
 from repro.dbms.segments import EncodingType
 from repro.dbms.storage_tiers import StorageTier, migration_cost_ms
+from repro.errors import PlacementError
+
+#: Simulated cost of flipping a knob (a latch plus a config write).
+_KNOB_APPLY_MS = 0.05
+#: Simulated cost of dropping one chunk's index (unlink + deallocate).
+_INDEX_DROP_MS = 0.02
+
+
+def describe_scope(chunk_ids: Sequence[int] | None) -> str:
+    """How a chunk scope reads in descriptions (``None`` = all chunks)."""
+    return "all chunks" if chunk_ids is None else f"chunks {list(chunk_ids)}"
 
 
 class Action(ABC):
     """One atomic configuration change."""
 
-    @abstractmethod
     def apply(self, db: Database) -> float:
-        """Apply through the database facade; returns the one-time cost."""
+        """Accounted application: price (before the mutation — estimates
+        are state-dependent), apply raw, record as one reconfiguration.
+        Returns the one-time cost."""
+        cost = self.estimate_cost_ms(db)
+        self.apply_raw(db)
+        return db._record_reconfiguration(cost, cost, 1)
 
     @abstractmethod
     def apply_raw(self, db: Database) -> list["Action"]:
@@ -45,7 +62,7 @@ class Action(ABC):
 
     @abstractmethod
     def estimate_cost_ms(self, db: Database) -> float:
-        """Predicted one-time cost of applying this action now."""
+        """One-time cost of applying this action now."""
 
     @abstractmethod
     def describe(self) -> str:
@@ -62,9 +79,6 @@ class CreateIndexAction(Action):
     #: None applies to all chunks
     chunk_ids: tuple[int, ...] | None = None
 
-    def apply(self, db: Database) -> float:
-        return db.create_index(self.table, list(self.columns), self.chunk_ids)
-
     def apply_raw(self, db: Database) -> list[Action]:
         table = db.table(self.table)
         touched = table.create_index(list(self.columns), self.chunk_ids)
@@ -80,20 +94,14 @@ class CreateIndexAction(Action):
         ]
 
     def estimate_cost_ms(self, db: Database) -> float:
-        table = db.table(self.table)
-        chunks = (
-            table.chunks()
-            if self.chunk_ids is None
-            else [table.chunk(cid) for cid in self.chunk_ids]
-        )
         return sum(
             db.hardware.index_build_ms(c.row_count, len(self.columns), c.tier)
-            for c in chunks
+            for c in db.table(self.table).resolve_chunks(self.chunk_ids)
             if not c.has_index(self.columns)
         )
 
     def describe(self) -> str:
-        scope = "all chunks" if self.chunk_ids is None else f"chunks {list(self.chunk_ids)}"
+        scope = describe_scope(self.chunk_ids)
         return f"CREATE INDEX ON {self.table}({', '.join(self.columns)}) [{scope}]"
 
 
@@ -102,9 +110,6 @@ class DropIndexAction(Action):
     table: str
     columns: tuple[str, ...]
     chunk_ids: tuple[int, ...] | None = None
-
-    def apply(self, db: Database) -> float:
-        return db.drop_index(self.table, list(self.columns), self.chunk_ids)
 
     def apply_raw(self, db: Database) -> list[Action]:
         table = db.table(self.table)
@@ -121,11 +126,11 @@ class DropIndexAction(Action):
         ]
 
     def estimate_cost_ms(self, db: Database) -> float:
-        del db
-        return 0.02 * (len(self.chunk_ids) if self.chunk_ids else 1)
+        chunks = db.table(self.table).resolve_chunks(self.chunk_ids)
+        return _INDEX_DROP_MS * sum(c.has_index(self.columns) for c in chunks)
 
     def describe(self) -> str:
-        scope = "all chunks" if self.chunk_ids is None else f"chunks {list(self.chunk_ids)}"
+        scope = describe_scope(self.chunk_ids)
         return f"DROP INDEX ON {self.table}({', '.join(self.columns)}) [{scope}]"
 
 
@@ -136,23 +141,17 @@ class SetEncodingAction(Action):
     encoding: EncodingType
     chunk_ids: tuple[int, ...] | None = None
 
-    def apply(self, db: Database) -> float:
-        return db.set_encoding(
-            self.table, self.column, self.encoding, self.chunk_ids
-        )
+    def _changing(self, db: Database) -> list[Chunk]:
+        return [
+            chunk
+            for chunk in db.table(self.table).resolve_chunks(self.chunk_ids)
+            if chunk.encoding_of(self.column) is not self.encoding
+        ]
 
     def apply_raw(self, db: Database) -> list[Action]:
-        table = db.table(self.table)
-        chunks = (
-            table.chunks()
-            if self.chunk_ids is None
-            else [table.chunk(cid) for cid in self.chunk_ids]
-        )
         reverted: dict[EncodingType, list[int]] = {}
-        for chunk in chunks:
+        for chunk in self._changing(db):
             old = chunk.encoding_of(self.column)
-            if old is self.encoding:
-                continue
             chunk.set_encoding(self.column, self.encoding)
             db.executor.buffer_pool.invalidate((self.table, chunk.chunk_id))
             reverted.setdefault(old, []).append(chunk.chunk_id)
@@ -164,17 +163,10 @@ class SetEncodingAction(Action):
         ]
 
     def estimate_cost_ms(self, db: Database) -> float:
-        table = db.table(self.table)
-        chunks = (
-            table.chunks()
-            if self.chunk_ids is None
-            else [table.chunk(cid) for cid in self.chunk_ids]
-        )
         cost = 0.0
-        for chunk in chunks:
-            if chunk.encoding_of(self.column) is self.encoding:
-                continue
+        for chunk in self._changing(db):
             cost += db.hardware.encode_ms(chunk.row_count, self.encoding, chunk.tier)
+            # re-encoding rebuilds every index whose key holds the column
             for key in chunk.index_keys():
                 if self.column in key:
                     cost += db.hardware.index_build_ms(
@@ -183,7 +175,7 @@ class SetEncodingAction(Action):
         return cost
 
     def describe(self) -> str:
-        scope = "all chunks" if self.chunk_ids is None else f"chunks {list(self.chunk_ids)}"
+        scope = describe_scope(self.chunk_ids)
         return (
             f"SET ENCODING {self.table}.{self.column} = "
             f"{self.encoding.value} [{scope}]"
@@ -196,11 +188,14 @@ class MoveChunkAction(Action):
     chunk_id: int
     tier: StorageTier
 
-    def apply(self, db: Database) -> float:
-        return db.move_chunk(self.table, self.chunk_id, self.tier)
+    def _chunk(self, db: Database) -> Chunk:
+        chunk = db.table(self.table).chunk(self.chunk_id)
+        if not isinstance(self.tier, StorageTier):
+            raise PlacementError(f"unknown storage tier {self.tier!r}")
+        return chunk
 
     def apply_raw(self, db: Database) -> list[Action]:
-        chunk = db.table(self.table).chunk(self.chunk_id)
+        chunk = self._chunk(db)
         old = chunk.tier
         if old is self.tier:
             return []
@@ -210,7 +205,7 @@ class MoveChunkAction(Action):
         return [MoveChunkAction(self.table, self.chunk_id, old)]
 
     def estimate_cost_ms(self, db: Database) -> float:
-        chunk = db.table(self.table).chunk(self.chunk_id)
+        chunk = self._chunk(db)
         return migration_cost_ms(chunk.memory_bytes(), chunk.tier, self.tier)
 
     def describe(self) -> str:
@@ -227,23 +222,16 @@ class SortChunkAction(Action):
     column: str
     chunk_ids: tuple[int, ...] | None = None
 
-    def _chunks(self, db: Database):
-        table = db.table(self.table)
-        if self.chunk_ids is None:
-            return list(table.chunks())
-        return [table.chunk(cid) for cid in self.chunk_ids]
-
-    def apply(self, db: Database) -> float:
-        cost = 0.0
-        for chunk in self._chunks(db):
-            cost += db.sort_chunk(self.table, chunk.chunk_id, self.column)
-        return cost
+    def _changing(self, db: Database) -> list[Chunk]:
+        return [
+            chunk
+            for chunk in db.table(self.table).resolve_chunks(self.chunk_ids)
+            if chunk.sort_column != self.column
+        ]
 
     def apply_raw(self, db: Database) -> list[Action]:
         inverse: list[Action] = []
-        for chunk in self._chunks(db):
-            if chunk.sort_column == self.column:
-                continue
+        for chunk in self._changing(db):
             previous_sort = chunk.sort_column
             permutation, _rebuilt = chunk.sort_by(self.column)
             db.executor.buffer_pool.invalidate((self.table, chunk.chunk_id))
@@ -257,14 +245,11 @@ class SortChunkAction(Action):
         return inverse
 
     def estimate_cost_ms(self, db: Database) -> float:
-        table = db.table(self.table)
+        width = len(db.table(self.table).schema.columns)
         cost = 0.0
-        for chunk in self._chunks(db):
-            if chunk.sort_column == self.column:
-                continue
-            cost += db.hardware.sort_rows_ms(
-                chunk.row_count, len(table.schema.columns), chunk.tier
-            )
+        for chunk in self._changing(db):
+            cost += db.hardware.sort_rows_ms(chunk.row_count, width, chunk.tier)
+            # sorting rebuilds every index of the chunk
             for key in chunk.index_keys():
                 cost += db.hardware.index_build_ms(
                     chunk.row_count, len(key), chunk.tier
@@ -272,7 +257,7 @@ class SortChunkAction(Action):
         return cost
 
     def describe(self) -> str:
-        scope = "all chunks" if self.chunk_ids is None else f"chunks {list(self.chunk_ids)}"
+        scope = describe_scope(self.chunk_ids)
         return f"SORT {self.table} BY {self.column} [{scope}]"
 
 
@@ -289,10 +274,6 @@ class PermuteChunkAction(Action):
     chunk_id: int
     permutation: object  # numpy array; eq=False keeps dataclass semantics sane
     sort_column: str | None
-
-    def apply(self, db: Database) -> float:
-        self.apply_raw(db)
-        return db._record_reconfiguration(0.0)
 
     def apply_raw(self, db: Database) -> list[Action]:
         chunk = db.table(self.table).chunk(self.chunk_id)
@@ -316,9 +297,6 @@ class SetKnobAction(Action):
     name: str
     value: float
 
-    def apply(self, db: Database) -> float:
-        return db.set_knob(self.name, self.value)
-
     def apply_raw(self, db: Database) -> list[Action]:
         old = db.knobs.get(self.name)
         if old == self.value:
@@ -331,7 +309,7 @@ class SetKnobAction(Action):
 
     def estimate_cost_ms(self, db: Database) -> float:
         del db
-        return 0.05
+        return _KNOB_APPLY_MS
 
     def describe(self) -> str:
         return f"SET KNOB {self.name} = {self.value}"

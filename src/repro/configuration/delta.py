@@ -7,7 +7,7 @@ against performance improvements.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.configuration.actions import (
@@ -19,7 +19,7 @@ from repro.configuration.actions import (
     SetKnobAction,
     SortChunkAction,
 )
-from repro.configuration.config import ConfigurationInstance
+from repro.configuration.config import ChunkIndexSpec, ConfigurationInstance
 from repro.dbms.database import Database
 
 
@@ -70,10 +70,12 @@ class ConfigurationDelta:
         self.actions.extend(other.actions)
 
 
-def _group_index_specs(
-    specs: Sequence, action_cls: type
+def group_index_actions(
+    specs: Iterable[ChunkIndexSpec],
+    action_cls: type[CreateIndexAction] | type[DropIndexAction],
 ) -> list[Action]:
-    """Group per-chunk index specs into one action per (table, columns)."""
+    """One action per (table, columns) over per-chunk index specs, in
+    sorted order whatever order the specs arrive in."""
     grouped: dict[tuple[str, tuple[str, ...]], list[int]] = {}
     for spec in specs:
         grouped.setdefault((spec.table, spec.columns), []).append(spec.chunk_id)
@@ -100,9 +102,9 @@ def diff_configurations(
     """
     actions: list[Action] = []
 
-    to_drop = current.indexes - target.indexes
-    to_create = target.indexes - current.indexes
-    actions.extend(_group_index_specs(sorted(to_drop, key=str), DropIndexAction))
+    actions.extend(
+        group_index_actions(current.indexes - target.indexes, DropIndexAction)
+    )
 
     current_sort = current.sort_order_map()
     grouped_sort: dict[tuple[str, str], list[int]] = {}
@@ -128,7 +130,9 @@ def diff_configurations(
             SetEncodingAction(table, column, encoding, tuple(sorted(chunk_ids)))
         )
 
-    actions.extend(_group_index_specs(sorted(to_create, key=str), CreateIndexAction))
+    actions.extend(
+        group_index_actions(target.indexes - current.indexes, CreateIndexAction)
+    )
 
     current_place = current.placement_map()
     for (table, chunk_id), tier in target.placements:

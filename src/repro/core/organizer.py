@@ -740,7 +740,7 @@ class Organizer:
             f"(what-if cache: {cache_hits} hits / {cache_misses} misses)",
             improvement=report.improvement,
             # reconfiguration_ms records *work* (sum of per-action
-            # costs), not elapsed wall time; see tuning/executors/base.py
+            # costs), not elapsed wall time; see docs/components.md
             reconfiguration_ms=report.total_reconfiguration_ms,
             cache_hits=cache_hits,
             cache_misses=cache_misses,

@@ -9,8 +9,10 @@ and aggregates, executes them, and feeds (features, runtime) pairs to a
 
 from __future__ import annotations
 
-
+from repro.configuration.actions import CreateIndexAction
+from repro.configuration.delta import ConfigurationDelta
 from repro.cost.learned import LearnedCostModel
+from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.database import Database
 from repro.util.rng import derive_rng
 from repro.workload.predicate import Predicate
@@ -84,12 +86,14 @@ def run_design_exploration(
 
     A model trained only on the current configuration cannot price features
     it has never seen active (its index-coverage feature is constant zero).
-    This pass temporarily builds an index per sampled column, probes the
-    calibration queries against it, feeds the observations, and rolls the
-    index back — all unaccounted, like any what-if measurement. Returns the
-    number of observations added.
+    This pass builds an index per sampled column as a what-if
+    (:meth:`WhatIfOptimizer.hypothetical`: raw apply, exact rollback, the
+    epochs rewound — plans and costs cached before it stay valid), probes
+    the calibration queries against it and feeds the observations.
+    Returns the number of observations added.
     """
     queries = calibration_queries(db, seed)
+    what_if = WhatIfOptimizer(db)
     observations = 0
     for table in db.catalog.tables():
         numeric = [
@@ -103,12 +107,10 @@ def run_design_exploration(
             )
             if already_indexed:
                 continue
-            created = table.create_index([column])
-            # the index is built on the table directly (unaccounted), so
-            # the plan epoch must be bumped by hand — probes and feature
-            # extraction would otherwise run stale compiled plans
-            db.bump_plan_epoch()
-            try:
+            delta = ConfigurationDelta(
+                [CreateIndexAction(table.name, (column,))]
+            )
+            with what_if.hypothetical(delta):
                 for query in queries:
                     if query.table != table.name:
                         continue
@@ -117,11 +119,6 @@ def run_design_exploration(
                     result = db.executor.execute(query, table, probe=True)
                     model.observe(query, result.report.elapsed_ms)
                     observations += 1
-            finally:
-                table.drop_index(
-                    [column], [chunk.chunk_id for chunk in created]
-                )
-                db.bump_plan_epoch()
     if observations:
         model.refit()
     return observations

@@ -2,9 +2,10 @@
 
 This is the "Hyrise" of the reproduction. Everything the framework touches
 goes through this class: query execution (which feeds the plan cache),
-configuration primitives (create/drop index, re-encode, move chunk, set
-knob — each returning its simulated one-time cost), memory accounting, and
-the plugin host the driver attaches through.
+configuration primitives (create/drop index, re-encode, move or sort a
+chunk, set a knob — accounted entry points over the one implementation in
+:mod:`repro.configuration.actions`, each returning its simulated one-time
+cost), memory accounting, and the plugin host the driver attaches through.
 """
 
 from __future__ import annotations
@@ -15,30 +16,37 @@ from dataclasses import dataclass, field
 from repro.dbms.catalog import Catalog
 from repro.dbms.executor import QueryExecutor, QueryResult
 from repro.dbms.hardware import DEFAULT_HARDWARE, HardwareProfile
-from repro.dbms.knobs import BUFFER_POOL_KNOB, KnobRegistry, standard_knobs
+from repro.dbms.knobs import KnobRegistry, standard_knobs
 from repro.dbms.plan_cache import QueryPlanCache
 from repro.dbms.plugin import PluginHost
 from repro.dbms.schema import TableSchema
 from repro.dbms.segments import EncodingType
-from repro.dbms.storage_tiers import StorageTier, migration_cost_ms
+from repro.dbms.storage_tiers import StorageTier
 from repro.dbms.table import DEFAULT_TARGET_CHUNK_SIZE, Table
-from repro.errors import PlacementError
 from repro.plan.planner import QueryPlanner
 from repro.util.lru import BoundedLRU
 from repro.util.timer import SimulatedClock
 from repro.workload.query import Query
 from repro.workload.sql import parse_sql
 
-#: Simulated cost of flipping a knob (a latch plus a config write).
-_KNOB_APPLY_MS = 0.05
-#: Simulated cost of dropping an index (unlink + deallocate).
-_INDEX_DROP_MS = 0.02
 #: Bound on the memoised epoch-transition tables (see _EpochCounter).
 _EPOCH_MEMO_CAPACITY = 65_536
 
 #: What :meth:`Database.epoch_mark` returns: the config epoch and the
 #: buffer-pool fingerprint ``(entry count, used bytes)`` taken with it.
 EpochMark = tuple[int, tuple[int, int]]
+
+
+def _actions():
+    """:mod:`repro.configuration.actions`, imported on first use: that
+    module imports this one, so the import cannot sit at module level."""
+    from repro.configuration import actions
+
+    return actions
+
+
+def _scope(chunk_ids: Sequence[int] | None) -> tuple[int, ...] | None:
+    return None if chunk_ids is None else tuple(chunk_ids)
 
 
 class _EpochCounter:
@@ -160,7 +168,7 @@ class Database:
 
         Two probe-mode pricings of the same query at the same epoch are
         guaranteed to return the same cost: every mutation that can change
-        pricing — configuration primitives, raw action application, and
+        pricing — raw action application (every configuration change) and
         buffer-pool traffic from accounted query execution — bumps the
         epoch. Distinct states never share an epoch because epoch values
         are allocated from a monotonically increasing counter. Data loaded
@@ -298,18 +306,21 @@ class Database:
         return result
 
     # ------------------------------------------------------------------
-    # configuration primitives (each returns its simulated one-time cost)
+    # configuration primitives: accounted entry points over Action.apply
+    # (price -> apply raw -> record); each returns its one-time cost
 
-    def _record_reconfiguration(self, cost_ms: float) -> float:
-        self.clock.advance(cost_ms)
-        self.counters.reconfigurations += 1
-        self.counters.total_reconfiguration_ms += cost_ms
-        # accounted primitives mutate the structural state directly (the
-        # tokened bump in Action.apply_raw does not run on this path), so
-        # compiled plans must be invalidated here
-        self.bump_plan_epoch()
-        self.bump_config_epoch()
-        return cost_ms
+    def _record_reconfiguration(
+        self, work_ms: float, elapsed_ms: float, count: int
+    ) -> float:
+        """Account ``count`` applied configuration changes — the one place
+        that does: the clock advances by the simulated wall time they
+        occupied, the counters by their number and summed work (the two
+        times differ only for parallel application). The raw mutation has
+        already bumped the epochs if it changed anything."""
+        self.clock.advance(elapsed_ms)
+        self.counters.reconfigurations += count
+        self.counters.total_reconfiguration_ms += work_ms
+        return work_ms
 
     def create_index(
         self,
@@ -317,13 +328,9 @@ class Database:
         columns: Sequence[str],
         chunk_ids: Sequence[int] | None = None,
     ) -> float:
-        table = self.catalog.table(table_name)
-        touched = table.create_index(columns, chunk_ids)
-        cost = sum(
-            self.hardware.index_build_ms(c.row_count, len(columns), c.tier)
-            for c in touched
-        )
-        return self._record_reconfiguration(cost)
+        return _actions().CreateIndexAction(
+            table_name, tuple(columns), _scope(chunk_ids)
+        ).apply(self)
 
     def drop_index(
         self,
@@ -331,9 +338,9 @@ class Database:
         columns: Sequence[str],
         chunk_ids: Sequence[int] | None = None,
     ) -> float:
-        table = self.catalog.table(table_name)
-        touched = table.drop_index(columns, chunk_ids)
-        return self._record_reconfiguration(_INDEX_DROP_MS * len(touched))
+        return _actions().DropIndexAction(
+            table_name, tuple(columns), _scope(chunk_ids)
+        ).apply(self)
 
     def set_encoding(
         self,
@@ -342,52 +349,21 @@ class Database:
         encoding: EncodingType,
         chunk_ids: Sequence[int] | None = None,
     ) -> float:
-        table = self.catalog.table(table_name)
-        results = table.set_encoding(column, encoding, chunk_ids)
-        cost = 0.0
-        for chunk, rebuilt_keys in results:
-            cost += self.hardware.encode_ms(chunk.row_count, encoding, chunk.tier)
-            for key in rebuilt_keys:
-                cost += self.hardware.index_build_ms(
-                    chunk.row_count, len(key), chunk.tier
-                )
-            self.executor.buffer_pool.invalidate((table_name, chunk.chunk_id))
-        return self._record_reconfiguration(cost)
+        return _actions().SetEncodingAction(
+            table_name, column, encoding, _scope(chunk_ids)
+        ).apply(self)
 
     def move_chunk(
         self, table_name: str, chunk_id: int, tier: StorageTier
     ) -> float:
-        table = self.catalog.table(table_name)
-        chunk = table.chunk(chunk_id)
-        if not isinstance(tier, StorageTier):
-            raise PlacementError(f"unknown storage tier {tier!r}")
-        cost = migration_cost_ms(chunk.memory_bytes(), chunk.tier, tier)
-        chunk.tier = tier
-        self.executor.buffer_pool.invalidate((table_name, chunk_id))
-        return self._record_reconfiguration(cost)
+        return _actions().MoveChunkAction(table_name, chunk_id, tier).apply(self)
 
     def sort_chunk(self, table_name: str, chunk_id: int, column: str) -> float:
         """Sort one chunk's rows by ``column`` (accounted)."""
-        table = self.catalog.table(table_name)
-        chunk = table.chunk(chunk_id)
-        if chunk.sort_column == column:
-            return self._record_reconfiguration(0.0)
-        _inverse, rebuilt = chunk.sort_by(column)
-        cost = self.hardware.sort_rows_ms(
-            chunk.row_count, len(table.schema.columns), chunk.tier
-        )
-        for key in rebuilt:
-            cost += self.hardware.index_build_ms(
-                chunk.row_count, len(key), chunk.tier
-            )
-        self.executor.buffer_pool.invalidate((table_name, chunk_id))
-        return self._record_reconfiguration(cost)
+        return _actions().SortChunkAction(table_name, column, (chunk_id,)).apply(self)
 
     def set_knob(self, name: str, value: float) -> float:
-        self.knobs.set(name, value)
-        if name == BUFFER_POOL_KNOB:
-            self.executor.sync_buffer_pool()
-        return self._record_reconfiguration(_KNOB_APPLY_MS)
+        return _actions().SetKnobAction(name, value).apply(self)
 
     # ------------------------------------------------------------------
     # accounting

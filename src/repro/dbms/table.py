@@ -74,7 +74,8 @@ class Table:
     def chunk_ids(self) -> tuple[int, ...]:
         return tuple(c.chunk_id for c in self._chunks)
 
-    def _resolve_chunks(self, chunk_ids: Sequence[int] | None) -> list[Chunk]:
+    def resolve_chunks(self, chunk_ids: Sequence[int] | None) -> list[Chunk]:
+        """The chunks a physical-design scope names (``None`` = all)."""
         if chunk_ids is None:
             return list(self._chunks)
         return [self.chunk(cid) for cid in chunk_ids]
@@ -119,7 +120,7 @@ class Table:
     ) -> list[Chunk]:
         """Create an index on the given chunks; returns the chunks touched."""
         touched = []
-        for chunk in self._resolve_chunks(chunk_ids):
+        for chunk in self.resolve_chunks(chunk_ids):
             if not chunk.has_index(columns):
                 chunk.create_index(columns)
                 touched.append(chunk)
@@ -129,28 +130,11 @@ class Table:
         self, columns: Sequence[str], chunk_ids: Sequence[int] | None = None
     ) -> list[Chunk]:
         touched = []
-        for chunk in self._resolve_chunks(chunk_ids):
+        for chunk in self.resolve_chunks(chunk_ids):
             if chunk.has_index(columns):
                 chunk.drop_index(columns)
                 touched.append(chunk)
         return touched
-
-    def set_encoding(
-        self,
-        column: str,
-        encoding: EncodingType,
-        chunk_ids: Sequence[int] | None = None,
-    ) -> list[tuple[Chunk, list[tuple[str, ...]]]]:
-        """Re-encode a column on the given chunks.
-
-        Returns ``(chunk, rebuilt_index_keys)`` pairs for cost accounting.
-        """
-        results = []
-        for chunk in self._resolve_chunks(chunk_ids):
-            if chunk.encoding_of(column) is not encoding:
-                rebuilt = chunk.set_encoding(column, encoding)
-                results.append((chunk, rebuilt))
-        return results
 
     # ------------------------------------------------------------------
     # statistics and accounting

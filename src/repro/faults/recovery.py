@@ -3,8 +3,8 @@
 Backoff happens in *simulated* time: a retried action advances the
 database clock by the backoff delay (the system was waiting), but never
 the work counters (no reconfiguration effort was spent waiting) — the
-work-vs-elapsed contract of ``tuning/executors/base.py`` extended to
-failure handling. See docs/robustness.md.
+work-vs-elapsed contract (docs/components.md, "Changing the
+configuration") extended to failure handling. See docs/robustness.md.
 
 Backoff may carry **seeded jitter**: when a shared transient fault (a
 storage hiccup, a lock convoy) hits many tenants of a fleet at once,

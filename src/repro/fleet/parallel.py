@@ -138,7 +138,6 @@ class TickRecorder:
 
     def arm(self, view: ArbiterView) -> None:
         self._view = view
-        self.actions = []
 
     # the organizer's AdmissionHook signature
     def admission(self, organizer, decision) -> tuple[bool, str]:
@@ -218,11 +217,16 @@ class LocalHost:
         recorder = self._recorders[tenant]
         recorder.arm(view)
         record = ctx.simulation.finish_bin(self._pending.pop(tenant))
+        # hand the list over and start a fresh one: whatever is recorded
+        # before the next tick (a pass driven by hand between bins) rides
+        # along with that tick instead of landing on a list the driver
+        # has already applied
+        actions, recorder.actions = recorder.actions, []
         return TickResult(
             tenant=tenant,
             record=record,
             digest=compute_digest(ctx, self._config),
-            actions=recorder.actions,
+            actions=actions,
             counter_updates=self._trackers[tenant].drain(),
         )
 

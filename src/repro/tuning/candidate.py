@@ -26,6 +26,7 @@ from repro.configuration.actions import (
     SetEncodingAction,
     SetKnobAction,
     SortChunkAction,
+    describe_scope,
 )
 from repro.dbms.segments import EncodingType
 from repro.dbms.storage_tiers import StorageTier
@@ -73,11 +74,7 @@ class IndexCandidate(Candidate):
         return [CreateIndexAction(self.table, self.columns, self.chunk_ids)]
 
     def describe(self) -> str:
-        scope = (
-            "all chunks"
-            if self.chunk_ids is None
-            else f"chunks {list(self.chunk_ids)}"
-        )
+        scope = describe_scope(self.chunk_ids)
         return f"index {self.table}({', '.join(self.columns)}) [{scope}]"
 
 
@@ -107,11 +104,7 @@ class EncodingCandidate(Candidate):
         return True
 
     def describe(self) -> str:
-        scope = (
-            "all chunks"
-            if self.chunk_ids is None
-            else f"chunks {list(self.chunk_ids)}"
-        )
+        scope = describe_scope(self.chunk_ids)
         return (
             f"encode {self.table}.{self.column} as {self.encoding.value} "
             f"[{scope}]"
@@ -167,11 +160,7 @@ class SortOrderCandidate(Candidate):
         return f"sort:{self.table}[{scope}]"
 
     def describe(self) -> str:
-        scope = (
-            "all chunks"
-            if self.chunk_ids is None
-            else f"chunks {list(self.chunk_ids)}"
-        )
+        scope = describe_scope(self.chunk_ids)
         return f"sort {self.table} by {self.column} [{scope}]"
 
 

@@ -41,28 +41,12 @@ from repro.telemetry.spans import Tracer
 class ApplicationReport:
     """What a tuning executor did and what it cost.
 
-    Two distinct cost semantics coexist and must not be conflated:
-
-    - **work** (:attr:`total_work_ms`) — the sum of per-action costs.
-      This is what resource accounting stores: the database's
-      ``total_reconfiguration_ms`` counter, ``ConfigurationRecord
-      .reconfiguration_cost_ms``, and the ``reconfiguration_ms`` KPI all
-      accumulate work, regardless of execution strategy. Work answers
-      "how much reconfiguration effort was spent".
-    - **elapsed** (:attr:`elapsed_ms`) — the simulated wall time the
-      application occupied, i.e. ``finished_ms - started_ms``. The clock
-      advances by elapsed time: per-action for sequential strategies,
-      per-batch *maximum* for parallel ones. Elapsed answers "how long
-      was the system reconfiguring".
-
-    For :class:`~repro.tuning.executors.sequential.SequentialExecutor`
-    the two coincide on a clean pass; for parallel strategies
-    ``elapsed_ms ≤ total_work_ms`` while counters still record the full
-    work. Failure handling extends the contract: retry backoff advances
-    only the clock (:attr:`backoff_ms` is elapsed, not work), while a
-    rollback advances both (:attr:`rollback_work_ms` is real effort and
-    is *not* included in :attr:`total_work_ms`, which keeps its meaning
-    of forward work).
+    **Work** (:attr:`total_work_ms`, what counters and configuration
+    records accumulate) and **elapsed** (:attr:`elapsed_ms`, what the
+    clock advanced by) are distinct; the contract is stated once, in
+    docs/components.md, "Changing the configuration". In short:
+    ``elapsed_ms ≤ total_work_ms`` for parallel strategies, backoff is
+    elapsed only, and rollback work is reported apart from forward work.
     """
 
     strategy: str
@@ -95,7 +79,7 @@ class ApplicationReport:
         strategies; excludes backoff waits and rollback work).
 
         This is the quantity recorded by counters and configuration
-        records — see the class docstring for the work/elapsed split.
+        records.
         """
         return sum(self.action_costs_ms)
 
@@ -228,10 +212,7 @@ class TuningExecutor(ABC):
                 work += inverse.estimate_cost_ms(db)
                 inverse.apply_raw(db)
             db.rewind_epoch(saved)
-            db.clock.advance(work)
-            if inverse_stack:
-                db.counters.reconfigurations += len(inverse_stack)
-                db.counters.total_reconfiguration_ms += work
+            db._record_reconfiguration(work, work, len(inverse_stack))
         report.rolled_back = True
         report.rollback_actions = len(inverse_stack)
         report.rollback_work_ms = work

@@ -49,10 +49,10 @@ class ParallelExecutor(TuningExecutor):
         costs: list[float],
     ) -> None:
         # elapsed (clock) = batch max; work (counters) = batch sum —
-        # see the work/elapsed contract in executors/base.py
-        db.clock.advance(max(costs, default=0.0))
-        db.counters.reconfigurations += len(batch)
-        db.counters.total_reconfiguration_ms += sum(costs)
+        # docs/components.md, "Changing the configuration"
+        db._record_reconfiguration(
+            sum(costs), max(costs, default=0.0), len(batch)
+        )
         report.action_summaries.extend(a.describe() for a in batch)
         report.action_costs_ms.extend(costs)
 

@@ -33,9 +33,7 @@ class SequentialExecutor(TuningExecutor):
             except Exception as exc:
                 self._abort(db, inverse_stack, saved, report, action, exc)
             inverse_stack.extend(inverse)
-            db.clock.advance(cost)
-            db.counters.reconfigurations += 1
-            db.counters.total_reconfiguration_ms += cost
+            db._record_reconfiguration(cost, cost, 1)
             report.action_summaries.append(action.describe())
             report.action_costs_ms.append(cost)
         report.finished_ms = db.clock.now_ms

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from repro.configuration.actions import CreateIndexAction, DropIndexAction
+from repro.configuration.config import ChunkIndexSpec
 from repro.configuration.constraints import INDEX_MEMORY, ConstraintSet
-from repro.configuration.delta import ConfigurationDelta
+from repro.configuration.delta import ConfigurationDelta, group_index_actions
 from repro.dbms.database import Database
 from repro.forecasting.scenarios import Forecast
 from repro.tuning.candidate import Candidate, IndexCandidate
@@ -15,9 +16,9 @@ from repro.tuning.features.base import FeatureTuner
 
 def _expand_specs(
     db: Database, candidates: list[IndexCandidate]
-) -> set[tuple[str, tuple[str, ...], int]]:
-    """Expand candidates to per-chunk (table, columns, chunk_id) triples."""
-    specs: set[tuple[str, tuple[str, ...], int]] = set()
+) -> set[ChunkIndexSpec]:
+    """Expand candidates to per-chunk index specs."""
+    specs: set[ChunkIndexSpec] = set()
     for candidate in candidates:
         table = db.table(candidate.table)
         chunk_ids = (
@@ -26,33 +27,21 @@ def _expand_specs(
             else candidate.chunk_ids
         )
         for chunk_id in chunk_ids:
-            specs.add((candidate.table, candidate.columns, chunk_id))
+            specs.add(
+                ChunkIndexSpec(candidate.table, candidate.columns, chunk_id)
+            )
     return specs
 
 
-def _current_specs(
-    db: Database, tables: set[str]
-) -> set[tuple[str, tuple[str, ...], int]]:
-    specs: set[tuple[str, tuple[str, ...], int]] = set()
+def _current_specs(db: Database, tables: set[str]) -> set[ChunkIndexSpec]:
+    specs: set[ChunkIndexSpec] = set()
     for table_name in tables:
         if not db.catalog.has_table(table_name):
             continue
         for chunk in db.table(table_name).chunks():
             for key in chunk.index_keys():
-                specs.add((table_name, key, chunk.chunk_id))
+                specs.add(ChunkIndexSpec(table_name, key, chunk.chunk_id))
     return specs
-
-
-def _grouped_actions(
-    specs: set[tuple[str, tuple[str, ...], int]], action_cls: type
-) -> list:
-    grouped: dict[tuple[str, tuple[str, ...]], list[int]] = {}
-    for table, columns, chunk_id in specs:
-        grouped.setdefault((table, columns), []).append(chunk_id)
-    return [
-        action_cls(table, columns, tuple(sorted(ids)))
-        for (table, columns), ids in sorted(grouped.items())
-    ]
 
 
 class IndexSelectionFeature(FeatureTuner):
@@ -71,7 +60,7 @@ class IndexSelectionFeature(FeatureTuner):
 
     def reset_delta(self, db: Database, forecast: Forecast) -> ConfigurationDelta:
         specs = _current_specs(db, workload_tables(forecast))
-        return ConfigurationDelta(_grouped_actions(specs, DropIndexAction))
+        return ConfigurationDelta(group_index_actions(specs, DropIndexAction))
 
     def delta_for_choices(
         self,
@@ -82,8 +71,8 @@ class IndexSelectionFeature(FeatureTuner):
         index_choices = [c for c in chosen if isinstance(c, IndexCandidate)]
         desired = _expand_specs(db, index_choices)
         current = _current_specs(db, workload_tables(forecast))
-        actions = _grouped_actions(current - desired, DropIndexAction)
-        actions.extend(_grouped_actions(desired - current, CreateIndexAction))
+        actions = group_index_actions(current - desired, DropIndexAction)
+        actions.extend(group_index_actions(desired - current, CreateIndexAction))
         return ConfigurationDelta(actions)
 
     def budgets(

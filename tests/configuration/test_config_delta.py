@@ -1,7 +1,5 @@
 """Tests for configuration instances, actions, and deltas."""
 
-import pytest
-
 from repro.configuration.actions import (
     CreateIndexAction,
     DropIndexAction,
@@ -103,14 +101,6 @@ def test_noop_actions_produce_empty_inverse():
     assert MoveChunkAction("events", 0, StorageTier.DRAM).apply_raw(db) == []
     current = db.knobs.get(SCAN_THREADS_KNOB)
     assert SetKnobAction(SCAN_THREADS_KNOB, current).apply_raw(db) == []
-
-
-def test_estimate_cost_tracks_actual_cost():
-    db = make_small_database(rows=5_000, chunk_size=1_000)
-    action = CreateIndexAction("events", ("user",))
-    estimate = action.estimate_cost_ms(db)
-    actual = action.apply(db)
-    assert estimate == pytest.approx(actual)
 
 
 def test_estimate_cost_skips_noops():

@@ -2,6 +2,7 @@
 
 from repro.configuration.config import ConfigurationInstance
 from repro.cost.calibration import (
+    calibration_queries,
     run_design_exploration,
     run_startup_calibration,
 )
@@ -22,6 +23,28 @@ def test_exploration_leaves_no_trace():
     after = ConfigurationInstance.capture(db)
     assert before.indexes == after.indexes
     assert db.clock.now_ms == clock  # probes are unaccounted
+
+
+def test_exploration_keeps_epochs_and_cached_plans():
+    db = make_small_database(rows=2_000)
+    db.create_index("events", ["user"], chunk_ids=[0])  # one partly indexed
+    model = LearnedCostModel(db)
+    run_startup_calibration(db, model, seed=0)  # compiles the suite's plans
+    epochs = (db.config_epoch, db.plan_epoch)
+
+    assert run_design_exploration(db, model, seed=0) == 6
+
+    assert (db.config_epoch, db.plan_epoch) == epochs
+    # every plan compiled before the exploration is still served: the
+    # hypothetical designs lived under their own plan epochs
+    table = db.table("events")
+    queries = calibration_queries(db, seed=0)
+    before = db.planner.cache_stats
+    for query in queries:
+        db.planner.plan_for(query, table)
+    after = db.planner.cache_stats
+    assert after.hits == before.hits + len(queries)
+    assert (after.misses, after.size) == (before.misses, before.size)
 
 
 def test_exploration_teaches_index_sensitivity():

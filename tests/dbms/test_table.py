@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.dbms.schema import TableSchema
-from repro.dbms.segments import EncodingType
 from repro.dbms.table import Table
 from repro.dbms.types import DataType
 from repro.errors import SchemaError
@@ -57,15 +56,6 @@ def test_drop_index_reports_touched_chunks():
     table.create_index(["a"])
     touched = table.drop_index(["a"], chunk_ids=[1])
     assert [c.chunk_id for c in touched] == [1]
-
-
-def test_set_encoding_per_chunk():
-    table = _table(chunk_size=100)
-    table.append({"a": np.arange(200), "b": np.zeros(200)})
-    results = table.set_encoding("a", EncodingType.DICTIONARY, chunk_ids=[0])
-    assert len(results) == 1
-    assert table.chunk(0).encoding_of("a") is EncodingType.DICTIONARY
-    assert table.chunk(1).encoding_of("a") is EncodingType.UNENCODED
 
 
 def test_statistics_merge_across_chunks():

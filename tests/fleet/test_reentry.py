@@ -96,3 +96,22 @@ def test_report_window_unclamped_when_enough_bins(fleet):
 def test_report_rejects_nonpositive_window(fleet):
     with pytest.raises(ValueError, match="final_window_bins"):
         fleet.report(final_window_bins=0)
+
+
+def test_pass_committed_by_hand_between_bins_reaches_the_arbiter():
+    """The host's recorder must not append to an action list it already
+    handed to the driver, nor drop it at the next tick: a pass a caller
+    commits on a tenant between bins is reported with the next tick."""
+    driver = build_fleet(2, seed=5, bins=8, rows=ROWS)
+    driver.run(stop=6)
+    tenant = driver.tenants[0].tenant
+    arbiter = driver.arbiter
+    passes = arbiter.full_passes(tenant)
+    priors = len(arbiter.priors)
+
+    assert driver.tenants[0].organizer.run_tuning() is not None
+    driver.run_bin(6)
+
+    assert arbiter.full_passes(tenant) == passes + 1
+    assert len(arbiter.priors) == priors + 1
+    assert arbiter.priors[-1].source == tenant

@@ -105,14 +105,6 @@ def test_sort_action_raw_roundtrip():
     )
 
 
-def test_sort_action_cost_estimate_matches_apply():
-    db = make_small_database(rows=2_000, chunk_size=1_000)
-    action = SortChunkAction("events", "user")
-    estimate = action.estimate_cost_ms(db)
-    actual = action.apply(db)
-    assert estimate == pytest.approx(actual)
-
-
 def test_instance_capture_and_diff_include_sort_orders():
     db = make_small_database(rows=1_000, chunk_size=500)
     before = ConfigurationInstance.capture(db)
