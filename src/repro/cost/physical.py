@@ -39,8 +39,8 @@ class PhysicalCostModel(CostEstimator):
         probe_units = 0.0
         if step.kind is StepKind.INDEX_PROBE:
             live = chunk.row_count * step.estimated_selectivity
-            # bind-time index lookup: indexes are rebuilt by re-encodes and
-            # sorts, so the plan stores key columns, not index objects
+            # bind-time index lookup: re-encodes and sorts replace a chunk's
+            # indexes, so the plan stores key columns, not index objects
             index = chunk.index(step.index_key)
             probe_units += index.probe_cost_units(
                 step.probed_columns, int(live)

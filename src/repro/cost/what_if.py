@@ -2,8 +2,10 @@
 
 Classic what-if optimization [Chaudhuri & Narasayya, VLDB'97] prices a
 query as if a candidate structure existed. Here the hypothetical
-configuration is *actually built* (cheaply, in the simulator) through the
-raw/unaccounted action path, costs are taken with zero side effects
+configuration is *actually entered* through the raw/unaccounted action
+path — each chunk builds a segment or index the first time a state needs
+it and swaps it in from its structure memo after that
+(:mod:`repro.dbms.chunk`) — costs are taken with zero side effects
 (probe-mode execution or an analytic estimator), and the inverse delta
 restores the previous state — the simulated clock, counters, plan cache,
 and buffer pool never notice.

@@ -5,6 +5,15 @@ decisions (encoding, indexes, placement tier) are taken per chunk
 (Section II-B). Chunk *data* is immutable once created — appends create new
 chunks — which lets per-column statistics be computed once and cached, while
 the physical representation (encodings, indexes, tier) remains mutable.
+
+A segment is a pure function of (row order, column, encoding) and an index
+of (row order, key columns, their encodings), so a chunk keeps every one it
+has built for its current row order in a :class:`_StructureMemo`:
+re-encoding, index creation and the index refresh after a re-encode — and
+their inverses, which is what a what-if rollback is — swap structures in
+instead of re-encoding and re-sorting. Only a permutation, which starts a
+new row order, drops it. The memo never affects simulated costs, epochs or
+memory accounting.
 """
 
 from __future__ import annotations
@@ -22,7 +31,104 @@ from repro.dbms.segments import (
 )
 from repro.dbms.statistics import ColumnStatistics
 from repro.dbms.storage_tiers import StorageTier
-from repro.errors import EncodingError, IndexError_, SchemaError
+from repro.errors import IndexError_, SchemaError
+from repro.util.lru import BoundedLRU, CacheStats
+
+#: Bound on one chunk's memoised indexes, sized from the working set
+#: measured on the perf ledger: tuning touches at most 58 distinct
+#: (key, encodings) combinations per chunk on ``tune_loop`` and 57 on
+#: ``fleet_serial``. Live indexes stay referenced by the chunk, so an
+#: eviction only loses reuse.
+_INDEX_MEMO_CAPACITY = 64
+
+_IndexMemoKey = tuple[tuple[str, ...], tuple[EncodingType, ...]]
+
+
+class _StructureMemo:
+    """Every segment and index one chunk has built for its row order."""
+
+    __slots__ = (
+        "_segments",
+        "_indexes",
+        "_hits",
+        "_misses",
+        "_evictions",
+        "_invalidations",
+    )
+
+    def __init__(
+        self,
+        segments: Mapping[str, Segment],
+        indexes: Mapping[tuple[str, ...], SortedCompositeIndex],
+    ) -> None:
+        self._segments: dict[tuple[str, EncodingType], Segment] = {}
+        self._indexes: BoundedLRU[_IndexMemoKey, SortedCompositeIndex] = (
+            BoundedLRU(_INDEX_MEMO_CAPACITY)
+        )
+        self._hits = self._misses = 0
+        self._evictions = self._invalidations = 0
+        self.reseed(segments, indexes)
+
+    def reseed(
+        self,
+        segments: Mapping[str, Segment],
+        indexes: Mapping[tuple[str, ...], SortedCompositeIndex],
+    ) -> None:
+        """Start over from the live structures of a new row order."""
+        self._invalidations += len(self._segments) + len(self._indexes)
+        self._segments = {
+            (name, segment.encoding): segment
+            for name, segment in segments.items()
+        }
+        self._indexes.clear()
+        for key, index in indexes.items():
+            self._indexes.put(self._index_key(key, segments), index)
+
+    @staticmethod
+    def _index_key(
+        columns: tuple[str, ...], segments: Mapping[str, Segment]
+    ) -> _IndexMemoKey:
+        return columns, tuple(segments[name].encoding for name in columns)
+
+    def segment(
+        self, column: str, encoding: EncodingType, current: Segment
+    ) -> Segment:
+        """``column`` in ``encoding``, encoded from the decoded values of
+        its ``current`` segment the first time it is asked for."""
+        segment = self._segments.get((column, encoding))
+        if segment is None:
+            self._misses += 1
+            segment = encode_segment(
+                current.values(), current.data_type, encoding
+            )
+            self._segments[column, encoding] = segment
+        else:
+            self._hits += 1
+        return segment
+
+    def index(
+        self, columns: tuple[str, ...], segments: Mapping[str, Segment]
+    ) -> SortedCompositeIndex:
+        """The index over ``columns`` of ``segments``, built the first
+        time this combination of key and key-column encodings is seen."""
+        key = self._index_key(columns, segments)
+        index = self._indexes.get(key)
+        if index is None:
+            self._misses += 1
+            index = SortedCompositeIndex.build(columns, segments)
+            self._evictions += self._indexes.put(key, index)
+        else:
+            self._hits += 1
+        return index
+
+    def stats(self) -> CacheStats:
+        return CacheStats(
+            hits=self._hits,
+            misses=self._misses,
+            evictions=self._evictions,
+            invalidations=self._invalidations,
+            size=len(self._segments) + len(self._indexes),
+        )
 
 
 class Chunk:
@@ -61,6 +167,18 @@ class Chunk:
         self.tier = StorageTier.DRAM
         self._sort_column: str | None = None
         self._data_bytes: int | None = None
+        self._memo = _StructureMemo(self._segments, self._indexes)
+
+    def __getstate__(self) -> dict[str, object]:
+        # the memo is a cache: snapshots and checkpoints carry only the
+        # live structures
+        state = self.__dict__.copy()
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._memo = _StructureMemo(self._segments, self._indexes)
 
     # ------------------------------------------------------------------
     # identity and data access
@@ -137,7 +255,8 @@ class Chunk:
 
         Every segment is rebuilt (same encoding, new order — run-length
         segments shrink dramatically when the order groups equal values)
-        and every index is rebuilt. Column statistics are order-independent
+        and every index is rebuilt: a new row order is the one change that
+        drops the structure memo. Column statistics are order-independent
         and stay cached. Returns the rebuilt index keys for cost accounting.
         """
         if len(permutation) != self._row_count:
@@ -153,6 +272,7 @@ class Chunk:
         rebuilt = list(self._indexes)
         for key in rebuilt:
             self._indexes[key] = SortedCompositeIndex.build(key, self._segments)
+        self._memo.reseed(self._segments, self._indexes)
         self._sort_column = sort_column
         self._data_bytes = None
         return rebuilt
@@ -177,27 +297,23 @@ class Chunk:
         return inverse, rebuilt
 
     def set_encoding(self, column: str, encoding: EncodingType) -> list[tuple[str, ...]]:
-        """Re-encode one column; rebuilds every index whose key contains it.
+        """Re-encode one column; replaces every index whose key contains it.
 
-        Returns the key tuples of the rebuilt indexes so the caller can
-        account for the rebuild cost (re-encoding an indexed column is a
-        heavier reconfiguration — a real feature interaction).
+        The segment and the indexes come from the structure memo, so only
+        the first visit of a (column, encoding) state encodes and sorts.
+        Returns the key tuples of the replaced indexes so the caller can
+        account for the simulated rebuild cost (re-encoding an indexed
+        column is a heavier reconfiguration — a real feature interaction).
         """
         old_segment = self.segment(column)
         if old_segment.encoding is encoding:
             return []
-        try:
-            new_segment = encode_segment(
-                old_segment.values(), old_segment.data_type, encoding
-            )
-        except EncodingError:
-            raise
-        self._segments[column] = new_segment
+        self._segments[column] = self._memo.segment(column, encoding, old_segment)
         self._data_bytes = None
-        rebuilt = [key for key in self._indexes if column in key]
-        for key in rebuilt:
-            self._indexes[key] = SortedCompositeIndex.build(key, self._segments)
-        return rebuilt
+        replaced = [key for key in self._indexes if column in key]
+        for key in replaced:
+            self._indexes[key] = self._memo.index(key, self._segments)
+        return replaced
 
     def create_index(self, columns: Sequence[str]) -> SortedCompositeIndex:
         key = tuple(columns)
@@ -208,7 +324,7 @@ class Chunk:
         for name in key:
             if not self._schema.has_column(name):
                 raise IndexError_(f"unknown index column {name!r}")
-        index = SortedCompositeIndex.build(key, self._segments)
+        index = self._memo.index(key, self._segments)
         self._indexes[key] = index
         return index
 
@@ -249,6 +365,9 @@ class Chunk:
 
     def memory_bytes(self) -> int:
         return self.data_bytes() + self.index_bytes()
+
+    def structure_memo_stats(self) -> CacheStats:
+        return self._memo.stats()
 
     def __repr__(self) -> str:
         return (

@@ -24,7 +24,7 @@ from repro.dbms.segments import EncodingType
 from repro.dbms.storage_tiers import StorageTier
 from repro.dbms.table import DEFAULT_TARGET_CHUNK_SIZE, Table
 from repro.plan.planner import QueryPlanner
-from repro.util.lru import BoundedLRU
+from repro.util.lru import BoundedLRU, CacheStats
 from repro.util.timer import SimulatedClock
 from repro.workload.query import Query
 from repro.workload.sql import parse_sql
@@ -384,6 +384,16 @@ class Database:
             for chunk in table.chunks():
                 usage[chunk.tier] += chunk.memory_bytes()
         return usage
+
+    def structure_memo_stats(self) -> CacheStats:
+        """Rollup of every chunk's structure memo (segments and indexes
+        kept per row order; see :mod:`repro.dbms.chunk`). A plain
+        accessor: the memo never affects state, so it is in no KPI."""
+        return CacheStats.aggregate(
+            chunk.structure_memo_stats()
+            for table in self.catalog.tables()
+            for chunk in table.chunks()
+        )
 
     def runtime_snapshot(self) -> dict[str, float]:
         """KPI source: counters plus current memory/tier state."""

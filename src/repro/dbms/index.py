@@ -41,6 +41,14 @@ class SortedCompositeIndex:
         self._sorted_keys = sorted_keys
         self._positions = positions
         self._dictionaries = dictionaries
+        # one index object is shared by every configuration state that
+        # contains it (see the structure memo in repro.dbms.chunk), so
+        # its arrays are immutable — which also fixes its size
+        for array in (positions, *sorted_keys):
+            array.setflags(write=False)
+        self._memory_bytes = int(positions.nbytes) + sum(
+            int(keys.nbytes) for keys in sorted_keys
+        )
         # key-comparison work depends only on the index shape, so the
         # per-prefix-length totals are folded once at construction;
         # _probe_unit_prefix[k] is the cost of touching the first k columns
@@ -93,10 +101,18 @@ class SortedCompositeIndex:
 
     def memory_bytes(self) -> int:
         """Positions plus the (possibly code-typed) key copies."""
-        total = int(self._positions.nbytes)
-        for keys in self._sorted_keys:
-            total += int(keys.nbytes)
-        return total
+        return self._memory_bytes
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # rebuilt from the constructor's arguments: a pickle holds
+        # writeable arrays and, if an earlier version wrote it, lacks the
+        # derived fields
+        self.__init__(
+            state["_columns"],
+            state["_sorted_keys"],
+            state["_positions"],
+            state["_dictionaries"],
+        )
 
     # ------------------------------------------------------------------
     # probing

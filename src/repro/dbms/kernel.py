@@ -109,9 +109,10 @@ def run_plan(
     # Per-kernel pre-binding: segment/index objects and their charge
     # methods resolved once per compiled plan. Sound because every segment
     # or index replacement (accounted primitives, raw what-if actions,
-    # sorts) bumps the plan epoch, which retires this plan — and with it
-    # this cache — from the planner's cache; appends are caught by the
-    # chunk-count guard above.
+    # sorts) bumps the plan epoch, so this plan — and with it this cache —
+    # is only found again at a plan epoch whose structures equal the ones
+    # bound here (a chunk's structure memo usually swaps the very same
+    # objects back in); appends are caught by the chunk-count guard above.
     bound = kern.cache.get("bound")
     if bound is None:
         bound = []

@@ -268,7 +268,7 @@ def execute_step(chunk: Chunk, step: PlanStep) -> ChunkScanResult:
     """Run one compiled step against the chunk's real data.
 
     The index named by ``step.index_key`` is looked up at execution time
-    (bind), so steps survive index rebuilds from re-encodes and sorts.
+    (bind), so steps survive re-encodes and sorts replacing the index.
     """
     if step.kind is StepKind.PRUNE:
         return ChunkScanResult(

@@ -75,14 +75,31 @@ def _compare_array(arr: np.ndarray, op: str, value: object) -> np.ndarray:
         raise EncodingError(f"unsupported comparison operator {op!r}") from None
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class Segment(ABC):
-    """Abstract physical storage of one column within one chunk."""
+    """Abstract physical storage of one column within one chunk.
+
+    Immutable: one segment object is shared by every configuration state
+    that contains it (see the structure memo in :mod:`repro.dbms.chunk`),
+    so the arrays it owns are read-only.
+    """
 
     encoding: ClassVar[EncodingType]
 
     def __init__(self, data_type: DataType, length: int) -> None:
         self._data_type = data_type
         self._length = length
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # unpickled arrays come back writeable
+        self.__dict__.update(state)
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def data_type(self) -> DataType:
@@ -136,7 +153,8 @@ class UnencodedSegment(Segment):
 
     def __init__(self, values: np.ndarray, data_type: DataType) -> None:
         super().__init__(data_type, len(values))
-        self._values = values
+        # a view, so the caller's own array keeps its flags
+        self._values = _frozen(values.view())
 
     def values(self) -> np.ndarray:
         return self._values
@@ -168,9 +186,10 @@ class DictionarySegment(Segment):
 
     def __init__(self, values: np.ndarray, data_type: DataType) -> None:
         super().__init__(data_type, len(values))
-        self._dictionary, self._codes = np.unique(values, return_inverse=True)
-        code_dtype = narrowest_uint_dtype(max(len(self._dictionary) - 1, 0))
-        self._codes = self._codes.astype(code_dtype)
+        dictionary, codes = np.unique(values, return_inverse=True)
+        code_dtype = narrowest_uint_dtype(max(len(dictionary) - 1, 0))
+        self._dictionary = _frozen(dictionary)
+        self._codes = _frozen(codes.astype(code_dtype))
 
     @property
     def dictionary(self) -> np.ndarray:
@@ -233,14 +252,14 @@ class RunLengthSegment(Segment):
     def __init__(self, values: np.ndarray, data_type: DataType) -> None:
         super().__init__(data_type, len(values))
         if len(values) == 0:
-            self._run_values = values[:0]
-            self._run_lengths = np.zeros(0, dtype=np.int64)
+            self._run_values = _frozen(values[:0])
+            self._run_lengths = _frozen(np.zeros(0, dtype=np.int64))
         else:
             change = np.flatnonzero(values[1:] != values[:-1]) + 1
             starts = np.concatenate(([0], change))
             ends = np.concatenate((change, [len(values)]))
-            self._run_values = values[starts]
-            self._run_lengths = (ends - starts).astype(np.int64)
+            self._run_values = _frozen(values[starts])
+            self._run_lengths = _frozen((ends - starts).astype(np.int64))
         self._decoded: np.ndarray | None = None
         self._run_ends: np.ndarray | None = None
 
@@ -250,7 +269,9 @@ class RunLengthSegment(Segment):
 
     def values(self) -> np.ndarray:
         if self._decoded is None:
-            self._decoded = np.repeat(self._run_values, self._run_lengths)
+            self._decoded = _frozen(
+                np.repeat(self._run_values, self._run_lengths)
+            )
         return self._decoded
 
     def take(self, positions: np.ndarray) -> np.ndarray:
@@ -296,12 +317,14 @@ class FrameOfReferenceSegment(Segment):
         if len(values) == 0:
             self._reference = 0
             self._span = 0
-            self._offsets = np.zeros(0, dtype=np.uint8)
+            self._offsets = _frozen(np.zeros(0, dtype=np.uint8))
         else:
             self._reference = int(values.min())
             self._span = int(values.max()) - self._reference
-            self._offsets = (values - self._reference).astype(
-                narrowest_uint_dtype(self._span)
+            self._offsets = _frozen(
+                (values - self._reference).astype(
+                    narrowest_uint_dtype(self._span)
+                )
             )
 
     @property

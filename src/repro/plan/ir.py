@@ -13,8 +13,8 @@ three access paths:
   chunk's segments.
 
 The IR deliberately contains only *compile-time-stable* facts: step
-kinds, index key columns (not index objects — indexes are rebuilt by
-re-encodes and sorts, so they are looked up again at bind time), residual
+kinds, index key columns (not index objects — re-encodes and sorts replace
+a chunk's indexes, so they are looked up again at bind time), residual
 predicate order, estimated selectivities, and per-row output widths from
 chunk statistics. Storage tier and buffer-pool residency are **not** part
 of a plan — they change with every pool admission and are resolved at

@@ -29,11 +29,22 @@ from repro.tuning.candidate import (
 
 
 def _memory_snapshot(db: Database) -> dict[str, float]:
+    # one walk over the chunks for what db.index_bytes(), db.memory_bytes()
+    # and db.tier_usage()[DRAM] would each walk them for: this runs twice
+    # per assessed candidate
+    index = total = dram = 0
+    for table in db.catalog.tables():
+        for chunk in table.chunks():
+            chunk_index = chunk.index_bytes()
+            chunk_total = chunk.data_bytes() + chunk_index
+            index += chunk_index
+            total += chunk_total
+            if chunk.tier is StorageTier.DRAM:
+                dram += chunk_total
     return {
-        INDEX_MEMORY: float(db.index_bytes()),
-        TOTAL_MEMORY: float(db.memory_bytes()),
-        DRAM_BYTES: float(db.tier_usage()[StorageTier.DRAM])
-        + db.knobs.get(BUFFER_POOL_KNOB),
+        INDEX_MEMORY: float(index),
+        TOTAL_MEMORY: float(total),
+        DRAM_BYTES: float(dram) + db.knobs.get(BUFFER_POOL_KNOB),
     }
 
 
