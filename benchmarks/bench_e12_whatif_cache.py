@@ -1,14 +1,14 @@
-"""E12 — epoch-keyed what-if cost caching on dependence measurement.
+"""E12 — footprint-keyed what-if cost caching on dependence measurement.
 
 The dependence campaign of Section III-A is the framework's most
 pricing-intensive operation: W_∅, every W_A, and every W_{A,B} each price
 the full expected workload, and the |S|² sandboxed tuning runs re-price it
 per candidate. The organizer repeats the campaign every
 ``order_refresh_every`` runs, and as long as the configuration is stable
-each refresh revisits the same epochs — every rollback restores the epoch
-it started from, and re-applied deltas land on memoised epochs — so the
-cache keyed on ``(epoch, query)`` turns the repeated pricings into dict
-hits, both within one campaign (re-proposals against the reset baseline)
+each refresh revisits the same states — every rollback is exact, and the
+cache keys on what a query reads, so a re-applied delta finds the costs of
+its first visit — which turns the repeated pricings into dict hits, both
+within one campaign (re-proposals against the reset baseline)
 and across refreshes.
 
 The experiment runs an identical measure-plus-refreshes cycle on two
@@ -62,7 +62,7 @@ def _campaign(cache_size: int):
         ]
     )
     # one optimizer shared by the analyzer and all feature assessors, so
-    # the whole campaign prices through a single epoch-keyed cache
+    # the whole campaign prices through a single cost cache
     optimizer = WhatIfOptimizer(db, cache_size=cache_size)
     tuners = [
         Tuner(IndexSelectionFeature(), db, optimizer=optimizer),
@@ -102,7 +102,7 @@ def test_e12_whatif_cache_speedup(benchmark):
              round(speedup, 2)],
         ],
         f"E12: dependence measurement + {REFRESHES - 1} refreshes with "
-        "the epoch-keyed what-if cache",
+        "the footprint-keyed what-if cache",
     )
 
     # the cache must actually carry the campaign

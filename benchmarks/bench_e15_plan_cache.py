@@ -1,13 +1,13 @@
-"""E15 — the epoch-keyed compiled-plan cache on repeated templates.
+"""E15 — the footprint-keyed compiled-plan cache on repeated templates.
 
 Production workloads repeat: the same query shapes arrive over and over
 with literals drawn from a small pool. Without a plan cache every
 execution re-chooses an access path per chunk — zone-map prune checks,
 index-plan selection, statistics-based output widths — even though
 nothing structural changed since the last identical query. The compiled
-plan layer memoises that work keyed on ``(plan_epoch, query)``, so a
+plan layer memoises that work keyed on ``(footprint, query)``, so a
 repeated query skips compilation entirely until a configuration change
-bumps the plan epoch.
+touches something its plan binds.
 
 The experiment executes an identical repeated-template workload on two
 identical databases — plan cache disabled (the former per-execution
@@ -15,8 +15,8 @@ re-planning path) and enabled — and checks that caching (a) speeds up
 end-to-end execution by at least 1.5x, (b) skips the vast majority of
 compilations, and (c) is semantically invisible: identical match counts
 and identical simulated costs, query by query. A mid-workload
-``create_index`` verifies that epoch invalidation keeps cached plans
-honest while the workload is running.
+``create_index`` verifies that footprint keys keep cached plans honest
+while the workload is running.
 
 Runs under pytest (``PYTHONPATH=src python -m pytest
 benchmarks/bench_e15_plan_cache.py``) or standalone (``PYTHONPATH=src
@@ -106,9 +106,11 @@ def _run(queries: list[Query], cached: bool):
     started = time.perf_counter()
     for i, query in enumerate(queries):
         if i == reconfigure_at:
-            # a structural change mid-stream: cached plans for the old
-            # configuration must not survive it
-            db.create_index("events", ["value"])
+            # a structural change mid-stream to a column every query has
+            # a predicate on: cached plans for the old configuration must
+            # not survive it (an index on `value`, which no query here
+            # reads, would — rightly — retire none of them)
+            db.create_index("events", ["id"])
         result = db.execute(query)
         row_counts[i] = result.row_count
         sim_ms[i] = result.report.elapsed_ms
@@ -147,7 +149,7 @@ def report(result: dict) -> None:
              round(result["speedup"], 2)],
         ],
         f"E15: {result['executions']} repeated-template executions with "
-        "the epoch-keyed compiled-plan cache (one mid-stream create_index)",
+        "the footprint-keyed compiled-plan cache (one mid-stream create_index)",
     )
 
 

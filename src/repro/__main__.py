@@ -366,8 +366,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     stats = db.planner.cache_stats
     print(
         f"compiled-plan cache: {stats.hits} hits, {stats.misses} misses "
-        f"({stats.hit_rate:.0%} hit rate), {stats.size} plans cached "
-        f"at plan epoch {db.plan_epoch}"
+        f"({stats.hit_rate:.0%} hit rate), {stats.size} plans cached"
     )
     if args.jsonl:
         driver.telemetry.close()

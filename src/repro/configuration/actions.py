@@ -52,12 +52,11 @@ class Action(ABC):
     def apply_raw(self, db: Database) -> list["Action"]:
         """Apply without accounting; returns inverse actions (newest last).
 
-        Every raw application that actually mutates state bumps the
-        database's configuration epoch with the action's description as a
-        memoisation token, so the what-if cost cache keyed on the epoch is
-        invalidated — and re-applying the same action sequence from the
-        same epoch revisits the same epoch (cache reuse). No-op
-        applications (state already as requested) do not bump.
+        Nothing has to be told: the compiled-plan and what-if caches key
+        on what a query reads (``Table.footprint``, tiers, pool membership,
+        ``scan_threads``), which is exactly what the mutations below
+        change. A no-op application (state already as requested) returns
+        no inverse.
         """
 
     @abstractmethod
@@ -84,7 +83,6 @@ class CreateIndexAction(Action):
         touched = table.create_index(list(self.columns), self.chunk_ids)
         if not touched:
             return []
-        db.bump_config_epoch(self.describe())
         return [
             DropIndexAction(
                 self.table,
@@ -116,7 +114,6 @@ class DropIndexAction(Action):
         touched = table.drop_index(list(self.columns), self.chunk_ids)
         if not touched:
             return []
-        db.bump_config_epoch(self.describe())
         return [
             CreateIndexAction(
                 self.table,
@@ -155,8 +152,6 @@ class SetEncodingAction(Action):
             chunk.set_encoding(self.column, self.encoding)
             db.executor.buffer_pool.invalidate((self.table, chunk.chunk_id))
             reverted.setdefault(old, []).append(chunk.chunk_id)
-        if reverted:
-            db.bump_config_epoch(self.describe())
         return [
             SetEncodingAction(self.table, self.column, old, tuple(ids))
             for old, ids in reverted.items()
@@ -201,7 +196,6 @@ class MoveChunkAction(Action):
             return []
         chunk.tier = self.tier
         db.executor.buffer_pool.invalidate((self.table, self.chunk_id))
-        db.bump_config_epoch(self.describe())
         return [MoveChunkAction(self.table, self.chunk_id, old)]
 
     def estimate_cost_ms(self, db: Database) -> float:
@@ -240,8 +234,6 @@ class SortChunkAction(Action):
                     self.table, chunk.chunk_id, permutation, previous_sort
                 )
             )
-        if inverse:
-            db.bump_config_epoch(self.describe())
         return inverse
 
     def estimate_cost_ms(self, db: Database) -> float:
@@ -279,9 +271,6 @@ class PermuteChunkAction(Action):
         chunk = db.table(self.table).chunk(self.chunk_id)
         chunk.apply_permutation(self.permutation, self.sort_column)
         db.executor.buffer_pool.invalidate((self.table, self.chunk_id))
-        # the permutation is derived from the state it undoes, so the
-        # describe() token is deterministic per starting epoch
-        db.bump_config_epoch(f"{self.describe()} -> {self.sort_column}")
         return []  # rollback tokens are one-shot
 
     def estimate_cost_ms(self, db: Database) -> float:
@@ -304,7 +293,6 @@ class SetKnobAction(Action):
         db.knobs.set(self.name, self.value)
         if self.name == BUFFER_POOL_KNOB:
             db.executor.sync_buffer_pool()
-        db.bump_config_epoch(self.describe())
         return [SetKnobAction(self.name, old)]
 
     def estimate_cost_ms(self, db: Database) -> float:

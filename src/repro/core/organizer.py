@@ -418,7 +418,6 @@ class Organizer:
         report = executor.rollback(
             self._db,
             list(commit.inverse_actions),
-            commit.epoch_mark,
         )
         now = self._db.clock.now_ms
         _, offenders = self._guard.resolve_rollback(now)
@@ -663,7 +662,6 @@ class Organizer:
         decision: TriggerDecision,
         interval,
         pass_span,
-        pre_pass,
         report: RecursiveTuningReport,
     ) -> int:
         """Plan-execute epilogue shared by both pass kinds: feed outcomes
@@ -718,7 +716,6 @@ class Organizer:
             inverse_actions=tuple(
                 a for r in ok_runs for a in r.report.inverse_actions
             ),
-            epoch_mark=pre_pass,
             record_id=record_id,
         )
         deltas = interval.deltas()
@@ -773,14 +770,11 @@ class Organizer:
                 return None
             subset, skipped, quarantined = selected
 
-            # pre-pass state for a possible post-commit (guard) rollback:
-            # the same snapshot the executors take per application
-            pre_pass = TuningExecutor.snapshot(self._db)
             report = self._planner.run(
                 forecast, order=subset, executor=self._executor
             )
             record_id = self._commit_pass(
-                decision, interval, pass_span, pre_pass, report
+                decision, interval, pass_span, report
             )
         run_report = OrganizerRunReport(
             decision=decision,
@@ -885,7 +879,6 @@ class Organizer:
                 },
             )
 
-            pre_pass = TuningExecutor.snapshot(self._db)
             report = self._planner.run(
                 forecast,
                 order=chosen.features,
@@ -894,7 +887,7 @@ class Organizer:
             )
             engine.note_executed(chosen)
             record_id = self._commit_pass(
-                decision, interval, pass_span, pre_pass, report
+                decision, interval, pass_span, report
             )
         in_plan = set(chosen.features)
         dropped = tuple(name for name in subset if name not in in_plan)
@@ -959,7 +952,6 @@ class Organizer:
         executor = self._executor or SequentialExecutor(
             telemetry=self._telemetry
         )
-        pre_pass = TuningExecutor.snapshot(self._db)
         delta = ConfigurationDelta(list(actions))
         with self._tracer.span(
             "replay_pass", source=source, actions=len(actions)
@@ -1008,7 +1000,6 @@ class Organizer:
                 now,
                 features=features,
                 inverse_actions=tuple(report.inverse_actions),
-                epoch_mark=pre_pass,
                 record_id=record_id,
             )
             span.tag(

@@ -87,8 +87,8 @@ def run_design_exploration(
     A model trained only on the current configuration cannot price features
     it has never seen active (its index-coverage feature is constant zero).
     This pass builds an index per sampled column as a what-if
-    (:meth:`WhatIfOptimizer.hypothetical`: raw apply, exact rollback, the
-    epochs rewound — plans and costs cached before it stay valid), probes
+    (:meth:`WhatIfOptimizer.hypothetical`: raw apply, exact rollback —
+    plans and costs cached before it are found again after), probes
     the calibration queries against it and feeds the observations.
     Returns the number of observations added.
     """

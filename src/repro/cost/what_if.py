@@ -11,12 +11,15 @@ restores the previous state — the simulated clock, counters, plan cache,
 and buffer pool never notice.
 
 Measured (probe-mode) costs are memoised in a
-:class:`~repro.util.lru.BoundedLRU` keyed ``(config_epoch, query)``, so
-repeated pricing of the same query under the same (hypothetical)
-configuration — the dominant pattern in dependence measurement,
-candidate assessment, and trigger evaluation — becomes a dict hit. What
-keeps the cache semantically invisible is the epoch contract in
-``docs/planner.md`` ("Epochs and caches").
+:class:`~repro.util.lru.BoundedLRU` keyed by the query and what pricing it
+reads: the table's footprint for its predicate columns
+(:meth:`~repro.dbms.table.Table.footprint` — what its plan binds), where
+the table's chunks outside DRAM sit and which of them the buffer pool
+holds, and the ``scan_threads`` knob. A delta that touches none of that
+leaves the entry valid, and a configuration visited again finds it, so
+repeated pricing — the dominant pattern in dependence measurement,
+candidate assessment, and trigger evaluation — becomes a dict hit. See
+``docs/planner.md`` ("Footprints and caches").
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from typing import TYPE_CHECKING, Iterator
 from repro.configuration.delta import ConfigurationDelta
 from repro.cost.base import CostEstimator
 from repro.dbms.database import Database
+from repro.dbms.knobs import SCAN_THREADS_KNOB
+from repro.dbms.table import Footprint
 from repro.forecasting.scenarios import Forecast, WorkloadScenario
 from repro.kpi.metrics import (
     WHATIF_CACHE_EVICTIONS,
@@ -44,7 +49,7 @@ from repro.workload.query import Query
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
-#: Default bound on cached ``(config_epoch, query)`` cost entries.
+#: Default bound on cached ``(query, footprint, placement)`` cost entries.
 DEFAULT_CACHE_SIZE = 4096
 
 
@@ -63,7 +68,7 @@ class WhatIfOptimizer:
         execution against real data (exact in the simulator); otherwise the
         given analytic estimator prices queries (faster, approximate).
 
-        ``cache_size`` bounds the epoch-keyed cost cache for the measured
+        ``cache_size`` bounds the footprint-keyed cost cache for the measured
         path (0 disables caching). Analytic estimates are never cached:
         they are cheap and estimators may be stateful (learned models).
 
@@ -79,8 +84,8 @@ class WhatIfOptimizer:
         self._db = database
         self._estimator = estimator
         self._injector = injector
-        self._cache: BoundedLRU[tuple[int, Query], float] = BoundedLRU(
-            cache_size
+        self._cache: BoundedLRU[tuple[Query, Footprint, tuple], float] = (
+            BoundedLRU(cache_size)
         )
         self._registry = registry if registry is not None else MetricRegistry()
         self._hits = self._registry.counter(WHATIF_CACHE_HITS)
@@ -181,13 +186,13 @@ class WhatIfOptimizer:
         hypothetical) configuration — the one pricing loop.
 
         Measured probes run through the executor, so they share the
-        database's compiled-plan cache: re-pricing a query the engine has
-        planned under the same plan epoch skips compilation. The
-        configuration epoch is read once (probe-mode executions never
-        bump it) and the counters are updated in aggregate, so assessors
-        pricing whole template sets pay the epoch/bookkeeping overhead
-        once per batch instead of once per query. A query repeated within
-        the batch misses once and hits after.
+        database's compiled-plan cache. What a cost reads besides its
+        footprint — tier and pool membership of the table's chunks outside
+        DRAM, the thread count — is read once per table (probe-mode
+        executions change none of it) and the counters are updated in
+        aggregate, so assessors pricing whole template sets pay the
+        bookkeeping once per batch instead of once per query. A query
+        repeated within the batch misses once and hits after.
         """
         if self._estimator is not None:
             return [
@@ -196,11 +201,24 @@ class WhatIfOptimizer:
         cache = self._cache
         if cache.capacity == 0:
             return [self._measured_cost(query) for query in queries]
-        epoch = self._db.config_epoch
+        db = self._db
+        pool = db.executor.buffer_pool
+        threads = db.knobs.get(SCAN_THREADS_KNOB)
+        tables: dict[str, tuple] = {}
         costs: list[float] = []
         hits = misses = evictions = 0
         for query in queries:
-            key = (epoch, query)
+            name = query.table
+            read = tables.get(name)
+            if read is None:
+                table = db.table(name)
+                placement = tuple(
+                    (i, chunk.tier.value, pool.peek((name, chunk.chunk_id)))
+                    for i, chunk in table.nondram()
+                )
+                read = tables[name] = (table, (placement, threads))
+            table, placed = read
+            key = (query, table.footprint(query.predicate_columns), placed)
             cached = cache.get(key)
             if cached is not None:
                 hits += 1
@@ -272,24 +290,16 @@ class WhatIfOptimizer:
     ) -> Iterator["WhatIfOptimizer"]:
         """Apply ``delta`` raw, yield, then roll back. Nestable.
 
-        On exit the database's epochs are rewound to the pre-delta mark
-        (:meth:`Database.rewind_epoch`), so costs cached for the
-        surrounding state stay valid and a later re-application of the
-        same delta revisits the same epochs (cache reuse).
+        Nothing else is needed to keep the caches honest: they key on what
+        a query reads, so costs cached for the surrounding state are found
+        again after the rollback and a later re-application of the same
+        delta finds the costs of this visit.
         """
-        mark = self._db.epoch_mark()
-        try:
-            inverse = delta.apply_raw(self._db)
-        except Exception:
-            # delta.apply_raw undid its own partial prefix; fix the epoch
-            # the same way a normal exit would
-            self._db.rewind_epoch(mark)
-            raise
+        inverse = delta.apply_raw(self._db)
         try:
             yield self
         finally:
             inverse.apply_raw(self._db)
-            self._db.rewind_epoch(mark)
 
     def cost_with(
         self,

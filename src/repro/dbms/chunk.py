@@ -12,8 +12,15 @@ has built for its current row order in a :class:`_StructureMemo`:
 re-encoding, index creation and the index refresh after a re-encode — and
 their inverses, which is what a what-if rollback is — swap structures in
 instead of re-encoding and re-sorting. Only a permutation, which starts a
-new row order, drops it. The memo never affects simulated costs, epochs or
-memory accounting.
+new row order, drops it. The memo never affects simulated costs or memory
+accounting.
+
+Those same keys are how a chunk *names* its structures to the caches above
+it: :meth:`Chunk.footprint` lists, for a set of predicate columns, the row
+order, the columns' encodings and the applicable indexes. A name survives
+a pickle, which a structure that is not live does not (snapshots drop the
+memo), so a cache keyed on names hits after a restore exactly where it
+would have without one.
 """
 
 from __future__ import annotations
@@ -134,19 +141,20 @@ class _StructureMemo:
 class Chunk:
     """One horizontal partition of a table."""
 
-    #: bumped on every tier assignment to any chunk — lets the execution
-    #: kernel cache per-table tier scans (see :mod:`repro.dbms.kernel`)
-    #: and invalidate them the moment any placement changes
-    tier_epoch: int = 0
-
     def __init__(
         self,
         chunk_id: int,
         schema: TableSchema,
         columns: Mapping[str, np.ndarray],
         default_encoding: EncodingType = EncodingType.UNENCODED,
+        derived: dict | None = None,
     ) -> None:
+        """``derived`` is the owning table's memo of what it has derived
+        from its chunks' physical state (footprints by predicate-column
+        tuple; under ``None`` the non-DRAM scan); a mutation here drops
+        from it what it outdates."""
         self._chunk_id = chunk_id
+        self._derived: dict = derived if derived is not None else {}
         self._schema = schema
         lengths = {name: len(arr) for name, arr in columns.items()}
         if set(lengths) != set(schema.column_names):
@@ -166,18 +174,23 @@ class Chunk:
         self._projected_widths: dict[tuple[str, ...], float] = {}
         self.tier = StorageTier.DRAM
         self._sort_column: str | None = None
+        #: how many permutations the rows have been through: with it a
+        #: (column, encoding) or index key names one structure for good
+        self._row_order = 0
         self._data_bytes: int | None = None
         self._memo = _StructureMemo(self._segments, self._indexes)
 
     def __getstate__(self) -> dict[str, object]:
         # the memo is a cache: snapshots and checkpoints carry only the
-        # live structures
+        # live structures (and the table re-links its own memo on load)
         state = self.__dict__.copy()
-        del state["_memo"]
+        del state["_memo"], state["_derived"]
         return state
 
     def __setstate__(self, state: dict[str, object]) -> None:
+        self._row_order = 0  # absent from pickles written before it existed
         self.__dict__.update(state)
+        self._derived = {}
         self._memo = _StructureMemo(self._segments, self._indexes)
 
     # ------------------------------------------------------------------
@@ -193,8 +206,15 @@ class Chunk:
 
     @tier.setter
     def tier(self, value: StorageTier) -> None:
-        Chunk.tier_epoch += 1
+        self._derived.pop(None, None)
         self._tier = value
+
+    def _retire(self, column: str) -> None:
+        """Drop the table's footprints that name ``column``'s encoding or
+        the indexes it leads."""
+        derived = self._derived
+        for columns in [c for c in derived if c and column in c]:
+            del derived[columns]
 
     @property
     def row_count(self) -> int:
@@ -273,8 +293,10 @@ class Chunk:
         for key in rebuilt:
             self._indexes[key] = SortedCompositeIndex.build(key, self._segments)
         self._memo.reseed(self._segments, self._indexes)
+        self._row_order += 1
         self._sort_column = sort_column
         self._data_bytes = None
+        self._derived.clear()
         return rebuilt
 
     def sort_by(self, column: str) -> tuple["np.ndarray", list[tuple[str, ...]]]:
@@ -310,6 +332,7 @@ class Chunk:
             return []
         self._segments[column] = self._memo.segment(column, encoding, old_segment)
         self._data_bytes = None
+        self._retire(column)
         replaced = [key for key in self._indexes if column in key]
         for key in replaced:
             self._indexes[key] = self._memo.index(key, self._segments)
@@ -326,6 +349,7 @@ class Chunk:
                 raise IndexError_(f"unknown index column {name!r}")
         index = self._memo.index(key, self._segments)
         self._indexes[key] = index
+        self._retire(key[0])
         return index
 
     def drop_index(self, columns: Sequence[str]) -> None:
@@ -333,6 +357,7 @@ class Chunk:
         if key not in self._indexes:
             raise IndexError_(f"chunk {self._chunk_id} has no index on {key}")
         del self._indexes[key]
+        self._retire(key[0])
 
     def has_index(self, columns: Sequence[str]) -> bool:
         return tuple(columns) in self._indexes
@@ -347,6 +372,20 @@ class Chunk:
 
     def index_keys(self) -> tuple[tuple[str, ...], ...]:
         return tuple(self._indexes)
+
+    def footprint(self, columns: tuple[str, ...]) -> tuple:
+        """Names of the structures a plan over predicates on ``columns``
+        binds here, and with them everything its access path and its scan
+        and probe work are a function of: the row order, each column's
+        encoding, and — sorted, since the choice among them does not
+        follow creation order — the key of every index a predicate on its
+        leading column could probe (a probe only ever touches key columns
+        that carry predicates, whose encodings are already listed). Plain
+        strings and ints, so the tuple hashes fast and pickles small."""
+        names: list = [self._row_order]
+        names.extend(self.segment(c).encoding.value for c in columns)
+        names.extend(k for k in sorted(self._indexes) if k[0] in columns)
+        return tuple(names)
 
     # ------------------------------------------------------------------
     # memory accounting

@@ -145,7 +145,6 @@ class QueryExecutor:
         self._knobs = knobs
         self._buffer_pool = BufferPool(knobs.get(BUFFER_POOL_KNOB))
         # a standalone executor (no owning Database) gets a private planner
-        # with no epoch source, which compiles fresh on every query
         self._planner = planner if planner is not None else QueryPlanner()
         self._telemetry: "Telemetry | None" = None
         self._counters = None

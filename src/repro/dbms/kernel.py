@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dbms.chunk import Chunk
 from repro.dbms.hardware import NS_PER_MS, HardwareProfile
 from repro.dbms.operators import AggregateSpec, WorkSummary
 from repro.dbms.segments import _compare_array
@@ -107,12 +106,12 @@ def run_plan(
     live_work: list[tuple[int, float, float, int, float]] = []
 
     # Per-kernel pre-binding: segment/index objects and their charge
-    # methods resolved once per compiled plan. Sound because every segment
-    # or index replacement (accounted primitives, raw what-if actions,
-    # sorts) bumps the plan epoch, so this plan — and with it this cache —
-    # is only found again at a plan epoch whose structures equal the ones
-    # bound here (a chunk's structure memo usually swaps the very same
-    # objects back in); appends are caught by the chunk-count guard above.
+    # methods resolved once per compiled plan. Sound because the planner
+    # finds this plan — and with it this cache — again only under a
+    # footprint that names, chunk by chunk, the row order, encodings and
+    # indexes bound here (Table.footprint), and a name fixes a structure's
+    # content; a chunk's structure memo usually hands back the very same
+    # object. An append changes the footprint too.
     bound = kern.cache.get("bound")
     if bound is None:
         bound = []
@@ -207,18 +206,8 @@ def run_plan(
         work.output_bytes = output_bytes
 
     # -- tier pass: batched buffer-pool resolution ----------------------
-    # which chunks sit outside DRAM is scanned once and memoised against
-    # the global tier epoch (any placement change invalidates)
-    tier_epoch = Chunk.tier_epoch
-    cached = kern.cache.get("nondram")
-    if cached is None or cached[0] != tier_epoch:
-        nondram = tuple(
-            (i, chunk)
-            for i, chunk in enumerate(chunks)
-            if chunk.tier is not StorageTier.DRAM
-        )
-        kern.cache["nondram"] = cached = (tier_epoch, nondram)
-    nondram = cached[1]
+    # the table scans for chunks outside DRAM once per placement
+    nondram = table.nondram()
 
     dram_multiplier = hardware.tier_multiplier[StorageTier.DRAM]
     ns_scan = hardware.ns_per_scan_unit

@@ -93,15 +93,17 @@ def choose_index_plan(
     lower and one upper bound) on the next key column; a pure range probe on
     the first column also qualifies. Among applicable indexes the longest
     equality prefix wins, then the lower estimated selectivity, then the
-    narrower index. Plans above :data:`INDEX_SELECTIVITY_CUTOFF` are
-    rejected.
+    narrower index, then the smaller key tuple — a total order, so the
+    choice is a function of which indexes exist and never of the order
+    they were created (or dropped and re-created) in. Plans above
+    :data:`INDEX_SELECTIVITY_CUTOFF` are rejected.
     """
     by_column: dict[str, list[Predicate]] = {}
     for pred in predicates:
         by_column.setdefault(pred.column, []).append(pred)
 
     best: tuple[tuple[float, ...], IndexPlan] | None = None
-    for key in chunk.index_keys():
+    for key in sorted(chunk.index_keys()):
         equal_values: list[object] = []
         covered: list[Predicate] = []
         for column in key:

@@ -17,10 +17,42 @@ from repro.dbms.chunk import Chunk
 from repro.dbms.schema import TableSchema
 from repro.dbms.segments import EncodingType
 from repro.dbms.statistics import ColumnStatistics
+from repro.dbms.storage_tiers import StorageTier
 from repro.dbms.types import coerce_array
 from repro.errors import SchemaError
 
 DEFAULT_TARGET_CHUNK_SIZE = 65_536
+
+
+class Footprint:
+    """What a query with predicates on some columns reads from a table, by
+    name: the table and every chunk's :meth:`~repro.dbms.chunk.Chunk.footprint`.
+
+    A value — equal footprints mean equal compiled plans and equal scan
+    and probe work, which is why caches key on it — that hashes once, not
+    once per lookup: every query executed pays for one.
+    """
+
+    __slots__ = ("table", "chunks", "_hash")
+
+    def __init__(self, table: "Table", chunks: tuple) -> None:
+        self.table = table
+        self.chunks = chunks
+        self._hash = hash(chunks)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Footprint
+            and self.table is other.table
+            and self.chunks == other.chunks
+        )
+
+    def __reduce__(self):
+        # string hashes are salted per process: hash again on load
+        return Footprint, (self.table, self.chunks)
 
 
 class Table:
@@ -39,6 +71,22 @@ class Table:
         self._default_encoding = default_encoding
         self._chunks: list[Chunk] = []
         self._next_chunk_id = 0
+        #: what has been derived from the chunks' physical state and still
+        #: holds: footprints by predicate-column tuple, and under ``None``
+        #: the non-DRAM scan. Every chunk holds this dict and drops from it
+        #: what a mutation of its own outdates.
+        self._derived: dict = {}
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_derived"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
+        for chunk in self._chunks:
+            chunk._derived = self._derived
 
     # ------------------------------------------------------------------
 
@@ -80,6 +128,31 @@ class Table:
             return list(self._chunks)
         return [self.chunk(cid) for cid in chunk_ids]
 
+    def footprint(self, columns: tuple[str, ...]) -> Footprint:
+        """What a query with predicates on ``columns`` reads. Memoised
+        until a chunk changes something it names or rows are appended,
+        which keeps a lookup to one dictionary hit.
+        """
+        footprint = self._derived.get(columns)
+        if footprint is None:
+            footprint = self._derived[columns] = Footprint(
+                self, tuple([chunk.footprint(columns) for chunk in self._chunks])
+            )
+        return footprint
+
+    def nondram(self) -> tuple[tuple[int, Chunk], ...]:
+        """``(position, chunk)`` of every chunk outside DRAM — the ones
+        whose price depends on the buffer pool (memoised until a chunk
+        changes tier or rows are appended)."""
+        nondram = self._derived.get(None)
+        if nondram is None:
+            nondram = self._derived[None] = tuple(
+                (i, chunk)
+                for i, chunk in enumerate(self._chunks)
+                if chunk.tier is not StorageTier.DRAM
+            )
+        return nondram
+
     # ------------------------------------------------------------------
     # ingestion
 
@@ -106,10 +179,12 @@ class Table:
                 self._schema,
                 {name: arr[start:stop] for name, arr in coerced.items()},
                 default_encoding=self._default_encoding,
+                derived=self._derived,
             )
             self._chunks.append(chunk)
             new_ids.append(self._next_chunk_id)
             self._next_chunk_id += 1
+        self._derived.clear()
         return new_ids
 
     # ------------------------------------------------------------------

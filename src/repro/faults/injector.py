@@ -165,7 +165,7 @@ class FaultInjector:
         """Extra simulated ms to add to one measured what-if probe.
 
         Models measurement noise: a spiked probe's cost (including the
-        spike) is what lands in the epoch-keyed cost cache, exactly as a
+        spike) is what lands in the what-if cost cache, exactly as a
         noisy measurement would on a loaded production system.
         """
         if (

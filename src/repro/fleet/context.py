@@ -20,6 +20,7 @@ refactor surfaced are tested in ``tests/fleet/test_isolation.py``).
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass, field
 from functools import partial
@@ -52,6 +53,45 @@ if TYPE_CHECKING:
     from repro.core.simulation import ClosedLoopSimulation
     from repro.tuning.executors.base import TuningExecutor
     from repro.workload.trace import WorkloadTrace
+
+
+class _EpochStateUnpickler(pickle.Unpickler):
+    """Loads a tenant blob written while ``Database`` still counted
+    configuration epochs (checkpoint format 1 up to PR 15).
+
+    Such a blob names two things that no longer exist: the
+    ``_EpochCounter`` class, and — as the planner's pickled ``epoch_fn``,
+    a bound method, which pickles as ``getattr(database, name)`` — a
+    ``Database`` method. Both load as placeholders that
+    :func:`_load_context` then drops.
+    """
+
+    class _Retired:
+        pass
+
+    def find_class(self, module: str, name: str):
+        if (module, name) == ("repro.dbms.database", "_EpochCounter"):
+            return self._Retired
+        if (module, name) == ("builtins", "getattr"):
+            return lambda obj, attr: getattr(obj, attr, None)
+        return super().find_class(module, name)
+
+
+def _load_context(blob: bytes) -> "TenantContext":
+    """Unpickle a tenant blob of this version or of one that counted
+    epochs; what the latter cached under epoch keys is unreachable now
+    and is dropped with the counters."""
+    try:
+        return pickle.loads(blob)
+    except AttributeError:
+        context = _EpochStateUnpickler(io.BytesIO(blob)).load()
+    database = context.database
+    for name in ("_config_epoch", "_plan_epoch", "_plan_epoch_of_config"):
+        del database.__dict__[name]
+    del database.planner.__dict__["_epoch_fn"]
+    database.planner.clear_cache()
+    context.optimizer.clear_cache()
+    return context
 
 
 @dataclass
@@ -112,8 +152,8 @@ class TenantContext:
         sinks, counters through its registry), one event log, one KPI
         monitor deriving interval KPIs from that registry, one predictor,
         one shared what-if optimizer (organizer, dependence analyzer, and
-        every feature's assessor price through the same epoch-keyed,
-        per-tenant cost cache), one failure-aware executor, and one
+        every feature's assessor price through the same per-tenant cost
+        cache), one failure-aware executor, and one
         organizer owning quarantine and the guarded-commit ledger.
         """
         constraints = constraints or ConstraintSet()
@@ -273,7 +313,7 @@ class TenantContext:
         """
         from repro.core.simulation import ClosedLoopSimulation
 
-        incoming: TenantContext = pickle.loads(blob)
+        incoming = _load_context(blob)
         incoming.trace = self.trace
         incoming.simulation = ClosedLoopSimulation(
             incoming.database, self.trace, seed=self.simulation.seed

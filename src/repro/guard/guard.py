@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.configuration.actions import Action
 from repro.core.events import EventKind, EventLog
-from repro.dbms.database import EpochMark
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.forecasting.scenarios import Forecast
 from repro.guard.forecast_miss import (
@@ -158,7 +157,6 @@ class CommitGuard:
         *,
         features: tuple[str, ...],
         inverse_actions: tuple[Action, ...],
-        epoch_mark: EpochMark,
         record_id: int | None = None,
     ) -> ProbationCommit | None:
         """Put a freshly committed pass on probation.
@@ -177,7 +175,6 @@ class CommitGuard:
             now_ms,
             features=features,
             inverse_actions=inverse_actions,
-            epoch_mark=epoch_mark,
             baseline_ms=baseline_ms,
             baseline_sample_count=baseline_count,
             record_id=record_id,

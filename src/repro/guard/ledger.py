@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.configuration.actions import Action
-from repro.dbms.database import EpochMark
 
 
 class CommitResolution(enum.Enum):
@@ -43,9 +42,6 @@ class ProbationCommit:
     features: tuple[str, ...]
     #: inverse actions in application order (rollback applies them LIFO)
     inverse_actions: tuple[Action, ...]
-    #: pre-pass ``Database.epoch_mark()``, handed back to the executor's
-    #: rollback for the exact-restore fast path
-    epoch_mark: EpochMark
     #: pre-commit KPI baseline (mean of the guarded metric)
     baseline_ms: float
     #: busy samples the baseline was computed over
@@ -98,7 +94,6 @@ class CommitLedger:
         *,
         features: tuple[str, ...],
         inverse_actions: tuple[Action, ...],
-        epoch_mark: EpochMark,
         baseline_ms: float,
         baseline_sample_count: int,
         record_id: int | None = None,
@@ -117,7 +112,6 @@ class CommitLedger:
             committed_at_ms=now_ms,
             features=features,
             inverse_actions=inverse_actions,
-            epoch_mark=epoch_mark,
             baseline_ms=baseline_ms,
             baseline_sample_count=baseline_sample_count,
             record_id=record_id,

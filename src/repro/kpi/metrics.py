@@ -44,7 +44,6 @@ WHATIF_SCENARIO_COVERAGE = "whatif_scenario_coverage"
 from repro.plan.planner import (  # noqa: E402, F401  (re-export)
     PLAN_CACHE_EVICTIONS,
     PLAN_CACHE_HITS,
-    PLAN_CACHE_INVALIDATIONS,
     PLAN_CACHE_MISSES,
     PLAN_CACHE_SIZE,
     PLAN_COMPILE_CHUNKS,
@@ -186,7 +185,6 @@ DBMS_KPIS = (
     PLAN_CACHE_HITS,
     PLAN_CACHE_MISSES,
     PLAN_CACHE_EVICTIONS,
-    PLAN_CACHE_INVALIDATIONS,
     PLAN_CACHE_HIT_RATE,
     PLAN_CACHE_SIZE,
 )

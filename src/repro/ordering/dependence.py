@@ -160,12 +160,13 @@ class DependenceAnalyzer:
     def measure(self, forecast: Forecast) -> DependenceMatrix:
         """Run the full single + pairwise measurement campaign.
 
-        All sandboxing goes through ``optimizer.hypothetical`` so every
-        rollback restores the configuration epoch it started from: the
-        |S|² tuning runs all propose against the *same* reset-baseline
-        epoch, and identical deltas re-applied from it revisit the same
-        epochs — which is what turns the campaign's repeated what-if
-        pricing into cache hits.
+        All sandboxing goes through ``optimizer.hypothetical``, which
+        rolls back exactly: the |S|² tuning runs all propose against the
+        *same* reset baseline, and since the cost cache keys on what a
+        query reads, a delta re-applied from it — or one that leaves a
+        query's columns alone — finds the costs priced before, which is
+        what turns the campaign's repeated what-if pricing into cache
+        hits.
         """
         if self._max_templates is not None:
             from repro.forecasting.scenarios import reduce_templates

@@ -1,7 +1,7 @@
 """The unified physical-plan layer.
 
-One :class:`~repro.plan.planner.QueryPlanner` compiles ``(query, table,
-plan epoch)`` into a :class:`~repro.plan.ir.PhysicalPlan` that the query
+One :class:`~repro.plan.planner.QueryPlanner` compiles ``(query,
+table)`` into a :class:`~repro.plan.ir.PhysicalPlan` that the query
 executor executes, the physical cost model prices, and the what-if
 optimizer's probe path reuses — see :doc:`docs/planner` for the
 lifecycle.

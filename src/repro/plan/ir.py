@@ -96,11 +96,8 @@ class PhysicalPlan:
     table: str
     query: Query
     steps: tuple[PlanStep, ...]
-    #: chunk count of the table at compile time; a mismatch at lookup time
-    #: (rows were appended) invalidates the plan without an epoch bump
+    #: chunk count of the table at compile time
     chunk_count: int
-    #: the database's plan epoch the plan was compiled under
-    plan_epoch: int
 
     def step_kinds(self) -> tuple[StepKind, ...]:
         """Per-chunk access-path kinds, in chunk order."""
@@ -134,5 +131,5 @@ class PhysicalPlan:
         return (
             f"PhysicalPlan(table={self.table!r}, chunks={self.chunk_count}, "
             f"prune={self.pruned_chunks}, index={self.index_chunks}, "
-            f"scan={self.scanned_chunks}, epoch={self.plan_epoch})"
+            f"scan={self.scanned_chunks})"
         )

@@ -52,7 +52,7 @@ class LiveStep:
 class PlanKernel:
     """Per-plan compile-time facts the batched executor kernel runs from.
 
-    Compilation happens once per (plan epoch, query) while executions of a
+    Compilation happens once per (footprint, query) while executions of a
     cached plan repeat, so construction stays a single pure-Python pass;
     the mixed-tier pricing array is materialised lazily via
     :meth:`fixed_units_array` the first time a plan actually meets a
@@ -73,9 +73,9 @@ class PlanKernel:
     #: number of INDEX_PROBE steps
     index_count: int
     #: scratch space for per-execution caches the executor kernel maintains
-    #: (tier scans keyed by :attr:`repro.dbms.chunk.Chunk.tier_epoch`,
-    #: priced fixed charges keyed by pricing coefficients); mutable on the
-    #: frozen dataclass by design — it holds memoised derivations only
+    #: (bound segments and indexes, priced fixed charges keyed by pricing
+    #: coefficients); mutable on the frozen dataclass by design — it holds
+    #: memoised derivations only
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

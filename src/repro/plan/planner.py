@@ -1,22 +1,23 @@
 """The query planner: one compiler shared by execution and pricing.
 
-``QueryPlanner.plan_for`` compiles ``(query, table)`` under the database's
-current *plan epoch* into a :class:`~repro.plan.ir.PhysicalPlan` — an
-ordered per-chunk step list choosing prune / index-probe / full-scan —
-and memoises the result in a :class:`~repro.util.lru.BoundedLRU` keyed
-``(plan_epoch, query)``. The query executor runs compiled plans against
-real chunk data; the physical cost model prices the *same* plan objects
-from statistics; the what-if optimizer's probe-mode executions flow
-through the executor and therefore share the cache too. Before this layer existed the executor and the cost model each
-walked the chunks themselves and could silently drift; now the planner is
-the single place access paths are chosen (the paper's §II-A.d requirement
-that cost-model error come "purely from selectivity estimation").
+``QueryPlanner.plan_for`` compiles ``(query, table)`` into a
+:class:`~repro.plan.ir.PhysicalPlan` — an ordered per-chunk step list
+choosing prune / index-probe / full-scan — and memoises the result in a
+:class:`~repro.util.lru.BoundedLRU` keyed by the query and its *footprint*:
+what the table says a query with those predicate columns reads
+(:meth:`~repro.dbms.table.Table.footprint`). The query executor runs
+compiled plans against real chunk data; the physical cost model prices the
+*same* plan objects from statistics; the what-if optimizer's probe-mode
+executions flow through the executor and therefore share the cache too.
+Before this layer existed the executor and the cost model each walked the
+chunks themselves and could silently drift; now the planner is the single
+place access paths are chosen (the paper's §II-A.d requirement that
+cost-model error come "purely from selectivity estimation").
 
-Cache coherence is the plan epoch's job (``docs/planner.md``, "Epochs
-and caches"); appends are covered by a chunk-count guard at lookup time.
-A planner constructed without an ``epoch_fn`` (or with ``cache_size=0``)
-compiles fresh on every call — the behaviour of a standalone executor
-outside a :class:`~repro.dbms.database.Database`.
+Cache coherence is the footprint's job (``docs/planner.md``, "Footprints
+and caches"): a change to anything a plan binds, an append included,
+changes the key, and a change to anything else does not. ``cache_size=0``
+compiles fresh on every call.
 
 The ``plan_compiles`` / ``plan_cache_*`` counters live in a telemetry
 :class:`~repro.telemetry.metrics.MetricRegistry` (the driver adopts them
@@ -26,17 +27,17 @@ into its shared registry), surfacing compile-skip ratios in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.plan.ir import PhysicalPlan
 from repro.telemetry.metrics import MetricRegistry
 from repro.util.lru import BoundedLRU, CacheStats
 
 if TYPE_CHECKING:
-    from repro.dbms.table import Table
+    from repro.dbms.table import Footprint, Table
     from repro.workload.query import Query
 
-#: Default bound on cached ``(plan_epoch, query)`` plan entries.
+#: Default bound on cached ``(footprint, query)`` plan entries.
 DEFAULT_PLAN_CACHE_SIZE = 512
 
 # Planner metric names. Defined here — not in repro.kpi.metrics, which
@@ -48,29 +49,24 @@ PLAN_COMPILE_CHUNKS = "plan_compile_chunks"
 PLAN_CACHE_HITS = "plan_cache_hits"
 PLAN_CACHE_MISSES = "plan_cache_misses"
 PLAN_CACHE_EVICTIONS = "plan_cache_evictions"
-PLAN_CACHE_INVALIDATIONS = "plan_cache_invalidations"
 PLAN_CACHE_SIZE = "plan_cache_size"
 
 
 class QueryPlanner:
-    """Compiles queries into physical plans, with an epoch-keyed cache."""
+    """Compiles queries into physical plans, with a footprint-keyed cache."""
 
     def __init__(
         self,
         cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        epoch_fn: Callable[[], int] | None = None,
         registry: MetricRegistry | None = None,
     ) -> None:
-        """``epoch_fn`` reads the owning database's plan epoch; without it
-        (standalone executors) every :meth:`plan_for` compiles fresh, since
-        no source of invalidation exists. ``cache_size`` bounds the LRU
-        (0 disables caching explicitly). ``registry`` is where the
-        compile/cache counters are registered; a private registry is used
-        when omitted and can be surfaced later via :meth:`bind_registry`.
+        """``cache_size`` bounds the LRU (0 disables caching). ``registry``
+        is where the compile/cache counters are registered; a private
+        registry is used when omitted and can be surfaced later via
+        :meth:`bind_registry`.
         """
-        self._epoch_fn = epoch_fn
-        self._cache: BoundedLRU[tuple[int, "Query"], PhysicalPlan] = (
-            BoundedLRU(cache_size if epoch_fn else 0)
+        self._cache: BoundedLRU[tuple["Footprint", "Query"], PhysicalPlan] = (
+            BoundedLRU(cache_size)
         )
         self._registry = registry if registry is not None else MetricRegistry()
         self._compiles = self._registry.counter(PLAN_COMPILES)
@@ -78,7 +74,6 @@ class QueryPlanner:
         self._hits = self._registry.counter(PLAN_CACHE_HITS)
         self._misses = self._registry.counter(PLAN_CACHE_MISSES)
         self._evictions = self._registry.counter(PLAN_CACHE_EVICTIONS)
-        self._invalidations = self._registry.counter(PLAN_CACHE_INVALIDATIONS)
         self._size_gauge = self._registry.gauge(
             PLAN_CACHE_SIZE, self._cache_len
         )
@@ -101,7 +96,6 @@ class QueryPlanner:
             hits=int(self._hits.value),
             misses=int(self._misses.value),
             evictions=int(self._evictions.value),
-            invalidations=int(self._invalidations.value),
             size=len(self._cache),
         )
 
@@ -127,7 +121,6 @@ class QueryPlanner:
                     self._hits,
                     self._misses,
                     self._evictions,
-                    self._invalidations,
                     self._size_gauge,
                 ),
                 replace=replace,
@@ -135,7 +128,7 @@ class QueryPlanner:
 
     def resize_cache(self, cache_size: int) -> None:
         """Re-bound the LRU (0 disables caching); shrinking evicts."""
-        self._cache.resize(cache_size if self._epoch_fn else 0)
+        self._cache.resize(cache_size)
 
     def clear_cache(self) -> None:
         """Drop all cached plans (counters are kept)."""
@@ -177,7 +170,6 @@ class QueryPlanner:
             query=query,
             steps=tuple(steps),
             chunk_count=len(chunks),
-            plan_epoch=self._epoch_fn() if self._epoch_fn else 0,
         )
         # Precompute the execution-kernel arrays (step kinds, chunk ids,
         # prune charges, output widths) while the steps are hot: every
@@ -188,24 +180,21 @@ class QueryPlanner:
     def plan_for(self, query: "Query", table: "Table") -> PhysicalPlan:
         """The compiled plan for ``query``, from the cache when possible.
 
-        Cached entries are keyed ``(plan_epoch, query)``; an entry whose
-        chunk count no longer matches the table (rows were appended since
-        compilation) is discarded and recompiled.
+        Cached entries are keyed by ``table``'s footprint for the query's
+        predicate columns and the query, so a plan is found again exactly
+        when everything it binds is as it was when it was compiled.
         """
-        if self._epoch_fn is None or self._cache.capacity == 0:
+        cache = self._cache
+        if cache.capacity == 0:
             return self.compile(query, table)
-        epoch = self._epoch_fn()
-        key = (epoch, query)
-        plan = self._cache.get(key)
+        key = (table.footprint(query.predicate_columns), query)
+        plan = cache.get(key)
         if plan is not None:
-            if plan.chunk_count == len(table.chunks()):
-                self._hits.inc()
-                return plan
-            self._cache.pop(key)
-            self._invalidations.inc()
+            self._hits.inc()
+            return plan
         self._misses.inc()
         plan = self.compile(query, table)
-        evicted = self._cache.put(key, plan)
+        evicted = cache.put(key, plan)
         if evicted:
             self._evictions.inc(float(evicted))
         return plan

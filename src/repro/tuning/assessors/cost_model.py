@@ -81,8 +81,8 @@ class CostModelAssessor(Assessor):
                 continue
             keys.append(key)
             queries.append(query)
-        # batched pricing: one epoch read and one pass of cache lookups
-        # for the whole template set
+        # batched pricing: one pass of cache lookups for the whole
+        # template set
         return dict(zip(keys, self._optimizer.batch_query_costs(queries)))
 
     def assess(

@@ -48,7 +48,7 @@ class SortBenefitAssessor(Assessor):
             if query.table == table:
                 keys.append(key)
                 queries.append(query)
-        # batched pricing: one epoch read and one pass of cache lookups
+        # batched pricing: one pass of cache lookups
         return dict(zip(keys, self._optimizer.batch_query_costs(queries)))
 
     def assess(

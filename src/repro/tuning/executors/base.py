@@ -9,8 +9,8 @@ Executors are **failure-aware**: an optional
 attempt, transient failures are retried with capped exponential backoff
 in *simulated* time (:class:`~repro.faults.recovery.RetryPolicy`), and a
 permanent failure rolls the partial pass back through the inverse
-actions collected so far, restoring the pre-pass configuration — and its
-config epoch — bit-identically before a
+actions collected so far, restoring the pre-pass configuration
+bit-identically before a
 :class:`~repro.errors.TuningAbortedError` propagates. See
 docs/robustness.md.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.configuration.actions import Action
 from repro.configuration.delta import ConfigurationDelta
-from repro.dbms.database import Database, EpochMark
+from repro.dbms.database import Database
 from repro.errors import ActionError, TuningAbortedError
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RetryPolicy
@@ -138,21 +138,11 @@ class TuningExecutor(ABC):
         Raises :class:`~repro.errors.TuningAbortedError` when an action
         fails permanently; by then every previously applied action of
         this call has been rolled back and the pre-call configuration
-        (including its config epoch) is restored.
+        is restored.
         """
 
     # ------------------------------------------------------------------
     # shared failure machinery
-
-    @staticmethod
-    def snapshot(db: Database) -> EpochMark:
-        """Pre-pass state needed for an exact rollback: the database's
-        :meth:`~repro.dbms.database.Database.epoch_mark`.
-
-        Public because the commit guard captures the same snapshot
-        before a pass it may later have to undo (see :meth:`rollback`).
-        """
-        return db.epoch_mark()
 
     def _apply_action(
         self,
@@ -196,22 +186,20 @@ class TuningExecutor(ABC):
         self,
         db: Database,
         inverse_stack: list[Action],
-        saved: EpochMark,
         report: ApplicationReport,
     ) -> None:
         """Undo the applied prefix via its inverse actions (LIFO).
 
         Rollback is real reconfiguration effort: the clock and the
-        database counters both advance by the inverse-action work. The
-        epochs are rewound to the pre-pass mark, so what-if cache entries
-        for the pre-pass configuration stay valid after an exact restore.
+        database counters both advance by the inverse-action work.
+        What-if cache entries for the pre-pass configuration are found
+        again afterwards, being keyed on what each query reads.
         """
         with self._tracer.span("rollback", actions=len(inverse_stack)):
             work = 0.0
             for inverse in reversed(inverse_stack):
                 work += inverse.estimate_cost_ms(db)
                 inverse.apply_raw(db)
-            db.rewind_epoch(saved)
             db._record_reconfiguration(work, work, len(inverse_stack))
         report.rolled_back = True
         report.rollback_actions = len(inverse_stack)
@@ -224,20 +212,18 @@ class TuningExecutor(ABC):
         self,
         db: Database,
         inverse_actions: list[Action],
-        saved: EpochMark,
         strategy: str = "guard_rollback",
     ) -> ApplicationReport:
         """Public rollback entry point for *post-commit* rollbacks.
 
-        The commit guard retains a clean pass's inverse actions and its
-        pre-pass snapshot (see :meth:`snapshot`); when the pass later
-        turns out to regress runtime KPIs, the organizer undoes it here —
-        through the exact machinery a failed application already uses,
-        so clock/counter accounting and the config-epoch restore rules
-        are identical. Returns the finalised report of the rollback.
+        The commit guard retains a clean pass's inverse actions; when
+        the pass later turns out to regress runtime KPIs, the organizer
+        undoes it here — through the exact machinery a failed application
+        already uses, so clock/counter accounting is identical. Returns
+        the finalised report of the rollback.
         """
         report = ApplicationReport(strategy=strategy, started_ms=db.clock.now_ms)
-        self._rollback(db, list(inverse_actions), saved, report)
+        self._rollback(db, list(inverse_actions), report)
         report.finished_ms = db.clock.now_ms
         report.elapsed_ms = report.finished_ms - report.started_ms
         return report
@@ -246,7 +232,6 @@ class TuningExecutor(ABC):
         self,
         db: Database,
         inverse_stack: list[Action],
-        saved: EpochMark,
         report: ApplicationReport,
         action: Action,
         exc: Exception,
@@ -261,7 +246,7 @@ class TuningExecutor(ABC):
         is still left consistent.
         """
         report.failed_action = action.describe()
-        self._rollback(db, inverse_stack, saved, report)
+        self._rollback(db, inverse_stack, report)
         report.finished_ms = db.clock.now_ms
         report.elapsed_ms = report.finished_ms - report.started_ms
         if isinstance(exc, ActionError):

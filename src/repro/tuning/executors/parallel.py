@@ -60,7 +60,6 @@ class ParallelExecutor(TuningExecutor):
         report = ApplicationReport(
             strategy=self.name, started_ms=db.clock.now_ms
         )
-        saved = self.snapshot(db)
         inverse_stack: list[Action] = []
         actions = list(delta.actions)
         for start in range(0, len(actions), self._worker_count):
@@ -74,7 +73,7 @@ class ParallelExecutor(TuningExecutor):
                     # the whole pass back, so clock/counters reflect
                     # the work that really happened
                     self._account_batch(db, report, batch[: len(costs)], costs)
-                    self._abort(db, inverse_stack, saved, report, action, exc)
+                    self._abort(db, inverse_stack, report, action, exc)
                 costs.append(cost)
                 inverse_stack.extend(inverse)
             self._account_batch(db, report, batch, costs)

@@ -25,13 +25,12 @@ class SequentialExecutor(TuningExecutor):
         report = ApplicationReport(
             strategy=self.name, started_ms=db.clock.now_ms
         )
-        saved = self.snapshot(db)
         inverse_stack: list[Action] = []
         for action in delta.actions:
             try:
                 cost, inverse = self._apply_action(action, db, report)
             except Exception as exc:
-                self._abort(db, inverse_stack, saved, report, action, exc)
+                self._abort(db, inverse_stack, report, action, exc)
             inverse_stack.extend(inverse)
             db._record_reconfiguration(cost, cost, 1)
             report.action_summaries.append(action.describe())

@@ -48,7 +48,7 @@ class FeatureTuner(ABC):
         """Default assessor: measured what-if cost estimation.
 
         Passing ``optimizer`` shares one what-if optimizer — and with it
-        the epoch-keyed cost cache — across features and with the caller
+        its cost cache — across features and with the caller
         (the organizer attaches the shared cache to KPI monitoring)."""
         return CostModelAssessor(optimizer or WhatIfOptimizer(db))
 

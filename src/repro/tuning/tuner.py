@@ -68,7 +68,7 @@ class Tuner:
     ) -> None:
         """``optimizer`` (when no explicit ``assessor`` is given) makes the
         feature's default assessor price through a shared what-if
-        optimizer, so all features reuse one epoch-keyed cost cache.
+        optimizer, so all features reuse one cost cache.
         ``telemetry`` (the driver's shared spine) adds
         enumerate/assess/select/execute phase spans around the pipeline
         stages."""

@@ -1,11 +1,11 @@
 """The one bounded LRU and the one cache-stats type.
 
-Every epoch-keyed cache in the package — the planner's compiled plans,
-the what-if optimizer's probe costs, the query plan cache's template
-entries, and the database's epoch-transition maps — is a
-:class:`BoundedLRU`; every ``cache_stats`` property returns a
-:class:`CacheStats`. ``docs/planner.md`` ("Epochs and caches") says what
-each cache keys on. :class:`repro.dbms.executor.BufferPool` is the
+Every bounded cache in the package — the planner's compiled plans, the
+what-if optimizer's probe costs, the query plan cache's template entries
+and each chunk's index memo — is a :class:`BoundedLRU`; every
+``cache_stats`` property returns a :class:`CacheStats`.
+``docs/planner.md`` ("Footprints and caches") says what each cache keys
+on. :class:`repro.dbms.executor.BufferPool` is the
 deliberate exception: it admits by byte weight, not entry count.
 """
 

@@ -14,6 +14,7 @@ DBMS substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.workload.predicate import Predicate
 
@@ -93,8 +94,9 @@ class Query:
             aggregate_column=self.aggregate_column,
         )
 
-    @property
+    @cached_property
     def predicate_columns(self) -> tuple[str, ...]:
+        # memoised like the hash: read on every plan and cost lookup
         return tuple(p.column for p in self.predicates)
 
     def __hash__(self) -> int:
@@ -124,6 +126,7 @@ class Query:
         # would turn every restored plan/cost-cache key into a miss
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("predicate_columns", None)
         return state
 
     def __str__(self) -> str:

@@ -4,7 +4,7 @@ price, apply and account every change identically.
 ``delta.apply(db)`` (what the ``Database`` primitives call) and
 ``SequentialExecutor().execute(delta, db)`` are both ``estimate_cost_ms ->
 apply_raw -> _record_reconfiguration``; on twin databases they must leave
-the same configuration, clock, counters and epochs, and the estimate taken
+the same configuration, clock, counters and footprints, and the estimate taken
 beforehand must equal the charged cost exactly.
 """
 
@@ -108,7 +108,8 @@ def _state(db):
         ConfigurationInstance.capture(db),
         db.clock.now_ms,
         db.counters.snapshot(),
-        (db.config_epoch, db.plan_epoch),
+        # what the plan and cost caches key on, minus the table object
+        db.table("events").footprint(("id", "user", "kind", "value")).chunks,
     )
 
 
@@ -149,14 +150,12 @@ def test_accounted_apply_and_executor_agree(case):
 def test_noop_accounted_call_advances_clock_and_count_but_no_epoch():
     db = make_small_database(rows=1_000, chunk_size=1_000)
     db.execute("SELECT COUNT(*) FROM events WHERE user = 3")
-    epochs = (db.config_epoch, db.plan_epoch)
     hits = db.planner.cache_stats.hits
     now = db.clock.now_ms
     cost = db.set_knob(SCAN_THREADS_KNOB, db.knobs.get(SCAN_THREADS_KNOB))
     assert cost == 0.05
     assert db.clock.now_ms == now + cost
     assert db.counters.reconfigurations == 1
-    assert (db.config_epoch, db.plan_epoch) == epochs
     # state unchanged, so the compiled plan is still served
     db.execute("SELECT COUNT(*) FROM events WHERE user = 3")
     assert db.planner.cache_stats.hits == hits + 1

@@ -120,7 +120,7 @@ def test_cost_with_applies_and_reverts():
 
 
 # ----------------------------------------------------------------------
-# the epoch-keyed cost cache
+# the footprint-keyed cost cache
 
 
 def test_cache_hits_on_repeated_pricing():
@@ -142,7 +142,7 @@ def test_cache_invalidated_by_accounted_config_change():
     before = optimizer.query_cost_ms(_query())
     db.create_index("events", ["user"])
     after = optimizer.query_cost_ms(_query())
-    # the index changed the epoch: fresh miss, fresh (cheaper) cost
+    # the index is in the query's footprint: fresh miss, fresh (cheaper) cost
     assert optimizer.cache_stats.misses == 2
     assert after < before
 
@@ -200,7 +200,7 @@ def test_cache_reused_across_hypothetical_reentry():
     with optimizer.hypothetical(delta):
         optimizer.query_cost_ms(_query())
     stats = optimizer.cache_stats
-    assert stats.misses == misses  # same delta, same epoch: pure hit
+    assert stats.misses == misses  # same delta, same footprint: pure hit
     assert stats.hits >= 1
 
 

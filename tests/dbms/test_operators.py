@@ -75,6 +75,24 @@ def test_longest_equality_prefix_wins():
     assert plan.residual == []
 
 
+def test_tied_indexes_are_chosen_by_key_not_by_creation_order():
+    # (a, b) and (a, c) tie on every score for a predicate on `a` alone;
+    # which one is probed used to follow the chunk's dict order, so a
+    # what-if that dropped (a, b) and re-created it on exit — leaving it
+    # last — changed the plan of the state it claimed to have restored
+    predicates = [Predicate("a", "=", 5)]
+    chosen = []
+    for order in ((["a", "b"], ["a", "c"]), (["a", "c"], ["a", "b"])):
+        chunk = _chunk()
+        for columns in order:
+            chunk.create_index(columns)
+        chosen.append(choose_index_plan(chunk, predicates).index.columns)
+        chunk.drop_index(["a", "b"])
+        chunk.create_index(["a", "b"])  # the round trip moves it last
+        chosen.append(choose_index_plan(chunk, predicates).index.columns)
+    assert chosen == [("a", "b")] * 4
+
+
 def test_evaluate_chunk_scan_equals_index():
     chunk = _chunk()
     predicates = [Predicate("a", "=", 5), Predicate("c", "=", "p")]

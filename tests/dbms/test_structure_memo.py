@@ -340,14 +340,17 @@ def test_hypothetical_leaves_configuration_epochs_and_identities():
     optimizer = WhatIfOptimizer(db)
     for visit in range(2):
         configuration = ConfigurationInstance.capture(db)
-        epochs = (db.config_epoch, db.plan_epoch)
+        footprint = db.table("events").footprint(("id", "user", "kind"))
         live = _live_structures(db)
         built = db.structure_memo_stats().misses
         with optimizer.hypothetical(delta):
             assert ConfigurationInstance.capture(db) != configuration
-            assert db.config_epoch != epochs[0]
+            assert (
+                db.table("events").footprint(("id", "user", "kind"))
+                != footprint
+            )
         assert ConfigurationInstance.capture(db) == configuration
-        assert (db.config_epoch, db.plan_epoch) == epochs
+        assert db.table("events").footprint(("id", "user", "kind")) == footprint
         after = _live_structures(db)
         assert len(after) == len(live)
         assert all(now is then for now, then in zip(after, live))

@@ -169,7 +169,7 @@ def test_transient_exhaustion_becomes_abort(retail_suite):
 
 
 # ----------------------------------------------------------------------
-# rollback: bit-identical configuration and config epoch
+# rollback: bit-identical configuration and footprint
 
 
 def test_permanent_failure_rolls_back_bit_identically(retail_suite):
@@ -185,11 +185,11 @@ def test_permanent_failure_rolls_back_bit_identically(retail_suite):
         ]
     )
     before = ConfigurationInstance.capture(db)
-    epoch_before = db.config_epoch
+    footprint_before = db.table("orders").footprint(("customer", "order_date"))
     with pytest.raises(TuningAbortedError) as excinfo:
         executor.execute(delta, db)
     assert ConfigurationInstance.capture(db) == before
-    assert db.config_epoch == epoch_before
+    assert db.table("orders").footprint(("customer", "order_date")) == footprint_before
     assert db.index_bytes() == 0
     report = excinfo.value.report
     assert report.rolled_back
@@ -263,7 +263,7 @@ def test_delta_apply_raw_is_exception_safe(retail_suite):
 def test_hypothetical_with_failing_delta_restores_epoch(retail_suite):
     db = retail_suite.database
     optimizer = WhatIfOptimizer(db)
-    epoch_before = db.config_epoch
+    footprint_before = db.table("orders").footprint(("customer", "order_date"))
     before = ConfigurationInstance.capture(db)
     bad = ConfigurationDelta(
         [
@@ -275,4 +275,4 @@ def test_hypothetical_with_failing_delta_restores_epoch(retail_suite):
         with optimizer.hypothetical(bad):
             pass  # pragma: no cover - apply_raw raises before the yield
     assert ConfigurationInstance.capture(db) == before
-    assert db.config_epoch == epoch_before
+    assert db.table("orders").footprint(("customer", "order_date")) == footprint_before

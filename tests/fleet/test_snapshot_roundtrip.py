@@ -82,3 +82,49 @@ def test_absorbed_context_continues_bit_identically(seed):
         assert [
             (e.at_ms, e.kind, e.message) for e in a.events.events()
         ] == [(e.at_ms, e.kind, e.message) for e in b.events.events()]
+
+
+def test_blob_written_while_the_database_counted_epochs_still_loads(
+    monkeypatch,
+):
+    """A checkpoint of format 1 as PRs up to 15 wrote it names a class
+    (``_EpochCounter``) and a ``Database`` method (the planner's pickled
+    ``epoch_fn``) that are gone; it must load, not quarantine the tenant."""
+    import repro.dbms.database as database_module
+    from repro.dbms.database import Database
+
+    class _EpochCounter:
+        __slots__ = ("value",)
+
+        def __init__(self):
+            self.value = 3
+
+    _EpochCounter.__module__ = database_module.__name__
+    _EpochCounter.__qualname__ = "_EpochCounter"
+
+    def _read_plan_epoch(self):
+        return 0
+
+    control = _built(1)
+    old = _built(1)
+    ctx = old.tenants[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            database_module, "_EpochCounter", _EpochCounter, raising=False
+        )
+        patch.setattr(
+            Database, "_read_plan_epoch", _read_plan_epoch, raising=False
+        )
+        db = ctx.database
+        db._config_epoch = db._plan_epoch = _EpochCounter()
+        db._plan_epoch_of_config = {0: 0}
+        db.planner._epoch_fn = db._read_plan_epoch
+        blob = ctx.transfer_snapshot()
+
+    ctx.absorb_transfer(blob)
+    old._local.arm()
+    assert not hasattr(ctx.database, "_config_epoch")
+    assert not hasattr(ctx.database.planner, "_epoch_fn")
+    control.run()
+    old.run()
+    assert list(ctx.records) == list(control.tenants[0].records)

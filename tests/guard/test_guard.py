@@ -94,7 +94,6 @@ def _open(guard, now_ms, features=("index_selection",)):
         now_ms,
         features=features,
         inverse_actions=(SetKnobAction(SCAN_THREADS_KNOB, 1),),
-        epoch_mark=(1, (0, 0)),
     )
 
 
@@ -124,7 +123,6 @@ def test_no_probation_when_disabled_or_nothing_reversible():
         10.0,
         features=("index_selection",),
         inverse_actions=(),
-        epoch_mark=(1, (0, 0)),
     )
     assert empty is None
     assert guard.active_commit is None

@@ -15,7 +15,6 @@ def _open(ledger, now_ms=1_000.0, features=("index_selection",), n_actions=2):
         now_ms,
         features=features,
         inverse_actions=inverse,
-        epoch_mark=(3, (10, 4096)),
         baseline_ms=5.0,
         baseline_sample_count=4,
         record_id=7,

@@ -236,8 +236,8 @@ def test_kernel_survives_chunk_count_change():
 
 
 def test_kernel_tier_cache_tracks_direct_mutation():
-    """Even a *direct* chunk.tier assignment (no accounted action, no plan
-    epoch bump) must invalidate the kernel's memoised tier scan."""
+    """Even a *direct* chunk.tier assignment (no accounted action) must
+    drop the table's memoised non-DRAM scan the kernel reads."""
     db = _build_db()
     query = Query("events", (), aggregate="count")
     db.execute(query)  # memoise the all-DRAM state

@@ -36,11 +36,11 @@ def test_parallel_failure_after_full_batch_rolls_all_back(retail_suite):
         worker_count=2, injector=ScriptedInjector(["ok", "ok", "permanent"])
     )
     before = ConfigurationInstance.capture(db)
-    epoch_before = db.config_epoch
+    footprint_before = db.table("orders").footprint(("customer", "order_date"))
     with pytest.raises(TuningAbortedError) as excinfo:
         executor.execute(_delta(), db)
     assert ConfigurationInstance.capture(db) == before
-    assert db.config_epoch == epoch_before
+    assert db.table("orders").footprint(("customer", "order_date")) == footprint_before
     report = excinfo.value.report
     assert report.rolled_back
     assert report.rollback_actions == 2  # the whole first batch
