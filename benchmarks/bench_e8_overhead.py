@@ -4,9 +4,12 @@ Industry architects demanded "a maximum of 1% of additional runtime
 introduced by such capabilities". The framework's steady-state footprint is
 the per-bin plan-cache snapshot diff plus the KPI sample (tuning itself is
 deliberate, budgeted work and excluded here, as in the paper's requirement).
-Measured: real (host) time to replay the identical workload with and
-without an observing driver attached, plus the simulated-time overhead,
-which is zero by construction since observation reads counters only.
+Asserted here: the simulated-time overhead of replaying the identical
+workload with an observing driver attached, which is zero by construction
+since observation reads counters only. The host seconds in the table are
+context, not a claim — one box, min of three: the host share of the
+observation tick is measured repeatedly, with spread, by the perf ledger
+(``core.tick_share`` on ``serve_templates`` / ``serve_adhoc``, bench/run.py).
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ def test_e8_observation_overhead(benchmark):
     bare_workload = bare_runs[0][1]
     observed_workload = observed_runs[0][1]
 
-    host_overhead = observed_host / bare_host - 1.0
     simulated_overhead = observed_workload / bare_workload - 1.0
     rows = [
         ["bare", f"{bare_host:.3f}", round(bare_workload, 2), 0.0],
@@ -67,12 +69,7 @@ def test_e8_observation_overhead(benchmark):
             round(observed_workload, 2),
             round(observed_runs[0][2], 2),
         ],
-        [
-            "overhead",
-            f"{100 * host_overhead:+.2f}%",
-            f"{100 * simulated_overhead:+.2f}%",
-            "-",
-        ],
+        ["overhead", "-", f"{100 * simulated_overhead:+.2f}%", "-"],
     ]
     save_table(
         "e8_overhead",
@@ -83,9 +80,6 @@ def test_e8_observation_overhead(benchmark):
 
     # simulated query time is byte-identical: observation reads counters only
     assert simulated_overhead == 0.0
-    # host-side bookkeeping stays within the paper's 1% demand, with slack
-    # for timer noise in this shared environment
-    assert host_overhead < 0.10
 
     db_suite = build_retail_suite(
         orders_rows=20_000, inventory_rows=5_000, chunk_size=8_192

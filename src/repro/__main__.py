@@ -273,7 +273,6 @@ def _cmd_order(args: argparse.Namespace) -> int:
     from repro import ConstraintSet, RecursiveTuningPlanner, ResourceBudget, Tuner
     from repro.configuration import INDEX_MEMORY
     from repro.forecasting.scenarios import point_forecast
-    from repro.tuning import standard_features
     from repro.util.tables import render_table
     from repro.util.units import MIB
 
@@ -288,10 +287,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
         frequencies[query.template().key] = 10.0
     forecast = point_forecast(frequencies, samples)
 
-    features = standard_features(include_sort_order=args.sort_order)
-    if args.features:
-        features = features[: args.features]
-    tuners = [Tuner(feature, db) for feature in features]
+    tuners = [Tuner(feature, db) for feature in _build_features(args)]
     constraints = ConstraintSet(
         [ResourceBudget(INDEX_MEMORY, args.index_budget_mib * MIB)]
     )
@@ -592,23 +588,39 @@ def build_parser() -> argparse.ArgumentParser:
     components.add_argument("kind", nargs="?", default=None)
     components.set_defaults(run=_cmd_components)
 
-    def common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--suite", default="retail",
-                         choices=("retail", "telemetry"))
-        sub.add_argument("--rows", type=int, default=40_000)
-        sub.add_argument("--seed", type=int, default=7)
-        sub.add_argument("--features", type=int, default=0,
-                         help="use only the first N standard features")
-        sub.add_argument("--sort-order", action="store_true",
-                         help="include the sort-order feature")
-        sub.add_argument("--index-budget-mib", type=float, default=4.0)
+    #: every option more than one subcommand takes, declared once; a
+    #: subcommand names the ones it takes — in --help order — with its
+    #: own default (or a dict of add_argument overrides)
+    shared_options = {
+        "suite": dict(choices=("retail", "telemetry")),
+        "rows": dict(type=int),
+        "seed": dict(type=int),
+        "features": dict(type=int,
+                         help="use only the first N standard features"),
+        "sort_order": dict(action="store_true",
+                           help="include the sort-order feature"),
+        "index_budget_mib": dict(type=float),
+        "bins": dict(type=int),
+        "tune_every_bins": dict(type=int),
+    }
+
+    def shared(sub: argparse.ArgumentParser, **defaults) -> None:
+        for dest, default in defaults.items():
+            if not isinstance(default, dict):
+                default = {"default": default}
+            sub.add_argument(
+                "--" + dest.replace("_", "-"),
+                **{**shared_options[dest], **default},
+            )
+
+    def common(sub: argparse.ArgumentParser, **more) -> None:
+        shared(sub, suite="retail", rows=40_000, seed=7, features=0,
+               sort_order=False, index_budget_mib=4.0, **more)
 
     simulate = commands.add_parser(
         "simulate", help="run a closed-loop self-management simulation"
     )
-    common(simulate)
-    simulate.add_argument("--bins", type=int, default=24)
-    simulate.add_argument("--tune-every-bins", type=int, default=8)
+    common(simulate, bins=24, tune_every_bins=8)
     simulate.set_defaults(run=_cmd_simulate)
 
     fleet = commands.add_parser(
@@ -617,13 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--tenants", type=int, default=4)
     fleet.add_argument("--skew", type=float, default=0.8,
                        help="Zipf volume skew (tenant i scaled (i+1)^-skew)")
-    fleet.add_argument("--suite", default="retail",
-                       choices=("retail", "telemetry"))
-    fleet.add_argument("--rows", type=int, default=20_000)
-    fleet.add_argument("--seed", type=int, default=7)
-    fleet.add_argument("--bins", type=int, default=24)
-    fleet.add_argument("--tune-every-bins", type=int, default=6)
-    fleet.add_argument("--index-budget-mib", type=float, default=64.0)
+    shared(fleet, suite="retail", rows=20_000, seed=7, bins=24,
+           tune_every_bins=6, index_budget_mib=64.0)
     fleet.add_argument("--max-concurrent", type=int, default=3,
                        help="fleet-wide cap on concurrent reconfigurations")
     fleet.add_argument("--no-priors", action="store_true",
@@ -656,9 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace = commands.add_parser(
         "trace", help="dump the telemetry span tree of a forced tuning pass"
     )
-    common(trace)
-    trace.add_argument("--bins", type=int, default=8,
-                       help="warm-up bins before the forced pass")
+    common(trace,
+           bins=dict(default=8, help="warm-up bins before the forced pass"))
     trace.add_argument("--sample-every", type=int, default=64,
                        help="sample one query span per N queries (0 = off)")
     trace.add_argument("--jsonl", default=None,
@@ -668,9 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults = commands.add_parser(
         "faults", help="compare fault-free and faulty closed-loop runs"
     )
-    common(faults)
-    faults.add_argument("--bins", type=int, default=24)
-    faults.add_argument("--tune-every-bins", type=int, default=3)
+    common(faults, bins=24, tune_every_bins=3)
     faults.add_argument("--failure-rate", type=float, default=0.10,
                         help="per-action injected failure probability")
     faults.add_argument("--transient-fraction", type=float, default=0.75,
@@ -682,9 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     guard = commands.add_parser(
         "guard", help="show the guarded-commit record of a drifting run"
     )
-    common(guard)
-    guard.add_argument("--bins", type=int, default=24)
-    guard.add_argument("--tune-every-bins", type=int, default=8)
+    common(guard, bins=24, tune_every_bins=8)
     guard.add_argument("--swap-at", type=int, default=12,
                        help="swap family dominance at this bin (0 = off)")
     guard.add_argument("--swap-a", default=None,
@@ -696,8 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     policy = commands.add_parser(
         "policy", help="run the closed loop under declared objectives"
     )
-    common(policy)
-    policy.add_argument("--bins", type=int, default=24)
+    common(policy, bins=24)
     policy.add_argument("--p99-ms", type=float, default=None,
                         help="p99 query latency bound (ms)")
     policy.add_argument("--mean-ms", type=float, default=None,

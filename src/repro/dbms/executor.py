@@ -242,8 +242,8 @@ class QueryExecutor:
         """The per-chunk reference loop (pre-kernel execution path).
 
         Retained verbatim as the golden reference the vectorized kernel is
-        tested against, and as the ``use_kernel=False`` comparison arm of
-        the e17 benchmark.
+        tested against (``tests/plan/test_kernel_golden.py``, its one
+        caller): the only second derivation of every priced quantity.
         """
         hardware = self._hardware
         work = WorkSummary()

@@ -42,7 +42,6 @@ with a :class:`~repro.fleet.arbiter.FleetOrganizer`.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -93,7 +92,6 @@ from repro.kpi.metrics import (
     CHECKPOINT_BYTES,
     CHECKPOINT_CORRUPTIONS_DETECTED,
     CHECKPOINT_RESTORES,
-    CHECKPOINT_WRITE_MS,
     CHECKPOINT_WRITES,
     FLEET_TENANT_QUARANTINES,
     WORKER_RESTARTS,
@@ -242,9 +240,6 @@ class FleetDriver:
         self._fleet_events: list[dict] = []
         self._ckpt_writes = self._fleet_registry.counter(CHECKPOINT_WRITES)
         self._ckpt_bytes = self._fleet_registry.counter(CHECKPOINT_BYTES)
-        self._ckpt_write_ms = self._fleet_registry.counter(
-            CHECKPOINT_WRITE_MS
-        )
         self._ckpt_restores = self._fleet_registry.counter(
             CHECKPOINT_RESTORES
         )
@@ -587,19 +582,15 @@ class FleetDriver:
                 "fleet with checkpoint_dir=...)"
             )
         self._ckpt_join()
-        started = time.perf_counter()
         written = self._prepare_checkpoint()
         path = write_checkpoint(written, target)
         self._ckpt_bytes.inc(path.stat().st_size)
-        self._note_checkpoint_written(started, written.next_bin, path)
+        self._note_checkpoint_written(written.next_bin, path)
         return path
 
-    def _note_checkpoint_written(
-        self, started: float, epoch: int, path: Path
-    ) -> None:
-        """Count one checkpoint and the synchronous time it cost the run."""
+    def _note_checkpoint_written(self, epoch: int, path: Path) -> None:
+        """Count one checkpoint and log it in the fleet's own event list."""
         self._ckpt_writes.inc()
-        self._ckpt_write_ms.inc((time.perf_counter() - started) * 1000.0)
         self._fleet_events.append(
             {"kind": "checkpoint", "epoch": epoch, "path": str(path)}
         )
@@ -656,7 +647,6 @@ class FleetDriver:
         """
         target = self._checkpoint_dir
         self._ckpt_join()
-        started = time.perf_counter()
         written = self._prepare_checkpoint()
         segments = encode_checkpoint(written)
         path = checkpoint_path(target, written.next_bin)
@@ -672,7 +662,7 @@ class FleetDriver:
             target=_write, name="fleet-ckpt-writer", daemon=True
         )
         self._ckpt_thread.start()
-        self._note_checkpoint_written(started, written.next_bin, path)
+        self._note_checkpoint_written(written.next_bin, path)
 
     def _ckpt_join(self) -> None:
         """Wait out the in-flight background checkpoint write, if any."""

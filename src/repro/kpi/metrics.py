@@ -93,9 +93,6 @@ FAULT_KPIS = (
 # counter rollups between checkpointed and checkpoint-free runs.
 CHECKPOINT_WRITES = "checkpoint_writes"
 CHECKPOINT_BYTES = "checkpoint_bytes"
-#: host milliseconds spent inside the checkpoint path (capture-or-reuse
-#: plus the durable write) — the numerator of the overhead claim in E21
-CHECKPOINT_WRITE_MS = "checkpoint_write_ms"
 CHECKPOINT_RESTORES = "checkpoint_restores"
 CHECKPOINT_CORRUPTIONS_DETECTED = "checkpoint_corruptions_detected"
 WORKER_RESTARTS = "worker_restarts"
@@ -109,7 +106,6 @@ FAULT_CHECKPOINT_CORRUPTIONS = "fault_checkpoint_corruptions"
 FLEET_FAULT_KPIS = (
     CHECKPOINT_WRITES,
     CHECKPOINT_BYTES,
-    CHECKPOINT_WRITE_MS,
     CHECKPOINT_RESTORES,
     CHECKPOINT_CORRUPTIONS_DETECTED,
     WORKER_RESTARTS,

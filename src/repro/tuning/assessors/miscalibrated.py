@@ -6,8 +6,8 @@ harmful candidates look attractive and vice versa — modelling a badly
 miscalibrated cost model whose pass *applies cleanly* but regresses
 runtime KPIs. PR 3's fault injector cannot produce this failure mode
 (it breaks applications, not judgement); the commit guard exists for
-exactly this case, and bench_e16_guard / the guard tests use this
-wrapper to provoke it deterministically.
+exactly this case, and the guard tests use this wrapper to provoke it
+deterministically.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.simulation import BinRecord, ClosedLoopSimulation
 from repro.dbms import Database, DataType, TableSchema
 from repro.errors import ActionError
 from repro.forecasting.scenarios import (
@@ -14,6 +15,7 @@ from repro.forecasting.scenarios import (
     WorkloadScenario,
 )
 from repro.workload.benchmarks import BenchmarkSuite, build_retail_suite
+from repro.workload.trace import generate_trace
 
 
 def make_small_database(
@@ -107,12 +109,34 @@ def small_db() -> Database:
     return make_small_database()
 
 
-@pytest.fixture
-def retail_suite() -> BenchmarkSuite:
-    """A compact retail suite; function-scoped because tests mutate it."""
+def make_retail_suite() -> BenchmarkSuite:
+    """A compact retail suite (for tests that compare two runs)."""
     return build_retail_suite(
         orders_rows=20_000, inventory_rows=5_000, chunk_size=8_192
     )
+
+
+def run_closed_loop(
+    driver, bins: int, trace_seed: int, sim_seed: int, mutate_trace=None
+) -> list[BinRecord]:
+    """Replay a seeded ``bins``-bin retail trace (optionally transformed
+    by ``mutate_trace(suite, trace)``) against a fresh compact suite with
+    ``driver`` attached; returns the bin records."""
+    suite = make_retail_suite()
+    trace = generate_trace(
+        suite.families, suite.rates, bins, bin_duration_ms=60_000,
+        seed=trace_seed,
+    )
+    if mutate_trace is not None:
+        trace = mutate_trace(suite, trace)
+    suite.database.plugin_host.attach(driver)
+    return ClosedLoopSimulation(suite.database, trace, seed=sim_seed).run()
+
+
+@pytest.fixture
+def retail_suite() -> BenchmarkSuite:
+    """A fresh suite per test; function-scoped because tests mutate it."""
+    return make_retail_suite()
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Organizer-level graceful degradation: faults, rollback, quarantine."""
 
+import pytest
+
 from repro.configuration.config import ConfigurationInstance
 from repro.configuration.constraints import (
     INDEX_MEMORY,
@@ -9,17 +11,19 @@ from repro.configuration.constraints import (
 from repro.core.driver import Driver, DriverConfig
 from repro.core.events import EventKind
 from repro.core.organizer import Organizer, OrganizerConfig
-from repro.core.triggers import NeverTrigger
+from repro.core.triggers import NeverTrigger, PeriodicTrigger
 from repro.errors import ActionError
 from repro.faults import FaultConfig, QuarantineState
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
 from repro.forecasting.predictor import WorkloadPredictor
-from repro.kpi.metrics import ROLLBACKS
+from repro.kpi.metrics import FAULTS_INJECTED, ROLLBACKS
+from repro.tuning import standard_features
 from repro.tuning.executors import SequentialExecutor
 from repro.tuning.features import IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
+from tests.conftest import run_closed_loop
 
 PROBATION_MS = 5_000.0
 
@@ -186,3 +190,50 @@ def test_driver_wires_fault_injection_end_to_end(retail_suite):
     assert snap[ROLLBACKS] == 1
     assert driver.events.events(EventKind.FAULT)
     assert driver.events.events(EventKind.ROLLBACK)
+
+
+def _closed_loop(faults):
+    """An 18-bin closed loop tuning every third bin; returns the mean
+    query cost of its last six bins and the driver."""
+    driver = Driver(
+        standard_features()[:2],
+        constraints=ConstraintSet([ResourceBudget(INDEX_MEMORY, 4 * MIB)]),
+        triggers=[PeriodicTrigger(every_ms=3 * 60_000)],
+        config=DriverConfig(
+            organizer=OrganizerConfig(horizon_bins=3, min_history_bins=3),
+            faults=faults,
+        ),
+    )
+    tail = run_closed_loop(driver, 18, trace_seed=33, sim_seed=9)[-6:]
+    return sum(r.mean_query_ms for r in tail) / len(tail), driver
+
+
+@pytest.fixture(scope="module")
+def fault_free_tail_ms():
+    return _closed_loop(None)[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_loop_converges_under_a_ten_percent_failure_rate(
+    fault_free_tail_ms, seed
+):
+    # one action in ten fails: three in four of those transiently
+    # (retried with backoff), the rest permanently (the pass rolls back
+    # and the periodic trigger tries again) — and the run completes
+    faulty_tail_ms, driver = _closed_loop(
+        FaultConfig(
+            seed=seed,
+            failure_rate=0.10,
+            transient_fraction=0.75,
+            latency_spike_rate=0.05,
+            latency_spike_ms=250.0,
+        )
+    )
+    snap = driver.telemetry.registry.snapshot()
+    assert snap[FAULTS_INJECTED] >= 1
+    if snap[ROLLBACKS]:
+        assert driver.events.events(EventKind.ROLLBACK)
+        assert driver.events.events(EventKind.FAULT)
+    # cheaper is fine: a rolled-back pass can steer a later one to a
+    # different, better configuration
+    assert faulty_tail_ms < 1.05 * fault_free_tail_ms

@@ -105,6 +105,31 @@ def test_replay_saves_tuning_work_on_skewed_lookalikes():
         assert summary.final_mean_query_ms <= baseline * 1.05
 
 
+def test_sharing_halves_tuning_work_on_an_eight_tenant_skewed_fleet():
+    def run(share):
+        fleet = build_fleet(
+            8,
+            skew=0.8,
+            seed=SEED,
+            bins=10,
+            rows=3_000,
+            config=FleetConfig(share_priors=share, arbitrate=share),
+        )
+        return fleet.run()
+
+    shared, independent = run(True), run(False)
+    # tuning work: what-if probe executions plus full passes — replays
+    # mostly avoid both (one validation probe pair per prior)
+    assert shared.whatif.misses + shared.total_full_passes <= 0.5 * (
+        independent.whatif.misses + independent.total_full_passes
+    )
+    # and replay, not luck, carried the look-alike cluster: at least
+    # half of the hot tenant's followers were tuned by a prior
+    followers = sum(s.profile == 0 for s in shared.summaries) - 1
+    replayed = sum(1 for s in shared.summaries if s.replays)
+    assert replayed >= max(1, followers // 2)
+
+
 def test_priors_can_be_disabled():
     fleet = build_fleet(
         2,

@@ -119,3 +119,21 @@ def test_incremental_rollup_stays_exact_across_partial_reports():
     assert partial.counters == rollup_counters(registries)
     final = fleet.run()  # resumes; the accumulator keeps counting
     assert final.counters == rollup_counters(registries)
+
+
+@pytest.mark.parametrize("parallel", ["serial", "process"])
+def test_report_walks_no_tenant_registry(monkeypatch, parallel):
+    """The rollup is assembled from per-bin drains as bins complete:
+    ``report()`` reads only the fleet's own infrastructure registry."""
+    fleet = build_fleet(2, seed=5, bins=BINS, rows=ROWS, parallel=parallel)
+    for index in range(BINS):
+        fleet.run_bin(index)
+    walked = []
+    original = MetricRegistry.snapshot_counters
+    monkeypatch.setattr(
+        MetricRegistry,
+        "snapshot_counters",
+        lambda self: walked.append(self) or original(self),
+    )
+    fleet.report()
+    assert all(registry is fleet._fleet_registry for registry in walked)

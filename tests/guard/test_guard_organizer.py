@@ -1,21 +1,30 @@
 """Organizer-level guarded commits: probation, watchdog rollback, quarantine."""
 
+import pytest
+
 from repro.configuration.config import ConfigurationInstance
 from repro.core.driver import Driver, DriverConfig
 from repro.core.events import EventKind
 from repro.core.organizer import Organizer, OrganizerConfig
-from repro.core.triggers import NeverTrigger
+from repro.core.triggers import (
+    FORECAST_MISS_TRIGGER,
+    NeverTrigger,
+    PeriodicTrigger,
+)
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.guard import CommitResolution, GuardConfig
 from repro.kpi.metrics import (
     GUARD_COMMITS,
+    GUARD_ESCALATIONS,
     GUARD_PASSED,
     GUARD_REGRESSIONS,
     GUARD_ROLLBACKS,
+    MEAN_QUERY_MS,
 )
 from repro.kpi.monitor import RuntimeKPIMonitor
+from repro.tuning import standard_features
 from repro.tuning.assessors import MiscalibratedAssessor
 from repro.tuning.features import (
     BufferPoolFeature,
@@ -23,17 +32,27 @@ from repro.tuning.features import (
     IndexSelectionFeature,
 )
 from repro.tuning.tuner import Tuner
+from repro.workload import swap_dominance
+from tests.conftest import run_closed_loop
 
 # tv_threshold 1.0 isolates the regression watchdog: with only ~25
 # sampled queries per bin the template-mix noise sits far above the
 # trace-level calibration of the default threshold (the forecast-miss
-# path has its own unit tests and bench_e16_guard scenarios)
+# path has its own unit tests and the closed-loop cases at the end)
 GUARD = GuardConfig(
     baseline_samples=3,
     min_samples=2,
     probation_samples=4,
     regression_bound=0.30,
     tv_threshold=1.0,
+)
+# the closed-loop cases run whole traces, so the default tv_threshold
+# applies and the windows can be longer
+LOOP_GUARD = GuardConfig(
+    baseline_samples=4,
+    min_samples=3,
+    probation_samples=8,
+    regression_bound=0.30,
 )
 
 
@@ -58,7 +77,7 @@ def _run_bin(retail_suite, db, predictor, monitor, seed, queries=25):
         db.execute(q)
     db.clock.advance(1_000.0)
     predictor.observe()
-    monitor.sample()
+    return monitor.sample().get(MEAN_QUERY_MS)
 
 
 def test_committed_pass_enters_and_passes_probation(retail_suite):
@@ -123,16 +142,26 @@ def test_miscalibrated_commit_is_detected_and_rolled_back(retail_suite):
 
     # same workload, now measurably slower: the watchdog confirms within
     # the probation window and the organizer rolls back bit-identically
-    rolled_back = False
+    regressed_ms = []
     for i in range(GUARD.probation_samples):
-        _run_bin(retail_suite, db, predictor, monitor, seed=200 + i)
+        regressed_ms.append(
+            _run_bin(retail_suite, db, predictor, monitor, seed=200 + i)
+        )
         organizer.guard_tick()
         if commit.resolution is not None:
-            rolled_back = True
             break
-    assert rolled_back
     assert commit.resolution is CommitResolution.ROLLED_BACK
     assert ConfigurationInstance.capture(db) == before
+
+    # and the rollback buys back at least 90% of what the commit cost
+    recovered_ms = [
+        _run_bin(retail_suite, db, predictor, monitor, seed=300 + i)
+        for i in range(4)
+    ]
+    regressed = sum(regressed_ms) / len(regressed_ms)
+    recovered = sum(recovered_ms) / len(recovered_ms)
+    assert regressed > commit.baseline_ms
+    assert regressed - recovered >= 0.9 * (regressed - commit.baseline_ms)
 
     snap = organizer.telemetry.registry.snapshot()
     assert snap[GUARD_REGRESSIONS] == 1
@@ -183,3 +212,54 @@ def test_driver_wires_guard_into_shared_registry(retail_suite):
     assert driver.telemetry.registry.snapshot()[GUARD_COMMITS] == 1
     guard_events = driver.events.events(EventKind.GUARD)
     assert guard_events and guard_events[-1].data["state"] == "on_probation"
+
+
+def _closed_loop(seed, bins, tune_every_bins, swap_at=None):
+    """A guarded closed loop over a seeded trace; with ``swap_at`` the
+    dominant and the rarest family trade places at that bin."""
+
+    def swap(suite, trace):
+        if swap_at is None:
+            return trace
+        by_rate = sorted(suite.rates, key=lambda name: suite.rates[name].base)
+        return swap_dominance(trace, by_rate[-1], by_rate[0], at_bin=swap_at)
+
+    driver = Driver(
+        standard_features()[:2],
+        triggers=[PeriodicTrigger(every_ms=tune_every_bins * 60_000.0)],
+        config=DriverConfig(
+            organizer=OrganizerConfig(
+                horizon_bins=3, min_history_bins=3, guard=LOOP_GUARD
+            )
+        ),
+    )
+    run_closed_loop(
+        driver, bins, trace_seed=seed, sim_seed=seed, mutate_trace=swap
+    )
+    return driver
+
+
+def test_dominance_swap_escalates_before_the_next_periodic_trigger():
+    bins, swap_at = 20, 10
+    # a periodic trigger too slow to fire twice inside the trace: any
+    # pass after the first is the forecast-miss escalation's
+    driver = _closed_loop(
+        seed=1, bins=bins, tune_every_bins=2 * bins, swap_at=swap_at
+    )
+    passes = [r for r in driver.store.history() if r.feature is None]
+    escalated = [r for r in passes if r.trigger == FORECAST_MISS_TRIGGER]
+    assert driver.telemetry.registry.snapshot()[GUARD_ESCALATIONS] >= 1
+    assert escalated
+    assert escalated[0].applied_at_ms >= swap_at * 60_000.0
+    assert escalated[0].applied_at_ms < (
+        passes[0].applied_at_ms + 2 * bins * 60_000.0
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stable_noisy_workload_trips_neither_watchdog(seed):
+    driver = _closed_loop(seed=seed, bins=18, tune_every_bins=3)
+    snap = driver.telemetry.registry.snapshot()
+    assert snap[GUARD_COMMITS] >= 1
+    assert snap[GUARD_ROLLBACKS] == 0
+    assert snap[GUARD_ESCALATIONS] == 0

@@ -9,9 +9,12 @@ SKIP decisions surface as structured events.
 from repro.core.driver import Driver, DriverConfig
 from repro.core.events import EventKind
 from repro.core.organizer import OrganizerConfig
+from repro.core.simulation import ClosedLoopSimulation
 from repro.core.triggers import NeverTrigger
 from repro.telemetry import TelemetryConfig
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
+from repro.workload import generate_trace
+from tests.conftest import make_retail_suite
 
 
 def _attach(retail_suite, **telemetry_kwargs):
@@ -47,7 +50,7 @@ def test_tune_now_produces_a_three_level_span_tree(retail_suite):
     assert span.tags["trigger"] == "manual"
     feature = span.find("feature")
     assert feature is not None
-    for phase in ("enumerate", "assess", "select"):
+    for phase in ("enumerate", "assess", "select", "execute"):
         assert feature.find(phase) is not None, phase
     # cache accounting now comes from registry interval deltas
     assert span.tags["cache_misses"] > 0
@@ -67,6 +70,26 @@ def test_disabled_telemetry_keeps_the_loop_working(retail_suite):
     assert len(driver.telemetry.ring) == 0
     # KPI interval accounting (monitor shim) still works when disabled
     assert driver.monitor.latest is not None
+
+
+def test_telemetry_costs_no_simulated_time():
+    """Spans read the host clock and counters are plain additions: with
+    telemetry on or off every bin record — workload, reconfiguration and
+    clock milliseconds, a forced tuning pass included — is the same."""
+
+    def run(enabled):
+        suite = make_retail_suite()
+        db, driver = _attach(suite, enabled=enabled)
+        trace = generate_trace(
+            suite.families, suite.rates, 10, bin_duration_ms=60_000, seed=33
+        )
+        sim = ClosedLoopSimulation(db, trace, seed=9)
+        records = sim.run(stop=5)
+        assert driver.tune_now() is not None
+        assert db.counters.reconfigurations > 0
+        return records + sim.run(start=5), db.clock.now_ms
+
+    assert run(True) == run(False)
 
 
 def test_skip_decisions_are_structured_events(retail_suite):
