@@ -253,9 +253,11 @@ class Chunk:
         entries survive reordering and re-encoding."""
         width = self._projected_widths.get(columns)
         if width is None:
-            width = sum(
-                self.statistics(name).avg_item_bytes for name in columns
-            )
+            # an explicit left fold: builtin sum() compensates since
+            # Python 3.12 and may land on other last bits
+            width = 0.0
+            for name in columns:
+                width += self.statistics(name).avg_item_bytes
             self._projected_widths[columns] = width
         return width
 

@@ -152,7 +152,8 @@ class QueryExecutor:
         self._validated: dict[Query, "TableSchema"] = {}
         #: run plans through the vectorized kernel (default) or the scalar
         #: per-chunk reference loop; both produce bit-identical results —
-        #: the flag exists for golden tests and the e17 benchmark
+        #: the flag exists for the golden tests, which hold the scalar loop
+        #: up as the only second derivation of every priced quantity
         self.use_kernel = use_kernel
 
     @property

@@ -7,18 +7,20 @@ into three passes:
 
 1. **Data pass** — only the *surviving* (non-pruned) steps are visited in
    Python; index probes and mask-kernel predicate evaluation run against
-   real segment data exactly as the scalar path would, with predicate
-   triples pre-bound at compile time so no per-chunk re-dispatch happens.
-   The pruned majority of steps never enters the loop: their zone-map
-   charges were frozen into ``fixed_scan_units`` at compile time.
-2. **Tier pass** — buffer-pool tier resolution is batched: a table whose
-   chunks are all DRAM-resident resolves to one scalar multiplier without
-   consulting the pool; otherwise only the chunk sequence is walked once,
-   preserving the exact LRU admission order of the scalar path.
-3. **Pricing pass** — per-step scan/probe work is converted to simulated
-   milliseconds with whole-plan array arithmetic and summed with a strict
-   left-fold, so every float lands bit-identically to the scalar path's
-   per-chunk ``+=`` accumulation.
+   real segment data exactly as the scalar path would, with each scan
+   predicate bound to its segment once per compiled plan
+   (:meth:`~repro.dbms.segments.Segment.bind`), so an execution runs one
+   integer ufunc per predicate per chunk. The pruned majority of steps
+   never enters the loop: their zone-map charges were frozen into
+   ``fixed_scan_tuple`` at compile time.
+2. **Tier pass** — only the table's chunks outside DRAM consult the
+   buffer pool, walked once in chunk order, preserving the exact LRU
+   admission order of the scalar path; an all-DRAM table never asks.
+3. **Pricing pass** — one pure-Python pass: the fixed charges, priced
+   once per plan at the DRAM multiplier, are copied, the surviving steps
+   and the pool misses are priced over them, and every total is an
+   explicit ``+=`` in chunk order, so every float lands bit-identically
+   to the scalar path's per-chunk accumulation.
 
 Bit-identical simulated results are the kernel's contract — the golden
 tests in ``tests/plan/test_kernel_golden.py`` compare every report field
@@ -40,18 +42,6 @@ from repro.plan.ir import PhysicalPlan, StepKind
 if TYPE_CHECKING:
     from repro.dbms.executor import BufferPool
     from repro.dbms.table import Table
-
-
-def _left_fold(values: np.ndarray) -> float:
-    """Strict sequential sum: bit-identical to scalar ``+=`` in order.
-
-    ``np.cumsum`` computes every prefix, which forces the left-to-right
-    association the scalar accumulation used (``np.sum``'s pairwise
-    reduction would not).
-    """
-    if len(values) == 0:
-        return 0.0
-    return float(np.cumsum(values)[-1])
 
 
 def run_plan(
@@ -105,8 +95,9 @@ def run_plan(
     #: per surviving step: (position, scan units, probe units, rows, width)
     live_work: list[tuple[int, float, float, int, float]] = []
 
-    # Per-kernel pre-binding: segment/index objects and their charge
-    # methods resolved once per compiled plan. Sound because the planner
+    # Per-kernel pre-binding: indexes, charge methods and each scan
+    # predicate's mask (Segment.bind: the literal met its segment once)
+    # resolved once per compiled plan. Sound because the planner
     # finds this plan — and with it this cache — again only under a
     # footprint that names, chunk by chunk, the row order, encodings and
     # indexes bound here (Table.footprint), and a name fixes a structure's
@@ -117,23 +108,23 @@ def run_plan(
         bound = []
         for live in kern.live:
             chunk = chunks[live.position]
-            preds = tuple(
-                (
-                    segment.compare,
-                    segment.take,
-                    segment.scan_units,
-                    segment.scan_overhead_units(),
-                    op,
-                    value,
-                )
+            segments = [
+                (chunk.segment(column), op, value)
                 for column, op, value in live.predicates
-                for segment in (chunk.segment(column),)
-            )
-            index = (
-                chunk.index(live.index_key)
-                if live.step.kind is StepKind.INDEX_PROBE
-                else None
-            )
+            ]
+            if live.step.kind is StepKind.INDEX_PROBE:
+                # residuals filter the values gathered at the probed rows
+                index = chunk.index(live.index_key)
+                preds = tuple(
+                    (s.take, s.scan_units, s.scan_overhead_units(), op, value)
+                    for s, op, value in segments
+                )
+            else:
+                index = None
+                preds = tuple(
+                    (s.bind(op, value), s.scan_units, s.scan_overhead_units())
+                    for s, op, value in segments
+                )
             bound.append((index, preds))
         kern.cache["bound"] = bound
 
@@ -151,7 +142,7 @@ def run_plan(
             pu = index.probe_cost_units(
                 live.probed_columns, len(positions)
             )
-            for _compare, take, scan_units, overhead, op, value in preds:
+            for take, scan_units, overhead, op, value in preds:
                 if len(positions) == 0:
                     break
                 su += scan_units(len(positions))
@@ -165,14 +156,14 @@ def run_plan(
             # each compare exactly as in the scalar loop
             mask = None
             alive = chunk.row_count
-            for compare, _take, scan_units, overhead, op, value in preds:
+            for bound_mask, scan_units, overhead in preds:
                 su += scan_units(alive)
                 su += overhead
                 if mask is None:
-                    mask = compare(op, value)
+                    mask = bound_mask()
                 else:
-                    mask &= compare(op, value)
-                # same integer as int(mask.sum()), cheaper popcount
+                    mask &= bound_mask()
+                # the scalar loop's popcount, cheaper than a reduction
                 alive = int(np.count_nonzero(mask))
                 if alive == 0:
                     break
@@ -206,84 +197,58 @@ def run_plan(
         work.output_bytes = output_bytes
 
     # -- tier pass: batched buffer-pool resolution ----------------------
-    # the table scans for chunks outside DRAM once per placement
-    nondram = table.nondram()
+    # Only chunks outside DRAM (scanned for once per placement) consult
+    # the pool, in chunk order — the scalar path's LRU admission sequence.
+    # A hit prices as DRAM; a miss is kept with its tier's multiplier.
+    tier_multiplier = hardware.tier_multiplier
+    table_name = table.name
+    missed: dict[int, float] = {}
+    hits = 0
+    for i, chunk in table.nondram():
+        key = (table_name, chunk.chunk_id)
+        if pool.peek(key) if probe else pool.access(key, chunk.data_bytes()):
+            hits += 1
+        else:
+            missed[i] = tier_multiplier[chunk.tier]
+    work.buffer_hits = hits
+    work.buffer_misses = len(missed)
 
-    dram_multiplier = hardware.tier_multiplier[StorageTier.DRAM]
+    # -- pricing pass ---------------------------------------------------
+    # Pure Python, which beats numpy at plan sizes (a table has tens of
+    # chunks). Every expression matches hardware.scan_ms/probe_ms term by
+    # term and every total is an explicit += in chunk order, the scalar
+    # loop's own left fold (the builtin is not one since Python 3.12).
+    dram = tier_multiplier[StorageTier.DRAM]
     ns_scan = hardware.ns_per_scan_unit
     ns_probe = hardware.ns_per_probe_unit
     speedup = max(1.0, float(threads)) ** hardware.parallel_efficiency_exponent
-
-    # -- pricing pass ---------------------------------------------------
-    if not nondram:
-        # All-DRAM fast path: one scalar multiplier, the pool is never
-        # consulted, and the fixed charges price to constants — memoised
-        # per (coefficient, multiplier, speedup) and folded in pure Python.
-        # Every expression matches hardware.scan_ms/probe_ms term by term,
-        # and Python's sum()/+= over floats is the same left fold the
-        # scalar loop accumulates.
-        key = (ns_scan, dram_multiplier, speedup)
-        priced_cached = kern.cache.get("priced")
-        if priced_cached is None or priced_cached[0] != key:
-            base = [
-                u * ns_scan * dram_multiplier / speedup / NS_PER_MS
-                for u in kern.fixed_scan_tuple
-            ]
-            kern.cache["priced"] = priced_cached = (key, base)
-        priced = priced_cached[1].copy()
-        units = list(kern.fixed_scan_tuple)
-        for i, su, _pu, _count, _width in live_work:
-            units[i] = su
-            priced[i] = su * ns_scan * dram_multiplier / speedup / NS_PER_MS
-        scan_ms = 0.0
-        for value in priced:
-            scan_ms += value
-        work.scan_units = sum(units)
-        probe_ms = 0.0
-        probe_total = 0.0
-        for _i, _su, pu, _count, _width in live_work:
-            if pu:
-                probe_ms += pu * ns_probe * dram_multiplier / NS_PER_MS
-                probe_total += pu
-        work.probe_units = probe_total
-        return work, scan_ms, probe_ms, agg_values, out_columns
-
-    # Mixed tiers: the pool must be consulted per non-DRAM chunk, in chunk
-    # order, preserving the scalar path's LRU admission sequence; pricing
-    # is whole-plan array arithmetic with a strict left-fold reduction.
-    scan_units = kern.fixed_units_array().copy()
-    probe_units = np.zeros(n, dtype=np.float64) if kern.index_count else None
+    # the fixed charges price to constants at the DRAM multiplier
+    key = (ns_scan, dram, speedup)
+    priced_cached = kern.cache.get("priced")
+    if priced_cached is None or priced_cached[0] != key:
+        base = [
+            u * ns_scan * dram / speedup / NS_PER_MS
+            for u in kern.fixed_scan_tuple
+        ]
+        kern.cache["priced"] = priced_cached = (key, base)
+    priced = priced_cached[1].copy()
+    units = list(kern.fixed_scan_tuple)
+    probe_ms = 0.0
+    probe_units = 0.0
     for i, su, pu, _count, _width in live_work:
-        scan_units[i] = su
+        units[i] = su
+        priced[i] = su * ns_scan * dram / speedup / NS_PER_MS
         if pu:
-            probe_units[i] = pu
-    tier_multiplier = hardware.tier_multiplier
-    table_name = table.name
-    resolved = np.full(n, dram_multiplier, dtype=np.float64)
-    hits = misses = 0
-    for i, chunk in nondram:
-        key = (table_name, chunk.chunk_id)
-        if probe:
-            hit = pool.peek(key)
-        else:
-            hit = pool.access(key, chunk.data_bytes())
-        if hit:
-            hits += 1
-        else:
-            misses += 1
-            resolved[i] = tier_multiplier[chunk.tier]
-    work.buffer_hits = hits
-    work.buffer_misses = misses
-
-    scan_ms = _left_fold(
-        scan_units * ns_scan * resolved / speedup / NS_PER_MS
-    )
-    if probe_units is None:
-        probe_ms = 0.0
-    else:
-        probe_ms = _left_fold(
-            probe_units * ns_probe * resolved / NS_PER_MS
-        )
-        work.probe_units = _left_fold(probe_units)
-    work.scan_units = _left_fold(scan_units)
+            probe_ms += pu * ns_probe * missed.get(i, dram) / NS_PER_MS
+            probe_units += pu
+    for i, multiplier in missed.items():
+        priced[i] = units[i] * ns_scan * multiplier / speedup / NS_PER_MS
+    scan_ms = 0.0
+    for value in priced:
+        scan_ms += value
+    scan_units = 0.0
+    for value in units:
+        scan_units += value
+    work.scan_units = scan_units
+    work.probe_units = probe_units
     return work, scan_ms, probe_ms, agg_values, out_columns

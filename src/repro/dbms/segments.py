@@ -27,6 +27,8 @@ from __future__ import annotations
 import enum
 import operator
 from abc import ABC, abstractmethod
+from collections.abc import Callable
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -68,16 +70,55 @@ _COMPARE_FUNCS = {
 }
 
 
-def _compare_array(arr: np.ndarray, op: str, value: object) -> np.ndarray:
+#: A predicate bound to one segment: called with nothing, returns a fresh
+#: boolean mask (the caller may ``&=`` into it).
+BoundPredicate = Callable[[], np.ndarray]
+
+
+def _compare_func(op: str) -> Callable[[object, object], np.ndarray]:
     try:
-        return _COMPARE_FUNCS[op](arr, value)
+        return _COMPARE_FUNCS[op]
     except KeyError:
         raise EncodingError(f"unsupported comparison operator {op!r}") from None
+
+
+def _compare_array(arr: np.ndarray, op: str, value: object) -> np.ndarray:
+    return _compare_func(op)(arr, value)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def _order_preserving_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``values`` and, per element, its position among
+    them in the narrowest unsigned dtype that fits."""
+    dictionary, codes = np.unique(values, return_inverse=True)
+    code_dtype = narrowest_uint_dtype(max(len(dictionary) - 1, 0))
+    return _frozen(dictionary), _frozen(codes.astype(code_dtype))
+
+
+def _bind_codes(
+    dictionary: np.ndarray, codes: np.ndarray, op: str, value: object
+) -> BoundPredicate:
+    """``<op> value`` over ``dictionary[codes]`` as an integer comparison
+    of ``codes`` against a bound found by one binary search — or, when the
+    search settles every row at once, as a constant."""
+    func = _compare_func(op)
+    side = "right" if op in ("<=", ">") else "left"
+    bound = int(np.searchsorted(dictionary, value, side=side))
+    if op in ("=", "!="):
+        # an array compare, so that what counts as equal (trailing NULs
+        # do not) is what it is for the decoded values
+        if not (dictionary[bound : bound + 1] == value).any():
+            return partial(np.full, len(codes), op == "!=", bool)
+        return partial(func, codes, bound)
+    # the codes under ``bound`` are the values < (left) or <= (right) it
+    below = op[0] == "<"
+    if bound == 0 or bound == len(dictionary):
+        return partial(np.full, len(codes), below == (bound != 0), bool)
+    return partial(operator.lt if below else operator.ge, codes, bound)
 
 
 class Segment(ABC):
@@ -89,10 +130,21 @@ class Segment(ABC):
     """
 
     encoding: ClassVar[EncodingType]
+    #: attributes derived from the stored arrays on demand (class-level
+    #: ``None`` until then): host-side speed-ups that no simulated quantity
+    #: reads and no pickle carries
+    _DERIVED: ClassVar[tuple[str, ...]] = ("_code_domain",)
+    _code_domain: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, data_type: DataType, length: int) -> None:
         self._data_type = data_type
         self._length = length
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__.copy()
+        for name in self._DERIVED:
+            state.pop(name, None)
+        return state
 
     def __setstate__(self, state: dict[str, object]) -> None:
         # unpickled arrays come back writeable
@@ -121,8 +173,28 @@ class Segment(ABC):
         """Exact bytes of the physical representation."""
 
     @abstractmethod
+    def bind(self, op: str, value: object) -> BoundPredicate:
+        """``row <op> value`` with everything that depends on the literal
+        settled now — operator lookup, dictionary search, offset
+        translation, the cases one look at the literal answers for every
+        row — so that each call is little more than one ufunc."""
+
     def compare(self, op: str, value: object) -> np.ndarray:
         """Boolean mask of rows satisfying ``row <op> value``."""
+        return self.bind(op, value)()
+
+    def _bind_values(
+        self, values: np.ndarray, op: str, value: object
+    ) -> BoundPredicate:
+        """``values <op> value`` for a stored array. Strings are compared
+        as order-preserving integer codes, coded the first time a string
+        literal meets them; a literal of another type, and any other
+        array, goes to numpy as it is."""
+        if values.dtype.kind != "U" or not isinstance(value, str):
+            return partial(_compare_func(op), values, value)
+        if self._code_domain is None:
+            self._code_domain = _order_preserving_codes(values)
+        return _bind_codes(*self._code_domain, op, value)
 
     @abstractmethod
     def scan_units(self, candidate_count: int) -> float:
@@ -165,8 +237,8 @@ class UnencodedSegment(Segment):
     def memory_bytes(self) -> int:
         return int(self._values.nbytes)
 
-    def compare(self, op: str, value: object) -> np.ndarray:
-        return _compare_array(self._values, op, value)
+    def bind(self, op: str, value: object) -> BoundPredicate:
+        return self._bind_values(self._values, op, value)
 
     def scan_units(self, candidate_count: int) -> float:
         return float(candidate_count)
@@ -186,10 +258,7 @@ class DictionarySegment(Segment):
 
     def __init__(self, values: np.ndarray, data_type: DataType) -> None:
         super().__init__(data_type, len(values))
-        dictionary, codes = np.unique(values, return_inverse=True)
-        code_dtype = narrowest_uint_dtype(max(len(dictionary) - 1, 0))
-        self._dictionary = _frozen(dictionary)
-        self._codes = _frozen(codes.astype(code_dtype))
+        self._dictionary, self._codes = _order_preserving_codes(values)
 
     @property
     def dictionary(self) -> np.ndarray:
@@ -211,27 +280,8 @@ class DictionarySegment(Segment):
     def sort_key_array(self) -> np.ndarray:
         return self._codes
 
-    def _bound_code(self, value: object, side: str) -> int:
-        return int(np.searchsorted(self._dictionary, value, side=side))
-
-    def compare(self, op: str, value: object) -> np.ndarray:
-        if op in ("=", "!="):
-            pos = self._bound_code(value, "left")
-            found = pos < len(self._dictionary) and self._dictionary[pos] == value
-            if found:
-                mask = self._codes == pos
-            else:
-                mask = np.zeros(len(self), dtype=bool)
-            return ~mask if op == "!=" else mask
-        if op == "<":
-            return self._codes < self._bound_code(value, "left")
-        if op == "<=":
-            return self._codes < self._bound_code(value, "right")
-        if op == ">":
-            return self._codes >= self._bound_code(value, "right")
-        if op == ">=":
-            return self._codes >= self._bound_code(value, "left")
-        raise EncodingError(f"unsupported comparison operator {op!r}")
+    def bind(self, op: str, value: object) -> BoundPredicate:
+        return _bind_codes(self._dictionary, self._codes, op, value)
 
     def scan_units(self, candidate_count: int) -> float:
         return self.SCAN_FACTOR * candidate_count
@@ -248,6 +298,9 @@ class RunLengthSegment(Segment):
     RUN_FACTOR = 1.3
 
     encoding = EncodingType.RUN_LENGTH
+    _DERIVED = ("_code_domain", "_decoded", "_run_ends")
+    _decoded: np.ndarray | None = None
+    _run_ends: np.ndarray | None = None
 
     def __init__(self, values: np.ndarray, data_type: DataType) -> None:
         super().__init__(data_type, len(values))
@@ -260,8 +313,6 @@ class RunLengthSegment(Segment):
             ends = np.concatenate((change, [len(values)]))
             self._run_values = _frozen(values[starts])
             self._run_lengths = _frozen((ends - starts).astype(np.int64))
-        self._decoded: np.ndarray | None = None
-        self._run_ends: np.ndarray | None = None
 
     @property
     def run_count(self) -> int:
@@ -289,9 +340,10 @@ class RunLengthSegment(Segment):
         # Run lengths are stored as 4-byte counts in a real system.
         return int(self._run_values.nbytes + 4 * len(self._run_lengths))
 
-    def compare(self, op: str, value: object) -> np.ndarray:
-        run_mask = _compare_array(self._run_values, op, value)
-        return np.repeat(run_mask, self._run_lengths)
+    def bind(self, op: str, value: object) -> BoundPredicate:
+        run_mask = self._bind_values(self._run_values, op, value)
+        run_lengths = self._run_lengths
+        return lambda: np.repeat(run_mask(), run_lengths)
 
     def scan_units(self, candidate_count: int) -> float:
         if len(self) == 0:
@@ -340,37 +392,26 @@ class FrameOfReferenceSegment(Segment):
     def memory_bytes(self) -> int:
         return int(self._offsets.nbytes + 8)
 
-    def compare(self, op: str, value: object) -> np.ndarray:
+    def bind(self, op: str, value: object) -> BoundPredicate:
         # Compare in the *integer* offset domain: a float64 detour would
         # silently corrupt literals and offsets beyond 2**53.
-        if op not in COMPARISON_OPS:
-            raise EncodingError(f"unsupported comparison operator {op!r}")
+        func = _compare_func(op)
         integral = isinstance(value, (int, np.integer)) or (
             isinstance(value, (float, np.floating)) and float(value).is_integer()
         )
         if not integral:
             # non-integral literal: decoded comparison, identical semantics
             # to an unencoded int64 segment facing the same literal
-            return _compare_array(self.values(), op, value)
+            return lambda: func(self.values(), value)
         literal = int(value)
         low = self._reference
-        high = self._reference + self._span
-        if len(self) and low <= literal <= high:
-            return _compare_array(self._offsets, op, literal - low)
+        if low <= literal <= low + self._span:
+            return partial(func, self._offsets, literal - low)
         # Literal outside the segment's value range: the answer is constant
-        # for every row, no offset scan needed.
-        if len(self) == 0:
-            return np.zeros(0, dtype=bool)
-        below = literal < low
-        constant = {
-            "=": False,
-            "!=": True,
-            "<": not below,
-            "<=": not below,
-            ">": below,
-            ">=": below,
-        }[op]
-        return np.full(len(self), constant, dtype=bool)
+        # for every row, no offset scan needed — every row is under a
+        # literal above the range and over one below it.
+        constant = {"=": False, "!=": True}.get(op, (op[0] == "<") == (literal > low))
+        return partial(np.full, len(self), constant, bool)
 
     def scan_units(self, candidate_count: int) -> float:
         return self.SCAN_FACTOR * candidate_count

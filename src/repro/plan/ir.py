@@ -108,9 +108,13 @@ class PhysicalPlan:
 
         Deferred import: the kernel module depends on this one.
         """
-        from repro.plan.kernel import kernel_for
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            from repro.plan.kernel import PlanKernel
 
-        return kernel_for(self)
+            kernel = PlanKernel.from_plan(self)
+            object.__setattr__(self, "_kernel", kernel)
+        return kernel
 
     def count(self, kind: StepKind) -> int:
         return sum(1 for step in self.steps if step.kind is kind)

@@ -7,8 +7,8 @@ those are compile-time-stable, so the :class:`PlanKernel` freezes them
 (pre-bound predicate triples, per-step fixed charges, the per-chunk
 trace) exactly once per compiled plan. The batched executor kernel
 (:mod:`repro.dbms.kernel`) then visits only the *surviving* (non-pruned)
-chunks in Python and prices whole plans with vectorized array
-arithmetic, while the pruned majority is settled by the frozen charges.
+chunks in Python and prices the plan in one pass over the frozen
+charges, which settle the pruned majority.
 
 Like the rest of the plan layer this module imports nothing from the
 DBMS substrate, so the arrays can be shared by the executor, the cost
@@ -18,8 +18,6 @@ models, and what-if probing without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.plan.ir import (
     PRUNE_CHECK_UNITS,
@@ -53,18 +51,14 @@ class PlanKernel:
     """Per-plan compile-time facts the batched executor kernel runs from.
 
     Compilation happens once per (footprint, query) while executions of a
-    cached plan repeat, so construction stays a single pure-Python pass;
-    the mixed-tier pricing array is materialised lazily via
-    :meth:`fixed_units_array` the first time a plan actually meets a
-    non-DRAM chunk.
+    cached plan repeat, so construction stays a single pure-Python pass.
     """
 
     #: number of steps (== chunks the plan was compiled against)
     size: int
     #: per-step compile-time scan-unit charges as plain Python floats: the
     #: zone-map check cost for PRUNE steps, 0 elsewhere (data-dependent
-    #: work is filled at run time); the all-DRAM pricing fast path folds
-    #: these in pure Python, which beats numpy at plan sizes
+    #: work is filled at run time)
     fixed_scan_tuple: tuple[float, ...]
     #: ``(chunk_id, kind)`` per step — the WorkSummary.per_chunk trace
     per_chunk: tuple[tuple[int, StepKind], ...]
@@ -73,23 +67,24 @@ class PlanKernel:
     #: number of INDEX_PROBE steps
     index_count: int
     #: scratch space for per-execution caches the executor kernel maintains
-    #: (bound segments and indexes, priced fixed charges keyed by pricing
+    #: (bound predicates and indexes, priced fixed charges keyed by pricing
     #: coefficients); mutable on the frozen dataclass by design — it holds
     #: memoised derivations only
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __getstate__(self) -> dict[str, object]:
+        # the scratch is rebuilt by the next execution; pickled, it would
+        # carry every segment and index the plan ever bound
+        return {**self.__dict__, "cache": {}}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # a pickle written before the scratch stayed behind holds one
+        # whose entries have another shape
+        self.__dict__.update(state, cache={})
+
     @property
     def all_pruned(self) -> bool:
         return not self.live
-
-    def fixed_units_array(self) -> np.ndarray:
-        """:attr:`fixed_scan_tuple` as a float64 array (lazy, memoised) —
-        the base the mixed-tier pricing pass copies and fills."""
-        units = self.cache.get("fixed_units")
-        if units is None:
-            units = np.array(self.fixed_scan_tuple, dtype=np.float64)
-            self.cache["fixed_units"] = units
-        return units
 
     @classmethod
     def from_plan(cls, plan: PhysicalPlan) -> "PlanKernel":
@@ -138,8 +133,4 @@ def kernel_for(plan: PhysicalPlan) -> PlanKernel:
     consumer of a cached plan — executor, probe-mode pricing — shares one
     set of arrays for the plan's whole cache lifetime.
     """
-    kernel = plan.__dict__.get("_kernel")
-    if kernel is None:
-        kernel = PlanKernel.from_plan(plan)
-        object.__setattr__(plan, "_kernel", kernel)
-    return kernel
+    return plan.kernel()

@@ -1,5 +1,9 @@
 """Tests for segment encodings, including property-based round trips."""
 
+import operator
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from repro.dbms.segments import (
     FrameOfReferenceSegment,
     RunLengthSegment,
     UnencodedSegment,
+    _compare_array,
     encode_segment,
     narrowest_uint_dtype,
     supported_encodings,
@@ -20,6 +25,7 @@ from repro.dbms.types import DataType
 from repro.errors import EncodingError
 
 ALL_ENCODINGS = list(EncodingType)
+STRING_ENCODINGS = list(supported_encodings(DataType.STRING))
 
 
 def _int_values():
@@ -214,22 +220,164 @@ def test_property_string_encode_decode_identity(values):
         np.testing.assert_array_equal(segment.values(), arr)
 
 
-@settings(max_examples=40, deadline=None)
+def _accounting(segment):
+    """Everything a simulated figure or an index build reads off a segment."""
+    keys = segment.sort_key_array()
+    return (
+        segment.memory_bytes(),
+        segment.scan_units(len(segment)),
+        segment.scan_units(1),
+        segment.scan_overhead_units(),
+        keys.dtype,
+        keys.tobytes(),
+    )
+
+
+def _assert_bound_equals_decoded(segment, literal):
+    """For every operator, ``bind`` (and ``compare``, which is ``bind``
+    called once) gives the mask numpy gives over the decoded values, binding
+    moves no accounted quantity, and a caller may ``&=`` into the mask."""
+    before = _accounting(segment)
+    for op in COMPARISON_OPS:
+        expected = _compare_array(segment.values(), op, literal)
+        bound = segment.bind(op, literal)
+        mask = bound()
+        assert mask.dtype == bool and mask.shape == (len(segment),)
+        np.testing.assert_array_equal(mask, expected)
+        mask &= np.zeros(len(segment), dtype=bool)  # as the kernel does
+        np.testing.assert_array_equal(bound(), expected)
+        np.testing.assert_array_equal(segment.compare(op, literal), expected)
+    assert _accounting(segment) == before
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=150),
-    st.sampled_from(COMPARISON_OPS),
-    st.integers(min_value=-1000, max_value=1000),
+    st.sampled_from([0, 2**60]),
+    st.data(),
 )
-def test_property_compare_agrees_across_encodings(values, op, literal):
-    arr = np.array(values, dtype=np.int64)
-    reference = None
+def test_property_compare_agrees_across_encodings(small, base, data):
+    arr = np.array(small, dtype=np.int64) + base
+    present = st.sampled_from(arr.tolist())
+    literal = data.draw(
+        st.one_of(
+            present,
+            present.map(lambda v: v + 1),  # often absent, between two values
+            st.just(int(arr.min()) - 1),
+            st.just(int(arr.max()) + 1),
+            st.sampled_from(small).map(lambda v: v + 0.5),  # non-integral
+            st.sampled_from([2**53 + 1, -(2**62)]),  # beyond float64's integers
+        )
+    )
     for encoding in ALL_ENCODINGS:
-        segment = encode_segment(arr, DataType.INT, encoding)
-        mask = segment.compare(op, literal)
-        if reference is None:
-            reference = mask
-        else:
-            np.testing.assert_array_equal(mask, reference)
+        _assert_bound_equals_decoded(
+            encode_segment(arr, DataType.INT, encoding), literal
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.text(alphabet="abé", max_size=4), min_size=1, max_size=80),
+    st.data(),
+)
+def test_property_string_compare_agrees_across_encodings(values, data):
+    width = max(1, max(len(v) for v in values))
+    arr = np.array(values, dtype=f"<U{width}")
+    present = st.sampled_from(values)
+    literal = data.draw(
+        st.one_of(
+            present,
+            present.map(lambda v: v + "!"),  # absent, right after a value
+            st.just("A"),  # below every non-empty value
+            st.just(chr(0x10FFFF)),  # above the maximum
+            st.just(""),
+            present.map(lambda v: v + "a" * width),  # wider than the dtype
+            present.map(lambda v: v + "\0"),  # numpy ignores trailing NULs
+            st.sampled_from(["é", "aé", "€"]),
+        )
+    )
+    for encoding in STRING_ENCODINGS:
+        _assert_bound_equals_decoded(
+            encode_segment(arr, DataType.STRING, encoding), literal
+        )
+
+
+def _compare_before_bind(segment, op, value):
+    """What each encoding's ``compare`` did to a literal before predicates
+    were bound: numpy over the stored values, and for a dictionary a search
+    that casts the literal to the dictionary's type."""
+    if not isinstance(segment, DictionarySegment):
+        return _compare_array(segment.values(), op, value)
+    dictionary, codes = segment.dictionary, segment.codes
+    left = int(np.searchsorted(dictionary, value, side="left"))
+    right = int(np.searchsorted(dictionary, value, side="right"))
+    if op in ("=", "!="):
+        found = left < len(dictionary) and dictionary[left] == value
+        mask = codes == left if found else np.zeros(len(codes), dtype=bool)
+        return ~mask if op == "!=" else mask
+    return {
+        "<": codes < left,
+        "<=": codes < right,
+        ">": codes >= right,
+        ">=": codes >= left,
+    }[op]
+
+
+def _outcome(compare, *args):
+    try:
+        return compare(*args).tolist()
+    except Exception as exc:  # the type is the outcome under test
+        return type(exc)
+
+
+@pytest.mark.parametrize("encoding", STRING_ENCODINGS, ids=lambda e: e.value)
+@pytest.mark.parametrize("op", COMPARISON_OPS)
+@pytest.mark.parametrize("literal", [5, 2.5, None, b"a"], ids=repr)
+def test_non_string_literal_on_string_column_is_left_alone(encoding, op, literal):
+    segment = encode_segment(_str_values(), DataType.STRING, encoding)
+    assert _outcome(segment.compare, op, literal) == _outcome(
+        _compare_before_bind, segment, op, literal
+    )
+    assert segment._code_domain is None  # only a string literal builds it
+
+
+@pytest.mark.parametrize(
+    "encoding",
+    [EncodingType.UNENCODED, EncodingType.RUN_LENGTH],
+    ids=lambda e: e.value,
+)
+def test_bound_string_predicate_compares_unsigned_codes(encoding):
+    """The point of binding: an execution never compares strings."""
+    values = np.array(["open", "closed", "open", "urgent"] * 8, dtype="<U6")
+    segment = encode_segment(values, DataType.STRING, encoding)
+    bound = segment.bind("=", "open")
+    if encoding is EncodingType.RUN_LENGTH:
+        # the run mask, repeated by the run lengths
+        (bound,) = (
+            cell.cell_contents
+            for cell in bound.__closure__
+            if isinstance(cell.cell_contents, partial)
+        )
+    assert isinstance(bound, partial) and bound.func is operator.eq
+    operand, code = bound.args
+    assert operand.dtype.kind == "u" and isinstance(code, int)
+    np.testing.assert_array_equal(segment.compare("=", "open"), values == "open")
+
+
+@pytest.mark.parametrize("encoding", STRING_ENCODINGS, ids=lambda e: e.value)
+def test_pickle_carries_no_derived_arrays(encoding):
+    """Decoding a run-length segment, gathering from it or binding a string
+    predicate derives host-side arrays; a pickle holds what it held."""
+    values = np.array(["b", "b", "a", "c", "c", "c"] * 5, dtype="<U1")
+    segment = encode_segment(values, DataType.STRING, encoding)
+    before = pickle.dumps(segment)
+    segment.take(np.array([0, 7, 29]))
+    segment.compare("<=", "b")
+    segment.values()
+    assert pickle.dumps(segment) == before
+    restored = pickle.loads(before)
+    np.testing.assert_array_equal(restored.values(), values)
+    np.testing.assert_array_equal(restored.compare("<=", "b"), values <= "b")
 
 
 # ----------------------------------------------------------------------

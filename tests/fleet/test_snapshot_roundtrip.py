@@ -13,9 +13,12 @@ fleet, but the property is seed-independent by construction and any
 counterexample shrinks to a reportable seed.
 """
 
+import pickle
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.dbms.storage_tiers import StorageTier
 from repro.fleet import build_fleet
 
 BINS = 3
@@ -82,6 +85,77 @@ def test_absorbed_context_continues_bit_identically(seed):
         assert [
             (e.at_ms, e.kind, e.message) for e in a.events.events()
         ] == [(e.at_ms, e.kind, e.message) for e in b.events.events()]
+
+
+def _cached_queries(ctx):
+    """``(query, table)`` of every plan the tenant's planner holds."""
+    db = ctx.database
+    return [
+        (query, db.table(query.table))
+        for (_footprint, query), _plan in db.planner._cache.items()
+    ]
+
+
+def test_executing_a_plan_adds_nothing_to_its_pickle():
+    """What the kernel binds and prices per plan is scratch: segments,
+    indexes and arrays reach a snapshot through the catalog only."""
+    ctx = _built(1).tenants[0]
+    db = ctx.database
+    planner, executor = db.planner, db.executor
+    cached = _cached_queries(ctx)
+    assert len(cached) >= 5
+    for query, table in cached:
+        fresh = len(pickle.dumps(planner.compile(query, table)))
+        plan = planner.plan_for(query, table)
+        for tier in (StorageTier.SSD, StorageTier.DRAM):  # mixed, then all-DRAM
+            db.move_chunk(table.name, table.chunk_ids()[0], tier)
+            for _ in range(25):
+                executor.execute(query, table, probe=True)
+                executor.execute(query, table)
+            assert planner.plan_for(query, table) is plan
+            assert plan.kernel().cache  # bound and priced, yet not pickled
+            assert len(pickle.dumps(plan)) <= fresh + 256
+
+
+def test_absorbed_context_hits_its_plans_and_reports_bit_identically():
+    control = _built(1)
+    pickled = _built(1)
+    ctx = pickled.tenants[0]
+    ctx.absorb_transfer(ctx.transfer_snapshot())
+    pickled._local.arm()
+    planner = ctx.database.planner
+    before = planner.cache_stats
+    compiles = planner.registry.counter("plan_compiles").value
+    cached = _cached_queries(ctx)
+    assert cached
+    for (query, table), (same, control_table) in zip(
+        cached, _cached_queries(control.tenants[0]), strict=True
+    ):
+        assert query == same
+        restored = ctx.database.executor.execute(query, table, probe=True)
+        straight = control.tenants[0].database.executor.execute(
+            query, control_table, probe=True
+        )
+        assert restored.report == straight.report  # every float, every count
+        assert restored.aggregate_value == straight.aggregate_value
+    assert planner.cache_stats.hits == before.hits + len(cached)
+    assert planner.registry.counter("plan_compiles").value == compiles
+
+
+def test_kernel_scratch_in_an_older_pickle_is_dropped_on_load(monkeypatch):
+    """Checkpoints written before the scratch stayed behind carry one per
+    plan, its bound predicates in a shape ``run_plan`` no longer reads."""
+    from repro.plan.kernel import PlanKernel
+
+    ctx = _built(1).tenants[0]
+    query, table = _cached_queries(ctx)[0]
+    plan = ctx.database.planner.plan_for(query, table)
+    with monkeypatch.context() as patch:
+        patch.delattr(PlanKernel, "__getstate__")
+        plan.kernel().cache["bound"] = [("as", "it", "was")]
+        old = pickle.dumps(plan)
+    assert b"was" in old
+    assert pickle.loads(old).kernel().cache == {}
 
 
 def test_blob_written_while_the_database_counted_epochs_still_loads(

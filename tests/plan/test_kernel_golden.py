@@ -107,13 +107,38 @@ QUERIES = [
 ]
 
 
-def _run_script(db: Database, *, mutate) -> list[tuple[str, object]]:
+#: the string column met by present and absent literals, ``!=``, ranges,
+#: and as the second mask of a conjunction (the kernel's in-place ``&=``)
+STRING_QUERIES = [
+    ("present", Query("events", (Predicate("kind", "=", "buy"),), aggregate="count"), False),
+    # between "click" and "view": no zone map prunes it, no row has it
+    ("absent", Query("events", (Predicate("kind", "=", "refund"),), aggregate="count"), False),
+    ("not-equal", Query("events", (Predicate("kind", "!=", "view"),), projection=("id", "kind")), True),
+    ("not-absent", Query("events", (Predicate("kind", "!=", "refund"),), aggregate="count"), False),
+    ("range", Query("events", (Predicate("kind", ">=", "click"),), aggregate="count"), False),
+    ("below-all", Query("events", (Predicate("kind", "<=", "a"),), aggregate="count"), False),
+    (
+        "second-mask",
+        Query(
+            "events",
+            (Predicate("user", "<", 10), Predicate("kind", "!=", "click")),
+            aggregate="sum",
+            aggregate_column="value",
+        ),
+        False,
+    ),
+]
+
+
+def _run_script(
+    db: Database, *, mutate, queries=QUERIES
+) -> list[tuple[str, object]]:
     """One deterministic execution script; returns labelled results."""
     out: list[tuple[str, object]] = []
 
     def run_all(tag: str, probe: bool = False) -> None:
         table = db.table("events")
-        for label, query, materialize in QUERIES:
+        for label, query, materialize in queries:
             result = db.executor.execute(
                 query, table, probe=probe, materialize=materialize
             )
@@ -174,13 +199,13 @@ def _assert_identical(label: str, kernel, scalar) -> None:
             )
 
 
-def _compare_paths(mutate) -> None:
+def _compare_paths(mutate, queries=QUERIES) -> None:
     db_kernel = _build_db()
     db_scalar = _build_db()
     assert db_kernel.executor.use_kernel
     db_scalar.executor.use_kernel = False
-    kernel_results = _run_script(db_kernel, mutate=mutate)
-    scalar_results = _run_script(db_scalar, mutate=mutate)
+    kernel_results = _run_script(db_kernel, mutate=mutate, queries=queries)
+    scalar_results = _run_script(db_scalar, mutate=mutate, queries=queries)
     assert len(kernel_results) == len(scalar_results)
     for (label, kernel), (slabel, scalar) in zip(
         kernel_results, scalar_results
@@ -200,6 +225,22 @@ def test_kernel_bit_identical_per_encoding(encoding):
         db.create_index("events", ["user"])
 
     _compare_paths(mutate)
+
+
+@pytest.mark.parametrize(
+    "encoding",
+    [EncodingType.UNENCODED, EncodingType.RUN_LENGTH, EncodingType.DICTIONARY],
+    ids=lambda e: e.value,
+)
+def test_kernel_bit_identical_per_string_encoding(encoding):
+    """Kernel == scalar with the string column in every encoding it
+    supports: unencoded and run-length compare codes the kernel's bound
+    predicates derived, which no priced quantity may see."""
+
+    def mutate(db: Database) -> None:
+        db.set_encoding("events", "kind", encoding)
+
+    _compare_paths(mutate, STRING_QUERIES)
 
 
 def test_kernel_bit_identical_without_index():
@@ -244,3 +285,83 @@ def test_kernel_tier_cache_tracks_direct_mutation():
     db.table("events").chunk(0).tier = StorageTier.SSD
     report = db.execute(query).report
     assert report.work.buffer_hits + report.work.buffer_misses == 1
+
+
+def test_scan_units_are_the_scalar_left_fold():
+    """All-DRAM, dictionary-encoded predicate columns, every chunk
+    surviving with its own match count: ``scan_units`` is the scalar
+    loop's ``+=`` in chunk order, to the bit — which a compensated sum
+    (builtin ``sum`` since Python 3.12) is not."""
+    query = Query(
+        "events",
+        (Predicate("user", "=", 7), Predicate("kind", "=", "click")),
+        aggregate="count",
+    )
+    results = []
+    for use_kernel in (True, False):
+        db = _build_db()
+        db.set_encoding("events", "user", EncodingType.DICTIONARY)
+        db.set_encoding("events", "kind", EncodingType.DICTIONARY)
+        db.executor.use_kernel = use_kernel
+        results.append(db.executor.execute(query, db.table("events")))
+    kernel, scalar = results
+    _assert_identical("left-fold", kernel, scalar)
+
+    table = db.table("events")
+    plan = db.planner.plan_for(query, table)
+    expected = 0.0
+    survivors = []
+    for chunk, step in zip(table.chunks(), plan.steps, strict=True):
+        alive = np.ones(chunk.row_count, dtype=bool)
+        units = 0.0
+        for pred in step.scan_predicates:
+            if not alive.any():
+                break
+            segment = chunk.segment(pred.column)
+            units += segment.scan_units(int(alive.sum()))
+            units += segment.scan_overhead_units()
+            alive &= segment.values() == pred.value
+        survivors.append(int(alive.sum()))
+        expected += units
+    assert len(survivors) >= 3 and len(set(survivors)) > 1
+    assert kernel.report.work.scan_units == expected
+
+
+def test_one_cached_plan_priced_across_a_placement_change():
+    """Tiers are not part of a plan: the same cached plan — and the same
+    kernel scratch, priced constants included — is executed before a chunk
+    leaves DRAM, while it is cold, once it is pooled, and after it returns."""
+    db_kernel = _build_db()
+    db_scalar = _build_db()
+    db_scalar.executor.use_kernel = False
+    for db in (db_kernel, db_scalar):
+        db.create_index("events", ["user"])
+    plans: dict[str, set[int]] = {}
+
+    def run_all(tag: str) -> None:
+        for label, query, materialize in QUERIES:
+            kernel, scalar = (
+                db.executor.execute(
+                    query, db.table("events"), materialize=materialize
+                )
+                for db in (db_kernel, db_scalar)
+            )
+            _assert_identical(f"{tag}:{label}", kernel, scalar)
+            plan = db_kernel.planner.plan_for(query, db_kernel.table("events"))
+            plans.setdefault(label, set()).add(id(plan.kernel().cache))
+
+    def move(chunk_id: int, tier: StorageTier) -> None:
+        for db in (db_kernel, db_scalar):
+            db.move_chunk("events", chunk_id, tier)
+
+    run_all("dram")
+    move(0, StorageTier.SSD)  # a scanned chunk of the prune-heavy query
+    move(6, StorageTier.NVM)
+    run_all("cold")
+    run_all("warm")
+    move(0, StorageTier.DRAM)
+    run_all("one-back")
+    move(6, StorageTier.DRAM)
+    run_all("dram-again")
+    assert all(len(caches) == 1 for caches in plans.values()), plans
+    assert db_kernel.planner.cache_stats.misses == len(QUERIES)
