@@ -180,7 +180,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetConfig, FleetDriver, build_fleet
+    from repro.fleet import (
+        CheckpointError,
+        FleetConfig,
+        FleetDriver,
+        build_fleet,
+    )
     from repro.util.tables import render_table
 
     if args.resume and not args.checkpoint_dir:
@@ -195,13 +200,17 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         max_concurrent_reconfigurations=args.max_concurrent,
     )
     if args.resume:
-        fleet = FleetDriver.resume(
-            args.checkpoint_dir,
-            parallel=args.parallel,
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-        )
+        try:
+            fleet = FleetDriver.resume(
+                args.checkpoint_dir,
+                parallel=args.parallel,
+                workers=args.workers,
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every=args.checkpoint_every,
+            )
+        except CheckpointError as exc:
+            print(f"--resume: {exc}", file=sys.stderr)
+            return 2
         print(f"fleet: resumed from {args.checkpoint_dir} at bin "
               f"{fleet.next_bin} ({len(fleet.tenants)} tenants, "
               f"{fleet.n_bins} bins total)")

@@ -258,6 +258,15 @@ class Organizer:
         """The policy engine, when goal-driven planning is configured."""
         return self._policy
 
+    def __getstate__(self) -> dict[str, object]:
+        # the fleet hooks belong to whoever hosts this organizer, not to
+        # its state: a pickle leaves them behind
+        return {
+            **self.__dict__,
+            "_admission": None,
+            "_commit_listener": None,
+        }
+
     def set_admission(self, hook: AdmissionHook | None) -> None:
         """Install (or clear) the fleet arbiter's admission hook.
 

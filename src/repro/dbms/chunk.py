@@ -188,7 +188,6 @@ class Chunk:
         return state
 
     def __setstate__(self, state: dict[str, object]) -> None:
-        self._row_order = 0  # absent from pickles written before it existed
         self.__dict__.update(state)
         self._derived = {}
         self._memo = _StructureMemo(self._segments, self._indexes)

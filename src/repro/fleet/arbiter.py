@@ -43,7 +43,7 @@ fleet driver applies them here in tick order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.configuration.actions import Action
 from repro.configuration.delta import ConfigurationDelta
@@ -150,6 +150,46 @@ class TenantDigest:
     now_ms: float
 
 
+@dataclass
+class AdmissionState:
+    """What admission rulings read and change, apart from the digests.
+
+    The arbiter holds the canonical one; every :class:`ArbiterView`
+    carries a copy that a tick's recorder advances with the same two
+    methods, so a later ruling in the tick sees what the arbiter will
+    hold once the driver has applied the tick's actions.
+    """
+
+    #: tenants admitted since the bin began
+    admitted_this_bin: set[str] = field(default_factory=set)
+    #: consecutive waiting-for-a-prior denials per tenant
+    defers: dict[str, int] = field(default_factory=dict)
+    #: simulated time of each tenant's last fleet-admitted pass
+    last_admitted_ms: dict[str, float] = field(default_factory=dict)
+
+    def copy(self) -> "AdmissionState":
+        return AdmissionState(
+            set(self.admitted_this_bin),
+            dict(self.defers),
+            dict(self.last_admitted_ms),
+        )
+
+    def apply_ruling(self, ruling: "AdmissionRuling") -> None:
+        """Apply the mutations one admission ruling implies."""
+        tenant = ruling.tenant
+        if ruling.deferred:
+            self.defers[tenant] = self.defers.get(tenant, 0) + 1
+        if ruling.noted:
+            self.last_admitted_ms[tenant] = ruling.now_ms
+            self.admitted_this_bin.add(tenant)
+            self.defers.pop(tenant, None)
+
+    def note_commit(self, tenant: str) -> None:
+        """``tenant`` just tuned (full pass or applied replay): a stale
+        wait-for-prior tally must not skew the starvation bound later."""
+        self.defers.pop(tenant, None)
+
+
 @dataclass(frozen=True)
 class ArbiterView:
     """Frozen arbiter state a worker needs to rule on one admission."""
@@ -158,9 +198,8 @@ class ArbiterView:
     #: all tenants' digests, in registration order (ranking iteration
     #: order is part of the deterministic contract)
     digests: dict[str, TenantDigest]
-    admitted_this_bin: set[str]
-    defers: dict[str, int]
-    last_admitted_ms: dict[str, float]
+    #: a private copy of the arbiter's admission state
+    admission: AdmissionState
     #: tenants force-quarantined by the fleet (restore failures); they
     #: are denied tuning outright — even urgent work — and skipped as
     #: replay targets while the rest of the fleet degrades gracefully
@@ -256,9 +295,10 @@ def rule_admission(
     ``own`` must be a digest taken *at admission time* (the candidate's
     predictor has already observed the current bin); ``view.digests``
     carries the other tenants as of their last tick. The caller applies
-    the returned mutations via :meth:`FleetOrganizer.apply_ruling`.
+    the returned mutations via :meth:`AdmissionState.apply_ruling`.
     """
     config = view.config
+    state = view.admission
     tenant = own.tenant
     now = own.now_ms
     # a force-quarantined tenant runs its workload but never tunes: its
@@ -273,7 +313,7 @@ def rule_admission(
         return AdmissionRuling(
             tenant, True, "sla violation (urgent)", noted=True, now_ms=now
         )
-    last = view.last_admitted_ms.get(tenant)
+    last = state.last_admitted_ms.get(tenant)
     if (
         last is not None
         and config.tenant_cooldown_ms > 0
@@ -287,7 +327,7 @@ def rule_admission(
         1
         for name, digest in view.digests.items()
         if name != tenant and digest.guard_active
-    ) + len(view.admitted_this_bin - {tenant})
+    ) + len(state.admitted_this_bin - {tenant})
     if busy >= config.max_concurrent_reconfigurations:
         return AdmissionRuling(
             tenant,
@@ -298,7 +338,7 @@ def rule_admission(
     if config.share_priors:
         hotter = _hotter_lookalike(view, own)
         if hotter is not None:
-            deferred = view.defers.get(tenant, 0)
+            deferred = state.defers.get(tenant, 0)
             if deferred < config.max_defer_bins:
                 return AdmissionRuling(
                     tenant,
@@ -462,9 +502,7 @@ class FleetOrganizer:
         self._tenants: dict[str, TenantContext] = {}
         self._priors: list[TuningPrior] = []
         self._next_prior_id = 1
-        self._last_admitted_ms: dict[str, float] = {}
-        self._admitted_this_bin: set[str] = set()
-        self._defers: dict[str, int] = {}
+        self._admission = AdmissionState()
         #: (prior_id, tenant) pairs already attempted, applied or not
         self._attempted: set[tuple[int, str]] = set()
         self._outcomes: list[ReplayOutcome] = []
@@ -526,9 +564,7 @@ class FleetOrganizer:
         return {
             "priors": list(self._priors),
             "next_prior_id": self._next_prior_id,
-            "last_admitted_ms": dict(self._last_admitted_ms),
-            "admitted_this_bin": set(self._admitted_this_bin),
-            "defers": dict(self._defers),
+            "admission": self._admission.copy(),
             "attempted": set(self._attempted),
             "outcomes": list(self._outcomes),
             "full_passes": dict(self._full_passes),
@@ -540,9 +576,7 @@ class FleetOrganizer:
         """Reinstate a :meth:`state_snapshot` (checkpoint restore)."""
         self._priors = list(state["priors"])
         self._next_prior_id = state["next_prior_id"]
-        self._last_admitted_ms = dict(state["last_admitted_ms"])
-        self._admitted_this_bin = set(state["admitted_this_bin"])
-        self._defers = dict(state["defers"])
+        self._admission = state["admission"].copy()
         self._attempted = set(state["attempted"])
         self._outcomes = list(state["outcomes"])
         self._full_passes = dict(state["full_passes"])
@@ -565,7 +599,7 @@ class FleetOrganizer:
 
     def begin_bin(self) -> None:
         """Reset per-bin admission accounting (called at bin start)."""
-        self._admitted_this_bin.clear()
+        self._admission.admitted_this_bin.clear()
 
     def active_reconfigurations(self) -> int:
         """Tenants currently holding an active probation commit."""
@@ -588,21 +622,13 @@ class FleetOrganizer:
         return ArbiterView(
             config=self._config,
             digests=dict(digests),
-            admitted_this_bin=set(self._admitted_this_bin),
-            defers=dict(self._defers),
-            last_admitted_ms=dict(self._last_admitted_ms),
+            admission=self._admission.copy(),
             quarantined=frozenset(self._quarantined),
         )
 
     def apply_ruling(self, ruling: AdmissionRuling) -> None:
         """Apply the arbiter mutations one admission ruling implies."""
-        tenant = ruling.tenant
-        if ruling.deferred:
-            self._defers[tenant] = self._defers.get(tenant, 0) + 1
-        if ruling.noted:
-            self._last_admitted_ms[tenant] = ruling.now_ms
-            self._admitted_this_bin.add(tenant)
-            self._defers.pop(tenant, None)
+        self._admission.apply_ruling(ruling)
 
     # ------------------------------------------------------------------
     # prior harvesting (commits recorded by the tenant hosts)
@@ -617,7 +643,7 @@ class FleetOrganizer:
         """
         tenant = record.tenant
         self._full_passes[tenant] = self._full_passes.get(tenant, 0) + 1
-        self._defers.pop(tenant, None)
+        self._admission.note_commit(tenant)
         if tenant in self._quarantined:
             return  # an untrusted tenant's passes never become priors
         if not self._config.share_priors:
@@ -684,7 +710,7 @@ class FleetOrganizer:
                 if outcome.applied:
                     self._replays[tenant] = self._replays.get(tenant, 0) + 1
                     # the prior this tenant was deferring for has arrived
-                    self._defers.pop(tenant, None)
+                    self._admission.note_commit(tenant)
         return round_outcomes
 
     # ------------------------------------------------------------------

@@ -8,9 +8,9 @@ tenant (database, clock, telemetry registry, event log, predictor
 history, guard ledger, fault-injector RNG — every stateful component,
 including all random-number streams, rides inside the pickle), plus the
 small amount of parent-side state the snapshots do not carry: the
-per-tenant bin records, the driver's incremental counter rollup cache,
-the :class:`~repro.fleet.arbiter.FleetOrganizer`'s decision variables,
-and the ``next_bin`` cursor. :class:`FleetCheckpoint` bundles all of it.
+per-tenant bin records, the
+:class:`~repro.fleet.arbiter.FleetOrganizer`'s decision variables, and
+the ``next_bin`` cursor. :class:`FleetCheckpoint` bundles all of it.
 
 The same bundle serves two masters:
 
@@ -36,8 +36,17 @@ injects exactly this, see
 :meth:`~repro.faults.injector.FaultInjector.checkpoint_corruption`) is
 detected per tenant at restore, letting the fleet quarantine that one
 tenant and degrade gracefully instead of refusing the whole checkpoint.
-The split also keeps the hot path honest: blob bytes are hashed once at
-capture and written once at checkpoint, never re-pickled or re-hashed.
+The split also keeps the hot path honest: blob bytes are hashed once,
+where they are pickled, and written once at checkpoint, never
+re-pickled or re-hashed.
+
+**Compatibility.** A file is read by builds with the same
+:data:`FORMAT_VERSION` and by no other: the header is checked before
+anything else is unpickled, and another version is refused by name
+(:class:`CheckpointError`, file by file — never a tenant quarantine).
+The bundle and the blobs are pickles of live objects, so *any* change to
+what they pickle bumps the version; there are no per-field shims for
+older layouts.
 """
 
 from __future__ import annotations
@@ -56,8 +65,8 @@ if TYPE_CHECKING:
 
 #: file-format magic (refuse to unpickle arbitrary files)
 MAGIC = "repro-fleet-checkpoint"
-#: bump when the bundle layout changes incompatibly
-FORMAT_VERSION = 1
+#: bump with any change to what the bundle or a tenant blob pickles
+FORMAT_VERSION = 2
 
 _NAME_RE = re.compile(r"^fleet-ckpt-(\d{6})\.pkl$")
 
@@ -85,9 +94,6 @@ class TenantState:
     blob_sha256: str
     #: the tenant's bin records so far (parent-side copies)
     records: list = field(default_factory=list)
-    #: the driver's latest-value counter cache for this tenant (restored
-    #: verbatim so the incremental rollup keeps its exact addend order)
-    counters: dict[str, float] = field(default_factory=dict)
 
     def verify(self) -> bool:
         """True when the blob still matches its capture-time digest."""
@@ -110,12 +116,6 @@ class FleetCheckpoint:
     #: built through it), letting ``FleetDriver.resume`` reconstruct the
     #: workload layout without the caller restating it
     build_args: dict[str, object] | None = None
-    #: room for future additions without a format bump
-    extra: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def tenant_ids(self) -> tuple[str, ...]:
-        return tuple(state.tenant for state in self.tenants)
 
     def state_for(self, tenant: str) -> TenantState:
         for state in self.tenants:
@@ -142,8 +142,8 @@ def encode_checkpoint(ckpt: FleetCheckpoint) -> list[bytes]:
     capture-time SHA-256, so they go into the file as raw segments —
     re-pickling and re-hashing megabytes of snapshot bytes here would
     double the cost of every checkpoint. Only the small "meta" pickle
-    (the checkpoint with blobs stripped: records, counters, arbiter
-    state, config) gets a file-level digest.
+    (the checkpoint with blobs stripped: records, arbiter state,
+    config) gets a file-level digest.
 
     The returned segments (header pickle, meta pickle, blobs) are plain
     immutable bytes: once encoded, nothing references live fleet state,

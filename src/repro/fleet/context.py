@@ -20,7 +20,6 @@ refactor surfaced are tested in ``tests/fleet/test_isolation.py``).
 
 from __future__ import annotations
 
-import io
 import pickle
 from dataclasses import dataclass, field
 from functools import partial
@@ -53,45 +52,6 @@ if TYPE_CHECKING:
     from repro.core.simulation import ClosedLoopSimulation
     from repro.tuning.executors.base import TuningExecutor
     from repro.workload.trace import WorkloadTrace
-
-
-class _EpochStateUnpickler(pickle.Unpickler):
-    """Loads a tenant blob written while ``Database`` still counted
-    configuration epochs (checkpoint format 1 up to PR 15).
-
-    Such a blob names two things that no longer exist: the
-    ``_EpochCounter`` class, and — as the planner's pickled ``epoch_fn``,
-    a bound method, which pickles as ``getattr(database, name)`` — a
-    ``Database`` method. Both load as placeholders that
-    :func:`_load_context` then drops.
-    """
-
-    class _Retired:
-        pass
-
-    def find_class(self, module: str, name: str):
-        if (module, name) == ("repro.dbms.database", "_EpochCounter"):
-            return self._Retired
-        if (module, name) == ("builtins", "getattr"):
-            return lambda obj, attr: getattr(obj, attr, None)
-        return super().find_class(module, name)
-
-
-def _load_context(blob: bytes) -> "TenantContext":
-    """Unpickle a tenant blob of this version or of one that counted
-    epochs; what the latter cached under epoch keys is unreachable now
-    and is dropped with the counters."""
-    try:
-        return pickle.loads(blob)
-    except AttributeError:
-        context = _EpochStateUnpickler(io.BytesIO(blob)).load()
-    database = context.database
-    for name in ("_config_epoch", "_plan_epoch", "_plan_epoch_of_config"):
-        del database.__dict__[name]
-    del database.planner.__dict__["_epoch_fn"]
-    database.planner.clear_cache()
-    context.optimizer.clear_cache()
-    return context
 
 
 @dataclass
@@ -276,28 +236,28 @@ class TenantContext:
     # ------------------------------------------------------------------
     # state transfer (fleet process workers)
 
+    def __getstate__(self) -> dict[str, object]:
+        # the workload slots stay behind: the trace holds query-family
+        # sampler closures that cannot pickle, and whoever absorbs the
+        # pickle owns its own copy of the (immutable) workload and the
+        # complete records list
+        return {
+            **self.__dict__,
+            "trace": None,
+            "simulation": None,
+            "records": [],
+        }
+
     def transfer_snapshot(self) -> bytes:
         """Pickle this context for transfer out of a fleet worker.
 
-        The arbiter hooks are detached (they are bound to the host's
-        recorders) and the workload slots are nulled: the trace holds
-        query-family sampler closures that cannot pickle, and the parent
-        still owns its own copy — the workload is immutable, so nothing
-        is lost. Everything else — database, clock, telemetry, events,
-        predictor history, the guard ledger — crosses verbatim.
+        The workload slots and the organizer's fleet hooks (bound to the
+        host's recorders) are left out by the two ``__getstate__``s, so
+        nothing on the live context changes. Everything else — database,
+        clock, telemetry, events, predictor history, the guard ledger —
+        crosses verbatim.
         """
-        self.organizer.set_admission(None)
-        self.organizer.set_commit_listener(None)
-        trace, simulation, records = self.trace, self.simulation, self.records
-        self.trace = None
-        self.simulation = None
-        self.records = []
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            self.trace = trace
-            self.simulation = simulation
-            self.records = records
+        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
     def absorb_transfer(self, blob: bytes) -> None:
         """Replace this (parent) context's state with a worker snapshot.
@@ -313,7 +273,7 @@ class TenantContext:
         """
         from repro.core.simulation import ClosedLoopSimulation
 
-        incoming = _load_context(blob)
+        incoming = pickle.loads(blob)
         incoming.trace = self.trace
         incoming.simulation = ClosedLoopSimulation(
             incoming.database, self.trace, seed=self.simulation.seed

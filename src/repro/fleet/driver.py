@@ -27,11 +27,10 @@ so both are **bit-identical** — same bin records, same event streams,
 same commits (``tests/fleet/test_parallel.py`` holds this on multiple
 seeds).
 
-Fleet rollups are **incremental**: every tenant registry gets a
-:class:`~repro.telemetry.metrics.DeltaTracker`, the hosts return the
-moved counters with every reply, and they accumulate into the report as
-bins complete — :meth:`FleetDriver.report` never re-walks the
-registries.
+Counters are read where they live: :meth:`FleetDriver.report` merges
+the workers' state back and sums the tenant registries
+(:func:`~repro.telemetry.metrics.rollup_counters`); nothing about them
+travels with a tick, a replay or a snapshot.
 
 :func:`build_fleet` is the canonical constructor: it lays out tenants
 with :func:`~repro.fleet.workload.tenant_specs` (skewed volumes, shared
@@ -66,12 +65,10 @@ from repro.fleet.checkpoint import (
     CheckpointError,
     FleetCheckpoint,
     TenantState,
-    blob_digest,
     checkpoint_path,
     encode_checkpoint,
     latest_checkpoint,
     load_checkpoint,
-    write_checkpoint,
     write_encoded,
 )
 from repro.fleet.context import TenantContext
@@ -96,7 +93,7 @@ from repro.kpi.metrics import (
     FLEET_TENANT_QUARANTINES,
     WORKER_RESTARTS,
 )
-from repro.telemetry.metrics import MetricRegistry
+from repro.telemetry.metrics import MetricRegistry, rollup_counters
 from repro.util.lru import CacheStats
 
 #: Execution modes accepted by :class:`FleetDriver`.
@@ -216,13 +213,6 @@ class FleetDriver:
         # the in-process host: runs the bins in serial mode; in process
         # mode it snapshots the parent contexts while no pool is forked
         self._local = LocalHost(self._contexts, self._arbiter.config)
-        # incremental rollup: a one-time baseline walk here, then only
-        # the moved counters the hosts return — report() never re-walks
-        # the registries, it sums this latest-value cache instead
-        self._latest: dict[str, dict[str, float]] = {
-            ctx.tenant: ctx.telemetry.registry.snapshot_counters()
-            for ctx in self._contexts
-        }
         self._pool: FleetWorkerPool | None = None
         #: every tenant's digest as of its last tick or replay; empty
         #: means "reseed from the parent contexts before the next bin"
@@ -405,12 +395,9 @@ class FleetDriver:
                 else:
                     self._arbiter.apply_ruling(payload)
             self._digests[ctx.tenant] = result.digest
-            self._accumulate(ctx.tenant, result.counter_updates)
             ctx.records.append(result.record)
             records[ctx.tenant] = result.record
-        self._arbiter.replay_round(
-            HostReplayTransport(host, self._digests, self._accumulate)
-        )
+        self._arbiter.replay_round(HostReplayTransport(host, self._digests))
         return records
 
     def _maybe_chaos_kill(self, index: int, pool) -> None:
@@ -520,8 +507,7 @@ class FleetDriver:
                     return
                 continue  # pragma: no cover - stale restore point
             try:
-                for tenant, moved, blob in collected:
-                    self._accumulate(tenant, moved)
+                for tenant, _sha256, blob in collected:
                     self.tenant(tenant).absorb_transfer(blob)
                 self._local.arm()
             finally:
@@ -540,25 +526,17 @@ class FleetDriver:
         continues bit-identically to one that never checkpointed.
         """
         host = self._pool if self._pool is not None else self._local
-        blob_map: dict[str, bytes] = {}
-        for tenant, moved, blob in host.snapshot():
-            self._accumulate(tenant, moved)
-            blob_map[tenant] = blob
-        tenants = [
-            TenantState(
-                tenant=ctx.tenant,
-                blob=blob_map[ctx.tenant],
-                blob_sha256=blob_digest(blob_map[ctx.tenant]),
-                records=list(ctx.records),
-                counters=dict(self._latest[ctx.tenant]),
+        states = {
+            tenant: TenantState(
+                tenant, blob, sha256, records=list(self.tenant(tenant).records)
             )
-            for ctx in self._contexts
-        ]
+            for tenant, sha256, blob in host.snapshot()
+        }
         return FleetCheckpoint(
             next_bin=self._next_bin,
             config=self._arbiter.config,
             arbiter=self._arbiter.state_snapshot(),
-            tenants=tenants,
+            tenants=[states[ctx.tenant] for ctx in self._contexts],
             build_args=(
                 dict(self._build_args)
                 if self._build_args is not None
@@ -569,31 +547,16 @@ class FleetDriver:
     def checkpoint(self, directory: Path | str | None = None) -> Path:
         """Write a durable checkpoint of the current bin boundary.
 
-        Uses ``directory`` (or the driver's ``checkpoint_dir``). When a
-        chaos injector with ``checkpoint_corruption_rate`` is attached,
-        the *written copy* of one scheduled tenant blob is damaged — the
-        in-memory restore point and the live run stay pristine; only a
-        later restore from disk sees (and detects) the corruption.
+        Uses ``directory`` (or the driver's ``checkpoint_dir``) and
+        returns once the file is on disk. When a chaos injector with
+        ``checkpoint_corruption_rate`` is attached, the *written copy*
+        of one scheduled tenant blob is damaged — the in-memory restore
+        point and the live run stay pristine; only a later restore from
+        disk sees (and detects) the corruption.
         """
-        target = Path(directory) if directory is not None else self._checkpoint_dir
-        if target is None:
-            raise CheckpointError(
-                "no checkpoint directory (pass one, or construct the "
-                "fleet with checkpoint_dir=...)"
-            )
+        path = self._checkpoint_periodic(directory)
         self._ckpt_join()
-        written = self._prepare_checkpoint()
-        path = write_checkpoint(written, target)
-        self._ckpt_bytes.inc(path.stat().st_size)
-        self._note_checkpoint_written(written.next_bin, path)
         return path
-
-    def _note_checkpoint_written(self, epoch: int, path: Path) -> None:
-        """Count one checkpoint and log it in the fleet's own event list."""
-        self._ckpt_writes.inc()
-        self._fleet_events.append(
-            {"kind": "checkpoint", "epoch": epoch, "path": str(path)}
-        )
 
     def _prepare_checkpoint(self) -> FleetCheckpoint:
         """Capture (or reuse) the bundle and apply scheduled chaos damage."""
@@ -632,7 +595,9 @@ class FleetDriver:
                 return replace(ckpt, tenants=tenants)
         return ckpt
 
-    def _checkpoint_periodic(self) -> None:
+    def _checkpoint_periodic(
+        self, directory: Path | str | None = None
+    ) -> Path:
         """Write-behind durable checkpoint at a bin boundary.
 
         The bundle is captured (or reused from the crash restore point)
@@ -643,17 +608,24 @@ class FleetDriver:
         write is joined first (epochs land in order), and a failed
         background write surfaces as :class:`CheckpointError` at the
         next join point (the next checkpoint, a restore, or the final
-        report) rather than being dropped.
+        report) rather than being dropped. :meth:`checkpoint` is this
+        followed by the join.
         """
-        target = self._checkpoint_dir
+        target = Path(directory) if directory is not None else self._checkpoint_dir
+        if target is None:
+            raise CheckpointError(
+                "no checkpoint directory (pass one, or construct the "
+                "fleet with checkpoint_dir=...)"
+            )
         self._ckpt_join()
         written = self._prepare_checkpoint()
         segments = encode_checkpoint(written)
-        path = checkpoint_path(target, written.next_bin)
+        epoch = written.next_bin
+        path = checkpoint_path(target, epoch)
 
         def _write() -> None:
             try:
-                write_encoded(segments, target, written.next_bin)
+                write_encoded(segments, target, epoch)
                 self._ckpt_bytes.inc(path.stat().st_size)
             except BaseException as exc:  # surfaced at the next join
                 self._ckpt_error = exc
@@ -662,7 +634,11 @@ class FleetDriver:
             target=_write, name="fleet-ckpt-writer", daemon=True
         )
         self._ckpt_thread.start()
-        self._note_checkpoint_written(written.next_bin, path)
+        self._ckpt_writes.inc()
+        self._fleet_events.append(
+            {"kind": "checkpoint", "epoch": epoch, "path": str(path)}
+        )
+        return path
 
     def _ckpt_join(self) -> None:
         """Wait out the in-flight background checkpoint write, if any."""
@@ -674,27 +650,21 @@ class FleetDriver:
         error, self._ckpt_error = self._ckpt_error, None
         if error is not None:
             raise CheckpointError(
-                f"background checkpoint write failed: {error}"
+                f"checkpoint write failed: {error}"
             ) from error
 
-    def restore(
-        self,
-        source: FleetCheckpoint | Path | str,
-        *,
-        max_restore_attempts: int = 2,
-    ) -> None:
+    def restore(self, source: FleetCheckpoint | Path | str) -> None:
         """Adopt the state of a checkpoint (object, file, or directory).
 
         A directory picks its newest loadable checkpoint (file-level
         corruption falls back to older epochs). Per-tenant blobs are
         verified here: a tenant whose blob fails its checksum — or fails
-        to unpickle ``max_restore_attempts`` times — is force-
-        quarantined (RECOVERY event, arbiter exclusion) while the rest
-        of the fleet restores normally.
+        to unpickle — is force-quarantined (RECOVERY event, arbiter
+        exclusion) while the rest of the fleet restores normally.
         """
         self._ckpt_join()  # never read epochs under an in-flight write
         ckpt = _load_source(source)
-        self._restore_in_place(ckpt, max_restore_attempts)
+        self._restore_in_place(ckpt)
         self._restore_point = ckpt
         self._ckpt_restores.inc()
         self._fleet_events.append(
@@ -729,11 +699,9 @@ class FleetDriver:
             raise RuntimeError(
                 "worker crashed before any restore point was captured"
             ) from crash
-        self._restore_in_place(self._restore_point, max_restore_attempts=1)
+        self._restore_in_place(self._restore_point)
 
-    def _restore_in_place(
-        self, ckpt: FleetCheckpoint, max_restore_attempts: int
-    ) -> None:
+    def _restore_in_place(self, ckpt: FleetCheckpoint) -> None:
         """Reset the fleet to ``ckpt``'s bin boundary, tenant by tenant.
 
         Any live workers are abandoned without a drain: what they hold
@@ -751,24 +719,21 @@ class FleetDriver:
                     f"checkpoint has no state for tenant {ctx.tenant!r} "
                     "(was it taken from a different fleet layout?)"
                 ) from None
-            failure = None
-            for _ in range(max(1, max_restore_attempts)):
-                if not state.verify():
-                    self._ckpt_corruptions.inc()
-                    failure = "snapshot blob failed its checksum"
-                    break  # damaged bytes: retrying cannot help
+            # one attempt: the bytes and the unpickling are what they
+            # are, and a failed absorb has swapped nothing in
+            if not state.verify():
+                self._ckpt_corruptions.inc()
+                self._quarantine_tenant(
+                    ctx, "snapshot blob failed its checksum"
+                )
+            else:
                 try:
                     ctx.absorb_transfer(state.blob)
-                    failure = None
-                    break
                 except Exception as exc:
-                    failure = f"snapshot failed to apply: {exc}"
-            if failure is not None:
-                self._quarantine_tenant(ctx, failure)
+                    self._quarantine_tenant(
+                        ctx, f"snapshot failed to apply: {exc}"
+                    )
             ctx.records[:] = list(state.records)
-            # verbatim, not rebuilt: the cache's insertion order is part
-            # of the rollup's float-sum identity
-            self._latest[ctx.tenant] = dict(state.counters)
         self._local.arm()  # absorbed contexts carry fresh organizers
         self._next_bin = ckpt.next_bin
         self._digests = {}
@@ -839,26 +804,6 @@ class FleetDriver:
         return fleet
 
     # ------------------------------------------------------------------
-    # incremental rollup plumbing
-
-    def _accumulate(self, tenant: str, moved: dict[str, float]) -> None:
-        """Overlay one drain (current values of moved counters)."""
-        self._latest[tenant].update(moved)
-
-    def _rollup_counters(self) -> dict[str, float]:
-        """Sum the latest-value cache — bit-equal to a registry walk.
-
-        Per-tenant addends and their order match ``rollup_counters``
-        over the live registries exactly, so the incremental path has
-        no float drift relative to the full walk.
-        """
-        totals: dict[str, float] = {}
-        for ctx in self._contexts:
-            for name, value in self._latest[ctx.tenant].items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
-
-    # ------------------------------------------------------------------
     # reporting
 
     def report(self, final_window_bins: int = 4) -> FleetReport:
@@ -876,10 +821,6 @@ class FleetDriver:
             )
         self._ckpt_join()  # the run is only "done" once durably written
         self.sync_workers()
-        # anything that moved outside a host reply (pool merged back,
-        # a caller driving a tenant by hand between bins)
-        for tenant, moved in self._local.drain():
-            self._accumulate(tenant, moved)
         window = min(final_window_bins, self._next_bin)
         summaries: list[TenantSummary] = []
         for ctx in self._contexts:
@@ -911,10 +852,9 @@ class FleetDriver:
             summaries=summaries,
             whatif=CacheStats.aggregate(s.whatif for s in summaries),
             plan=CacheStats.aggregate(s.plan for s in summaries),
-            # the incremental rollup (baseline + per-bin drains); the
-            # equivalence with a full registry walk is held by
-            # tests/fleet/test_stats.py
-            counters=self._rollup_counters(),
+            counters=rollup_counters(
+                {ctx.tenant: ctx.telemetry.registry for ctx in self._contexts}
+            ),
             fleet_counters=self._fleet_registry.snapshot_counters(),
             arbitration=self._arbiter.summary(),
             replay_outcomes=self._arbiter.outcomes,

@@ -25,9 +25,7 @@ host side of that one loop:
   driver to apply to the canonical arbiter.
 - Each tick reply carries a fresh
   :class:`~repro.fleet.arbiter.TenantDigest` (the driver's digest cache
-  is how later admissions and replay gates see this tenant) plus the
-  current values of its moved counters for the incremental fleet
-  rollup.
+  is how later admissions and replay gates see this tenant).
 - Replay validation (:func:`~repro.fleet.arbiter.attempt_replay`) runs
   on the host that owns the tenant; the cheap digest-only gates run
   driver-side against the cache (:class:`HostReplayTransport`).
@@ -59,6 +57,7 @@ from repro.fleet.arbiter import (
     compute_digest,
     rule_admission,
 )
+from repro.fleet.checkpoint import blob_digest
 from repro.fleet.context import TenantContext
 
 #: Tag for a recorded admission ruling in a tick's action stream.
@@ -94,7 +93,6 @@ class WorkerCrashed(RuntimeError):
 class TickResult:
     """Everything the parent needs from one tenant's tick."""
 
-    tenant: str
     record: BinRecord
     #: the tenant's digest *after* this tick (refreshes the cache)
     digest: TenantDigest
@@ -103,9 +101,6 @@ class TickResult:
     actions: list[tuple[str, AdmissionRuling | HarvestRecord]] = field(
         default_factory=list
     )
-    #: current values of the counters that moved since the worker's
-    #: last drain (overlays the parent's incremental-rollup cache)
-    counter_updates: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,7 +111,6 @@ class ReplayResult:
     #: the target's digest after the attempt (an applied replay changes
     #: its guard state and last-tuning stamp)
     digest: TenantDigest
-    counter_updates: dict[str, float] = field(default_factory=dict)
 
 
 class TickRecorder:
@@ -124,10 +118,9 @@ class TickRecorder:
 
     Rules on admissions with :func:`rule_admission` over the view the
     driver shipped and records every ruling and harvest in call order.
-    Mid-tick arbiter mutations (a guard-escalation commit clears the
-    tenant's defer count *before* the admission check in the same tick)
-    are mirrored onto the local view copy so a later ruling in the same
-    tick sees them.
+    Each also advances the view's own admission state, so a later
+    ruling in the same tick sees it (a guard-escalation commit clears
+    the tenant's defer count *before* the admission check of its tick).
     """
 
     def __init__(self, ctx: TenantContext, config: FleetConfig) -> None:
@@ -146,14 +139,7 @@ class TickRecorder:
             view, compute_digest(self._ctx, self._config), decision.trigger
         )
         self.actions.append((RULING, ruling))
-        # mirror apply_ruling on the local copy (view's dicts/sets are
-        # private copies; the frozen dataclass shell never changes)
-        if ruling.deferred:
-            view.defers[ruling.tenant] = view.defers.get(ruling.tenant, 0) + 1
-        if ruling.noted:
-            view.last_admitted_ms[ruling.tenant] = ruling.now_ms
-            view.admitted_this_bin.add(ruling.tenant)
-            view.defers.pop(ruling.tenant, None)
+        view.admission.apply_ruling(ruling)
         return ruling.admitted, ruling.reason
 
     # the organizer's CommitListener signature
@@ -162,16 +148,14 @@ class TickRecorder:
             self._ctx, report, self._config.mix_window_bins
         )
         self.actions.append((HARVEST, record))
-        # mirror ingest_harvest's only admission-visible effect
-        self._view.defers.pop(self._ctx.tenant, None)
+        self._view.admission.note_commit(self._ctx.tenant)
 
 
 class LocalHost:
     """Owns tenant contexts and answers the fleet's per-bin protocol.
 
-    Every tick and replay reply carries the tenant's post-call digest
-    and the current values of its moved counters, so the driver never
-    reads a hosted context between bin boundaries.
+    Every tick and replay reply carries the tenant's post-call digest,
+    so the driver never reads a hosted context between bin boundaries.
     """
 
     def __init__(
@@ -183,18 +167,15 @@ class LocalHost:
         self._recorders = {
             ctx.tenant: TickRecorder(ctx, config) for ctx in self._contexts
         }
-        self._trackers: dict = {}
         self._pending: dict[str, PendingBin] = {}
         self.arm()
 
     def arm(self) -> None:
-        """(Re)install the recorder hooks and re-acquire the trackers.
+        """(Re)install the recorder hooks.
 
-        Needed at start and whenever a context's organizer or registry
-        was swapped or detached under the host: ``transfer_snapshot``
-        detaches the hooks for pickling, ``absorb_transfer`` replaces
-        both objects. A registry hands back its one tracker, so the
-        drain baseline survives the round trip.
+        Needed at start and whenever ``absorb_transfer`` swapped a
+        context's organizer under the host: a pickle leaves the hooks
+        behind, so the absorbed organizer arrives with none.
         """
         for ctx in self._contexts:
             recorder = self._recorders[ctx.tenant]
@@ -202,9 +183,6 @@ class LocalHost:
                 recorder.admission if self._config.arbitrate else None
             )
             ctx.organizer.set_commit_listener(recorder.commit)
-            self._trackers[ctx.tenant] = (
-                ctx.telemetry.registry.delta_tracker()
-            )
 
     def execute_all(self, bin_index: int) -> None:
         """Run every hosted tenant's execute phase for ``bin_index``."""
@@ -223,11 +201,9 @@ class LocalHost:
         # has already applied
         actions, recorder.actions = recorder.actions, []
         return TickResult(
-            tenant=tenant,
             record=record,
             digest=compute_digest(ctx, self._config),
             actions=actions,
-            counter_updates=self._trackers[tenant].drain(),
         )
 
     def replay(self, tenant: str, prior: TuningPrior) -> ReplayResult:
@@ -235,30 +211,18 @@ class LocalHost:
         ctx = self._by_tenant[tenant]
         outcome = attempt_replay(ctx, prior, self._config)
         return ReplayResult(
-            outcome=outcome,
-            digest=compute_digest(ctx, self._config),
-            counter_updates=self._trackers[tenant].drain(),
+            outcome=outcome, digest=compute_digest(ctx, self._config)
         )
 
-    def drain(self) -> list[tuple[str, dict[str, float]]]:
-        """Per tenant, the current values of the counters that moved."""
-        return [
-            (ctx.tenant, self._trackers[ctx.tenant].drain())
-            for ctx in self._contexts
-        ]
+    def snapshot(self) -> list[tuple[str, str, bytes]]:
+        """Pickle every tenant: (tenant, SHA-256 of the pickle, pickle).
 
-    def snapshot(self) -> list[tuple[str, dict[str, float], bytes]]:
-        """Drain and pickle every tenant: (tenant, moved, pickle).
-
-        The host keeps running afterwards, so the hooks the pickling
-        detached are re-armed — or every later tick here would run
-        un-arbitrated.
+        Nothing on a live context changes, so the host keeps running.
         """
-        blobs = [
-            (tenant, moved, self._by_tenant[tenant].transfer_snapshot())
-            for tenant, moved in self.drain()
-        ]
-        self.arm()
+        blobs = []
+        for ctx in self._contexts:
+            blob = ctx.transfer_snapshot()
+            blobs.append((ctx.tenant, blob_digest(blob), blob))
         return blobs
 
 
@@ -449,26 +413,26 @@ class FleetWorkerPool:
         self._send(worker, ("replay", tenant, prior))
         return self._recv(worker)
 
-    def sync(self) -> list[tuple[str, dict[str, float], bytes]]:
-        """Drain and snapshot every tenant: (tenant, moved, pickle).
+    def sync(self) -> list[tuple[str, str, bytes]]:
+        """Snapshot every tenant: (tenant, SHA-256 of the pickle, pickle).
 
         The last call before :meth:`stop`: the parent absorbs the
         pickles and the workers' state ends with them.
         """
         for worker in range(len(self._conns)):
             self._send(worker, ("snapshot",))
-        collected: list[tuple[str, dict[str, float], bytes]] = []
+        collected: list[tuple[str, str, bytes]] = []
         for worker in range(len(self._conns)):
             collected.extend(self._recv(worker))
         return collected
 
-    def snapshot(self) -> list[tuple[str, dict[str, float], bytes]]:
+    def snapshot(self) -> list[tuple[str, str, bytes]]:
         """:meth:`sync` mid-run: the workers keep running.
 
-        The workers re-arm their recorder hooks after pickling, so the
-        pool stays usable for the next bin — this is how the driver
-        refreshes its crash restore point (and writes periodic durable
-        checkpoints) without tearing the pool down every interval.
+        A snapshot changes nothing on a worker, so the pool stays usable
+        for the next bin — this is how the driver refreshes its crash
+        restore point (and writes periodic durable checkpoints) without
+        tearing the pool down every interval.
         """
         return self.sync()
 
@@ -566,12 +530,9 @@ class HostReplayTransport:
     earlier in the round is visible to every later cap check and gate.
     """
 
-    def __init__(self, host, digests, on_updates) -> None:
+    def __init__(self, host, digests) -> None:
         self._host = host
         self._digests = digests
-        #: callback(tenant, moved-counter values) into the driver's
-        #: incremental rollup cache
-        self._on_updates = on_updates
 
     def active_reconfigurations(self) -> int:
         return sum(1 for d in self._digests.values() if d.guard_active)
@@ -582,5 +543,4 @@ class HostReplayTransport:
     def attempt(self, prior: TuningPrior, tenant: str) -> ReplayOutcome | None:
         result = self._host.replay(tenant, prior)
         self._digests[tenant] = result.digest
-        self._on_updates(tenant, result.counter_updates)
         return result.outcome

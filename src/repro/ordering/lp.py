@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from repro.errors import OrderingError
 from repro.ordering.dependence import DependenceMatrix, ordering_objective
@@ -87,6 +86,10 @@ class LPOrderOptimizer:
         self._tighten = tighten
 
     def optimize(self, matrix: DependenceMatrix) -> OrderingSolution:
+        # imported where the LP is solved: scipy.optimize is most of the
+        # package's import time and a run that never tunes never needs it
+        from scipy.optimize import LinearConstraint, milp
+
         features = matrix.features
         n = len(features)
         if n < 2:

@@ -77,11 +77,6 @@ class PlanKernel:
         # carry every segment and index the plan ever bound
         return {**self.__dict__, "cache": {}}
 
-    def __setstate__(self, state: dict[str, object]) -> None:
-        # a pickle written before the scratch stayed behind holds one
-        # whose entries have another shape
-        self.__dict__.update(state, cache={})
-
     @property
     def all_pruned(self) -> bool:
         return not self.live

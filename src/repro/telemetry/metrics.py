@@ -26,14 +26,11 @@ def tenant_metric(tenant: str, name: str) -> str:
 class Counter:
     """A monotonically increasing named value."""
 
-    __slots__ = ("name", "_value", "_dirty")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str, value: float = 0.0) -> None:
         self.name = name
         self._value = float(value)
-        # when the registry has a DeltaTracker, this aliases its dirty
-        # set so drains only visit counters that actually moved
-        self._dirty: set[str] | None = None
 
     @property
     def value(self) -> float:
@@ -44,15 +41,7 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         self._value += amount
-        if self._dirty is not None:
-            self._dirty.add(self.name)
         return self._value
-
-    def __getstate__(self):
-        return (self.name, self._value, self._dirty)
-
-    def __setstate__(self, state):
-        self.name, self._value, self._dirty = state
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, value={self._value})"
@@ -112,51 +101,12 @@ class MetricInterval:
         self._baseline = self._registry.snapshot_counters()
 
 
-class DeltaTracker:
-    """Incremental counter-change tracking, O(counters touched) per drain.
-
-    A full :meth:`MetricRegistry.snapshot_counters` walks every counter;
-    fleet rollups doing that per tenant per bin is the cost this class
-    removes. Opening a tracker aliases a shared dirty set into every
-    counter of the registry (present and future): ``inc`` marks the
-    counter dirty, and :meth:`drain` visits only dirty counters,
-    returning the **current value** of each one that actually moved
-    since the previous drain. Overlaying drains onto a one-time
-    baseline snapshot therefore reproduces the full walk *exactly* —
-    absolute values carry no float-summation drift, so the incremental
-    fleet rollup is bit-equal to :func:`rollup_counters` no matter how
-    the run was sliced into drains (``tests/fleet/test_stats.py``).
-    """
-
-    def __init__(self, registry: "MetricRegistry") -> None:
-        self._registry = registry
-        self._dirty: set[str] = set()
-        #: value each counter had when it was last drained (or at open)
-        self._last: dict[str, float] = registry.snapshot_counters()
-
-    def drain(self) -> dict[str, float]:
-        """Current values of the counters that moved since the last drain."""
-        moved: dict[str, float] = {}
-        counters = self._registry._counters
-        for name in sorted(self._dirty):
-            counter = counters.get(name)
-            if counter is None:
-                continue
-            current = counter.value
-            if current != self._last.get(name, 0.0):
-                moved[name] = current
-                self._last[name] = current
-        self._dirty.clear()
-        return moved
-
-
 class MetricRegistry:
     """Get-or-create registry of named counters and gauges."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._tracker: DeltaTracker | None = None
 
     # ------------------------------------------------------------------
     # registration
@@ -168,8 +118,6 @@ class MetricRegistry:
             if name in self._gauges:
                 raise ValueError(f"{name!r} is already a gauge")
             metric = Counter(name)
-            if self._tracker is not None:
-                metric._dirty = self._tracker._dirty
             self._counters[name] = metric
         return metric
 
@@ -208,11 +156,6 @@ class MetricRegistry:
         self._counters.pop(metric.name, None)
         self._gauges.pop(metric.name, None)
         table[metric.name] = metric
-        if self._tracker is not None and isinstance(metric, Counter):
-            metric._dirty = self._tracker._dirty
-            # an adopted counter may arrive with history; let the next
-            # drain reconcile it against the tracker baseline
-            metric._dirty.add(metric.name)
         return metric
 
     def adopt_all(
@@ -266,19 +209,6 @@ class MetricRegistry:
     def interval(self) -> MetricInterval:
         """Open an interval baselined at the current counter values."""
         return MetricInterval(self)
-
-    def delta_tracker(self) -> DeltaTracker:
-        """The registry's dirty-set delta tracker, opened on first use.
-
-        One tracker per registry: repeated calls return the same object,
-        so a component that re-acquires it after (un)pickling keeps the
-        accumulated drain state.
-        """
-        if self._tracker is None:
-            self._tracker = DeltaTracker(self)
-            for counter in self._counters.values():
-                counter._dirty = self._tracker._dirty
-        return self._tracker
 
 
 def rollup_counters(

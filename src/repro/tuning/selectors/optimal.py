@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from repro.errors import SelectionError
 from repro.tuning.assessment import Assessment
@@ -43,6 +42,9 @@ class OptimalSelector(Selector):
     ) -> list[Assessment]:
         if not assessments:
             return []
+        # imported where the program is solved (see ordering/lp.py)
+        from scipy.optimize import LinearConstraint, milp
+
         score = score_fn or default_score_fn(
             probabilities, reconfiguration_weight
         )

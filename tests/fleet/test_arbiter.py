@@ -3,6 +3,8 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.triggers import TriggerDecision
 from repro.fleet.arbiter import (
@@ -11,6 +13,7 @@ from repro.fleet.arbiter import (
     compute_digest,
     rule_admission,
 )
+from repro.fleet.parallel import HARVEST, TickRecorder
 
 
 def _decision(trigger="periodic"):
@@ -181,10 +184,10 @@ def test_sla_admission_clears_pending_defers():
     arbiter.register(cold)
     assert not _admit(arbiter, cold, _decision())[0]
     assert not _admit(arbiter, cold, _decision())[0]
-    assert arbiter._defers["t1"] == 2
+    assert arbiter._admission.defers["t1"] == 2
     # an SLA breach admits unconditionally — and resets the tally
     assert _admit(arbiter, cold, _decision("sla_violation"))[0]
-    assert "t1" not in arbiter._defers
+    assert "t1" not in arbiter._admission.defers
 
 
 def test_harvested_commit_clears_pending_defers():
@@ -198,7 +201,7 @@ def test_harvested_commit_clears_pending_defers():
     arbiter.register(hot)
     arbiter.register(cold)
     assert not _admit(arbiter, cold, _decision())[0]
-    assert arbiter._defers["t1"] == 1
+    assert arbiter._admission.defers["t1"] == 1
     arbiter.ingest_harvest(
         HarvestRecord(
             tenant="t1",
@@ -209,7 +212,7 @@ def test_harvested_commit_clears_pending_defers():
             created_at_ms=0.0,
         )
     )
-    assert "t1" not in arbiter._defers
+    assert "t1" not in arbiter._admission.defers
     assert arbiter.full_passes("t1") == 1
     # actions were empty, so no prior was harvested from it
     assert arbiter.priors == ()
@@ -230,7 +233,7 @@ def test_applied_replay_clears_pending_defers():
     arbiter.register(hot)
     arbiter.register(cold)
     assert not _admit(arbiter, cold, _decision())[0]
-    assert arbiter._defers["t1"] == 1
+    assert arbiter._admission.defers["t1"] == 1
     arbiter._priors.append(
         TuningPrior(
             prior_id=1,
@@ -269,4 +272,65 @@ def test_applied_replay_clears_pending_defers():
     outcomes = arbiter.replay_round(_AppliedTransport())
     assert [o.applied for o in outcomes] == [True]
     assert arbiter.replays("t1") == 1
-    assert "t1" not in arbiter._defers
+    assert "t1" not in arbiter._admission.defers
+
+
+# ----------------------------------------------------------------------
+# the recorder's view of a tick is the arbiter's (differential)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ticks=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),  # the tenant ticking
+            st.booleans(),  # a new fleet bin begins first
+            st.lists(
+                st.sampled_from(["periodic", "sla_violation", "commit"]),
+                max_size=4,
+            ),
+        ),
+        max_size=12,
+    )
+)
+def test_recorder_view_after_a_tick_is_the_arbiters(ticks):
+    """Within a tick the recorder rules from its own copy of the
+    admission state; once the driver has applied the tick's recorded
+    actions the arbiter must hold exactly what that copy ended as, or a
+    second ruling in one tick saw a state that never existed."""
+    config = FleetConfig(
+        max_defer_bins=2,
+        tenant_cooldown_ms=10_000.0,
+        max_concurrent_reconfigurations=2,
+    )
+    arbiter = FleetOrganizer(config)
+    contexts = [
+        _fake_context(f"t{i}", hotness=100.0 / (i + 1)) for i in range(3)
+    ]
+    for ctx in contexts:
+        arbiter.register(ctx)
+    arbiter.quarantine_tenant("t2")  # its commits never become priors
+    committed = SimpleNamespace(
+        tuning=SimpleNamespace(runs=[]), tuned_features=("index",)
+    )
+    for index, new_bin, steps in ticks:
+        ctx = contexts[index]
+        ctx.database.clock.now_ms += 4_000.0
+        if new_bin:
+            arbiter.begin_bin()
+        digests = {c.tenant: compute_digest(c, config) for c in contexts}
+        view = arbiter.view(digests=digests)
+        recorder = TickRecorder(ctx, config)
+        recorder.arm(view)
+        for step in steps:
+            if step == "commit":
+                recorder.commit(None, committed)
+            else:
+                recorder.admission(None, _decision(step))
+        assert len(recorder.actions) == len(steps)
+        for kind, payload in recorder.actions:  # as FleetDriver._bin_attempt
+            if kind == HARVEST:
+                arbiter.ingest_harvest(payload)
+            else:
+                arbiter.apply_ruling(payload)
+        assert arbiter.view(digests=digests) == view

@@ -26,12 +26,17 @@ from repro.fleet import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.fleet.checkpoint import blob_digest, checkpoint_path
+from repro.fleet.checkpoint import (
+    FORMAT_VERSION,
+    blob_digest,
+    checkpoint_path,
+)
 from repro.kpi.metrics import (
     CHECKPOINT_CORRUPTIONS_DETECTED,
     FLEET_TENANT_QUARANTINES,
 )
 from tests.fleet.test_parallel import _fingerprint
+from tests.fleet.test_stats import _registry_walk
 
 BINS = 8
 HALF = 4
@@ -163,6 +168,41 @@ def test_latest_checkpoint_falls_back_past_corrupt_epoch(tmp_path):
         latest_checkpoint(tmp_path)
 
 
+def _rewrite_format_version(path, version):
+    """Rewrite the header of a checkpoint file to claim ``version``."""
+    with open(path, "rb") as handle:
+        header = pickle.load(handle)
+        body = handle.read()
+    header["version"] = version
+    path.write_bytes(
+        pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL) + body
+    )
+
+
+def test_checkpoint_of_another_format_version_is_refused(tmp_path):
+    """A build reads its own FORMAT_VERSION only: another one is a clean
+    per-file error that names both, never a tenant quarantine."""
+    assert FORMAT_VERSION == 2
+    fleet = _build(1, checkpoint_dir=tmp_path, checkpoint_every=2)
+    fleet.run(4)  # epochs 2 and 4 on disk
+    _rewrite_format_version(checkpoint_path(tmp_path, 4), 1)
+    with pytest.raises(
+        CheckpointError, match="format version 1; this build reads version 2"
+    ):
+        load_checkpoint(checkpoint_path(tmp_path, 4))
+    ckpt, path = latest_checkpoint(tmp_path)
+    assert (ckpt.next_bin, path) == (2, checkpoint_path(tmp_path, 2))
+
+    _rewrite_format_version(checkpoint_path(tmp_path, 2), 3)
+    with pytest.raises(CheckpointError, match="version 1.*version 3"):
+        FleetDriver.resume(tmp_path)
+    with pytest.raises(CheckpointError, match="every checkpoint failed"):
+        fleet.restore(tmp_path)
+    assert fleet.arbiter.quarantined == frozenset()
+    assert fleet.fleet_counters[FLEET_TENANT_QUARANTINES] == 0.0
+    assert fleet.next_bin == 4  # refused before anything was rolled back
+
+
 def test_write_is_atomic_no_temp_residue(tmp_path):
     fleet = _build(1)
     fleet.run(1)
@@ -208,6 +248,12 @@ def test_corrupt_tenant_blob_is_quarantined_others_restore(tmp_path):
     for ctx in resumed.tenants:
         if ctx.tenant != victim:
             assert list(ctx.records) == reference[ctx.tenant]
+    # the victim runs on the fresh stack resume() built, and the report
+    # counts that stack's work, not the checkpoint's record of a stack
+    # that could not be loaded
+    assert resumed.tenant(victim).telemetry.registry.read("exec_queries") == 0
+    assert sum(r.queries_executed for r in resumed.tenant(victim).records) > 0
+    assert resumed.report().counters == _registry_walk(resumed)
     resumed.run()
     assert resumed.next_bin == BINS
     # a quarantined tenant never gets admissions, harvests, or replays

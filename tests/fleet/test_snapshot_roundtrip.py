@@ -15,11 +15,13 @@ counterexample shrinks to a reportable seed.
 
 import pickle
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dbms.storage_tiers import StorageTier
 from repro.fleet import build_fleet
+from tests.fleet.test_parallel import _fingerprint
 
 BINS = 3
 ROWS = 1_200
@@ -44,9 +46,8 @@ def test_snapshot_absorb_snapshot_is_a_fixed_point(seed):
 
     def round_trip():
         blob = ctx.transfer_snapshot()
-        host.arm()  # snapshot detaches the recorder hooks
         ctx.absorb_transfer(blob)
-        host.arm()  # the absorbed organizer and registry are new objects
+        host.arm()  # the absorbed organizer is a new object, without hooks
         return blob
 
     round_trip()  # first absorb canonicalises the pickle layout
@@ -66,9 +67,8 @@ def test_absorbed_context_continues_bit_identically(seed):
     pickled = _built(seed)
     for ctx in pickled.tenants:
         ctx.absorb_transfer(ctx.transfer_snapshot())
-    # the host re-arms what the round trip detached and swapped: the
-    # recorder hooks (else the remaining bins run un-arbitrated) and
-    # the registries' trackers
+    # the host re-arms the organizers the round trip swapped in, or the
+    # remaining bins run un-arbitrated
     pickled._local.arm()
 
     control.run()
@@ -142,63 +142,27 @@ def test_absorbed_context_hits_its_plans_and_reports_bit_identically():
     assert planner.registry.counter("plan_compiles").value == compiles
 
 
-def test_kernel_scratch_in_an_older_pickle_is_dropped_on_load(monkeypatch):
-    """Checkpoints written before the scratch stayed behind carry one per
-    plan, its bound predicates in a shape ``run_plan`` no longer reads."""
-    from repro.plan.kernel import PlanKernel
+def test_failed_snapshot_leaves_the_fleet_arbitrated(tmp_path):
+    """A snapshot reads the live contexts and writes nothing on them, so
+    one tenant that cannot pickle costs the caller that checkpoint only:
+    every tenant keeps its admission hook and its commit listener, and
+    the run goes on as if the checkpoint had never been asked for."""
 
-    ctx = _built(1).tenants[0]
-    query, table = _cached_queries(ctx)[0]
-    plan = ctx.database.planner.plan_for(query, table)
-    with monkeypatch.context() as patch:
-        patch.delattr(PlanKernel, "__getstate__")
-        plan.kernel().cache["bound"] = [("as", "it", "was")]
-        old = pickle.dumps(plan)
-    assert b"was" in old
-    assert pickle.loads(old).kernel().cache == {}
+    def build():
+        fleet = build_fleet(2, seed=5, bins=6, rows=3_000)
+        fleet.run(2)
+        return fleet
 
-
-def test_blob_written_while_the_database_counted_epochs_still_loads(
-    monkeypatch,
-):
-    """A checkpoint of format 1 as PRs up to 15 wrote it names a class
-    (``_EpochCounter``) and a ``Database`` method (the planner's pickled
-    ``epoch_fn``) that are gone; it must load, not quarantine the tenant."""
-    import repro.dbms.database as database_module
-    from repro.dbms.database import Database
-
-    class _EpochCounter:
-        __slots__ = ("value",)
-
-        def __init__(self):
-            self.value = 3
-
-    _EpochCounter.__module__ = database_module.__name__
-    _EpochCounter.__qualname__ = "_EpochCounter"
-
-    def _read_plan_epoch(self):
-        return 0
-
-    control = _built(1)
-    old = _built(1)
-    ctx = old.tenants[0]
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            database_module, "_EpochCounter", _EpochCounter, raising=False
-        )
-        patch.setattr(
-            Database, "_read_plan_epoch", _read_plan_epoch, raising=False
-        )
-        db = ctx.database
-        db._config_epoch = db._plan_epoch = _EpochCounter()
-        db._plan_epoch_of_config = {0: 0}
-        db.planner._epoch_fn = db._read_plan_epoch
-        blob = ctx.transfer_snapshot()
-
-    ctx.absorb_transfer(blob)
-    old._local.arm()
-    assert not hasattr(ctx.database, "_config_epoch")
-    assert not hasattr(ctx.database.planner, "_epoch_fn")
-    control.run()
-    old.run()
-    assert list(ctx.records) == list(control.tenants[0].records)
+    control, fleet = build(), build()
+    unpicklable = lambda: None  # noqa: E731
+    fleet.tenants[1].features.append(unpicklable)
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        fleet.checkpoint(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    for ctx in fleet.tenants:
+        assert ctx.organizer._admission is not None
+        assert ctx.organizer._commit_listener is not None
+    fleet.tenants[1].features.remove(unpicklable)
+    assert _fingerprint(fleet, fleet.run()) == _fingerprint(
+        control, control.run()
+    )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fleet import build_fleet
+from repro.fleet import FleetDriver, build_fleet
 from repro.telemetry.metrics import (
     MetricRegistry,
     rollup_counters,
@@ -98,42 +98,66 @@ def test_labelled_metrics_namespace_every_tenant():
     assert not any(name.startswith("::") for name in merged)
 
 
+def _fleet(**kwargs):
+    return build_fleet(2, seed=5, bins=BINS, rows=ROWS, **kwargs)
+
+
+def _registry_walk(fleet):
+    """The oracle. Read after ``report()``: merging a worker pool back
+    swaps the registries."""
+    return rollup_counters(
+        {ctx.tenant: ctx.telemetry.registry for ctx in fleet.tenants}
+    )
+
+
 def test_incremental_rollup_matches_full_registry_walk():
-    """report().counters accumulates per-bin deltas; the result must be
-    exactly what a full walk of every tenant registry would produce."""
-    fleet = build_fleet(2, seed=5, bins=BINS, rows=ROWS)
-    report = fleet.run()
-    registries = {
-        ctx.tenant: ctx.telemetry.registry for ctx in fleet.tenants
-    }
-    assert report.counters == rollup_counters(registries)
+    fleet = _fleet()
+    assert fleet.run().counters == _registry_walk(fleet)
 
 
 def test_incremental_rollup_stays_exact_across_partial_reports():
-    fleet = build_fleet(2, seed=5, bins=BINS, rows=ROWS)
-    fleet.run(stop=2)
-    partial = fleet.report()
-    registries = {
-        ctx.tenant: ctx.telemetry.registry for ctx in fleet.tenants
-    }
-    assert partial.counters == rollup_counters(registries)
-    final = fleet.run()  # resumes; the accumulator keeps counting
-    assert final.counters == rollup_counters(registries)
+    fleet = _fleet()
+    partial = fleet.run(stop=2).counters
+    assert partial == _registry_walk(fleet)
+    final = fleet.run().counters  # resumes at bin 2
+    assert final == _registry_walk(fleet)
+    assert final["exec_queries"] > partial["exec_queries"]
 
 
-@pytest.mark.parametrize("parallel", ["serial", "process"])
-def test_report_walks_no_tenant_registry(monkeypatch, parallel):
-    """The rollup is assembled from per-bin drains as bins complete:
-    ``report()`` reads only the fleet's own infrastructure registry."""
-    fleet = build_fleet(2, seed=5, bins=BINS, rows=ROWS, parallel=parallel)
-    for index in range(BINS):
-        fleet.run_bin(index)
-    walked = []
-    original = MetricRegistry.snapshot_counters
-    monkeypatch.setattr(
-        MetricRegistry,
-        "snapshot_counters",
-        lambda self: walked.append(self) or original(self),
-    )
-    fleet.report()
-    assert all(registry is fleet._fleet_registry for registry in walked)
+def _process(tmp_path):
+    fleet = _fleet(parallel="process", workers=2)
+    fleet.run()
+    return fleet
+
+
+def _resumed(tmp_path):
+    first = _fleet()
+    first.run(stop=2)
+    first.checkpoint(tmp_path)
+    fleet = FleetDriver.resume(tmp_path)
+    fleet.run()
+    return fleet
+
+
+def _pass_driven_by_hand_between_bins(tmp_path):
+    fleet = _fleet()
+    before = fleet.run(stop=BINS - 1).counters
+    # moves counters outside any bin: no tick or replay reply carries it
+    assert fleet.tenants[0].organizer.run_tuning() is not None
+    after = fleet.report().counters
+    assert after["guard_commits"] == before["guard_commits"] + 1
+    return fleet
+
+
+@pytest.mark.parametrize(
+    "situation", [_process, _resumed, _pass_driven_by_hand_between_bins]
+)
+def test_report_counters_equal_the_registry_walk(tmp_path, situation):
+    """Wherever the tenants ran and whatever moved their counters,
+    ``report()`` sums the registries the driver holds — with the serial
+    and partial-run cases above, the five situations in which a second
+    copy of the counters could disagree with the first."""
+    fleet = situation(tmp_path)
+    counters = fleet.report().counters
+    assert counters == _registry_walk(fleet)
+    assert counters["exec_queries"] > 0

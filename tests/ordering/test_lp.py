@@ -134,7 +134,7 @@ class _FakeResult:
 def test_lp_raises_when_solver_has_no_incumbent(monkeypatch):
     matrix = make_matrix(2, seed=0)
     monkeypatch.setattr(
-        "repro.ordering.lp.milp",
+        "scipy.optimize.milp",
         lambda *a, **k: _FakeResult(x=None, status=2, message="infeasible"),
     )
     with pytest.raises(OrderingError, match="infeasible"):
@@ -145,7 +145,7 @@ def test_lp_raises_on_unusable_solver_status(monkeypatch):
     matrix = make_matrix(2, seed=0)
     n_vars = 2 * 2 + 2  # x variables + y variables for |S| = 2
     monkeypatch.setattr(
-        "repro.ordering.lp.milp",
+        "scipy.optimize.milp",
         lambda *a, **k: _FakeResult(
             x=np.zeros(n_vars), status=4, message="numerical trouble"
         ),
@@ -158,7 +158,7 @@ def test_lp_rejects_fractional_incumbent(monkeypatch):
     matrix = make_matrix(2, seed=0)
     n_vars = 2 * 2 + 2
     monkeypatch.setattr(
-        "repro.ordering.lp.milp",
+        "scipy.optimize.milp",
         lambda *a, **k: _FakeResult(
             x=np.full(n_vars, 0.5), status=1, message="time limit"
         ),

@@ -99,58 +99,22 @@ def test_snapshots_and_contains():
     assert registry.snapshot() == {"a": 2.0, "b": 3.0}
 
 
-def test_delta_tracker_drains_only_movement():
-    registry = MetricRegistry()
-    a = registry.counter("a")
-    b = registry.counter("b")
-    a.inc(3)
-    tracker = registry.delta_tracker()
-    assert tracker.drain() == {}  # baseline is the values at open
-    a.inc(2)
-    # drains report the *current value* of each moved counter
-    assert tracker.drain() == {"a": 5.0}
-    assert tracker.drain() == {}  # drained means drained
-    b.inc()
-    a.inc()
-    assert tracker.drain() == {"a": 6.0, "b": 1.0}
-
-
-def test_delta_tracker_sees_counters_created_after_open():
-    registry = MetricRegistry()
-    tracker = registry.delta_tracker()
-    late = registry.counter("late")
-    late.inc(4)
-    assert tracker.drain() == {"late": 4.0}
-
-
-def test_delta_tracker_sees_adopted_counters():
-    registry = MetricRegistry()
-    tracker = registry.delta_tracker()
-    other = MetricRegistry()
-    shared = other.counter("shared")
-    shared.inc(2)
-    registry.adopt(shared)
-    # adoption marks the counter dirty so its history reconciles
-    assert tracker.drain() == {"shared": 2.0}
-    shared.inc()
-    assert tracker.drain() == {"shared": 3.0}
-
-
-def test_delta_tracker_is_one_per_registry():
-    registry = MetricRegistry()
-    assert registry.delta_tracker() is registry.delta_tracker()
-
-
-def test_delta_tracker_survives_pickling():
+def test_counter_and_registry_pickle_without_help():
+    """A counter is two slots and a registry two dicts: the default
+    pickle carries them, shared objects staying shared."""
     import pickle
 
+    hooks = {"__getstate__", "__setstate__", "__reduce__"}
+    assert not hooks & vars(Counter).keys()
+    counter = pickle.loads(pickle.dumps(Counter("c", 5.0)))
+    assert (counter.name, counter.value) == ("c", 5.0)
+    assert counter.inc(2) == 7.0
+
     registry = MetricRegistry()
-    counter = registry.counter("c")
-    tracker = registry.delta_tracker()
-    counter.inc(5)
-    assert tracker.drain() == {"c": 5.0}
-    clone = pickle.loads(pickle.dumps(registry))
-    clone_tracker = clone.delta_tracker()
-    assert clone_tracker.drain() == {}  # baseline crossed the pickle
-    clone.counter("c").inc(2)
-    assert clone_tracker.drain() == {"c": 7.0}
+    held = registry.counter("a")
+    held.inc(3)
+    registry.gauge("g").set(4.0)
+    clone_held, clone = pickle.loads(pickle.dumps((held, registry)))
+    assert clone.snapshot() == {"a": 3.0, "g": 4.0}
+    clone_held.inc()  # a component's direct reference is still the entry
+    assert clone.read("a") == 4.0 and registry.read("a") == 3.0

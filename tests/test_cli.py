@@ -1,7 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.__main__ import build_parser, main
 
 
@@ -64,6 +70,44 @@ def test_fleet_command_small(capsys):
     assert "t0" in out and "t1" in out
     assert "fleet rollup:" in out
     assert "what-if cache (all tenants):" in out
+
+
+def test_fleet_resume_failures_exit_2_with_one_line(capsys, tmp_path):
+    """An unusable --checkpoint-dir is an option error, not a traceback:
+    nothing to resume from, and a checkpoint of another format version."""
+    from tests.fleet.test_checkpoint import _rewrite_format_version
+
+    resume = ["fleet", "--resume", "--checkpoint-dir", str(tmp_path)]
+    assert main(resume) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no checkpoints under" in err
+
+    fleet = ["fleet", "--tenants", "2", "--rows", "2000", "--bins", "2"]
+    checkpointed = ["--checkpoint-dir", str(tmp_path), "--checkpoint-every", "2"]
+    assert main(fleet + checkpointed) == 0
+    (written,) = tmp_path.iterdir()
+    _rewrite_format_version(written, 1)
+    capsys.readouterr()
+    assert main(resume) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert "format version 1; this build reads version 2" in captured.err
+
+
+def test_importing_the_package_does_not_import_scipy():
+    """scipy.optimize is most of the import time and ~40 MiB of RSS; only
+    the ordering LP and the optimal selector need it, when they solve."""
+    src = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro, repro.fleet, sys; sys.exit('scipy' in sys.modules)",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0
 
 
 def test_order_command_small(capsys):
