@@ -8,8 +8,10 @@ less accuracy" (Section III-A).
 
 The same workload history (both suites merged → 15 templates) is forecast
 with per-template models and with templates clustered to 6/3 units; the
-table reports analyze() wall time, forecast error against the realized next
-bins, and the number of series actually fitted.
+table reports the number of series actually fitted (models the analyzer
+asked its factory for, per analyze() call — the work clustering saves),
+forecast error against the realized next bins, and analyze() wall time as
+one host timing, shown for orientation and asserted on by nothing.
 """
 
 from __future__ import annotations
@@ -87,9 +89,16 @@ def test_a3_clustering_tradeoff(benchmark):
 
     rows = []
     errors = {}
-    times = {}
+    fitted = {}
     for name, config in configurations.items():
-        analyzer = WorkloadAnalyzer(_model_factory, config)
+        fits = 0
+
+        def counting_factory():
+            nonlocal fits
+            fits += 1
+            return _model_factory()
+
+        analyzer = WorkloadAnalyzer(counting_factory, config)
         started = time.perf_counter()
         for _ in range(5):  # amortise timer noise
             forecast = analyzer.analyze(
@@ -102,15 +111,10 @@ def test_a3_clustering_tradeoff(benchmark):
             np.array([actual_totals[k] for k in keys]),
             np.array([predicted.get(k, 0.0) for k in keys]),
         )
-        units = (
-            min(config.max_clusters, len(history))
-            if config.cluster_above is not None
-            else len(history)
-        )
         errors[name] = error
-        times[name] = wall
+        fitted[name] = fits // 5
         rows.append(
-            [name, units, f"{wall * 1000:.2f}", round(error, 4)]
+            [name, fitted[name], f"{wall * 1000:.2f}", round(error, 4)]
         )
     save_table(
         "a3_clustering",
@@ -120,8 +124,10 @@ def test_a3_clustering_tradeoff(benchmark):
         f"horizon {HORIZON} bins",
     )
 
-    # clustering reduces analysis time and costs (some) accuracy
-    assert times["clustered to 3"] < times["per-template (no clustering)"]
+    # clustering reduces the analysis work and costs (some) accuracy
+    assert fitted["per-template (no clustering)"] == len(history)
+    assert fitted["clustered to 6"] == 6
+    assert fitted["clustered to 3"] == 3
     assert (
         errors["per-template (no clustering)"]
         <= errors["clustered to 3"] + 0.05

@@ -29,9 +29,24 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro import __version__
+
+
+@contextlib.contextmanager
+def _rejecting_bad_input(command: str):
+    """A value the parser could not judge alone (an unknown family, a
+    missing file, an unusable checkpoint directory) is an option error —
+    one stderr line and exit status 2 — not a traceback."""
+    from repro.fleet.checkpoint import CheckpointError
+
+    try:
+        yield
+    except (ValueError, OSError, CheckpointError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -122,7 +137,8 @@ def _bootstrap(
         seed=args.seed,
     )
     if mutate_trace is not None:
-        trace = mutate_trace(suite, trace)
+        with _rejecting_bad_input(args.command):
+            trace = mutate_trace(suite, trace)
     driver = Driver(
         _build_features(args),
         constraints=ConstraintSet(
@@ -180,12 +196,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import (
-        CheckpointError,
-        FleetConfig,
-        FleetDriver,
-        build_fleet,
-    )
+    from repro.fleet import FleetConfig, FleetDriver, build_fleet
     from repro.util.tables import render_table
 
     if args.resume and not args.checkpoint_dir:
@@ -199,8 +210,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         arbitrate=not args.no_arbitrate,
         max_concurrent_reconfigurations=args.max_concurrent,
     )
-    if args.resume:
-        try:
+    with _rejecting_bad_input(args.command):
+        if args.resume:
             fleet = FleetDriver.resume(
                 args.checkpoint_dir,
                 parallel=args.parallel,
@@ -208,33 +219,32 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_every=args.checkpoint_every,
             )
-        except CheckpointError as exc:
-            print(f"--resume: {exc}", file=sys.stderr)
-            return 2
-        print(f"fleet: resumed from {args.checkpoint_dir} at bin "
-              f"{fleet.next_bin} ({len(fleet.tenants)} tenants, "
-              f"{fleet.n_bins} bins total)")
-    else:
-        fleet = build_fleet(
-            args.tenants,
-            skew=args.skew,
-            seed=args.seed,
-            bins=args.bins,
-            rows=args.rows,
-            suite=args.suite,
-            config=config,
-            tune_every_bins=args.tune_every_bins,
-            index_budget_mib=args.index_budget_mib,
-            parallel=args.parallel,
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-        )
-        mode = "" if args.parallel == "serial" else f", {args.parallel} mode"
-        print(f"fleet: {args.tenants} tenants over the {args.suite} "
-              f"workload, skew {args.skew}, {args.bins} bins, "
-              f"seed {args.seed}{mode}")
-    report = fleet.run()
+            print(f"fleet: resumed from {args.checkpoint_dir} at bin "
+                  f"{fleet.next_bin} ({len(fleet.tenants)} tenants, "
+                  f"{fleet.n_bins} bins total)")
+        else:
+            fleet = build_fleet(
+                args.tenants,
+                skew=args.skew,
+                seed=args.seed,
+                bins=args.bins,
+                rows=args.rows,
+                suite=args.suite,
+                config=config,
+                tune_every_bins=args.tune_every_bins,
+                index_budget_mib=args.index_budget_mib,
+                parallel=args.parallel,
+                workers=args.workers,
+                checkpoint_dir=args.checkpoint_dir,
+                checkpoint_every=args.checkpoint_every,
+            )
+            mode = (
+                "" if args.parallel == "serial" else f", {args.parallel} mode"
+            )
+            print(f"fleet: {args.tenants} tenants over the {args.suite} "
+                  f"workload, skew {args.skew}, {args.bins} bins, "
+                  f"seed {args.seed}{mode}")
+        report = fleet.run()
 
     print()
     print(render_table(
@@ -517,7 +527,8 @@ def _policy_config(args: argparse.Namespace):
     from repro.util.units import MIB
 
     if args.objectives:
-        return PolicyConfig.from_yaml_file(args.objectives)
+        with _rejecting_bad_input(args.command):
+            return PolicyConfig.from_yaml_file(args.objectives)
     specs = []
     if args.p99_ms is not None:
         specs.append(ObjectiveSpec(kind="latency", bound=args.p99_ms))

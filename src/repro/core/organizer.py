@@ -699,8 +699,8 @@ class Organizer:
             measured_benefit_ms=measured,
         )
         record_id = self._store.append(record)
-        # also store one record per feature so per-feature feedback
-        # learning (LearnedFeedbackAssessor) has training pairs
+        # also store one record per feature, so feedback() can return
+        # predicted-vs-measured pairs feature by feature
         for r in ok_runs:
             self._store.append(
                 ConfigurationRecord(

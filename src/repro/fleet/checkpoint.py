@@ -20,10 +20,12 @@ The same bundle serves two masters:
   checkpoint), and :meth:`~repro.fleet.driver.FleetDriver.resume`
   rebuilds a driver whose continuation is bit-identical to a run that
   was never interrupted;
-- **worker supervision** — the parallel driver keeps the latest bundle
-  in memory as its crash restore point: when a worker process dies, the
-  fleet rolls back to the last bin boundary and deterministically
-  re-executes the interrupted bin (see ``docs/robustness.md``).
+- **worker supervision** — the parallel driver keeps the newest bundle
+  it has taken anyway (before forking its workers, or for a durable
+  checkpoint since) in memory as its crash restore point: when a worker
+  process dies, the fleet rolls back to that bin boundary and
+  deterministically re-executes the bins since (see
+  ``docs/robustness.md``).
 
 Integrity is checked at two grains, and the on-disk layout mirrors
 them: a small SHA-256-protected "meta" pickle (the bundle with blobs
@@ -143,12 +145,8 @@ def encode_checkpoint(ckpt: FleetCheckpoint) -> list[bytes]:
     re-pickling and re-hashing megabytes of snapshot bytes here would
     double the cost of every checkpoint. Only the small "meta" pickle
     (the checkpoint with blobs stripped: records, arbiter state,
-    config) gets a file-level digest.
-
-    The returned segments (header pickle, meta pickle, blobs) are plain
-    immutable bytes: once encoded, nothing references live fleet state,
-    so they are safe to hand to a background writer thread while the
-    run continues (see the driver's write-behind periodic checkpoints).
+    config) gets a file-level digest. Returns the header pickle, the
+    meta pickle, then the blobs.
     """
     blobs = [state.blob for state in ckpt.tenants]
     stripped = replace(
@@ -169,26 +167,22 @@ def encode_checkpoint(ckpt: FleetCheckpoint) -> list[bytes]:
     return [header, meta, *blobs]
 
 
-def write_encoded(
-    segments: list[bytes], directory: Path | str, next_bin: int
-) -> Path:
-    """Atomically persist pre-encoded checkpoint segments.
+def write_checkpoint(ckpt: FleetCheckpoint, directory: Path | str) -> Path:
+    """Atomically persist ``ckpt`` under ``directory``.
 
     Write-to-temp in the same directory, fsync, then ``os.replace`` —
     readers only ever see a complete file, and a crash mid-write leaves
-    prior checkpoints untouched. Returns the final path. The heavy
-    syscalls (``write``, ``fsync``) release the GIL, so calling this
-    from a writer thread overlaps the disk work with the run.
+    prior checkpoints untouched. Returns the final path.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    final = checkpoint_path(directory, next_bin)
+    final = checkpoint_path(directory, ckpt.next_bin)
     fd, tmp_name = tempfile.mkstemp(
         prefix=final.name + ".", suffix=".tmp", dir=directory
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            for segment in segments:
+            for segment in encode_checkpoint(ckpt):
                 handle.write(segment)
             handle.flush()
             os.fsync(handle.fileno())
@@ -200,13 +194,6 @@ def write_encoded(
             pass
         raise
     return final
-
-
-def write_checkpoint(ckpt: FleetCheckpoint, directory: Path | str) -> Path:
-    """Atomically persist ``ckpt`` under ``directory`` (encode + write)."""
-    return write_encoded(
-        encode_checkpoint(ckpt), directory, ckpt.next_bin
-    )
 
 
 def load_checkpoint(path: Path | str) -> FleetCheckpoint:

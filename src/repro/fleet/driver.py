@@ -40,7 +40,6 @@ with a :class:`~repro.fleet.arbiter.FleetOrganizer`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -65,11 +64,9 @@ from repro.fleet.checkpoint import (
     CheckpointError,
     FleetCheckpoint,
     TenantState,
-    checkpoint_path,
-    encode_checkpoint,
     latest_checkpoint,
     load_checkpoint,
-    write_encoded,
+    write_checkpoint,
 )
 from repro.fleet.context import TenantContext
 from repro.fleet.parallel import (
@@ -247,11 +244,10 @@ class FleetDriver:
         #: on — re-execution after a crash must not re-deliver the kill
         #: (the per-bin derived stream would name the same victim forever)
         self._chaos_decided: set[int] = set()
-        #: the last bin-boundary state, for crash rollback (process mode)
+        #: the newest bin boundary the run holds a bundle of while a pool
+        #: is live — the pre-fork capture, or a durable checkpoint taken
+        #: since; a worker crash rolls back to it (see :meth:`_supervised`)
         self._restore_point: FleetCheckpoint | None = None
-        # write-behind periodic checkpoints: one in-flight writer thread
-        self._ckpt_thread: threading.Thread | None = None
-        self._ckpt_error: BaseException | None = None
         #: build_fleet kwargs when constructed through it (rides inside
         #: durable checkpoints so resume() can rebuild the layout)
         self._build_args: dict[str, object] | None = None
@@ -300,13 +296,6 @@ class FleetDriver:
     # ------------------------------------------------------------------
     # the fleet loop
 
-    def _bin_order(self, index: int) -> list[TenantContext]:
-        """Hot-first: descending scheduled volume, stable by tenant id."""
-        return sorted(
-            self._contexts,
-            key=lambda ctx: (-ctx.trace.bins[index].total, ctx.tenant),
-        )
-
     def run_bin(self, index: int) -> dict[str, BinRecord]:
         """Advance every tenant one bin, then run one replay round.
 
@@ -323,12 +312,7 @@ class FleetDriver:
             raise ValueError(
                 f"bin {index} is out of range (fleet has {self._n_bins})"
             )
-        if self._mode == "process":
-            records = self._run_bin_supervised(index)
-        else:
-            self._arbiter.begin_bin()
-            records = self._bin_attempt(index, self._host())
-            self._next_bin = index + 1
+        records = self._supervised(self._bin_attempt)
         if (
             self._checkpoint_dir is not None
             and self._checkpoint_every > 0
@@ -337,45 +321,52 @@ class FleetDriver:
             self._checkpoint_periodic()
         return records
 
-    def _run_bin_supervised(self, index: int) -> dict[str, BinRecord]:
-        """Run bin ``index`` on the worker pool, surviving worker death.
+    def _supervised(self, step):
+        """Run ``step`` at the current bin boundary, surviving worker death.
 
-        Crash recovery is transactional at bin granularity: every bin
-        attempt starts from a restore point captured at the previous bin
-        boundary, so when a worker dies (or hangs) mid-bin the whole
-        fleet rolls back to that boundary, a fresh pool is forked from
-        the restored parent contexts, and the interrupted bin (plus any
-        bins completed after the restore point, when the snapshot RPC
-        itself was what crashed) re-executes deterministically — the
-        golden tests hold that a SIGKILL'd worker leaves bin records,
-        events, and final configurations bit-identical to an undisturbed
-        run. Each completed bin ends by refreshing the restore point
-        from a live worker snapshot, so a crash only ever rolls back the
-        bin in flight.
+        A crash is recovered by deterministic re-execution from the
+        newest boundary the run already has: roll back to the restore
+        point (the pre-fork capture, or the last durable checkpoint
+        written since), re-run the bins between it and the boundary the
+        caller stood at on a freshly forked pool, and try ``step``
+        again. Everything that talks to workers goes through here — the
+        next bin, the merge back, a checkpoint's capture — so the re-run
+        window is ``checkpoint_every`` bins, or the bins since the fork
+        without checkpoints, and nothing is snapshotted for recovery's
+        sake alone. The golden tests hold that a SIGKILL'd worker leaves
+        bin records, events, and final configurations bit-identical to
+        an undisturbed run. In serial mode this is one call of ``step``:
+        a :class:`LocalHost` never raises :class:`WorkerCrashed`.
         """
+        boundary = self._next_bin
         recoveries = 0
         while True:
             try:
-                pool = self._host()
-                # normally just ``index``; after a rollback to an older
-                # restore point, every bin since it
-                for current in range(self._next_bin, index + 1):
-                    # recovery rolled the arbiter back to the boundary,
-                    # so each re-run bin re-begins
-                    self._arbiter.begin_bin()
-                    self._maybe_chaos_kill(current, pool)
-                    records = self._bin_attempt(current, pool)
-                    self._next_bin = current + 1
-                    self._restore_point = self._capture_checkpoint()
-                return records
+                while self._next_bin < boundary:
+                    self._bin_attempt()
+                return step()
             except WorkerCrashed as crash:
                 recoveries += 1
                 if recoveries > self._max_crash_recoveries:
                     raise
-                self._recover_from_crash(crash)
+                # there always is a restore point: only a pool raises
+                # WorkerCrashed, and _host() captures before it forks
+                ckpt = self._restore_point
+                self._worker_restarts.inc()
+                self._fleet_events.append(
+                    {
+                        "kind": "worker_crash_recovery",
+                        "worker": crash.worker,
+                        "tenants": crash.tenants,
+                        "reason": crash.reason,
+                        "resume_bin": ckpt.next_bin,
+                    }
+                )
+                self._restore_in_place(ckpt)
 
-    def _bin_attempt(self, index: int, host) -> dict[str, BinRecord]:
-        """One attempt at one bin: execute all, then the tick barrier.
+    def _bin_attempt(self) -> dict[str, BinRecord]:
+        """One attempt at the next unrun bin: execute all, then the tick
+        barrier.
 
         The canonical arbiter stays here: each tick ships a frozen view
         to the tenant's host, and the rulings/harvests the tick recorded
@@ -383,9 +374,20 @@ class FleetDriver:
         so the arbiter state evolves the same wherever the tenants live.
         The bin ends with one replay round over the digest cache.
         """
+        index = self._next_bin
+        host = self._host()
+        # a recovery rolls the arbiter back to its boundary as well, so
+        # a re-run bin begins like a first run
+        self._arbiter.begin_bin()
+        self._maybe_chaos_kill(index)
         host.execute_all(index)
+        # hot-first: descending scheduled volume, stable by tenant id
+        order = sorted(
+            self._contexts,
+            key=lambda ctx: (-ctx.trace.bins[index].total, ctx.tenant),
+        )
         records: dict[str, BinRecord] = {}
-        for ctx in self._bin_order(index):
+        for ctx in order:
             result = host.tick(
                 ctx.tenant, self._arbiter.view(digests=self._digests)
             )
@@ -398,17 +400,20 @@ class FleetDriver:
             ctx.records.append(result.record)
             records[ctx.tenant] = result.record
         self._arbiter.replay_round(HostReplayTransport(host, self._digests))
+        self._next_bin = index + 1
         return records
 
-    def _maybe_chaos_kill(self, index: int, pool) -> None:
+    def _maybe_chaos_kill(self, index: int) -> None:
         """Deliver the chaos schedule's worker kill for this bin, once.
 
         The schedule is a pure function of ``(seed, bin)``, so asking
         again during re-execution names the same victim; the decided-set
         makes the kill fire exactly once per bin or recovery would loop
-        forever on the same crash.
+        forever on the same crash. Without a pool (serial mode) there is
+        nobody to kill and the schedule is not consulted.
         """
-        if self._chaos is None or index in self._chaos_decided:
+        pool = self._pool
+        if self._chaos is None or pool is None or index in self._chaos_decided:
             return
         self._chaos_decided.add(index)
         victim = self._chaos.worker_crash(index, pool.n_workers)
@@ -451,8 +456,8 @@ class FleetDriver:
         Serial mode: the in-process host. Process mode: the worker pool,
         forked on demand — the crash restore point is captured *before*
         forking, when the parent contexts are exact copies of what the
-        workers start from, so a crash in the very first bin of the
-        pool's life can roll back too. The digest cache is empty exactly
+        workers start from, so a crash at any bin of the pool's life has
+        a boundary to roll back to. The digest cache is empty exactly
         when the parent contexts are current (start, restore, pool
         merged back), so that is when it is reseeded from them.
         """
@@ -483,36 +488,28 @@ class FleetDriver:
         — clocks, events, guard ledgers, caches — and the pool is gone;
         the next process-mode bin forks a fresh one from the merged
         state. Called automatically by :meth:`report` and
-        :meth:`labelled_metrics`. A worker that dies during the final
-        sync is recovered like a mid-bin crash: roll back to the restore
-        point (the last bin boundary — no bins are lost, sync happens at
-        boundaries) and merge from the restored contexts instead.
+        :meth:`labelled_metrics`. A worker that dies during the merge is
+        recovered like a mid-bin crash (:meth:`_supervised`): the bins
+        since the restore point re-run on a fresh pool, and the merge
+        runs again.
         """
-        recoveries = 0
-        while self._pool is not None:
-            pool, self._pool = self._pool, None
-            try:
-                collected = pool.sync()
-            except WorkerCrashed as crash:
-                recoveries += 1
-                if recoveries > self._max_crash_recoveries:
-                    raise
-                self._pool = pool  # _recover_from_crash abandons it
-                self._recover_from_crash(crash)
-                # restore rolled everything back to the bin boundary the
-                # sync ran at; the contexts already carry that state, so
-                # there is nothing left to merge
-                if self._next_bin == self._restore_point.next_bin:
-                    self._digests = {}
-                    return
-                continue  # pragma: no cover - stale restore point
-            try:
-                for tenant, _sha256, blob in collected:
-                    self.tenant(tenant).absorb_transfer(blob)
-                self._local.arm()
-            finally:
-                pool.stop()
-            self._digests = {}
+        self._supervised(self._merge_workers)
+
+    def _merge_workers(self) -> None:
+        pool = self._pool
+        if pool is None:
+            # nothing forked — or a recovery landed on this very
+            # boundary, and the restored contexts are the merged state
+            return
+        collected = pool.snapshot()
+        self._pool = None
+        try:
+            for tenant, _sha256, blob in collected:
+                self.tenant(tenant).absorb_transfer(blob)
+            self._local.arm()
+        finally:
+            pool.stop()
+        self._digests = {}
 
     # ------------------------------------------------------------------
     # fault tolerance: capture, durable checkpoints, restore, recovery
@@ -537,11 +534,7 @@ class FleetDriver:
             config=self._arbiter.config,
             arbiter=self._arbiter.state_snapshot(),
             tenants=[states[ctx.tenant] for ctx in self._contexts],
-            build_args=(
-                dict(self._build_args)
-                if self._build_args is not None
-                else None
-            ),
+            build_args=self._build_args,
         )
 
     def checkpoint(self, directory: Path | str | None = None) -> Path:
@@ -554,24 +547,15 @@ class FleetDriver:
         point and the live run stay pristine; only a later restore from
         disk sees (and detects) the corruption.
         """
-        path = self._checkpoint_periodic(directory)
-        self._ckpt_join()
-        return path
+        return self._checkpoint_periodic(directory)
 
     def _prepare_checkpoint(self) -> FleetCheckpoint:
-        """Capture (or reuse) the bundle and apply scheduled chaos damage."""
-        if (
-            self._pool is not None
-            and self._restore_point is not None
-            and self._restore_point.next_bin == self._next_bin
-        ):
-            # the restore point was just refreshed at this exact
-            # boundary: reuse it instead of a second worker snapshot —
-            # in a supervised fleet the capture is a sunk supervision
-            # cost, so a durable checkpoint only pays for the write
-            ckpt = self._restore_point
-        else:
-            ckpt = self._capture_checkpoint()
+        """Capture the bundle and apply scheduled chaos damage."""
+        ckpt = self._capture_checkpoint()
+        if self._pool is not None:
+            # a newer boundary than the fork's, already paid for: a
+            # crash from here on re-runs the bins since this checkpoint
+            self._restore_point = ckpt
         if self._chaos is not None:
             victim = self._chaos.checkpoint_corruption(
                 ckpt.next_bin, len(ckpt.tenants)
@@ -598,18 +582,14 @@ class FleetDriver:
     def _checkpoint_periodic(
         self, directory: Path | str | None = None
     ) -> Path:
-        """Write-behind durable checkpoint at a bin boundary.
+        """Durable checkpoint at a bin boundary, written where it is taken.
 
-        The bundle is captured (or reused from the crash restore point)
-        and encoded to immutable byte segments synchronously; the disk
-        work — ``write``, ``fsync``, atomic rename — runs on a single
-        in-flight writer thread whose syscalls release the GIL, so the
-        run only pays for serialization, not for the disk. The previous
-        write is joined first (epochs land in order), and a failed
-        background write surfaces as :class:`CheckpointError` at the
-        next join point (the next checkpoint, a restore, or the final
-        report) rather than being dropped. :meth:`checkpoint` is this
-        followed by the join.
+        Capture (supervised: it is a worker RPC while a pool is live),
+        encode, write, fsync and atomic rename all happen before this
+        returns — the bundle of a four-tenant fleet is a few megabytes
+        and lands in milliseconds, a handful of times a run — so a
+        failed write raises :class:`CheckpointError` here, at the call,
+        with the run itself intact at the boundary it stood at.
         """
         target = Path(directory) if directory is not None else self._checkpoint_dir
         if target is None:
@@ -617,41 +597,21 @@ class FleetDriver:
                 "no checkpoint directory (pass one, or construct the "
                 "fleet with checkpoint_dir=...)"
             )
-        self._ckpt_join()
-        written = self._prepare_checkpoint()
-        segments = encode_checkpoint(written)
-        epoch = written.next_bin
-        path = checkpoint_path(target, epoch)
-
-        def _write() -> None:
-            try:
-                write_encoded(segments, target, epoch)
-                self._ckpt_bytes.inc(path.stat().st_size)
-            except BaseException as exc:  # surfaced at the next join
-                self._ckpt_error = exc
-
-        self._ckpt_thread = threading.Thread(
-            target=_write, name="fleet-ckpt-writer", daemon=True
-        )
-        self._ckpt_thread.start()
+        written = self._supervised(self._prepare_checkpoint)
+        try:
+            path = write_checkpoint(written, target)
+            self._ckpt_bytes.inc(path.stat().st_size)
+        except OSError as exc:
+            raise CheckpointError(f"checkpoint write failed: {exc}") from exc
         self._ckpt_writes.inc()
         self._fleet_events.append(
-            {"kind": "checkpoint", "epoch": epoch, "path": str(path)}
+            {
+                "kind": "checkpoint",
+                "epoch": written.next_bin,
+                "path": str(path),
+            }
         )
         return path
-
-    def _ckpt_join(self) -> None:
-        """Wait out the in-flight background checkpoint write, if any."""
-        thread = self._ckpt_thread
-        if thread is None:
-            return
-        thread.join()
-        self._ckpt_thread = None
-        error, self._ckpt_error = self._ckpt_error, None
-        if error is not None:
-            raise CheckpointError(
-                f"checkpoint write failed: {error}"
-            ) from error
 
     def restore(self, source: FleetCheckpoint | Path | str) -> None:
         """Adopt the state of a checkpoint (object, file, or directory).
@@ -662,44 +622,12 @@ class FleetDriver:
         to unpickle — is force-quarantined (RECOVERY event, arbiter
         exclusion) while the rest of the fleet restores normally.
         """
-        self._ckpt_join()  # never read epochs under an in-flight write
         ckpt = _load_source(source)
         self._restore_in_place(ckpt)
-        self._restore_point = ckpt
         self._ckpt_restores.inc()
         self._fleet_events.append(
             {"kind": "restore", "epoch": ckpt.next_bin}
         )
-
-    def _recover_from_crash(self, crash) -> None:
-        """Roll back to the restore point after a worker death.
-
-        Restore every tenant and the arbiter to the last bin boundary
-        and let the caller refork and re-execute.
-        A tenant that cannot restore even here (possible when the
-        restore point came from a chaos-damaged disk checkpoint) is
-        quarantined like any other restore failure — the fleet degrades
-        rather than dies.
-        """
-        self._worker_restarts.inc()
-        self._fleet_events.append(
-            {
-                "kind": "worker_crash_recovery",
-                "worker": crash.worker,
-                "tenants": crash.tenants,
-                "reason": crash.reason,
-                "resume_bin": (
-                    self._restore_point.next_bin
-                    if self._restore_point is not None
-                    else None
-                ),
-            }
-        )
-        if self._restore_point is None:  # pragma: no cover - invariant
-            raise RuntimeError(
-                "worker crashed before any restore point was captured"
-            ) from crash
-        self._restore_in_place(self._restore_point)
 
     def _restore_in_place(self, ckpt: FleetCheckpoint) -> None:
         """Reset the fleet to ``ckpt``'s bin boundary, tenant by tenant.
@@ -819,7 +747,6 @@ class FleetDriver:
             raise ValueError(
                 f"final_window_bins must be >= 1, got {final_window_bins}"
             )
-        self._ckpt_join()  # the run is only "done" once durably written
         self.sync_workers()
         window = min(final_window_bins, self._next_bin)
         summaries: list[TenantSummary] = []

@@ -29,9 +29,11 @@ host side of that one loop:
 - Replay validation (:func:`~repro.fleet.arbiter.attempt_replay`) runs
   on the host that owns the tenant; the cheap digest-only gates run
   driver-side against the cache (:class:`HostReplayTransport`).
-- ``sync`` pickles each pooled context back
-  (:meth:`~repro.fleet.context.TenantContext.transfer_snapshot`) so the
-  parent's contexts end the run carrying the workers' state.
+- ``snapshot`` pickles each hosted context
+  (:meth:`~repro.fleet.context.TenantContext.transfer_snapshot`): the
+  driver absorbs the pickles to merge a pool back, so the parent's
+  contexts end the run carrying the workers' state, and bundles them
+  into a durable checkpoint.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ class WorkerCrashed(RuntimeError):
 
     Carries enough for the fleet driver's supervision layer to recover:
     which worker, which tenants it owned, and why the pool gave up on
-    it. Recovery rolls the fleet back to its last restore point and
-    deterministically re-executes the interrupted bin — see
-    :meth:`repro.fleet.driver.FleetDriver._recover_from_crash`.
+    it. Recovery rolls the fleet back to its restore point and
+    deterministically re-executes the bins since — see
+    :meth:`repro.fleet.driver.FleetDriver._supervised`.
     """
 
     def __init__(self, worker: int, tenants: tuple[str, ...], reason: str):
@@ -413,11 +415,12 @@ class FleetWorkerPool:
         self._send(worker, ("replay", tenant, prior))
         return self._recv(worker)
 
-    def sync(self) -> list[tuple[str, str, bytes]]:
+    def snapshot(self) -> list[tuple[str, str, bytes]]:
         """Snapshot every tenant: (tenant, SHA-256 of the pickle, pickle).
 
-        The last call before :meth:`stop`: the parent absorbs the
-        pickles and the workers' state ends with them.
+        A snapshot changes nothing on a worker, so the pool stays usable
+        for the next bin: a durable checkpoint takes one mid-run, and
+        the merge back takes one as the last call before :meth:`stop`.
         """
         for worker in range(len(self._conns)):
             self._send(worker, ("snapshot",))
@@ -425,16 +428,6 @@ class FleetWorkerPool:
         for worker in range(len(self._conns)):
             collected.extend(self._recv(worker))
         return collected
-
-    def snapshot(self) -> list[tuple[str, str, bytes]]:
-        """:meth:`sync` mid-run: the workers keep running.
-
-        A snapshot changes nothing on a worker, so the pool stays usable
-        for the next bin — this is how the driver refreshes its crash
-        restore point (and writes periodic durable checkpoints) without
-        tearing the pool down every interval.
-        """
-        return self.sync()
 
     # ------------------------------------------------------------------
     # supervision and teardown

@@ -5,7 +5,6 @@ from repro.tuning.assessors import (
     Assessor,
     BufferPoolAssessor,
     CostModelAssessor,
-    LearnedFeedbackAssessor,
 )
 from repro.tuning.candidate import (
     Candidate,
@@ -70,7 +69,6 @@ __all__ = [
     "IndexSelectionFeature",
     "KnobCandidate",
     "KnobEnumerator",
-    "LearnedFeedbackAssessor",
     "OptimalSelector",
     "ParallelExecutor",
     "PlacementCandidate",

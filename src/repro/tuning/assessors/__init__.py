@@ -1,9 +1,8 @@
-"""Assessors: cost-model based, buffer-pool specific, feedback-calibrated."""
+"""Assessors: cost-model based, buffer-pool specific, follow-up anticipating."""
 
 from repro.tuning.assessors.base import Assessor
 from repro.tuning.assessors.buffer_pool import BufferPoolAssessor
 from repro.tuning.assessors.cost_model import CostModelAssessor
-from repro.tuning.assessors.learned_feedback import LearnedFeedbackAssessor
 from repro.tuning.assessors.miscalibrated import MiscalibratedAssessor
 from repro.tuning.assessors.sort_benefit import SortBenefitAssessor
 
@@ -11,7 +10,6 @@ __all__ = [
     "Assessor",
     "BufferPoolAssessor",
     "CostModelAssessor",
-    "LearnedFeedbackAssessor",
     "MiscalibratedAssessor",
     "SortBenefitAssessor",
 ]

@@ -19,10 +19,12 @@ import signal
 import pytest
 
 from repro.faults.injector import FaultConfig, FaultInjector
-from repro.fleet import build_fleet
+from repro.fleet import CheckpointError, build_fleet, load_checkpoint
 from repro.fleet.parallel import FleetWorkerPool, WorkerCrashed
 from repro.kpi.metrics import (
+    CHECKPOINT_WRITES,
     FAULT_WORKER_CRASHES,
+    FLEET_TENANT_QUARANTINES,
     WORKER_HARD_KILLS,
     WORKER_RESTARTS,
 )
@@ -116,11 +118,146 @@ def test_crash_during_final_sync_is_recovered(serial_fingerprints):
     for index in range(BINS):
         fleet.run_bin(index)
     fleet._pool.kill_worker(1)
-    # report() -> sync_workers() hits the dead worker; recovery restores
-    # the final bin boundary from the restore point instead of merging
+    # report() -> sync_workers() hits the dead worker; recovery rolls
+    # back to the pre-fork capture (the only boundary this run has),
+    # re-runs every bin on a fresh pool, and merges again
     report = fleet.report()
     assert _fingerprint(fleet, report) == serial_fingerprints(seed)
     assert report.fleet_counters[WORKER_RESTARTS] == 1.0
+    assert _recoveries(fleet) == [0]
+    assert fleet.next_bin == BINS
+
+
+# ----------------------------------------------------------------------
+# the restore point is a by-product: fork, durable checkpoint, nothing else
+
+
+def _recoveries(fleet):
+    """The bin boundary each crash recovery rolled back to, in order."""
+    return [
+        e["resume_bin"]
+        for e in fleet.fleet_events
+        if e["kind"] == "worker_crash_recovery"
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_crash_rolls_back_to_the_last_durable_checkpoint(
+    serial_fingerprints, seed, tmp_path
+):
+    fleet = build_fleet(
+        TENANTS, seed=seed, bins=BINS, rows=ROWS,
+        parallel="process", workers=2,
+        checkpoint_dir=tmp_path, checkpoint_every=3,
+    )
+    for index in range(5):
+        fleet.run_bin(index)
+    (epoch_3,) = tmp_path.iterdir()
+    written = epoch_3.stat()
+    fleet._pool.kill_worker(0)
+    report = fleet.run()
+    assert _fingerprint(fleet, report) == serial_fingerprints(seed)
+    # bins 3 and 4 re-ran from the epoch-3 bundle, not from the fork...
+    assert _recoveries(fleet) == [3]
+    # ...and re-running a bin writes nothing: one file per epoch, the
+    # first still the inode and bytes it was before the crash
+    assert report.fleet_counters[CHECKPOINT_WRITES] == 2.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fleet-ckpt-000003.pkl",
+        "fleet-ckpt-000006.pkl",
+    ]
+    after = epoch_3.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (
+        written.st_ino,
+        written.st_mtime_ns,
+    )
+
+
+def test_chaos_damages_the_written_copy_never_the_restore_point(
+    serial_fingerprints, tmp_path
+):
+    seed = 1
+    # kills at bins 1, 2 and 3 (2 workers); every written checkpoint has
+    # one damaged tenant blob
+    chaos = FaultConfig(
+        seed=9, worker_crash_rate=0.5, checkpoint_corruption_rate=1.0
+    )
+    fleet = build_fleet(
+        TENANTS, seed=seed, bins=BINS, rows=ROWS,
+        parallel="process", workers=2, chaos=chaos,
+        checkpoint_dir=tmp_path, checkpoint_every=2,
+    )
+    for index in range(4):
+        fleet.run_bin(index)
+    # the bin-1 kill rolled back to the fork; the other two to the
+    # epoch-2 bundle taken for the (damaged) durable checkpoint
+    assert _recoveries(fleet) == [0, 2, 2]
+    assert fleet._restore_point.next_bin == 4
+    assert all(state.verify() for state in fleet._restore_point.tenants)
+    on_disk = load_checkpoint(tmp_path / "fleet-ckpt-000004.pkl")
+    assert [state.verify() for state in on_disk.tenants].count(False) == 1
+    report = fleet.run()
+    assert _fingerprint(fleet, report) == serial_fingerprints(seed)
+    assert report.fleet_counters[FLEET_TENANT_QUARANTINES] == 0.0
+
+
+def test_crash_during_a_checkpoint_capture_is_recovered(
+    serial_fingerprints, tmp_path
+):
+    seed = 3
+    fleet = build_fleet(
+        TENANTS, seed=seed, bins=BINS, rows=ROWS,
+        parallel="process", workers=2,
+    )
+    for index in range(3):
+        fleet.run_bin(index)
+    fleet._pool.kill_worker(1)
+    # the capture is a worker RPC: bins 0-2 re-run, then it is retried
+    path = fleet.checkpoint(tmp_path)
+    assert load_checkpoint(path).next_bin == 3
+    assert _recoveries(fleet) == [0]
+    report = fleet.run()
+    assert _fingerprint(fleet, report) == serial_fingerprints(seed)
+    assert report.fleet_counters[WORKER_RESTARTS] == 1.0
+
+
+def test_failed_checkpoint_write_raises_at_the_call(
+    serial_fingerprints, tmp_path
+):
+    seed = 1
+    blocker = tmp_path / "a-regular-file"
+    blocker.write_text("not a directory")
+    fleet = build_fleet(
+        TENANTS, seed=seed, bins=BINS, rows=ROWS,
+        parallel="process", workers=2,
+        checkpoint_dir=blocker / "ckpts", checkpoint_every=4,
+    )
+    for index in range(3):
+        fleet.run_bin(index)
+    with pytest.raises(CheckpointError, match="checkpoint write failed"):
+        fleet.run_bin(3)
+    # the bin itself ran; only its checkpoint is missing
+    assert fleet.next_bin == 4
+    with pytest.raises(CheckpointError, match="checkpoint write failed"):
+        fleet.checkpoint()
+    # bins 4 and 5 are due no checkpoint and finish the run undisturbed
+    report = fleet.run()
+    assert _fingerprint(fleet, report) == serial_fingerprints(seed)
+    assert report.fleet_counters[CHECKPOINT_WRITES] == 0.0
+    assert "checkpoint" not in {e["kind"] for e in fleet.fleet_events}
+
+
+def test_serial_mode_ignores_the_worker_kill_schedule(serial_fingerprints):
+    seed = 2
+    fleet = build_fleet(
+        TENANTS, seed=seed, bins=BINS, rows=ROWS, parallel="serial",
+        chaos=FaultConfig(seed=9, worker_crash_rate=1.0),
+    )
+    report = fleet.run()
+    assert _fingerprint(fleet, report) == serial_fingerprints(seed)
+    assert fleet.fleet_events == ()
+    assert report.fleet_counters[WORKER_RESTARTS] == 0.0
+    assert report.fleet_counters[FAULT_WORKER_CRASHES] == 0.0
 
 
 def test_worker_crashed_carries_worker_and_tenants():

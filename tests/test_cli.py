@@ -72,13 +72,49 @@ def test_fleet_command_small(capsys):
     assert "what-if cache (all tenants):" in out
 
 
+def _exit_status(argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    return exit_.value.code
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["fleet", "--tenants", "0"], "at least one tenant"),
+        (
+            ["fleet", "--tenants", "2", "--rows", "2000", "--bins", "2",
+             "--checkpoint-every", "-1", "--checkpoint-dir", "{tmp}/ck"],
+            "checkpoint_every must be >= 0",
+        ),
+        (["guard", "--rows", "2000", "--swap-a", "nosuch"], "'nosuch'"),
+        (["policy", "--objectives", "{tmp}/missing.yml"], "missing.yml"),
+        (  # a failed checkpoint write: the directory is under a file
+            ["fleet", "--tenants", "2", "--rows", "2000", "--bins", "2",
+             "--checkpoint-every", "2", "--checkpoint-dir", "{tmp}/file/ck"],
+            "checkpoint write failed",
+        ),
+    ],
+)
+def test_bad_option_values_exit_2_with_one_line(
+    capsys, tmp_path, argv, expected
+):
+    """A value argparse cannot judge alone is still an option error."""
+    (tmp_path / "file").write_text("in the way")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert _exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(argv[0] + ": ")
+    assert expected in err and "Traceback" not in err
+
+
 def test_fleet_resume_failures_exit_2_with_one_line(capsys, tmp_path):
     """An unusable --checkpoint-dir is an option error, not a traceback:
     nothing to resume from, and a checkpoint of another format version."""
     from tests.fleet.test_checkpoint import _rewrite_format_version
 
     resume = ["fleet", "--resume", "--checkpoint-dir", str(tmp_path)]
-    assert main(resume) == 2
+    assert _exit_status(resume) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "no checkpoints under" in err
 
@@ -88,7 +124,7 @@ def test_fleet_resume_failures_exit_2_with_one_line(capsys, tmp_path):
     (written,) = tmp_path.iterdir()
     _rewrite_format_version(written, 1)
     capsys.readouterr()
-    assert main(resume) == 2
+    assert _exit_status(resume) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

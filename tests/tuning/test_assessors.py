@@ -1,14 +1,10 @@
-"""Tests for the cost-model, buffer-pool, and feedback assessors."""
+"""Tests for the cost-model and buffer-pool assessors."""
 
 import pytest
 
 from repro.configuration.config import ConfigurationInstance
 from repro.configuration.constraints import DRAM_BYTES, INDEX_MEMORY
 from repro.configuration.delta import ConfigurationDelta
-from repro.configuration.store import (
-    ConfigurationInstanceStorage,
-    ConfigurationRecord,
-)
 from repro.cost.logical import LogicalCostModel
 from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.knobs import BUFFER_POOL_KNOB
@@ -18,7 +14,6 @@ from repro.errors import TuningError
 from repro.tuning.assessors import (
     BufferPoolAssessor,
     CostModelAssessor,
-    LearnedFeedbackAssessor,
 )
 from repro.tuning.candidate import (
     EncodingCandidate,
@@ -119,59 +114,3 @@ def test_buffer_pool_assessor_rejects_other_candidates(retail_suite):
         BufferPoolAssessor().assess(
             [IndexCandidate("orders", ("customer",))], db, forecast
         )
-
-
-def _feedback_store(db, feature, pairs):
-    store = ConfigurationInstanceStorage()
-    instance = ConfigurationInstance.capture(db)
-    for predicted, measured in pairs:
-        store.append(
-            ConfigurationRecord(
-                instance=instance,
-                applied_at_ms=0.0,
-                trigger="test",
-                feature=feature,
-                predicted_benefit_ms=predicted,
-                measured_benefit_ms=measured,
-            )
-        )
-    return store
-
-
-def test_feedback_assessor_rescales_optimistic_predictions(retail_suite):
-    db = retail_suite.database
-    forecast = make_forecast(retail_suite, families=["point_customer"])
-    inner = CostModelAssessor(WhatIfOptimizer(db))
-    # history says we consistently overestimate 2x
-    store = _feedback_store(db, "index_selection", [(10.0, 5.0)] * 4)
-    assessor = LearnedFeedbackAssessor(inner, store, "index_selection")
-    ratio, confidence_factor = assessor.calibration()
-    assert ratio == pytest.approx(0.5)
-    assert confidence_factor < 1.0
-    raw = inner.assess([IndexCandidate("orders", ("customer",))], db, forecast)[0]
-    adjusted = assessor.assess(
-        [IndexCandidate("orders", ("customer",))], db, forecast
-    )[0]
-    assert adjusted.desirability["expected"] == pytest.approx(
-        raw.desirability["expected"] * 0.5
-    )
-    assert adjusted.confidence < raw.confidence
-
-
-def test_feedback_assessor_neutral_without_history(retail_suite):
-    db = retail_suite.database
-    store = _feedback_store(db, "index_selection", [(10.0, 5.0)])  # too few
-    assessor = LearnedFeedbackAssessor(
-        CostModelAssessor(WhatIfOptimizer(db)), store, "index_selection"
-    )
-    assert assessor.calibration() == (1.0, 1.0)
-
-
-def test_feedback_ratio_is_clipped(retail_suite):
-    db = retail_suite.database
-    store = _feedback_store(db, "f", [(1.0, 100.0)] * 5)
-    assessor = LearnedFeedbackAssessor(
-        CostModelAssessor(WhatIfOptimizer(db)), store, "f"
-    )
-    ratio, _ = assessor.calibration()
-    assert ratio == 4.0  # upper clip
