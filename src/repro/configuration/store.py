@@ -5,7 +5,8 @@ stored. This storing is central to establish a feedback loop for past
 decisions by enabling the assessment of the impact of past tuning
 decisions" (Section II-A.b). Each record pairs the instance with what the
 tuner *predicted* the change would be worth; measurements filled in later
-let learned assessors calibrate their confidence.
+let learned assessors calibrate their confidence. A record's id counts
+appends, so it stays valid across eviction of older records.
 """
 
 from __future__ import annotations
@@ -47,13 +48,17 @@ class ConfigurationInstanceStorage:
             raise ConfigurationError("capacity must be at least 1")
         self._capacity = capacity
         self._records: list[ConfigurationRecord] = []
+        #: records dropped so far; the oldest retained record's id
+        self._evicted = 0
 
     def append(self, record: ConfigurationRecord) -> int:
-        """Store a record; returns its id (stable until eviction)."""
+        """Store a record; returns its id. Ids count appends, so one
+        names the same record for as long as it is retained."""
         self._records.append(record)
         if len(self._records) > self._capacity:
             del self._records[0]
-        return len(self._records) - 1
+            self._evicted += 1
+        return self._evicted + len(self._records) - 1
 
     def __len__(self) -> int:
         return len(self._records)
@@ -65,11 +70,10 @@ class ConfigurationInstanceStorage:
         return tuple(self._records)
 
     def record_measurement(self, record_id: int, measured_benefit_ms: float) -> None:
-        try:
-            record = self._records[record_id]
-        except IndexError:
-            raise ConfigurationError(f"no record with id {record_id}") from None
-        record.measured_benefit_ms = measured_benefit_ms
+        index = record_id - self._evicted
+        if not 0 <= index < len(self._records):
+            raise ConfigurationError(f"no record with id {record_id}")
+        self._records[index].measured_benefit_ms = measured_benefit_ms
 
     def feedback(
         self, feature: str | None = None

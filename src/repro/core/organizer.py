@@ -7,6 +7,9 @@ periodically), optionally restricts tuning to the features with the best
 impact per cost, runs the recursive tuning, and stores the resulting
 configuration instance with its predicted and measured benefit — closing
 the feedback loop.
+
+A pass is written once: ``run_tuning`` and ``run_policy_pass`` enter the
+same body, ``_run_pass``, without and with the policy engine.
 """
 
 from __future__ import annotations
@@ -169,7 +172,11 @@ class Organizer:
         # no-ops when the driver already wired one shared registry
         self._optimizer.bind_registry(self._monitor.registry, replace=True)
         self._optimizer.bind_registry(self._telemetry.registry, replace=True)
-        self._executor = executor
+        # every change this organizer makes — a pass, a replayed prior, a
+        # guard rollback — is applied through this one executor
+        self._executor = executor or SequentialExecutor(
+            telemetry=self._telemetry
+        )
         # per-feature circuit breaker: graceful degradation when a
         # feature's applications keep failing (see repro.faults)
         self._quarantine = FeatureQuarantine(
@@ -389,6 +396,14 @@ class Organizer:
                     **decision.details,
                 )
                 return None
+        return self._run_decided(decision)
+
+    def _run_decided(
+        self, decision: TriggerDecision
+    ) -> OrganizerRunReport | None:
+        """Where a firing decision ends, periodic or escalated: the
+        goal-driven pass with a policy configured, else the
+        trigger-reactive one."""
         if self._policy is not None:
             return self.run_policy_pass(decision)
         return self.run_tuning(decision)
@@ -421,10 +436,7 @@ class Organizer:
         self, commit: ProbationCommit, verdict: RegressionVerdict
     ) -> ApplicationReport:
         """Undo a probation commit through the executor recovery path."""
-        executor = self._executor or SequentialExecutor(
-            telemetry=self._telemetry
-        )
-        report = executor.rollback(
+        report = self._executor.rollback(
             self._db,
             list(commit.inverse_actions),
         )
@@ -489,8 +501,7 @@ class Organizer:
                 distance=verdict.distance,
                 nearest_scenario=verdict.nearest_scenario,
             )
-            return self.run_policy_pass(decision)
-        return self.run_tuning(decision)
+        return self._run_decided(decision)
 
     def _feature_subset(self, order: tuple[str, ...]) -> tuple[str, ...]:
         budget = self._config.tuning_time_budget_ms
@@ -581,10 +592,8 @@ class Organizer:
                     probation_ms=self._config.quarantine_probation_ms,
                 )
 
-    def _begin_pass(
-        self, decision: TriggerDecision, mode: str = "reactive"
-    ):
-        """Shared pass preamble: forecast, guard note, interval, event.
+    def _begin_pass(self, decision: TriggerDecision, label: str):
+        """Where every pass begins: forecast, guard note, interval, event.
 
         The forecast this pass tunes for is also the envelope the guard
         later judges the live workload against (forecast-miss
@@ -597,7 +606,6 @@ class Organizer:
         forecast = self._predictor.forecast(self._config.horizon_bins)
         self._guard.note_forecast(forecast)
         interval = self._telemetry.registry.interval()
-        label = "tuning" if mode == "reactive" else "policy"
         self._events.log(
             now,
             EventKind.TUNING_STARTED,
@@ -610,7 +618,7 @@ class Organizer:
     def _select_features(
         self, forecast: "Forecast", pass_span
     ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]] | None:
-        """Plan-propose prologue shared by both pass kinds: refresh the
+        """The pass body's feature selection: refresh the
         LP ordering when due, then filter the ordered features through
         the tuning-time budget and the quarantine breaker.
 
@@ -666,6 +674,25 @@ class Organizer:
         self._runs_since_refresh += 1
         return subset, skipped, quarantined
 
+    def _record_commit(
+        self,
+        record: ConfigurationRecord,
+        features: tuple[str, ...],
+        inverse_actions: Sequence["Action"],
+    ) -> int:
+        """Append a committed pass's record and open its probation — the
+        step a tuned and a replayed pass share. The inverse actions are
+        retained instead of discarded, so a confirmed KPI regression can
+        undo the commit bit-identically (see repro.guard)."""
+        record_id = self._store.append(record)
+        self._guard.open_probation(
+            record.applied_at_ms,
+            features=features,
+            inverse_actions=tuple(inverse_actions),
+            record_id=record_id,
+        )
+        return record_id
+
     def _commit_pass(
         self,
         decision: TriggerDecision,
@@ -673,9 +700,9 @@ class Organizer:
         pass_span,
         report: RecursiveTuningReport,
     ) -> int:
-        """Plan-execute epilogue shared by both pass kinds: feed outcomes
-        to the breaker, append configuration records, open guard
-        probation, and log the TUNING_FINISHED accounting."""
+        """The pass body's epilogue: feed outcomes to the breaker, append
+        configuration records, open guard probation, and log the
+        TUNING_FINISHED accounting."""
         self._last_tuning_ms = self._db.clock.now_ms
         self._record_run_outcomes(report)
 
@@ -698,7 +725,11 @@ class Organizer:
             reconfiguration_cost_ms=report.total_reconfiguration_ms,
             measured_benefit_ms=measured,
         )
-        record_id = self._store.append(record)
+        record_id = self._record_commit(
+            record,
+            tuple(r.feature for r in ok_runs if r.report.action_summaries),
+            [a for r in ok_runs for a in r.report.inverse_actions],
+        )
         # also store one record per feature, so feedback() can return
         # predicted-vs-measured pairs feature by feature
         for r in ok_runs:
@@ -714,19 +745,6 @@ class Organizer:
                     measured_benefit_ms=r.cost_before_ms - r.cost_after_ms,
                 )
             )
-        # the committed pass enters probation: its inverse actions are
-        # retained instead of discarded, so a confirmed KPI regression
-        # can undo it bit-identically (see repro.guard)
-        self._guard.open_probation(
-            self._db.clock.now_ms,
-            features=tuple(
-                r.feature for r in ok_runs if r.report.action_summaries
-            ),
-            inverse_actions=tuple(
-                a for r in ok_runs for a in r.report.inverse_actions
-            ),
-            record_id=record_id,
-        )
         deltas = interval.deltas()
         cache_hits = int(deltas.get(WHATIF_CACHE_HITS, 0.0))
         cache_misses = int(deltas.get(WHATIF_CACHE_MISSES, 0.0))
@@ -757,162 +775,168 @@ class Organizer:
         )
         return record_id
 
-    def run_tuning(
-        self, decision: TriggerDecision | None = None
-    ) -> OrganizerRunReport | None:
-        """Run one full trigger-reactive tuning pass (also callable
-        manually).
-
-        Returns ``None`` when the tuning-time budget admits no feature:
-        a zero-feature pass would do no work, so it must not append a
-        configuration record, restart the cooldown, or count against the
-        order-refresh cadence.
-        """
-        decision = decision or TriggerDecision(True, "manual", "manual request")
-        forecast, interval = self._begin_pass(decision)
-
-        with self._tracer.span(
-            "tuning_pass", trigger=decision.trigger
-        ) as pass_span:
-            selected = self._select_features(forecast, pass_span)
-            if selected is None:
-                return None
-            subset, skipped, quarantined = selected
-
-            report = self._planner.run(
-                forecast, order=subset, executor=self._executor
+    def _choose_plan(
+        self,
+        engine: PolicyEngine,
+        decision: TriggerDecision,
+        forecast: "Forecast",
+        subset: tuple[str, ...],
+        pass_span,
+    ) -> PolicyPlanReport | None:
+        """The pass body's planning step, taken with an engine: every
+        admitted feature *proposes* (applying nothing), the proposed
+        plan prefixes are priced against the declared objectives with
+        the batched what-if oracle, and one alternative is chosen.
+        Returns ``None`` when no feature proposes a change."""
+        with self._tracer.span("plan_propose") as propose_span:
+            steps = engine.propose_steps(
+                tuners=self._planner.tuners,
+                order=subset,
+                forecast=forecast,
+                constraints=self._constraints,
+                optimizer=self._optimizer,
             )
-            record_id = self._commit_pass(
-                decision, interval, pass_span, report
-            )
-        run_report = OrganizerRunReport(
-            decision=decision,
-            order=subset,
-            tuning=report,
-            record_id=record_id,
-            tuned_features=subset,
-            skipped_features=skipped,
-            quarantined_features=quarantined,
-        )
-        if self._commit_listener is not None:
-            self._commit_listener(self, run_report)
-        return run_report
-
-    def run_policy_pass(
-        self, decision: TriggerDecision | None = None
-    ) -> OrganizerRunReport | None:
-        """Run one goal-driven pass: plan-propose, plan-evaluate,
-        plan-execute.
-
-        The LP ordering, the tuning-time budget, and the quarantine
-        breaker gate the candidate features exactly as in the reactive
-        path; the difference is that every admitted feature first
-        *proposes* (applying nothing), the proposed plan prefixes are
-        priced against the declared objectives with the batched what-if
-        oracle, and only the chosen alternative is executed — under
-        guard probation like any other pass.
-        """
-        engine = self._policy
-        if engine is None:
-            return self.run_tuning(decision)
-        decision = decision or TriggerDecision(
-            True, POLICY_TRIGGER, "manual policy pass"
-        )
-        forecast, interval = self._begin_pass(decision, mode="policy")
-
-        with self._tracer.span(
-            "tuning_pass", trigger=decision.trigger, mode="policy"
-        ) as pass_span:
-            selected = self._select_features(forecast, pass_span)
-            if selected is None:
-                return None
-            subset, skipped, quarantined = selected
-
-            with self._tracer.span("plan_propose") as propose_span:
-                steps = engine.propose_steps(
-                    tuners=self._planner.tuners,
-                    order=subset,
-                    forecast=forecast,
-                    constraints=self._constraints,
-                    optimizer=self._optimizer,
-                )
-                propose_span.tag(steps=len(steps))
-            if not steps:
-                # an empty plan still counts as an attempt: objectives
-                # that no feature can improve must not re-propose every
-                # tick, so the cooldown restarts (unlike a zero-feature
-                # budget skip, where no work was even possible)
-                now = self._db.clock.now_ms
-                self._last_tuning_ms = now
-                self._events.log(
-                    now,
-                    EventKind.SKIP,
-                    "policy pass skipped: no feature proposes a change",
-                    trigger=decision.trigger,
-                    **decision.details,
-                )
-                pass_span.tag(skipped="empty plan")
-                return None
-
-            with self._tracer.span("plan_evaluate") as eval_span:
-                plan_report = engine.evaluate_plans(
-                    steps=steps,
-                    forecast=forecast,
-                    optimizer=self._optimizer,
-                    db=self._db,
-                    context=self._context(),
-                )
-                chosen = plan_report.chosen
-                eval_span.tag(
-                    alternatives=len(plan_report.alternatives),
-                    chosen=len(chosen.steps),
-                    feasible=chosen.feasible,
-                )
+            propose_span.tag(steps=len(steps))
+        if not steps:
+            # an empty plan still counts as an attempt: objectives
+            # that no feature can improve must not re-propose every
+            # tick, so the cooldown restarts (unlike a zero-feature
+            # budget skip, where no work was even possible)
+            now = self._db.clock.now_ms
+            self._last_tuning_ms = now
             self._events.log(
-                self._db.clock.now_ms,
-                EventKind.POLICY,
-                f"plan chosen: {' -> '.join(chosen.features)} "
-                f"({'meets' if chosen.feasible else 'closest to'} the "
-                f"declared objectives; predicted workload "
-                f"{plan_report.baseline_cost_ms:.2f} -> "
-                f"{chosen.metrics.expected_cost_ms:.2f} ms)",
+                now,
+                EventKind.SKIP,
+                "policy pass skipped: no feature proposes a change",
                 trigger=decision.trigger,
-                features=list(chosen.features),
-                alternatives=len(plan_report.alternatives),
-                feasible=chosen.feasible,
-                baseline_cost_ms=plan_report.baseline_cost_ms,
-                predicted_cost_ms=chosen.metrics.expected_cost_ms,
-                score=chosen.score,
-                **{
-                    f"{s.name}_margin": s.margin for s in chosen.statuses
-                },
+                **decision.details,
             )
+            pass_span.tag(skipped="empty plan")
+            return None
+
+        with self._tracer.span("plan_evaluate") as eval_span:
+            plan_report = engine.evaluate_plans(
+                steps=steps,
+                forecast=forecast,
+                optimizer=self._optimizer,
+                db=self._db,
+                context=self._context(),
+            )
+            chosen = plan_report.chosen
+            eval_span.tag(
+                alternatives=len(plan_report.alternatives),
+                chosen=len(chosen.steps),
+                feasible=chosen.feasible,
+            )
+        self._events.log(
+            self._db.clock.now_ms,
+            EventKind.POLICY,
+            f"plan chosen: {' -> '.join(chosen.features)} "
+            f"({'meets' if chosen.feasible else 'closest to'} the "
+            f"declared objectives; predicted workload "
+            f"{plan_report.baseline_cost_ms:.2f} -> "
+            f"{chosen.metrics.expected_cost_ms:.2f} ms)",
+            trigger=decision.trigger,
+            features=list(chosen.features),
+            alternatives=len(plan_report.alternatives),
+            feasible=chosen.feasible,
+            baseline_cost_ms=plan_report.baseline_cost_ms,
+            predicted_cost_ms=chosen.metrics.expected_cost_ms,
+            score=chosen.score,
+            **{f"{s.name}_margin": s.margin for s in chosen.statuses},
+        )
+        return plan_report
+
+    def _run_pass(
+        self, decision: TriggerDecision, engine: PolicyEngine | None
+    ) -> OrganizerRunReport | None:
+        """The one pass body: begin, select the features, plan, tune,
+        commit, report.
+
+        Without an ``engine`` the selected features are tuned in order,
+        each proposing against the state its predecessors left behind.
+        With one, :meth:`_choose_plan` comes first and only the chosen
+        alternative's features run, applying their evaluated proposals
+        verbatim — gated and committed like any other pass.
+
+        Returns ``None``, with nothing recorded, when no feature survives
+        the selection (no work was possible) or, with an engine, when no
+        feature proposes a change (an attempt: the cooldown restarts).
+        """
+        label = "tuning" if engine is None else "policy"
+        forecast, interval = self._begin_pass(decision, label)
+
+        tags = {} if engine is None else {"mode": "policy"}
+        with self._tracer.span(
+            "tuning_pass", trigger=decision.trigger, **tags
+        ) as pass_span:
+            selected = self._select_features(forecast, pass_span)
+            if selected is None:
+                return None
+            order, skipped, quarantined = selected
+
+            plan_report: PolicyPlanReport | None = None
+            proposals = None
+            if engine is not None:
+                plan_report = self._choose_plan(
+                    engine, decision, forecast, order, pass_span
+                )
+                if plan_report is None:
+                    return None
+                chosen = plan_report.chosen
+                in_plan = set(chosen.features)
+                skipped += tuple(n for n in order if n not in in_plan)
+                order = chosen.features
+                proposals = {s.feature: s.result for s in chosen.steps}
 
             report = self._planner.run(
                 forecast,
-                order=chosen.features,
+                order=order,
                 executor=self._executor,
-                proposals={s.feature: s.result for s in chosen.steps},
+                proposals=proposals,
             )
-            engine.note_executed(chosen)
+            if plan_report is not None:
+                engine.note_executed(plan_report.chosen)
             record_id = self._commit_pass(
                 decision, interval, pass_span, report
             )
-        in_plan = set(chosen.features)
-        dropped = tuple(name for name in subset if name not in in_plan)
         run_report = OrganizerRunReport(
             decision=decision,
-            order=chosen.features,
+            order=order,
             tuning=report,
             record_id=record_id,
-            tuned_features=chosen.features,
-            skipped_features=skipped + dropped,
+            tuned_features=order,
+            skipped_features=skipped,
             quarantined_features=quarantined,
             plan=plan_report,
         )
         if self._commit_listener is not None:
             self._commit_listener(self, run_report)
         return run_report
+
+    def run_tuning(
+        self, decision: TriggerDecision | None = None
+    ) -> OrganizerRunReport | None:
+        """Run one trigger-reactive tuning pass (also callable manually):
+        the pass body with no engine."""
+        return self._run_pass(
+            decision or TriggerDecision(True, "manual", "manual request"),
+            None,
+        )
+
+    def run_policy_pass(
+        self, decision: TriggerDecision | None = None
+    ) -> OrganizerRunReport | None:
+        """Run one goal-driven pass — plan-propose, plan-evaluate,
+        plan-execute: the pass body with the policy engine (without one
+        configured, the reactive pass)."""
+        if self._policy is None:
+            return self.run_tuning(decision)
+        return self._run_pass(
+            decision
+            or TriggerDecision(True, POLICY_TRIGGER, "manual policy pass"),
+            self._policy,
+        )
 
     # ------------------------------------------------------------------
     # fleet prior replay
@@ -958,15 +982,12 @@ class Organizer:
         )
         if forecast is not None:
             self._guard.note_forecast(forecast)
-        executor = self._executor or SequentialExecutor(
-            telemetry=self._telemetry
-        )
         delta = ConfigurationDelta(list(actions))
         with self._tracer.span(
             "replay_pass", source=source, actions=len(actions)
         ) as span:
             try:
-                report = executor.execute(delta, self._db)
+                report = self._executor.execute(delta, self._db)
             except TuningAbortedError as exc:
                 report = exc.report
                 now = self._db.clock.now_ms
@@ -993,7 +1014,7 @@ class Organizer:
                 return report
             now = self._db.clock.now_ms
             self._last_tuning_ms = now
-            record_id = self._store.append(
+            record_id = self._record_commit(
                 ConfigurationRecord(
                     instance=ConfigurationInstance.capture(self._db),
                     applied_at_ms=now,
@@ -1003,13 +1024,9 @@ class Organizer:
                     predicted_benefit_ms=predicted_benefit_ms,
                     reconfiguration_cost_ms=report.total_work_ms,
                     measured_benefit_ms=cost_before_ms - cost_after_ms,
-                )
-            )
-            self._guard.open_probation(
-                now,
-                features=features,
-                inverse_actions=tuple(report.inverse_actions),
-                record_id=record_id,
+                ),
+                features,
+                report.inverse_actions,
             )
             span.tag(
                 record_id=record_id,

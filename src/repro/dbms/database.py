@@ -1,7 +1,8 @@
 """The database facade: catalog, execution, knobs, plan cache, plugins.
 
 This is the "Hyrise" of the reproduction. Everything the framework touches
-goes through this class: query execution (which feeds the plan cache),
+goes through this class: query execution (``execute`` is where a served
+query is accounted — clock, plan cache, runtime and telemetry counters),
 configuration primitives (create/drop index, re-encode, move or sort a
 chunk, set a knob — accounted entry points over the one implementation in
 :mod:`repro.configuration.actions`, each returning its simulated one-time
@@ -10,8 +11,10 @@ cost), memory accounting, and the plugin host the driver attaches through.
 
 from __future__ import annotations
 
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.dbms.catalog import Catalog
 from repro.dbms.executor import QueryExecutor, QueryResult
@@ -28,6 +31,9 @@ from repro.util.lru import CacheStats
 from repro.util.timer import SimulatedClock
 from repro.workload.query import Query
 from repro.workload.sql import parse_sql
+
+if TYPE_CHECKING:
+    from repro.telemetry import Telemetry
 
 
 def _actions():
@@ -89,6 +95,9 @@ class Database:
         self.plugin_host = PluginHost(self)
         self.counters = RuntimeCounters()
         self._default_encoding = default_encoding
+        self._telemetry: "Telemetry | None" = None
+        self._exec_counters = None
+        self._query_seq = 0
 
     # ------------------------------------------------------------------
     # schema and data
@@ -112,24 +121,86 @@ class Database:
     # ------------------------------------------------------------------
     # execution
 
+    def bind_telemetry(self, telemetry: "Telemetry | None") -> None:
+        """Attach (or detach, with ``None``) the telemetry spine.
+
+        While bound, every served query (:meth:`execute`) bumps the
+        ``exec_*`` work counters, and one per-query span is recorded every
+        ``query_sample_every`` served queries so production overhead stays
+        bounded. What the tuners run on the executor directly — what-if
+        probes, the buffer-pool assessor's scratch-pool replays — is
+        estimation work and is never counted as serving.
+        """
+        if telemetry is None or not telemetry.enabled:
+            self._telemetry = None
+            self._exec_counters = None
+            return
+        self._telemetry = telemetry
+        registry = telemetry.registry
+        self._exec_counters = (
+            registry.counter("exec_queries"),
+            registry.counter("exec_scan_units"),
+            registry.counter("exec_probe_units"),
+            registry.counter("exec_rows_matched"),
+            registry.counter("exec_buffer_hits"),
+            registry.counter("exec_buffer_misses"),
+            registry.counter("exec_elapsed_sim_ms"),
+            registry.counter("exec_sampled_spans"),
+        )
+
     def execute(
         self, query: Query | str, materialize: bool = False
     ) -> QueryResult:
-        """Execute a query (or SQL string), advancing the simulated clock and
-        recording the execution in the plan cache."""
+        """Serve a query (or SQL string) — the one accounted entry point
+        for queries, as :meth:`_record_reconfiguration` is for changes:
+        the simulated clock advances, the plan cache records the
+        execution, and the runtime counters and the telemetry ``exec_*``
+        counters count it."""
         if isinstance(query, str):
             query = parse_sql(query)
         table = self.catalog.table(query.table)
+        telemetry = self._telemetry
+        sampled = False
+        if telemetry is not None:
+            self._query_seq += 1
+            every = telemetry.config.query_sample_every
+            sampled = every > 0 and (self._query_seq - 1) % every == 0
+            if sampled:
+                wall_started = time.perf_counter()
         result = self.executor.execute(query, table, materialize=materialize)
         elapsed = result.report.elapsed_ms
+        work = result.report.work
+        if telemetry is not None:
+            exec_counters = self._exec_counters
+            exec_counters[0].inc()
+            exec_counters[1].inc(work.scan_units)
+            exec_counters[2].inc(work.probe_units)
+            exec_counters[3].inc(work.rows_matched)
+            exec_counters[4].inc(work.buffer_hits)
+            exec_counters[5].inc(work.buffer_misses)
+            exec_counters[6].inc(elapsed)
+            if sampled:
+                exec_counters[7].inc()
+                # recorded before the clock moves: the span starts where
+                # the query did
+                telemetry.tracer.record(
+                    "query",
+                    sim_ms=elapsed,
+                    wall_s=time.perf_counter() - wall_started,
+                    table=table.name,
+                    rows=work.rows_matched,
+                    chunks=work.chunks_visited,
+                    via_index=work.chunks_via_index,
+                    buffer_hits=work.buffer_hits,
+                )
         self.clock.advance(elapsed)
         self.plan_cache.record(query, elapsed, self.clock.now_ms)
         counters = self.counters
         counters.queries_executed += 1
         counters.total_query_ms += elapsed
         counters.rows_matched += result.row_count
-        counters.buffer_hits += result.report.work.buffer_hits
-        counters.buffer_misses += result.report.work.buffer_misses
+        counters.buffer_hits += work.buffer_hits
+        counters.buffer_misses += work.buffer_misses
         counters.recent_query_ms.append(elapsed)
         if len(counters.recent_query_ms) > 4096:
             del counters.recent_query_ms[:2048]

@@ -11,22 +11,19 @@ encoding-weighted scan units, index probe units, tier multipliers
 from the ``scan_threads`` knob, and output materialisation.
 
 The reported :class:`ExecutionReport` is the "observed runtime" that the
-plan cache records and the adaptive cost models learn from.
+plan cache records and the adaptive cost models learn from. The executor
+accounts nothing itself: ``Database.execute`` counts a served query, and
+what-if probes and assessor replays that call in here are not serving.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.dbms.hardware import HardwareProfile
-
-if TYPE_CHECKING:
-    from repro.telemetry import Telemetry
 from repro.dbms.kernel import run_plan
 from repro.dbms.knobs import BUFFER_POOL_KNOB, SCAN_THREADS_KNOB, KnobRegistry
 from repro.dbms.operators import (
@@ -146,9 +143,6 @@ class QueryExecutor:
         self._buffer_pool = BufferPool(knobs.get(BUFFER_POOL_KNOB))
         # a standalone executor (no owning Database) gets a private planner
         self._planner = planner if planner is not None else QueryPlanner()
-        self._telemetry: "Telemetry | None" = None
-        self._counters = None
-        self._query_seq = 0
         self._validated: dict[Query, "TableSchema"] = {}
         #: run plans through the vectorized kernel (default) or the scalar
         #: per-chunk reference loop; both produce bit-identical results —
@@ -163,33 +157,6 @@ class QueryExecutor:
     @property
     def planner(self) -> QueryPlanner:
         return self._planner
-
-    def bind_telemetry(self, telemetry: "Telemetry | None") -> None:
-        """Attach (or detach, with ``None``) the telemetry spine.
-
-        While bound, every accounted execution bumps the ``exec_*`` work
-        counters, and one per-query span is recorded every
-        ``query_sample_every`` executions so production overhead stays
-        bounded. Probe-mode (what-if) executions are never counted here:
-        they are estimation work, tracked by the optimizer's own cache
-        counters.
-        """
-        if telemetry is None or not telemetry.enabled:
-            self._telemetry = None
-            self._counters = None
-            return
-        self._telemetry = telemetry
-        registry = telemetry.registry
-        self._counters = (
-            registry.counter("exec_queries"),
-            registry.counter("exec_scan_units"),
-            registry.counter("exec_probe_units"),
-            registry.counter("exec_rows_matched"),
-            registry.counter("exec_buffer_hits"),
-            registry.counter("exec_buffer_misses"),
-            registry.counter("exec_elapsed_sim_ms"),
-            registry.counter("exec_sampled_spans"),
-        )
 
     def sync_buffer_pool(self) -> None:
         """Re-read the buffer-pool knob (called after knob changes)."""
@@ -324,16 +291,6 @@ class QueryExecutor:
         hardware = self._hardware
         threads = int(self._knobs.get(SCAN_THREADS_KNOB))
 
-        telemetry = self._telemetry if not probe else None
-        sampled = False
-        wall_started = 0.0
-        if telemetry is not None:
-            self._query_seq += 1
-            every = telemetry.config.query_sample_every
-            sampled = every > 0 and (self._query_seq - 1) % every == 0
-            if sampled:
-                wall_started = time.perf_counter()
-
         plan = self._planner.plan_for(query, table)
         # the aggregate spec and projected-column list derive from the
         # query and schema alone, both frozen for the plan's lifetime —
@@ -396,27 +353,6 @@ class QueryExecutor:
             overhead_ms=overhead_ms,
             work=work,
         )
-        if telemetry is not None:
-            counters = self._counters
-            counters[0].inc()
-            counters[1].inc(work.scan_units)
-            counters[2].inc(work.probe_units)
-            counters[3].inc(work.rows_matched)
-            counters[4].inc(work.buffer_hits)
-            counters[5].inc(work.buffer_misses)
-            counters[6].inc(elapsed)
-            if sampled:
-                counters[7].inc()
-                telemetry.tracer.record(
-                    "query",
-                    sim_ms=elapsed,
-                    wall_s=time.perf_counter() - wall_started,
-                    table=table.name,
-                    rows=work.rows_matched,
-                    chunks=work.chunks_visited,
-                    via_index=work.chunks_via_index,
-                    buffer_hits=work.buffer_hits,
-                )
         rows = None
         if materialize and agg_spec is None:
             rows = {

@@ -198,8 +198,8 @@ class TenantContext:
             telemetry=telemetry,
             policy=policy,
         )
-        # sampled per-query spans + exec work counters from the executor
-        database.executor.bind_telemetry(telemetry)
+        # sampled per-query spans + exec work counters of served queries
+        database.bind_telemetry(telemetry)
         if telemetry.enabled:
             # compiled-plan compile/cache counters from the shared planner
             database.planner.bind_registry(telemetry.registry, replace=True)
@@ -289,5 +289,5 @@ class TenantContext:
 
     def close(self) -> None:
         """Release what the context holds on the database (detach path)."""
-        self.database.executor.bind_telemetry(None)
+        self.database.bind_telemetry(None)
         self.telemetry.close()

@@ -19,7 +19,6 @@ automatically* — no manual specification as in Zilio et al. [23].
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.configuration.constraints import ConstraintSet
@@ -160,13 +159,13 @@ class DependenceAnalyzer:
     def measure(self, forecast: Forecast) -> DependenceMatrix:
         """Run the full single + pairwise measurement campaign.
 
-        All sandboxing goes through ``optimizer.hypothetical``, which
-        rolls back exactly: the |S|² tuning runs all propose against the
-        *same* reset baseline, and since the cost cache keys on what a
-        query reads, a delta re-applied from it — or one that leaves a
-        query's columns alone — finds the costs priced before, which is
-        what turns the campaign's repeated what-if pricing into cache
-        hits.
+        Each first stage A is proposed once against the reset baseline
+        and its hypothetical entered once: ``W_A`` is priced there and
+        every B ≠ A is proposed on top of it — |S|² tuning runs in all.
+        Sandboxing goes through ``optimizer.hypothetical``, which rolls
+        back exactly; the cost cache keys on what a query reads, so a
+        delta that leaves a query's columns alone finds the costs priced
+        before.
         """
         if self._max_templates is not None:
             from repro.forecasting.scenarios import reduce_templates
@@ -180,17 +179,17 @@ class DependenceAnalyzer:
         reset = self._full_reset(forecast)
         with self._optimizer.hypothetical(reset):
             w_empty = self._expected_cost(forecast)
-            for name in names:
-                result = self._propose(name, forecast)
-                tuning_cost[name] = result.reconfiguration_cost_ms
-                with self._optimizer.hypothetical(result.delta):
-                    w_single[name] = self._expected_cost(forecast)
-            for a, b in itertools.permutations(names, 2):
+            for a in names:
                 result_a = self._propose(a, forecast)
+                tuning_cost[a] = result_a.reconfiguration_cost_ms
                 with self._optimizer.hypothetical(result_a.delta):
-                    result_b = self._propose(b, forecast)
-                    with self._optimizer.hypothetical(result_b.delta):
-                        w_pair[(a, b)] = self._expected_cost(forecast)
+                    w_single[a] = self._expected_cost(forecast)
+                    for b in names:
+                        if b == a:
+                            continue
+                        result_b = self._propose(b, forecast)
+                        with self._optimizer.hypothetical(result_b.delta):
+                            w_pair[(a, b)] = self._expected_cost(forecast)
 
         return DependenceMatrix(
             features=names,

@@ -150,33 +150,29 @@ class RecursiveTuningPlanner:
         current = initial
         for name in order:
             tuner = self._tuners[name]
-            failed = False
             failure: str | None = None
             supplied = proposals.get(name) if proposals else None
-            try:
-                with self._tracer.span("feature", name=name) as span:
+            with self._tracer.span("feature", name=name) as span:
+                try:
                     result, report = tuner.tune(
                         forecast, self._constraints, executor,
                         result=supplied,
                     )
-                    after = self._optimizer.scenario_cost_ms(
-                        forecast.expected, sample_queries
-                    )
-                    span.tag(
-                        candidates=result.candidate_count,
-                        chosen=len(result.chosen),
-                        cost_before_ms=round(current, 3),
-                        cost_after_ms=round(after, 3),
-                    )
-            except TuningAbortedError as exc:
-                # the executor rolled the pass back; record the aborted
-                # run and continue with the remaining features
-                failed = True
-                failure = str(exc)
-                result = exc.result  # type: ignore[assignment]
-                report = exc.report  # type: ignore[assignment]
+                except TuningAbortedError as exc:
+                    # the executor rolled the pass back; record the
+                    # aborted run and continue with the remaining features
+                    failure = str(exc)
+                    result = exc.result  # type: ignore[assignment]
+                    report = exc.report  # type: ignore[assignment]
+                    span.tag(error=repr(exc))
                 after = self._optimizer.scenario_cost_ms(
                     forecast.expected, sample_queries
+                )
+                span.tag(
+                    candidates=result.candidate_count,
+                    chosen=len(result.chosen),
+                    cost_before_ms=round(current, 3),
+                    cost_after_ms=round(after, 3),
                 )
             runs.append(
                 FeatureRunRecord(
@@ -185,7 +181,7 @@ class RecursiveTuningPlanner:
                     report=report,
                     cost_before_ms=current,
                     cost_after_ms=after,
-                    failed=failed,
+                    failed=failure is not None,
                     failure=failure,
                 )
             )

@@ -196,20 +196,15 @@ class PolicyEngine:
         run verbatim later. No-op proposals are dropped from the chain.
         """
         steps: list[PlanStep] = []
-        accumulated: list = []
+        # empty before the first step, where its hypothetical is the identity
+        accumulated = ConfigurationDelta([])
         for name in order:
-            tuner = tuners[name]
-            if accumulated:
-                with optimizer.hypothetical(
-                    ConfigurationDelta(list(accumulated))
-                ):
-                    result = tuner.propose(forecast, constraints)
-            else:
-                result = tuner.propose(forecast, constraints)
+            with optimizer.hypothetical(accumulated):
+                result = tuners[name].propose(forecast, constraints)
             if result.is_noop:
                 continue
             steps.append(PlanStep(feature=name, result=result))
-            accumulated.extend(result.delta.actions)
+            accumulated.extend(result.delta)
         self._inc(POLICY_STEPS_PROPOSED, float(len(steps)))
         return tuple(steps)
 

@@ -2,7 +2,7 @@
 
 The driver creates a single :class:`Telemetry` on attach and threads it
 down through the organizer, the planner, the tuners, the what-if
-optimizer, and the query executor, so every layer reports through the
+optimizer, and the database's serve path, so every layer reports through the
 same spine instead of inventing its own bookkeeping. Components accept
 ``telemetry=None`` and fall back to a disabled instance, which keeps
 them usable standalone at near-zero overhead.

@@ -189,7 +189,7 @@ class Tracer:
         """Record an already-finished unit of work as a complete span.
 
         Used where wrapping the work in a ``with`` block is impractical
-        (the executor's sampled per-query spans): the span starts at the
+        (the database's sampled per-query spans): the span starts at the
         current clocks and is immediately closed ``sim_ms``/``wall_s``
         later.
         """

@@ -3,6 +3,8 @@
 "The executor takes care of applying the choices that were selected
 previously. There are different application strategies regarding order,
 point in time and sequential or parallel application" (Section II-D.d).
+One loop applies a delta (:meth:`TuningExecutor._execute_batches`); a
+strategy is the batch width it is run with.
 
 Executors are **failure-aware**: an optional
 :class:`~repro.faults.injector.FaultInjector` gates every application
@@ -91,11 +93,13 @@ class ApplicationReport:
 class TuningExecutor(ABC):
     """Applies a configuration delta to the database.
 
-    Subclasses implement :meth:`execute` on top of the shared failure
-    machinery: :meth:`_apply_action` (inject → estimate → apply raw,
-    retrying transient faults) and :meth:`_abort` (roll back the
-    applied prefix, finalise the report, raise
-    :class:`~repro.errors.TuningAbortedError`).
+    There is one application loop, :meth:`_execute_batches`; a strategy
+    is the batch width its :meth:`execute` passes in (one action at a
+    time, or ``worker_count`` overlapping in simulated time). The loop
+    stands on the shared failure machinery: :meth:`_apply_action`
+    (inject → estimate → apply raw, retrying transient faults) and
+    :meth:`_abort` (roll back the applied prefix, finalise the report,
+    raise :class:`~repro.errors.TuningAbortedError`).
     """
 
     name: str = "executor"
@@ -140,6 +144,52 @@ class TuningExecutor(ABC):
         this call has been rolled back and the pre-call configuration
         is restored.
         """
+
+    def _execute_batches(
+        self, delta: ConfigurationDelta, db: Database, width: int
+    ) -> ApplicationReport:
+        """Apply ``delta`` in delta order, ``width`` actions to a batch.
+
+        A batch occupies its dearest action's time on the clock and its
+        summed work in the counters (docs/components.md, "Changing the
+        configuration"); with ``width`` 1 the two are the same number.
+        A permanent failure ends its batch early: what the batch did
+        apply is accounted like any other — clock and counters see the
+        work that really happened — and then the whole pass is rolled
+        back.
+        """
+        report = ApplicationReport(
+            strategy=self.name, started_ms=db.clock.now_ms
+        )
+        inverse_stack: list[Action] = []
+        actions = list(delta.actions)
+        for start in range(0, len(actions), width):
+            batch = actions[start : start + width]
+            costs: list[float] = []
+            failure: tuple[Action, Exception] | None = None
+            for action in batch:
+                try:
+                    cost, inverse = self._apply_action(action, db, report)
+                except Exception as exc:
+                    failure = (action, exc)
+                    break
+                costs.append(cost)
+                inverse_stack.extend(inverse)
+            db._record_reconfiguration(
+                sum(costs), max(costs, default=0.0), len(costs)
+            )
+            report.action_summaries.extend(
+                a.describe() for a in batch[: len(costs)]
+            )
+            report.action_costs_ms.extend(costs)
+            if failure is not None:
+                self._abort(db, inverse_stack, report, *failure)
+        report.finished_ms = db.clock.now_ms
+        report.elapsed_ms = report.finished_ms - report.started_ms
+        # a clean pass hands its inverse actions to the caller: the commit
+        # guard retains them for the probation window (see repro.guard)
+        report.inverse_actions = inverse_stack
+        return report
 
     # ------------------------------------------------------------------
     # shared failure machinery

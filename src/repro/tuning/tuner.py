@@ -4,12 +4,12 @@ Executor of Section II-D.
 Each stage is an exchangeable component: the feature supplies defaults, the
 constructor overrides them per run, which is how the framework "simplifies
 … experiments of new approaches since components can be exchanged
-effortlessly" (Section II-A).
+effortlessly" (Section II-A). A phase is timed by its telemetry span
+(``enumerate`` / ``assess`` / ``select`` / ``execute``), not in the result.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.configuration.constraints import ConstraintSet
@@ -44,8 +44,6 @@ class TuningResult:
     reconfiguration_cost_ms: float = 0.0
     candidate_count: int = 0
     selector_name: str = ""
-    #: real (host) seconds spent in enumerate / assess / select
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def is_noop(self) -> bool:
@@ -100,13 +98,10 @@ class Tuner:
         """Run enumerate → assess → select; returns a plan, applies nothing."""
         db = self._db
         constraints = constraints or ConstraintSet()
-        stage_seconds: dict[str, float] = {}
 
-        started = time.perf_counter()
         with self._tracer.span("enumerate") as span:
             candidates = self._enumerator.candidates(db, forecast)
             span.tag(candidates=len(candidates))
-        stage_seconds["enumerate"] = time.perf_counter() - started
 
         if not candidates:
             return TuningResult(
@@ -116,20 +111,16 @@ class Tuner:
                 delta=ConfigurationDelta([]),
                 candidate_count=0,
                 selector_name=self._selector.name,
-                stage_seconds=stage_seconds,
             )
 
-        started = time.perf_counter()
         with self._tracer.span("assess") as span:
             reset = self._feature.reset_delta(db, forecast)
             assessments = self._assessor.assess(candidates, db, forecast, reset)
             span.tag(assessments=len(assessments))
-        stage_seconds["assess"] = time.perf_counter() - started
 
         budgets = self._feature.budgets(db, constraints, forecast)
         probabilities = {s.name: s.probability for s in forecast.scenarios}
 
-        started = time.perf_counter()
         with self._tracer.span("select", selector=self._selector.name) as span:
             chosen = self._selector.select(
                 assessments,
@@ -138,7 +129,6 @@ class Tuner:
                 self._reconfiguration_weight,
             )
             span.tag(chosen=len(chosen))
-        stage_seconds["select"] = time.perf_counter() - started
 
         problems = validate_selection(
             assessments, {assessments.index(a) for a in chosen}, budgets
@@ -170,7 +160,6 @@ class Tuner:
             reconfiguration_cost_ms=delta.estimate_cost_ms(db),
             candidate_count=len(candidates),
             selector_name=self._selector.name,
-            stage_seconds=stage_seconds,
         )
 
     def apply(

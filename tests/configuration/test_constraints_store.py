@@ -106,6 +106,21 @@ def test_store_capacity_eviction():
     assert len(store) == 2
 
 
+def test_store_ids_are_monotone_and_survive_eviction():
+    db = make_small_database(rows=200)
+    store = ConfigurationInstanceStorage(capacity=2)
+    ids = [store.append(_record(db, predicted=float(i))) for i in range(3)]
+    assert ids == [0, 1, 2]
+    # an id keeps naming its record after older ones were evicted ...
+    store.record_measurement(2, 7.0)
+    assert store.latest().measured_benefit_ms == 7.0
+    store.record_measurement(1, 5.0)
+    assert store.history()[0].measured_benefit_ms == 5.0
+    # ... and an evicted id names nothing
+    with pytest.raises(ConfigurationError):
+        store.record_measurement(0, 1.0)
+
+
 def test_store_measurement_and_feedback():
     db = make_small_database(rows=200)
     store = ConfigurationInstanceStorage()

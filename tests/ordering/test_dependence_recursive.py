@@ -1,5 +1,7 @@
 """Tests for dependence measurement and recursive tuning (Section III)."""
 
+import itertools
+
 import pytest
 
 from repro.configuration.config import ConfigurationInstance
@@ -8,12 +10,17 @@ from repro.configuration.constraints import (
     ConstraintSet,
     ResourceBudget,
 )
+from repro.configuration.delta import ConfigurationDelta
+from repro.cost.what_if import WhatIfOptimizer
 from repro.errors import OrderingError
-from repro.ordering.dependence import DependenceAnalyzer
+from repro.ordering.dependence import DependenceAnalyzer, DependenceMatrix
+from repro.ordering.lp import LPOrderOptimizer
 from repro.ordering.recursive import RecursiveTuningPlanner
+from repro.tuning import standard_features
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
+from repro.workload import build_retail_suite
 
 from tests.conftest import make_forecast
 
@@ -55,6 +62,93 @@ def test_measure_produces_consistent_matrix(retail_suite):
     d = matrix.d("compression", "index_selection")
     assert d > 0
     assert matrix.d("index_selection", "compression") == pytest.approx(1.0 / d)
+
+
+def _straight_line_campaign(db, tuners, constraints, optimizer, forecast):
+    """The campaign as two flat loops — every pair re-proposes its first
+    stage from the reset baseline. Kept as the reference the nested
+    campaign of ``DependenceAnalyzer.measure`` is held against."""
+    by_name = {t.feature_name: t for t in tuners}
+    names = tuple(sorted(by_name))
+    sample_queries = dict(forecast.sample_queries)
+
+    def expected_cost():
+        return optimizer.scenario_cost_ms(forecast.expected, sample_queries)
+
+    w_single, w_pair, tuning_cost = {}, {}, {}
+    reset = ConfigurationDelta([])
+    for tuner in by_name.values():
+        reset.extend(tuner.feature.reset_delta(db, forecast))
+    with optimizer.hypothetical(reset):
+        w_empty = expected_cost()
+        for name in names:
+            result = by_name[name].propose(forecast, constraints)
+            tuning_cost[name] = result.reconfiguration_cost_ms
+            with optimizer.hypothetical(result.delta):
+                w_single[name] = expected_cost()
+        for a, b in itertools.permutations(names, 2):
+            result_a = by_name[a].propose(forecast, constraints)
+            with optimizer.hypothetical(result_a.delta):
+                result_b = by_name[b].propose(forecast, constraints)
+                with optimizer.hypothetical(result_b.delta):
+                    w_pair[(a, b)] = expected_cost()
+    return DependenceMatrix(
+        features=names,
+        w_empty=w_empty,
+        w_single=w_single,
+        w_pair=w_pair,
+        tuning_cost_ms=tuning_cost,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3], ids=lambda s: f"seed {s}")
+def test_campaign_equals_the_straight_line_reference(seed, monkeypatch):
+    """Proposing each first stage once changes no measured cost: on five
+    features the nested campaign returns the matrix of the straight-line
+    one, value for value and in the same dict order, from 25 tuning runs
+    instead of 45, and leaves the database as it found it."""
+    proposals = []
+    propose = Tuner.propose
+
+    def counting_propose(self, forecast, constraints=None):
+        proposals.append(self.feature_name)
+        return propose(self, forecast, constraints)
+
+    monkeypatch.setattr(Tuner, "propose", counting_propose)
+
+    def campaign(measure):
+        # a fresh suite per run: neither campaign finds the other's caches
+        suite = build_retail_suite(
+            seed=seed, orders_rows=4_000, inventory_rows=1_000, chunk_size=1_024
+        )
+        db = suite.database
+        optimizer = WhatIfOptimizer(db)
+        tuners = [
+            Tuner(feature, db, optimizer=optimizer)
+            for feature in standard_features(include_sort_order=True)
+        ]
+        forecast = make_forecast(suite)
+        before = ConfigurationInstance.capture(db)
+        del proposals[:]
+        matrix = measure(db, tuners, _constraints(), optimizer, forecast)
+        assert ConfigurationInstance.capture(db) == before
+        return matrix, len(proposals)
+
+    reference, reference_runs = campaign(_straight_line_campaign)
+    matrix, runs = campaign(
+        lambda db, tuners, constraints, optimizer, forecast: DependenceAnalyzer(
+            db, tuners, constraints, optimizer
+        ).measure(forecast)
+    )
+    assert len(matrix.features) == 5
+    assert (reference_runs, runs) == (45, 25)
+    assert matrix.w_empty == reference.w_empty
+    for measured in ("w_single", "w_pair", "tuning_cost_ms"):
+        assert list(getattr(matrix, measured).items()) == list(
+            getattr(reference, measured).items()
+        ), measured
+    order = LPOrderOptimizer().optimize(matrix).order
+    assert order == LPOrderOptimizer().optimize(reference).order
 
 
 def test_analyzer_requires_two_distinct_features(retail_suite):

@@ -51,7 +51,7 @@ def _executions(db, n):
 def test_executor_samples_first_query_then_every_nth():
     db = make_small_database(rows=1_000)
     telemetry = Telemetry(db.clock, TelemetryConfig(query_sample_every=4))
-    db.executor.bind_telemetry(telemetry)
+    db.bind_telemetry(telemetry)
     _executions(db, 9)
     registry = telemetry.registry
     assert registry.read("exec_queries") == 9.0
@@ -66,7 +66,7 @@ def test_executor_samples_first_query_then_every_nth():
 def test_probe_executions_are_never_counted():
     db = make_small_database(rows=1_000)
     telemetry = Telemetry(db.clock, TelemetryConfig(query_sample_every=1))
-    db.executor.bind_telemetry(telemetry)
+    db.bind_telemetry(telemetry)
     from repro.workload import parse_sql
 
     query = parse_sql("SELECT COUNT(*) FROM events WHERE user = 3")
@@ -78,7 +78,7 @@ def test_probe_executions_are_never_counted():
 def test_sampling_zero_disables_query_spans_not_counters():
     db = make_small_database(rows=1_000)
     telemetry = Telemetry(db.clock, TelemetryConfig(query_sample_every=0))
-    db.executor.bind_telemetry(telemetry)
+    db.bind_telemetry(telemetry)
     _executions(db, 3)
     assert telemetry.registry.read("exec_queries") == 3.0
     assert telemetry.registry.read("exec_sampled_spans") == 0.0
@@ -88,9 +88,9 @@ def test_sampling_zero_disables_query_spans_not_counters():
 def test_unbinding_telemetry_stops_accounting():
     db = make_small_database(rows=1_000)
     telemetry = Telemetry(db.clock, TelemetryConfig(query_sample_every=1))
-    db.executor.bind_telemetry(telemetry)
+    db.bind_telemetry(telemetry)
     _executions(db, 1)
-    db.executor.bind_telemetry(None)
+    db.bind_telemetry(None)
     _executions(db, 5)
     assert telemetry.registry.read("exec_queries") == 1.0
 

@@ -10,8 +10,9 @@ from repro.core.driver import Driver, DriverConfig
 from repro.core.events import EventKind
 from repro.core.organizer import OrganizerConfig
 from repro.core.simulation import ClosedLoopSimulation
-from repro.core.triggers import NeverTrigger
+from repro.core.triggers import NeverTrigger, PeriodicTrigger
 from repro.telemetry import TelemetryConfig
+from repro.tuning import standard_features
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.workload import generate_trace
 from tests.conftest import make_retail_suite
@@ -116,3 +117,34 @@ def test_detach_unbinds_executor_telemetry(retail_suite):
     for q in retail_suite.mix.sample_queries(5, seed=1):
         db.execute(q)
     assert driver.telemetry.registry.read("exec_queries") == before
+
+
+def test_exec_counters_equal_the_runtime_counters_after_tuning():
+    """A served query is counted where it is served: what the tuners
+    replay on the executor while assessing (the buffer-pool assessor's
+    scratch-pool runs) is not serving, so after a run with tuning passes
+    the telemetry ``exec_*`` counters and ``Database.counters`` agree."""
+    suite = make_retail_suite()
+    db = suite.database
+    assert db.counters.queries_executed == 0
+    driver = Driver(
+        standard_features(),
+        triggers=[PeriodicTrigger(every_ms=3 * 60_000.0)],
+        config=DriverConfig(
+            organizer=OrganizerConfig(horizon_bins=3, min_history_bins=3)
+        ),
+    )
+    db.plugin_host.attach(driver)
+    trace = generate_trace(
+        suite.families, suite.rates, 10, bin_duration_ms=60_000, seed=33
+    )
+    ClosedLoopSimulation(db, trace, seed=9).run()
+    passes = driver.events.events(EventKind.TUNING_FINISHED)
+    assert len(passes) >= 2
+
+    registry = driver.telemetry.registry
+    counters = db.counters
+    assert registry.read("exec_queries") == counters.queries_executed
+    assert registry.read("exec_elapsed_sim_ms") == counters.total_query_ms
+    assert registry.read("exec_buffer_hits") == counters.buffer_hits
+    assert registry.read("exec_buffer_misses") == counters.buffer_misses

@@ -8,6 +8,7 @@ from repro.configuration.constraints import (
     ConstraintSet,
     ResourceBudget,
 )
+from repro.telemetry import Telemetry
 from repro.tuning.selectors import OptimalSelector
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
@@ -20,13 +21,18 @@ def test_index_tuning_improves_workload_within_budget(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
     constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)])
-    tuner = Tuner(IndexSelectionFeature(), db)
+    telemetry = Telemetry(db.clock)
+    tuner = Tuner(IndexSelectionFeature(), db, telemetry=telemetry)
     result = tuner.propose(forecast, constraints)
     assert result.candidate_count > 0
     assert result.chosen
     assert result.predicted_benefit_ms > 0
     assert not result.is_noop
-    assert set(result.stage_seconds) == {"enumerate", "assess", "select"}
+    # a phase is timed by its span: the three exist, in order, each
+    # carrying the host time it took
+    phases = telemetry.ring.records(type="span")
+    assert [r["name"] for r in phases] == ["enumerate", "assess", "select"]
+    assert all(r["wall_ms"] > 0 for r in phases)
     # nothing applied yet
     assert db.index_bytes() == 0
     report = tuner.apply(result)
