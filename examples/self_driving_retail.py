@@ -83,15 +83,21 @@ def main() -> None:
             print(f"[{event.at_ms / 60_000:5.1f} min] {event.message}")
 
     print("\n--- feedback loop (configuration store) ---")
-    for record in driver.store.history():
-        if record.feature is not None:
-            continue  # per-feature detail records
+    for record in driver.store.history():  # one record per pass
         print(
             f"trigger={record.trigger:15s} "
             f"predicted={record.predicted_benefit_ms:7.2f} ms  "
             f"measured={record.measured_benefit_ms:7.2f} ms  "
             f"reconfig={record.reconfiguration_cost_ms:6.2f} ms"
         )
+        for outcome in record.outcomes:
+            print(
+                f"    {outcome.feature:15s} "
+                f"predicted={outcome.predicted_benefit_ms:7.2f} ms  "
+                f"measured={outcome.measured_benefit_ms:7.2f} ms  "
+                f"reconfig={outcome.work_ms:6.2f} ms  "
+                f"({len(outcome.action_summaries)} actions)"
+            )
 
     print(f"\nfinal index memory: {db.index_bytes() / MIB:.2f} MiB")
     print(f"total reconfigurations: {db.counters.reconfigurations}")

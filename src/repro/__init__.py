@@ -14,7 +14,8 @@ framework end to end, including every substrate it depends on:
 - :mod:`repro.cost` — logical, physical, and adaptive learned cost models
   plus the what-if optimizer;
 - :mod:`repro.configuration` — configuration instances, deltas/actions,
-  constraints, and the instance store (feedback loop);
+  constraints, and the instance store (one record per committed pass:
+  the feedback loop and the probation state);
 - :mod:`repro.tuning` — the Tuner pipeline: enumerators, assessors,
   selectors (greedy/optimal/genetic/robust), executors, and four feature
   tuners (indexes, compression, placement, buffer pool);
@@ -28,9 +29,10 @@ framework end to end, including every substrate it depends on:
 - :mod:`repro.faults` — seeded fault injection and recovery: action
   failures with retry/backoff, rollback of failed passes, and the
   organizer's per-feature quarantine breaker;
-- :mod:`repro.guard` — guarded reconfiguration: commit probation with a
-  retained-inverse-action ledger, a runtime regression watchdog that
-  rolls bad commits back, and forecast-miss escalation;
+- :mod:`repro.guard` — guarded reconfiguration: commit probation with
+  the inverse actions retained on the commit's record, a runtime
+  regression watchdog that rolls bad commits back, and forecast-miss
+  escalation;
 - :mod:`repro.fleet` — fleet-scale multi-tenancy: per-tenant contexts,
   a fleet organizer arbitrating the tuning budget across tenants, and
   shared tuning priors replayed onto look-alike tenants;
@@ -81,7 +83,7 @@ from repro.fleet import (
     build_fleet,
 )
 from repro.forecasting import Forecast, WorkloadAnalyzer, WorkloadPredictor
-from repro.guard import CommitGuard, CommitLedger, GuardConfig
+from repro.guard import CommitGuard, GuardConfig
 from repro.ordering import (
     DependenceAnalyzer,
     LPOrderOptimizer,
@@ -114,7 +116,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClosedLoopSimulation",
     "CommitGuard",
-    "CommitLedger",
     "ConfigurationDelta",
     "ConfigurationInstance",
     "ConstraintSet",

@@ -473,6 +473,26 @@ def _swap_dominance_hook(args: argparse.Namespace, swapped: dict):
     return mutate
 
 
+def _print_commit_ledger(store) -> None:
+    """Every commit that went on probation, oldest first (the one still
+    on probation is therefore last), with the KPI mean it was judged by."""
+    commits = [r for r in store.history() if r.commit_id is not None]
+    if not commits:
+        return
+    print("\ncommit ledger:")
+    for record in commits:
+        state = (
+            record.resolution.value if record.resolution else "on_probation"
+        )
+        observed = (
+            "-" if record.observed_ms is None else f"{record.observed_ms:.3f}"
+        )
+        print(f"  commit #{record.commit_id} at "
+              f"{record.applied_at_ms / 60_000:5.1f} min: {state} "
+              f"({len(record.inverse_actions)} inverse actions retained, "
+              f"baseline {record.baseline_ms:.3f} -> observed {observed} ms)")
+
+
 def _cmd_guard(args: argparse.Namespace) -> int:
     from repro.core import EventKind, PeriodicTrigger
     from repro.kpi.metrics import GUARD_KPIS
@@ -497,15 +517,7 @@ def _cmd_guard(args: argparse.Namespace) -> int:
     for name in GUARD_KPIS:
         print(f"  {name:22s} {snap.get(name, 0.0):.0f}")
 
-    ledger = driver.organizer.guard.ledger.snapshot()
-    if ledger:
-        print("\ncommit ledger:")
-        for entry in ledger:
-            print(f"  commit #{entry['commit_id']} at "
-                  f"{entry['committed_at_ms'] / 60_000:5.1f} min: "
-                  f"{entry['resolution']} "
-                  f"({entry['inverse_actions']} inverse actions retained, "
-                  f"baseline {entry['baseline_ms']:.3f} ms)")
+    _print_commit_ledger(driver.store)
 
     shown = [
         e

@@ -3,62 +3,118 @@
 "When the configuration is adjusted, former configuration instances are
 stored. This storing is central to establish a feedback loop for past
 decisions by enabling the assessment of the impact of past tuning
-decisions" (Section II-A.b). Each record pairs the instance with what the
-tuner *predicted* the change would be worth; measurements filled in later
-let learned assessors calibrate their confidence. A record's id counts
-appends, so it stays valid across eviction of older records.
+decisions" (Section II-A.b). A committed pass — tuned or replayed — is
+one record: the instance, what the tuners *predicted* the change would
+be worth and what the cost model priced it at, feature by feature, and
+the pass's probation (see repro.guard): the inverse actions retained
+while the regression watchdog compares runtime KPIs against the
+pre-commit baseline, and the mean it observed when the probation ended.
+
+At most one record is on probation at a time. Inverse actions only
+compose with the configuration state they were recorded against, so a
+newer probation landing on top *supersedes* the older one (its rollback
+material is discarded and it graduates early, resolved
+:attr:`CommitResolution.SUPERSEDED`) rather than stacking unsoundly.
+
+A record's id counts appends, so it stays valid across eviction of
+older records; a ``commit_id`` counts opened probations from 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import enum
+from dataclasses import dataclass
 
+from repro.configuration.actions import Action
 from repro.configuration.config import ConfigurationInstance
 from repro.errors import ConfigurationError
 
 
+class CommitResolution(enum.Enum):
+    """How a record's probation ended."""
+
+    #: the probation window elapsed without a confirmed regression
+    PASSED = "passed"
+    #: a confirmed KPI regression rolled the commit back
+    ROLLED_BACK = "rolled_back"
+    #: a newer commit landed before the window elapsed
+    SUPERSEDED = "superseded"
+
+
+@dataclass(frozen=True)
+class FeatureOutcome:
+    """What one feature's tuning contributed to a committed pass."""
+
+    feature: str
+    action_summaries: tuple[str, ...]
+    predicted_benefit_ms: float
+    #: the cost model's workload cost before minus after the feature's
+    #: actions, priced at commit time (model vs model)
+    measured_benefit_ms: float
+    #: reconfiguration work of the feature's actions
+    work_ms: float
+
+
 @dataclass
 class ConfigurationRecord:
-    """One stored configuration change and its predicted/measured impact."""
+    """One committed pass: its predicted/measured impact and probation."""
 
     instance: ConfigurationInstance
     applied_at_ms: float
     trigger: str
-    feature: str | None = None
-    action_summaries: list[str] = field(default_factory=list)
-    predicted_benefit_ms: float | None = None
-    reconfiguration_cost_ms: float | None = None
-    #: filled in later, once the effect has been observed
-    measured_benefit_ms: float | None = None
-
-    @property
-    def prediction_error(self) -> float | None:
-        """Relative error of the predicted benefit, if measured."""
-        if self.predicted_benefit_ms is None or self.measured_benefit_ms is None:
-            return None
-        scale = max(abs(self.measured_benefit_ms), 1e-9)
-        return (self.predicted_benefit_ms - self.measured_benefit_ms) / scale
+    predicted_benefit_ms: float
+    #: model vs model at commit time, like the per-feature figure
+    measured_benefit_ms: float
+    #: reconfiguration work (sum of per-action costs, not elapsed time)
+    reconfiguration_cost_ms: float
+    #: forward actions of the pass, in application order
+    actions: tuple[Action, ...] = ()
+    #: one entry per feature whose application succeeded, in tuning order
+    #: (empty for a replayed pass: its delta is not split by feature)
+    outcomes: tuple[FeatureOutcome, ...] = ()
+    #: features the commit answers for if the watchdog rolls it back: of
+    #: a tuned pass, those whose outcome applied actions
+    features: tuple[str, ...] = ()
+    # -- probation (filled by open_probation / resolve) -----------------
+    #: set once the record goes on probation
+    commit_id: int | None = None
+    #: inverse actions in application order (rollback applies them LIFO);
+    #: kept only while on probation or rolled back
+    inverse_actions: tuple[Action, ...] = ()
+    #: pre-commit KPI baseline (mean of the guarded metric)
+    baseline_ms: float | None = None
+    #: busy samples the baseline was computed over
+    baseline_sample_count: int = 0
+    resolution: CommitResolution | None = None
+    resolved_at_ms: float | None = None
+    #: the guarded metric's post-commit mean when the watchdog resolved
+    #: the probation (None when superseded: nothing was concluded)
+    observed_ms: float | None = None
 
 
 class ConfigurationInstanceStorage:
-    """Append-only history of configuration instances."""
+    """Append-only history of committed passes plus the one on probation."""
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ConfigurationError("capacity must be at least 1")
+        # two: the record on probation is never evicted, and its
+        # successor must fit beside it
+        if capacity < 2:
+            raise ConfigurationError("capacity must be at least 2")
         self._capacity = capacity
         self._records: list[ConfigurationRecord] = []
-        #: records dropped so far; the oldest retained record's id
-        self._evicted = 0
+        self._appended = 0
+        self._active: ConfigurationRecord | None = None
+        self._probations_opened = 0
 
     def append(self, record: ConfigurationRecord) -> int:
-        """Store a record; returns its id. Ids count appends, so one
-        names the same record for as long as it is retained."""
+        """Store a record; returns its id. Ids count appends. Past
+        capacity the oldest record goes, except the one on probation: it
+        holds the only copy of its rollback material."""
         self._records.append(record)
         if len(self._records) > self._capacity:
-            del self._records[0]
-            self._evicted += 1
-        return self._evicted + len(self._records) - 1
+            del self._records[1 if self._records[0] is self._active else 0]
+        self._appended += 1
+        return self._appended - 1
 
     def __len__(self) -> int:
         return len(self._records)
@@ -69,25 +125,71 @@ class ConfigurationInstanceStorage:
     def history(self) -> tuple[ConfigurationRecord, ...]:
         return tuple(self._records)
 
-    def record_measurement(self, record_id: int, measured_benefit_ms: float) -> None:
-        index = record_id - self._evicted
-        if not 0 <= index < len(self._records):
-            raise ConfigurationError(f"no record with id {record_id}")
-        self._records[index].measured_benefit_ms = measured_benefit_ms
+    @property
+    def active(self) -> ConfigurationRecord | None:
+        """The record on probation, if any."""
+        return self._active
+
+    def open_probation(
+        self,
+        record: ConfigurationRecord,
+        *,
+        inverse_actions: tuple[Action, ...],
+        baseline_ms: float,
+        baseline_sample_count: int,
+    ) -> ConfigurationRecord | None:
+        """Put the record just appended on probation.
+
+        Returns the record this one displaced (now resolved SUPERSEDED),
+        or ``None``.
+        """
+        superseded = None
+        if self._active is not None:
+            superseded = self.resolve(
+                CommitResolution.SUPERSEDED, record.applied_at_ms
+            )
+        self._probations_opened += 1
+        record.commit_id = self._probations_opened
+        record.inverse_actions = inverse_actions
+        record.baseline_ms = baseline_ms
+        record.baseline_sample_count = baseline_sample_count
+        self._active = record
+        return superseded
+
+    def resolve(
+        self,
+        resolution: CommitResolution,
+        now_ms: float,
+        observed_ms: float | None = None,
+    ) -> ConfigurationRecord:
+        """End the active probation; returns its record."""
+        if self._active is None:
+            raise ConfigurationError("no record is on probation")
+        record = self._active
+        record.resolution = resolution
+        record.resolved_at_ms = now_ms
+        record.observed_ms = observed_ms
+        # rollback material is only meaningful while on probation
+        if resolution is not CommitResolution.ROLLED_BACK:
+            record.inverse_actions = ()
+        self._active = None
+        return record
 
     def feedback(
         self, feature: str | None = None
     ) -> list[tuple[float, float]]:
-        """(predicted, measured) benefit pairs available for learning."""
+        """(predicted, measured) benefit pairs available for learning:
+        ``feature``'s outcomes, or with no feature named every pass's
+        totals followed by its outcomes."""
         pairs = []
         for record in self._records:
-            if feature is not None and record.feature != feature:
-                continue
-            if (
-                record.predicted_benefit_ms is not None
-                and record.measured_benefit_ms is not None
-            ):
+            if feature is None:
                 pairs.append(
                     (record.predicted_benefit_ms, record.measured_benefit_ms)
                 )
+            pairs.extend(
+                (o.predicted_benefit_ms, o.measured_benefit_ms)
+                for o in record.outcomes
+                if feature is None or o.feature == feature
+            )
         return pairs

@@ -40,8 +40,6 @@ class DriverConfig:
     bin_duration_ms: float = 60_000.0
     organizer: OrganizerConfig = field(default_factory=OrganizerConfig)
     analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
-    #: seasonal period (bins) for the default forecast model
-    default_seasonal_period: int = 24
     #: price candidates with a continuously-maintained learned cost model
     #: instead of measured what-if execution (the low-overhead production
     #: mode of §II-A.d / §V); runs startup calibration on attach
@@ -53,7 +51,7 @@ class DriverConfig:
     faults: FaultConfig | None = None
     #: backoff policy for retrying transient action failures
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: tenant id labelling every event, span record, and ledger this
+    #: tenant id labelling every event and span record this
     #: driver's components produce ('' = single-tenant; see docs/fleet.md)
     tenant: str = ""
     #: declared objectives for goal-driven planning; when set the
@@ -81,7 +79,7 @@ class Driver(Plugin):
         self._constraints = constraints or ConstraintSet()
         self._config = config or DriverConfig()
         # None defers to TenantContext.wire's default (a SeasonalNaive
-        # over config.default_seasonal_period)
+        # over DEFAULT_SEASONAL_PERIOD bins)
         self._model_factory = model_factory
         self._selector = selector
         self._triggers = triggers

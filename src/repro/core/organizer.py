@@ -23,6 +23,7 @@ from repro.configuration.delta import ConfigurationDelta
 from repro.configuration.store import (
     ConfigurationInstanceStorage,
     ConfigurationRecord,
+    FeatureOutcome,
 )
 from repro.cost.what_if import WhatIfOptimizer
 from repro.core.events import EventKind, EventLog
@@ -40,7 +41,6 @@ from repro.faults.quarantine import Admission, FeatureQuarantine
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.guard.forecast_miss import ForecastMissVerdict
 from repro.guard.guard import CommitGuard, GuardConfig
-from repro.guard.ledger import ProbationCommit
 from repro.guard.regression import RegressionVerdict
 from repro.kpi.metrics import (
     WHATIF_CACHE_EVICTIONS,
@@ -116,8 +116,8 @@ class OrganizerRunReport:
     decision: TriggerDecision
     order: tuple[str, ...]
     tuning: RecursiveTuningReport
-    record_id: int | None = None
-    tuned_features: tuple[str, ...] = ()
+    #: the configuration-store record of the commit
+    record: ConfigurationRecord
     skipped_features: tuple[str, ...] = field(default_factory=tuple)
     #: features excluded from this pass by the quarantine breaker
     quarantined_features: tuple[str, ...] = field(default_factory=tuple)
@@ -192,10 +192,12 @@ class Organizer:
             optimizer=self._optimizer,
             telemetry=self._telemetry,
         )
-        # the commit guard: probation ledger, regression watchdog, and
-        # forecast-miss escalation, driven from guard_tick()
+        # the commit guard: probation (held on the store's records),
+        # regression watchdog, and forecast-miss escalation, driven from
+        # guard_tick()
         self._guard = CommitGuard(
             self._monitor,
+            self._store,
             config=self._config.guard,
             registry=self._telemetry.registry,
             events=self._events,
@@ -433,7 +435,7 @@ class Organizer:
         return None
 
     def _rollback_commit(
-        self, commit: ProbationCommit, verdict: RegressionVerdict
+        self, commit: ConfigurationRecord, verdict: RegressionVerdict
     ) -> ApplicationReport:
         """Undo a probation commit through the executor recovery path."""
         report = self._executor.rollback(
@@ -441,7 +443,7 @@ class Organizer:
             list(commit.inverse_actions),
         )
         now = self._db.clock.now_ms
-        _, offenders = self._guard.resolve_rollback(now)
+        _, offenders = self._guard.resolve_rollback(now, verdict)
         self._events.log(
             now,
             EventKind.ROLLBACK,
@@ -677,21 +679,14 @@ class Organizer:
     def _record_commit(
         self,
         record: ConfigurationRecord,
-        features: tuple[str, ...],
         inverse_actions: Sequence["Action"],
-    ) -> int:
+    ) -> None:
         """Append a committed pass's record and open its probation — the
         step a tuned and a replayed pass share. The inverse actions are
         retained instead of discarded, so a confirmed KPI regression can
         undo the commit bit-identically (see repro.guard)."""
-        record_id = self._store.append(record)
-        self._guard.open_probation(
-            record.applied_at_ms,
-            features=features,
-            inverse_actions=tuple(inverse_actions),
-            record_id=record_id,
-        )
-        return record_id
+        self._store.append(record)
+        self._guard.open_probation(record, tuple(inverse_actions))
 
     def _commit_pass(
         self,
@@ -699,9 +694,9 @@ class Organizer:
         interval,
         pass_span,
         report: RecursiveTuningReport,
-    ) -> int:
+    ) -> ConfigurationRecord:
         """The pass body's epilogue: feed outcomes to the breaker, append
-        configuration records, open guard probation, and log the
+        the configuration record, open guard probation, and log the
         TUNING_FINISHED accounting."""
         self._last_tuning_ms = self._db.clock.now_ms
         self._record_run_outcomes(report)
@@ -709,42 +704,30 @@ class Organizer:
         # failed runs were rolled back: they contribute no actions,
         # no predicted benefit, and no feedback training pairs
         ok_runs = [r for r in report.runs if not r.failed]
-        predicted = sum(r.result.predicted_benefit_ms for r in ok_runs)
-        measured = report.initial_cost_ms - report.final_cost_ms
+        outcomes = tuple(
+            FeatureOutcome(
+                feature=r.feature,
+                action_summaries=tuple(r.report.action_summaries),
+                predicted_benefit_ms=r.result.predicted_benefit_ms,
+                measured_benefit_ms=r.cost_before_ms - r.cost_after_ms,
+                work_ms=r.report.total_work_ms,
+            )
+            for r in ok_runs
+        )
         record = ConfigurationRecord(
             instance=ConfigurationInstance.capture(self._db),
             applied_at_ms=self._db.clock.now_ms,
             trigger=decision.trigger,
-            feature=None,
-            action_summaries=[
-                summary
-                for r in ok_runs
-                for summary in r.report.action_summaries
-            ],
-            predicted_benefit_ms=predicted,
+            predicted_benefit_ms=sum(o.predicted_benefit_ms for o in outcomes),
+            measured_benefit_ms=report.initial_cost_ms - report.final_cost_ms,
             reconfiguration_cost_ms=report.total_reconfiguration_ms,
-            measured_benefit_ms=measured,
+            actions=tuple(a for r in ok_runs for a in r.result.delta.actions),
+            outcomes=outcomes,
+            features=tuple(o.feature for o in outcomes if o.action_summaries),
         )
-        record_id = self._record_commit(
-            record,
-            tuple(r.feature for r in ok_runs if r.report.action_summaries),
-            [a for r in ok_runs for a in r.report.inverse_actions],
+        self._record_commit(
+            record, [a for r in ok_runs for a in r.report.inverse_actions]
         )
-        # also store one record per feature, so feedback() can return
-        # predicted-vs-measured pairs feature by feature
-        for r in ok_runs:
-            self._store.append(
-                ConfigurationRecord(
-                    instance=record.instance,
-                    applied_at_ms=record.applied_at_ms,
-                    trigger=decision.trigger,
-                    feature=r.feature,
-                    action_summaries=list(r.report.action_summaries),
-                    predicted_benefit_ms=r.result.predicted_benefit_ms,
-                    reconfiguration_cost_ms=r.report.total_work_ms,
-                    measured_benefit_ms=r.cost_before_ms - r.cost_after_ms,
-                )
-            )
         deltas = interval.deltas()
         cache_hits = int(deltas.get(WHATIF_CACHE_HITS, 0.0))
         cache_misses = int(deltas.get(WHATIF_CACHE_MISSES, 0.0))
@@ -773,7 +756,7 @@ class Organizer:
                 cache_hits / cache_priced if cache_priced else 0.0
             ),
         )
-        return record_id
+        return record
 
     def _choose_plan(
         self,
@@ -897,15 +880,12 @@ class Organizer:
             )
             if plan_report is not None:
                 engine.note_executed(plan_report.chosen)
-            record_id = self._commit_pass(
-                decision, interval, pass_span, report
-            )
+            record = self._commit_pass(decision, interval, pass_span, report)
         run_report = OrganizerRunReport(
             decision=decision,
             order=order,
             tuning=report,
-            record_id=record_id,
-            tuned_features=order,
+            record=record,
             skipped_features=skipped,
             quarantined_features=quarantined,
             plan=plan_report,
@@ -1014,24 +994,20 @@ class Organizer:
                 return report
             now = self._db.clock.now_ms
             self._last_tuning_ms = now
-            record_id = self._record_commit(
+            self._record_commit(
                 ConfigurationRecord(
                     instance=ConfigurationInstance.capture(self._db),
                     applied_at_ms=now,
                     trigger=FLEET_REPLAY_TRIGGER,
-                    feature=None,
-                    action_summaries=list(report.action_summaries),
                     predicted_benefit_ms=predicted_benefit_ms,
-                    reconfiguration_cost_ms=report.total_work_ms,
                     measured_benefit_ms=cost_before_ms - cost_after_ms,
+                    reconfiguration_cost_ms=report.total_work_ms,
+                    actions=tuple(actions),
+                    features=features,
                 ),
-                features,
                 report.inverse_actions,
             )
-            span.tag(
-                record_id=record_id,
-                predicted_benefit_ms=round(predicted_benefit_ms, 3),
-            )
+            span.tag(predicted_benefit_ms=round(predicted_benefit_ms, 3))
             self._events.log(
                 now,
                 EventKind.TUNING_FINISHED,

@@ -11,15 +11,15 @@ never reaches into another tenant's components:
   look-alike cluster, only the hottest tenant initiates full tuning
   passes; colder tenants wait for its prior, with a starvation bound),
   per-tenant fleet cooldowns, and a fleet-wide cap on concurrent
-  reconfigurations (tenants whose guard ledger holds an active probation
-  commit count against it);
+  reconfigurations (tenants with a commit on probation count against
+  it);
 - **prior sharing** — every committed pass is harvested as a
   :class:`TuningPrior` (its forward actions plus the source tenant's
   observed mix — the cluster-level forecast model, fitted once per
   cluster rather than once per tenant);
 - **prior replay** — after each fleet bin, priors are what-if validated
   on look-alike tenants (total-variation distance between observed
-  mixes within :attr:`FleetConfig.cluster_tv`) by pricing the cluster
+  mixes within :data:`CLUSTER_TV`) by pricing the cluster
   mix rescaled to the target tenant's volume, and applied through
   ``replay_pass`` only when the validation predicts an improvement.
   Replayed commits enter guard probation like any tuned pass, so the
@@ -43,7 +43,7 @@ fleet driver applies them here in tick order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.configuration.actions import Action
 from repro.configuration.delta import ConfigurationDelta
@@ -73,27 +73,28 @@ class FleetConfig:
     #: arbitrate admissions at all; off = every tenant tunes
     #: independently (the bench baseline)
     arbitrate: bool = True
-    #: total-variation bound between observed mixes for two tenants to
-    #: count as look-alike (one workload cluster)
-    cluster_tv: float = 0.35
-    #: observation window (bins) for mixes and volume ranking
-    mix_window_bins: int = 6
     #: a cold tenant deferred this many times while waiting for a
     #: cluster prior is admitted to tune itself (starvation bound)
     max_defer_bins: int = 8
-    #: required predicted improvement fraction for a replay to apply
-    #: (0 = any strict improvement)
-    min_replay_improvement: float = 0.0
-    #: fraction of the prior's mix mass the target tenant must be able
-    #: to price (sample queries observed) before validation is trusted
-    min_replay_coverage: float = 0.9
+
+
+#: total-variation bound between observed mixes for two tenants to
+#: count as look-alike (one workload cluster)
+CLUSTER_TV = 0.35
+#: observation window (bins) for mixes and volume ranking
+MIX_WINDOW_BINS = 6
+#: required predicted improvement fraction for a replay to apply
+#: (0 = any strict improvement)
+MIN_REPLAY_IMPROVEMENT = 0.0
+#: fraction of the prior's mix mass the target tenant must be able
+#: to price (sample queries observed) before validation is trusted
+MIN_REPLAY_COVERAGE = 0.9
 
 
 @dataclass(frozen=True)
 class TuningPrior:
     """One committed pass, harvested for replay on look-alike tenants."""
 
-    prior_id: int
     #: tenant whose organizer committed the pass
     source: str
     #: features the pass tuned (probation bookkeeping on replay targets)
@@ -107,6 +108,8 @@ class TuningPrior:
     predicted_benefit_ms: float
     #: source-tenant simulated time of the commit
     created_at_ms: float
+    #: assigned when the arbiter admits the harvest as a prior
+    prior_id: int | None = None
 
 
 @dataclass
@@ -142,7 +145,7 @@ class TenantDigest:
     hotness: float
     #: observed template mix; empty before any predictor history
     mix: dict[str, float]
-    #: the guard ledger holds an active probation commit
+    #: the tenant has a commit on probation
     guard_active: bool
     #: simulated time of the tenant's last tuning (full or replayed)
     last_tuning_ms: float | None
@@ -221,42 +224,28 @@ class AdmissionRuling:
     now_ms: float = 0.0
 
 
-@dataclass(frozen=True)
-class HarvestRecord:
-    """One committed pass as captured at commit time (picklable)."""
-
-    tenant: str
-    features: tuple[str, ...]
-    actions: tuple[Action, ...]
-    predicted_benefit_ms: float
-    mix: dict[str, float]
-    created_at_ms: float
-
-
 def tenant_rank_index(tenant: str) -> int:
     """Numeric index embedded in a tenant id ('t12' -> 12; no digits -> 0)."""
     digits = "".join(c for c in tenant if c.isdigit())
     return int(digits) if digits else 0
 
 
-def observed_mix(ctx: TenantContext, window_bins: int) -> dict[str, float]:
+def observed_mix(ctx: TenantContext) -> dict[str, float]:
     """The tenant's recent template mix (raw frequencies; TV comparisons
     normalise internally). Empty before any history."""
     if ctx.predictor.history_bins == 0:
         return {}
-    scenario = ctx.predictor.recent_scenario(window_bins, 1)
+    scenario = ctx.predictor.recent_scenario(MIX_WINDOW_BINS, 1)
     return dict(scenario.frequencies)
 
 
-def compute_digest(ctx: TenantContext, config: FleetConfig) -> TenantDigest:
+def compute_digest(ctx: TenantContext) -> TenantDigest:
     """Capture the arbiter-visible slice of ``ctx`` (tick-stable)."""
     return TenantDigest(
         tenant=ctx.tenant,
         index=tenant_rank_index(ctx.tenant),
-        hotness=ctx.monitor.mean(
-            QUERIES_EXECUTED, last_n=config.mix_window_bins
-        ),
-        mix=observed_mix(ctx, config.mix_window_bins),
+        hotness=ctx.monitor.mean(QUERIES_EXECUTED, last_n=MIX_WINDOW_BINS),
+        mix=observed_mix(ctx),
         guard_active=ctx.organizer.guard.active_commit is not None,
         last_tuning_ms=ctx.organizer.last_tuning_ms,
         now_ms=ctx.database.clock.now_ms,
@@ -279,7 +268,7 @@ def _hotter_lookalike(view: ArbiterView, own: TenantDigest) -> str | None:
             continue
         if not other.mix:
             continue
-        if total_variation(own.mix, other.mix) > view.config.cluster_tv:
+        if total_variation(own.mix, other.mix) > CLUSTER_TV:
             continue
         rank = (other.hotness, -other.index)
         if rank > own_rank and (hottest_rank is None or rank > hottest_rank):
@@ -351,26 +340,18 @@ def rule_admission(
 
 
 def build_harvest(
-    ctx: TenantContext, report: OrganizerRunReport, window_bins: int
-) -> HarvestRecord:
-    """Capture a committed pass at commit time (clock, mix, actions)."""
-    actions = tuple(
-        action
-        for run in report.tuning.runs
-        if not run.failed
-        for action in run.result.delta.actions
-    )
-    return HarvestRecord(
-        tenant=ctx.tenant,
-        features=report.tuned_features,
-        actions=actions,
-        predicted_benefit_ms=sum(
-            run.result.predicted_benefit_ms
-            for run in report.tuning.runs
-            if not run.failed
-        ),
-        mix=observed_mix(ctx, window_bins),
-        created_at_ms=ctx.database.clock.now_ms,
+    ctx: TenantContext, report: OrganizerRunReport
+) -> TuningPrior:
+    """A committed pass as a prior-to-be: its record plus the mix the
+    tenant observed at commit time (picklable; no ``prior_id`` yet)."""
+    record = report.record
+    return TuningPrior(
+        source=ctx.tenant,
+        features=report.order,
+        actions=record.actions,
+        mix=observed_mix(ctx),
+        predicted_benefit_ms=record.predicted_benefit_ms,
+        created_at_ms=record.applied_at_ms,
     )
 
 
@@ -379,9 +360,7 @@ def build_harvest(
 PROCEED = object()
 
 
-def replay_gate(
-    prior: TuningPrior, digest: TenantDigest, config: FleetConfig
-):
+def replay_gate(prior: TuningPrior, digest: TenantDigest):
     """Digest-only replay gates: an outcome, ``None`` (retry next bin),
     or :data:`PROCEED` when what-if validation should run."""
     # a tenant whose own last tuning (full or replayed) is fresher
@@ -401,7 +380,7 @@ def replay_gate(
     if not digest.mix:
         return None  # no history yet; retry next bin
     distance = total_variation(prior.mix, digest.mix)
-    if distance > config.cluster_tv:
+    if distance > CLUSTER_TV:
         return ReplayOutcome(
             prior.prior_id, prior.source, digest.tenant,
             applied=False,
@@ -411,7 +390,7 @@ def replay_gate(
 
 
 def _cluster_scenario(
-    prior: TuningPrior, ctx: TenantContext, config: FleetConfig
+    prior: TuningPrior, ctx: TenantContext
 ) -> tuple[WorkloadScenario, dict, float]:
     """The cluster mix rescaled to the target tenant's volume.
 
@@ -423,8 +402,7 @@ def _cluster_scenario(
     """
     horizon = ctx.organizer.config.horizon_bins
     volume = (
-        ctx.monitor.mean(QUERIES_EXECUTED, last_n=config.mix_window_bins)
-        * horizon
+        ctx.monitor.mean(QUERIES_EXECUTED, last_n=MIX_WINDOW_BINS) * horizon
     )
     mix_total = sum(prior.mix.values())
     samples = ctx.predictor.sample_queries()
@@ -440,7 +418,7 @@ def _cluster_scenario(
 
 
 def attempt_replay(
-    ctx: TenantContext, prior: TuningPrior, config: FleetConfig
+    ctx: TenantContext, prior: TuningPrior
 ) -> ReplayOutcome | None:
     """Validate a prior on ``ctx``'s own optimizer and maybe apply it.
 
@@ -450,13 +428,13 @@ def attempt_replay(
     arbiter state: the caller records the outcome.
     """
     organizer: Organizer = ctx.organizer
-    scenario, samples, coverage = _cluster_scenario(prior, ctx, config)
-    if coverage < config.min_replay_coverage:
+    scenario, samples, coverage = _cluster_scenario(prior, ctx)
+    if coverage < MIN_REPLAY_COVERAGE:
         return None  # too few priced templates yet; retry next bin
     delta = ConfigurationDelta(list(prior.actions))
     cost_before = ctx.optimizer.scenario_cost_ms(scenario, samples)
     cost_after = ctx.optimizer.cost_with(delta, scenario, samples)
-    required = cost_before * (1.0 - config.min_replay_improvement)
+    required = cost_before * (1.0 - MIN_REPLAY_IMPROVEMENT)
     if not cost_after < required:
         return ReplayOutcome(
             prior.prior_id, prior.source, ctx.tenant,
@@ -633,36 +611,26 @@ class FleetOrganizer:
     # ------------------------------------------------------------------
     # prior harvesting (commits recorded by the tenant hosts)
 
-    def ingest_harvest(self, record: HarvestRecord) -> None:
-        """Account one committed pass and maybe turn it into a prior.
+    def ingest_harvest(self, harvest: TuningPrior) -> None:
+        """Account one committed pass and maybe admit it as a prior.
 
         Any committed pass — fleet-admitted, SLA-urgent, or a guard
         escalation that bypassed admission entirely — also clears the
         tenant's defer count: the tenant just tuned, so a stale
         wait-for-prior tally must not skew the starvation bound later.
         """
-        tenant = record.tenant
+        tenant = harvest.source
         self._full_passes[tenant] = self._full_passes.get(tenant, 0) + 1
         self._admission.note_commit(tenant)
         if tenant in self._quarantined:
             return  # an untrusted tenant's passes never become priors
         if not self._config.share_priors:
             return
-        if not record.actions:
+        if not harvest.actions:
             return
-        if not record.mix:
+        if not harvest.mix:
             return
-        self._priors.append(
-            TuningPrior(
-                prior_id=self._next_prior_id,
-                source=tenant,
-                features=record.features,
-                actions=record.actions,
-                mix=dict(record.mix),
-                predicted_benefit_ms=record.predicted_benefit_ms,
-                created_at_ms=record.created_at_ms,
-            )
-        )
+        self._priors.append(replace(harvest, prior_id=self._next_prior_id))
         self._next_prior_id += 1
 
     # ------------------------------------------------------------------
@@ -697,9 +665,7 @@ class FleetOrganizer:
                     >= self._config.max_concurrent_reconfigurations
                 ):
                     return round_outcomes  # cap reached; retry next bin
-                outcome = replay_gate(
-                    prior, transport.digest(tenant), self._config
-                )
+                outcome = replay_gate(prior, transport.digest(tenant))
                 if outcome is PROCEED:
                     outcome = transport.attempt(prior, tenant)
                 if outcome is None:

@@ -5,11 +5,12 @@ its components as bare attributes inside ``on_attach`` — workable with
 one tenant, unliftable with N. :meth:`TenantContext.wire` now owns that
 construction: the database, the telemetry spine, the event log, the KPI
 monitor, the predictor, the what-if optimizer (and its per-tenant cost
-cache), the failure-aware executor, the tuners, and the organizer (which
-owns the guard's commit ledger) are built *per tenant* and travel as one
-object. The driver delegates to it, so the single-tenant path is
-literally a one-tenant fleet; the :class:`~repro.fleet.driver.FleetDriver`
-builds one context per tenant and hands them to the arbiter.
+cache), the failure-aware executor, the tuners, the configuration store
+(whose records carry the guard's probation state) and the organizer are
+built *per tenant* and travel as one object. The driver delegates to
+it, so the single-tenant path is literally a one-tenant fleet; the
+:class:`~repro.fleet.driver.FleetDriver` builds one context per tenant
+and hands them to the arbiter.
 
 Nothing in a context is shared between tenants. Cross-tenant state —
 tuning priors, admission budgets, rollups — lives only in the
@@ -52,6 +53,9 @@ if TYPE_CHECKING:
     from repro.core.simulation import ClosedLoopSimulation
     from repro.tuning.executors.base import TuningExecutor
     from repro.workload.trace import WorkloadTrace
+
+#: seasonal period (bins) for the default forecast model
+DEFAULT_SEASONAL_PERIOD = 24
 
 
 @dataclass
@@ -113,8 +117,8 @@ class TenantContext:
         monitor deriving interval KPIs from that registry, one predictor,
         one shared what-if optimizer (organizer, dependence analyzer, and
         every feature's assessor price through the same per-tenant cost
-        cache), one failure-aware executor, and one
-        organizer owning quarantine and the guarded-commit ledger.
+        cache), one failure-aware executor, one configuration store (the
+        guarded-commit ledger), and one organizer owning quarantine.
         """
         constraints = constraints or ConstraintSet()
         telemetry = Telemetry(database.clock, config.telemetry, tenant=tenant)
@@ -129,7 +133,7 @@ class TenantContext:
         # functools.partial (not a lambda) keeps the analyzer — and with
         # it the whole context — picklable for fleet process workers
         factory = model_factory or partial(
-            SeasonalNaive, config.default_seasonal_period
+            SeasonalNaive, DEFAULT_SEASONAL_PERIOD
         )
         analyzer = WorkloadAnalyzer(factory, config.analyzer)
         predictor = WorkloadPredictor(

@@ -463,8 +463,7 @@ class FleetDriver:
         """
         if not self._digests:
             self._digests = {
-                ctx.tenant: compute_digest(ctx, self._arbiter.config)
-                for ctx in self._contexts
+                ctx.tenant: compute_digest(ctx) for ctx in self._contexts
             }
         if self._mode == "serial":
             return self._local

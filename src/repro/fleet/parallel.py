@@ -50,7 +50,6 @@ from repro.fleet.arbiter import (
     AdmissionRuling,
     ArbiterView,
     FleetConfig,
-    HarvestRecord,
     ReplayOutcome,
     TenantDigest,
     TuningPrior,
@@ -99,8 +98,8 @@ class TickResult:
     #: the tenant's digest *after* this tick (refreshes the cache)
     digest: TenantDigest
     #: chronological arbiter actions the tick produced: ``(RULING,
-    #: AdmissionRuling)`` and ``(HARVEST, HarvestRecord)`` tuples
-    actions: list[tuple[str, AdmissionRuling | HarvestRecord]] = field(
+    #: AdmissionRuling)`` and ``(HARVEST, TuningPrior)`` tuples
+    actions: list[tuple[str, AdmissionRuling | TuningPrior]] = field(
         default_factory=list
     )
 
@@ -125,9 +124,8 @@ class TickRecorder:
     the tenant's defer count *before* the admission check of its tick).
     """
 
-    def __init__(self, ctx: TenantContext, config: FleetConfig) -> None:
+    def __init__(self, ctx: TenantContext) -> None:
         self._ctx = ctx
-        self._config = config
         self._view: ArbiterView | None = None
         self.actions: list[tuple[str, object]] = []
 
@@ -138,7 +136,7 @@ class TickRecorder:
     def admission(self, organizer, decision) -> tuple[bool, str]:
         view = self._view
         ruling = rule_admission(
-            view, compute_digest(self._ctx, self._config), decision.trigger
+            view, compute_digest(self._ctx), decision.trigger
         )
         self.actions.append((RULING, ruling))
         view.admission.apply_ruling(ruling)
@@ -146,10 +144,7 @@ class TickRecorder:
 
     # the organizer's CommitListener signature
     def commit(self, organizer, report) -> None:
-        record = build_harvest(
-            self._ctx, report, self._config.mix_window_bins
-        )
-        self.actions.append((HARVEST, record))
+        self.actions.append((HARVEST, build_harvest(self._ctx, report)))
         self._view.admission.note_commit(self._ctx.tenant)
 
 
@@ -167,7 +162,7 @@ class LocalHost:
         self._by_tenant = {ctx.tenant: ctx for ctx in self._contexts}
         self._config = config
         self._recorders = {
-            ctx.tenant: TickRecorder(ctx, config) for ctx in self._contexts
+            ctx.tenant: TickRecorder(ctx) for ctx in self._contexts
         }
         self._pending: dict[str, PendingBin] = {}
         self.arm()
@@ -203,18 +198,14 @@ class LocalHost:
         # has already applied
         actions, recorder.actions = recorder.actions, []
         return TickResult(
-            record=record,
-            digest=compute_digest(ctx, self._config),
-            actions=actions,
+            record=record, digest=compute_digest(ctx), actions=actions
         )
 
     def replay(self, tenant: str, prior: TuningPrior) -> ReplayResult:
         """Validate (and maybe apply) a prior on one hosted tenant."""
         ctx = self._by_tenant[tenant]
-        outcome = attempt_replay(ctx, prior, self._config)
-        return ReplayResult(
-            outcome=outcome, digest=compute_digest(ctx, self._config)
-        )
+        outcome = attempt_replay(ctx, prior)
+        return ReplayResult(outcome=outcome, digest=compute_digest(ctx))
 
     def snapshot(self) -> list[tuple[str, str, bytes]]:
         """Pickle every tenant: (tenant, SHA-256 of the pickle, pickle).

@@ -28,14 +28,15 @@ from repro.forecasting.scenarios import (
 from repro.workload.query import Query, QueryTemplate
 
 SEASONAL_PEAK_SCENARIO = "seasonal_peak"
+#: z-score by which the worst case exceeds the expectation (the one-sided
+#: 95th percentile of a normal forecast error)
+WORST_CASE_Z = 1.645
 
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
     """Tuning parameters of the workload analyzer."""
 
-    #: z-score by which the worst case exceeds the expectation
-    worst_case_z: float = 1.645
     #: probability mass of the expected scenario (rest is spread over others)
     expected_probability: float = 0.7
     #: how forecast error is estimated: "diff" (std of first differences,
@@ -136,7 +137,7 @@ class WorkloadAnalyzer:
             unit_expected, unit_sigma = self._forecast_one(
                 unit_series, horizon_bins
             )
-            unit_worst = unit_expected + config.worst_case_z * unit_sigma
+            unit_worst = unit_expected + WORST_CASE_Z * unit_sigma
             if config.include_peak_scenario:
                 period = min(config.period_bins, unit_series.size)
                 unit_peak = float(unit_series[-period:].max()) * horizon_bins

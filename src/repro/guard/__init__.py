@@ -1,13 +1,13 @@
 """Guarded reconfiguration: commit probation, regression watchdog, and
 forecast-miss escalation (see docs/robustness.md)."""
 
+from repro.configuration.store import CommitResolution
 from repro.guard.forecast_miss import (
     ForecastMissDetector,
     ForecastMissVerdict,
     total_variation,
 )
 from repro.guard.guard import CommitGuard, GuardConfig
-from repro.guard.ledger import CommitLedger, CommitResolution, ProbationCommit
 from repro.guard.regression import (
     RegressionDetector,
     RegressionStatus,
@@ -16,12 +16,10 @@ from repro.guard.regression import (
 
 __all__ = [
     "CommitGuard",
-    "CommitLedger",
     "CommitResolution",
     "ForecastMissDetector",
     "ForecastMissVerdict",
     "GuardConfig",
-    "ProbationCommit",
     "RegressionDetector",
     "RegressionStatus",
     "RegressionVerdict",

@@ -2,8 +2,8 @@
 
 PR 3 made action *application* fault-tolerant; the guard makes tuning
 *decisions* fault-tolerant. Every committed pass enters a probation
-window during which its inverse actions are retained
-(:class:`~repro.guard.ledger.CommitLedger`); a
+window during which its inverse actions are retained on its record in
+the :class:`~repro.configuration.store.ConfigurationInstanceStorage`; a
 :class:`~repro.guard.regression.RegressionDetector` watches the
 post-commit runtime KPIs against the pre-commit baseline, and a
 :class:`~repro.guard.forecast_miss.ForecastMissDetector` watches the
@@ -18,17 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.configuration.actions import Action
+from repro.configuration.store import (
+    CommitResolution,
+    ConfigurationInstanceStorage,
+    ConfigurationRecord,
+)
 from repro.core.events import EventKind, EventLog
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.forecasting.scenarios import Forecast
 from repro.guard.forecast_miss import (
     ForecastMissDetector,
     ForecastMissVerdict,
-)
-from repro.guard.ledger import (
-    CommitLedger,
-    CommitResolution,
-    ProbationCommit,
 )
 from repro.guard.regression import RegressionDetector, RegressionVerdict
 from repro.kpi.metrics import (
@@ -72,14 +72,16 @@ class GuardConfig:
     tv_threshold: float = 0.20
     #: consecutive missing observations before escalation
     miss_patience: int = 2
-    #: recent bins averaged into the observed template mix
-    observed_window_bins: int = 3
     #: simulated ms between forecast-miss escalations
     escalation_cooldown_ms: float = 3 * 60_000.0
 
 
+#: recent bins averaged into the observed template mix
+OBSERVED_WINDOW_BINS = 3
+
+
 class CommitGuard:
-    """Tracks probation commits and the forecast envelope.
+    """Tracks the commit on probation and the forecast envelope.
 
     The guard never mutates the database itself — it reports CONFIRMED
     regressions and escalations to the organizer, which rolls back
@@ -90,16 +92,16 @@ class CommitGuard:
     def __init__(
         self,
         monitor: RuntimeKPIMonitor,
+        store: ConfigurationInstanceStorage,
         config: GuardConfig | None = None,
         registry: MetricRegistry | None = None,
         events: EventLog | None = None,
-        tenant: str = "",
     ) -> None:
         self._monitor = monitor
+        self._store = store
         self._config = config or GuardConfig()
         self._events = events if events is not None else EventLog()
         registry = registry if registry is not None else MetricRegistry()
-        self._ledger = CommitLedger(tenant=tenant)
         self._detector = RegressionDetector(
             metric=self._config.metric,
             regression_bound=self._config.regression_bound,
@@ -126,12 +128,8 @@ class CommitGuard:
         return self._config
 
     @property
-    def ledger(self) -> CommitLedger:
-        return self._ledger
-
-    @property
-    def active_commit(self) -> ProbationCommit | None:
-        return self._ledger.active
+    def active_commit(self) -> ConfigurationRecord | None:
+        return self._store.active
 
     @property
     def miss_streak(self) -> int:
@@ -152,14 +150,9 @@ class CommitGuard:
         self._miss_detector.reset()
 
     def open_probation(
-        self,
-        now_ms: float,
-        *,
-        features: tuple[str, ...],
-        inverse_actions: tuple[Action, ...],
-        record_id: int | None = None,
-    ) -> ProbationCommit | None:
-        """Put a freshly committed pass on probation.
+        self, record: ConfigurationRecord, inverse_actions: tuple[Action, ...]
+    ) -> ConfigurationRecord | None:
+        """Put the pass just recorded on probation.
 
         Returns ``None`` (no probation) when the guard is disabled or
         the pass applied nothing reversible. The KPI baseline is taken
@@ -168,16 +161,15 @@ class CommitGuard:
         """
         if not self._config.enabled or not inverse_actions:
             return None
+        now_ms = record.applied_at_ms
         baseline_ms, baseline_count = self._detector.baseline(
             self._monitor.history(), self._config.baseline_samples
         )
-        commit, superseded = self._ledger.open(
-            now_ms,
-            features=features,
+        superseded = self._store.open_probation(
+            record,
             inverse_actions=inverse_actions,
             baseline_ms=baseline_ms,
             baseline_sample_count=baseline_count,
-            record_id=record_id,
         )
         self._commits.inc()
         if superseded is not None:
@@ -186,48 +178,49 @@ class CommitGuard:
                 now_ms,
                 EventKind.GUARD,
                 f"commit #{superseded.commit_id} superseded by "
-                f"commit #{commit.commit_id} before its probation ended",
+                f"commit #{record.commit_id} before its probation ended",
                 commit_id=superseded.commit_id,
                 state="superseded",
-                superseded_by=commit.commit_id,
+                superseded_by=record.commit_id,
             )
         self._events.log(
             now_ms,
             EventKind.GUARD,
-            f"commit #{commit.commit_id} on probation: "
+            f"commit #{record.commit_id} on probation: "
             f"{len(inverse_actions)} inverse actions retained, "
             f"baseline {baseline_ms:.2f} ms over {baseline_count} samples",
-            commit_id=commit.commit_id,
+            commit_id=record.commit_id,
             state="on_probation",
-            features=list(features),
+            features=list(record.features),
             inverse_actions=len(inverse_actions),
             baseline_ms=baseline_ms,
             baseline_samples=baseline_count,
         )
-        return commit
+        return record
 
     # ------------------------------------------------------------------
     # watchdogs
 
-    def _post_commit_samples(self, commit: ProbationCommit) -> list:
+    def _post_commit_samples(self, commit: ConfigurationRecord) -> list:
         return [
             s
             for s in self._monitor.history()
-            if s.at_ms > commit.committed_at_ms
+            if s.at_ms > commit.applied_at_ms
         ]
 
     def check_regression(
         self, now_ms: float
-    ) -> tuple[ProbationCommit, RegressionVerdict] | None:
+    ) -> tuple[ConfigurationRecord, RegressionVerdict] | None:
         """Evaluate the active probation commit against post-commit KPIs.
 
         Returns ``(commit, verdict)`` only on a CONFIRMED regression —
-        the caller then rolls back and calls :meth:`resolve_rollback`.
+        the caller then rolls back and calls :meth:`resolve_rollback`
+        with the verdict.
         An unconfirmed commit whose probation window has elapsed
         (``probation_samples`` post-commit samples) graduates here:
         resolved PASSED, rollback material dropped.
         """
-        commit = self._ledger.active
+        commit = self._store.active
         if commit is None:
             return None
         post = self._post_commit_samples(commit)
@@ -252,7 +245,9 @@ class CommitGuard:
             )
             return commit, verdict
         if len(post) >= self._config.probation_samples:
-            self._ledger.resolve(CommitResolution.PASSED, now_ms)
+            self._store.resolve(
+                CommitResolution.PASSED, now_ms, verdict.observed_ms
+            )
             self._passed.inc()
             for feature in commit.features:
                 self._regression_streaks.pop(feature, None)
@@ -270,10 +265,11 @@ class CommitGuard:
         return None
 
     def resolve_rollback(
-        self, now_ms: float
-    ) -> tuple[ProbationCommit, tuple[str, ...]]:
+        self, now_ms: float, verdict: RegressionVerdict
+    ) -> tuple[ConfigurationRecord, tuple[str, ...]]:
         """Mark the active commit rolled back (after the caller restored
-        the pre-commit configuration through the executor).
+        the pre-commit configuration through the executor); ``verdict``
+        is the confirmed regression that condemned it.
 
         Returns ``(commit, repeat_offenders)``: features whose last
         ``repeat_offender_after`` commits were all rolled back. The
@@ -282,7 +278,9 @@ class CommitGuard:
         keep oscillating. A flagged feature's streak resets so it gets a
         clean slate after its quarantine probation.
         """
-        commit = self._ledger.resolve(CommitResolution.ROLLED_BACK, now_ms)
+        commit = self._store.resolve(
+            CommitResolution.ROLLED_BACK, now_ms, verdict.observed_ms
+        )
         self._rollbacks.inc()
         offenders: list[str] = []
         for feature in commit.features:
@@ -314,7 +312,7 @@ class CommitGuard:
         ):
             return None
         observed = predictor.recent_scenario(
-            self._config.observed_window_bins,
+            OBSERVED_WINDOW_BINS,
             self._forecast.horizon_bins,
             name="observed",
         ).frequencies
@@ -340,19 +338,3 @@ class CommitGuard:
             threshold=self._config.tv_threshold,
         )
         return verdict
-
-    # ------------------------------------------------------------------
-    # inspection
-
-    def snapshot(self) -> dict[str, object]:
-        """Guard state view for logs and the CLI."""
-        return {
-            "enabled": self._config.enabled,
-            "active_commit": (
-                self._ledger.active.commit_id
-                if self._ledger.active is not None
-                else None
-            ),
-            "miss_streak": self._miss_detector.streak,
-            "ledger": self._ledger.snapshot(),
-        }

@@ -28,12 +28,14 @@ class TelemetryConfig:
     #: sample one per-query span every N accounted executions
     #: (0 disables query spans; counters are always maintained)
     query_sample_every: int = 64
-    #: bound of the in-memory record ring
-    ring_capacity: int = 4096
-    #: finished root spans retained for inspection
-    max_root_spans: int = 64
     #: when set, every record is also exported as JSON lines to this path
     jsonl_path: str | Path | None = None
+
+
+#: bound of the in-memory record ring
+RING_CAPACITY = 4096
+#: finished root spans retained for inspection
+MAX_ROOT_SPANS = 64
 
 
 class Telemetry:
@@ -51,7 +53,7 @@ class Telemetry:
         self.config = config or TelemetryConfig()
         self.tenant = tenant
         self.registry = MetricRegistry()
-        self.ring = RingSink(self.config.ring_capacity)
+        self.ring = RingSink(RING_CAPACITY)
         self.jsonl: JsonlSink | None = (
             JsonlSink(self.config.jsonl_path)
             if self.config.jsonl_path is not None
@@ -67,7 +69,7 @@ class Telemetry:
             clock=clock,
             sink=self.sink if self.config.enabled else None,
             enabled=self.config.enabled,
-            max_roots=self.config.max_root_spans,
+            max_roots=MAX_ROOT_SPANS,
             tenant=tenant,
         )
 

@@ -47,7 +47,7 @@ def test_generous_budget_tunes_all_features(retail_suite):
     organizer = _prepared(retail_suite, tuning_time_budget_ms=1e9)
     report = organizer.tick()
     assert report is not None
-    assert set(report.tuned_features) == {"index_selection", "compression"}
+    assert set(report.order) == {"index_selection", "compression"}
     assert report.skipped_features == ()
     # the finished event carries the pass's what-if cache statistics
     finished = organizer.events.latest(EventKind.TUNING_FINISHED)
@@ -63,8 +63,8 @@ def test_tight_budget_skips_costly_features(retail_suite):
     organizer = _prepared(retail_suite, tuning_time_budget_ms=2.0)
     report = organizer.tick()
     assert report is not None
-    assert len(report.tuned_features) < 2
-    assert len(report.tuned_features) + len(report.skipped_features) == 2
+    assert len(report.order) < 2
+    assert len(report.order) + len(report.skipped_features) == 2
 
 
 def test_zero_budget_skips_the_pass_entirely(retail_suite):

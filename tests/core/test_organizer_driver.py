@@ -52,9 +52,11 @@ def test_organizer_tick_runs_full_pass(retail_suite):
     assert report.tuning.improvement > 0
     assert organizer.cached_order is not None
     assert organizer.last_tuning_ms is not None
-    # records: one overall + one per tuned feature
-    assert len(organizer.store) == 1 + len(report.tuned_features)
+    # one record per pass, holding one outcome per tuned feature
+    assert len(organizer.store) == 1
     overall = organizer.store.history()[0]
+    assert overall is report.record
+    assert tuple(o.feature for o in overall.outcomes) == report.order
     assert overall.measured_benefit_ms is not None
     assert overall.predicted_benefit_ms is not None
     kinds = [e.kind for e in organizer.events.events()]

@@ -87,11 +87,12 @@ def test_failed_pass_rolls_back_and_logs_events(retail_suite):
     assert fault.data["feature"] == "index_selection"
     assert fault.data["action"] is not None
     # a failed feature contributes nothing to the aggregate record
-    overall = organizer.store.history()[0]
-    assert overall.action_summaries == []
-    assert overall.predicted_benefit_ms == 0.0
-    # and no per-feature feedback record is stored
     assert len(organizer.store) == 1
+    overall = organizer.store.history()[0]
+    assert overall.actions == ()
+    assert overall.predicted_benefit_ms == 0.0
+    # and no per-feature outcome is stored for feedback
+    assert overall.outcomes == ()
 
 
 def test_quarantine_opens_after_threshold_and_blocks(retail_suite):

@@ -23,15 +23,12 @@ def _decision(trigger="periodic"):
 def _admit(arbiter, ctx, decision):
     """One admission the way a tenant host rules and the driver applies
     it: the pure ruling over a frozen view, then ``apply_ruling``."""
-    config = arbiter.config
     digests = {
-        tenant: compute_digest(other, config)
+        tenant: compute_digest(other)
         for tenant, other in arbiter._tenants.items()
     }
     ruling = rule_admission(
-        arbiter.view(digests=digests),
-        compute_digest(ctx, config),
-        decision.trigger,
+        arbiter.view(digests=digests), compute_digest(ctx), decision.trigger
     )
     arbiter.apply_ruling(ruling)
     return ruling.admitted, ruling.reason
@@ -193,7 +190,7 @@ def test_sla_admission_clears_pending_defers():
 def test_harvested_commit_clears_pending_defers():
     """A guard-escalated commit bypasses admission entirely; the harvest
     (the commit listener) is the only place its defers can be reset."""
-    from repro.fleet.arbiter import HarvestRecord
+    from repro.fleet.arbiter import TuningPrior
 
     arbiter = FleetOrganizer(FleetConfig(max_defer_bins=4))
     hot = _fake_context("t0", hotness=100.0)
@@ -203,8 +200,8 @@ def test_harvested_commit_clears_pending_defers():
     assert not _admit(arbiter, cold, _decision())[0]
     assert arbiter._admission.defers["t1"] == 1
     arbiter.ingest_harvest(
-        HarvestRecord(
-            tenant="t1",
+        TuningPrior(
+            source="t1",
             features=("index",),
             actions=(),
             predicted_benefit_ms=0.0,
@@ -311,16 +308,19 @@ def test_recorder_view_after_a_tick_is_the_arbiters(ticks):
         arbiter.register(ctx)
     arbiter.quarantine_tenant("t2")  # its commits never become priors
     committed = SimpleNamespace(
-        tuning=SimpleNamespace(runs=[]), tuned_features=("index",)
+        order=("index",),
+        record=SimpleNamespace(
+            actions=(), predicted_benefit_ms=0.0, applied_at_ms=0.0
+        ),
     )
     for index, new_bin, steps in ticks:
         ctx = contexts[index]
         ctx.database.clock.now_ms += 4_000.0
         if new_bin:
             arbiter.begin_bin()
-        digests = {c.tenant: compute_digest(c, config) for c in contexts}
+        digests = {c.tenant: compute_digest(c) for c in contexts}
         view = arbiter.view(digests=digests)
-        recorder = TickRecorder(ctx, config)
+        recorder = TickRecorder(ctx)
         recorder.arm(view)
         for step in steps:
             if step == "commit":

@@ -3,10 +3,20 @@
 import pytest
 
 from repro.configuration.actions import SetKnobAction
+from repro.configuration.store import (
+    ConfigurationInstanceStorage,
+    ConfigurationRecord,
+)
 from repro.core.events import EventKind, EventLog
 from repro.dbms.knobs import SCAN_THREADS_KNOB
 from repro.forecasting.scenarios import Forecast, WorkloadScenario
-from repro.guard import CommitGuard, CommitResolution, GuardConfig
+from repro.guard import (
+    CommitGuard,
+    CommitResolution,
+    GuardConfig,
+    RegressionStatus,
+    RegressionVerdict,
+)
 from repro.kpi.metrics import (
     GUARD_COMMITS,
     GUARD_ESCALATIONS,
@@ -84,17 +94,34 @@ def _guard(config=None, monitor=None):
     registry = MetricRegistry()
     events = EventLog()
     guard = CommitGuard(
-        monitor, config=config or _config(), registry=registry, events=events
+        monitor,
+        ConfigurationInstanceStorage(),
+        config=config or _config(),
+        registry=registry,
+        events=events,
     )
     return guard, monitor, registry, events
 
 
-def _open(guard, now_ms, features=("index_selection",)):
-    return guard.open_probation(
-        now_ms,
-        features=features,
-        inverse_actions=(SetKnobAction(SCAN_THREADS_KNOB, 1),),
+def _open(
+    guard,
+    now_ms,
+    features=("index_selection",),
+    inverse_actions=(SetKnobAction(SCAN_THREADS_KNOB, 1),),
+):
+    """Record a committed pass the way the organizer does: append, then
+    hand the record and its inverse actions to the guard."""
+    record = ConfigurationRecord(
+        None, now_ms, "test", 0.0, 0.0, 0.0, features=features
     )
+    guard._store.append(record)
+    return guard.open_probation(record, inverse_actions)
+
+
+#: a confirmed regression to resolve a rollback with
+_CONFIRMED = RegressionVerdict(
+    RegressionStatus.CONFIRMED, MEAN_QUERY_MS, 5.0, 9.0, 2
+)
 
 
 def test_probation_opens_with_pre_commit_baseline():
@@ -119,12 +146,7 @@ def test_no_probation_when_disabled_or_nothing_reversible():
 
     guard, monitor, _, _ = _guard()
     monitor.add(1.0, 5.0)
-    empty = guard.open_probation(
-        10.0,
-        features=("index_selection",),
-        inverse_actions=(),
-    )
-    assert empty is None
+    assert _open(guard, now_ms=10.0, inverse_actions=()) is None
     assert guard.active_commit is None
 
 
@@ -144,9 +166,10 @@ def test_confirmed_regression_is_reported_not_resolved():
     assert guard.active_commit is commit
     assert registry.snapshot()[GUARD_REGRESSIONS] == 1
 
-    resolved, offenders = guard.resolve_rollback(14.0)
+    resolved, offenders = guard.resolve_rollback(14.0, verdict)
     assert resolved is commit
     assert resolved.resolution is CommitResolution.ROLLED_BACK
+    assert resolved.observed_ms == verdict.observed_ms == 9.0
     assert offenders == ()
     assert guard.regression_streak("index_selection") == 1
     assert registry.snapshot()[GUARD_ROLLBACKS] == 1
@@ -161,6 +184,7 @@ def test_commit_passes_after_probation_window():
     assert guard.check_regression(20.0) is None
     assert guard.active_commit is None
     assert commit.resolution is CommitResolution.PASSED
+    assert commit.observed_ms == 5.0
     assert registry.snapshot()[GUARD_PASSED] == 1
     assert events.latest(EventKind.GUARD).data["state"] == "passed"
 
@@ -171,8 +195,8 @@ def test_passing_clears_the_regression_streak():
     _open(guard, now_ms=10.0)
     monitor.add(11.0, 9.0)
     monitor.add(12.0, 9.0)
-    guard.check_regression(13.0)
-    guard.resolve_rollback(13.0)
+    _, verdict = guard.check_regression(13.0)
+    guard.resolve_rollback(13.0, verdict)
     assert guard.regression_streak("index_selection") == 1
     # a later commit of the same feature survives probation
     _open(guard, now_ms=20.0)
@@ -186,10 +210,10 @@ def test_repeat_offender_flagged_and_streak_reset():
     guard, monitor, _, _ = _guard()
     monitor.add(1.0, 5.0)
     _open(guard, now_ms=10.0)
-    _, offenders = guard.resolve_rollback(11.0)
+    _, offenders = guard.resolve_rollback(11.0, _CONFIRMED)
     assert offenders == ()
     _open(guard, now_ms=20.0)
-    _, offenders = guard.resolve_rollback(21.0)
+    _, offenders = guard.resolve_rollback(21.0, _CONFIRMED)
     assert offenders == ("index_selection",)
     # flagged features start over after their quarantine probation
     assert guard.regression_streak("index_selection") == 0
@@ -252,13 +276,3 @@ def test_forecast_miss_needs_evidence():
     # an all-idle observation window carries no evidence
     assert guard.check_forecast_miss(200.0, FakePredictor({})) is None
     assert guard.miss_streak == 0
-
-
-def test_snapshot_reflects_state():
-    guard, monitor, _, _ = _guard()
-    monitor.add(1.0, 5.0)
-    commit = _open(guard, now_ms=10.0)
-    snap = guard.snapshot()
-    assert snap["enabled"] is True
-    assert snap["active_commit"] == commit.commit_id
-    assert snap["ledger"][0]["resolution"] == "on_probation"

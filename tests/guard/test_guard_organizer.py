@@ -80,6 +80,16 @@ def _run_bin(retail_suite, db, predictor, monitor, seed, queries=25):
     return monitor.sample().get(MEAN_QUERY_MS)
 
 
+def _observed_by_commit(events):
+    """commit_id -> the ``observed_ms`` of the GUARD event that closed
+    its probation (passed, or regression confirmed)."""
+    return {
+        e.data["commit_id"]: e.data["observed_ms"]
+        for e in events.events(EventKind.GUARD)
+        if e.data.get("state") in ("passed", "regression_confirmed")
+    }
+
+
 def test_committed_pass_enters_and_passes_probation(retail_suite):
     db, organizer, predictor, monitor = _organizer(
         retail_suite, [Tuner(IndexSelectionFeature(), retail_suite.database)]
@@ -166,6 +176,10 @@ def test_miscalibrated_commit_is_detected_and_rolled_back(retail_suite):
     snap = organizer.telemetry.registry.snapshot()
     assert snap[GUARD_REGRESSIONS] == 1
     assert snap[GUARD_ROLLBACKS] == 1
+    # the record keeps the mean that condemned it
+    reported = _observed_by_commit(organizer.events)
+    assert commit.observed_ms == reported[commit.commit_id]
+    assert commit.observed_ms > commit.baseline_ms
     rollback = organizer.events.latest(EventKind.ROLLBACK)
     assert rollback.data["commit_id"] == commit.commit_id
     assert rollback.data["actions"] == len(commit.inverse_actions)
@@ -186,7 +200,8 @@ def test_guard_disabled_retains_nothing(retail_suite):
     report = organizer.run_tuning()
     assert report is not None
     assert organizer.guard.active_commit is None
-    assert len(organizer.guard.ledger) == 0
+    (record,) = organizer.store.history()
+    assert record.commit_id is None and record.inverse_actions == ()
     assert organizer.guard_tick() is None
 
 
@@ -246,7 +261,7 @@ def test_dominance_swap_escalates_before_the_next_periodic_trigger():
     driver = _closed_loop(
         seed=1, bins=bins, tune_every_bins=2 * bins, swap_at=swap_at
     )
-    passes = [r for r in driver.store.history() if r.feature is None]
+    passes = driver.store.history()  # one record per pass
     escalated = [r for r in passes if r.trigger == FORECAST_MISS_TRIGGER]
     assert driver.telemetry.registry.snapshot()[GUARD_ESCALATIONS] >= 1
     assert escalated
@@ -263,3 +278,22 @@ def test_stable_noisy_workload_trips_neither_watchdog(seed):
     assert snap[GUARD_COMMITS] >= 1
     assert snap[GUARD_ROLLBACKS] == 0
     assert snap[GUARD_ESCALATIONS] == 0
+
+
+def test_resolved_records_keep_the_mean_the_guard_reported():
+    """The world's answer to a commit is on its record: the KPI mean the
+    watchdog resolved the probation with, not only a formatted event."""
+    # passes far enough apart for the first probation to run its course
+    driver = _closed_loop(seed=1, bins=14, tune_every_bins=10)
+    reported = _observed_by_commit(driver.events)
+    resolved = [
+        r for r in driver.store.history() if r.resolution is not None
+    ]
+    assert any(r.resolution is CommitResolution.PASSED for r in resolved)
+    for record in resolved:
+        if record.resolution is CommitResolution.SUPERSEDED:
+            # nothing was concluded about a superseded commit
+            assert record.observed_ms is None
+            assert record.commit_id not in reported
+        else:
+            assert record.observed_ms == reported[record.commit_id]

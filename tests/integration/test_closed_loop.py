@@ -53,11 +53,17 @@ def test_closed_loop_tunes_and_improves():
     early = sum(r.mean_query_ms for r in records[:3]) / 3
     late = sum(r.mean_query_ms for r in records[-3:]) / 3
     assert late < early
-    # feedback loop recorded the pass with both predictions and measurements
-    assert len(driver.store) >= 1
+    # feedback loop: one record per pass, with both predictions and
+    # measurements for the pass and for each of its tuned features
+    assert len(driver.store) == len(finished)
     overall = driver.store.history()[0]
     assert overall.predicted_benefit_ms is not None
     assert overall.measured_benefit_ms is not None
+    assert {o.feature for o in overall.outcomes} == {
+        "index_selection",
+        "compression",
+    }
+    assert len(driver.store.feedback("compression")) == len(finished)
     # budget respected throughout
     assert suite.database.index_bytes() <= 1 * MIB
 
