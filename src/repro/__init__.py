@@ -93,10 +93,8 @@ from repro.plan import PhysicalPlan, PlanStep, QueryPlanner, StepKind
 from repro.policy import (
     LatencyObjective,
     MemoryBudgetObjective,
-    ObjectiveSpec,
     ObjectiveViolationTrigger,
     Policy,
-    PolicyConfig,
     PolicyEngine,
     ThroughputObjective,
 )
@@ -139,7 +137,6 @@ __all__ = [
     "LogicalCostModel",
     "MemoryBudgetObjective",
     "MetricRegistry",
-    "ObjectiveSpec",
     "ObjectiveViolationTrigger",
     "Organizer",
     "OrganizerConfig",
@@ -147,7 +144,6 @@ __all__ = [
     "PhysicalPlan",
     "PlanStep",
     "Policy",
-    "PolicyConfig",
     "PolicyEngine",
     "Predicate",
     "Query",

@@ -38,13 +38,15 @@ from repro import __version__
 @contextlib.contextmanager
 def _rejecting_bad_input(command: str):
     """A value the parser could not judge alone (an unknown family, a
-    missing file, an unusable checkpoint directory) is an option error —
-    one stderr line and exit status 2 — not a traceback."""
+    missing file, an unusable checkpoint directory, a bad objective) is
+    an option error — one stderr line and exit status 2 — not a
+    traceback."""
+    from repro.errors import PolicyError
     from repro.fleet.checkpoint import CheckpointError
 
     try:
         yield
-    except (ValueError, OSError, CheckpointError) as exc:
+    except (ValueError, OSError, CheckpointError, PolicyError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -534,47 +536,50 @@ def _cmd_guard(args: argparse.Namespace) -> int:
 
 
 def _policy_config(args: argparse.Namespace):
-    """Build a PolicyConfig from --objectives YAML or the inline flags."""
-    from repro.policy import ObjectiveSpec, PolicyConfig
+    """Build the Policy from --objectives YAML or the inline flags."""
+    from repro.policy import (
+        LatencyObjective,
+        MemoryBudgetObjective,
+        Policy,
+        ThroughputObjective,
+    )
     from repro.util.units import MIB
 
-    if args.objectives:
-        with _rejecting_bad_input(args.command):
-            return PolicyConfig.from_yaml_file(args.objectives)
-    specs = []
-    if args.p99_ms is not None:
-        specs.append(ObjectiveSpec(kind="latency", bound=args.p99_ms))
-    if args.mean_ms is not None:
-        specs.append(
-            ObjectiveSpec(
-                kind="latency", bound=args.mean_ms, metric="mean_query_ms"
+    with _rejecting_bad_input(args.command):
+        if args.objectives:
+            return Policy.from_yaml_file(args.objectives)
+        objectives = []
+        if args.p99_ms is not None:
+            objectives.append(LatencyObjective(bound_ms=args.p99_ms))
+        if args.mean_ms is not None:
+            objectives.append(
+                LatencyObjective(bound_ms=args.mean_ms, metric="mean")
             )
+        if args.memory_mib is not None:
+            objectives.append(
+                MemoryBudgetObjective(bound_bytes=args.memory_mib * MIB)
+            )
+        if args.min_qps is not None:
+            objectives.append(ThroughputObjective(min_qps=args.min_qps))
+        if not objectives:
+            raise SystemExit(
+                "declare at least one objective (--p99-ms / --mean-ms / "
+                "--memory-mib / --min-qps) or pass --objectives <yaml>"
+            )
+        return Policy(
+            objectives=tuple(objectives),
+            violation_patience=args.patience,
         )
-    if args.memory_mib is not None:
-        specs.append(
-            ObjectiveSpec(kind="memory", bound=args.memory_mib * MIB)
-        )
-    if args.min_qps is not None:
-        specs.append(ObjectiveSpec(kind="throughput", bound=args.min_qps))
-    if not specs:
-        raise SystemExit(
-            "declare at least one objective (--p99-ms / --mean-ms / "
-            "--memory-mib / --min-qps) or pass --objectives <yaml>"
-        )
-    return PolicyConfig(
-        objectives=tuple(specs),
-        violation_patience=args.patience,
-    )
 
 
 def _cmd_policy(args: argparse.Namespace) -> int:
     from repro.core import EventKind
     from repro.kpi.metrics import POLICY_KPIS
 
-    config = _policy_config(args)
-    _, db, _, driver, simulation = _bootstrap(args, policy=config)
+    policy = _policy_config(args)
+    _, db, _, driver, simulation = _bootstrap(args, policy=policy)
 
-    names = ", ".join(o.name or o.kind for o in config.objectives)
+    names = ", ".join(o.name or o.kind for o in policy.objectives)
     print(f"simulating {args.bins} bins of the {args.suite} workload "
           f"under declared objectives: {names}")
     _print_bins(simulation.run())

@@ -93,11 +93,6 @@ class ConstraintSet:
             return self._hardware[resource]
         return self._dbms.get(resource)
 
-    def effective_budgets(self) -> dict[str, float]:
-        merged = dict(self._dbms)
-        merged.update(self._hardware)
-        return merged
-
     def check_usage(self, usage: Mapping[str, float]) -> list[str]:
         """Budget violations of ``usage``, as human-readable strings."""
         violations = []

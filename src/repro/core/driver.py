@@ -29,7 +29,7 @@ from repro.tuning.features.base import FeatureTuner
 from repro.tuning.selectors.base import Selector
 
 if TYPE_CHECKING:
-    from repro.policy.config import PolicyConfig
+    from repro.policy.objectives import Policy
 
 
 @dataclass
@@ -57,7 +57,7 @@ class DriverConfig:
     #: declared objectives for goal-driven planning; when set the
     #: organizer runs plan-propose / plan-evaluate / plan-execute passes
     #: instead of the trigger-reactive path (see docs/policy.md)
-    policy: "PolicyConfig | None" = None
+    policy: "Policy | None" = None
 
 
 class Driver(Plugin):

@@ -60,6 +60,7 @@ from repro.policy.engine import (
     PolicyEngine,
     PolicyPlanReport,
 )
+from repro.policy.objectives import Policy
 from repro.telemetry import Telemetry
 from repro.tuning.executors.base import ApplicationReport, TuningExecutor
 from repro.tuning.executors.sequential import SequentialExecutor
@@ -143,7 +144,7 @@ class Organizer:
         optimizer: WhatIfOptimizer | None = None,
         executor: TuningExecutor | None = None,
         telemetry: Telemetry | None = None,
-        policy: PolicyEngine | None = None,
+        policy: Policy | None = None,
     ) -> None:
         self._db = db
         self._predictor = predictor
@@ -209,20 +210,17 @@ class Organizer:
         # fleet hooks: both stay None outside a fleet, costing nothing
         self._admission: AdmissionHook | None = None
         self._commit_listener: CommitListener | None = None
-        # goal-driven mode: with an engine configured every pass goes
-        # through plan-propose / plan-evaluate / plan-execute; without
+        # goal-driven mode: with a policy declared every pass goes
+        # through plan-propose / plan-evaluate / plan-execute, and the
+        # objective-violation trigger joins the reactive ones; without
         # one the trigger-reactive path below runs unchanged
-        self._policy = policy
+        self._engine: PolicyEngine | None = None
         if policy is not None:
-            policy.bind(self._telemetry.registry, self._events)
-            if not any(
-                isinstance(t, ObjectiveViolationTrigger)
-                for t in self._triggers
-            ):
-                self._triggers = [
-                    *self._triggers,
-                    ObjectiveViolationTrigger(policy),
-                ]
+            self._engine = PolicyEngine(policy, self._telemetry.registry)
+            self._triggers = [
+                *self._triggers,
+                ObjectiveViolationTrigger(self._engine),
+            ]
 
     # ------------------------------------------------------------------
 
@@ -263,9 +261,9 @@ class Organizer:
         return self._cached_order
 
     @property
-    def policy(self) -> PolicyEngine | None:
-        """The policy engine, when goal-driven planning is configured."""
-        return self._policy
+    def policy(self) -> Policy | None:
+        """The declared policy, when goal-driven planning is configured."""
+        return self._engine.policy if self._engine is not None else None
 
     def __getstate__(self) -> dict[str, object]:
         # the fleet hooks belong to whoever hosts this organizer, not to
@@ -314,9 +312,9 @@ class Organizer:
         engine's trigger-path assessment it does not advance the
         ``policy_evaluations`` counters.
         """
-        if self._policy is None:
+        if self._engine is None:
             return None
-        return self._policy.policy.assess(self._context())
+        return self._engine.policy.assess(self._context())
 
     def evaluate_triggers(self) -> TriggerDecision:
         """First firing trigger wins; otherwise the last negative decision."""
@@ -406,7 +404,7 @@ class Organizer:
         """Where a firing decision ends, periodic or escalated: the
         goal-driven pass with a policy configured, else the
         trigger-reactive one."""
-        if self._policy is not None:
+        if self._engine is not None:
             return self.run_policy_pass(decision)
         return self.run_tuning(decision)
 
@@ -493,8 +491,8 @@ class Organizer:
             f"scenario {verdict.nearest_scenario!r}",
             {"distance": verdict.distance},
         )
-        if self._policy is not None:
-            self._policy.note_replan()
+        if self._engine is not None:
+            self._engine.note_replan()
             self._events.log(
                 self._db.clock.now_ms,
                 EventKind.POLICY,
@@ -910,12 +908,12 @@ class Organizer:
         """Run one goal-driven pass — plan-propose, plan-evaluate,
         plan-execute: the pass body with the policy engine (without one
         configured, the reactive pass)."""
-        if self._policy is None:
+        if self._engine is None:
             return self.run_tuning(decision)
         return self._run_pass(
             decision
             or TriggerDecision(True, POLICY_TRIGGER, "manual policy pass"),
-            self._policy,
+            self._engine,
         )
 
     # ------------------------------------------------------------------

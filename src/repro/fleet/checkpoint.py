@@ -68,7 +68,7 @@ if TYPE_CHECKING:
 #: file-format magic (refuse to unpickle arbitrary files)
 MAGIC = "repro-fleet-checkpoint"
 #: bump with any change to what the bundle or a tenant blob pickles
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _NAME_RE = re.compile(r"^fleet-ckpt-(\d{6})\.pkl$")
 

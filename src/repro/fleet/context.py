@@ -160,15 +160,6 @@ class TenantContext:
         executor = SequentialExecutor(
             injector=injector, retry=config.retry, telemetry=telemetry
         )
-        # goal-driven planning: a declared PolicyConfig becomes a policy
-        # engine the organizer binds to its registry and event log.
-        # Imported lazily — the policy package is only loaded when a
-        # policy is actually configured.
-        policy = None
-        if config.policy is not None:
-            from repro.policy.engine import PolicyEngine
-
-            policy = PolicyEngine.from_config(config.policy)
         tuners: list[Tuner] = []
         for feature in features:
             assessor = None
@@ -200,7 +191,7 @@ class TenantContext:
             optimizer=optimizer,
             executor=executor,
             telemetry=telemetry,
-            policy=policy,
+            policy=config.policy,
         )
         # sampled per-query spans + exec work counters of served queries
         database.bind_telemetry(telemetry)

@@ -253,10 +253,6 @@ class FleetDriver:
         self._build_args: dict[str, object] | None = None
 
     @property
-    def parallel_mode(self) -> str:
-        return self._mode
-
-    @property
     def next_bin(self) -> int:
         """Index of the next unrun fleet bin (== bins run so far)."""
         return self._next_bin
@@ -821,7 +817,7 @@ def default_tenant_driver(
     Mirrors the single-tenant CLI setup (periodic + forecast-drift
     triggers, index memory budget, 4-bin horizon); the golden tests
     construct the legacy arm with exactly these parameters. ``policy``
-    (a :class:`~repro.policy.config.PolicyConfig`) switches the tenant's
+    (a :class:`~repro.policy.objectives.Policy`) switches the tenant's
     organizer to goal-driven planning; its passes are fleet-arbitrated
     like any other non-urgent trigger.
     """

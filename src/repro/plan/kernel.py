@@ -77,10 +77,6 @@ class PlanKernel:
         # carry every segment and index the plan ever bound
         return {**self.__dict__, "cache": {}}
 
-    @property
-    def all_pruned(self) -> bool:
-        return not self.live
-
     @classmethod
     def from_plan(cls, plan: PhysicalPlan) -> "PlanKernel":
         steps = plan.steps

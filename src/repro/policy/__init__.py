@@ -1,7 +1,6 @@
 """Goal-driven policy planning: declarative objectives compiled into
 multi-feature reconfiguration plans (see docs/policy.md)."""
 
-from repro.policy.config import KINDS, ObjectiveSpec, PolicyConfig
 from repro.policy.engine import (
     POLICY_TRIGGER,
     ObjectiveViolationTrigger,
@@ -23,11 +22,9 @@ from repro.policy.objectives import (
 )
 
 __all__ = [
-    "KINDS",
     "LatencyObjective",
     "MemoryBudgetObjective",
     "Objective",
-    "ObjectiveSpec",
     "ObjectiveStatus",
     "ObjectiveViolationTrigger",
     "POLICY_TRIGGER",
@@ -36,7 +33,6 @@ __all__ = [
     "PlanStep",
     "Policy",
     "PolicyAssessment",
-    "PolicyConfig",
     "PolicyEngine",
     "PolicyPlanReport",
     "ThroughputObjective",

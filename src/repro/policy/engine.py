@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.configuration.constraints import ConstraintSet
 from repro.configuration.delta import ConfigurationDelta
-from repro.core.events import EventLog
 from repro.core.triggers import TriggerContext, TuningTrigger
 from repro.cost.what_if import WhatIfOptimizer
 from repro.kpi.metrics import (
@@ -49,7 +48,6 @@ from repro.kpi.metrics import (
     POLICY_STEPS_PROPOSED,
     POLICY_VIOLATIONS,
 )
-from repro.policy.config import PolicyConfig
 from repro.policy.objectives import (
     ObjectiveStatus,
     PlanMetrics,
@@ -111,21 +109,11 @@ class PolicyPlanReport:
 class PolicyEngine:
     """Objective assessment plus plan proposal/evaluation for one tenant."""
 
-    def __init__(
-        self,
-        policy: Policy,
-        config: PolicyConfig | None = None,
-        registry: MetricRegistry | None = None,
-        events: EventLog | None = None,
-    ) -> None:
+    def __init__(self, policy: Policy, registry: MetricRegistry) -> None:
+        # the organizer passes its telemetry registry, so the policy_*
+        # counters land in interval KPIs and fleet rollups
         self._policy = policy
-        self._config = config
-        self._registry = registry if registry is not None else MetricRegistry()
-        self._events = events
-
-    @classmethod
-    def from_config(cls, config: PolicyConfig) -> "PolicyEngine":
-        return cls(config.build(), config)
+        self._registry = registry
 
     # ------------------------------------------------------------------
 
@@ -134,33 +122,8 @@ class PolicyEngine:
         return self._policy
 
     @property
-    def config(self) -> PolicyConfig | None:
-        return self._config
-
-    @property
-    def violation_patience(self) -> int:
-        return self._config.violation_patience if self._config else 1
-
-    @property
-    def max_alternatives(self) -> int:
-        return self._config.max_alternatives if self._config else 6
-
-    @property
     def registry(self) -> MetricRegistry:
         return self._registry
-
-    def bind(
-        self, registry: MetricRegistry, events: EventLog | None = None
-    ) -> None:
-        """Adopt the organizer's shared registry and event log.
-
-        Like the optimizer's ``bind_registry``, binding is how one
-        engine's ``policy_*`` counters land in the tenant's telemetry
-        registry (and therefore in interval KPIs and fleet rollups).
-        """
-        self._registry = registry
-        if events is not None:
-            self._events = events
 
     def _inc(self, name: str, amount: float = 1.0) -> None:
         self._registry.counter(name).inc(amount)
@@ -233,7 +196,7 @@ class PolicyEngine:
             baseline_cost_ms=baseline,
             baseline_scenario_costs=baseline_costs,
         )
-        prefix_count = min(len(steps), self.max_alternatives)
+        prefix_count = min(len(steps), self._policy.max_alternatives)
         for k in range(1, prefix_count + 1):
             prefix = tuple(steps[:k])
             actions = [
@@ -312,20 +275,10 @@ class ObjectiveViolationTrigger(TuningTrigger):
 
     name = POLICY_TRIGGER
 
-    def __init__(
-        self, engine: PolicyEngine, patience: int | None = None
-    ) -> None:
+    def __init__(self, engine: PolicyEngine) -> None:
         self._engine = engine
-        self._patience = (
-            patience if patience is not None else engine.violation_patience
-        )
-        if self._patience < 1:
-            raise ValueError("patience must be at least 1")
+        self._patience = engine.policy.violation_patience
         self._streak = 0
-
-    @property
-    def engine(self) -> PolicyEngine:
-        return self._engine
 
     def evaluate(self, context: TriggerContext) -> "TriggerDecision":
         assessment = self._engine.assess(context)

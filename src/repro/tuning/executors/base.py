@@ -131,10 +131,6 @@ class TuningExecutor(ABC):
     def injector(self) -> FaultInjector | None:
         return self._injector
 
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        return self._retry
-
     @abstractmethod
     def execute(self, delta: ConfigurationDelta, db: Database) -> ApplicationReport:
         """Apply all actions of ``delta``.

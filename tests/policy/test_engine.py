@@ -19,13 +19,13 @@ from repro.kpi.metrics import (
     POLICY_STEPS_PROPOSED,
     POLICY_VIOLATIONS,
 )
-from repro.policy.config import ObjectiveSpec, PolicyConfig
 from repro.policy.engine import (
     ObjectiveViolationTrigger,
     PlanAlternative,
     PolicyEngine,
 )
-from repro.policy.objectives import PlanMetrics
+from repro.policy.objectives import LatencyObjective, PlanMetrics, Policy
+from repro.telemetry.metrics import MetricRegistry
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
@@ -33,12 +33,12 @@ from tests.conftest import make_forecast
 
 
 def _engine(bound_ms=500.0, patience=1, **kwargs):
-    config = PolicyConfig(
-        objectives=(ObjectiveSpec(kind="latency", bound=bound_ms),),
+    policy = Policy(
+        objectives=(LatencyObjective(bound_ms=bound_ms),),
         violation_patience=patience,
         **kwargs,
     )
-    return PolicyEngine.from_config(config)
+    return PolicyEngine(policy, MetricRegistry())
 
 
 def _pipeline(retail_suite):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.triggers import TuningTrigger
+from repro.errors import PolicyError
 from repro.kpi.metrics import (
     INDEX_MEMORY_BYTES,
     MEAN_QUERY_MS,
@@ -85,11 +86,11 @@ def test_latency_predict_scales_observed_by_cost_ratio():
 
 
 def test_latency_objective_rejects_bad_args():
-    with pytest.raises(ValueError):
+    with pytest.raises(PolicyError):
         LatencyObjective(bound_ms=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PolicyError):
         LatencyObjective(bound_ms=1.0, metric="not_a_metric")
-    with pytest.raises(ValueError):
+    with pytest.raises(PolicyError):
         LatencyObjective(bound_ms=1.0, weight=0.0)
 
 
@@ -206,10 +207,28 @@ def test_policy_violated_sorted_worst_first():
 
 
 def test_policy_requires_objectives():
-    with pytest.raises(ValueError):
+    with pytest.raises(PolicyError):
         Policy(name="empty", objectives=())
 
 
 def test_slugify():
     assert slugify("p99 under 2 ms!") == "p99_under_2_ms"
     assert slugify("***") == "objective"
+
+
+def test_declared_name_keys_the_status_and_stays_as_written():
+    obj = LatencyObjective(bound_ms=10.0, name="Tail Latency!")
+    assert obj.name == "Tail Latency!"
+    assert obj.evaluate(_context({P99_QUERY_MS: 5.0})).name == "tail_latency"
+    # undeclared, the status is keyed by the metric (by the trigger name
+    # for a trigger objective)
+    assert LatencyObjective(bound_ms=10.0).slug == P99_QUERY_MS
+    assert LatencyObjective(bound_ms=10.0, metric="mean").slug == MEAN_QUERY_MS
+    assert TriggerObjective(_StubTrigger(fire=False)).slug == "trigger_stub"
+
+
+def test_trigger_objective_takes_a_trigger_and_a_weight_only():
+    obj = TriggerObjective(_StubTrigger(fire=False), weight=2.0)
+    assert obj.weight == 2.0
+    with pytest.raises(TypeError):
+        TriggerObjective(_StubTrigger(fire=False), name="renamed")

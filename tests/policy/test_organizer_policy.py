@@ -1,5 +1,6 @@
 """Tests for goal-driven organizer passes and fleet arbitration."""
 
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,13 @@ from repro.kpi.metrics import (
     POLICY_PLANS_EXECUTED,
     POLICY_REPLANS,
 )
-from repro.policy import ObjectiveSpec, PolicyConfig, PolicyEngine
+from repro.policy import (
+    LatencyObjective,
+    MemoryBudgetObjective,
+    Objective,
+    ObjectiveStatus,
+    Policy,
+)
 from repro.policy.engine import POLICY_TRIGGER
 from repro.tuning import standard_features
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
@@ -44,15 +51,13 @@ def _prepare(retail_suite, bins=5, per_bin=25):
     return db, predictor
 
 
-def _policy_engine(bound_ms=500.0, **kwargs):
-    return PolicyEngine.from_config(
-        PolicyConfig(
-            objectives=(
-                ObjectiveSpec(kind="latency", bound=bound_ms),
-                ObjectiveSpec(kind="memory", bound=64 * MIB),
-            ),
-            **kwargs,
-        )
+def _policy(bound_ms=500.0, **kwargs):
+    return Policy(
+        objectives=(
+            LatencyObjective(bound_ms=bound_ms),
+            MemoryBudgetObjective(bound_bytes=64 * MIB),
+        ),
+        **kwargs,
     )
 
 
@@ -72,7 +77,7 @@ def _organizer(db, predictor, policy=None, **config_kwargs):
 
 def test_tick_with_policy_runs_plan_stages(retail_suite):
     db, predictor = _prepare(retail_suite)
-    organizer = _organizer(db, predictor, policy=_policy_engine())
+    organizer = _organizer(db, predictor, policy=_policy())
     report = organizer.tick()
     assert report is not None
     assert report.plan is not None
@@ -95,7 +100,7 @@ def test_tick_with_policy_runs_plan_stages(retail_suite):
 
 def test_policy_pass_chosen_plan_event_names_features(retail_suite):
     db, predictor = _prepare(retail_suite)
-    organizer = _organizer(db, predictor, policy=_policy_engine())
+    organizer = _organizer(db, predictor, policy=_policy())
     report = organizer.tick()
     events = organizer.events.events(EventKind.POLICY)
     assert events
@@ -117,11 +122,9 @@ def test_run_policy_pass_without_engine_falls_back(retail_suite):
 def test_policy_organizer_gains_objective_trigger(retail_suite):
     db, predictor = _prepare(retail_suite)
     # an impossible latency bound: always violated once KPIs exist
-    engine = PolicyEngine.from_config(
-        PolicyConfig(
-            objectives=(ObjectiveSpec(kind="latency", bound=1e-9),),
-            violation_patience=1,
-        )
+    policy = Policy(
+        objectives=(LatencyObjective(bound_ms=1e-9),),
+        violation_patience=1,
     )
     organizer = Organizer(
         db,
@@ -129,9 +132,9 @@ def test_policy_organizer_gains_objective_trigger(retail_suite):
         [Tuner(CompressionFeature(), db)],
         triggers=[NeverTrigger()],
         config=OrganizerConfig(horizon_bins=3, min_history_bins=3),
-        policy=engine,
+        policy=policy,
     )
-    assert organizer.policy is engine
+    assert organizer.policy is policy
     # the monitor samples per interval: execute inside this one
     for q in retail_suite.mix.sample_queries(10, seed=1):
         db.execute(q)
@@ -145,7 +148,7 @@ def test_policy_organizer_gains_objective_trigger(retail_suite):
 
 def test_policy_status_reports_without_counting(retail_suite):
     db, predictor = _prepare(retail_suite)
-    organizer = _organizer(db, predictor, policy=_policy_engine())
+    organizer = _organizer(db, predictor, policy=_policy())
     before = organizer.telemetry.registry.snapshot()
     assessment = organizer.policy_status()
     assert assessment is not None
@@ -158,7 +161,7 @@ def test_policy_status_reports_without_counting(retail_suite):
 
 def test_forecast_miss_replans_under_policy(retail_suite):
     db, predictor = _prepare(retail_suite)
-    organizer = _organizer(db, predictor, policy=_policy_engine())
+    organizer = _organizer(db, predictor, policy=_policy())
     verdict = ForecastMissVerdict(
         distance=0.6,
         nearest_scenario="expected",
@@ -176,6 +179,33 @@ def test_forecast_miss_replans_under_policy(retail_suite):
     ]
     assert len(replans) == 1
     assert replans[0].data["distance"] == 0.6
+
+
+@dataclass(frozen=True)
+class _QueryBudget(Objective):
+    """A custom objective: at most ``limit`` queries executed so far."""
+
+    limit: int
+    metric: str = "queries"
+
+    def evaluate(self, context):
+        del context
+        return self._status(self.metric, 3.0, float(self.limit), upper=True)
+
+    def predict(self, metrics, context):
+        return self.evaluate(context)
+
+
+def test_custom_objective_reaches_the_driver(retail_suite):
+    policy = Policy(objectives=(_QueryBudget(limit=2, name="budget"),))
+    driver = Driver(
+        [CompressionFeature()], config=DriverConfig(policy=policy)
+    )
+    retail_suite.database.plugin_host.attach(driver)
+    assert driver.organizer.policy is policy
+    (status,) = driver.organizer.policy_status().statuses
+    assert isinstance(status, ObjectiveStatus)
+    assert (status.name, status.satisfied) == ("budget", False)
 
 
 def _closed_loop(seed, policy):
@@ -198,10 +228,10 @@ def _closed_loop(seed, policy):
 def test_declared_objectives_are_met_with_fewer_feature_passes(seed):
     policy = _closed_loop(
         seed,
-        PolicyConfig(
+        Policy(
             objectives=(
-                ObjectiveSpec(kind="latency", bound=50.0, metric="p99"),
-                ObjectiveSpec(kind="memory", bound=4 * MIB),
+                LatencyObjective(bound_ms=50.0, metric="p99"),
+                MemoryBudgetObjective(bound_bytes=4 * MIB),
             ),
         ),
     )

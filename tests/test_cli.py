@@ -78,6 +78,15 @@ def _exit_status(argv):
     return exit_.value.code
 
 
+#: policy documents the ``policy`` subcommand refuses as option values
+_BAD_POLICY_DOCUMENTS = {
+    "typo.yml": "objectives:\n  - kind: latncy\n    max_ms: 1\n",
+    "list.yml": "- kind: latency\n  max_ms: 1\n",
+    "broken.yml": "objectives: [\n",
+    "zero.yml": "objectives:\n  - kind: latency\n    max_ms: 1\n    weight: 0\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -94,6 +103,11 @@ def _exit_status(argv):
              "--checkpoint-every", "2", "--checkpoint-dir", "{tmp}/file/ck"],
             "checkpoint write failed",
         ),
+        (["policy", "--p99-ms", "-1"], "bound_ms must be positive"),
+        (["policy", "--objectives", "{tmp}/typo.yml"], "kind 'latncy'"),
+        (["policy", "--objectives", "{tmp}/list.yml"], "must be a mapping"),
+        (["policy", "--objectives", "{tmp}/broken.yml"], "not a YAML document"),
+        (["policy", "--objectives", "{tmp}/zero.yml"], "weight must be positive"),
     ],
 )
 def test_bad_option_values_exit_2_with_one_line(
@@ -101,6 +115,8 @@ def test_bad_option_values_exit_2_with_one_line(
 ):
     """A value argparse cannot judge alone is still an option error."""
     (tmp_path / "file").write_text("in the way")
+    for name, text in _BAD_POLICY_DOCUMENTS.items():
+        (tmp_path / name).write_text(text)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert _exit_status(argv) == 2
     err = capsys.readouterr().err
@@ -122,13 +138,13 @@ def test_fleet_resume_failures_exit_2_with_one_line(capsys, tmp_path):
     checkpointed = ["--checkpoint-dir", str(tmp_path), "--checkpoint-every", "2"]
     assert main(fleet + checkpointed) == 0
     (written,) = tmp_path.iterdir()
-    _rewrite_format_version(written, 3)
+    _rewrite_format_version(written, 4)
     capsys.readouterr()
     assert _exit_status(resume) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert "format version 3; this build reads version 4" in captured.err
+    assert "format version 4; this build reads version 5" in captured.err
 
 
 def test_importing_the_package_does_not_import_scipy():
