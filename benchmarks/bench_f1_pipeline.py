@@ -77,4 +77,4 @@ def test_f1_pipeline(benchmark):
     late = sum(r.mean_query_ms for r in records[-3:]) / 3
     assert any(r.reconfigured for r in records)
     assert late < early
-    assert len(driver.store) >= 1
+    assert len(driver.context.store) >= 1

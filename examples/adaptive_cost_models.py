@@ -82,15 +82,16 @@ def main() -> None:
         ),
     )
     db.plugin_host.attach(driver)
+    ctx = driver.context
     for i in range(4):
         for q in suite.mix.sample_queries(30, seed=500 + i):
             db.execute(q)
         db.plugin_host.tick(db.clock.now_ms)
     print(f"\nmaintenance harvested "
-          f"{driver.cost_maintenance.observations_harvested} observations "
+          f"{ctx.cost_maintenance.observations_harvested} observations "
           "from the plan cache")
 
-    forecast = driver.predictor.forecast(horizon_bins=3)
+    forecast = ctx.predictor.forecast(horizon_bins=3)
     optimizer = WhatIfOptimizer(db)
     samples = dict(forecast.sample_queries)
     before_cost = optimizer.scenario_cost_ms(forecast.expected, samples)

@@ -75,7 +75,7 @@ def main() -> None:
         )
 
     print("\n--- self-management log ---")
-    for event in driver.events.events():
+    for event in driver.context.events.events():
         if event.kind in (
             EventKind.ORDER_PLANNED,
             EventKind.TUNING_FINISHED,
@@ -83,7 +83,7 @@ def main() -> None:
             print(f"[{event.at_ms / 60_000:5.1f} min] {event.message}")
 
     print("\n--- feedback loop (configuration store) ---")
-    for record in driver.store.history():  # one record per pass
+    for record in driver.context.store.history():  # one record per pass
         print(
             f"trigger={record.trigger:15s} "
             f"predicted={record.predicted_benefit_ms:7.2f} ms  "

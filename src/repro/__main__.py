@@ -100,21 +100,24 @@ def _build_features(args: argparse.Namespace):
     return features[: args.features] if args.features else features
 
 
-def _bootstrap(
-    args: argparse.Namespace,
-    triggers=None,
-    organizer=None,
-    faults=None,
-    telemetry=None,
-    policy=None,
-    mutate_trace=None,
-):
-    """Shared driver/simulation bootstrap of the closed-loop subcommands.
+def _workload(args: argparse.Namespace):
+    """The suite and binned trace a closed-loop subcommand runs."""
+    from repro.workload import generate_trace
 
-    Builds the suite, the binned trace (optionally transformed by
-    ``mutate_trace(suite, trace)`` — e.g. the guard command's dominance
-    swap), the driver with the common constraint/feature flags, attaches
-    it, and returns ``(suite, db, trace, driver, simulation)``.
+    suite = _build_suite(args.suite, args.rows, args.seed)
+    trace = generate_trace(
+        suite.families, suite.rates, args.bins, bin_duration_ms=60_000,
+        seed=args.seed,
+    )
+    return suite, trace
+
+
+def _attach(args: argparse.Namespace, suite, trace, triggers=None,
+            organizer=None, **config):
+    """Attach a driver, shaped by the common constraint/feature flags and
+    ``config`` (``DriverConfig`` fields), to the suite's database.
+
+    Returns the driver's tenant context and a simulation over ``trace``.
     """
     from repro import (
         ClosedLoopSimulation,
@@ -123,24 +126,10 @@ def _bootstrap(
         DriverConfig,
         OrganizerConfig,
         ResourceBudget,
-        TelemetryConfig,
     )
     from repro.configuration import INDEX_MEMORY
     from repro.util.units import MIB
-    from repro.workload import generate_trace
 
-    suite = _build_suite(args.suite, args.rows, args.seed)
-    db = suite.database
-    trace = generate_trace(
-        suite.families,
-        suite.rates,
-        args.bins,
-        bin_duration_ms=60_000,
-        seed=args.seed,
-    )
-    if mutate_trace is not None:
-        with _rejecting_bad_input(args.command):
-            trace = mutate_trace(suite, trace)
     driver = Driver(
         _build_features(args),
         constraints=ConstraintSet(
@@ -150,14 +139,12 @@ def _bootstrap(
         config=DriverConfig(
             organizer=organizer
             or OrganizerConfig(horizon_bins=4, min_history_bins=4),
-            faults=faults,
-            telemetry=telemetry or TelemetryConfig(),
-            policy=policy,
+            **config,
         ),
     )
-    db.plugin_host.attach(driver)
-    simulation = ClosedLoopSimulation(db, trace, seed=args.seed)
-    return suite, db, trace, driver, simulation
+    suite.database.plugin_host.attach(driver)
+    simulation = ClosedLoopSimulation(suite.database, trace, seed=args.seed)
+    return driver.context, simulation
 
 
 def _print_bins(records) -> None:
@@ -168,13 +155,34 @@ def _print_bins(records) -> None:
               f"{record.mean_query_ms:8.4f}{marker}")
 
 
+def _print_events(ctx, kinds, title: str, tagged: bool = False) -> None:
+    """The run's events of ``kinds`` under ``title``, when there are any;
+    ``tagged`` prefixes each message with its kind."""
+    shown = [e for e in ctx.events.events() if e.kind in kinds]
+    if not shown:
+        return
+    print(f"\n{title}")
+    for event in shown:
+        tag = f"{event.kind.value:10s} " if tagged else ""
+        print(f"  [{event.at_ms / 60_000:5.1f} min] {tag}{event.message}")
+
+
+def _print_counters(ctx, title: str, names, width: int) -> None:
+    """The run's registry values of ``names`` (0 when never written)."""
+    print(f"\n{title}")
+    snap = ctx.telemetry.registry.snapshot()
+    for name in names:
+        print(f"  {name:{width}s} {snap.get(name, 0.0):.0f}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro import OrganizerConfig
     from repro.core import EventKind, ForecastDriftTrigger, PeriodicTrigger
     from repro.util.units import MIB
 
-    _, db, _, driver, simulation = _bootstrap(
-        args,
+    suite, trace = _workload(args)
+    ctx, simulation = _attach(
+        args, suite, trace,
         triggers=[
             PeriodicTrigger(every_ms=args.tune_every_bins * 60_000),
             ForecastDriftTrigger(relative_threshold=0.25),
@@ -183,15 +191,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             horizon_bins=4, min_history_bins=4, cooldown_ms=3 * 60_000
         ),
     )
+    db = ctx.database
 
     print(f"simulating {args.bins} bins of the {args.suite} workload "
           f"({db.catalog.table_names()}, {args.rows} rows)")
     _print_bins(simulation.run())
 
-    print("\nself-management log:")
-    for event in driver.events.events():
-        if event.kind in (EventKind.ORDER_PLANNED, EventKind.TUNING_FINISHED):
-            print(f"  [{event.at_ms / 60_000:5.1f} min] {event.message}")
+    _print_events(
+        ctx, (EventKind.ORDER_PLANNED, EventKind.TUNING_FINISHED),
+        "self-management log:",
+    )
     print(f"\nindex memory: {db.index_bytes() / MIB:.2f} MiB; "
           f"reconfigurations: {db.counters.reconfigurations}")
     return 0
@@ -338,8 +347,9 @@ def _cmd_order(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import TelemetryConfig, render_span_tree
 
-    _, db, _, driver, simulation = _bootstrap(
-        args,
+    suite, trace = _workload(args)
+    ctx, simulation = _attach(
+        args, suite, trace,
         telemetry=TelemetryConfig(
             query_sample_every=args.sample_every,
             jsonl_path=args.jsonl,
@@ -349,11 +359,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"warming up: {args.bins} bins of the {args.suite} workload ...")
     for _ in simulation.run():
         pass
-    report = driver.tune_now()
+    report = ctx.organizer.run_tuning()
     if report is None:
         print("tuning pass skipped (time budget admits no feature)")
         return 1
-    span = driver.telemetry.tracer.last_root("tuning_pass")
+    span = ctx.telemetry.tracer.last_root("tuning_pass")
     if span is None:
         print("no tuning_pass span recorded — is telemetry disabled?")
         return 1
@@ -363,7 +373,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(render_span_tree(span))
 
     print("\nmetric registry:")
-    registry = driver.telemetry.registry
+    registry = ctx.telemetry.registry
     counters = registry.snapshot_counters()
     gauges = registry.snapshot_gauges()
     width = max(map(len, [*counters, *gauges] or [""])) + 2
@@ -380,13 +390,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     print(f"\nsampled query spans: {sampled} of {total} queries ({rate})")
 
-    stats = db.planner.cache_stats
+    stats = ctx.plan_stats
     print(
         f"compiled-plan cache: {stats.hits} hits, {stats.misses} misses "
         f"({stats.hit_rate:.0%} hit rate), {stats.size} plans cached"
     )
     if args.jsonl:
-        driver.telemetry.close()
+        ctx.telemetry.close()
         print(f"telemetry records exported to {args.jsonl}")
     return 0
 
@@ -397,15 +407,16 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.kpi.metrics import FAULT_KPIS
 
     def run(faults):
-        _, _, _, driver, simulation = _bootstrap(
-            args,
+        suite, trace = _workload(args)
+        ctx, simulation = _attach(
+            args, suite, trace,
             triggers=[
                 PeriodicTrigger(every_ms=args.tune_every_bins * 60_000)
             ],
             organizer=OrganizerConfig(horizon_bins=3, min_history_bins=3),
             faults=faults,
         )
-        return simulation.run(), driver
+        return simulation.run(), ctx
 
     faults = FaultConfig(
         seed=args.fault_seed,
@@ -417,7 +428,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     print(f"faulty run: failure rate {args.failure_rate:.0%}, "
           f"transient fraction {args.transient_fraction:.0%}, "
           f"fault seed {args.fault_seed} ...")
-    faulty_records, driver = run(faults)
+    faulty_records, ctx = run(faults)
 
     print("\nbin  queries  clean_ms  faulty_ms  tuned")
     for clean, faulty in zip(clean_records, faulty_records):
@@ -435,44 +446,18 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     ) / tail
     gap = faulty_cost / clean_cost - 1.0 if clean_cost > 0 else 0.0
 
-    print("\nfault record:")
-    snap = driver.telemetry.registry.snapshot()
-    for name in FAULT_KPIS:
-        print(f"  {name:22s} {snap.get(name, 0.0):.0f}")
-
-    shown = [
-        e
-        for e in driver.events.events()
-        if e.kind in (EventKind.FAULT, EventKind.ROLLBACK,
-                      EventKind.QUARANTINE)
-    ]
-    if shown:
-        print("\nfault / rollback / quarantine events:")
-        for event in shown:
-            print(f"  [{event.at_ms / 60_000:5.1f} min] "
-                  f"{event.kind.value:10s} {event.message}")
+    _print_counters(ctx, "fault record:", FAULT_KPIS, 22)
+    _print_events(
+        ctx,
+        (EventKind.FAULT, EventKind.ROLLBACK, EventKind.QUARANTINE),
+        "fault / rollback / quarantine events:",
+        tagged=True,
+    )
 
     print(f"\nfinal cost (mean over the last {tail} bins): "
           f"{clean_cost:.4f} ms fault-free vs {faulty_cost:.4f} ms "
           f"faulty ({100 * gap:+.2f}%)")
     return 0
-
-
-def _swap_dominance_hook(args: argparse.Namespace, swapped: dict):
-    """A ``mutate_trace`` hook swapping family dominance mid-trace;
-    records the swapped pair in ``swapped`` for the caller's banner."""
-    from repro.workload.drift import swap_dominance
-
-    def mutate(suite, trace):
-        if args.swap_at <= 0:
-            return trace
-        by_rate = sorted(suite.rates, key=lambda n: suite.rates[n].base)
-        family_a = args.swap_a or by_rate[-1]
-        family_b = args.swap_b or by_rate[0]
-        swapped["pair"] = (family_a, family_b)
-        return swap_dominance(trace, family_a, family_b, args.swap_at)
-
-    return mutate
 
 
 def _print_commit_ledger(store) -> None:
@@ -498,40 +483,36 @@ def _print_commit_ledger(store) -> None:
 def _cmd_guard(args: argparse.Namespace) -> int:
     from repro.core import EventKind, PeriodicTrigger
     from repro.kpi.metrics import GUARD_KPIS
+    from repro.workload.drift import swap_dominance
 
-    swapped: dict = {}
-    _, _, _, driver, simulation = _bootstrap(
-        args,
+    suite, trace = _workload(args)
+    swap = None
+    if args.swap_at > 0:
+        # swap family dominance mid-trace (default: highest with lowest rate)
+        by_rate = sorted(suite.rates, key=lambda n: suite.rates[n].base)
+        swap = (args.swap_a or by_rate[-1], args.swap_b or by_rate[0])
+        with _rejecting_bad_input(args.command):
+            trace = swap_dominance(trace, *swap, args.swap_at)
+    ctx, simulation = _attach(
+        args, suite, trace,
         triggers=[PeriodicTrigger(every_ms=args.tune_every_bins * 60_000)],
-        mutate_trace=_swap_dominance_hook(args, swapped),
     )
 
     print(f"simulating {args.bins} bins of the {args.suite} workload "
           "under the commit guard")
-    if swapped:
-        pair = swapped["pair"]
+    if swap is not None:
         print(f"dominance swap at bin {args.swap_at}: "
-              f"{pair[0]} <-> {pair[1]}")
+              f"{swap[0]} <-> {swap[1]}")
     _print_bins(simulation.run())
 
-    print("\nguard record:")
-    snap = driver.telemetry.registry.snapshot()
-    for name in GUARD_KPIS:
-        print(f"  {name:22s} {snap.get(name, 0.0):.0f}")
-
-    _print_commit_ledger(driver.store)
-
-    shown = [
-        e
-        for e in driver.events.events()
-        if e.kind in (EventKind.GUARD, EventKind.ROLLBACK,
-                      EventKind.QUARANTINE)
-    ]
-    if shown:
-        print("\nguard / rollback / quarantine events:")
-        for event in shown:
-            print(f"  [{event.at_ms / 60_000:5.1f} min] "
-                  f"{event.kind.value:10s} {event.message}")
+    _print_counters(ctx, "guard record:", GUARD_KPIS, 22)
+    _print_commit_ledger(ctx.store)
+    _print_events(
+        ctx,
+        (EventKind.GUARD, EventKind.ROLLBACK, EventKind.QUARANTINE),
+        "guard / rollback / quarantine events:",
+        tagged=True,
+    )
     return 0
 
 
@@ -577,27 +558,18 @@ def _cmd_policy(args: argparse.Namespace) -> int:
     from repro.kpi.metrics import POLICY_KPIS
 
     policy = _policy_config(args)
-    _, db, _, driver, simulation = _bootstrap(args, policy=policy)
+    suite, trace = _workload(args)
+    ctx, simulation = _attach(args, suite, trace, policy=policy)
 
     names = ", ".join(o.name or o.kind for o in policy.objectives)
     print(f"simulating {args.bins} bins of the {args.suite} workload "
           f"under declared objectives: {names}")
     _print_bins(simulation.run())
 
-    shown = [
-        e for e in driver.events.events() if e.kind == EventKind.POLICY
-    ]
-    if shown:
-        print("\npolicy events:")
-        for event in shown:
-            print(f"  [{event.at_ms / 60_000:5.1f} min] {event.message}")
+    _print_events(ctx, (EventKind.POLICY,), "policy events:")
+    _print_counters(ctx, "policy record:", POLICY_KPIS, 24)
 
-    print("\npolicy record:")
-    snap = driver.telemetry.registry.snapshot()
-    for name in POLICY_KPIS:
-        print(f"  {name:24s} {snap.get(name, 0.0):.0f}")
-
-    assessment = driver.organizer.policy_status()
+    assessment = ctx.organizer.policy_status()
     print("\nfinal objective status:")
     for status in assessment.statuses:
         verdict = "met    " if status.satisfied else "VIOLATED"

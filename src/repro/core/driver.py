@@ -21,14 +21,11 @@ from repro.dbms.database import Database
 from repro.dbms.plugin import Plugin
 from repro.errors import PluginError
 from repro.faults.injector import FaultConfig
-from repro.faults.recovery import RetryPolicy
-from repro.forecasting.analyzer import AnalyzerConfig
-from repro.forecasting.models.ensemble import ModelFactory
 from repro.telemetry import TelemetryConfig
 from repro.tuning.features.base import FeatureTuner
-from repro.tuning.selectors.base import Selector
 
 if TYPE_CHECKING:
+    from repro.fleet.context import TenantContext
     from repro.policy.objectives import Policy
 
 
@@ -36,10 +33,7 @@ if TYPE_CHECKING:
 class DriverConfig:
     """Construction parameters of the driver and its components."""
 
-    #: duration of one observation bin (predictor time resolution)
-    bin_duration_ms: float = 60_000.0
     organizer: OrganizerConfig = field(default_factory=OrganizerConfig)
-    analyzer: AnalyzerConfig = field(default_factory=AnalyzerConfig)
     #: price candidates with a continuously-maintained learned cost model
     #: instead of measured what-if execution (the low-overhead production
     #: mode of §II-A.d / §V); runs startup calibration on attach
@@ -49,8 +43,6 @@ class DriverConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     #: inject seeded action/probe faults when set; see docs/robustness.md
     faults: FaultConfig | None = None
-    #: backoff policy for retrying transient action failures
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: tenant id labelling every event and span record this
     #: driver's components produce ('' = single-tenant; see docs/fleet.md)
     tenant: str = ""
@@ -61,30 +53,30 @@ class DriverConfig:
 
 
 class Driver(Plugin):
-    """Encapsulates predictor, tuners, and organizer; attaches as a plugin."""
+    """Encapsulates predictor, tuners, and organizer; attaches as a plugin.
+
+    Attaching wires one :class:`~repro.fleet.context.TenantContext`, and
+    every component is reached through ``driver.context``: a fleet merge
+    or a checkpoint restore updates that context in place, so a handle
+    on the driver never reads a replaced component.
+    """
 
     def __init__(
         self,
         features: list[FeatureTuner],
         constraints: ConstraintSet | None = None,
-        model_factory: ModelFactory | None = None,
-        selector: Selector | None = None,
         triggers: list[TuningTrigger] | None = None,
         config: DriverConfig | None = None,
-        reconfiguration_weight: float = 0.0,
     ) -> None:
         if not features:
             raise PluginError("the driver needs at least one feature tuner")
         self._features = features
         self._constraints = constraints or ConstraintSet()
         self._config = config or DriverConfig()
-        # None defers to TenantContext.wire's default (a SeasonalNaive
-        # over DEFAULT_SEASONAL_PERIOD bins)
-        self._model_factory = model_factory
-        self._selector = selector
         self._triggers = triggers
-        self._reconfiguration_weight = reconfiguration_weight
+        #: set while attached; the live database is the context's
         self._db: Database | None = None
+        self.context: TenantContext | None = None
 
     # ------------------------------------------------------------------
     # plugin lifecycle
@@ -106,28 +98,9 @@ class Driver(Plugin):
             features=self._features,
             config=self._config,
             constraints=self._constraints,
-            model_factory=self._model_factory,
-            selector=self._selector,
             triggers=self._triggers,
-            reconfiguration_weight=self._reconfiguration_weight,
-            tenant=self._config.tenant,
         )
-        # the context's components double as driver attributes so the
-        # pre-fleet public surface (driver.organizer, driver.events, …)
-        # is unchanged
-        ctx = self.context
-        self.telemetry = ctx.telemetry
-        self.events = ctx.events
-        self.store = ctx.store
-        self.monitor = ctx.monitor
-        self.predictor = ctx.predictor
-        self.cost_maintenance = ctx.cost_maintenance
-        self.injector = ctx.injector
-        self.optimizer = ctx.optimizer
-        self.executor = ctx.executor
-        self.tuners = ctx.tuners
-        self.organizer = ctx.organizer
-        self.events.log(
+        self.context.events.log(
             database.clock.now_ms,
             EventKind.OBSERVE,
             f"driver attached with features "
@@ -137,10 +110,11 @@ class Driver(Plugin):
     def on_detach(self) -> None:
         # configuration changes persist; only the loop stops
         if self._db is not None:
-            self.events.log(
-                self._db.clock.now_ms, EventKind.OBSERVE, "driver detached"
+            ctx = self.context
+            ctx.events.log(
+                ctx.database.clock.now_ms, EventKind.OBSERVE, "driver detached"
             )
-            self.context.close()
+            ctx.close()
         self._db = None
 
     # ------------------------------------------------------------------
@@ -150,28 +124,29 @@ class Driver(Plugin):
     def database(self) -> Database:
         if self._db is None:
             raise PluginError("driver is not attached to a database")
-        return self._db
+        return self.context.database
 
     def on_tick(self, now_ms: float) -> None:
         """One loop iteration: observe, monitor, maybe tune."""
         db = self.database
-        self.predictor.observe()
-        self.monitor.sample()
+        ctx = self.context
+        ctx.predictor.observe()
+        ctx.monitor.sample()
         # the commit guard runs before the trigger check: a
         # regressing commit rolls back as soon as the evidence is in, and
         # a forecast miss escalates without waiting for a trigger pass
-        guard_report = self.organizer.guard_tick()
+        guard_report = ctx.organizer.guard_tick()
         if guard_report is not None:
-            self.events.log(
+            ctx.events.log(
                 db.clock.now_ms,
                 EventKind.APPLY,
                 f"applied escalation tuning pass over {guard_report.order}",
             )
-        if self.cost_maintenance is not None:
-            self.cost_maintenance.on_tick(now_ms)
-        report = self.organizer.tick()
+        if ctx.cost_maintenance is not None:
+            ctx.cost_maintenance.on_tick(now_ms)
+        report = ctx.organizer.tick()
         if report is not None:
-            self.events.log(
+            ctx.events.log(
                 db.clock.now_ms,
                 EventKind.APPLY,
                 f"applied tuning pass over {report.order}",
@@ -183,4 +158,4 @@ class Driver(Plugin):
         Returns ``None`` when the organizer skips the pass because the
         tuning-time budget admits no feature.
         """
-        return self.organizer.run_tuning()
+        return self.context.organizer.run_tuning()

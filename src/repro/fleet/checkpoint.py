@@ -46,9 +46,11 @@ re-pickled or re-hashed.
 :data:`FORMAT_VERSION` and by no other: the header is checked before
 anything else is unpickled, and another version is refused by name
 (:class:`CheckpointError`, file by file — never a tenant quarantine).
-The bundle and the blobs are pickles of live objects, so *any* change to
-what they pickle bumps the version; there are no per-field shims for
-older layouts.
+The bundle and the blobs are pickles of live objects, so the version
+is bumped when a pickled class is renamed or removed, or when a field
+the code reads is added or changes meaning; there are no per-field
+shims for older layouts. Removing a field does not bump: an older blob
+loads with an attribute nothing reads.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ if TYPE_CHECKING:
 
 #: file-format magic (refuse to unpickle arbitrary files)
 MAGIC = "repro-fleet-checkpoint"
-#: bump with any change to what the bundle or a tenant blob pickles
+#: bump when a pickled class is renamed or removed, or a field the code
+#: reads is added or changes meaning; removing a field does not bump
 FORMAT_VERSION = 5
 
 _NAME_RE = re.compile(r"^fleet-ckpt-(\d{6})\.pkl$")

@@ -37,14 +37,12 @@ from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.database import Database
 from repro.faults.injector import FaultInjector
 from repro.forecasting.analyzer import WorkloadAnalyzer
-from repro.forecasting.models.ensemble import ModelFactory
 from repro.forecasting.models.seasonal import SeasonalNaive
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.kpi.monitor import RuntimeKPIMonitor
 from repro.telemetry import Telemetry
 from repro.tuning.executors.sequential import SequentialExecutor
 from repro.tuning.features.base import FeatureTuner
-from repro.tuning.selectors.base import Selector
 from repro.tuning.tuner import Tuner
 from repro.util.lru import CacheStats
 
@@ -62,8 +60,8 @@ DEFAULT_SEASONAL_PERIOD = 24
 class TenantContext:
     """Everything one tenant's self-management loop owns.
 
-    Built by :meth:`wire`; the fields mirror what used to be bare
-    ``Driver`` attributes. ``trace``/``simulation`` are the tenant's
+    Built by :meth:`wire`; a ``Driver`` reaches every component through
+    its ``context``. ``trace``/``simulation`` are the tenant's
     workload slots, filled by the fleet builder (the legacy single-tenant
     path drives its own simulation and leaves them ``None``).
     """
@@ -103,11 +101,7 @@ class TenantContext:
         features: list[FeatureTuner],
         config: "DriverConfig",
         constraints: ConstraintSet | None = None,
-        model_factory: ModelFactory | None = None,
-        selector: Selector | None = None,
         triggers: list[TuningTrigger] | None = None,
-        reconfiguration_weight: float = 0.0,
-        tenant: str = "",
     ) -> "TenantContext":
         """Build one tenant's full component stack around ``database``.
 
@@ -119,7 +113,11 @@ class TenantContext:
         every feature's assessor price through the same per-tenant cost
         cache), one failure-aware executor, one configuration store (the
         guarded-commit ledger), and one organizer owning quarantine.
+        Selectors, forecast models and reconfiguration weights are
+        exchanged on :class:`Tuner` and :class:`WorkloadAnalyzer`; the
+        context builds their defaults.
         """
+        tenant = config.tenant
         constraints = constraints or ConstraintSet()
         telemetry = Telemetry(database.clock, config.telemetry, tenant=tenant)
         events = EventLog(
@@ -132,13 +130,10 @@ class TenantContext:
         )
         # functools.partial (not a lambda) keeps the analyzer — and with
         # it the whole context — picklable for fleet process workers
-        factory = model_factory or partial(
-            SeasonalNaive, DEFAULT_SEASONAL_PERIOD
+        analyzer = WorkloadAnalyzer(
+            partial(SeasonalNaive, DEFAULT_SEASONAL_PERIOD)
         )
-        analyzer = WorkloadAnalyzer(factory, config.analyzer)
-        predictor = WorkloadPredictor(
-            database, analyzer, bin_duration_ms=config.bin_duration_ms
-        )
+        predictor = WorkloadPredictor(database, analyzer)
         cost_maintenance: AdaptiveCostMaintenancePlugin | None = None
         if config.fast_assessment:
             # the context owns the maintenance plugin directly (composition,
@@ -157,9 +152,7 @@ class TenantContext:
         optimizer = WhatIfOptimizer(
             database, registry=telemetry.registry, injector=injector
         )
-        executor = SequentialExecutor(
-            injector=injector, retry=config.retry, telemetry=telemetry
-        )
+        executor = SequentialExecutor(injector=injector, telemetry=telemetry)
         tuners: list[Tuner] = []
         for feature in features:
             assessor = None
@@ -172,8 +165,6 @@ class TenantContext:
                     feature,
                     database,
                     assessor=assessor,
-                    selector=selector,
-                    reconfiguration_weight=reconfiguration_weight,
                     optimizer=optimizer,
                     telemetry=telemetry,
                 )

@@ -39,9 +39,9 @@ def _warm_up(suite, driver):
 def test_fast_mode_maintains_a_model_and_tunes(retail_suite):
     driver = _driver(fast=True)
     _warm_up(retail_suite, driver)
-    assert driver.cost_maintenance is not None
-    assert driver.cost_maintenance.model.is_fitted
-    assert driver.cost_maintenance.observations_harvested > 0
+    assert driver.context.cost_maintenance is not None
+    assert driver.context.cost_maintenance.model.is_fitted
+    assert driver.context.cost_maintenance.observations_harvested > 0
 
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
@@ -60,7 +60,7 @@ def test_fast_mode_maintains_a_model_and_tunes(retail_suite):
 def test_default_mode_has_no_maintenance(retail_suite):
     driver = _driver(fast=False)
     _warm_up(retail_suite, driver)
-    assert driver.cost_maintenance is None
+    assert driver.context.cost_maintenance is None
 
 
 def test_fast_mode_keeps_specialised_assessors(retail_suite):
@@ -77,4 +77,4 @@ def test_fast_mode_keeps_specialised_assessors(retail_suite):
     )
     retail_suite.database.plugin_host.attach(driver)
     # the buffer-pool tuner must still carry its scratch-pool assessor
-    assert isinstance(driver.tuners[0]._assessor, BufferPoolAssessor)
+    assert isinstance(driver.context.tuners[0]._assessor, BufferPoolAssessor)

@@ -149,10 +149,10 @@ def test_driver_on_tick_observes_and_checks(retail_suite):
         for q in retail_suite.mix.sample_queries(10, seed=i):
             db.execute(q)
         db.plugin_host.tick(db.clock.now_ms)
-    assert driver.predictor.history_bins == 3
-    assert len(driver.monitor.history()) == 3
+    assert driver.context.predictor.history_bins == 3
+    assert len(driver.context.monitor.history()) == 3
     # NeverTrigger: no tuning happened
-    assert driver.events.events(EventKind.TUNING_FINISHED) == ()
+    assert driver.context.events.events(EventKind.TUNING_FINISHED) == ()
 
 
 def test_driver_tune_now(retail_suite):

@@ -186,11 +186,11 @@ def test_driver_wires_fault_injection_end_to_end(retail_suite):
     assert report.tuning.failed_features == ("index_selection",)
     assert ConfigurationInstance.capture(db) == before
     # fault and rollback counters surface through the shared registry
-    snap = driver.telemetry.registry.snapshot()
+    snap = driver.context.telemetry.registry.snapshot()
     assert snap["faults_injected"] >= 1
     assert snap[ROLLBACKS] == 1
-    assert driver.events.events(EventKind.FAULT)
-    assert driver.events.events(EventKind.ROLLBACK)
+    assert driver.context.events.events(EventKind.FAULT)
+    assert driver.context.events.events(EventKind.ROLLBACK)
 
 
 def _closed_loop(faults):
@@ -230,11 +230,11 @@ def test_closed_loop_converges_under_a_ten_percent_failure_rate(
             latency_spike_ms=250.0,
         )
     )
-    snap = driver.telemetry.registry.snapshot()
+    snap = driver.context.telemetry.registry.snapshot()
     assert snap[FAULTS_INJECTED] >= 1
     if snap[ROLLBACKS]:
-        assert driver.events.events(EventKind.ROLLBACK)
-        assert driver.events.events(EventKind.FAULT)
+        assert driver.context.events.events(EventKind.ROLLBACK)
+        assert driver.context.events.events(EventKind.FAULT)
     # cheaper is fine: a rolled-back pass can steer a later one to a
     # different, better configuration
     assert faulty_tail_ms < 1.05 * fault_free_tail_ms

@@ -17,6 +17,7 @@ import pickle
 
 import pytest
 
+from repro.faults.recovery import RetryPolicy
 from repro.fleet import (
     CheckpointError,
     FleetDriver,
@@ -109,6 +110,40 @@ def test_resume_from_specific_file_and_restore_counter(tmp_path):
     resumed = FleetDriver.resume(path)
     assert resumed.next_bin == 6
     assert resumed.fleet_counters["checkpoint_restores"] == 1.0
+
+
+def test_a_driver_handle_reads_the_restored_context(tmp_path):
+    """A driver held across a serial restore reads the restored stack."""
+    fleet = _build(1, checkpoint_dir=tmp_path, checkpoint_every=HALF)
+    ctx = fleet.tenants[0]
+    d = ctx.driver
+    fleet.run()
+    fleet.restore(tmp_path)
+    assert d.context is ctx
+    assert d.database is ctx.database
+
+
+def test_a_blob_with_attributes_the_build_no_longer_defines_resumes(
+    tmp_path,
+):
+    """Removing a field does not bump FORMAT_VERSION: a blob whose driver
+    and driver config carry attributes this build no longer defines (as
+    an older build's did) loads, and nothing reads them."""
+    straight = _finish(_build(2))
+
+    first = _build(2)
+    first.run(HALF)
+    for ctx in first.tenants:
+        ctx.driver.store = ctx.store
+        ctx.driver._config.retry = RetryPolicy()
+    first.checkpoint(tmp_path)
+    del first
+
+    resumed = FleetDriver.resume(tmp_path)
+    for ctx in resumed.tenants:
+        assert vars(ctx.driver)["store"] is ctx.store
+        assert isinstance(vars(ctx.driver._config)["retry"], RetryPolicy)
+    assert _finish(resumed) == straight
 
 
 # ----------------------------------------------------------------------

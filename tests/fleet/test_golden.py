@@ -85,7 +85,7 @@ def test_one_tenant_fleet_is_bit_identical_to_legacy_driver(seed):
     # event-for-event identical self-management log (Event.tenant is
     # excluded from equality; host-time measurements normalized away)
     assert _normalized_events(ctx.events) == _normalized_events(
-        legacy_driver.events
+        legacy_driver.context.events
     )
     # and the loop converged to the same physical configuration
     assert ConfigurationInstance.capture(

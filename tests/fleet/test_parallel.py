@@ -103,6 +103,19 @@ def test_process_mode_survives_mid_run_sync(serial_fingerprints):
     assert _fingerprint(fleet, report) == serial_fingerprints(1)
 
 
+def test_a_driver_handle_reads_the_merged_context():
+    """A driver held across a process-mode run reads the stack the merge
+    brought back, not the one its attach built before the fork."""
+    fleet = build_fleet(2, seed=1, bins=BINS, rows=ROWS, parallel="process")
+    ctx = fleet.tenants[0]
+    d = ctx.driver
+    fleet.run()
+    assert d.context is ctx
+    assert d.database is ctx.database
+    assert ctx.store.history()  # the run committed something
+    assert d.context.store.history() == ctx.store.history()
+
+
 def test_labelled_metrics_identical_across_modes():
     """Per-tenant metric namespacing survives parallel execution."""
     serial_fleet, _ = _run("serial", 2)

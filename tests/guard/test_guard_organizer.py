@@ -223,9 +223,9 @@ def test_driver_wires_guard_into_shared_registry(retail_suite):
         db.plugin_host.tick(db.clock.now_ms)
     report = driver.tune_now()
     assert report is not None
-    assert driver.organizer.guard.active_commit is not None
-    assert driver.telemetry.registry.snapshot()[GUARD_COMMITS] == 1
-    guard_events = driver.events.events(EventKind.GUARD)
+    assert driver.context.organizer.guard.active_commit is not None
+    assert driver.context.telemetry.registry.snapshot()[GUARD_COMMITS] == 1
+    guard_events = driver.context.events.events(EventKind.GUARD)
     assert guard_events and guard_events[-1].data["state"] == "on_probation"
 
 
@@ -261,9 +261,9 @@ def test_dominance_swap_escalates_before_the_next_periodic_trigger():
     driver = _closed_loop(
         seed=1, bins=bins, tune_every_bins=2 * bins, swap_at=swap_at
     )
-    passes = driver.store.history()  # one record per pass
+    passes = driver.context.store.history()  # one record per pass
     escalated = [r for r in passes if r.trigger == FORECAST_MISS_TRIGGER]
-    assert driver.telemetry.registry.snapshot()[GUARD_ESCALATIONS] >= 1
+    assert driver.context.telemetry.registry.snapshot()[GUARD_ESCALATIONS] >= 1
     assert escalated
     assert escalated[0].applied_at_ms >= swap_at * 60_000.0
     assert escalated[0].applied_at_ms < (
@@ -274,7 +274,7 @@ def test_dominance_swap_escalates_before_the_next_periodic_trigger():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stable_noisy_workload_trips_neither_watchdog(seed):
     driver = _closed_loop(seed=seed, bins=18, tune_every_bins=3)
-    snap = driver.telemetry.registry.snapshot()
+    snap = driver.context.telemetry.registry.snapshot()
     assert snap[GUARD_COMMITS] >= 1
     assert snap[GUARD_ROLLBACKS] == 0
     assert snap[GUARD_ESCALATIONS] == 0
@@ -285,9 +285,9 @@ def test_resolved_records_keep_the_mean_the_guard_reported():
     watchdog resolved the probation with, not only a formatted event."""
     # passes far enough apart for the first probation to run its course
     driver = _closed_loop(seed=1, bins=14, tune_every_bins=10)
-    reported = _observed_by_commit(driver.events)
+    reported = _observed_by_commit(driver.context.events)
     resolved = [
-        r for r in driver.store.history() if r.resolution is not None
+        r for r in driver.context.store.history() if r.resolution is not None
     ]
     assert any(r.resolution is CommitResolution.PASSED for r in resolved)
     for record in resolved:

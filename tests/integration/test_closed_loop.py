@@ -45,7 +45,7 @@ def test_closed_loop_tunes_and_improves():
     records = sim.run()
     tuned_bins = [r for r in records if r.reconfigured]
     assert tuned_bins, "the driver never tuned"
-    finished = driver.events.events(EventKind.TUNING_FINISHED)
+    finished = driver.context.events.events(EventKind.TUNING_FINISHED)
     assert finished
     # later passes may be no-ops once the configuration has converged
     assert all(e.data["improvement"] >= 0 for e in finished)
@@ -55,15 +55,15 @@ def test_closed_loop_tunes_and_improves():
     assert late < early
     # feedback loop: one record per pass, with both predictions and
     # measurements for the pass and for each of its tuned features
-    assert len(driver.store) == len(finished)
-    overall = driver.store.history()[0]
+    assert len(driver.context.store) == len(finished)
+    overall = driver.context.store.history()[0]
     assert overall.predicted_benefit_ms is not None
     assert overall.measured_benefit_ms is not None
     assert {o.feature for o in overall.outcomes} == {
         "index_selection",
         "compression",
     }
-    assert len(driver.store.feedback("compression")) == len(finished)
+    assert len(driver.context.store.feedback("compression")) == len(finished)
     # budget respected throughout
     assert suite.database.index_bytes() <= 1 * MIB
 

@@ -202,8 +202,8 @@ def test_custom_objective_reaches_the_driver(retail_suite):
         [CompressionFeature()], config=DriverConfig(policy=policy)
     )
     retail_suite.database.plugin_host.attach(driver)
-    assert driver.organizer.policy is policy
-    (status,) = driver.organizer.policy_status().statuses
+    assert driver.context.organizer.policy is policy
+    (status,) = driver.context.organizer.policy_status().statuses
     assert isinstance(status, ObjectiveStatus)
     assert (status.name, status.satisfied) == ("budget", False)
 
@@ -221,7 +221,7 @@ def _closed_loop(seed, policy):
         ),
     )
     run_closed_loop(driver, 12, trace_seed=seed, sim_seed=seed)
-    return driver
+    return driver.context
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -246,8 +246,8 @@ def test_declared_objectives_are_met_with_fewer_feature_passes(seed):
 
     # the plan is the smallest feasible prefix, so it executes fewer
     # per-feature passes than running every feature at every trigger
-    def feature_passes(driver):
-        return sum(len(r.outcomes) for r in driver.store.history())
+    def feature_passes(ctx):
+        return sum(len(r.outcomes) for r in ctx.store.history())
 
     assert feature_passes(policy) < feature_passes(reactive)
 

@@ -45,7 +45,7 @@ def test_tune_now_produces_a_three_level_span_tree(retail_suite):
     report = driver.tune_now()
     assert report is not None
 
-    span = driver.telemetry.last_span("tuning_pass")
+    span = driver.context.telemetry.last_span("tuning_pass")
     assert span is not None
     assert span.max_depth >= 3
     assert span.tags["trigger"] == "manual"
@@ -57,7 +57,7 @@ def test_tune_now_produces_a_three_level_span_tree(retail_suite):
     assert span.tags["cache_misses"] > 0
 
     # the shared registry carries executor and what-if counters alike
-    registry = driver.telemetry.registry
+    registry = driver.context.telemetry.registry
     assert registry.read("exec_queries") > 0
     assert registry.read("whatif_cache_misses") > 0
 
@@ -67,10 +67,10 @@ def test_disabled_telemetry_keeps_the_loop_working(retail_suite):
     _warm_up(retail_suite, db, driver)
     report = driver.tune_now()
     assert report is not None
-    assert driver.telemetry.last_span() is None
-    assert len(driver.telemetry.ring) == 0
+    assert driver.context.telemetry.last_span() is None
+    assert len(driver.context.telemetry.ring) == 0
     # KPI interval accounting (monitor shim) still works when disabled
-    assert driver.monitor.latest is not None
+    assert driver.context.monitor.latest is not None
 
 
 def test_telemetry_costs_no_simulated_time():
@@ -97,26 +97,26 @@ def test_skip_decisions_are_structured_events(retail_suite):
     db, driver = _attach(retail_suite)
     # no warm-up: not enough history bins yet
     driver.on_tick(db.clock.now_ms)
-    assert driver.organizer.tick() is None
-    skip = driver.events.latest(EventKind.SKIP)
+    assert driver.context.organizer.tick() is None
+    skip = driver.context.events.latest(EventKind.SKIP)
     assert skip is not None
     assert "history bins" in skip.message
     assert skip.data["required_bins"] == 3
     assert skip.data["history_bins"] < 3
     # and the event was mirrored into the telemetry ring as a record
-    kinds = [r["kind"] for r in driver.telemetry.ring.records(type="event")]
+    kinds = [r["kind"] for r in driver.context.telemetry.ring.records(type="event")]
     assert "skip" in kinds
 
 
 def test_detach_unbinds_executor_telemetry(retail_suite):
     db, driver = _attach(retail_suite)
     _warm_up(retail_suite, db, driver, bins=1, per_bin=5)
-    before = driver.telemetry.registry.read("exec_queries")
+    before = driver.context.telemetry.registry.read("exec_queries")
     assert before > 0
     db.plugin_host.detach(driver.name)
     for q in retail_suite.mix.sample_queries(5, seed=1):
         db.execute(q)
-    assert driver.telemetry.registry.read("exec_queries") == before
+    assert driver.context.telemetry.registry.read("exec_queries") == before
 
 
 def test_exec_counters_equal_the_runtime_counters_after_tuning():
@@ -139,10 +139,10 @@ def test_exec_counters_equal_the_runtime_counters_after_tuning():
         suite.families, suite.rates, 10, bin_duration_ms=60_000, seed=33
     )
     ClosedLoopSimulation(db, trace, seed=9).run()
-    passes = driver.events.events(EventKind.TUNING_FINISHED)
+    passes = driver.context.events.events(EventKind.TUNING_FINISHED)
     assert len(passes) >= 2
 
-    registry = driver.telemetry.registry
+    registry = driver.context.telemetry.registry
     counters = db.counters
     assert registry.read("exec_queries") == counters.queries_executed
     assert registry.read("exec_elapsed_sim_ms") == counters.total_query_ms

@@ -295,6 +295,38 @@ def test_policy_command_yaml_objectives(capsys, tmp_path):
     assert "mean_query_ms" in out
 
 
+_SMALL = ["--features", "2", "--seed", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rows", "4000", "--bins", "8", "--tune-every-bins", "5"],
+        ["faults", "--rows", "3000", "--bins", "6", "--tune-every-bins", "3",
+         "--failure-rate", "0.5"],
+        ["guard", "--rows", "3000", "--bins", "8", "--tune-every-bins", "4",
+         "--swap-at", "4"],
+        ["guard", "--rows", "3000", "--bins", "8", "--tune-every-bins", "4",
+         "--swap-at", "0"],
+        ["policy", "--rows", "3000", "--bins", "8", "--p99-ms", "500",
+         "--memory-mib", "64"],
+    ],
+    ids=["simulate", "faults", "guard-swap", "guard-no-swap", "policy"],
+)
+def test_closed_loop_commands_print_only_what_their_run_recorded(
+    capsys, argv
+):
+    """Two runs in one process print the same report: nothing a command
+    renders survives from an earlier run."""
+    outputs = []
+    for _ in range(2):
+        status = main(argv + _SMALL)
+        outputs.append((status, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    if argv[-2:] == ["--swap-at", "0"]:
+        assert "dominance swap" not in outputs[0][1]
+
+
 def test_policy_command_requires_an_objective():
     with pytest.raises(SystemExit):
         main(["policy", "--rows", "3000", "--bins", "4"])
