@@ -6,9 +6,14 @@ installs a *scratch* pool of the candidate capacity, replays the expected
 workload once to warm it (accesses admit and evict normally), then measures
 a second pass — a steady-state estimate of the candidate — and finally
 restores the production pool untouched.
+
+A capacity is measured only when a chunk the forecast reads is off DRAM;
+otherwise every desirability is exactly 0.0 and nothing is replayed.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from repro.configuration.constraints import DRAM_BYTES
 from repro.configuration.delta import ConfigurationDelta
@@ -20,6 +25,18 @@ from repro.forecasting.scenarios import Forecast, WorkloadScenario
 from repro.tuning.assessment import Assessment
 from repro.tuning.assessors.base import Assessor
 from repro.tuning.candidate import Candidate, KnobCandidate
+from repro.workload.query import Query
+
+
+def _replayed(
+    scenario: WorkloadScenario, forecast: Forecast
+) -> Iterator[tuple[Query, float]]:
+    """``(query, frequency)`` of every scenario entry a replay runs."""
+    for key, frequency in scenario.frequencies.items():
+        query = forecast.sample_queries.get(key)
+        if query is None or frequency <= 0:
+            continue
+        yield query, frequency
 
 
 class BufferPoolAssessor(Assessor):
@@ -41,17 +58,11 @@ class BufferPoolAssessor(Assessor):
         previous = db.executor.swap_buffer_pool(scratch)
         try:
             # pass 1: warm the scratch pool (results discarded)
-            for key, frequency in scenario.frequencies.items():
-                query = forecast.sample_queries.get(key)
-                if query is None or frequency <= 0:
-                    continue
+            for query, _frequency in _replayed(scenario, forecast):
                 db.executor.execute(query, db.table(query.table))
             # pass 2: steady-state measurement
             total = 0.0
-            for key, frequency in scenario.frequencies.items():
-                query = forecast.sample_queries.get(key)
-                if query is None or frequency <= 0:
-                    continue
+            for query, frequency in _replayed(scenario, forecast):
                 result = db.executor.execute(query, db.table(query.table))
                 total += frequency * result.report.elapsed_ms
             return total
@@ -76,22 +87,34 @@ class BufferPoolAssessor(Assessor):
                 )
         del reset_delta  # the scratch pool itself is the reset baseline
 
-        default_capacity = db.knobs.definition(BUFFER_POOL_KNOB).default
-        baseline = {
-            scenario.name: self._scenario_cost_with_pool(
-                db, scenario, forecast, default_capacity
-            )
+        # only chunks off DRAM consult the pool (the kernel's tier pass): if
+        # the replay reads none, every capacity prices alike, bit for bit
+        measured = any(
+            db.table(query.table).nondram()
             for scenario in forecast.scenarios
-        }
+            for query, _frequency in _replayed(scenario, forecast)
+        )
+        if measured:
+            default_capacity = db.knobs.definition(BUFFER_POOL_KNOB).default
+            baseline = {
+                scenario.name: self._scenario_cost_with_pool(
+                    db, scenario, forecast, default_capacity
+                )
+                for scenario in forecast.scenarios
+            }
 
         assessments = []
         for candidate in candidates:
             desirability = {}
             for scenario in forecast.scenarios:
-                cost = self._scenario_cost_with_pool(
-                    db, scenario, forecast, candidate.value
+                desirability[scenario.name] = (
+                    baseline[scenario.name]
+                    - self._scenario_cost_with_pool(
+                        db, scenario, forecast, candidate.value
+                    )
+                    if measured
+                    else 0.0
                 )
-                desirability[scenario.name] = baseline[scenario.name] - cost
             assessments.append(
                 Assessment(
                     candidate=candidate,

@@ -2,7 +2,9 @@
 
 Demonstrates the paper's range-candidate form: the knob definition carries
 ``[start, end]`` and the smallest interval; the enumerator samples values;
-a specialised assessor measures each capacity on a warmed scratch pool.
+a specialised assessor measures each capacity on a warmed scratch pool —
+only when a chunk the forecast reads is off DRAM. Otherwise every
+desirability is exactly 0.0 and nothing is replayed.
 """
 
 from __future__ import annotations
