@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.telemetry.sinks import TelemetrySink
+    from repro.telemetry.sinks import JsonlSink
 
 
 class EventKind(enum.Enum):
@@ -60,10 +60,10 @@ class Event:
 class EventLog:
     """Bounded in-memory event history.
 
-    Also a facade over the telemetry sink layer: when a sink is attached
-    every event is additionally emitted as a structured record (type
-    ``"event"``), so the span ring / JSONL export and the event log tell
-    one consistent story. The in-memory API is unchanged either way.
+    The one in-memory home of events. When the telemetry spine exports
+    JSONL, every event is also written there as a structured record (type
+    ``"event"``), so the export and the event log tell one consistent
+    story. The in-memory API is unchanged either way.
 
     In a fleet each tenant owns one log constructed with its tenant id;
     every event and sink record carries it, so interleaved JSONL output
@@ -73,7 +73,7 @@ class EventLog:
     def __init__(
         self,
         capacity: int = 1024,
-        sink: "TelemetrySink | None" = None,
+        sink: "JsonlSink | None" = None,
         tenant: str = "",
     ) -> None:
         if capacity < 1:
@@ -86,10 +86,6 @@ class EventLog:
     def tenant(self) -> str:
         """Tenant id stamped on every event ('' for single-tenant)."""
         return self._tenant
-
-    def attach_sink(self, sink: "TelemetrySink | None") -> None:
-        """Start (or stop, with ``None``) mirroring events into a sink."""
-        self._sink = sink
 
     def log(
         self,

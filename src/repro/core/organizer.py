@@ -156,7 +156,13 @@ class Organizer:
             telemetry if telemetry is not None else Telemetry.disabled(db.clock)
         )
         self._tracer = self._telemetry.tracer
-        self._monitor = monitor if monitor is not None else RuntimeKPIMonitor(db)
+        # defaults count on the telemetry registry, so the per-pass
+        # interval reads in run_tuning see the what-if cache counters
+        self._monitor = (
+            monitor
+            if monitor is not None
+            else RuntimeKPIMonitor(db, registry=self._telemetry.registry)
+        )
         # explicit None checks: EventLog and the instance storage define
         # __len__, so freshly created (empty) ones are falsy
         self._store = store if store is not None else ConfigurationInstanceStorage()
@@ -166,13 +172,9 @@ class Organizer:
             ForecastDriftTrigger(),
         ]
         self._config = config or OrganizerConfig()
-        self._optimizer = optimizer or WhatIfOptimizer(db)
-        # surface the shared optimizer's cache counters both through the
-        # monitor (interval KPIs) and through the telemetry registry (for
-        # the per-pass interval reads in run_tuning); both binds are
-        # no-ops when the driver already wired one shared registry
-        self._optimizer.bind_registry(self._monitor.registry, replace=True)
-        self._optimizer.bind_registry(self._telemetry.registry, replace=True)
+        self._optimizer = optimizer or WhatIfOptimizer(
+            db, registry=self._telemetry.registry
+        )
         # every change this organizer makes — a pass, a replayed prior, a
         # guard rollback — is applied through this one executor
         self._executor = executor or SequentialExecutor(

@@ -74,8 +74,7 @@ class WhatIfOptimizer:
 
         ``registry`` is the telemetry registry the cache counters live in
         (the driver passes its shared one); without it the optimizer keeps
-        a private registry and can be surfaced later via
-        :meth:`bind_registry`.
+        a private registry.
 
         ``injector`` perturbs measured probe costs with seeded latency
         spikes (see :meth:`FaultInjector.probe_spike_ms`), modelling the
@@ -133,30 +132,6 @@ class WhatIfOptimizer:
     def registry(self) -> MetricRegistry:
         """The registry holding the cache counters."""
         return self._registry
-
-    def bind_registry(
-        self, registry: MetricRegistry, replace: bool = False
-    ) -> None:
-        """Surface the cache counters through ``registry`` as well.
-
-        Adopts the existing counter/gauge *objects*, so counts stay
-        continuous and bumps are visible through both registries.
-        Idempotent when the counters are already registered there (the
-        driver wires one shared registry everywhere, making every later
-        bind a no-op). ``replace=True`` rebinds names held by another
-        optimizer's counters (re-attach semantics).
-        """
-        if registry is not self._registry:
-            registry.adopt_all(
-                (
-                    self._hits,
-                    self._misses,
-                    self._evictions,
-                    self._size_gauge,
-                    self._coverage_gauge,
-                ),
-                replace=replace,
-            )
 
     def clear_cache(self) -> None:
         """Drop all cached costs (counters are kept)."""

@@ -27,6 +27,7 @@ from repro.dbms.segments import EncodingType
 from repro.dbms.storage_tiers import StorageTier
 from repro.dbms.table import DEFAULT_TARGET_CHUNK_SIZE, Table
 from repro.plan.planner import QueryPlanner
+from repro.telemetry.metrics import MetricRegistry
 from repro.util.lru import CacheStats
 from repro.util.timer import SimulatedClock
 from repro.workload.query import Query
@@ -90,7 +91,10 @@ class Database:
         self.catalog = Catalog()
         self.knobs = KnobRegistry(standard_knobs())
         self.plan_cache = QueryPlanCache(plan_cache_capacity)
-        self.planner = QueryPlanner()
+        # the one registry of this database's stack: the planner counts
+        # here, and a wired tenant's telemetry spine is built over it
+        self.registry = MetricRegistry()
+        self.planner = QueryPlanner(registry=self.registry)
         self.executor = QueryExecutor(self.hardware, self.knobs, self.planner)
         self.plugin_host = PluginHost(self)
         self.counters = RuntimeCounters()

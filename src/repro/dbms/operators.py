@@ -189,11 +189,6 @@ def _evaluate_residual(
     return positions
 
 
-#: metadata work charged for consulting chunk min/max statistics
-#: (canonically defined in the plan IR; aliased here for back-compat)
-_PRUNE_CHECK_UNITS = PRUNE_CHECK_UNITS
-
-
 def chunk_can_be_pruned(chunk: Chunk, predicates: Sequence[Predicate]) -> bool:
     """Zone-map pruning: chunk min/max statistics prove a predicate matches
     nothing here, so the chunk is skipped without touching data. This is
@@ -275,7 +270,7 @@ def execute_step(chunk: Chunk, step: PlanStep) -> ChunkScanResult:
     if step.kind is StepKind.PRUNE:
         return ChunkScanResult(
             positions=np.empty(0, dtype=np.int64),
-            scan_units=_PRUNE_CHECK_UNITS * step.predicate_count,
+            scan_units=PRUNE_CHECK_UNITS * step.predicate_count,
         )
     if step.kind is StepKind.INDEX_PROBE:
         index = chunk.index(step.index_key)

@@ -106,8 +106,8 @@ class TenantContext:
         """Build one tenant's full component stack around ``database``.
 
         This is the construction logic lifted out of ``Driver.on_attach``:
-        one telemetry spine per tenant (spans and events flow through its
-        sinks, counters through its registry), one event log, one KPI
+        one telemetry spine per tenant (counters in the database's
+        registry, span trees in its tracer), one event log, one KPI
         monitor deriving interval KPIs from that registry, one predictor,
         one shared what-if optimizer (organizer, dependence analyzer, and
         every feature's assessor price through the same per-tenant cost
@@ -119,7 +119,13 @@ class TenantContext:
         """
         tenant = config.tenant
         constraints = constraints or ConstraintSet()
-        telemetry = Telemetry(database.clock, config.telemetry, tenant=tenant)
+        # one registry per stack: the database's, where its planner counts
+        telemetry = Telemetry(
+            database.clock,
+            config.telemetry,
+            tenant=tenant,
+            registry=database.registry,
+        )
         events = EventLog(
             sink=telemetry.sink if telemetry.enabled else None,
             tenant=tenant,
@@ -186,9 +192,6 @@ class TenantContext:
         )
         # sampled per-query spans + exec work counters of served queries
         database.bind_telemetry(telemetry)
-        if telemetry.enabled:
-            # compiled-plan compile/cache counters from the shared planner
-            database.planner.bind_registry(telemetry.registry, replace=True)
         return cls(
             tenant=tenant,
             database=database,

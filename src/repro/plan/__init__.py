@@ -9,7 +9,7 @@ lifecycle.
 
 from repro.plan.binder import resolve_tier
 from repro.plan.ir import PRUNE_CHECK_UNITS, PhysicalPlan, PlanStep, StepKind
-from repro.plan.kernel import PlanKernel, kernel_for
+from repro.plan.kernel import PlanKernel
 from repro.plan.planner import DEFAULT_PLAN_CACHE_SIZE, QueryPlanner
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "PlanStep",
     "QueryPlanner",
     "StepKind",
-    "kernel_for",
     "resolve_tier",
 ]

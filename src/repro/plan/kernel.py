@@ -115,13 +115,3 @@ class PlanKernel:
             live=tuple(live),
             index_count=index_count,
         )
-
-
-def kernel_for(plan: PhysicalPlan) -> PlanKernel:
-    """The (memoised) kernel arrays of ``plan``.
-
-    Built on first use and cached on the plan object itself, so every
-    consumer of a cached plan — executor, probe-mode pricing — shares one
-    set of arrays for the plan's whole cache lifetime.
-    """
-    return plan.kernel()

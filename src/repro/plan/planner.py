@@ -20,9 +20,10 @@ changes the key, and a change to anything else does not. ``cache_size=0``
 compiles fresh on every call.
 
 The ``plan_compiles`` / ``plan_cache_*`` counters live in a telemetry
-:class:`~repro.telemetry.metrics.MetricRegistry` (the driver adopts them
-into its shared registry), surfacing compile-skip ratios in
-``python -m repro trace`` and the KPI monitor.
+:class:`~repro.telemetry.metrics.MetricRegistry` (a database's planner
+counts in ``Database.registry``, which a tenant's telemetry spine is
+built over), surfacing compile-skip ratios in ``python -m repro trace``
+and the KPI monitor.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ class QueryPlanner:
     ) -> None:
         """``cache_size`` bounds the LRU (0 disables caching). ``registry``
         is where the compile/cache counters are registered; a private
-        registry is used when omitted and can be surfaced later via
-        :meth:`bind_registry`.
+        registry is used when omitted.
         """
         self._cache: BoundedLRU[tuple["Footprint", "Query"], PhysicalPlan] = (
             BoundedLRU(cache_size)
@@ -103,28 +103,6 @@ class QueryPlanner:
     def registry(self) -> MetricRegistry:
         """The registry holding the compile/cache counters."""
         return self._registry
-
-    def bind_registry(
-        self, registry: MetricRegistry, replace: bool = False
-    ) -> None:
-        """Surface the planner counters through ``registry`` as well.
-
-        Adopts the existing counter/gauge *objects* (see
-        :meth:`~repro.telemetry.metrics.MetricRegistry.adopt`), so counts
-        stay continuous and bumps are visible through both registries.
-        """
-        if registry is not self._registry:
-            registry.adopt_all(
-                (
-                    self._compiles,
-                    self._compile_chunks,
-                    self._hits,
-                    self._misses,
-                    self._evictions,
-                    self._size_gauge,
-                ),
-                replace=replace,
-            )
 
     def resize_cache(self, cache_size: int) -> None:
         """Re-bound the LRU (0 disables caching); shrinking evicts."""

@@ -1,4 +1,4 @@
-"""Unified telemetry spine: spans, metric registry, and sinks.
+"""Unified telemetry spine: spans, metric registry, and the JSONL export.
 
 See :mod:`repro.telemetry.facade` for how the pieces fit together and
 ``docs/telemetry.md`` for the span hierarchy and usage guide.
@@ -13,13 +13,7 @@ from repro.telemetry.metrics import (
     rollup_counters,
     tenant_metric,
 )
-from repro.telemetry.sinks import (
-    JsonlSink,
-    MultiSink,
-    RingSink,
-    TelemetrySink,
-    read_jsonl,
-)
+from repro.telemetry.sinks import JsonlSink, read_jsonl
 from repro.telemetry.spans import NULL_SPAN, Span, Tracer, render_span_tree
 
 __all__ = [
@@ -28,13 +22,10 @@ __all__ = [
     "JsonlSink",
     "MetricInterval",
     "MetricRegistry",
-    "MultiSink",
     "NULL_SPAN",
-    "RingSink",
     "Span",
     "Telemetry",
     "TelemetryConfig",
-    "TelemetrySink",
     "Tracer",
     "read_jsonl",
     "render_span_tree",

@@ -1,9 +1,10 @@
-"""The telemetry spine: one tracer + one registry + shared sinks.
+"""The telemetry spine: one tracer + one registry + one JSONL export.
 
-The driver creates a single :class:`Telemetry` on attach and threads it
-down through the organizer, the planner, the tuners, the what-if
-optimizer, and the database's serve path, so every layer reports through the
-same spine instead of inventing its own bookkeeping. Components accept
+``TenantContext.wire`` builds a single :class:`Telemetry` over the
+database's registry and threads it down through the organizer, the
+tuners, the what-if optimizer, and the database's serve path, so every
+layer reports through the same spine instead of inventing its own
+bookkeeping. Components accept
 ``telemetry=None`` and fall back to a disabled instance, which keeps
 them usable standalone at near-zero overhead.
 """
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.telemetry.metrics import MetricRegistry
-from repro.telemetry.sinks import JsonlSink, MultiSink, RingSink, TelemetrySink
-from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.sinks import JsonlSink
+from repro.telemetry.spans import Tracer
 
 
 @dataclass(frozen=True)
@@ -32,38 +33,34 @@ class TelemetryConfig:
     jsonl_path: str | Path | None = None
 
 
-#: bound of the in-memory record ring
-RING_CAPACITY = 4096
 #: finished root spans retained for inspection
 MAX_ROOT_SPANS = 64
 
 
 class Telemetry:
-    """Bundles the tracer, the metric registry, and the sink stack."""
+    """Bundles the tracer, the metric registry, and the JSONL export."""
 
     def __init__(
         self,
         clock: object | None = None,
         config: TelemetryConfig | None = None,
         tenant: str = "",
+        registry: MetricRegistry | None = None,
     ) -> None:
         """``tenant`` labels every span record this spine emits (and is
         surfaced for consumers like the fleet rollup); the empty string —
-        the single-tenant default — keeps legacy output shapes."""
+        the single-tenant default — keeps legacy output shapes.
+        ``registry`` is where every component of the stack registers its
+        counters — a tenant's stack passes its database's registry, so
+        the planner's counters sit beside the rest; a fresh one is made
+        when omitted."""
         self.config = config or TelemetryConfig()
         self.tenant = tenant
-        self.registry = MetricRegistry()
-        self.ring = RingSink(RING_CAPACITY)
-        self.jsonl: JsonlSink | None = (
+        self.registry = registry if registry is not None else MetricRegistry()
+        self.sink: JsonlSink | None = (
             JsonlSink(self.config.jsonl_path)
             if self.config.jsonl_path is not None
             else None
-        )
-        sinks: list[TelemetrySink] = [self.ring]
-        if self.jsonl is not None:
-            sinks.append(self.jsonl)
-        self.sink: TelemetrySink = (
-            sinks[0] if len(sinks) == 1 else MultiSink(sinks)
         )
         self.tracer = Tracer(
             clock=clock,
@@ -81,10 +78,7 @@ class Telemetry:
     def enabled(self) -> bool:
         return self.config.enabled
 
-    def last_span(self, name: str | None = None) -> Span | None:
-        """Most recent finished root span (optionally by name)."""
-        return self.tracer.last_root(name)
-
     def close(self) -> None:
-        """Flush and close the sink stack (JSONL export becomes readable)."""
-        self.sink.close()
+        """Flush and close the JSONL export, if any (it becomes readable)."""
+        if self.sink is not None:
+            self.sink.close()

@@ -11,7 +11,7 @@ dict lookup on the hot path.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 #: Separator between a tenant label and a metric name in labelled
 #: snapshots (``tenant::metric``); bare names mean the single-tenant path.
@@ -132,51 +132,11 @@ class MetricRegistry:
             self._gauges[name] = metric
         return metric
 
-    def adopt(
-        self, metric: Counter | Gauge, replace: bool = False
-    ) -> Counter | Gauge:
-        """Register an existing metric object under its own name.
-
-        This is how a component created with a private registry is later
-        surfaced through a shared one: the *object* is shared, so bumps on
-        either side are visible in both. Adopting the same object twice is
-        a no-op; a name collision with a *different* object is an error
-        unless ``replace=True``, which rebinds the name.
-        """
-        table = self._counters if isinstance(metric, Counter) else self._gauges
-        existing = table.get(metric.name)
-        if existing is metric:
-            return metric
-        taken = metric.name in self._counters or metric.name in self._gauges
-        if taken and not replace:
-            raise ValueError(
-                f"metric name {metric.name!r} is already registered "
-                "to a different object"
-            )
-        self._counters.pop(metric.name, None)
-        self._gauges.pop(metric.name, None)
-        table[metric.name] = metric
-        return metric
-
-    def adopt_all(
-        self, metrics: Iterable[Counter | Gauge], replace: bool = False
-    ) -> None:
-        """:meth:`adopt` each of a component's metrics — the body of every
-        component-side ``bind_registry``."""
-        for metric in metrics:
-            self.adopt(metric, replace=replace)
-
     # ------------------------------------------------------------------
     # reading
 
     def __contains__(self, name: str) -> bool:
         return name in self._counters or name in self._gauges
-
-    def counter_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._counters))
-
-    def gauge_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._gauges))
 
     def read(self, name: str, default: float = 0.0) -> float:
         metric = self._counters.get(name) or self._gauges.get(name)

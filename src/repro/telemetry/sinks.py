@@ -1,69 +1,26 @@
-"""Pluggable telemetry sinks.
+"""The JSONL export of the telemetry spine.
 
-Spans, metrics snapshots, and structured events all flow through the
-same sink interface as plain dict records, so a new backend (a file, a
-socket, a metrics service) only has to implement ``emit``. The default
-wiring uses a bounded in-memory ring (always safe to keep attached) and,
-optionally, a JSONL export for offline analysis.
+Spans and structured events are each kept in one place in memory (the
+tracer's root ring, the :class:`~repro.core.events.EventLog`); the one
+export path writes both as flat dict records, one JSON object per line,
+for offline analysis.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO
 
 
-class TelemetrySink:
-    """Interface: receives one flat dict per record."""
-
-    def emit(self, record: dict[str, object]) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        """Release any resources; emitting after close is undefined."""
-
-    def __enter__(self) -> "TelemetrySink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class RingSink(TelemetrySink):
-    """Bounded in-memory record history (oldest records drop first)."""
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self._records: deque[dict[str, object]] = deque(maxlen=capacity)
-
-    @property
-    def capacity(self) -> int:
-        return self._records.maxlen or 0
-
-    def emit(self, record: dict[str, object]) -> None:
-        self._records.append(record)
-
-    def records(self, type: str | None = None) -> tuple[dict[str, object], ...]:
-        """All retained records, optionally filtered by ``record["type"]``."""
-        if type is None:
-            return tuple(self._records)
-        return tuple(r for r in self._records if r.get("type") == type)
-
-    def clear(self) -> None:
-        self._records.clear()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-class JsonlSink(TelemetrySink):
+class JsonlSink:
     """Appends one JSON object per record to a file (opened lazily).
 
     Values that JSON cannot represent are stringified rather than
     rejected: telemetry must never take down the component it observes.
+    The first record truncates the file; a sink reopened after
+    :meth:`close`, or unpickled in another process, appends to what is
+    already there.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -82,7 +39,8 @@ class JsonlSink(TelemetrySink):
     def emit(self, record: dict[str, object]) -> None:
         if self._file is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self._path.open("w", encoding="utf-8")
+            mode = "a" if self._written else "w"
+            self._file = self._path.open(mode, encoding="utf-8")
         self._file.write(json.dumps(record, default=str) + "\n")
         self._written += 1
 
@@ -95,6 +53,17 @@ class JsonlSink(TelemetrySink):
             self._file.close()
             self._file = None
 
+    def __getstate__(self) -> dict[str, object]:
+        # what was written reaches the file before a copy appends to it
+        self.flush()
+        return {**self.__dict__, "_file": None}
+
+    def __enter__(self) -> "JsonlSink":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
 
 def read_jsonl(path: str | Path) -> list[dict[str, object]]:
     """Load the records a :class:`JsonlSink` wrote."""
@@ -105,22 +74,3 @@ def read_jsonl(path: str | Path) -> list[dict[str, object]]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-class MultiSink(TelemetrySink):
-    """Fans every record out to several sinks."""
-
-    def __init__(self, sinks: Iterable[TelemetrySink]) -> None:
-        self._sinks = tuple(sinks)
-
-    @property
-    def sinks(self) -> tuple[TelemetrySink, ...]:
-        return self._sinks
-
-    def emit(self, record: dict[str, object]) -> None:
-        for sink in self._sinks:
-            sink.emit(record)
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()

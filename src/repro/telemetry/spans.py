@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
-    from repro.telemetry.sinks import TelemetrySink
+    from repro.telemetry.sinks import JsonlSink
 
 
 class _NowMs:
@@ -130,7 +130,7 @@ class Tracer:
     def __init__(
         self,
         clock: _NowMs | None = None,
-        sink: "TelemetrySink | None" = None,
+        sink: "JsonlSink | None" = None,
         enabled: bool = True,
         max_roots: int = 64,
         tenant: str = "",

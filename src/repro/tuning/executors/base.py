@@ -115,13 +115,9 @@ class TuningExecutor(ABC):
         if telemetry is not None:
             self._tracer = telemetry.tracer
             registry = telemetry.registry
-            # jitter key: concurrent tenants retrying one shared fault
-            # must not back off in lockstep (see RetryPolicy.backoff_ms)
-            self._retry_key = telemetry.tenant
         else:
             self._tracer = Tracer(enabled=False)
             registry = MetricRegistry()
-            self._retry_key = ""
         self._retries_counter = registry.counter(ACTION_RETRIES)
         self._failures_counter = registry.counter(ACTION_FAILURES)
         self._rollbacks_counter = registry.counter(ROLLBACKS)
@@ -221,7 +217,7 @@ class TuningExecutor(ABC):
                 self._failures_counter.inc()
                 if not exc.transient or attempt >= self._retry.max_retries:
                     raise
-                backoff = self._retry.backoff_ms(attempt, self._retry_key)
+                backoff = self._retry.backoff_ms(attempt)
                 db.clock.advance(backoff)
                 report.retries += 1
                 report.backoff_ms += backoff

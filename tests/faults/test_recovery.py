@@ -61,68 +61,6 @@ def test_backoff_rejects_negative_attempt():
         RetryPolicy().backoff_ms(-1)
 
 
-def test_jitter_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=-0.1)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.5)
-
-
-def test_zero_jitter_keeps_historic_delays_bit_identically():
-    plain = RetryPolicy(max_retries=4)
-    seeded = RetryPolicy(max_retries=4, jitter=0.0, seed=99)
-    for attempt in range(4):
-        assert seeded.backoff_ms(attempt, "t3") == plain.backoff_ms(attempt)
-    assert seeded.total_backoff_ms == plain.total_backoff_ms
-
-
-def test_jitter_is_deterministic_per_seed_and_key():
-    policy = RetryPolicy(max_retries=4, jitter=0.5, seed=7)
-    again = RetryPolicy(max_retries=4, jitter=0.5, seed=7)
-    for attempt in range(4):
-        assert policy.backoff_ms(attempt, "t0") == again.backoff_ms(
-            attempt, "t0"
-        )
-    # regression pin: the exhausted-sequence totals are pure functions
-    # of (seed, key) — any change to the jitter derivation shows here
-    assert policy.total_backoff_ms_for("t0") == again.total_backoff_ms_for(
-        "t0"
-    )
-    assert (
-        RetryPolicy(max_retries=4, jitter=0.5, seed=8).total_backoff_ms_for(
-            "t0"
-        )
-        != policy.total_backoff_ms_for("t0")
-    )
-
-
-def test_jitter_desynchronises_distinct_keys():
-    policy = RetryPolicy(max_retries=3, jitter=0.5, seed=7)
-    schedules = {
-        key: [policy.backoff_ms(a, key) for a in range(3)]
-        for key in ("t0", "t1", "t2")
-    }
-    assert len({tuple(s) for s in schedules.values()}) == 3
-
-
-def test_jitter_only_shortens_and_respects_bounds():
-    policy = RetryPolicy(
-        max_retries=6, base_backoff_ms=50.0, multiplier=2.0,
-        max_backoff_ms=400.0, jitter=0.3, seed=11,
-    )
-    plain = RetryPolicy(
-        max_retries=6, base_backoff_ms=50.0, multiplier=2.0,
-        max_backoff_ms=400.0,
-    )
-    for attempt in range(6):
-        for key in ("", "t0", "t1"):
-            jittered = policy.backoff_ms(attempt, key)
-            full = plain.backoff_ms(attempt)
-            assert full * (1.0 - policy.jitter) <= jittered <= full
-    # the unkeyed total is an upper bound for every keyed schedule
-    assert policy.total_backoff_ms <= plain.total_backoff_ms
-
-
 # ----------------------------------------------------------------------
 # retry semantics: backoff advances only the simulated clock, never work
 

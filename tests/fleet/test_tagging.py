@@ -3,17 +3,24 @@
 import json
 
 from repro.core.events import Event, EventKind, EventLog
-from repro.telemetry import Telemetry, TelemetryConfig
+from repro.telemetry import Telemetry, TelemetryConfig, read_jsonl
 from repro.util.timer import SimulatedClock
 
 
-def test_event_log_stamps_its_tenant_on_events_and_records():
-    telemetry = Telemetry(SimulatedClock(), tenant="t5")
+def _exporting(tmp_path, tenant=""):
+    path = tmp_path / "telemetry.jsonl"
+    config = TelemetryConfig(jsonl_path=path)
+    return Telemetry(SimulatedClock(), config, tenant=tenant), path
+
+
+def test_event_log_stamps_its_tenant_on_events_and_records(tmp_path):
+    telemetry, path = _exporting(tmp_path, tenant="t5")
     log = EventLog(sink=telemetry.sink, tenant="t5")
     log.log(0.0, EventKind.OBSERVE, "hello", k=1)
     (event,) = log.events()
     assert event.tenant == "t5"
-    (record,) = telemetry.ring.records("event")
+    telemetry.close()
+    (record,) = read_jsonl(path)
     assert record["tenant"] == "t5"
     assert record["message"] == "hello"
 
@@ -26,11 +33,12 @@ def test_event_equality_ignores_the_tenant_label():
     assert a == b
 
 
-def test_tracer_labels_span_records_with_its_tenant():
-    telemetry = Telemetry(SimulatedClock(), tenant="t2")
+def test_tracer_labels_span_records_with_its_tenant(tmp_path):
+    telemetry, path = _exporting(tmp_path, tenant="t2")
     with telemetry.tracer.span("tuning_pass"):
         pass
-    (record,) = telemetry.ring.records("span")
+    telemetry.close()
+    (record,) = read_jsonl(path)
     assert record["tenant"] == "t2"
     assert record["name"] == "tuning_pass"
 
@@ -54,10 +62,11 @@ def test_jsonl_export_carries_the_tenant_through_the_sink(tmp_path):
     assert all(r["tenant"] == "t9" for r in records)
 
 
-def test_single_tenant_default_keeps_legacy_record_shape():
-    telemetry = Telemetry(SimulatedClock())
+def test_single_tenant_default_keeps_legacy_record_shape(tmp_path):
+    telemetry, path = _exporting(tmp_path)
     log = EventLog(sink=telemetry.sink)
     log.log(0.0, EventKind.OBSERVE, "m")
-    (record,) = telemetry.ring.records("event")
+    telemetry.close()
+    (record,) = read_jsonl(path)
     # the tenant key exists but is empty — consumers see one stable shape
     assert record["tenant"] == ""

@@ -118,8 +118,7 @@ def test_whatif_cache_kpis_appear_after_bind():
     db = make_small_database(rows=2_000)
     monitor = RuntimeKPIMonitor(db)
     assert WHATIF_CACHE_HITS not in monitor.sample().values
-    optimizer = WhatIfOptimizer(db)
-    optimizer.bind_registry(monitor.registry, replace=True)
+    optimizer = WhatIfOptimizer(db, registry=monitor.registry)
     query = Query("events", (Predicate("user", "=", 3),), aggregate="count")
     optimizer.query_cost_ms(query)
     optimizer.query_cost_ms(query)

@@ -5,7 +5,6 @@ from repro.dbms.knobs import KnobRegistry, standard_knobs
 from repro.dbms.segments import EncodingType
 from repro.dbms.storage_tiers import StorageTier
 from repro.plan import StepKind
-from repro.telemetry.metrics import MetricRegistry
 from repro.workload import Predicate, Query
 
 from tests.conftest import make_small_database
@@ -161,16 +160,15 @@ def test_encoding_and_sort_changes_recompile_plans():
     assert db.planner.cache_stats.misses == misses + 1
 
 
-def test_bind_registry_shares_the_counter_objects():
+def test_a_database_planner_counts_in_the_database_registry():
     db = make_small_database(rows=1_000, chunk_size=1_000)
-    shared = MetricRegistry()
-    db.planner.bind_registry(shared)
+    assert db.planner.registry is db.registry
+    before = db.registry.read("plan_compiles")
     db.planner.plan_for(
         Query("events", (Predicate("user", "=", 7),)), db.table("events")
     )
-    assert shared.read("plan_compiles") == 1.0
-    assert shared.read("plan_cache_misses") == 1.0
-    assert shared.read("plan_cache_size") == 1.0
+    assert db.registry.read("plan_compiles") == before + 1.0
+    assert db.registry.read("plan_cache_size") == db.planner.cache_stats.size
 
 
 def test_standalone_executor_caches_plans_per_table():

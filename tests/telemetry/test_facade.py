@@ -1,14 +1,8 @@
 """Tests for the Telemetry facade, query-span sampling, and the
-EventLog-as-sink-facade backward compatibility."""
+EventLog's JSONL mirroring."""
 
 from repro.core.events import EventKind, EventLog
-from repro.telemetry import (
-    MultiSink,
-    RingSink,
-    Telemetry,
-    TelemetryConfig,
-    read_jsonl,
-)
+from repro.telemetry import JsonlSink, Telemetry, TelemetryConfig, read_jsonl
 
 from tests.conftest import make_small_database
 
@@ -18,8 +12,8 @@ def test_facade_wires_tracer_registry_and_ring():
     assert telemetry.enabled
     with telemetry.tracer.span("pass"):
         telemetry.registry.counter("n").inc()
-    assert telemetry.last_span("pass") is not None
-    assert telemetry.ring.records(type="span")[0]["name"] == "pass"
+    (root,) = telemetry.tracer.roots()
+    assert root.name == "pass" and telemetry.sink is None
     assert telemetry.registry.read("n") == 1.0
 
 
@@ -27,8 +21,7 @@ def test_disabled_facade_records_nothing_but_keeps_registry():
     telemetry = Telemetry.disabled()
     with telemetry.tracer.span("pass"):
         telemetry.registry.counter("n").inc()
-    assert telemetry.last_span() is None
-    assert len(telemetry.ring) == 0
+    assert telemetry.tracer.roots() == ()
     # counters still work: components bump them unconditionally
     assert telemetry.registry.read("n") == 1.0
 
@@ -36,7 +29,7 @@ def test_disabled_facade_records_nothing_but_keeps_registry():
 def test_facade_jsonl_export(tmp_path):
     path = tmp_path / "telemetry.jsonl"
     telemetry = Telemetry(config=TelemetryConfig(jsonl_path=path))
-    assert isinstance(telemetry.sink, MultiSink)
+    assert isinstance(telemetry.sink, JsonlSink)
     with telemetry.tracer.span("pass"):
         pass
     telemetry.close()
@@ -57,10 +50,10 @@ def test_executor_samples_first_query_then_every_nth():
     assert registry.read("exec_queries") == 9.0
     # queries 1, 5, 9 are sampled
     assert registry.read("exec_sampled_spans") == 3.0
-    spans = telemetry.ring.records(type="span")
+    spans = telemetry.tracer.roots()
     assert len(spans) == 3
-    assert all(r["name"] == "query" for r in spans)
-    assert spans[0]["tags"]["table"] == "events"
+    assert all(span.name == "query" for span in spans)
+    assert spans[0].tags["table"] == "events"
 
 
 def test_probe_executions_are_never_counted():
@@ -72,7 +65,7 @@ def test_probe_executions_are_never_counted():
     query = parse_sql("SELECT COUNT(*) FROM events WHERE user = 3")
     db.executor.execute(query, db.table("events"), probe=True)
     assert telemetry.registry.read("exec_queries") == 0.0
-    assert len(telemetry.ring.records(type="span")) == 0
+    assert telemetry.tracer.roots() == ()
 
 
 def test_sampling_zero_disables_query_spans_not_counters():
@@ -82,7 +75,7 @@ def test_sampling_zero_disables_query_spans_not_counters():
     _executions(db, 3)
     assert telemetry.registry.read("exec_queries") == 3.0
     assert telemetry.registry.read("exec_sampled_spans") == 0.0
-    assert len(telemetry.ring.records(type="span")) == 0
+    assert telemetry.tracer.roots() == ()
 
 
 def test_unbinding_telemetry_stops_accounting():
@@ -105,21 +98,22 @@ def test_event_log_api_is_unchanged_without_a_sink():
     assert log.events(EventKind.SKIP)[0].data == {"reason": "cooldown"}
 
 
-def test_event_log_mirrors_structured_records_into_the_sink():
-    ring = RingSink()
-    log = EventLog(sink=ring)
+def test_event_log_mirrors_structured_records_into_the_sink(tmp_path):
+    path = tmp_path / "events.jsonl"
+    sink = JsonlSink(path)
+    log = EventLog(sink=sink)
     event = log.log(5.0, EventKind.TUNING_FINISHED, "tuned", improvement=0.2)
-    record = ring.records(type="event")[0]
-    assert record == {
-        "type": "event",
-        "tenant": "",
-        "at_ms": 5.0,
-        "kind": "tuning_finished",
-        "message": "tuned",
-        "data": {"improvement": 0.2},
-    }
+    sink.close()
+    assert read_jsonl(path) == [
+        {
+            "type": "event",
+            "tenant": "",
+            "at_ms": 5.0,
+            "kind": "tuning_finished",
+            "message": "tuned",
+            "data": {"improvement": 0.2},
+        }
+    ]
     # the in-memory event is untouched by mirroring
     assert event.data == {"improvement": 0.2}
-    log.attach_sink(None)
-    log.log(6.0, EventKind.OBSERVE, "quiet")
-    assert len(ring.records(type="event")) == 1
+    assert log.events() == (event,)

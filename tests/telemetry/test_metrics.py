@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry import Counter, Gauge, MetricRegistry
+from repro.telemetry import Counter, MetricRegistry
 
 
 def test_counter_get_or_create_and_inc():
@@ -59,34 +59,6 @@ def test_interval_deltas_and_restart():
     assert interval.deltas() == {"work": 0.0, "late": 0.0}
     c.inc(1)
     assert interval.deltas()["work"] == 1.0
-
-
-def test_adopt_shares_the_object_across_registries():
-    private = MetricRegistry()
-    shared = MetricRegistry()
-    c = private.counter("cache_hits")
-    shared.adopt(c)
-    c.inc()
-    assert shared.read("cache_hits") == 1.0
-    # same object again is a no-op
-    shared.adopt(c)
-    # a different object under the same name needs replace=True
-    other = Counter("cache_hits")
-    with pytest.raises(ValueError):
-        shared.adopt(other)
-    shared.adopt(other, replace=True)
-    assert shared.read("cache_hits") == 0.0
-
-
-def test_adopt_replace_crosses_metric_kinds():
-    registry = MetricRegistry()
-    registry.counter("size")
-    g = Gauge("size")
-    g.set(7.0)
-    registry.adopt(g, replace=True)
-    assert "size" in registry.gauge_names()
-    assert "size" not in registry.counter_names()
-    assert registry.read("size") == 7.0
 
 
 def test_snapshots_and_contains():

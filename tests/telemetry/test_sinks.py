@@ -1,25 +1,8 @@
-"""Tests for the sink layer: ring, JSONL export, and fan-out."""
+"""Tests for the JSONL export: round trip, pickling, and reopening."""
 
-from repro.telemetry import JsonlSink, MultiSink, RingSink, read_jsonl
+import pickle
 
-
-def test_ring_sink_is_bounded():
-    ring = RingSink(capacity=3)
-    for i in range(5):
-        ring.emit({"type": "event", "i": i})
-    assert len(ring) == 3
-    assert [r["i"] for r in ring.records()] == [2, 3, 4]
-    assert ring.capacity == 3
-    ring.clear()
-    assert len(ring) == 0
-
-
-def test_ring_sink_filters_by_type():
-    ring = RingSink()
-    ring.emit({"type": "span", "name": "a"})
-    ring.emit({"type": "event", "kind": "skip"})
-    assert [r["type"] for r in ring.records(type="span")] == ["span"]
-    assert len(ring.records()) == 2
+from repro.telemetry import JsonlSink, Telemetry, TelemetryConfig, read_jsonl
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -41,9 +24,26 @@ def test_jsonl_serializes_non_json_values(tmp_path):
     assert "(1+2j)" in read_jsonl(path)[0]["value"]
 
 
-def test_multi_sink_fans_out():
-    a, b = RingSink(), RingSink()
-    multi = MultiSink([a, b])
-    multi.emit({"type": "event", "x": 1})
-    assert len(a) == len(b) == 1
-    multi.close()
+def test_a_telemetry_with_a_jsonl_sink_survives_a_pickle(tmp_path):
+    """A context carrying an export crosses a process boundary (fleet
+    workers, checkpoints): the copy appends after what was written."""
+    path = tmp_path / "telemetry.jsonl"
+    telemetry = Telemetry(config=TelemetryConfig(jsonl_path=path))
+    a = {"type": "event", "message": "a"}
+    b = {"type": "event", "message": "b"}
+    telemetry.sink.emit(a)
+    copy = pickle.loads(pickle.dumps(telemetry))
+    copy.sink.emit(b)
+    copy.close()
+    telemetry.close()
+    assert read_jsonl(path) == [a, b]
+
+
+def test_an_emit_after_close_keeps_the_records_written(tmp_path):
+    path = tmp_path / "telemetry.jsonl"
+    sink = JsonlSink(path)
+    sink.emit({"i": 0})
+    sink.close()
+    sink.emit({"i": 1})
+    sink.close()
+    assert read_jsonl(path) == [{"i": 0}, {"i": 1}]

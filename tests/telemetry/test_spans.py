@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.telemetry import NULL_SPAN, RingSink, Tracer, render_span_tree
+from repro.telemetry import (
+    NULL_SPAN,
+    JsonlSink,
+    Tracer,
+    read_jsonl,
+    render_span_tree,
+)
 
 
 class FakeClock:
@@ -85,16 +91,18 @@ def test_disabled_tracer_yields_null_span():
     assert tracer.record("x") is None
 
 
-def test_finished_spans_reach_the_sink():
-    sink = RingSink(capacity=8)
+def test_finished_spans_reach_the_sink(tmp_path):
+    path = tmp_path / "spans.jsonl"
+    sink = JsonlSink(path)
     tracer = Tracer(sink=sink)
     with tracer.span("outer"):
         with tracer.span("inner"):
             pass
-    names = [r["name"] for r in sink.records(type="span")]
+    sink.close()
+    records = read_jsonl(path)
     # children finish (and emit) before their parent
-    assert names == ["inner", "outer"]
-    assert sink.records(type="span")[1]["parent"] is None
+    assert [r["name"] for r in records] == ["inner", "outer"]
+    assert records[1]["parent"] is None
 
 
 def test_render_span_tree_is_indented():

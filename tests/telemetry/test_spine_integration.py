@@ -11,7 +11,7 @@ from repro.core.events import EventKind
 from repro.core.organizer import OrganizerConfig
 from repro.core.simulation import ClosedLoopSimulation
 from repro.core.triggers import NeverTrigger, PeriodicTrigger
-from repro.telemetry import TelemetryConfig
+from repro.telemetry import TelemetryConfig, read_jsonl
 from repro.tuning import standard_features
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.workload import generate_trace
@@ -45,7 +45,7 @@ def test_tune_now_produces_a_three_level_span_tree(retail_suite):
     report = driver.tune_now()
     assert report is not None
 
-    span = driver.context.telemetry.last_span("tuning_pass")
+    span = driver.context.telemetry.tracer.last_root("tuning_pass")
     assert span is not None
     assert span.max_depth >= 3
     assert span.tags["trigger"] == "manual"
@@ -56,10 +56,13 @@ def test_tune_now_produces_a_three_level_span_tree(retail_suite):
     # cache accounting now comes from registry interval deltas
     assert span.tags["cache_misses"] > 0
 
-    # the shared registry carries executor and what-if counters alike
+    # one registry per stack, the database's: it carries executor,
+    # what-if and planner counters alike
     registry = driver.context.telemetry.registry
+    assert registry is db.registry
     assert registry.read("exec_queries") > 0
     assert registry.read("whatif_cache_misses") > 0
+    assert registry.read("plan_compiles") > 0
 
 
 def test_disabled_telemetry_keeps_the_loop_working(retail_suite):
@@ -67,8 +70,7 @@ def test_disabled_telemetry_keeps_the_loop_working(retail_suite):
     _warm_up(retail_suite, db, driver)
     report = driver.tune_now()
     assert report is not None
-    assert driver.context.telemetry.last_span() is None
-    assert len(driver.context.telemetry.ring) == 0
+    assert driver.context.telemetry.tracer.roots() == ()
     # KPI interval accounting (monitor shim) still works when disabled
     assert driver.context.monitor.latest is not None
 
@@ -93,8 +95,9 @@ def test_telemetry_costs_no_simulated_time():
     assert run(True) == run(False)
 
 
-def test_skip_decisions_are_structured_events(retail_suite):
-    db, driver = _attach(retail_suite)
+def test_skip_decisions_are_structured_events(retail_suite, tmp_path):
+    path = tmp_path / "telemetry.jsonl"
+    db, driver = _attach(retail_suite, jsonl_path=path)
     # no warm-up: not enough history bins yet
     driver.on_tick(db.clock.now_ms)
     assert driver.context.organizer.tick() is None
@@ -103,8 +106,9 @@ def test_skip_decisions_are_structured_events(retail_suite):
     assert "history bins" in skip.message
     assert skip.data["required_bins"] == 3
     assert skip.data["history_bins"] < 3
-    # and the event was mirrored into the telemetry ring as a record
-    kinds = [r["kind"] for r in driver.context.telemetry.ring.records(type="event")]
+    # and the event was exported as a structured record
+    driver.context.telemetry.close()
+    kinds = [r["kind"] for r in read_jsonl(path) if r["type"] == "event"]
     assert "skip" in kinds
 
 

@@ -30,9 +30,9 @@ def test_index_tuning_improves_workload_within_budget(retail_suite):
     assert not result.is_noop
     # a phase is timed by its span: the three exist, in order, each
     # carrying the host time it took
-    phases = telemetry.ring.records(type="span")
-    assert [r["name"] for r in phases] == ["enumerate", "assess", "select"]
-    assert all(r["wall_ms"] > 0 for r in phases)
+    phases = telemetry.tracer.roots()
+    assert [span.name for span in phases] == ["enumerate", "assess", "select"]
+    assert all(span.wall_ms > 0 for span in phases)
     # nothing applied yet
     assert db.index_bytes() == 0
     report = tuner.apply(result)
