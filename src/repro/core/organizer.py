@@ -153,7 +153,7 @@ class Organizer:
         # one telemetry spine for the pass/feature/phase span tree and the
         # registry interval reads below; the driver passes its shared one
         self._telemetry = (
-            telemetry if telemetry is not None else Telemetry.disabled(db.clock)
+            telemetry if telemetry is not None else Telemetry(db.clock)
         )
         self._tracer = self._telemetry.tracer
         # defaults count on the telemetry registry, so the per-pass

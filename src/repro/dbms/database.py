@@ -135,7 +135,7 @@ class Database:
         probes, the buffer-pool assessor's scratch-pool replays — is
         estimation work and is never counted as serving.
         """
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             self._telemetry = None
             self._exec_counters = None
             return

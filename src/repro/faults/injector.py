@@ -27,10 +27,8 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ActionError
 from repro.kpi.metrics import (
-    FAULT_CHECKPOINT_CORRUPTIONS,
     FAULT_LATENCY_SPIKES,
     FAULT_PROBE_SPIKES,
-    FAULT_WORKER_CRASHES,
     FAULTS_INJECTED,
     FAULTS_PERMANENT,
     FAULTS_TRANSIENT,
@@ -72,24 +70,12 @@ class FaultConfig:
     probe_spike_rate: float = 0.0
     #: extra simulated milliseconds added to one spiked probe cost
     probe_spike_ms: float = 5.0
-    #: probability that one fleet bin loses a worker process (process
-    #: mode: the chosen worker is SIGKILLed mid-bin and supervision
-    #: must recover; see repro.fleet.parallel)
-    worker_crash_rate: float = 0.0
-    #: probability that one checkpoint write corrupts one tenant's
-    #: snapshot blob on disk (restore must detect it via the per-tenant
-    #: checksum; see repro.fleet.checkpoint)
-    checkpoint_corruption_rate: float = 0.0
 
     def __post_init__(self) -> None:
         _check_rate("failure_rate", self.failure_rate)
         _check_rate("transient_fraction", self.transient_fraction)
         _check_rate("latency_spike_rate", self.latency_spike_rate)
         _check_rate("probe_spike_rate", self.probe_spike_rate)
-        _check_rate("worker_crash_rate", self.worker_crash_rate)
-        _check_rate(
-            "checkpoint_corruption_rate", self.checkpoint_corruption_rate
-        )
         for name, rate in self.per_action_failure_rate.items():
             _check_rate(f"per_action_failure_rate[{name!r}]", rate)
         if self.latency_spike_ms < 0 or self.probe_spike_ms < 0:
@@ -120,10 +106,6 @@ class FaultInjector:
         self._permanent = registry.counter(FAULTS_PERMANENT)
         self._spikes = registry.counter(FAULT_LATENCY_SPIKES)
         self._probe_spikes = registry.counter(FAULT_PROBE_SPIKES)
-        self._worker_crashes = registry.counter(FAULT_WORKER_CRASHES)
-        self._ckpt_corruptions = registry.counter(
-            FAULT_CHECKPOINT_CORRUPTIONS
-        )
 
     @property
     def registry(self) -> MetricRegistry:
@@ -175,57 +157,3 @@ class FaultInjector:
             self._probe_spikes.inc()
             return self.config.probe_spike_ms
         return 0.0
-
-    # ------------------------------------------------------------------
-    # process-level fault classes (the fleet chaos harness)
-    #
-    # Unlike the action-level dice above, these draw from a *per-bin*
-    # (or per-epoch) derived stream rather than the injector's shared
-    # sequential one: crash recovery deterministically re-executes the
-    # interrupted bin, and a re-rolled shared stream would either kill
-    # the replacement worker forever or silently shift every later
-    # fault. Deriving from ``(seed, bin)`` makes the schedule a pure
-    # function of the bin index — stable under re-execution and resume.
-
-    def worker_crash(self, bin_index: int, n_workers: int) -> int | None:
-        """Which worker (if any) the chaos schedule kills at this bin.
-
-        Returns a worker index in ``[0, n_workers)`` or ``None``. The
-        caller (the fleet driver) delivers the actual SIGKILL once per
-        bin; re-asking for the same bin returns the same answer.
-        """
-        if self.config.worker_crash_rate <= 0.0 or n_workers <= 0:
-            return None
-        rng = derive_rng(self.config.seed, f"worker-crash-bin-{bin_index}")
-        if rng.random() >= self.config.worker_crash_rate:
-            return None
-        self._worker_crashes.inc()
-        return int(rng.integers(n_workers))
-
-    def checkpoint_corruption(self, epoch: int, n_parts: int) -> int | None:
-        """Which checkpoint part (if any) to corrupt at write ``epoch``.
-
-        Returns the index of the tenant blob the chaos schedule damages
-        or ``None``. The checkpoint writer flips bytes in that blob via
-        :meth:`corrupt_blob`; the per-tenant checksum stays the honest
-        one, so a later restore detects the damage.
-        """
-        if self.config.checkpoint_corruption_rate <= 0.0 or n_parts <= 0:
-            return None
-        rng = derive_rng(self.config.seed, f"ckpt-corrupt-epoch-{epoch}")
-        if rng.random() >= self.config.checkpoint_corruption_rate:
-            return None
-        self._ckpt_corruptions.inc()
-        return int(rng.integers(n_parts))
-
-    def corrupt_blob(self, blob: bytes, epoch: int) -> bytes:
-        """Deterministically damage ``blob`` (seeded byte flips)."""
-        if not blob:
-            return blob
-        rng = derive_rng(self.config.seed, f"ckpt-corrupt-bytes-{epoch}")
-        damaged = bytearray(blob)
-        flips = max(1, len(damaged) // 1024)
-        for _ in range(flips):
-            pos = int(rng.integers(len(damaged)))
-            damaged[pos] ^= 0xFF
-        return bytes(damaged)

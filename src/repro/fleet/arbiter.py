@@ -9,10 +9,9 @@ never reaches into another tenant's components:
 
 - **budget arbitration** — hot-tenant-first scheduling (within a
   look-alike cluster, only the hottest tenant initiates full tuning
-  passes; colder tenants wait for its prior, with a starvation bound),
-  per-tenant fleet cooldowns, and a fleet-wide cap on concurrent
-  reconfigurations (tenants with a commit on probation count against
-  it);
+  passes; colder tenants wait for its prior, with a starvation bound)
+  and a fleet-wide cap on concurrent reconfigurations (tenants with a
+  commit on probation count against it);
 - **prior sharing** — every committed pass is harvested as a
   :class:`TuningPrior` (its forward actions plus the source tenant's
   observed mix — the cluster-level forecast model, fitted once per
@@ -63,24 +62,20 @@ class FleetConfig:
     #: probation commit counts; the candidate itself does not, so a
     #: one-tenant fleet is never capped)
     max_concurrent_reconfigurations: int = 3
-    #: simulated ms between *fleet-admitted* full tunings of one tenant
-    #: (on top of the per-organizer cooldown; 0 adds nothing, keeping a
-    #: one-tenant fleet identical to the legacy driver)
-    tenant_cooldown_ms: float = 0.0
     #: harvest priors from committed passes and replay them on
     #: look-alike tenants (the cheap path of fleet tuning)
     share_priors: bool = True
     #: arbitrate admissions at all; off = every tenant tunes
     #: independently (the bench baseline)
     arbitrate: bool = True
-    #: a cold tenant deferred this many times while waiting for a
-    #: cluster prior is admitted to tune itself (starvation bound)
-    max_defer_bins: int = 8
 
 
 #: total-variation bound between observed mixes for two tenants to
 #: count as look-alike (one workload cluster)
 CLUSTER_TV = 0.35
+#: a cold tenant deferred this many times while waiting for a cluster
+#: prior is admitted to tune itself (starvation bound)
+MAX_DEFER_BINS = 8
 #: observation window (bins) for mixes and volume ranking
 MIX_WINDOW_BINS = 6
 #: required predicted improvement fraction for a replay to apply
@@ -149,8 +144,6 @@ class TenantDigest:
     guard_active: bool
     #: simulated time of the tenant's last tuning (full or replayed)
     last_tuning_ms: float | None
-    #: the tenant's simulated clock when the digest was taken
-    now_ms: float
 
 
 @dataclass
@@ -167,15 +160,9 @@ class AdmissionState:
     admitted_this_bin: set[str] = field(default_factory=set)
     #: consecutive waiting-for-a-prior denials per tenant
     defers: dict[str, int] = field(default_factory=dict)
-    #: simulated time of each tenant's last fleet-admitted pass
-    last_admitted_ms: dict[str, float] = field(default_factory=dict)
 
     def copy(self) -> "AdmissionState":
-        return AdmissionState(
-            set(self.admitted_this_bin),
-            dict(self.defers),
-            dict(self.last_admitted_ms),
-        )
+        return AdmissionState(set(self.admitted_this_bin), dict(self.defers))
 
     def apply_ruling(self, ruling: "AdmissionRuling") -> None:
         """Apply the mutations one admission ruling implies."""
@@ -183,7 +170,6 @@ class AdmissionState:
         if ruling.deferred:
             self.defers[tenant] = self.defers.get(tenant, 0) + 1
         if ruling.noted:
-            self.last_admitted_ms[tenant] = ruling.now_ms
             self.admitted_this_bin.add(tenant)
             self.defers.pop(tenant, None)
 
@@ -218,10 +204,8 @@ class AdmissionRuling:
     reason: str
     #: increment the tenant's defer count (waiting for a cluster prior)
     deferred: bool = False
-    #: apply the admitted bookkeeping (cooldown stamp, per-bin set,
-    #: defer count cleared)
+    #: apply the admitted bookkeeping (per-bin set, defer count cleared)
     noted: bool = False
-    now_ms: float = 0.0
 
 
 def tenant_rank_index(tenant: str) -> int:
@@ -248,7 +232,6 @@ def compute_digest(ctx: TenantContext) -> TenantDigest:
         mix=observed_mix(ctx),
         guard_active=ctx.organizer.guard.active_commit is not None,
         last_tuning_ms=ctx.organizer.last_tuning_ms,
-        now_ms=ctx.database.clock.now_ms,
     )
 
 
@@ -289,7 +272,6 @@ def rule_admission(
     config = view.config
     state = view.admission
     tenant = own.tenant
-    now = own.now_ms
     # a force-quarantined tenant runs its workload but never tunes: its
     # management state is untrusted (it could not be restored), so even
     # urgent work is denied until an operator intervenes
@@ -300,17 +282,7 @@ def rule_admission(
     # urgent work is never deferred: an SLA breach outranks budgets
     if trigger == SlaViolationTrigger.name:
         return AdmissionRuling(
-            tenant, True, "sla violation (urgent)", noted=True, now_ms=now
-        )
-    last = state.last_admitted_ms.get(tenant)
-    if (
-        last is not None
-        and config.tenant_cooldown_ms > 0
-        and now - last < config.tenant_cooldown_ms
-    ):
-        remaining = config.tenant_cooldown_ms - (now - last)
-        return AdmissionRuling(
-            tenant, False, f"fleet cooldown for another {remaining:.0f} ms"
+            tenant, True, "sla violation (urgent)", noted=True
         )
     busy = sum(
         1
@@ -328,15 +300,15 @@ def rule_admission(
         hotter = _hotter_lookalike(view, own)
         if hotter is not None:
             deferred = state.defers.get(tenant, 0)
-            if deferred < config.max_defer_bins:
+            if deferred < MAX_DEFER_BINS:
                 return AdmissionRuling(
                     tenant,
                     False,
                     f"waiting for a prior from hotter look-alike "
-                    f"{hotter!r} ({deferred + 1}/{config.max_defer_bins})",
+                    f"{hotter!r} ({deferred + 1}/{MAX_DEFER_BINS})",
                     deferred=True,
                 )
-    return AdmissionRuling(tenant, True, "admitted", noted=True, now_ms=now)
+    return AdmissionRuling(tenant, True, "admitted", noted=True)
 
 
 def build_harvest(
@@ -535,7 +507,7 @@ class FleetOrganizer:
 
         Everything an admission or replay decision reads that is not
         derivable from the tenant contexts: priors, the attempted set,
-        outcomes, cooldown stamps, defer counts, pass/replay tallies,
+        outcomes, defer counts, pass/replay tallies,
         and the quarantine set. Restoring this snapshot plus the tenant
         contexts reproduces the arbiter's future decisions exactly.
         """

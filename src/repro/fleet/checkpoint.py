@@ -33,11 +33,9 @@ stripped) followed by the tenant snapshots as raw byte segments. A torn
 file or bit rot in the meta region fails loudly at
 :func:`load_checkpoint` (and :func:`latest_checkpoint` falls back to an
 older epoch), while every tenant blob carries its own SHA-256 taken at
-capture time — so a corrupted *tenant* snapshot (the chaos harness
-injects exactly this, see
-:meth:`~repro.faults.injector.FaultInjector.checkpoint_corruption`) is
-detected per tenant at restore, letting the fleet quarantine that one
-tenant and degrade gracefully instead of refusing the whole checkpoint.
+capture time — so a corrupted *tenant* snapshot is detected per tenant
+at restore, letting the fleet quarantine that one tenant and degrade
+gracefully instead of refusing the whole checkpoint.
 The split also keeps the hot path honest: blob bytes are hashed once,
 where they are pickled, and written once at checkpoint, never
 re-pickled or re-hashed.
@@ -93,9 +91,9 @@ class TenantState:
     #: ``TenantContext.transfer_snapshot()`` pickle (workload slots and
     #: arbiter hooks excluded; everything stateful included)
     blob: bytes
-    #: SHA-256 of the blob *at capture time* — stays honest even when
-    #: the chaos harness damages ``blob`` afterwards, which is how a
-    #: restore detects the damage
+    #: SHA-256 of the blob *at capture time* — stays honest when
+    #: ``blob`` is damaged afterwards, which is how a restore detects
+    #: the damage
     blob_sha256: str
     #: the tenant's bin records so far (parent-side copies)
     records: list = field(default_factory=list)
@@ -286,10 +284,10 @@ def latest_checkpoint(
 ) -> tuple[FleetCheckpoint, Path]:
     """Load the newest checkpoint that passes verification.
 
-    File-level corruption (torn write, bit rot, chaos injection on the
-    wrapper) makes the loader fall back to the next-older epoch, so one
-    bad file degrades recovery by one checkpoint interval instead of
-    losing the run. Raises :class:`CheckpointError` when no file loads.
+    File-level corruption (a torn write, bit rot in the wrapper) makes
+    the loader fall back to the next-older epoch, so one bad file
+    degrades recovery by one checkpoint interval instead of losing the
+    run. Raises :class:`CheckpointError` when no file loads.
     """
     paths = list_checkpoints(directory)
     if not paths:

@@ -90,8 +90,6 @@ class TenantContext:
     profile: int = 0
     #: traffic multiplier relative to the hottest tenant (1.0 = hottest)
     volume_scale: float = 1.0
-    #: per-tenant seed (data, trace, and simulation derive from it)
-    seed: int = 0
     records: list = field(default_factory=list, repr=False)
 
     @classmethod
@@ -126,10 +124,7 @@ class TenantContext:
             tenant=tenant,
             registry=database.registry,
         )
-        events = EventLog(
-            sink=telemetry.sink if telemetry.enabled else None,
-            tenant=tenant,
-        )
+        events = EventLog(sink=telemetry.sink, tenant=tenant)
         store = ConfigurationInstanceStorage()
         monitor = RuntimeKPIMonitor(
             database, registry=telemetry.registry, tenant=tenant

@@ -40,7 +40,7 @@ with a :class:`~repro.fleet.arbiter.FleetOrganizer`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.driver import Driver, DriverConfig
@@ -52,7 +52,6 @@ from repro.core.triggers import (
     PeriodicTrigger,
     TuningTrigger,
 )
-from repro.faults.injector import FaultConfig, FaultInjector
 from repro.fleet.arbiter import (
     FleetConfig,
     FleetOrganizer,
@@ -95,6 +94,9 @@ from repro.util.lru import CacheStats
 
 #: Execution modes accepted by :class:`FleetDriver`.
 PARALLEL_MODES = ("serial", "process")
+#: Worker crashes one supervised step recovers from; the next one
+#: propagates as :class:`WorkerCrashed`.
+MAX_CRASH_RECOVERIES = 3
 
 
 @dataclass
@@ -176,9 +178,6 @@ class FleetDriver:
         workers: int | None = None,
         checkpoint_dir: Path | str | None = None,
         checkpoint_every: int = 0,
-        chaos: FaultConfig | FaultInjector | None = None,
-        rpc_timeout_s: float = 120.0,
-        max_crash_recoveries: int = 3,
     ) -> None:
         if not contexts:
             raise ValueError("a fleet needs at least one tenant context")
@@ -221,8 +220,6 @@ class FleetDriver:
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self._checkpoint_every = checkpoint_every
-        self._rpc_timeout_s = rpc_timeout_s
-        self._max_crash_recoveries = max_crash_recoveries
         self._fleet_registry = MetricRegistry()
         self._fleet_events: list[dict] = []
         self._ckpt_writes = self._fleet_registry.counter(CHECKPOINT_WRITES)
@@ -237,13 +234,6 @@ class FleetDriver:
         self._quarantines = self._fleet_registry.counter(
             FLEET_TENANT_QUARANTINES
         )
-        if isinstance(chaos, FaultConfig):
-            chaos = FaultInjector(chaos, registry=self._fleet_registry)
-        self._chaos: FaultInjector | None = chaos
-        #: fleet bins whose chaos kill-or-not decision was already acted
-        #: on — re-execution after a crash must not re-deliver the kill
-        #: (the per-bin derived stream would name the same victim forever)
-        self._chaos_decided: set[int] = set()
         #: the newest bin boundary the run holds a bundle of while a pool
         #: is live — the pre-fork capture, or a durable checkpoint taken
         #: since; a worker crash rolls back to it (see :meth:`_supervised`)
@@ -343,7 +333,7 @@ class FleetDriver:
                 return step()
             except WorkerCrashed as crash:
                 recoveries += 1
-                if recoveries > self._max_crash_recoveries:
+                if recoveries > MAX_CRASH_RECOVERIES:
                     raise
                 # there always is a restore point: only a pool raises
                 # WorkerCrashed, and _host() captures before it forks
@@ -375,7 +365,6 @@ class FleetDriver:
         # a recovery rolls the arbiter back to its boundary as well, so
         # a re-run bin begins like a first run
         self._arbiter.begin_bin()
-        self._maybe_chaos_kill(index)
         host.execute_all(index)
         # hot-first: descending scheduled volume, stable by tenant id
         order = sorted(
@@ -398,31 +387,6 @@ class FleetDriver:
         self._arbiter.replay_round(HostReplayTransport(host, self._digests))
         self._next_bin = index + 1
         return records
-
-    def _maybe_chaos_kill(self, index: int) -> None:
-        """Deliver the chaos schedule's worker kill for this bin, once.
-
-        The schedule is a pure function of ``(seed, bin)``, so asking
-        again during re-execution names the same victim; the decided-set
-        makes the kill fire exactly once per bin or recovery would loop
-        forever on the same crash. Without a pool (serial mode) there is
-        nobody to kill and the schedule is not consulted.
-        """
-        pool = self._pool
-        if self._chaos is None or pool is None or index in self._chaos_decided:
-            return
-        self._chaos_decided.add(index)
-        victim = self._chaos.worker_crash(index, pool.n_workers)
-        if victim is not None:
-            self._fleet_events.append(
-                {
-                    "kind": "chaos_worker_kill",
-                    "bin": index,
-                    "worker": victim,
-                    "tenants": pool.tenants_of(victim),
-                }
-            )
-            pool.kill_worker(victim)
 
     def run(self, stop: int | None = None) -> FleetReport:
         """Run the fleet to bin ``stop`` and return the rollup report.
@@ -469,7 +433,6 @@ class FleetDriver:
                 self._contexts,
                 self._arbiter.config,
                 workers=self._workers,
-                rpc_timeout_s=self._rpc_timeout_s,
                 registry=self._fleet_registry,
                 on_event=self._fleet_events.append,
             )
@@ -536,42 +499,18 @@ class FleetDriver:
         """Write a durable checkpoint of the current bin boundary.
 
         Uses ``directory`` (or the driver's ``checkpoint_dir``) and
-        returns once the file is on disk. When a chaos injector with
-        ``checkpoint_corruption_rate`` is attached, the *written copy*
-        of one scheduled tenant blob is damaged — the in-memory restore
-        point and the live run stay pristine; only a later restore from
-        disk sees (and detects) the corruption.
+        returns once the file is on disk.
         """
         return self._checkpoint_periodic(directory)
 
     def _prepare_checkpoint(self) -> FleetCheckpoint:
-        """Capture the bundle and apply scheduled chaos damage."""
+        """Capture the bundle; while a pool is live it becomes the
+        restore point."""
         ckpt = self._capture_checkpoint()
         if self._pool is not None:
             # a newer boundary than the fork's, already paid for: a
             # crash from here on re-runs the bins since this checkpoint
             self._restore_point = ckpt
-        if self._chaos is not None:
-            victim = self._chaos.checkpoint_corruption(
-                ckpt.next_bin, len(ckpt.tenants)
-            )
-            if victim is not None:
-                damaged = replace(
-                    ckpt.tenants[victim],
-                    blob=self._chaos.corrupt_blob(
-                        ckpt.tenants[victim].blob, ckpt.next_bin
-                    ),
-                )
-                tenants = list(ckpt.tenants)
-                tenants[victim] = damaged
-                self._fleet_events.append(
-                    {
-                        "kind": "chaos_checkpoint_corruption",
-                        "epoch": ckpt.next_bin,
-                        "tenant": damaged.tenant,
-                    }
-                )
-                return replace(ckpt, tenants=tenants)
         return ckpt
 
     def _checkpoint_periodic(
@@ -693,7 +632,6 @@ class FleetDriver:
         workers: int | None = None,
         checkpoint_dir: Path | str | None = None,
         checkpoint_every: int = 0,
-        chaos: FaultConfig | FaultInjector | None = None,
         **build_overrides,
     ) -> "FleetDriver":
         """Rebuild a fleet from a durable checkpoint and adopt its state.
@@ -720,7 +658,6 @@ class FleetDriver:
             workers=workers,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,
-            chaos=chaos,
             **build_args,
         )
         fleet.restore(ckpt)
@@ -868,9 +805,6 @@ def build_fleet(
     policy=None,
     checkpoint_dir: Path | str | None = None,
     checkpoint_every: int = 0,
-    chaos: FaultConfig | FaultInjector | None = None,
-    rpc_timeout_s: float = 120.0,
-    max_crash_recoveries: int = 3,
 ) -> FleetDriver:
     """Build a ready-to-run fleet of ``n_tenants`` skewed tenants.
 
@@ -912,7 +846,6 @@ def build_fleet(
         ctx.simulation = ClosedLoopSimulation(db, trace, seed=spec.seed)
         ctx.profile = spec.profile
         ctx.volume_scale = spec.volume_scale
-        ctx.seed = spec.seed
         contexts.append(ctx)
     fleet = FleetDriver(
         contexts,
@@ -921,9 +854,6 @@ def build_fleet(
         workers=workers,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
-        chaos=chaos,
-        rpc_timeout_s=rpc_timeout_s,
-        max_crash_recoveries=max_crash_recoveries,
     )
     if not custom_layout:
         # the layout is fully derivable from these kwargs, so durable

@@ -43,6 +43,7 @@ import os
 import signal
 import time
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.simulation import BinRecord, PendingBin
@@ -60,6 +61,8 @@ from repro.fleet.arbiter import (
 )
 from repro.fleet.checkpoint import blob_digest
 from repro.fleet.context import TenantContext
+from repro.kpi.metrics import WORKER_HARD_KILLS
+from repro.telemetry.metrics import MetricRegistry
 
 #: Tag for a recorded admission ruling in a tick's action stream.
 RULING = "ruling"
@@ -68,6 +71,11 @@ HARVEST = "harvest"
 
 #: Seconds between liveness checks while waiting on a worker reply.
 _POLL_INTERVAL_S = 0.2
+#: Seconds a worker may stay silent on one RPC before it is killed and
+#: reported as crashed.
+RPC_TIMEOUT_S = 120.0
+#: Seconds to wait for a worker's stop acknowledgement, and for each join.
+STOP_TIMEOUT_S = 5.0
 
 
 class WorkerCrashed(RuntimeError):
@@ -265,10 +273,9 @@ class FleetWorkerPool:
         contexts: list[TenantContext],
         config: FleetConfig,
         workers: int | None = None,
-        rpc_timeout_s: float = 120.0,
-        stop_timeout_s: float = 5.0,
-        registry=None,
-        on_event=None,
+        *,
+        registry: MetricRegistry,
+        on_event: Callable[[dict], None],
     ) -> None:
         try:
             mp = multiprocessing.get_context("fork")
@@ -278,17 +285,7 @@ class FleetWorkerPool:
                 "workloads hold closures that cannot pickle); use "
                 "parallel='serial' on this platform"
             ) from exc
-        if rpc_timeout_s <= 0:
-            raise ValueError("rpc_timeout_s must be positive")
-        self._rpc_timeout_s = rpc_timeout_s
-        self._stop_timeout_s = stop_timeout_s
         self._on_event = on_event
-        if registry is None:
-            from repro.telemetry.metrics import MetricRegistry
-
-            registry = MetricRegistry()
-        from repro.kpi.metrics import WORKER_HARD_KILLS
-
         self._hard_kills = registry.counter(WORKER_HARD_KILLS)
         n_workers = max(
             1, min(workers or os.cpu_count() or 1, len(contexts))
@@ -317,17 +314,12 @@ class FleetWorkerPool:
             self._conns.append(parent_conn)
             self._procs.append(proc)
 
-    @property
-    def n_workers(self) -> int:
-        return len(self._procs)
-
     def tenants_of(self, worker: int) -> tuple[str, ...]:
         """Tenant ids owned by ``worker``."""
         return self._tenants_of[worker]
 
     def _emit(self, kind: str, **data) -> None:
-        if self._on_event is not None:
-            self._on_event({"kind": kind, **data})
+        self._on_event({"kind": kind, **data})
 
     def _crashed(self, worker: int, reason: str) -> WorkerCrashed:
         return WorkerCrashed(worker, self._tenants_of[worker], reason)
@@ -343,13 +335,13 @@ class FleetWorkerPool:
 
         Polls with a short interval instead of blocking: a dead worker
         raises :class:`WorkerCrashed` immediately (EOF or liveness
-        check), and a worker silent past ``rpc_timeout_s`` is killed
+        check), and a worker silent past ``RPC_TIMEOUT_S`` is killed
         and reported the same way — a hung barrier becomes a recoverable
         fault instead of a deadlock.
         """
         conn = self._conns[worker]
         proc = self._procs[worker]
-        deadline = time.monotonic() + self._rpc_timeout_s
+        deadline = time.monotonic() + RPC_TIMEOUT_S
         while True:
             try:
                 ready = conn.poll(_POLL_INTERVAL_S)
@@ -367,10 +359,10 @@ class FleetWorkerPool:
                 )
             if time.monotonic() >= deadline:
                 proc.kill()
-                proc.join(timeout=self._stop_timeout_s)
+                proc.join(timeout=STOP_TIMEOUT_S)
                 raise self._crashed(
                     worker,
-                    f"no reply within {self._rpc_timeout_s:.0f}s "
+                    f"no reply within {RPC_TIMEOUT_S:.0f}s "
                     "(worker killed)",
                 )
         try:
@@ -425,11 +417,11 @@ class FleetWorkerPool:
 
     @property
     def pids(self) -> tuple[int, ...]:
-        """Worker process ids (for chaos injection and tests)."""
+        """Worker process ids (tests signal workers directly)."""
         return tuple(proc.pid for proc in self._procs)
 
     def kill_worker(self, worker: int) -> None:
-        """SIGKILL one worker — the chaos harness's crash primitive.
+        """SIGKILL one worker — how a test delivers a worker crash.
 
         Nothing is cleaned up here on purpose: the next RPC touching the
         dead worker raises :class:`WorkerCrashed`, exercising exactly
@@ -451,10 +443,10 @@ class FleetWorkerPool:
                 proc.terminate()
         for conn, proc in zip(self._conns, self._procs):
             conn.close()
-            proc.join(timeout=self._stop_timeout_s)
+            proc.join(timeout=STOP_TIMEOUT_S)
             if proc.is_alive():  # pragma: no cover - kill fallback
                 proc.kill()
-                proc.join(timeout=self._stop_timeout_s)
+                proc.join(timeout=STOP_TIMEOUT_S)
         self._conns = []
         self._procs = []
 
@@ -475,7 +467,7 @@ class FleetWorkerPool:
                     conn.send(("stop",))
                     # bounded ack wait: a wedged worker must not turn
                     # shutdown into a hang
-                    deadline = time.monotonic() + self._stop_timeout_s
+                    deadline = time.monotonic() + STOP_TIMEOUT_S
                     while not conn.poll(_POLL_INTERVAL_S):
                         if not proc.is_alive():
                             break
@@ -486,7 +478,7 @@ class FleetWorkerPool:
             finally:
                 conn.close()
         for worker, proc in enumerate(self._procs):
-            proc.join(timeout=self._stop_timeout_s)
+            proc.join(timeout=STOP_TIMEOUT_S)
             if proc.is_alive():
                 proc.terminate()
                 self._hard_kills.inc()
@@ -497,10 +489,10 @@ class FleetWorkerPool:
                     tenants=self._tenants_of[worker],
                     phase="shutdown",
                 )
-                proc.join(timeout=self._stop_timeout_s)
+                proc.join(timeout=STOP_TIMEOUT_S)
                 if proc.is_alive():  # pragma: no cover - kill fallback
                     proc.kill()
-                    proc.join(timeout=self._stop_timeout_s)
+                    proc.join(timeout=STOP_TIMEOUT_S)
         self._conns = []
         self._procs = []
 

@@ -98,22 +98,6 @@ CHECKPOINT_CORRUPTIONS_DETECTED = "checkpoint_corruptions_detected"
 WORKER_RESTARTS = "worker_restarts"
 WORKER_HARD_KILLS = "worker_hard_kills"
 FLEET_TENANT_QUARANTINES = "fleet_tenant_quarantines"
-# chaos-injected fault classes (owned by the FaultInjector, counted in
-# whatever registry the chaos injector was built with)
-FAULT_WORKER_CRASHES = "fault_worker_crashes"
-FAULT_CHECKPOINT_CORRUPTIONS = "fault_checkpoint_corruptions"
-
-FLEET_FAULT_KPIS = (
-    CHECKPOINT_WRITES,
-    CHECKPOINT_BYTES,
-    CHECKPOINT_RESTORES,
-    CHECKPOINT_CORRUPTIONS_DETECTED,
-    WORKER_RESTARTS,
-    WORKER_HARD_KILLS,
-    FLEET_TENANT_QUARANTINES,
-    FAULT_WORKER_CRASHES,
-    FAULT_CHECKPOINT_CORRUPTIONS,
-)
 
 # guarded-commit counters (decision-level robustness; see repro.guard and
 # docs/robustness.md). The commit guard owns all guard_* names; they live

@@ -87,7 +87,7 @@ class RecursiveTuningPlanner:
         self._order_optimizer = order_optimizer or LPOrderOptimizer()
         self._optimizer = optimizer or WhatIfOptimizer(db)
         self._tracer: Tracer = (
-            telemetry.tracer if telemetry is not None else Tracer(enabled=False)
+            telemetry.tracer if telemetry is not None else Tracer()
         )
 
     @property

@@ -14,7 +14,7 @@ from repro.telemetry.metrics import (
     tenant_metric,
 )
 from repro.telemetry.sinks import JsonlSink, read_jsonl
-from repro.telemetry.spans import NULL_SPAN, Span, Tracer, render_span_tree
+from repro.telemetry.spans import Span, Tracer, render_span_tree
 
 __all__ = [
     "Counter",
@@ -22,7 +22,6 @@ __all__ = [
     "JsonlSink",
     "MetricInterval",
     "MetricRegistry",
-    "NULL_SPAN",
     "Span",
     "Telemetry",
     "TelemetryConfig",

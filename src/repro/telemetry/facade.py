@@ -4,9 +4,9 @@
 database's registry and threads it down through the organizer, the
 tuners, the what-if optimizer, and the database's serve path, so every
 layer reports through the same spine instead of inventing its own
-bookkeeping. Components accept
-``telemetry=None`` and fall back to a disabled instance, which keeps
-them usable standalone at near-zero overhead.
+bookkeeping. Components accept ``telemetry=None`` and fall back to a
+private spine (or a bare :class:`~repro.telemetry.spans.Tracer`) of
+their own, which keeps them usable standalone.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from repro.telemetry.spans import Tracer
 class TelemetryConfig:
     """Knobs of the telemetry spine."""
 
-    #: master switch; disabled telemetry still exposes a working registry
-    #: (counter bumps are cheap) but records no spans and sinks nothing
-    enabled: bool = True
     #: sample one per-query span every N accounted executions
     #: (0 disables query spans; counters are always maintained)
     query_sample_every: int = 64
@@ -64,19 +61,10 @@ class Telemetry:
         )
         self.tracer = Tracer(
             clock=clock,
-            sink=self.sink if self.config.enabled else None,
-            enabled=self.config.enabled,
+            sink=self.sink,
             max_roots=MAX_ROOT_SPANS,
             tenant=tenant,
         )
-
-    @classmethod
-    def disabled(cls, clock: object | None = None) -> "Telemetry":
-        return cls(clock, TelemetryConfig(enabled=False))
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
 
     def close(self) -> None:
         """Flush and close the JSONL export, if any (it becomes readable)."""

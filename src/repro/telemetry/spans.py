@@ -100,30 +100,6 @@ class Span:
         }
 
 
-class _NullSpan:
-    """Stand-in yielded by a disabled tracer; swallows all interaction."""
-
-    __slots__ = ()
-    name = "null"
-    children: tuple[()] = ()
-    tags: dict[str, object] = {}
-    sim_ms = 0.0
-    wall_ms = 0.0
-    is_open = False
-
-    def tag(self, **tags: object) -> "_NullSpan":
-        return self
-
-    def walk(self) -> Iterator["_NullSpan"]:
-        return iter(())
-
-    def find(self, name: str) -> None:
-        return None
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """Builds span trees; finished roots are kept in a bounded ring."""
 
@@ -131,7 +107,6 @@ class Tracer:
         self,
         clock: _NowMs | None = None,
         sink: "JsonlSink | None" = None,
-        enabled: bool = True,
         max_roots: int = 64,
         tenant: str = "",
     ) -> None:
@@ -139,14 +114,9 @@ class Tracer:
             raise ValueError("max_roots must be at least 1")
         self._clock = clock
         self._sink = sink
-        self._enabled = enabled
         self._tenant = tenant
         self._stack: list[Span] = []
         self._roots: deque[Span] = deque(maxlen=max_roots)
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
 
     @property
     def tenant(self) -> str:
@@ -162,13 +132,10 @@ class Tracer:
         return self._clock.now_ms if self._clock is not None else 0.0
 
     @contextmanager
-    def span(self, name: str, /, **tags: object) -> Iterator[Span | _NullSpan]:
+    def span(self, name: str, /, **tags: object) -> Iterator[Span]:
         """Open a span around the ``with`` body; nests under the current
         span. Exceptions are tagged onto the span and re-raised. The span
         name is positional-only so ``name=...`` stays usable as a tag."""
-        if not self._enabled:
-            yield NULL_SPAN
-            return
         span = self._open(name, tags)
         try:
             yield span
@@ -185,7 +152,7 @@ class Tracer:
         sim_ms: float = 0.0,
         wall_s: float = 0.0,
         **tags: object,
-    ) -> Span | None:
+    ) -> Span:
         """Record an already-finished unit of work as a complete span.
 
         Used where wrapping the work in a ``with`` block is impractical
@@ -193,8 +160,6 @@ class Tracer:
         current clocks and is immediately closed ``sim_ms``/``wall_s``
         later.
         """
-        if not self._enabled:
-            return None
         span = self._open(name, tags)
         span.ended_sim_ms = span.started_sim_ms + sim_ms
         span.ended_wall_s = span.started_wall_s + wall_s

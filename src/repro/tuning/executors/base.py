@@ -116,7 +116,7 @@ class TuningExecutor(ABC):
             self._tracer = telemetry.tracer
             registry = telemetry.registry
         else:
-            self._tracer = Tracer(enabled=False)
+            self._tracer = Tracer()
             registry = MetricRegistry()
         self._retries_counter = registry.counter(ACTION_RETRIES)
         self._failures_counter = registry.counter(ACTION_FAILURES)

@@ -79,7 +79,7 @@ class Tuner:
         self._selector = selector or feature.make_selector()
         self._reconfiguration_weight = reconfiguration_weight
         self._tracer: Tracer = (
-            telemetry.tracer if telemetry is not None else Tracer(enabled=False)
+            telemetry.tracer if telemetry is not None else Tracer()
         )
 
     @property

@@ -1,6 +1,7 @@
 """Unit tests for fleet admission arbitration (fakes, no databases)."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,6 @@ def _admit(arbiter, ctx, decision):
 
 def _fake_context(
     tenant,
-    now_ms=0.0,
     active_commit=None,
     hotness=10.0,
     mix=None,
@@ -50,7 +50,6 @@ def _fake_context(
 
     return SimpleNamespace(
         tenant=tenant,
-        database=SimpleNamespace(clock=SimpleNamespace(now_ms=now_ms)),
         organizer=SimpleNamespace(
             guard=SimpleNamespace(active_commit=active_commit),
             last_tuning_ms=None,
@@ -73,26 +72,13 @@ def test_admits_when_nothing_competes():
 
 def test_sla_violations_bypass_all_arbitration():
     arbiter = FleetOrganizer(
-        FleetConfig(max_concurrent_reconfigurations=0, tenant_cooldown_ms=1e9)
+        FleetConfig(max_concurrent_reconfigurations=0)
     )
     ctx = _fake_context("t0")
     arbiter.register(ctx)
     admitted, reason = _admit(arbiter, ctx, _decision("sla_violation"))
     assert admitted
     assert "urgent" in reason
-
-
-def test_fleet_cooldown_defers_repeat_admissions():
-    arbiter = FleetOrganizer(FleetConfig(tenant_cooldown_ms=10_000.0))
-    ctx = _fake_context("t0", now_ms=0.0, hotness=10.0, mix={"q": 1.0})
-    arbiter.register(ctx)
-    assert _admit(arbiter, ctx, _decision())[0]
-    ctx.database.clock.now_ms = 5_000.0
-    admitted, reason = _admit(arbiter, ctx, _decision())
-    assert not admitted
-    assert "cooldown" in reason
-    ctx.database.clock.now_ms = 10_000.0
-    assert _admit(arbiter, ctx, _decision())[0]
 
 
 def test_concurrent_reconfiguration_cap_counts_other_tenants():
@@ -117,8 +103,9 @@ def test_cap_never_counts_the_candidate_itself():
     assert _admit(arbiter, ctx, _decision())[0]
 
 
-def test_cold_lookalike_defers_to_the_hotter_tenant():
-    arbiter = FleetOrganizer(FleetConfig(max_defer_bins=2))
+def test_cold_lookalike_defers_to_the_hotter_tenant(monkeypatch):
+    monkeypatch.setattr("repro.fleet.arbiter.MAX_DEFER_BINS", 2)
+    arbiter = FleetOrganizer()
     hot = _fake_context("t0", hotness=100.0)
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
@@ -126,7 +113,7 @@ def test_cold_lookalike_defers_to_the_hotter_tenant():
     admitted, reason = _admit(arbiter, cold, _decision())
     assert not admitted
     assert "t0" in reason
-    # the starvation bound: after max_defer_bins denials it tunes anyway
+    # the starvation bound: after MAX_DEFER_BINS denials it tunes anyway
     assert not _admit(arbiter, cold, _decision())[0]
     assert _admit(arbiter, cold, _decision())[0]
 
@@ -174,7 +161,7 @@ def test_summary_shape():
 
 
 def test_sla_admission_clears_pending_defers():
-    arbiter = FleetOrganizer(FleetConfig(max_defer_bins=4))
+    arbiter = FleetOrganizer()
     hot = _fake_context("t0", hotness=100.0)
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
@@ -192,7 +179,7 @@ def test_harvested_commit_clears_pending_defers():
     (the commit listener) is the only place its defers can be reset."""
     from repro.fleet.arbiter import TuningPrior
 
-    arbiter = FleetOrganizer(FleetConfig(max_defer_bins=4))
+    arbiter = FleetOrganizer()
     hot = _fake_context("t0", hotness=100.0)
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
@@ -224,7 +211,7 @@ def test_applied_replay_clears_pending_defers():
         TuningPrior,
     )
 
-    arbiter = FleetOrganizer(FleetConfig(max_defer_bins=4))
+    arbiter = FleetOrganizer()
     hot = _fake_context("t0", hotness=100.0)
     cold = _fake_context("t1", hotness=10.0)
     arbiter.register(hot)
@@ -257,7 +244,6 @@ def test_applied_replay_clears_pending_defers():
                 mix={"q1": 8.0, "q2": 2.0},
                 guard_active=False,
                 last_tuning_ms=None,
-                now_ms=200.0,
             )
 
         def attempt(self, prior, tenant):
@@ -290,17 +276,13 @@ def test_applied_replay_clears_pending_defers():
         max_size=12,
     )
 )
+@mock.patch("repro.fleet.arbiter.MAX_DEFER_BINS", 2)
 def test_recorder_view_after_a_tick_is_the_arbiters(ticks):
     """Within a tick the recorder rules from its own copy of the
     admission state; once the driver has applied the tick's recorded
     actions the arbiter must hold exactly what that copy ended as, or a
     second ruling in one tick saw a state that never existed."""
-    config = FleetConfig(
-        max_defer_bins=2,
-        tenant_cooldown_ms=10_000.0,
-        max_concurrent_reconfigurations=2,
-    )
-    arbiter = FleetOrganizer(config)
+    arbiter = FleetOrganizer(FleetConfig(max_concurrent_reconfigurations=2))
     contexts = [
         _fake_context(f"t{i}", hotness=100.0 / (i + 1)) for i in range(3)
     ]
@@ -315,7 +297,6 @@ def test_recorder_view_after_a_tick_is_the_arbiters(ticks):
     )
     for index, new_bin, steps in ticks:
         ctx = contexts[index]
-        ctx.database.clock.now_ms += 4_000.0
         if new_bin:
             arbiter.begin_bin()
         digests = {c.tenant: compute_digest(c) for c in contexts}

@@ -252,8 +252,7 @@ def test_write_is_atomic_no_temp_residue(tmp_path):
 
 def _corrupt_one_tenant(path, tenant_index):
     """Damage one tenant blob inside the file, keeping the file-level
-    checksum valid — exactly what the chaos injector's checkpoint
-    corruption produces."""
+    checksum valid: damage only the per-tenant checksum can catch."""
     ckpt = load_checkpoint(path)
     state = ckpt.tenants[tenant_index]
     state.blob = b"\x00" + state.blob[1:]

@@ -2,7 +2,7 @@
 
 The strong claim of the supervision layer is the same bit-identity the
 parallel barrier already holds, extended across process death: a fleet
-whose worker is SIGKILL'd mid-bin (directly, or by the seeded chaos
+whose worker is SIGKILL'd mid-bin (by hand, or on a generated kill
 schedule) must finish with exactly the serial run's bin records, event
 streams, final configurations, and rollup counters. The crash shows up
 *only* in the fleet-infrastructure counters and events.
@@ -15,16 +15,16 @@ bumps a counter and emits an event instead of dying silently).
 
 import os
 import signal
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from repro.faults.injector import FaultConfig, FaultInjector
 from repro.fleet import CheckpointError, build_fleet, load_checkpoint
 from repro.fleet.parallel import FleetWorkerPool, WorkerCrashed
 from repro.kpi.metrics import (
     CHECKPOINT_WRITES,
-    FAULT_WORKER_CRASHES,
-    FLEET_TENANT_QUARANTINES,
     WORKER_HARD_KILLS,
     WORKER_RESTARTS,
 )
@@ -76,37 +76,6 @@ def test_sigkilled_worker_leaves_run_bit_identical(
     assert report.fleet_counters[WORKER_RESTARTS] == 1.0
     kinds = [e["kind"] for e in fleet.fleet_events]
     assert "worker_crash_recovery" in kinds
-
-
-def test_chaos_schedule_kills_and_recovers_bit_identically(
-    serial_fingerprints,
-):
-    seed = 1
-    chaos = FaultConfig(seed=9, worker_crash_rate=0.5)
-    # the schedule is a pure function of (seed, bin): compute the
-    # expected kill bins offline with an independent injector
-    oracle = FaultInjector(chaos)
-    expected_kills = [
-        b for b in range(BINS) if oracle.worker_crash(b, 2) is not None
-    ]
-    assert expected_kills, "pick chaos seed/rate that kills at least once"
-
-    fleet = build_fleet(
-        TENANTS, seed=seed, bins=BINS, rows=ROWS,
-        parallel="process", workers=2, chaos=chaos,
-    )
-    report = fleet.run()
-    assert _fingerprint(fleet, report) == serial_fingerprints(seed)
-    assert report.fleet_counters[WORKER_RESTARTS] == len(expected_kills)
-    assert report.fleet_counters[FAULT_WORKER_CRASHES] == len(
-        expected_kills
-    )
-    killed_bins = [
-        e["bin"]
-        for e in fleet.fleet_events
-        if e["kind"] == "chaos_worker_kill"
-    ]
-    assert killed_bins == expected_kills
 
 
 def test_crash_during_final_sync_is_recovered(serial_fingerprints):
@@ -173,32 +142,46 @@ def test_crash_rolls_back_to_the_last_durable_checkpoint(
     )
 
 
-def test_chaos_damages_the_written_copy_never_the_restore_point(
-    serial_fingerprints, tmp_path
+@settings(
+    max_examples=7,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    kills=st.dictionaries(
+        st.integers(min_value=1, max_value=BINS - 1),
+        st.integers(min_value=0, max_value=1),
+        max_size=3,
+    ),
+    checkpoint_every=st.sampled_from([0, 2]),
+)
+@example(kills={1: 0, 2: 1, 3: 0}, checkpoint_every=2)
+def test_generated_kill_schedules_recover_bit_identically(
+    serial_fingerprints, kills, checkpoint_every
 ):
+    """Up to three workers killed at distinct bins, with or without
+    durable checkpoints: the run equals the serial one, each kill costs
+    one restart, and each recovery rolls back to the newest checkpoint
+    at or before its bin (the fork's boundary, 0, without checkpoints)."""
     seed = 1
-    # kills at bins 1, 2 and 3 (2 workers); every written checkpoint has
-    # one damaged tenant blob
-    chaos = FaultConfig(
-        seed=9, worker_crash_rate=0.5, checkpoint_corruption_rate=1.0
-    )
-    fleet = build_fleet(
-        TENANTS, seed=seed, bins=BINS, rows=ROWS,
-        parallel="process", workers=2, chaos=chaos,
-        checkpoint_dir=tmp_path, checkpoint_every=2,
-    )
-    for index in range(4):
-        fleet.run_bin(index)
-    # the bin-1 kill rolled back to the fork; the other two to the
-    # epoch-2 bundle taken for the (damaged) durable checkpoint
-    assert _recoveries(fleet) == [0, 2, 2]
-    assert fleet._restore_point.next_bin == 4
-    assert all(state.verify() for state in fleet._restore_point.tenants)
-    on_disk = load_checkpoint(tmp_path / "fleet-ckpt-000004.pkl")
-    assert [state.verify() for state in on_disk.tenants].count(False) == 1
-    report = fleet.run()
+    with tempfile.TemporaryDirectory() as directory:
+        fleet = build_fleet(
+            TENANTS, seed=seed, bins=BINS, rows=ROWS,
+            parallel="process", workers=2,
+            checkpoint_dir=directory, checkpoint_every=checkpoint_every,
+        )
+        for index in range(BINS):
+            if index in kills:
+                fleet._pool.kill_worker(kills[index])
+            fleet.run_bin(index)
+        report = fleet.report()
     assert _fingerprint(fleet, report) == serial_fingerprints(seed)
-    assert report.fleet_counters[FLEET_TENANT_QUARANTINES] == 0.0
+    assert report.fleet_counters[WORKER_RESTARTS] == len(kills)
+    assert _recoveries(fleet) == [
+        checkpoint_every * (b // checkpoint_every) if checkpoint_every else 0
+        for b in sorted(kills)
+    ]
 
 
 def test_crash_during_a_checkpoint_capture_is_recovered(
@@ -247,19 +230,6 @@ def test_failed_checkpoint_write_raises_at_the_call(
     assert "checkpoint" not in {e["kind"] for e in fleet.fleet_events}
 
 
-def test_serial_mode_ignores_the_worker_kill_schedule(serial_fingerprints):
-    seed = 2
-    fleet = build_fleet(
-        TENANTS, seed=seed, bins=BINS, rows=ROWS, parallel="serial",
-        chaos=FaultConfig(seed=9, worker_crash_rate=1.0),
-    )
-    report = fleet.run()
-    assert _fingerprint(fleet, report) == serial_fingerprints(seed)
-    assert fleet.fleet_events == ()
-    assert report.fleet_counters[WORKER_RESTARTS] == 0.0
-    assert report.fleet_counters[FAULT_WORKER_CRASHES] == 0.0
-
-
 def test_worker_crashed_carries_worker_and_tenants():
     exc = WorkerCrashed(1, ("t2", "t5"), "process died (exit code -9)")
     assert exc.worker == 1
@@ -268,10 +238,10 @@ def test_worker_crashed_carries_worker_and_tenants():
     assert "exit code -9" in str(exc)
 
 
-def test_recovery_gives_up_after_max_crash_recoveries():
+def test_recovery_gives_up_after_max_crash_recoveries(monkeypatch):
+    monkeypatch.setattr("repro.fleet.driver.MAX_CRASH_RECOVERIES", 0)
     fleet = build_fleet(
-        2, seed=1, bins=2, rows=800,
-        parallel="process", workers=2, max_crash_recoveries=0,
+        2, seed=1, bins=2, rows=800, parallel="process", workers=2
     )
     fleet.run_bin(0)
     fleet._pool.kill_worker(0)
@@ -283,7 +253,7 @@ def test_recovery_gives_up_after_max_crash_recoveries():
 # the supervised RPC layer (pool-level)
 
 
-def _make_pool(**kwargs):
+def _make_pool():
     fleet = build_fleet(2, seed=3, bins=2, rows=800)
     registry = MetricRegistry()
     events = []
@@ -293,7 +263,6 @@ def _make_pool(**kwargs):
         workers=2,
         registry=registry,
         on_event=events.append,
-        **kwargs,
     )
     return pool, registry, events
 
@@ -321,8 +290,10 @@ def test_dead_worker_raises_worker_crashed_not_hang():
         pool.abandon()
 
 
-def test_hung_worker_hits_rpc_timeout():
-    pool, _, _ = _make_pool(rpc_timeout_s=1.5, stop_timeout_s=1.0)
+def test_hung_worker_hits_rpc_timeout(monkeypatch):
+    monkeypatch.setattr("repro.fleet.parallel.RPC_TIMEOUT_S", 1.5)
+    monkeypatch.setattr("repro.fleet.parallel.STOP_TIMEOUT_S", 1.0)
+    pool, _, _ = _make_pool()
     try:
         os.kill(pool.pids[0], signal.SIGSTOP)
         with pytest.raises(WorkerCrashed, match="no reply within"):
@@ -331,9 +302,10 @@ def test_hung_worker_hits_rpc_timeout():
         pool.abandon()
 
 
-def test_stop_reports_hard_kill_of_wedged_worker():
+def test_stop_reports_hard_kill_of_wedged_worker(monkeypatch):
     """The silent terminate() in shutdown is now counted and evented."""
-    pool, registry, events = _make_pool(stop_timeout_s=0.5)
+    monkeypatch.setattr("repro.fleet.parallel.STOP_TIMEOUT_S", 0.5)
+    pool, registry, events = _make_pool()
     wedged_pid = pool.pids[1]
     os.kill(wedged_pid, signal.SIGSTOP)
     pool.stop()

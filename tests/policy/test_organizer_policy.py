@@ -282,7 +282,7 @@ def test_policy_passes_are_arbitrated_not_urgent():
     # under a zero-concurrency cap an SLA breach still bypasses
     # arbitration, but an objective violation waits its turn
     arbiter = FleetOrganizer(
-        FleetConfig(max_concurrent_reconfigurations=0, tenant_cooldown_ms=1e9)
+        FleetConfig(max_concurrent_reconfigurations=0)
     )
     ctx = _fake_context("t0", active_commit=object())
     other = _fake_context("t1", active_commit=object())

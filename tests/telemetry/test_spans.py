@@ -3,7 +3,6 @@
 import pytest
 
 from repro.telemetry import (
-    NULL_SPAN,
     JsonlSink,
     Tracer,
     read_jsonl,
@@ -80,15 +79,6 @@ def test_record_creates_a_finished_span():
     assert child.tags["rows"] == 7
     # recording must not disturb the enclosing stack
     assert tracer.current is None
-
-
-def test_disabled_tracer_yields_null_span():
-    tracer = Tracer(enabled=False)
-    with tracer.span("anything", a=1) as span:
-        assert span is NULL_SPAN
-        span.tag(b=2)  # swallowed, no error
-    assert tracer.roots() == ()
-    assert tracer.record("x") is None
 
 
 def test_finished_spans_reach_the_sink(tmp_path):

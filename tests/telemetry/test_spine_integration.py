@@ -65,24 +65,15 @@ def test_tune_now_produces_a_three_level_span_tree(retail_suite):
     assert registry.read("plan_compiles") > 0
 
 
-def test_disabled_telemetry_keeps_the_loop_working(retail_suite):
-    db, driver = _attach(retail_suite, enabled=False)
-    _warm_up(retail_suite, db, driver)
-    report = driver.tune_now()
-    assert report is not None
-    assert driver.context.telemetry.tracer.roots() == ()
-    # KPI interval accounting (monitor shim) still works when disabled
-    assert driver.context.monitor.latest is not None
-
-
-def test_telemetry_costs_no_simulated_time():
+def test_telemetry_costs_no_simulated_time(tmp_path):
     """Spans read the host clock and counters are plain additions: with
-    telemetry on or off every bin record — workload, reconfiguration and
+    every served query sampled into a JSONL export, or none sampled and
+    nothing exported, every bin record — workload, reconfiguration and
     clock milliseconds, a forced tuning pass included — is the same."""
 
-    def run(enabled):
+    def run(**telemetry_kwargs):
         suite = make_retail_suite()
-        db, driver = _attach(suite, enabled=enabled)
+        db, driver = _attach(suite, **telemetry_kwargs)
         trace = generate_trace(
             suite.families, suite.rates, 10, bin_duration_ms=60_000, seed=33
         )
@@ -90,9 +81,12 @@ def test_telemetry_costs_no_simulated_time():
         records = sim.run(stop=5)
         assert driver.tune_now() is not None
         assert db.counters.reconfigurations > 0
-        return records + sim.run(start=5), db.clock.now_ms
+        records += sim.run(start=5)
+        driver.context.telemetry.close()
+        return records, db.clock.now_ms
 
-    assert run(True) == run(False)
+    sampled = run(query_sample_every=1, jsonl_path=tmp_path / "run.jsonl")
+    assert sampled == run(query_sample_every=0)
 
 
 def test_skip_decisions_are_structured_events(retail_suite, tmp_path):
