@@ -151,8 +151,9 @@ class Chunk:
     ) -> None:
         """``derived`` is the owning table's memo of what it has derived
         from its chunks' physical state (footprints by predicate-column
-        tuple; under ``None`` the non-DRAM scan); a mutation here drops
-        from it what it outdates."""
+        tuple; under ``None`` the non-DRAM scan; under ``"rows"`` the
+        table-wide rows); a mutation here drops from it what it
+        outdates."""
         self._chunk_id = chunk_id
         self._derived: dict = derived if derived is not None else {}
         self._schema = schema
@@ -210,9 +211,12 @@ class Chunk:
 
     def _retire(self, column: str) -> None:
         """Drop the table's footprints that name ``column``'s encoding or
-        the indexes it leads."""
+        the indexes it leads (the tuple keys: the non-DRAM scan and the
+        table-wide rows hold through either)."""
         derived = self._derived
-        for columns in [c for c in derived if c and column in c]:
+        for columns in [
+            c for c in derived if type(c) is tuple and column in c
+        ]:
             del derived[columns]
 
     @property

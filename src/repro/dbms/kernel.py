@@ -5,14 +5,17 @@ per-chunk loop. It consumes the compile-time arrays a plan carries
 (:class:`~repro.plan.kernel.PlanKernel`) and restructures one execution
 into three passes:
 
-1. **Data pass** — only the *surviving* (non-pruned) steps are visited in
-   Python; index probes and mask-kernel predicate evaluation run against
-   real segment data exactly as the scalar path would, with each scan
-   predicate bound to its segment once per compiled plan
-   (:meth:`~repro.dbms.segments.Segment.bind`), so an execution runs one
-   integer ufunc per predicate per chunk. The pruned majority of steps
-   never enters the loop: their zone-map charges were frozen into
-   ``fixed_scan_tuple`` at compile time.
+1. **Data pass** — the pruned majority of steps never enters it: their
+   zone-map charges were frozen into ``fixed_scan_tuple`` at compile
+   time. Each maximal *run* of consecutive scanned chunks is evaluated at
+   once over the table's rows (:meth:`~repro.dbms.table.Table.rows`):
+   one ufunc per predicate over the run's row slice, each predicate bound
+   once per compiled plan and run, the masks combined with ``&=``, and
+   per-chunk match counts taken only where a charge or the output size
+   reads them. Each chunk is still charged its own segments' scan units,
+   predicate by predicate until its matches run out — the scalar loop's
+   float sequence. Index probes and predicate-less scans run per step,
+   against the chunk's own index and segments.
 2. **Tier pass** — only the table's chunks outside DRAM consult the
    buffer pool, walked once in chunk order, preserving the exact LRU
    admission order of the scalar path; an all-DRAM table never asks.
@@ -29,19 +32,159 @@ against the retained scalar reference path.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.dbms.hardware import NS_PER_MS, HardwareProfile
 from repro.dbms.operators import AggregateSpec, WorkSummary
-from repro.dbms.segments import _compare_array
+from repro.dbms.segments import ColumnRows, Segment, _compare_array
 from repro.dbms.storage_tiers import StorageTier
 from repro.plan.ir import PhysicalPlan, StepKind
+from repro.plan.kernel import LiveStep
 
 if TYPE_CHECKING:
+    from repro.dbms.chunk import Chunk
     from repro.dbms.executor import BufferPool
     from repro.dbms.table import Table
+
+
+class _Run:
+    """A maximal run of consecutive scanned chunks with one predicate list,
+    bound over the table-wide rows ``start:stop``."""
+
+    __slots__ = (
+        "positions",
+        "row_bytes",
+        "start",
+        "stop",
+        "offsets",
+        "first",
+        "first_charges",
+        "rest",
+        "raised",
+    )
+
+    def __init__(
+        self,
+        table: "Table",
+        chunks: tuple["Chunk", ...],
+        starts: list[int],
+        steps: tuple[LiveStep, ...],
+    ) -> None:
+        positions = tuple(step.position for step in steps)
+        start = starts[positions[0]]
+        self.positions = positions
+        #: per chunk, the projected output bytes of a matched row
+        self.row_bytes = tuple(step.width for step in steps)
+        self.start = start
+        self.stop = starts[positions[-1] + 1]
+        #: each chunk's first row within the run
+        self.offsets = np.array(
+            [starts[i] - start for i in positions],
+            dtype=np.int32 if self.stop - start < 2**31 else np.int64,
+        )
+        bound = []
+        for column, op, value in steps[0].predicates:
+            segments = [chunks[i].segment(column) for i in positions]
+            rows = table.rows(column)
+            if rows.exact(value):
+                mask = rows.bind_slice(start, self.stop, op, value)
+                raisers: tuple = ()
+            else:
+                mask, raisers = _bind_each(segments, op, value)
+            bound.append((mask, segments, raisers))
+        (self.first, segments, raisers), *rest = bound
+        # every chunk is alive at the first predicate: its charge is a
+        # constant, and its first raising chunk raises
+        self.first_charges = [
+            (0.0 + segment.scan_units(chunks[i].row_count))
+            + segment.scan_overhead_units()
+            for segment, i in zip(segments, positions)
+        ]
+        self.raised = raisers[0] if raisers else None
+        #: ``(mask, per-chunk (scan_units, overhead), raisers)`` of every
+        #: later predicate
+        self.rest = tuple(
+            (
+                mask,
+                tuple((s.scan_units, s.scan_overhead_units()) for s in segments),
+                raisers,
+            )
+            for mask, segments, raisers in rest
+        )
+
+
+def _bind_each(
+    segments: list[Segment], op: str, value: object
+) -> tuple:
+    """A literal some encoding answers its own way (:meth:`ColumnRows.exact`
+    is false): each chunk's mask as its own segment computes it, settled
+    now — the plan's footprint fixes every segment for the plan's life.
+    A chunk whose compare raises contributes no rows; ``(position in run,
+    compare)`` of each such chunk is returned beside the mask, for the
+    execution to raise from if the scalar loop would reach it."""
+    masks = []
+    raisers = []
+    for k, segment in enumerate(segments):
+        try:
+            masks.append(segment.compare(op, value))
+        except Exception:
+            # deferred, not handled: whatever the compare raises, calling
+            # it again raises where the scalar loop would meet it
+            masks.append(np.zeros(len(segment), dtype=bool))
+            raisers.append((k, partial(segment.compare, op, value)))
+    return np.concatenate(masks).copy, tuple(raisers)
+
+
+def _bind_step(live: LiveStep, chunk: "Chunk") -> tuple:
+    """An index probe, or a scan without predicates, run per step:
+    ``(live step, index, residual predicates)``."""
+    if live.step.kind is not StepKind.INDEX_PROBE:
+        return live, None, ()
+    # residuals filter the values gathered at the probed rows
+    preds = []
+    for column, op, value in live.predicates:
+        segment = chunk.segment(column)
+        preds.append(
+            (
+                segment.take,
+                segment.scan_units,
+                segment.scan_overhead_units(),
+                op,
+                value,
+            )
+        )
+    return live, chunk.index(live.index_key), tuple(preds)
+
+
+def _popcounts(mask: np.ndarray, offsets: np.ndarray) -> list[int]:
+    """Matches per chunk of a run's mask."""
+    if len(offsets) == 1:
+        return [int(np.count_nonzero(mask))]
+    # the accumulator is the offsets' dtype: int32 unless the run's rows
+    # overflow it, and then twice as fast as an int64 one
+    return np.add.reduceat(
+        mask.view(np.uint8), offsets, dtype=offsets.dtype
+    ).tolist()
+
+
+def _projected(
+    rows: ColumnRows, run: _Run, mask: np.ndarray, counts: list[int]
+) -> np.ndarray:
+    """A run's matched rows of one projected column, in the dtype the
+    scalar loop's concatenation of per-chunk gathers has: a string column
+    is as wide as its widest matched chunk."""
+    part = rows.take(run.start, run.stop, mask)
+    if rows.widths:
+        width = max(
+            w for w, n in zip(rows.widths[run.positions[0]:], counts) if n
+        )
+        if part.dtype.itemsize != 4 * width:
+            part = part.astype(f"<U{width}")
+    return part
 
 
 def run_plan(
@@ -92,44 +235,98 @@ def run_plan(
         else {}
     )
     rows_matched = 0
-    #: per surviving step: (position, scan units, probe units, rows, width)
-    live_work: list[tuple[int, float, float, int, float]] = []
+    output_bytes = 0.0
+    #: per surviving step: (position, scan units, probe units)
+    live_work: list[tuple[int, float, float]] = []
 
-    # Per-kernel pre-binding: indexes, charge methods and each scan
-    # predicate's mask (Segment.bind: the literal met its segment once)
-    # resolved once per compiled plan. Sound because the planner
-    # finds this plan — and with it this cache — again only under a
-    # footprint that names, chunk by chunk, the row order, encodings and
-    # indexes bound here (Table.footprint), and a name fixes a structure's
-    # content; a chunk's structure memo usually hands back the very same
-    # object. An append changes the footprint too.
+    # Per-kernel pre-binding: runs of scanned chunks with each predicate
+    # bound over the run's slice of the table-wide rows; index probes with
+    # their index and residuals' segment methods — resolved once per
+    # compiled plan. Sound because the planner finds this plan — and with
+    # it this cache — again only under a footprint that names, chunk by
+    # chunk, the row order, encodings and indexes bound here
+    # (Table.footprint), and a name fixes a structure's content; the
+    # table-wide rows are a function of the row order alone. An append
+    # changes the footprint too.
     bound = kern.cache.get("bound")
     if bound is None:
+        starts = [0]
+        for chunk in chunks:
+            starts.append(starts[-1] + chunk.row_count)
         bound = []
-        for live in kern.live:
-            chunk = chunks[live.position]
-            segments = [
-                (chunk.segment(column), op, value)
-                for column, op, value in live.predicates
-            ]
-            if live.step.kind is StepKind.INDEX_PROBE:
-                # residuals filter the values gathered at the probed rows
-                index = chunk.index(live.index_key)
-                preds = tuple(
-                    (s.take, s.scan_units, s.scan_overhead_units(), op, value)
-                    for s, op, value in segments
-                )
+        live = kern.live
+        j = 0
+        while j < len(live):
+            step = live[j]
+            k = j + 1
+            if step.step.kind is StepKind.INDEX_PROBE or not step.predicates:
+                bound.append(_bind_step(step, chunks[step.position]))
             else:
-                index = None
-                preds = tuple(
-                    (s.bind(op, value), s.scan_units, s.scan_overhead_units())
-                    for s, op, value in segments
-                )
-            bound.append((index, preds))
+                while (
+                    k < len(live)
+                    and live[k].position == live[k - 1].position + 1
+                    and live[k].step.kind is StepKind.FULL_SCAN
+                    and live[k].predicates == step.predicates
+                ):
+                    k += 1
+                bound.append(_Run(table, chunks, starts, live[j:k]))
+            j = k
         kern.cache["bound"] = bound
 
-    # -- data pass: only surviving steps touch segments -----------------
-    for live, (index, preds) in zip(kern.live, bound):
+    # -- data pass: runs of scanned chunks at once, other steps one by one
+    for item in bound:
+        if type(item) is _Run:
+            run = item
+            mask = run.first()
+            su = run.first_charges.copy()
+            raised = run.raised
+            for bound_mask, charges, raisers in run.rest:
+                # the scalar loop charges predicate j on a chunk's rows
+                # alive after j - 1, and stops at a chunk with none
+                counts = _popcounts(mask, run.offsets)
+                alive = False
+                for k, count in enumerate(counts):
+                    if count:
+                        alive = True
+                        scan_units, overhead = charges[k]
+                        su[k] += scan_units(count)
+                        su[k] += overhead
+                if not alive:
+                    break
+                for k, compare in raisers:
+                    if counts[k]:
+                        if raised is None or k < raised[0]:
+                            raised = (k, compare)
+                        break
+                mask &= bound_mask()
+            if raised is not None:
+                # the first chunk the scalar loop raises at, raising anew
+                raised[1]()
+            live_work.extend(zip(run.positions, su, repeat(0.0)))
+            if collect_output:
+                counts = _popcounts(mask, run.offsets)
+                count = 0
+                for k, matched in enumerate(counts):
+                    if matched:
+                        count += matched
+                        output_bytes += matched * run.row_bytes[k]
+            else:
+                count = int(np.count_nonzero(mask))
+            rows_matched += count
+            if count == 0:
+                continue
+            if take_agg:
+                agg_values.append(
+                    table.rows(agg_spec.column).take(run.start, run.stop, mask)
+                )
+            elif collect_output and materialize:
+                for name in projected:
+                    out_columns[name].append(
+                        _projected(table.rows(name), run, mask, counts)
+                    )
+            continue
+
+        live, index, preds = item
         i = live.position
         chunk = chunks[i]
         su = 0.0
@@ -150,50 +347,29 @@ def run_plan(
                 values = take(positions)
                 positions = positions[_compare_array(values, op, value)]
             count = len(positions)
-        elif preds:
-            # the first compare result *is* the mask (ones & x == x), so
-            # the all-true seed array is never allocated; charges precede
-            # each compare exactly as in the scalar loop
-            mask = None
-            alive = chunk.row_count
-            for bound_mask, scan_units, overhead in preds:
-                su += scan_units(alive)
-                su += overhead
-                if mask is None:
-                    mask = bound_mask()
-                else:
-                    mask &= bound_mask()
-                # the scalar loop's popcount, cheaper than a reduction
-                alive = int(np.count_nonzero(mask))
-                if alive == 0:
-                    break
-            count = alive
-            if need_positions and count:
-                # == np.flatnonzero(mask) without the ravel/dispatch hops
-                positions = mask.nonzero()[0]
         else:
             count = chunk.row_count
             if need_positions and count:
                 positions = np.arange(chunk.row_count, dtype=np.int64)
-        live_work.append((i, su, pu, count, live.width))
+        live_work.append((i, su, pu))
         rows_matched += count
         if count == 0:
             continue
         if take_agg:
             agg_values.append(chunk.segment(agg_spec.column).take(positions))
-        elif collect_output and materialize:
-            for name in projected:
-                out_columns[name].append(chunk.segment(name).take(positions))
+        elif collect_output:
+            # the scalar loop only folds chunks with matches (zero-match
+            # chunks `continue` before the charge), and a skipped `+= 0.0`
+            # is a float identity anyway
+            output_bytes += count * live.width
+            if materialize:
+                for name in projected:
+                    out_columns[name].append(
+                        chunk.segment(name).take(positions)
+                    )
 
     work.rows_matched = rows_matched
     if collect_output:
-        # the scalar loop only folds chunks with matches (zero-match chunks
-        # `continue` before the charge), and a skipped `+= 0.0` is a float
-        # identity anyway
-        output_bytes = 0.0
-        for _i, _su, _pu, count, width in live_work:
-            if count:
-                output_bytes += count * width
         work.output_bytes = output_bytes
 
     # -- tier pass: batched buffer-pool resolution ----------------------
@@ -235,7 +411,7 @@ def run_plan(
     units = list(kern.fixed_scan_tuple)
     probe_ms = 0.0
     probe_units = 0.0
-    for i, su, pu, _count, _width in live_work:
+    for i, su, pu in live_work:
         units[i] = su
         priced[i] = su * ns_scan * dram / speedup / NS_PER_MS
         if pu:

@@ -121,6 +121,48 @@ def _bind_codes(
     return partial(operator.lt if below else operator.ge, codes, bound)
 
 
+def _frame_of_reference(values: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """``(minimum, maximum - minimum, offsets from the minimum)`` of an
+    integer array, the offsets in the narrowest unsigned dtype that fits."""
+    if len(values) == 0:
+        return 0, 0, _frozen(np.zeros(0, dtype=np.uint8))
+    reference = int(values.min())
+    span = int(values.max()) - reference
+    offsets = (values - reference).astype(narrowest_uint_dtype(span))
+    return reference, span, _frozen(offsets)
+
+
+def _bind_offsets(
+    offsets: np.ndarray,
+    reference: int,
+    span: int,
+    length: int,
+    op: str,
+    value: object,
+) -> BoundPredicate:
+    """``<op> value`` over the ``length`` rows ``offsets + reference``,
+    compared in the *integer* offset domain: a float64 detour would
+    silently corrupt literals and offsets beyond 2**53."""
+    func = _compare_func(op)
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    if not integral:
+        # non-integral literal: decoded comparison, identical semantics
+        # to an unencoded int64 array facing the same literal
+        return lambda: func(offsets.astype(np.int64) + reference, value)
+    literal = int(value)
+    if reference <= literal <= reference + span:
+        return partial(func, offsets, literal - reference)
+    # Literal outside the value range: the answer is constant for every
+    # row, no offset scan needed — every row is under a literal above the
+    # range and over one below it.
+    constant = {"=": False, "!=": True}.get(
+        op, (op[0] == "<") == (literal > reference)
+    )
+    return partial(np.full, length, constant, bool)
+
+
 class Segment(ABC):
     """Abstract physical storage of one column within one chunk.
 
@@ -195,6 +237,14 @@ class Segment(ABC):
         if self._code_domain is None:
             self._code_domain = _order_preserving_codes(values)
         return _bind_codes(*self._code_domain, op, value)
+
+    def code_domain(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct decoded values and, per row, its position among
+        them in the narrowest unsigned dtype — derived for the caller,
+        not kept."""
+        if self._code_domain is not None:
+            return self._code_domain
+        return _order_preserving_codes(self.values())
 
     @abstractmethod
     def scan_units(self, candidate_count: int) -> float:
@@ -280,6 +330,9 @@ class DictionarySegment(Segment):
     def sort_key_array(self) -> np.ndarray:
         return self._codes
 
+    def code_domain(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._dictionary, self._codes
+
     def bind(self, op: str, value: object) -> BoundPredicate:
         return _bind_codes(self._dictionary, self._codes, op, value)
 
@@ -345,6 +398,14 @@ class RunLengthSegment(Segment):
         run_lengths = self._run_lengths
         return lambda: np.repeat(run_mask(), run_lengths)
 
+    def code_domain(self) -> tuple[np.ndarray, np.ndarray]:
+        dictionary, run_codes = (
+            self._code_domain
+            if self._code_domain is not None
+            else _order_preserving_codes(self._run_values)
+        )
+        return dictionary, np.repeat(run_codes, self._run_lengths)
+
     def scan_units(self, candidate_count: int) -> float:
         if len(self) == 0:
             return 0.0
@@ -366,18 +427,9 @@ class FrameOfReferenceSegment(Segment):
                 f"{data_type.value}"
             )
         super().__init__(data_type, len(values))
-        if len(values) == 0:
-            self._reference = 0
-            self._span = 0
-            self._offsets = _frozen(np.zeros(0, dtype=np.uint8))
-        else:
-            self._reference = int(values.min())
-            self._span = int(values.max()) - self._reference
-            self._offsets = _frozen(
-                (values - self._reference).astype(
-                    narrowest_uint_dtype(self._span)
-                )
-            )
+        self._reference, self._span, self._offsets = _frame_of_reference(
+            values
+        )
 
     @property
     def reference(self) -> int:
@@ -393,25 +445,9 @@ class FrameOfReferenceSegment(Segment):
         return int(self._offsets.nbytes + 8)
 
     def bind(self, op: str, value: object) -> BoundPredicate:
-        # Compare in the *integer* offset domain: a float64 detour would
-        # silently corrupt literals and offsets beyond 2**53.
-        func = _compare_func(op)
-        integral = isinstance(value, (int, np.integer)) or (
-            isinstance(value, (float, np.floating)) and float(value).is_integer()
+        return _bind_offsets(
+            self._offsets, self._reference, self._span, len(self), op, value
         )
-        if not integral:
-            # non-integral literal: decoded comparison, identical semantics
-            # to an unencoded int64 segment facing the same literal
-            return lambda: func(self.values(), value)
-        literal = int(value)
-        low = self._reference
-        if low <= literal <= low + self._span:
-            return partial(func, self._offsets, literal - low)
-        # Literal outside the segment's value range: the answer is constant
-        # for every row, no offset scan needed — every row is under a
-        # literal above the range and over one below it.
-        constant = {"=": False, "!=": True}.get(op, (op[0] == "<") == (literal > low))
-        return partial(np.full, len(self), constant, bool)
 
     def scan_units(self, candidate_count: int) -> float:
         return self.SCAN_FACTOR * candidate_count
@@ -450,3 +486,99 @@ def supported_encodings(data_type: DataType) -> tuple[EncodingType, ...]:
         EncodingType.DICTIONARY,
         EncodingType.RUN_LENGTH,
     )
+
+
+class ColumnRows:
+    """One column's rows across a table's chunks, in chunk order: what an
+    unencoded segment over the concatenated decoded values compares and
+    gathers, kept as the integers it compares cheapest — offsets from the
+    minimum for an INT column (as frame-of-reference stores them), the
+    *code domain* for a STRING column (as an unencoded segment binds a
+    string literal), the values themselves for a FLOAT column.
+
+    Built by :meth:`~repro.dbms.table.Table.rows` from the chunks'
+    segments and held for as long as the row order stands. Host-side
+    only, like a segment's derived arrays: nothing priced reads it and no
+    pickle carries it.
+    """
+
+    __slots__ = ("_rows", "_dictionary", "_reference", "_span", "_nan", "widths")
+
+    def __init__(self, segments: list[Segment]) -> None:
+        data_type = segments[0].data_type
+        self._dictionary: np.ndarray | None = None
+        self._reference: int | None = None
+        self._span = 0
+        self._nan = False
+        #: per chunk, a STRING column's character width (its own dtype's)
+        self.widths: tuple[int, ...] = ()
+        if data_type is DataType.STRING:
+            # merge each segment's code domain: the distinct values are
+            # few, the rows are never concatenated as strings
+            domains = [segment.code_domain() for segment in segments]
+            dictionary = np.unique(np.concatenate([d for d, _ in domains]))
+            rows = np.empty(
+                sum(len(codes) for _, codes in domains),
+                dtype=narrowest_uint_dtype(max(len(dictionary) - 1, 0)),
+            )
+            start = 0
+            for local, codes in domains:
+                stop = start + len(codes)
+                rows[start:stop] = np.searchsorted(dictionary, local)[codes]
+                start = stop
+            self._dictionary = _frozen(dictionary)
+            self._rows = _frozen(rows)
+            self.widths = tuple(d.dtype.itemsize // 4 for d, _ in domains)
+            return
+        values = np.concatenate([segment.values() for segment in segments])
+        if data_type is DataType.INT:
+            self._reference, self._span, self._rows = _frame_of_reference(
+                values
+            )
+        else:
+            self._rows = _frozen(values)
+            self._nan = bool(np.isnan(values).any())
+
+    def exact(self, value: object) -> bool:
+        """Whether every encoding's ``bind`` answers ``<op> value`` as
+        :meth:`bind_slice` does: a string literal on a string column, an
+        integer on an integer column, and any number within float64's
+        integers on a column free of NaNs. Elsewhere — a NaN under a
+        dictionary, a float past 2**53 against an integer dictionary, a
+        non-string literal on a string column — an encoding has its own
+        answer (or exception)."""
+        if self._dictionary is not None:
+            return isinstance(value, str)
+        if self._reference is not None and isinstance(
+            value, (int, np.signedinteger)
+        ):
+            return True
+        return (
+            not self._nan
+            and isinstance(value, (int, float, np.integer))
+            and abs(value) < 2**53
+        )
+
+    def bind_slice(
+        self, start: int, stop: int, op: str, value: object
+    ) -> BoundPredicate:
+        """``row <op> value`` over rows ``start:stop``, settled as a
+        segment's ``bind`` settles it; only for an :meth:`exact` literal."""
+        rows = self._rows[start:stop]
+        if self._dictionary is not None:
+            return _bind_codes(self._dictionary, rows, op, value)
+        if self._reference is not None:
+            return _bind_offsets(
+                rows, self._reference, self._span, stop - start, op, value
+            )
+        return partial(_compare_func(op), rows, value)
+
+    def take(self, start: int, stop: int, mask: np.ndarray) -> np.ndarray:
+        """Decoded values of the rows ``start:stop`` where ``mask``."""
+        # compress: a boolean subscript gathers the same rows, slower
+        rows = self._rows[start:stop].compress(mask)
+        if self._dictionary is not None:
+            return self._dictionary[rows]
+        if self._reference is not None:
+            return rows.astype(np.int64) + self._reference
+        return rows

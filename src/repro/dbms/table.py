@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.dbms.chunk import Chunk
 from repro.dbms.schema import TableSchema
-from repro.dbms.segments import EncodingType
+from repro.dbms.segments import ColumnRows, EncodingType
 from repro.dbms.statistics import ColumnStatistics
 from repro.dbms.storage_tiers import StorageTier
 from repro.dbms.types import coerce_array
@@ -72,9 +72,10 @@ class Table:
         self._chunks: list[Chunk] = []
         self._next_chunk_id = 0
         #: what has been derived from the chunks' physical state and still
-        #: holds: footprints by predicate-column tuple, and under ``None``
-        #: the non-DRAM scan. Every chunk holds this dict and drops from it
-        #: what a mutation of its own outdates.
+        #: holds: footprints by predicate-column tuple, under ``None`` the
+        #: non-DRAM scan and under ``"rows"`` the table-wide rows by
+        #: column. Every chunk holds this dict and drops from it what a
+        #: mutation of its own outdates.
         self._derived: dict = {}
 
     def __getstate__(self) -> dict[str, object]:
@@ -152,6 +153,21 @@ class Table:
                 if chunk.tier is not StorageTier.DRAM
             )
         return nondram
+
+    def rows(self, column: str) -> ColumnRows:
+        """``column``'s rows across every chunk, in chunk order. A function
+        of the row order alone, so re-encodes, index changes and tier moves
+        keep it; memoised until rows are appended or a chunk's rows are
+        permuted."""
+        by_column = self._derived.get("rows")
+        if by_column is None:
+            by_column = self._derived["rows"] = {}
+        rows = by_column.get(column)
+        if rows is None:
+            rows = by_column[column] = ColumnRows(
+                [chunk.segment(column) for chunk in self._chunks]
+            )
+        return rows
 
     # ------------------------------------------------------------------
     # ingestion

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.dbms.segments import (
     COMPARISON_OPS,
+    ColumnRows,
     DictionarySegment,
     EncodingType,
     FrameOfReferenceSegment,
@@ -378,6 +379,85 @@ def test_pickle_carries_no_derived_arrays(encoding):
     restored = pickle.loads(before)
     np.testing.assert_array_equal(restored.values(), values)
     np.testing.assert_array_equal(restored.compare("<=", "b"), values <= "b")
+
+
+# ----------------------------------------------------------------------
+# table-wide rows: one compare over many segments
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_property_column_rows_agree_with_each_segment(data):
+    """Over any slice of whole segments, each in its own encoding,
+    ``ColumnRows.bind_slice`` gives every segment's ``bind`` — wherever
+    ``exact`` admits the literal — and ``take`` gives their decoded rows."""
+    data_type = data.draw(st.sampled_from(list(DataType)))
+    if data_type is DataType.STRING:
+        element = st.text(alphabet="abé", max_size=3)
+        literals = st.one_of(element, st.sampled_from(["A", "b\0", 5, None]))
+    else:
+        element = st.integers(-5, 5).map(lambda v: v + 2**60)
+        if data_type is DataType.FLOAT:
+            element = st.sampled_from([-1.5, 0.0, 0.5, 2.25])
+        literals = st.one_of(
+            element,
+            element.map(lambda v: v + 1),
+            st.sampled_from([0.5, 2**53 + 1, 2.0**60, float(2**60 + 3)]),
+        )
+    chunks = data.draw(st.lists(st.lists(element, min_size=1, max_size=12), min_size=1, max_size=4))
+    segments = [
+        encode_segment(
+            np.array(values) if data_type is not DataType.STRING
+            else np.array(values, dtype=f"<U{max(1, max(map(len, values)))}"),
+            data_type,
+            data.draw(st.sampled_from(supported_encodings(data_type))),
+        )
+        for values in chunks
+    ]
+    rows = ColumnRows(segments)
+    first = data.draw(st.integers(0, len(segments) - 1))
+    last = data.draw(st.integers(first, len(segments) - 1))
+    start = 0
+    for segment in segments[:first]:
+        start += len(segment)
+    stop = start
+    for segment in segments[first : last + 1]:
+        stop += len(segment)
+    decoded = np.concatenate([s.values() for s in segments[first : last + 1]])
+    taken = rows.take(start, stop, np.ones(stop - start, dtype=bool))
+    np.testing.assert_array_equal(taken, decoded)
+    if data_type is not DataType.STRING:  # strings: the widest chunk's width
+        assert taken.dtype == decoded.dtype
+    literal = data.draw(literals)
+    if not rows.exact(literal):
+        return
+    for op in COMPARISON_OPS:
+        expected = np.concatenate(
+            [s.compare(op, literal) for s in segments[first : last + 1]]
+        )
+        np.testing.assert_array_equal(
+            rows.bind_slice(start, stop, op, literal)(), expected
+        )
+
+
+def test_column_rows_refuse_what_encodings_disagree_on():
+    """Where ``exact`` says no, some encoding does answer differently."""
+    def disagree(values, data_type, op, literal):
+        answers = set()
+        for encoding in supported_encodings(data_type):
+            segment = encode_segment(values, data_type, encoding)
+            answers.add(repr(_outcome(segment.compare, op, literal)))
+        return len(answers) > 1
+
+    nan = np.array([1.0, np.nan, 2.0])
+    assert not ColumnRows([UnencodedSegment(nan, DataType.FLOAT)]).exact(1.5)
+    assert disagree(nan, DataType.FLOAT, ">=", 1.5)
+    big = np.array([2**60, 2**60 + 1], dtype=np.int64)
+    assert not ColumnRows([UnencodedSegment(big, DataType.INT)]).exact(2.0**60)
+    assert disagree(big, DataType.INT, "=", 2.0**60)
+    strings = _str_values()
+    assert not ColumnRows([UnencodedSegment(strings, DataType.STRING)]).exact(5)
+    assert disagree(strings, DataType.STRING, "<", 5)
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dbms import Database, DataType, TableSchema
 from repro.dbms.knobs import BUFFER_POOL_KNOB, SCAN_THREADS_KNOB
-from repro.dbms.segments import EncodingType
+from repro.dbms.segments import COMPARISON_OPS, EncodingType
 from repro.dbms.storage_tiers import StorageTier
 from repro.workload.predicate import Predicate
 from repro.workload.query import Query
@@ -365,3 +367,242 @@ def test_one_cached_plan_priced_across_a_placement_change():
     run_all("dram-again")
     assert all(len(caches) == 1 for caches in plans.values()), plans
     assert db_kernel.planner.cache_stats.misses == len(QUERIES)
+
+
+# ----------------------------------------------------------------------
+# property: kernel == scalar on generated tables
+
+#: per-column encodings a generated chunk may carry
+_ENCODINGS = {
+    "x": INT_ENCODINGS,
+    "s": [EncodingType.UNENCODED, EncodingType.RUN_LENGTH, EncodingType.DICTIONARY],
+    "f": [EncodingType.UNENCODED, EncodingType.RUN_LENGTH, EncodingType.DICTIONARY],
+}
+
+
+@st.composite
+def _tables(draw):
+    """Appends of uneven sizes (one of a single row) into 16-row chunks,
+    strings of a different width per append, integers near 0 or near
+    2**46 (where a one-row chunk's histogram still has distinct bin
+    edges); then an encoding per chunk and column, and indexes on some
+    chunks."""
+    sizes = draw(st.lists(st.integers(2, 40), min_size=1, max_size=4))
+    sizes.insert(draw(st.integers(0, len(sizes))), 1)
+    base, stride = draw(st.sampled_from([(0, 1), (2**46, 2**10)]))
+    appends = []
+    for size in sizes:
+        appends.append(
+            {
+                "x": [
+                    base + v * stride
+                    for v in draw(
+                        st.lists(
+                            st.sampled_from(range(-20, 21)),
+                            min_size=size,
+                            max_size=size,
+                        )
+                    )
+                ],
+                "s": draw(
+                    st.lists(
+                        st.text(alphabet="abé", max_size=draw(st.integers(1, 4))),
+                        min_size=size,
+                        max_size=size,
+                    )
+                ),
+                "f": draw(
+                    st.lists(
+                        st.sampled_from([-1.5, 0.0, 0.5, 2.25, 7.0, 1e12]),
+                        min_size=size,
+                        max_size=size,
+                    )
+                ),
+            }
+        )
+    chunk_count = 0
+    for size in sizes:
+        chunk_count += -(-size // 16)
+    chunk_ids = list(range(chunk_count))
+    encodings = [
+        (column, draw(st.sampled_from(options)), cid)
+        for column, options in _ENCODINGS.items()
+        for cid in chunk_ids
+    ]
+    indexes = [
+        (key, draw(st.lists(st.sampled_from(chunk_ids), min_size=1, unique=True)))
+        for key in (("x",), ("s", "x"))
+    ]
+    return appends, encodings, indexes
+
+
+def _generated_db(spec, use_kernel: bool) -> Database:
+    appends, encodings, indexes = spec
+    db = Database()
+    schema = TableSchema.build(
+        "gen",
+        [
+            ("id", DataType.INT),
+            ("x", DataType.INT),
+            ("s", DataType.STRING),
+            ("f", DataType.FLOAT),
+        ],
+    )
+    table = db.create_table(schema, target_chunk_size=16)
+    start = 0
+    for columns in appends:
+        size = len(columns["x"])
+        # sorted ids: disjoint zone maps, so literals prune chunks
+        table.append({"id": np.arange(start, start + size), **columns})
+        start += size
+    for column, encoding, cid in encodings:
+        db.set_encoding("gen", column, encoding, chunk_ids=[cid])
+    for key, chunk_ids in indexes:
+        db.create_index("gen", key, chunk_ids=chunk_ids)
+    db.executor.use_kernel = use_kernel
+    return db
+
+
+def _literals(spec, column: str):
+    """Present, absent and out-of-range literals for ``column``, and the
+    kinds whose meaning differs between encodings."""
+    appends = spec[0]
+    values = [v for columns in appends for v in columns.get(column, [])]
+    if column == "id":
+        total = 0
+        for columns in appends:
+            total += len(columns["x"])
+        values = list(range(total))
+    if column == "s":
+        present = st.sampled_from(values)
+        return st.one_of(
+            present,
+            present,
+            present.map(lambda v: v + "!"),  # absent
+            st.sampled_from(["", "A", chr(0x10FFFF), "aé", "abéab"]),
+            st.sampled_from([5, 2.5, None, b"a"]),  # not a string
+        )
+    present = st.sampled_from(values)
+    return st.one_of(
+        present,
+        present.map(lambda v: v + 1),  # often absent
+        st.just(min(values) - 1),  # out of range
+        st.just(max(values) + 1),
+        present.map(lambda v: v + 0.5),  # non-integral
+        st.sampled_from([2**53 + 1, -(2**62), 2.0**60, float(2**60 + 2**8)]),
+    )
+
+
+@st.composite
+def _queries(draw, spec):
+    columns = ("id", "x", "s", "f")
+    # equality twice as often: the selective predicate that empties
+    # some chunks of a run and not others
+    ops = st.sampled_from(("=",) + COMPARISON_OPS)
+    predicates = tuple(
+        Predicate(column, draw(ops), draw(_literals(spec, column)))
+        for column in draw(st.lists(st.sampled_from(columns), min_size=1, max_size=3))
+    )
+    shape = draw(
+        st.sampled_from(
+            ["count", "sum-x", "avg-f", "min-s", "max-s", "min-x", "max-f"]
+            + ["project"] * 4
+        )
+    )
+    materialize = draw(st.booleans())
+    if shape == "project":
+        projection = tuple(
+            draw(st.lists(st.sampled_from(columns), min_size=1, max_size=4, unique=True))
+        )
+        return Query("gen", predicates, projection=projection), materialize
+    if shape == "count":
+        return Query("gen", predicates, aggregate="count"), materialize
+    function, column = shape.split("-")
+    return (
+        Query("gen", predicates, aggregate=function, aggregate_column=column),
+        materialize,
+    )
+
+
+def _outcome(db: Database, query: Query, materialize: bool):
+    try:
+        return db.executor.execute(
+            query, db.table("gen"), materialize=materialize
+        )
+    except Exception as exc:  # the type is the outcome under test
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_property_kernel_equals_scalar_on_generated_tables(data):
+    """Runs of scanned chunks split by prunes and by index probes, over
+    chunks of uneven sizes and mixed encodings, under literals of every
+    kind — including those an encoding answers its own way, with its own
+    exception: the kernel's batched data pass gives the scalar loop's
+    every field, to the bit, on the first execution and on the cached
+    plan's second."""
+    spec = data.draw(_tables())
+    queries = data.draw(st.lists(_queries(spec), min_size=4, max_size=8))
+    kernel_db = _generated_db(spec, use_kernel=True)
+    scalar_db = _generated_db(spec, use_kernel=False)
+    for query, materialize in queries + queries:
+        kernel = _outcome(kernel_db, query, materialize)
+        scalar = _outcome(scalar_db, query, materialize)
+        label = (str(query), materialize)
+        if isinstance(scalar, type) or isinstance(kernel, type):
+            assert kernel == scalar, label
+            continue
+        _assert_identical(label, kernel, scalar)
+        assert vars(kernel.report.work) == vars(scalar.report.work), label
+        if scalar.rows is not None:
+            for name, column in scalar.rows.items():
+                assert kernel.rows[name].dtype == column.dtype, (label, name)
+
+
+def _two_chunk_db(use_kernel: bool, s_encodings) -> Database:
+    """Chunk 0: x in {1, 3}; chunk 1: x = 2 throughout. Neither zone map
+    excludes ``x = 2``, which empties chunk 0 alone."""
+    db = Database()
+    schema = TableSchema.build("gen", [("x", DataType.INT), ("s", DataType.STRING)])
+    table = db.create_table(schema, target_chunk_size=4)
+    table.append(
+        {"x": [1, 3, 1, 3, 2, 2, 2, 2], "s": ["1", "7", "1", "7"] * 2}
+    )
+    for cid, encoding in enumerate(s_encodings):
+        db.set_encoding("gen", "s", encoding, chunk_ids=[cid])
+    db.executor.use_kernel = use_kernel
+    return db
+
+
+def _both_paths(s_encodings, predicates):
+    query = Query("gen", predicates, aggregate="count")
+    return [
+        _outcome(_two_chunk_db(use_kernel, s_encodings), query, False)
+        for use_kernel in (True, False)
+    ]
+
+
+def test_kernel_raises_only_where_the_scalar_loop_reaches():
+    """``s < 5`` raises on an unencoded string chunk and not on a
+    dictionary one. The scalar loop never evaluates it on chunk 0, which
+    ``x = 2`` empties first — so neither does the kernel's batched run."""
+    kernel, scalar = _both_paths(
+        (EncodingType.UNENCODED, EncodingType.DICTIONARY),
+        (Predicate("x", "=", 2), Predicate("s", "<", 5)),
+    )
+    assert not isinstance(scalar, type)
+    _assert_identical("reach", kernel, scalar)
+
+
+def test_kernel_raises_the_first_chunks_exception():
+    """Chunk 0 raises at the first predicate, chunk 1 — alive after it —
+    at the second, with another exception type: the scalar loop finishes
+    chunk 0 first, and the kernel raises what it raises."""
+    kernel, scalar = _both_paths(
+        (EncodingType.UNENCODED, EncodingType.DICTIONARY),
+        (Predicate("s", "<", 5), Predicate("s", "<", None)),
+    )
+    # chunk 0's numpy loop error, not chunk 1's plain TypeError
+    assert issubclass(scalar, TypeError) and scalar is not TypeError
+    assert kernel == scalar
