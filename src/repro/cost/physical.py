@@ -68,8 +68,8 @@ class PhysicalCostModel(CostEstimator):
 
         plan = db.planner.plan_for(query, table)
         for chunk, step in zip(table.chunks(), plan.steps, strict=True):
-            # analytic pricing never mutates the pool: peek, don't admit
-            tier, _hit = resolve_tier(chunk, table.name, pool, admit=False)
+            # analytic pricing never mutates the pool: resolve_tier peeks
+            tier = resolve_tier(chunk, table.name, pool)
             scan_units, probe_units, live = self._estimate_step(chunk, step)
             total += hardware.scan_ms(scan_units, tier, threads)
             total += hardware.probe_ms(probe_units, tier)

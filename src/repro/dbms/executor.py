@@ -2,13 +2,14 @@
 
 The executor runs *compiled plans* against real chunk data (so results,
 match counts, and selectivities are genuine): each query is first turned
-into a :class:`~repro.plan.ir.PhysicalPlan` by the shared
+into a :class:`~repro.plan.ir.PhysicalPlan` by the database's
 :class:`~repro.plan.planner.QueryPlanner` — cached across repeated
-queries — and the executor's job is purely to run each per-chunk step and
-price the work via the :class:`~repro.dbms.hardware.HardwareProfile`:
+queries — and the executor hands the plan to the vectorized kernel
+(:func:`~repro.dbms.kernel.run_plan`, its one execution path), which
+prices the work via the :class:`~repro.dbms.hardware.HardwareProfile`:
 encoding-weighted scan units, index probe units, tier multipliers
-(resolved at bind time, softened by buffer pool hits), thread parallelism
-from the ``scan_threads`` knob, and output materialisation.
+(resolved per execution, softened by buffer pool hits), thread
+parallelism from the ``scan_threads`` knob, and output materialisation.
 
 The reported :class:`ExecutionReport` is the "observed runtime" that the
 plan cache records and the adaptive cost models learn from. The executor
@@ -26,16 +27,9 @@ import numpy as np
 from repro.dbms.hardware import HardwareProfile
 from repro.dbms.kernel import run_plan
 from repro.dbms.knobs import BUFFER_POOL_KNOB, SCAN_THREADS_KNOB, KnobRegistry
-from repro.dbms.operators import (
-    AggregateSpec,
-    WorkSummary,
-    compute_aggregate,
-    execute_step,
-)
+from repro.dbms.operators import AggregateSpec, WorkSummary, compute_aggregate
 from repro.dbms.table import Table
 from repro.errors import ExecutionError
-from repro.plan.binder import resolve_tier
-from repro.plan.ir import PhysicalPlan
 from repro.plan.planner import QueryPlanner
 from repro.workload.query import Query
 
@@ -135,20 +129,13 @@ class QueryExecutor:
         self,
         hardware: HardwareProfile,
         knobs: KnobRegistry,
-        planner: QueryPlanner | None = None,
-        use_kernel: bool = True,
+        planner: QueryPlanner,
     ) -> None:
         self._hardware = hardware
         self._knobs = knobs
         self._buffer_pool = BufferPool(knobs.get(BUFFER_POOL_KNOB))
-        # a standalone executor (no owning Database) gets a private planner
-        self._planner = planner if planner is not None else QueryPlanner()
+        self._planner = planner
         self._validated: dict[Query, "TableSchema"] = {}
-        #: run plans through the vectorized kernel (default) or the scalar
-        #: per-chunk reference loop; both produce bit-identical results —
-        #: the flag exists for the golden tests, which hold the scalar loop
-        #: up as the only second derivation of every priced quantity
-        self.use_kernel = use_kernel
 
     @property
     def buffer_pool(self) -> BufferPool:
@@ -191,78 +178,6 @@ class QueryExecutor:
                 f"aggregate references unknown column {query.aggregate_column!r}"
             )
 
-    def _run_scalar(
-        self,
-        plan: PhysicalPlan,
-        table: Table,
-        threads: int,
-        probe: bool,
-        agg_spec: AggregateSpec | None,
-        projected: list[str],
-        materialize: bool,
-    ) -> tuple[
-        WorkSummary,
-        float,
-        float,
-        list[np.ndarray],
-        dict[str, list[np.ndarray]],
-    ]:
-        """The per-chunk reference loop (pre-kernel execution path).
-
-        Retained verbatim as the golden reference the vectorized kernel is
-        tested against (``tests/plan/test_kernel_golden.py``, its one
-        caller): the only second derivation of every priced quantity.
-        """
-        hardware = self._hardware
-        work = WorkSummary()
-        scan_ms = 0.0
-        probe_ms = 0.0
-        agg_values: list[np.ndarray] = []
-        out_columns: dict[str, list[np.ndarray]] = {
-            name: [] for name in projected
-        }
-        for chunk, step in zip(table.chunks(), plan.steps, strict=True):
-            result = execute_step(chunk, step)
-            work.chunks_visited += 1
-            if result.used_index:
-                work.chunks_via_index += 1
-            work.per_chunk.append((chunk.chunk_id, step.kind))
-
-            # tier and pool residency are bind-time facts, not plan facts
-            tier, hit = resolve_tier(
-                chunk, table.name, self._buffer_pool, admit=not probe
-            )
-            if hit is True:
-                work.buffer_hits += 1
-            elif hit is False:
-                work.buffer_misses += 1
-
-            work.scan_units += result.scan_units
-            work.probe_units += result.probe_units
-            scan_ms += hardware.scan_ms(result.scan_units, tier, threads)
-            probe_ms += hardware.probe_ms(result.probe_units, tier)
-
-            matched = result.positions
-            work.rows_matched += len(matched)
-            if len(matched) == 0:
-                continue
-            if agg_spec is not None:
-                if agg_spec.column is not None:
-                    agg_values.append(
-                        chunk.segment(agg_spec.column).take(matched)
-                    )
-            else:
-                # output sized from the plan's per-row statistics width, so
-                # non-materialised runs never decode segments just to count
-                # bytes — and pricing matches the cost model exactly
-                work.output_bytes += len(matched) * step.output_width
-                if materialize:
-                    for name in projected:
-                        out_columns[name].append(
-                            chunk.segment(name).take(matched)
-                        )
-        return work, scan_ms, probe_ms, agg_values, out_columns
-
     def execute(
         self,
         query: Query,
@@ -275,9 +190,8 @@ class QueryExecutor:
         With ``probe=True`` the buffer pool is only peeked, never mutated —
         used by the what-if optimizer so estimation leaves no trace.
 
-        Plans run through the vectorized kernel (:mod:`repro.dbms.kernel`)
-        unless :attr:`use_kernel` is off, in which case the scalar per-chunk
-        reference loop runs; simulated results are bit-identical either way.
+        The plan runs through this module's ``run_plan`` name: the one
+        seam where the golden tests install their scalar reference.
         """
         # validation memo: queries and schemas are immutable, so one pass
         # per (query, schema) pair settles it; schema replacement (a new
@@ -310,25 +224,17 @@ class QueryExecutor:
             object.__setattr__(plan, "_exec_preamble", (agg_spec, projected))
         else:
             agg_spec, projected = preamble
-        if self.use_kernel:
-            work, scan_ms, probe_ms, agg_values, out_columns = run_plan(
-                plan,
-                table,
-                self._buffer_pool,
-                hardware,
-                threads,
-                probe,
-                agg_spec,
-                projected,
-                materialize,
-            )
-        else:
-            work, scan_ms, probe_ms, agg_values, out_columns = (
-                self._run_scalar(
-                    plan, table, threads, probe, agg_spec, projected,
-                    materialize,
-                )
-            )
+        work, scan_ms, probe_ms, agg_values, out_columns = run_plan(
+            plan,
+            table,
+            self._buffer_pool,
+            hardware,
+            threads,
+            probe,
+            agg_spec,
+            projected,
+            materialize,
+        )
 
         aggregate_value: float | str | None = None
         aggregate_ms = 0.0

@@ -1,7 +1,7 @@
 """The vectorized plan-execution kernel.
 
-:func:`run_plan` is the batched counterpart of the executor's historical
-per-chunk loop. It consumes the compile-time arrays a plan carries
+:func:`run_plan` is the executor's one execution path, the batched form
+of a per-chunk loop. It consumes the compile-time arrays a plan carries
 (:class:`~repro.plan.kernel.PlanKernel`) and restructures one execution
 into three passes:
 
@@ -27,7 +27,8 @@ into three passes:
 
 Bit-identical simulated results are the kernel's contract — the golden
 tests in ``tests/plan/test_kernel_golden.py`` compare every report field
-against the retained scalar reference path.
+against the per-chunk loop, kept as the scalar reference in
+``tests/reference.py`` and swapped in at ``repro.dbms.executor.run_plan``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Per-chunk physical operators: plan-step choice and execution.
+"""Per-chunk access-path choice, and the aggregate and work records.
 
 For every chunk the planner either prunes (zone-map statistics disprove a
 predicate), probes an index covering a prefix of the predicates (the rest
@@ -8,15 +8,14 @@ return a large fraction of the chunk is worse than a scan, so the choice
 estimates the covered predicates' selectivity from chunk statistics and
 falls back to scanning above a cutoff.
 
-This module provides the two halves the plan layer composes:
 :func:`compile_chunk_step` turns the per-chunk choice into an immutable
-:class:`~repro.plan.ir.PlanStep` (called by
+:class:`~repro.plan.ir.PlanStep`; it is called by
 :class:`~repro.plan.planner.QueryPlanner`, the single place access paths
-are chosen), and :func:`execute_step` runs a compiled step against the
-chunk's real data, returning matched positions plus work counts. The
-executor applies tier multipliers, buffer pool effects, and thread
-parallelism to those counts before converting work into simulated time;
-the physical cost model prices the same steps from statistics instead.
+are chosen. The vectorized kernel (:mod:`repro.dbms.kernel`) runs the
+compiled steps against the chunks' real data and prices them; the
+physical cost model prices the same steps from statistics instead.
+:func:`compute_aggregate` and :class:`WorkSummary` are what both report
+through.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ import numpy as np
 
 from repro.dbms.chunk import Chunk
 from repro.dbms.index import SortedCompositeIndex
-from repro.dbms.segments import _compare_array
-from repro.plan.ir import PRUNE_CHECK_UNITS, PlanStep, StepKind
+from repro.plan.ir import PlanStep, StepKind
 from repro.workload.predicate import Predicate
 
 #: An index probe expected to match more than this fraction of the chunk is
@@ -48,10 +46,6 @@ class IndexPlan:
     residual: list[Predicate]
     #: estimated fraction of chunk rows the probe returns
     estimated_selectivity: float
-
-    @property
-    def probed_columns(self) -> int:
-        return len(self.equal_values) + (1 if self.range_predicates else 0)
 
 
 def _covered_selectivity(chunk: Chunk, covered: list[Predicate]) -> float:
@@ -157,38 +151,6 @@ def choose_index_plan(
     return best[1] if best else None
 
 
-@dataclass
-class ChunkScanResult:
-    """Matched positions in one chunk plus the work it took to find them."""
-
-    positions: np.ndarray
-    scan_units: float = 0.0
-    probe_units: float = 0.0
-    used_index: bool = False
-    #: predicates evaluated (for diagnostics)
-    predicates_evaluated: int = 0
-
-
-def _evaluate_residual(
-    chunk: Chunk,
-    positions: np.ndarray,
-    predicates: list[Predicate],
-    result: ChunkScanResult,
-) -> np.ndarray:
-    """Filter ``positions`` by the residual predicates, counting scan work."""
-    for pred in predicates:
-        if len(positions) == 0:
-            break
-        segment = chunk.segment(pred.column)
-        result.scan_units += segment.scan_units(len(positions))
-        result.scan_units += segment.scan_overhead_units()
-        values = segment.take(positions)
-        mask = _compare_array(values, pred.op, pred.value)
-        positions = positions[mask]
-        result.predicates_evaluated += 1
-    return positions
-
-
 def chunk_can_be_pruned(chunk: Chunk, predicates: Sequence[Predicate]) -> bool:
     """Zone-map pruning: chunk min/max statistics prove a predicate matches
     nothing here, so the chunk is skipped without touching data. This is
@@ -259,66 +221,6 @@ def compile_chunk_step(
         scan_predicates=tuple(predicates),
         output_width=output_width,
     )
-
-
-def execute_step(chunk: Chunk, step: PlanStep) -> ChunkScanResult:
-    """Run one compiled step against the chunk's real data.
-
-    The index named by ``step.index_key`` is looked up at execution time
-    (bind), so steps survive re-encodes and sorts replacing the index.
-    """
-    if step.kind is StepKind.PRUNE:
-        return ChunkScanResult(
-            positions=np.empty(0, dtype=np.int64),
-            scan_units=PRUNE_CHECK_UNITS * step.predicate_count,
-        )
-    if step.kind is StepKind.INDEX_PROBE:
-        index = chunk.index(step.index_key)
-        positions = index.lookup(
-            step.equal_values, step.range_predicates
-        ).astype(np.int64)
-        result = ChunkScanResult(
-            positions=positions,
-            probe_units=index.probe_cost_units(
-                step.probed_columns, len(positions)
-            ),
-            used_index=True,
-            predicates_evaluated=step.covered_count,
-        )
-        result.positions = _evaluate_residual(
-            chunk, positions, list(step.scan_predicates), result
-        )
-        return result
-
-    # Sequential scan: evaluate each predicate on the still-live rows.
-    result = ChunkScanResult(
-        positions=np.arange(chunk.row_count, dtype=np.int64)
-    )
-    if not step.scan_predicates:
-        return result
-    mask = np.ones(chunk.row_count, dtype=bool)
-    live = chunk.row_count
-    for pred in step.scan_predicates:
-        segment = chunk.segment(pred.column)
-        result.scan_units += segment.scan_units(live)
-        result.scan_units += segment.scan_overhead_units()
-        mask &= segment.compare(pred.op, pred.value)
-        live = int(mask.sum())
-        result.predicates_evaluated += 1
-        if live == 0:
-            break
-    result.positions = np.flatnonzero(mask)
-    return result
-
-
-def evaluate_chunk(chunk: Chunk, predicates: list[Predicate]) -> ChunkScanResult:
-    """Find matching row positions in one chunk, via index probe if possible.
-    Chunks whose statistics disprove any predicate are pruned outright.
-
-    Convenience wrapper compiling and executing a single-chunk step; the
-    executor proper runs whole compiled plans instead (see
-    :mod:`repro.plan`)."""
-    return execute_step(chunk, compile_chunk_step(chunk, predicates))
 
 
 @dataclass

@@ -104,21 +104,38 @@ def _bind_codes(
 ) -> BoundPredicate:
     """``<op> value`` over ``dictionary[codes]`` as an integer comparison
     of ``codes`` against a bound found by one binary search — or, when the
-    search settles every row at once, as a constant."""
+    search settles every row at once, as a constant.
+
+    A NaN compares false with everything but ``!=``, as it does in numpy:
+    a NaN literal settles every row, and a float dictionary's NaN — sorted
+    last, as one entry — lies above no bound."""
     func = _compare_func(op)
+    size = len(codes)
+    if dictionary.dtype.kind != "U" and value != value:
+        return partial(np.full, size, op == "!=", bool)
+    top = len(dictionary)
+    if top and dictionary.dtype.kind == "f" and np.isnan(dictionary[-1]):
+        top -= 1
     side = "right" if op in ("<=", ">") else "left"
     bound = int(np.searchsorted(dictionary, value, side=side))
     if op in ("=", "!="):
         # an array compare, so that what counts as equal (trailing NULs
         # do not) is what it is for the decoded values
         if not (dictionary[bound : bound + 1] == value).any():
-            return partial(np.full, len(codes), op == "!=", bool)
+            return partial(np.full, size, op == "!=", bool)
         return partial(func, codes, bound)
-    # the codes under ``bound`` are the values < (left) or <= (right) it
-    below = op[0] == "<"
-    if bound == 0 or bound == len(dictionary):
-        return partial(np.full, len(codes), below == (bound != 0), bool)
-    return partial(operator.lt if below else operator.ge, codes, bound)
+    # the codes under ``bound`` are the values < (left) or <= (right) it;
+    # the codes from ``top`` on are NaN
+    lo, hi = (0, bound) if op[0] == "<" else (bound, top)
+    if hi <= lo:
+        return partial(np.full, size, False, bool)
+    if lo == 0 and hi == len(dictionary):
+        return partial(np.full, size, True, bool)
+    if lo == 0:
+        return partial(operator.lt, codes, hi)
+    if hi == len(dictionary):
+        return partial(operator.ge, codes, lo)
+    return lambda: (codes >= lo) & (codes < hi)
 
 
 def _frame_of_reference(values: np.ndarray) -> tuple[int, int, np.ndarray]:
@@ -502,14 +519,13 @@ class ColumnRows:
     pickle carries it.
     """
 
-    __slots__ = ("_rows", "_dictionary", "_reference", "_span", "_nan", "widths")
+    __slots__ = ("_rows", "_dictionary", "_reference", "_span", "widths")
 
     def __init__(self, segments: list[Segment]) -> None:
         data_type = segments[0].data_type
         self._dictionary: np.ndarray | None = None
         self._reference: int | None = None
         self._span = 0
-        self._nan = False
         #: per chunk, a STRING column's character width (its own dtype's)
         self.widths: tuple[int, ...] = ()
         if data_type is DataType.STRING:
@@ -537,27 +553,21 @@ class ColumnRows:
             )
         else:
             self._rows = _frozen(values)
-            self._nan = bool(np.isnan(values).any())
 
     def exact(self, value: object) -> bool:
         """Whether every encoding's ``bind`` answers ``<op> value`` as
         :meth:`bind_slice` does: a string literal on a string column, an
         integer on an integer column, and any number within float64's
-        integers on a column free of NaNs. Elsewhere — a NaN under a
-        dictionary, a float past 2**53 against an integer dictionary, a
-        non-string literal on a string column — an encoding has its own
-        answer (or exception)."""
+        integers. Elsewhere — a float past 2**53 against an integer
+        dictionary, a non-string literal on a string column — an encoding
+        has its own answer (or exception)."""
         if self._dictionary is not None:
             return isinstance(value, str)
         if self._reference is not None and isinstance(
             value, (int, np.signedinteger)
         ):
             return True
-        return (
-            not self._nan
-            and isinstance(value, (int, float, np.integer))
-            and abs(value) < 2**53
-        )
+        return isinstance(value, (int, float, np.integer)) and abs(value) < 2**53
 
     def bind_slice(
         self, start: int, stop: int, op: str, value: object

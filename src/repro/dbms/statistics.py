@@ -17,6 +17,36 @@ from repro.dbms.types import DataType
 _HISTOGRAM_BINS = 32
 
 
+def _histogram(numbers: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Equi-width counts of ``numbers`` over ``[lo, hi]``.
+
+    numpy's own wherever it can draw the bins. It widens a one-value
+    range by 0.5 either side, which puts every value in the middle bin —
+    where it goes here without the widening, whose 32 bin edges run
+    together from about 2**48 on. A range narrower than 32 float64 steps
+    at its magnitude has no distinct edges either: there, a value's bin
+    is its share of the range, as numpy computes it before snapping to
+    an edge.
+    """
+    if lo == hi:
+        counts = np.zeros(_HISTOGRAM_BINS, dtype=np.intp)
+        counts[_HISTOGRAM_BINS // 2] = len(numbers)
+        return counts
+    edges = np.linspace(lo, hi, _HISTOGRAM_BINS + 1)
+    if (edges[:-1] < edges[1:]).all():
+        return np.histogram(numbers, bins=_HISTOGRAM_BINS, range=(lo, hi))[0]
+    share = (numbers - lo) / (hi - lo)
+    bins = (share * _HISTOGRAM_BINS).astype(np.intp)
+    return np.bincount(
+        np.minimum(bins, _HISTOGRAM_BINS - 1), minlength=_HISTOGRAM_BINS
+    )
+
+
+def _ignoring_nan(pick, a: float, b: float) -> float:
+    """``pick(a, b)`` where a NaN bound — an all-NaN side's — is no bound."""
+    return b if a != a else pick(a, b)
+
+
 @dataclass(frozen=True)
 class ColumnStatistics:
     """Summary statistics for one column (of a chunk or a whole table)."""
@@ -38,11 +68,20 @@ class ColumnStatistics:
             return cls(data_type, 0, 0, None, None, None)
         distinct = int(len(np.unique(values)))
         if data_type.is_numeric:
-            lo = float(values.min())
-            hi = float(values.max())
-            hist, _edges = np.histogram(
-                values.astype(np.float64), bins=_HISTOGRAM_BINS, range=(lo, hi)
-            )
+            # bounds and histogram describe the values a range predicate
+            # can match; NaN matches none. An all-NaN chunk has NaN bounds:
+            # every comparison with them is false, so zone maps prune it
+            # under an ordered predicate only — which it fails on every row
+            numbers = values.astype(np.float64)
+            if values.dtype.kind == "f":
+                numbers = numbers[~np.isnan(numbers)]
+            if len(numbers) == 0:
+                nan = float("nan")
+                hist = np.zeros(_HISTOGRAM_BINS, dtype=np.intp)
+                return cls(data_type, len(values), distinct, nan, nan, hist)
+            lo = float(numbers.min())
+            hi = float(numbers.max())
+            hist = _histogram(numbers, lo, hi)
             return cls(data_type, len(values), distinct, lo, hi, hist)
         # numpy 2.x does not implement min/max reductions on unicode arrays;
         # sorted unique values give us both bounds in one pass.
@@ -82,8 +121,8 @@ class ColumnStatistics:
             + other.avg_item_bytes * other.row_count
         ) / total_rows
         if self.data_type.is_numeric and self.histogram is not None:
-            lo = min(float(self.min_value), float(other.min_value))
-            hi = max(float(self.max_value), float(other.max_value))
+            lo = _ignoring_nan(min, float(self.min_value), float(other.min_value))
+            hi = _ignoring_nan(max, float(self.max_value), float(other.max_value))
             hist = None
             if other.histogram is not None:
                 hist = self.histogram + other.histogram

@@ -2,15 +2,12 @@
 
 A chunk's effective storage tier depends on the buffer pool's *current*
 contents, which change with every admission — baking it into a compiled
-plan would force a recompile on every pool movement. Instead, every plan
-consumer resolves the tier per execution through :func:`resolve_tier`,
-with the same semantics the executor and the cost model historically
-shared: a non-DRAM chunk that hits the pool behaves as DRAM for this
-access.
-
-``admit=True`` is the executor's accounted path (misses admit the chunk,
-hits refresh LRU order); ``admit=False`` is the side-effect-free peek used
-by probe-mode execution and analytic pricing.
+plan would force a recompile on every pool movement. Instead, the
+physical cost model resolves the tier per pricing through
+:func:`resolve_tier`: a non-DRAM chunk that hits the pool behaves as DRAM
+for this access. It only peeks — analytic pricing leaves no trace in the
+pool. The kernel's tier pass (:mod:`repro.dbms.kernel`) applies the same
+rule inline, admitting misses on an accounted execution.
 """
 
 from __future__ import annotations
@@ -25,25 +22,13 @@ if TYPE_CHECKING:
 
 
 def resolve_tier(
-    chunk: "Chunk",
-    table_name: str,
-    pool: "BufferPool",
-    admit: bool,
-) -> tuple[StorageTier, bool | None]:
-    """Effective tier of ``chunk`` for one access, and the pool outcome.
-
-    Returns ``(tier, hit)`` where ``hit`` is ``None`` for DRAM-resident
-    chunks (the pool is not consulted), ``True`` for a buffer-pool hit
-    (tier softened to DRAM), and ``False`` for a miss.
-    """
+    chunk: "Chunk", table_name: str, pool: "BufferPool"
+) -> StorageTier:
+    """Effective tier of ``chunk`` for one access: DRAM when it is
+    DRAM-resident or its non-DRAM copy sits in the pool, else its own."""
     tier = chunk.tier
     if tier is StorageTier.DRAM:
-        return tier, None
-    key = (table_name, chunk.chunk_id)
-    if admit:
-        hit = pool.access(key, chunk.data_bytes())
-    else:
-        hit = pool.peek(key)
-    if hit:
-        return StorageTier.DRAM, True
-    return tier, False
+        return tier
+    if pool.peek((table_name, chunk.chunk_id)):
+        return StorageTier.DRAM
+    return tier

@@ -46,9 +46,8 @@ class StepKind(enum.Enum):
 
 
 #: Metadata work charged for consulting chunk min/max statistics — a
-#: compile-time pricing fact, owned by the plan layer so the executor
-#: kernel, the scalar operators, and the physical cost model all charge
-#: the identical amount.
+#: compile-time pricing fact, owned by the plan layer so the execution
+#: kernel and the physical cost model charge the identical amount.
 PRUNE_CHECK_UNITS = 0.5
 
 

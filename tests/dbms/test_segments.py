@@ -449,15 +449,34 @@ def test_column_rows_refuse_what_encodings_disagree_on():
             answers.add(repr(_outcome(segment.compare, op, literal)))
         return len(answers) > 1
 
-    nan = np.array([1.0, np.nan, 2.0])
-    assert not ColumnRows([UnencodedSegment(nan, DataType.FLOAT)]).exact(1.5)
-    assert disagree(nan, DataType.FLOAT, ">=", 1.5)
     big = np.array([2**60, 2**60 + 1], dtype=np.int64)
     assert not ColumnRows([UnencodedSegment(big, DataType.INT)]).exact(2.0**60)
     assert disagree(big, DataType.INT, "=", 2.0**60)
     strings = _str_values()
     assert not ColumnRows([UnencodedSegment(strings, DataType.STRING)]).exact(5)
     assert disagree(strings, DataType.STRING, "<", 5)
+
+
+def test_every_encoding_answers_nan_as_numpy():
+    """A dictionary sorts NaN last, as one entry, yet NaN is above no
+    bound and equal to nothing: every float encoding answers a NaN row,
+    and a NaN literal, as numpy does — so a column with NaNs is exact."""
+    values = np.array([1.0, np.nan, 2.0, np.nan, -3.0])
+    rows = ColumnRows([UnencodedSegment(values, DataType.FLOAT)])
+    assert rows.exact(1.5)
+    for literal in (-5.0, -3.0, 1.5, 2.0, 9.0, np.nan):
+        for op in COMPARISON_OPS:
+            expected = _compare_array(values, op, literal)
+            for encoding in supported_encodings(DataType.FLOAT):
+                segment = encode_segment(values, DataType.FLOAT, encoding)
+                np.testing.assert_array_equal(
+                    segment.compare(op, literal), expected, (encoding, op, literal)
+                )
+    only_nan = DictionarySegment(np.array([np.nan, np.nan]), DataType.FLOAT)
+    for op in COMPARISON_OPS:
+        np.testing.assert_array_equal(
+            only_nan.compare(op, 0.0), [op == "!="] * 2, op
+        )
 
 
 # ----------------------------------------------------------------------

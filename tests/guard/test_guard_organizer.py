@@ -25,7 +25,6 @@ from repro.kpi.metrics import (
 )
 from repro.kpi.monitor import RuntimeKPIMonitor
 from repro.tuning import standard_features
-from repro.tuning.assessors import MiscalibratedAssessor
 from repro.tuning.features import (
     BufferPoolFeature,
     DataPlacementFeature,
@@ -34,6 +33,7 @@ from repro.tuning.features import (
 from repro.tuning.tuner import Tuner
 from repro.workload import swap_dominance
 from tests.conftest import run_closed_loop
+from tests.guard.miscalibrated import MiscalibratedAssessor
 
 # tv_threshold 1.0 isolates the regression watchdog: with only ~25
 # sampled queries per bin the template-mix noise sits far above the

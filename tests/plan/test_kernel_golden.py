@@ -1,11 +1,13 @@
-"""Golden tests: the vectorized kernel vs the retained scalar reference.
+"""Golden tests: the vectorized kernel vs the scalar reference.
 
 The kernel's contract is *bit-identical* simulated results — not "close",
 identical. Every test here builds two identically-seeded databases, runs
-the same query/mutation script through the kernel path on one and the
-scalar reference path (``QueryExecutor._run_scalar``) on the other, and
-compares every report field, work counter, aggregate, and materialised
-row with exact equality.
+the same query/mutation script through the product on one and, inside
+:func:`tests.reference.scalar_reference`, through the per-chunk loop
+(``scalar_run_plan``) on the other, and compares every report field, work
+counter, aggregate, and materialised row with exact equality. Each test
+also asserts that the reference ran: a count of 0 would mean the product
+was compared with itself.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from hypothesis import strategies as st
 
 from repro.dbms import Database, DataType, TableSchema
 from repro.dbms.knobs import BUFFER_POOL_KNOB, SCAN_THREADS_KNOB
-from repro.dbms.segments import COMPARISON_OPS, EncodingType
+from repro.dbms.segments import COMPARISON_OPS, EncodingType, _compare_array
 from repro.dbms.storage_tiers import StorageTier
 from repro.workload.predicate import Predicate
 from repro.workload.query import Query
+from tests.reference import scalar_reference
 
 ROWS = 4_000
 CHUNK = 500
@@ -162,9 +165,15 @@ def _run_script(
     return out
 
 
+def _same(a, b) -> bool:
+    """Equality, with a NaN equal to a NaN: an aggregate over NaN rows is
+    NaN on both paths."""
+    return a == b or (a != a and b != b)
+
+
 def _assert_identical(label: str, kernel, scalar) -> None:
     assert kernel.row_count == scalar.row_count, label
-    assert kernel.aggregate_value == scalar.aggregate_value, label
+    assert _same(kernel.aggregate_value, scalar.aggregate_value), label
     kr, sr = kernel.report, scalar.report
     for field in (
         "elapsed_ms",
@@ -194,20 +203,19 @@ def _assert_identical(label: str, kernel, scalar) -> None:
     else:
         assert kernel.rows is not None, label
         assert set(kernel.rows) == set(scalar.rows), label
-        for name in scalar.rows:
-            assert np.array_equal(kernel.rows[name], scalar.rows[name]), (
-                label,
-                name,
-            )
+        for name, column in scalar.rows.items():
+            assert np.array_equal(
+                kernel.rows[name], column, equal_nan=column.dtype.kind == "f"
+            ), (label, name)
 
 
 def _compare_paths(mutate, queries=QUERIES) -> None:
-    db_kernel = _build_db()
-    db_scalar = _build_db()
-    assert db_kernel.executor.use_kernel
-    db_scalar.executor.use_kernel = False
-    kernel_results = _run_script(db_kernel, mutate=mutate, queries=queries)
-    scalar_results = _run_script(db_scalar, mutate=mutate, queries=queries)
+    kernel_results = _run_script(_build_db(), mutate=mutate, queries=queries)
+    with scalar_reference() as calls:
+        scalar_results = _run_script(
+            _build_db(), mutate=mutate, queries=queries
+        )
+    assert calls.count == len(scalar_results) > 0
     assert len(kernel_results) == len(scalar_results)
     for (label, kernel), (slabel, scalar) in zip(
         kernel_results, scalar_results
@@ -299,14 +307,15 @@ def test_scan_units_are_the_scalar_left_fold():
         (Predicate("user", "=", 7), Predicate("kind", "=", "click")),
         aggregate="count",
     )
-    results = []
-    for use_kernel in (True, False):
-        db = _build_db()
+    dbs = [_build_db(), _build_db()]
+    for db in dbs:
         db.set_encoding("events", "user", EncodingType.DICTIONARY)
         db.set_encoding("events", "kind", EncodingType.DICTIONARY)
-        db.executor.use_kernel = use_kernel
-        results.append(db.executor.execute(query, db.table("events")))
-    kernel, scalar = results
+    kernel = dbs[0].executor.execute(query, dbs[0].table("events"))
+    with scalar_reference() as calls:
+        db = dbs[1]
+        scalar = db.executor.execute(query, db.table("events"))
+    assert calls.count == 1
     _assert_identical("left-fold", kernel, scalar)
 
     table = db.table("events")
@@ -335,19 +344,23 @@ def test_one_cached_plan_priced_across_a_placement_change():
     leaves DRAM, while it is cold, once it is pooled, and after it returns."""
     db_kernel = _build_db()
     db_scalar = _build_db()
-    db_scalar.executor.use_kernel = False
     for db in (db_kernel, db_scalar):
         db.create_index("events", ["user"])
     plans: dict[str, set[int]] = {}
+    reference_runs = 0
 
     def run_all(tag: str) -> None:
+        nonlocal reference_runs
         for label, query, materialize in QUERIES:
-            kernel, scalar = (
-                db.executor.execute(
-                    query, db.table("events"), materialize=materialize
-                )
-                for db in (db_kernel, db_scalar)
+            kernel = db_kernel.executor.execute(
+                query, db_kernel.table("events"), materialize=materialize
             )
+            # only the scalar database's calls run the reference
+            with scalar_reference() as calls:
+                scalar = db_scalar.executor.execute(
+                    query, db_scalar.table("events"), materialize=materialize
+                )
+            reference_runs += calls.count
             _assert_identical(f"{tag}:{label}", kernel, scalar)
             plan = db_kernel.planner.plan_for(query, db_kernel.table("events"))
             plans.setdefault(label, set()).add(id(plan.kernel().cache))
@@ -367,6 +380,7 @@ def test_one_cached_plan_priced_across_a_placement_change():
     run_all("dram-again")
     assert all(len(caches) == 1 for caches in plans.values()), plans
     assert db_kernel.planner.cache_stats.misses == len(QUERIES)
+    assert reference_runs == 5 * len(QUERIES) > 0
 
 
 # ----------------------------------------------------------------------
@@ -380,18 +394,26 @@ _ENCODINGS = {
 }
 
 
+#: float values, NaN among them; 2**48 and 2**48 + 0.5 are fewer than 32
+#: float64 steps apart, so no 32 bin edges fit between them
+_FLOATS = [-1.5, 0.0, 0.5, 2.25, 7.0, 1e12, float("nan"), 2.0**48, 2.0**48 + 0.5]
+
+
 @st.composite
 def _tables(draw):
-    """Appends of uneven sizes (one of a single row) into 16-row chunks,
-    strings of a different width per append, integers near 0 or near
-    2**46 (where a one-row chunk's histogram still has distinct bin
-    edges); then an encoding per chunk and column, and indexes on some
-    chunks."""
+    """Appends of uneven sizes (one of a single row, some of one repeated
+    value) into 16-row chunks, strings of a different width per append,
+    integers near 0, 2**46 or 2**48, floats with NaNs and values >= 2**47;
+    then an encoding per chunk and column, and indexes on some chunks."""
     sizes = draw(st.lists(st.integers(2, 40), min_size=1, max_size=4))
     sizes.insert(draw(st.integers(0, len(sizes))), 1)
-    base, stride = draw(st.sampled_from([(0, 1), (2**46, 2**10)]))
+    base, stride = draw(
+        st.sampled_from([(0, 1), (2**46, 2**10), (2**48, 2**10)])
+    )
     appends = []
     for size in sizes:
+        # one value per numeric column: chunks whose min equals their max
+        width = 1 if draw(st.booleans()) else size
         appends.append(
             {
                 "x": [
@@ -399,11 +421,12 @@ def _tables(draw):
                     for v in draw(
                         st.lists(
                             st.sampled_from(range(-20, 21)),
-                            min_size=size,
-                            max_size=size,
+                            min_size=width,
+                            max_size=width,
                         )
                     )
-                ],
+                ]
+                * (size // width),
                 "s": draw(
                     st.lists(
                         st.text(alphabet="abé", max_size=draw(st.integers(1, 4))),
@@ -413,11 +436,10 @@ def _tables(draw):
                 ),
                 "f": draw(
                     st.lists(
-                        st.sampled_from([-1.5, 0.0, 0.5, 2.25, 7.0, 1e12]),
-                        min_size=size,
-                        max_size=size,
+                        st.sampled_from(_FLOATS), min_size=width, max_size=width
                     )
-                ),
+                )
+                * (size // width),
             }
         )
     chunk_count = 0
@@ -436,7 +458,7 @@ def _tables(draw):
     return appends, encodings, indexes
 
 
-def _generated_db(spec, use_kernel: bool) -> Database:
+def _generated_db(spec) -> Database:
     appends, encodings, indexes = spec
     db = Database()
     schema = TableSchema.build(
@@ -459,7 +481,6 @@ def _generated_db(spec, use_kernel: bool) -> Database:
         db.set_encoding("gen", column, encoding, chunk_ids=[cid])
     for key, chunk_ids in indexes:
         db.create_index("gen", key, chunk_ids=chunk_ids)
-    db.executor.use_kernel = use_kernel
     return db
 
 
@@ -533,6 +554,33 @@ def _outcome(db: Database, query: Query, materialize: bool):
         return type(exc)
 
 
+def _numpy_answer(db: Database, query: Query):
+    """``(rows_matched, aggregate)`` of ``query`` from numpy alone: every
+    predicate compared over the table's decoded values, no plan — so a
+    chunk pruned, probed or scanned wrongly shows as a different answer."""
+    chunks = db.table("gen").chunks()
+
+    def decoded(name: str) -> np.ndarray:
+        return np.concatenate([chunk.segment(name).values() for chunk in chunks])
+
+    mask = np.ones(sum(chunk.row_count for chunk in chunks), dtype=bool)
+    for pred in query.predicates:
+        mask &= _compare_array(decoded(pred.column), pred.op, pred.value)
+    matched = int(mask.sum())
+    if query.aggregate is None:
+        return matched, None
+    if query.aggregate == "count":
+        return matched, float(matched)
+    values = decoded(query.aggregate_column)[mask]
+    if values.size == 0:
+        return matched, None
+    if values.dtype.kind == "U":
+        ordered = np.sort(values)
+        return matched, str(ordered[0] if query.aggregate == "min" else ordered[-1])
+    reduce = {"sum": np.sum, "avg": np.mean, "min": np.min, "max": np.max}
+    return matched, float(reduce[query.aggregate](values))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_property_kernel_equals_scalar_on_generated_tables(data):
@@ -541,26 +589,35 @@ def test_property_kernel_equals_scalar_on_generated_tables(data):
     kind — including those an encoding answers its own way, with its own
     exception: the kernel's batched data pass gives the scalar loop's
     every field, to the bit, on the first execution and on the cached
-    plan's second."""
+    plan's second. And what both return is what numpy finds in the
+    decoded table."""
     spec = data.draw(_tables())
     queries = data.draw(st.lists(_queries(spec), min_size=4, max_size=8))
-    kernel_db = _generated_db(spec, use_kernel=True)
-    scalar_db = _generated_db(spec, use_kernel=False)
+    kernel_db = _generated_db(spec)
+    scalar_db = _generated_db(spec)
     for query, materialize in queries + queries:
         kernel = _outcome(kernel_db, query, materialize)
-        scalar = _outcome(scalar_db, query, materialize)
+        with scalar_reference() as calls:
+            scalar = _outcome(scalar_db, query, materialize)
         label = (str(query), materialize)
         if isinstance(scalar, type) or isinstance(kernel, type):
             assert kernel == scalar, label
             continue
+        assert calls.count == 1, label
         _assert_identical(label, kernel, scalar)
         assert vars(kernel.report.work) == vars(scalar.report.work), label
         if scalar.rows is not None:
             for name, column in scalar.rows.items():
                 assert kernel.rows[name].dtype == column.dtype, (label, name)
+        try:
+            matched, aggregate = _numpy_answer(kernel_db, query)
+        except TypeError:  # a literal numpy cannot compare: no ground truth
+            continue
+        assert kernel.report.work.rows_matched == matched, label
+        assert _same(kernel.aggregate_value, aggregate), label
 
 
-def _two_chunk_db(use_kernel: bool, s_encodings) -> Database:
+def _two_chunk_db(s_encodings) -> Database:
     """Chunk 0: x in {1, 3}; chunk 1: x = 2 throughout. Neither zone map
     excludes ``x = 2``, which empties chunk 0 alone."""
     db = Database()
@@ -571,16 +628,16 @@ def _two_chunk_db(use_kernel: bool, s_encodings) -> Database:
     )
     for cid, encoding in enumerate(s_encodings):
         db.set_encoding("gen", "s", encoding, chunk_ids=[cid])
-    db.executor.use_kernel = use_kernel
     return db
 
 
 def _both_paths(s_encodings, predicates):
     query = Query("gen", predicates, aggregate="count")
-    return [
-        _outcome(_two_chunk_db(use_kernel, s_encodings), query, False)
-        for use_kernel in (True, False)
-    ]
+    kernel = _outcome(_two_chunk_db(s_encodings), query, False)
+    with scalar_reference() as calls:
+        scalar = _outcome(_two_chunk_db(s_encodings), query, False)
+    assert calls.count == 1
+    return [kernel, scalar]
 
 
 def test_kernel_raises_only_where_the_scalar_loop_reaches():

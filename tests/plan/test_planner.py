@@ -4,7 +4,7 @@ from repro.dbms.executor import QueryExecutor
 from repro.dbms.knobs import KnobRegistry, standard_knobs
 from repro.dbms.segments import EncodingType
 from repro.dbms.storage_tiers import StorageTier
-from repro.plan import StepKind
+from repro.plan import QueryPlanner, StepKind
 from repro.workload import Predicate, Query
 
 from tests.conftest import make_small_database
@@ -176,7 +176,9 @@ def test_standalone_executor_caches_plans_per_table():
     # the table and what the plan binds in it
     db = make_small_database(rows=1_000, chunk_size=1_000)
     twin = make_small_database(rows=1_000, chunk_size=1_000)
-    executor = QueryExecutor(db.hardware, KnobRegistry(standard_knobs()))
+    executor = QueryExecutor(
+        db.hardware, KnobRegistry(standard_knobs()), QueryPlanner()
+    )
     query = Query("events", (Predicate("user", "=", 7),))
     table = db.table("events")
     executor.execute(query, table)
