@@ -74,7 +74,7 @@ from repro.cost import (
     WhatIfOptimizer,
 )
 from repro.dbms import Database, DataType, EncodingType, StorageTier, TableSchema
-from repro.faults import FaultConfig, FaultInjector, FeatureQuarantine, RetryPolicy
+from repro.faults import FaultConfig, FaultInjector, FeatureQuarantine
 from repro.fleet import (
     FleetConfig,
     FleetDriver,
@@ -83,7 +83,7 @@ from repro.fleet import (
     build_fleet,
 )
 from repro.forecasting import Forecast, WorkloadAnalyzer, WorkloadPredictor
-from repro.guard import CommitGuard, GuardConfig
+from repro.guard import CommitGuard
 from repro.ordering import (
     DependenceAnalyzer,
     LPOrderOptimizer,
@@ -130,7 +130,6 @@ __all__ = [
     "FleetDriver",
     "FleetOrganizer",
     "Forecast",
-    "GuardConfig",
     "LPOrderOptimizer",
     "LatencyObjective",
     "LearnedCostModel",
@@ -150,7 +149,6 @@ __all__ = [
     "QueryPlanner",
     "RecursiveTuningPlanner",
     "ResourceBudget",
-    "RetryPolicy",
     "SlaConstraint",
     "StepKind",
     "StorageTier",

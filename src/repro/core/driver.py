@@ -41,7 +41,7 @@ class DriverConfig:
     #: the telemetry spine (spans, metric registry, sinks) shared by every
     #: component the driver wires up; see docs/telemetry.md
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    #: inject seeded action/probe faults when set; see docs/robustness.md
+    #: inject seeded action faults when set; see docs/robustness.md
     faults: FaultConfig | None = None
     #: tenant id labelling every event and span record this
     #: driver's components produce ('' = single-tenant; see docs/fleet.md)

@@ -37,10 +37,11 @@ from repro.core.triggers import (
 )
 from repro.dbms.database import Database
 from repro.errors import TuningAbortedError
+from repro.faults import quarantine
 from repro.faults.quarantine import Admission, FeatureQuarantine
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.guard.forecast_miss import ForecastMissVerdict
-from repro.guard.guard import CommitGuard, GuardConfig
+from repro.guard.guard import CommitGuard
 from repro.guard.regression import RegressionVerdict
 from repro.kpi.metrics import (
     WHATIF_CACHE_EVICTIONS,
@@ -101,13 +102,6 @@ class OrganizerConfig:
     #: when set, tune only the features whose single-tuning one-time costs
     #: fit this budget, ranked by impact per cost (Section III-A)
     tuning_time_budget_ms: float | None = None
-    #: quarantine a feature after this many consecutive failed applications
-    quarantine_after: int = 3
-    #: simulated ms a quarantined feature waits before a probation attempt
-    quarantine_probation_ms: float = 30 * 60_000.0
-    #: guarded-commit protocol: probation windows, regression watchdog,
-    #: and forecast-miss escalation (see repro.guard, docs/robustness.md)
-    guard: GuardConfig = field(default_factory=GuardConfig)
 
 
 @dataclass
@@ -182,11 +176,7 @@ class Organizer:
         )
         # per-feature circuit breaker: graceful degradation when a
         # feature's applications keep failing (see repro.faults)
-        self._quarantine = FeatureQuarantine(
-            threshold=self._config.quarantine_after,
-            probation_ms=self._config.quarantine_probation_ms,
-            registry=self._telemetry.registry,
-        )
+        self._quarantine = FeatureQuarantine(registry=self._telemetry.registry)
         self._planner = RecursiveTuningPlanner(
             db,
             tuners,
@@ -201,7 +191,6 @@ class Organizer:
         self._guard = CommitGuard(
             self._monitor,
             self._store,
-            config=self._config.guard,
             registry=self._telemetry.registry,
             events=self._events,
         )
@@ -422,8 +411,6 @@ class Organizer:
         immediately instead of waiting for the next periodic trigger.
         Returns the escalation pass report when one ran.
         """
-        if not self._config.guard.enabled:
-            return None
         now = self._db.clock.now_ms
         confirmed = self._guard.check_regression(now)
         if confirmed is not None:
@@ -470,7 +457,7 @@ class Organizer:
                     "kept regressing runtime KPIs",
                     feature=feature,
                     state="opened",
-                    probation_ms=self._config.quarantine_probation_ms,
+                    probation_ms=quarantine.PROBATION_MS,
                 )
         return report
 
@@ -591,7 +578,7 @@ class Organizer:
                     "consecutive failures",
                     feature=run.feature,
                     state="opened",
-                    probation_ms=self._config.quarantine_probation_ms,
+                    probation_ms=quarantine.PROBATION_MS,
                 )
 
     def _begin_pass(self, decision: TriggerDecision, label: str):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.configuration.delta import ConfigurationDelta
 from repro.cost.base import CostEstimator
@@ -46,9 +46,6 @@ from repro.telemetry.metrics import MetricRegistry
 from repro.util.lru import BoundedLRU, CacheStats
 from repro.workload.query import Query
 
-if TYPE_CHECKING:
-    from repro.faults.injector import FaultInjector
-
 #: Default bound on cached ``(query, footprint, placement)`` cost entries.
 DEFAULT_CACHE_SIZE = 4096
 
@@ -62,7 +59,6 @@ class WhatIfOptimizer:
         estimator: CostEstimator | None = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
         registry: MetricRegistry | None = None,
-        injector: "FaultInjector | None" = None,
     ) -> None:
         """With ``estimator=None`` costs are *measured* by probe-mode
         execution against real data (exact in the simulator); otherwise the
@@ -75,14 +71,9 @@ class WhatIfOptimizer:
         ``registry`` is the telemetry registry the cache counters live in
         (the driver passes its shared one); without it the optimizer keeps
         a private registry.
-
-        ``injector`` perturbs measured probe costs with seeded latency
-        spikes (see :meth:`FaultInjector.probe_spike_ms`), modelling the
-        measurement noise of what-if probing on a loaded system.
         """
         self._db = database
         self._estimator = estimator
-        self._injector = injector
         self._cache: BoundedLRU[tuple[Query, Footprint, tuple], float] = (
             BoundedLRU(cache_size)
         )
@@ -141,15 +132,10 @@ class WhatIfOptimizer:
     # pricing
 
     def _measured_cost(self, query: Query) -> float:
-        """One probe-mode execution, with injected measurement noise."""
+        """One probe-mode execution."""
         table = self._db.table(query.table)
         result = self._db.executor.execute(query, table, probe=True)
-        cost = result.report.elapsed_ms
-        if self._injector is not None:
-            # a spiked probe caches the spiked cost — exactly what a
-            # noisy measurement would do on a production system
-            cost += self._injector.probe_spike_ms()
-        return cost
+        return result.report.elapsed_ms
 
     def query_cost_ms(self, query: Query) -> float:
         """Cost of one query under the current (possibly hypothetical)

@@ -4,12 +4,11 @@ The paper's framework assumes reconfiguration actions succeed; real
 systems do not get that luxury. This package makes action failure a
 first-class, *deterministic* part of the simulation:
 
-- :class:`FaultInjector` / :class:`FaultConfig` — seeded per-action
-  failure dice, transient vs. permanent fault classes, latency spikes
-  on applications and what-if probes;
-- :class:`RetryPolicy` — capped exponential backoff in simulated time
-  for transient failures (used by the failure-aware executors in
-  :mod:`repro.tuning.executors`);
+- :class:`FaultInjector` / :class:`FaultConfig` — seeded failure dice
+  rolled per action application, transient vs. permanent fault classes;
+- :func:`~repro.faults.recovery.backoff_ms` — capped exponential backoff
+  in simulated time for transient failures (used by the failure-aware
+  executors in :mod:`repro.tuning.executors`);
 - :class:`FeatureQuarantine` — the organizer's per-feature circuit
   breaker that quarantines a feature after repeated failed
   applications and re-admits it on probation.
@@ -20,7 +19,6 @@ invariants.
 
 from repro.faults.injector import FaultConfig, FaultInjector
 from repro.faults.quarantine import Admission, FeatureQuarantine, QuarantineState
-from repro.faults.recovery import RetryPolicy
 
 __all__ = [
     "Admission",
@@ -28,5 +26,4 @@ __all__ = [
     "FaultInjector",
     "FeatureQuarantine",
     "QuarantineState",
-    "RetryPolicy",
 ]

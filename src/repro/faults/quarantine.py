@@ -2,11 +2,12 @@
 
 A feature whose applications keep failing (a broken enumerator, a
 structurally failing action, a hostile fault schedule) must not be
-allowed to abort every pass: after ``threshold`` *consecutive* failed
-applications the feature is quarantined — excluded from tuning — and
-re-admitted on probation once the probation window (simulated time) has
-passed. One probation success closes the breaker; one probation failure
-re-opens it for another full window. This is the organizer-level
+allowed to abort every pass: after :data:`FAILURE_THRESHOLD`
+*consecutive* failed applications the feature is quarantined — excluded
+from tuning — and re-admitted on probation once the probation window
+(:data:`PROBATION_MS` of simulated time) has passed. One probation
+success closes the breaker; one probation failure re-opens it for
+another full window. This is the organizer-level
 "constraint enforcement" of the paper's Section II-E extended to the
 loop's own reliability.
 """
@@ -18,6 +19,11 @@ from dataclasses import dataclass
 
 from repro.kpi.metrics import QUARANTINE_CLOSED, QUARANTINE_OPENED
 from repro.telemetry.metrics import MetricRegistry
+
+#: consecutive failed applications after which a feature is quarantined
+FAILURE_THRESHOLD = 3
+#: simulated ms a quarantined feature waits before a probation attempt
+PROBATION_MS = 30 * 60_000.0
 
 
 class QuarantineState(enum.Enum):
@@ -49,18 +55,7 @@ class _FeatureState:
 class FeatureQuarantine:
     """Tracks consecutive application failures per feature."""
 
-    def __init__(
-        self,
-        threshold: int = 3,
-        probation_ms: float = 30 * 60_000.0,
-        registry: MetricRegistry | None = None,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be at least 1")
-        if probation_ms < 0:
-            raise ValueError("probation_ms must be non-negative")
-        self.threshold = threshold
-        self.probation_ms = probation_ms
+    def __init__(self, registry: MetricRegistry | None = None) -> None:
         self._states: dict[str, _FeatureState] = {}
         registry = registry if registry is not None else MetricRegistry()
         self._opened = registry.counter(QUARANTINE_OPENED)
@@ -83,7 +78,7 @@ class FeatureQuarantine:
         if st is None or st.state is QuarantineState.CLOSED:
             return Admission.ADMITTED
         if st.state is QuarantineState.OPEN:
-            if now_ms - st.opened_at_ms >= self.probation_ms:
+            if now_ms - st.opened_at_ms >= PROBATION_MS:
                 st.state = QuarantineState.HALF_OPEN
                 return Admission.PROBATION
             return Admission.QUARANTINED
@@ -94,7 +89,7 @@ class FeatureQuarantine:
         st = self._states.get(feature)
         if st is None or st.state is not QuarantineState.OPEN:
             return 0.0
-        return max(0.0, st.opened_at_ms + self.probation_ms - now_ms)
+        return max(0.0, st.opened_at_ms + PROBATION_MS - now_ms)
 
     # ------------------------------------------------------------------
     # outcome feedback
@@ -106,7 +101,7 @@ class FeatureQuarantine:
         st.consecutive_failures += 1
         should_open = st.state is QuarantineState.HALF_OPEN or (
             st.state is QuarantineState.CLOSED
-            and st.consecutive_failures >= self.threshold
+            and st.consecutive_failures >= FAILURE_THRESHOLD
         )
         if should_open:
             st.state = QuarantineState.OPEN

@@ -143,16 +143,14 @@ class TenantContext:
             cost_maintenance.on_attach(database)
             run_design_exploration(database, cost_maintenance.model)
         # seeded fault injection (off unless configured): the injector
-        # gates executor applications and perturbs what-if probes, with
-        # its counters in the tenant's registry
+        # gates executor applications, with its counters in the tenant's
+        # registry
         injector: FaultInjector | None = None
         if config.faults is not None:
             injector = FaultInjector(
                 config.faults, registry=telemetry.registry
             )
-        optimizer = WhatIfOptimizer(
-            database, registry=telemetry.registry, injector=injector
-        )
+        optimizer = WhatIfOptimizer(database, registry=telemetry.registry)
         executor = SequentialExecutor(injector=injector, telemetry=telemetry)
         tuners: list[Tuner] = []
         for feature in features:

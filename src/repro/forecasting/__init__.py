@@ -1,11 +1,7 @@
 """The Workload Predictor component and its forecasting toolbox."""
 
 from repro.forecasting.accuracy import BacktestResult, backtest, mae, rmse, smape
-from repro.forecasting.analyzer import (
-    SEASONAL_PEAK_SCENARIO,
-    AnalyzerConfig,
-    WorkloadAnalyzer,
-)
+from repro.forecasting.analyzer import AnalyzerConfig, WorkloadAnalyzer
 from repro.forecasting.clustering import (
     TemplateCluster,
     cluster_templates,
@@ -47,7 +43,6 @@ __all__ = [
     "LinearTrend",
     "LogicalQuery",
     "NaiveLastValue",
-    "SEASONAL_PEAK_SCENARIO",
     "SeasonalNaive",
     "SimpleExponentialSmoothing",
     "TemplateCluster",

@@ -94,23 +94,3 @@ def backtest(
         mae=float(np.mean(all_mae)),
         smape=float(np.mean(all_smape)),
     )
-
-
-def residual_std(
-    model_factory: Callable[[], ForecastModel],
-    series: np.ndarray,
-    min_train: int = 8,
-) -> float:
-    """Standard deviation of one-step-ahead forecast errors.
-
-    Used by the analyzer to widen the expected scenario into a worst-case
-    scenario; larger model error ⇒ wider scenario spread.
-    """
-    series = np.asarray(series, dtype=float).ravel()
-    if series.size <= min_train:
-        return float(series.std()) if series.size > 1 else 0.0
-    errors = []
-    for origin in range(min_train, series.size):
-        predicted = model_factory().fit_predict(series[:origin], 1)[0]
-        errors.append(series[origin] - predicted)
-    return float(np.std(errors))

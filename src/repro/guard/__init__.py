@@ -7,7 +7,7 @@ from repro.guard.forecast_miss import (
     ForecastMissVerdict,
     total_variation,
 )
-from repro.guard.guard import CommitGuard, GuardConfig
+from repro.guard.guard import CommitGuard
 from repro.guard.regression import (
     RegressionDetector,
     RegressionStatus,
@@ -19,7 +19,6 @@ __all__ = [
     "CommitResolution",
     "ForecastMissDetector",
     "ForecastMissVerdict",
-    "GuardConfig",
     "RegressionDetector",
     "RegressionStatus",
     "RegressionVerdict",

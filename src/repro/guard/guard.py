@@ -15,8 +15,6 @@ and ``guard_*`` counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.configuration.actions import Action
 from repro.configuration.store import (
     CommitResolution,
@@ -26,6 +24,7 @@ from repro.configuration.store import (
 from repro.core.events import EventKind, EventLog
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.forecasting.scenarios import Forecast
+from repro.guard import forecast_miss
 from repro.guard.forecast_miss import (
     ForecastMissDetector,
     ForecastMissVerdict,
@@ -39,43 +38,21 @@ from repro.kpi.metrics import (
     GUARD_REGRESSIONS,
     GUARD_ROLLBACKS,
     GUARD_SUPERSEDED,
-    MEAN_QUERY_MS,
 )
 from repro.kpi.monitor import RuntimeKPIMonitor
 from repro.telemetry.metrics import MetricRegistry
 
 
-@dataclass(frozen=True)
-class GuardConfig:
-    """Policy parameters of the guarded-commit protocol."""
-
-    #: master switch; when off the organizer never opens probation
-    enabled: bool = True
-    #: KPI the regression watchdog compares (lower is better)
-    metric: str = MEAN_QUERY_MS
-    #: pre-commit busy samples averaged into the baseline
-    baseline_samples: int = 4
-    #: busy post-commit samples required before any regression verdict
-    min_samples: int = 3
-    #: post-commit samples after which an unconfirmed commit passes
-    probation_samples: int = 8
-    #: relative KPI regression over baseline that confirms a bad commit
-    regression_bound: float = 0.30
-    #: consecutive rolled-back commits of one feature before the guard
-    #: flags it as a repeat offender (the organizer then force-opens the
-    #: feature-quarantine breaker for it)
-    repeat_offender_after: int = 2
-    #: total-variation distance beyond which the observed mix is a miss.
-    #: Calibration: a dominance swap of the retail suite's heaviest and
-    #: lightest families moves ~0.25 TV, while Poisson noise on a stable
-    #: mix (averaged over the observed window) stays under ~0.1
-    tv_threshold: float = 0.20
-    #: consecutive missing observations before escalation
-    miss_patience: int = 2
-    #: simulated ms between forecast-miss escalations
-    escalation_cooldown_ms: float = 3 * 60_000.0
-
-
+#: pre-commit busy samples averaged into the baseline
+BASELINE_SAMPLES = 4
+#: post-commit samples after which an unconfirmed commit passes
+PROBATION_SAMPLES = 8
+#: consecutive rolled-back commits of one feature before the guard flags
+#: it as a repeat offender (the organizer then force-opens the
+#: feature-quarantine breaker for it)
+REPEAT_OFFENDER_AFTER = 2
+#: simulated ms between forecast-miss escalations
+ESCALATION_COOLDOWN_MS = 3 * 60_000.0
 #: recent bins averaged into the observed template mix
 OBSERVED_WINDOW_BINS = 3
 
@@ -93,24 +70,15 @@ class CommitGuard:
         self,
         monitor: RuntimeKPIMonitor,
         store: ConfigurationInstanceStorage,
-        config: GuardConfig | None = None,
         registry: MetricRegistry | None = None,
         events: EventLog | None = None,
     ) -> None:
         self._monitor = monitor
         self._store = store
-        self._config = config or GuardConfig()
         self._events = events if events is not None else EventLog()
         registry = registry if registry is not None else MetricRegistry()
-        self._detector = RegressionDetector(
-            metric=self._config.metric,
-            regression_bound=self._config.regression_bound,
-            min_samples=self._config.min_samples,
-        )
-        self._miss_detector = ForecastMissDetector(
-            threshold=self._config.tv_threshold,
-            patience=self._config.miss_patience,
-        )
+        self._detector = RegressionDetector()
+        self._miss_detector = ForecastMissDetector()
         self._forecast: Forecast | None = None
         self._last_escalation_ms: float | None = None
         #: feature → consecutive commits of it the watchdog rolled back
@@ -122,10 +90,6 @@ class CommitGuard:
         self._rollbacks = registry.counter(GUARD_ROLLBACKS)
         self._misses = registry.counter(GUARD_FORECAST_MISSES)
         self._escalations = registry.counter(GUARD_ESCALATIONS)
-
-    @property
-    def config(self) -> GuardConfig:
-        return self._config
 
     @property
     def active_commit(self) -> ConfigurationRecord | None:
@@ -154,16 +118,16 @@ class CommitGuard:
     ) -> ConfigurationRecord | None:
         """Put the pass just recorded on probation.
 
-        Returns ``None`` (no probation) when the guard is disabled or
-        the pass applied nothing reversible. The KPI baseline is taken
-        *now*, from the monitor history — which at commit time still
-        contains only pre-pass samples.
+        Returns ``None`` (no probation) when the pass applied nothing
+        reversible. The KPI baseline is taken *now*, from the monitor
+        history — which at commit time still contains only pre-pass
+        samples.
         """
-        if not self._config.enabled or not inverse_actions:
+        if not inverse_actions:
             return None
         now_ms = record.applied_at_ms
         baseline_ms, baseline_count = self._detector.baseline(
-            self._monitor.history(), self._config.baseline_samples
+            self._monitor.history(), BASELINE_SAMPLES
         )
         superseded = self._store.open_probation(
             record,
@@ -217,7 +181,7 @@ class CommitGuard:
         the caller then rolls back and calls :meth:`resolve_rollback`
         with the verdict.
         An unconfirmed commit whose probation window has elapsed
-        (``probation_samples`` post-commit samples) graduates here:
+        (:data:`PROBATION_SAMPLES` post-commit samples) graduates here:
         resolved PASSED, rollback material dropped.
         """
         commit = self._store.active
@@ -244,7 +208,7 @@ class CommitGuard:
                 samples=verdict.sample_count,
             )
             return commit, verdict
-        if len(post) >= self._config.probation_samples:
+        if len(post) >= PROBATION_SAMPLES:
             self._store.resolve(
                 CommitResolution.PASSED, now_ms, verdict.observed_ms
             )
@@ -272,7 +236,7 @@ class CommitGuard:
         is the confirmed regression that condemned it.
 
         Returns ``(commit, repeat_offenders)``: features whose last
-        ``repeat_offender_after`` commits were all rolled back. The
+        :data:`REPEAT_OFFENDER_AFTER` commits were all rolled back. The
         organizer force-opens the quarantine breaker for those — a
         feature the cost model keeps getting wrong must stop tuning, not
         keep oscillating. A flagged feature's streak resets so it gets a
@@ -285,7 +249,7 @@ class CommitGuard:
         offenders: list[str] = []
         for feature in commit.features:
             streak = self._regression_streaks.get(feature, 0) + 1
-            if streak >= self._config.repeat_offender_after:
+            if streak >= REPEAT_OFFENDER_AFTER:
                 offenders.append(feature)
                 self._regression_streaks.pop(feature, None)
             else:
@@ -297,18 +261,18 @@ class CommitGuard:
     ) -> ForecastMissVerdict | None:
         """Compare the observed template mix against the noted forecast.
 
-        Returns the verdict only when it escalates (``miss_patience``
-        consecutive observations outside the envelope, and no escalation
-        within the cooldown). No forecast noted, an all-idle observation
-        window, or a forecast with no mass all yield ``None`` — absence
-        of evidence never escalates.
+        Returns the verdict only when it escalates
+        (:data:`~repro.guard.forecast_miss.MISS_PATIENCE` consecutive
+        observations outside the envelope, and no escalation within the
+        cooldown). No forecast noted, an all-idle observation window, or
+        a forecast with no mass all yield ``None`` — absence of evidence
+        never escalates.
         """
-        if not self._config.enabled or self._forecast is None:
+        if self._forecast is None:
             return None
         if (
             self._last_escalation_ms is not None
-            and now_ms - self._last_escalation_ms
-            < self._config.escalation_cooldown_ms
+            and now_ms - self._last_escalation_ms < ESCALATION_COOLDOWN_MS
         ):
             return None
         observed = predictor.recent_scenario(
@@ -331,10 +295,10 @@ class CommitGuard:
             EventKind.GUARD,
             f"forecast miss escalated: observed mix is {verdict.distance:.2f}"
             f" TV from nearest scenario {verdict.nearest_scenario!r} "
-            f"for {self._config.miss_patience} consecutive observations",
+            f"for {forecast_miss.MISS_PATIENCE} consecutive observations",
             state="forecast_miss",
             distance=verdict.distance,
             nearest_scenario=verdict.nearest_scenario,
-            threshold=self._config.tv_threshold,
+            threshold=forecast_miss.TV_THRESHOLD,
         )
         return verdict

@@ -9,9 +9,9 @@ good commit:
 
 - idle samples (no queries executed in the interval) carry no evidence
   and are excluded from both windows;
-- a verdict needs at least ``min_samples`` busy post-commit samples;
+- a verdict needs at least :data:`MIN_SAMPLES` busy post-commit samples;
 - the regression must exceed a *relative* bound over the baseline
-  (``observed > baseline * (1 + regression_bound)``), which scales with
+  (``observed > baseline * (1 + REGRESSION_BOUND)``), which scales with
   the workload instead of chasing absolute milliseconds.
 """
 
@@ -22,6 +22,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.kpi.metrics import MEAN_QUERY_MS, QUERIES_EXECUTED, KPISample
+
+#: KPI the regression watchdog compares (lower is better)
+REGRESSION_METRIC = MEAN_QUERY_MS
+#: relative KPI regression over baseline that confirms a bad commit
+REGRESSION_BOUND = 0.30
+#: busy post-commit samples required before any regression verdict
+MIN_SAMPLES = 3
 
 
 class RegressionStatus(enum.Enum):
@@ -61,20 +68,6 @@ class RegressionVerdict:
 class RegressionDetector:
     """Noise-aware windowed KPI comparison against a pre-commit baseline."""
 
-    def __init__(
-        self,
-        metric: str = MEAN_QUERY_MS,
-        regression_bound: float = 0.30,
-        min_samples: int = 3,
-    ) -> None:
-        if regression_bound <= 0:
-            raise ValueError("regression_bound must be positive")
-        if min_samples < 1:
-            raise ValueError("min_samples must be at least 1")
-        self.metric = metric
-        self.regression_bound = regression_bound
-        self.min_samples = min_samples
-
     @staticmethod
     def busy(samples: Sequence[KPISample]) -> list[KPISample]:
         """Samples whose interval actually executed queries."""
@@ -91,30 +84,30 @@ class RegressionDetector:
         busy = self.busy(samples)[-last_n:]
         if not busy:
             return 0.0, 0
-        return sum(s.get(self.metric) for s in busy) / len(busy), len(busy)
+        return sum(s.get(REGRESSION_METRIC) for s in busy) / len(busy), len(busy)
 
     def evaluate(
         self, baseline_ms: float, samples: Sequence[KPISample]
     ) -> RegressionVerdict:
         """Compare post-commit ``samples`` against ``baseline_ms``."""
         busy = self.busy(samples)
-        if baseline_ms <= 0 or len(busy) < self.min_samples:
+        if baseline_ms <= 0 or len(busy) < MIN_SAMPLES:
             return RegressionVerdict(
                 status=RegressionStatus.PENDING,
-                metric=self.metric,
+                metric=REGRESSION_METRIC,
                 baseline_ms=baseline_ms,
                 observed_ms=0.0,
                 sample_count=len(busy),
             )
-        observed = sum(s.get(self.metric) for s in busy) / len(busy)
-        confirmed = observed > baseline_ms * (1.0 + self.regression_bound)
+        observed = sum(s.get(REGRESSION_METRIC) for s in busy) / len(busy)
+        confirmed = observed > baseline_ms * (1.0 + REGRESSION_BOUND)
         return RegressionVerdict(
             status=(
                 RegressionStatus.CONFIRMED
                 if confirmed
                 else RegressionStatus.CLEAR
             ),
-            metric=self.metric,
+            metric=REGRESSION_METRIC,
             baseline_ms=baseline_ms,
             observed_ms=observed,
             sample_count=len(busy),

@@ -61,8 +61,6 @@ PLAN_CACHE_HIT_RATE = "plan_cache_hit_rate"
 FAULTS_INJECTED = "faults_injected"
 FAULTS_TRANSIENT = "faults_transient"
 FAULTS_PERMANENT = "faults_permanent"
-FAULT_LATENCY_SPIKES = "fault_latency_spikes"
-FAULT_PROBE_SPIKES = "fault_probe_spikes"
 ACTION_RETRIES = "action_retries"
 ACTION_FAILURES = "action_failures"
 ROLLBACKS = "rollbacks"
@@ -74,8 +72,6 @@ FAULT_KPIS = (
     FAULTS_INJECTED,
     FAULTS_TRANSIENT,
     FAULTS_PERMANENT,
-    FAULT_LATENCY_SPIKES,
-    FAULT_PROBE_SPIKES,
     ACTION_RETRIES,
     ACTION_FAILURES,
     ROLLBACKS,

@@ -9,7 +9,7 @@ strategy is the batch width it is run with.
 Executors are **failure-aware**: an optional
 :class:`~repro.faults.injector.FaultInjector` gates every application
 attempt, transient failures are retried with capped exponential backoff
-in *simulated* time (:class:`~repro.faults.recovery.RetryPolicy`), and a
+in *simulated* time (:func:`~repro.faults.recovery.backoff_ms`), and a
 permanent failure rolls the partial pass back through the inverse
 actions collected so far, restoring the pre-pass configuration
 bit-identically before a
@@ -26,8 +26,8 @@ from repro.configuration.actions import Action
 from repro.configuration.delta import ConfigurationDelta
 from repro.dbms.database import Database
 from repro.errors import ActionError, TuningAbortedError
+from repro.faults import recovery
 from repro.faults.injector import FaultInjector
-from repro.faults.recovery import RetryPolicy
 from repro.kpi.metrics import (
     ACTION_FAILURES,
     ACTION_RETRIES,
@@ -107,11 +107,9 @@ class TuningExecutor(ABC):
     def __init__(
         self,
         injector: FaultInjector | None = None,
-        retry: RetryPolicy | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self._injector = injector
-        self._retry = retry if retry is not None else RetryPolicy()
         if telemetry is not None:
             self._tracer = telemetry.tracer
             registry = telemetry.registry
@@ -195,29 +193,25 @@ class TuningExecutor(ABC):
         """Apply one action through the raw path, retrying transients.
 
         Returns ``(cost_ms, inverse_actions)``. Cost is the pre-apply
-        estimate plus any injected latency spike — estimated *before*
-        the mutation, since estimates are state-dependent. Each retry
-        advances only the simulated clock by the policy backoff (waiting
-        is elapsed time, not reconfiguration work) and rolls the
-        injector dice again. Raises :class:`~repro.errors.ActionError`
+        estimate — taken *before* the mutation, since estimates are
+        state-dependent. Each retry advances only the simulated clock by
+        the backoff (waiting is elapsed time, not reconfiguration work)
+        and rolls the injector dice again. Raises :class:`~repro.errors.ActionError`
         once retries are exhausted or the fault is permanent.
         """
         attempt = 0
         while True:
             try:
-                extra_ms = (
+                if self._injector is not None:
                     self._injector.before_apply(action)
-                    if self._injector is not None
-                    else 0.0
-                )
-                cost = action.estimate_cost_ms(db) + extra_ms
+                cost = action.estimate_cost_ms(db)
                 inverse = action.apply_raw(db)
                 return cost, inverse
             except ActionError as exc:
                 self._failures_counter.inc()
-                if not exc.transient or attempt >= self._retry.max_retries:
+                if not exc.transient or attempt >= recovery.MAX_RETRIES:
                     raise
-                backoff = self._retry.backoff_ms(attempt)
+                backoff = recovery.backoff_ms(attempt)
                 db.clock.advance(backoff)
                 report.retries += 1
                 report.backoff_ms += backoff

@@ -16,7 +16,6 @@ from repro.configuration.delta import ConfigurationDelta
 from repro.dbms.database import Database
 from repro.errors import TuningError
 from repro.faults.injector import FaultInjector
-from repro.faults.recovery import RetryPolicy
 from repro.telemetry.facade import Telemetry
 from repro.tuning.executors.base import ApplicationReport, TuningExecutor
 
@@ -30,12 +29,11 @@ class ParallelExecutor(TuningExecutor):
         self,
         worker_count: int = 4,
         injector: FaultInjector | None = None,
-        retry: RetryPolicy | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         if worker_count < 1:
             raise TuningError("worker_count must be at least 1")
-        super().__init__(injector=injector, retry=retry, telemetry=telemetry)
+        super().__init__(injector=injector, telemetry=telemetry)
         self._worker_count = worker_count
 
     def execute(self, delta: ConfigurationDelta, db: Database) -> ApplicationReport:

@@ -5,6 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.configuration.constraints import (
+    DRAM_BYTES,
+    INDEX_MEMORY,
+    ConstraintSet,
+    ResourceBudget,
+)
 from repro.core.simulation import BinRecord, ClosedLoopSimulation
 from repro.dbms import Database, DataType, TableSchema
 from repro.errors import ActionError
@@ -14,6 +20,7 @@ from repro.forecasting.scenarios import (
     Forecast,
     WorkloadScenario,
 )
+from repro.util.units import MIB
 from repro.workload.benchmarks import BenchmarkSuite, build_retail_suite
 from repro.workload.trace import generate_trace
 
@@ -98,10 +105,6 @@ class ScriptedInjector:
             raise ActionError(
                 "scripted permanent", action=action.describe(), transient=False
             )
-        return 0.0
-
-    def probe_spike_ms(self):
-        return 0.0
 
 
 @pytest.fixture
@@ -114,6 +117,27 @@ def make_retail_suite() -> BenchmarkSuite:
     return build_retail_suite(
         orders_rows=20_000, inventory_rows=5_000, chunk_size=8_192
     )
+
+
+def make_dram_pressed_retail():
+    """Experiment E1's setup: a 25k/6k-row retail suite in 8,192-row
+    chunks with a 1 MiB index budget and a DRAM budget at 85% of the
+    data. Returns ``(suite, constraints)``."""
+    suite = build_retail_suite(
+        orders_rows=25_000, inventory_rows=6_000, chunk_size=8_192
+    )
+    data_bytes = sum(
+        chunk.memory_bytes()
+        for table in suite.database.catalog.tables()
+        for chunk in table.chunks()
+    )
+    constraints = ConstraintSet(
+        [
+            ResourceBudget(INDEX_MEMORY, 1 * MIB),
+            ResourceBudget(DRAM_BYTES, int(0.85 * data_bytes)),
+        ]
+    )
+    return suite, constraints
 
 
 def run_closed_loop(

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.configuration.actions import CreateIndexAction, SetKnobAction
+from repro.configuration.actions import SetKnobAction
 from repro.dbms.knobs import SCAN_THREADS_KNOB
 from repro.errors import ActionError
 from repro.faults import FaultConfig, FaultInjector
 from repro.kpi.metrics import (
-    FAULT_LATENCY_SPIKES,
-    FAULT_PROBE_SPIKES,
     FAULTS_INJECTED,
     FAULTS_PERMANENT,
     FAULTS_TRANSIENT,
@@ -23,15 +21,15 @@ def _schedule(injector: FaultInjector, rolls: int = 200) -> list[str]:
     outcomes = []
     for _ in range(rolls):
         try:
-            extra = injector.before_apply(_ACTION)
-            outcomes.append("spike" if extra > 0 else "ok")
+            injector.before_apply(_ACTION)
+            outcomes.append("ok")
         except ActionError as exc:
             outcomes.append("transient" if exc.transient else "permanent")
     return outcomes
 
 
 def test_same_seed_same_fault_schedule():
-    config = FaultConfig(seed=7, failure_rate=0.3, latency_spike_rate=0.2)
+    config = FaultConfig(seed=7, failure_rate=0.3)
     assert _schedule(FaultInjector(config)) == _schedule(FaultInjector(config))
 
 
@@ -53,21 +51,6 @@ def test_zero_rate_never_fails():
     assert all(o == "ok" for o in _schedule(injector))
 
 
-def test_per_action_override():
-    config = FaultConfig(
-        seed=3,
-        failure_rate=0.0,
-        per_action_failure_rate={"CreateIndexAction": 1.0},
-        transient_fraction=0.0,
-    )
-    injector = FaultInjector(config)
-    assert injector.before_apply(_ACTION) == 0.0  # knob flips stay safe
-    with pytest.raises(ActionError) as excinfo:
-        injector.before_apply(CreateIndexAction("orders", ("customer",)))
-    assert not excinfo.value.transient
-    assert "CREATE INDEX" in excinfo.value.action
-
-
 def test_transient_fraction_extremes():
     all_transient = FaultInjector(
         FaultConfig(seed=5, failure_rate=1.0, transient_fraction=1.0)
@@ -79,30 +62,13 @@ def test_transient_fraction_extremes():
     assert all(o == "permanent" for o in _schedule(all_permanent, rolls=50))
 
 
-def test_latency_spikes():
-    injector = FaultInjector(
-        FaultConfig(seed=0, latency_spike_rate=1.0, latency_spike_ms=123.0)
-    )
-    assert injector.before_apply(_ACTION) == 123.0
-
-
-def test_probe_spikes():
-    injector = FaultInjector(
-        FaultConfig(seed=0, probe_spike_rate=1.0, probe_spike_ms=7.5)
-    )
-    assert injector.probe_spike_ms() == 7.5
-    quiet = FaultInjector(FaultConfig(seed=0, probe_spike_rate=0.0))
-    assert quiet.probe_spike_ms() == 0.0
-
-
 def test_counters_in_registry():
     registry = MetricRegistry()
     injector = FaultInjector(
-        FaultConfig(seed=11, failure_rate=0.5, probe_spike_rate=1.0),
+        FaultConfig(seed=11, failure_rate=0.5),
         registry=registry,
     )
     outcomes = _schedule(injector, rolls=100)
-    injector.probe_spike_ms()
     values = registry.snapshot()
     failures = sum(1 for o in outcomes if o in ("transient", "permanent"))
     assert values[FAULTS_INJECTED] == failures
@@ -112,21 +78,21 @@ def test_counters_in_registry():
     assert values[FAULTS_PERMANENT] == sum(
         1 for o in outcomes if o == "permanent"
     )
-    assert values[FAULT_LATENCY_SPIKES] == 0
-    assert values[FAULT_PROBE_SPIKES] == 1
 
 
+# the faults CLI passes both rates in from the command line, where
+# "nan" and "inf" parse as floats too
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"failure_rate": 1.5},
         {"failure_rate": -0.1},
         {"transient_fraction": 2.0},
-        {"latency_spike_rate": -1.0},
-        {"probe_spike_rate": 1.01},
-        {"per_action_failure_rate": {"CreateIndexAction": 3.0}},
-        {"latency_spike_ms": -1.0},
-        {"probe_spike_ms": -0.5},
+        {"transient_fraction": -0.01},
+        {"failure_rate": float("nan")},
+        {"transient_fraction": float("nan")},
+        {"failure_rate": float("inf")},
+        {"transient_fraction": float("-inf")},
     ],
 )
 def test_config_validation(kwargs):

@@ -13,7 +13,7 @@ from repro.core.events import EventKind
 from repro.core.organizer import Organizer, OrganizerConfig
 from repro.core.triggers import NeverTrigger, PeriodicTrigger
 from repro.errors import ActionError
-from repro.faults import FaultConfig, QuarantineState
+from repro.faults import FaultConfig, FaultInjector, QuarantineState, quarantine
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
 from repro.forecasting.predictor import WorkloadPredictor
@@ -24,8 +24,6 @@ from repro.tuning.features import IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
 from tests.conftest import run_closed_loop
-
-PROBATION_MS = 5_000.0
 
 
 class SwitchableInjector:
@@ -41,10 +39,12 @@ class SwitchableInjector:
                 action=action.describe(),
                 transient=False,
             )
-        return 0.0
 
-    def probe_spike_ms(self):
-        return 0.0
+
+@pytest.fixture
+def quarantine_after_two(monkeypatch):
+    """A breaker that opens on the second consecutive failure."""
+    monkeypatch.setattr("repro.faults.quarantine.FAILURE_THRESHOLD", 2)
 
 
 def _organizer(retail_suite, injector):
@@ -59,12 +59,7 @@ def _organizer(retail_suite, injector):
         predictor,
         [Tuner(IndexSelectionFeature(), db)],
         constraints=ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)]),
-        config=OrganizerConfig(
-            horizon_bins=3,
-            min_history_bins=3,
-            quarantine_after=2,
-            quarantine_probation_ms=PROBATION_MS,
-        ),
+        config=OrganizerConfig(horizon_bins=3, min_history_bins=3),
         executor=SequentialExecutor(injector=injector),
     )
     return db, organizer
@@ -95,6 +90,7 @@ def test_failed_pass_rolls_back_and_logs_events(retail_suite):
     assert overall.outcomes == ()
 
 
+@pytest.mark.usefixtures("quarantine_after_two")
 def test_quarantine_opens_after_threshold_and_blocks(retail_suite):
     injector = SwitchableInjector()
     db, organizer = _organizer(retail_suite, injector)
@@ -122,12 +118,13 @@ def test_quarantine_opens_after_threshold_and_blocks(retail_suite):
     assert blocked and blocked[-1].data["remaining_ms"] > 0
 
 
+@pytest.mark.usefixtures("quarantine_after_two")
 def test_probation_readmits_and_success_closes(retail_suite):
     injector = SwitchableInjector()
     db, organizer = _organizer(retail_suite, injector)
     organizer.run_tuning()
     organizer.run_tuning()  # opens
-    db.clock.advance(PROBATION_MS)
+    db.clock.advance(quarantine.PROBATION_MS)
     injector.failing = False  # the fault condition cleared
     report = organizer.run_tuning()
     assert report is not None
@@ -144,12 +141,13 @@ def test_probation_readmits_and_success_closes(retail_suite):
     )
 
 
+@pytest.mark.usefixtures("quarantine_after_two")
 def test_probation_failure_reopens(retail_suite):
     injector = SwitchableInjector()
     db, organizer = _organizer(retail_suite, injector)
     organizer.run_tuning()
     organizer.run_tuning()  # opens
-    db.clock.advance(PROBATION_MS)
+    db.clock.advance(quarantine.PROBATION_MS)
     report = organizer.run_tuning()  # probation attempt, still failing
     assert report is not None
     assert report.tuning.failed_features == ("index_selection",)
@@ -214,6 +212,25 @@ def fault_free_tail_ms():
     return _closed_loop(None)[0]
 
 
+class _SpikeRollInjector(FaultInjector):
+    """Rolls one more die after each surviving application, as the
+    injector did when this case also drew latency spikes (whose delay
+    it no longer adds). Fault seeds 1-3 thereby keep the fault schedules
+    they were chosen with; with the plain injector seed 1 rolls no fault
+    in its 30 applications."""
+
+    def before_apply(self, action):
+        super().before_apply(action)
+        self._rng.random()
+
+
+@pytest.fixture
+def spike_roll_stream(monkeypatch):
+    """Fault drivers built by the wiring use the spike-rolling injector."""
+    monkeypatch.setattr("repro.fleet.context.FaultInjector", _SpikeRollInjector)
+
+
+@pytest.mark.usefixtures("spike_roll_stream")
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_closed_loop_converges_under_a_ten_percent_failure_rate(
     fault_free_tail_ms, seed
@@ -226,8 +243,6 @@ def test_closed_loop_converges_under_a_ten_percent_failure_rate(
             seed=seed,
             failure_rate=0.10,
             transient_fraction=0.75,
-            latency_spike_rate=0.05,
-            latency_spike_ms=250.0,
         )
     )
     snap = driver.context.telemetry.registry.snapshot()

@@ -1,14 +1,21 @@
 """Tests for the per-feature quarantine circuit breaker."""
 
-import pytest
-
 from repro.faults import Admission, FeatureQuarantine, QuarantineState
+from repro.faults.quarantine import FAILURE_THRESHOLD, PROBATION_MS
 from repro.kpi.metrics import QUARANTINE_CLOSED, QUARANTINE_OPENED
 from repro.telemetry.metrics import MetricRegistry
 
 
+def _trip(q, feature, now_ms):
+    """Fail ``feature`` until its breaker opens at ``now_ms``."""
+    for _ in range(FAILURE_THRESHOLD - 1):
+        assert not q.record_failure(feature, now_ms)
+    assert q.record_failure(feature, now_ms)
+
+
 def test_opens_after_k_consecutive_failures():
-    q = FeatureQuarantine(threshold=3, probation_ms=1000.0)
+    assert FAILURE_THRESHOLD == 3
+    q = FeatureQuarantine()
     assert not q.record_failure("idx", 0.0)
     assert not q.record_failure("idx", 1.0)
     assert q.state("idx") is QuarantineState.CLOSED
@@ -19,40 +26,42 @@ def test_opens_after_k_consecutive_failures():
 
 
 def test_success_resets_the_failure_streak():
-    q = FeatureQuarantine(threshold=2)
+    q = FeatureQuarantine()
     q.record_failure("idx", 0.0)
+    q.record_failure("idx", 1.0)
     q.record_success("idx")
-    assert not q.record_failure("idx", 1.0)  # streak restarted
+    assert not q.record_failure("idx", 2.0)  # streak restarted
     assert q.state("idx") is QuarantineState.CLOSED
     assert q.consecutive_failures("idx") == 1
 
 
 def test_probation_after_window_then_close_on_success():
-    q = FeatureQuarantine(threshold=1, probation_ms=1000.0)
-    q.record_failure("idx", 0.0)
-    assert q.admit("idx", 500.0) is Admission.QUARANTINED
-    assert q.remaining_ms("idx", 500.0) == 500.0
-    assert q.admit("idx", 1000.0) is Admission.PROBATION
+    q = FeatureQuarantine()
+    _trip(q, "idx", 0.0)
+    half = PROBATION_MS / 2
+    assert q.admit("idx", half) is Admission.QUARANTINED
+    assert q.remaining_ms("idx", half) == PROBATION_MS - half
+    assert q.admit("idx", PROBATION_MS) is Admission.PROBATION
     assert q.state("idx") is QuarantineState.HALF_OPEN
     assert q.record_success("idx")  # closed from probation
     assert q.state("idx") is QuarantineState.CLOSED
-    assert q.admit("idx", 1001.0) is Admission.ADMITTED
+    assert q.admit("idx", PROBATION_MS + 1.0) is Admission.ADMITTED
 
 
 def test_probation_failure_reopens_immediately():
-    q = FeatureQuarantine(threshold=3, probation_ms=1000.0)
-    for i in range(3):
-        q.record_failure("idx", float(i))
-    assert q.admit("idx", 2000.0) is Admission.PROBATION
+    q = FeatureQuarantine()
+    _trip(q, "idx", 0.0)
+    later = 2 * PROBATION_MS
+    assert q.admit("idx", later) is Admission.PROBATION
     # one failure on probation re-opens, regardless of the threshold
-    assert q.record_failure("idx", 2000.0)
+    assert q.record_failure("idx", later)
     assert q.state("idx") is QuarantineState.OPEN
-    assert q.remaining_ms("idx", 2000.0) == 1000.0
+    assert q.remaining_ms("idx", later) == PROBATION_MS
 
 
 def test_features_are_independent():
-    q = FeatureQuarantine(threshold=1)
-    q.record_failure("idx", 0.0)
+    q = FeatureQuarantine()
+    _trip(q, "idx", 0.0)
     assert q.admit("idx", 0.0) is Admission.QUARANTINED
     assert q.admit("compression", 0.0) is Admission.ADMITTED
     assert q.state("compression") is QuarantineState.CLOSED
@@ -60,28 +69,20 @@ def test_features_are_independent():
 
 def test_counters_track_open_and_close():
     registry = MetricRegistry()
-    q = FeatureQuarantine(threshold=1, probation_ms=100.0, registry=registry)
-    q.record_failure("idx", 0.0)
-    q.admit("idx", 100.0)
+    q = FeatureQuarantine(registry=registry)
+    _trip(q, "idx", 0.0)
+    q.admit("idx", PROBATION_MS)
     q.record_success("idx")
-    q.record_failure("idx", 200.0)
+    _trip(q, "idx", 2 * PROBATION_MS)
     snap = registry.snapshot()
     assert snap[QUARANTINE_OPENED] == 2
     assert snap[QUARANTINE_CLOSED] == 1
 
 
 def test_snapshot_view():
-    q = FeatureQuarantine(threshold=1, probation_ms=100.0)
-    q.record_failure("idx", 42.0)
+    q = FeatureQuarantine()
+    _trip(q, "idx", 42.0)
     snap = q.snapshot()
     assert snap["idx"]["state"] == "open"
-    assert snap["idx"]["consecutive_failures"] == 1
+    assert snap["idx"]["consecutive_failures"] == FAILURE_THRESHOLD
     assert snap["idx"]["opened_at_ms"] == 42.0
-
-
-@pytest.mark.parametrize(
-    "kwargs", [{"threshold": 0}, {"probation_ms": -1.0}]
-)
-def test_validation(kwargs):
-    with pytest.raises(ValueError):
-        FeatureQuarantine(**kwargs)

@@ -8,57 +8,25 @@ from repro.configuration.delta import ConfigurationDelta
 from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.knobs import SCAN_THREADS_KNOB
 from repro.errors import KnobError, TuningAbortedError
-from repro.faults import RetryPolicy
+from repro.faults import recovery
 from repro.tuning.executors import SequentialExecutor
 
 from tests.conftest import ScriptedInjector
 
 
 # ----------------------------------------------------------------------
-# RetryPolicy
+# backoff
 
 
 def test_backoff_grows_exponentially_and_caps():
-    policy = RetryPolicy(
-        max_retries=5, base_backoff_ms=50.0, multiplier=2.0, max_backoff_ms=150.0
-    )
-    assert policy.backoff_ms(0) == 50.0
-    assert policy.backoff_ms(1) == 100.0
-    assert policy.backoff_ms(2) == 150.0  # capped (would be 200)
-    assert policy.backoff_ms(3) == 150.0
-    assert policy.total_backoff_ms == 50.0 + 100.0 + 150.0 + 150.0 + 150.0
-
-
-def test_total_backoff_is_capped_per_delay():
-    # a steep multiplier hits the cap from the second retry on: the
-    # exhausted-sequence total must sum the *capped* delays, not the
-    # uncapped exponential
-    policy = RetryPolicy(
-        max_retries=4, base_backoff_ms=10.0, multiplier=10.0,
-        max_backoff_ms=100.0,
-    )
-    assert policy.total_backoff_ms == 10.0 + 100.0 + 100.0 + 100.0
-    # zero retries wait for nothing
-    assert RetryPolicy(max_retries=0).total_backoff_ms == 0.0
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"max_retries": -1},
-        {"base_backoff_ms": -1.0},
-        {"multiplier": 0.5},
-        {"base_backoff_ms": 100.0, "max_backoff_ms": 50.0},
-    ],
-)
-def test_retry_policy_validation(kwargs):
-    with pytest.raises(ValueError):
-        RetryPolicy(**kwargs)
+    assert recovery.MAX_BACKOFF_MS == 1_000.0
+    delays = [recovery.backoff_ms(attempt) for attempt in range(7)]
+    assert delays == [50.0, 100.0, 200.0, 400.0, 800.0, 1_000.0, 1_000.0]
 
 
 def test_backoff_rejects_negative_attempt():
     with pytest.raises(ValueError):
-        RetryPolicy().backoff_ms(-1)
+        recovery.backoff_ms(-1)
 
 
 # ----------------------------------------------------------------------
@@ -67,10 +35,8 @@ def test_backoff_rejects_negative_attempt():
 
 def test_transient_failures_retry_then_succeed(retail_suite):
     db = retail_suite.database
-    policy = RetryPolicy(max_retries=3, base_backoff_ms=50.0, multiplier=2.0)
     executor = SequentialExecutor(
         injector=ScriptedInjector(["transient", "transient", "ok"]),
-        retry=policy,
     )
     delta = ConfigurationDelta([CreateIndexAction("orders", ("customer",))])
     clock_before = db.clock.now_ms
@@ -93,15 +59,13 @@ def test_transient_failures_retry_then_succeed(retail_suite):
 
 def test_transient_exhaustion_becomes_abort(retail_suite):
     db = retail_suite.database
-    executor = SequentialExecutor(
-        injector=ScriptedInjector(["transient"] * 10),
-        retry=RetryPolicy(max_retries=1, base_backoff_ms=10.0),
-    )
+    executor = SequentialExecutor(injector=ScriptedInjector(["transient"] * 10))
     delta = ConfigurationDelta([CreateIndexAction("orders", ("customer",))])
     with pytest.raises(TuningAbortedError) as excinfo:
         executor.execute(delta, db)
     report = excinfo.value.report
-    assert report.retries == 1
+    assert report.retries == recovery.MAX_RETRIES == 3
+    assert report.backoff_ms == 50.0 + 100.0 + 200.0
     assert report.rolled_back
     assert excinfo.value.cause.transient
 

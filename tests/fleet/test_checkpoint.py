@@ -17,7 +17,7 @@ import pickle
 
 import pytest
 
-from repro.faults.recovery import RetryPolicy
+from repro.faults import FaultConfig
 from repro.fleet import (
     CheckpointError,
     FleetDriver,
@@ -135,14 +135,14 @@ def test_a_blob_with_attributes_the_build_no_longer_defines_resumes(
     first.run(HALF)
     for ctx in first.tenants:
         ctx.driver.store = ctx.store
-        ctx.driver._config.retry = RetryPolicy()
+        ctx.driver._config.retry = FaultConfig()
     first.checkpoint(tmp_path)
     del first
 
     resumed = FleetDriver.resume(tmp_path)
     for ctx in resumed.tenants:
         assert vars(ctx.driver)["store"] is ctx.store
-        assert isinstance(vars(ctx.driver._config)["retry"], RetryPolicy)
+        assert isinstance(vars(ctx.driver._config)["retry"], FaultConfig)
     assert _finish(resumed) == straight
 
 
@@ -217,19 +217,19 @@ def _rewrite_format_version(path, version):
 def test_checkpoint_of_another_format_version_is_refused(tmp_path):
     """A build reads its own FORMAT_VERSION only: another one is a clean
     per-file error that names both, never a tenant quarantine."""
-    assert FORMAT_VERSION == 6
+    assert FORMAT_VERSION == 7
     fleet = _build(1, checkpoint_dir=tmp_path, checkpoint_every=2)
     fleet.run(4)  # epochs 2 and 4 on disk
-    _rewrite_format_version(checkpoint_path(tmp_path, 4), 5)
+    _rewrite_format_version(checkpoint_path(tmp_path, 4), 6)
     with pytest.raises(
-        CheckpointError, match="format version 5; this build reads version 6"
+        CheckpointError, match="format version 6; this build reads version 7"
     ):
         load_checkpoint(checkpoint_path(tmp_path, 4))
     ckpt, path = latest_checkpoint(tmp_path)
     assert (ckpt.next_bin, path) == (2, checkpoint_path(tmp_path, 2))
 
-    _rewrite_format_version(checkpoint_path(tmp_path, 2), 7)
-    with pytest.raises(CheckpointError, match="version 5.*version 7"):
+    _rewrite_format_version(checkpoint_path(tmp_path, 2), 8)
+    with pytest.raises(CheckpointError, match="version 6.*version 8"):
         FleetDriver.resume(tmp_path)
     with pytest.raises(CheckpointError, match="every checkpoint failed"):
         fleet.restore(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ForecastError
-from repro.forecasting.accuracy import backtest, mae, residual_std, rmse, smape
+from repro.forecasting.accuracy import backtest, mae, rmse, smape
 from repro.forecasting.models import NaiveLastValue, SeasonalNaive
 
 
@@ -45,14 +45,3 @@ def test_backtest_rejects_short_series():
     with pytest.raises(ForecastError):
         backtest(NaiveLastValue, np.arange(5, dtype=float), horizon=4, folds=4)
 
-
-def test_residual_std_reflects_noise_level():
-    rng = np.random.default_rng(0)
-    quiet = 10 + rng.normal(0, 0.1, 60)
-    loud = 10 + rng.normal(0, 5.0, 60)
-    assert residual_std(NaiveLastValue, quiet) < residual_std(NaiveLastValue, loud)
-
-
-def test_residual_std_short_series_fallback():
-    assert residual_std(NaiveLastValue, np.array([1.0])) == 0.0
-    assert residual_std(NaiveLastValue, np.array([1.0, 3.0])) > 0.0

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ForecastError
-from repro.forecasting.analyzer import (
-    SEASONAL_PEAK_SCENARIO,
-    AnalyzerConfig,
-    WorkloadAnalyzer,
-)
+from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue, SeasonalNaive
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.forecasting.representation import logical_workload
@@ -34,37 +30,12 @@ def test_analyzer_produces_expected_and_worst_case():
         assert worst.frequency(key) >= expected.frequency(key)
 
 
-def test_analyzer_peak_scenario():
-    config = AnalyzerConfig(include_peak_scenario=True, period_bins=12)
-    analyzer = WorkloadAnalyzer(NaiveLastValue, config)
-    forecast = analyzer.analyze(_series(), {}, 4, 1000)
-    assert SEASONAL_PEAK_SCENARIO in forecast.scenario_names
-    peak = forecast.scenario(SEASONAL_PEAK_SCENARIO)
-    assert peak.total_executions >= forecast.expected.total_executions
-
-
 def test_analyzer_rejects_empty_input():
     analyzer = WorkloadAnalyzer(NaiveLastValue)
     with pytest.raises(ForecastError):
         analyzer.analyze({}, {}, 4, 1000)
     with pytest.raises(ForecastError):
         analyzer.analyze(_series(), {}, 0, 1000)
-
-
-def test_analyzer_config_validation():
-    with pytest.raises(ForecastError):
-        AnalyzerConfig(error_estimate="magic")
-    with pytest.raises(ForecastError):
-        AnalyzerConfig(expected_probability=0.0)
-    with pytest.raises(ForecastError):
-        AnalyzerConfig(include_peak_scenario=True, period_bins=None)
-
-
-def test_analyzer_backtest_error_mode():
-    config = AnalyzerConfig(error_estimate="backtest")
-    analyzer = WorkloadAnalyzer(NaiveLastValue, config)
-    forecast = analyzer.analyze(_series(length=16), {}, 2, 1000)
-    assert forecast.expected.total_executions > 0
 
 
 def _run_workload(db, n, seed):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.forecasting.scenarios import Forecast, WorkloadScenario
-from repro.guard import ForecastMissDetector, total_variation
+from repro.guard import ForecastMissDetector, forecast_miss, total_variation
 
 
 def _forecast(*scenarios):
@@ -92,15 +92,24 @@ def test_dominance_swap_distance():
 
 # ----------------------------------------------------------------------
 # ForecastMissDetector
+#
+# Against a forecast of family "a" alone, observing a:b at 3:1 is 0.25 TV
+# away (outside the product's 0.20 envelope) and 17:3 is 0.15 away
+# (inside it).
+
+_OUTSIDE = {"a": 3.0, "b": 1.0}
+_INSIDE = {"a": 17.0, "b": 3.0}
 
 
-def test_detector_validation():
-    with pytest.raises(ValueError):
-        ForecastMissDetector(threshold=0.0)
-    with pytest.raises(ValueError):
-        ForecastMissDetector(threshold=1.5)
-    with pytest.raises(ValueError):
-        ForecastMissDetector(patience=0)
+def test_the_envelope_is_the_products_threshold():
+    assert forecast_miss.TV_THRESHOLD == 0.20
+    forecast = _forecast(_scenario("expected", 1.0, a=10.0))
+    outside = ForecastMissDetector().observe(forecast, _OUTSIDE)
+    assert outside.distance == pytest.approx(0.25)
+    assert outside.miss
+    inside = ForecastMissDetector().observe(forecast, _INSIDE)
+    assert inside.distance == pytest.approx(0.15)
+    assert not inside.miss
 
 
 def test_nearest_scenario_wins():
@@ -108,44 +117,45 @@ def test_nearest_scenario_wins():
         _scenario("expected", 0.7, a=10.0),
         _scenario("worst_case", 0.3, b=10.0),
     )
-    detector = ForecastMissDetector(threshold=0.35, patience=2)
+    detector = ForecastMissDetector()
     # matching the worst case is not a miss: any scenario within the
     # threshold keeps the observation inside the envelope
-    verdict = detector.observe(forecast, {"b": 25.0})
+    verdict = detector.observe(forecast, {"a": 3.0, "b": 17.0})
     assert verdict.nearest_scenario == "worst_case"
-    assert verdict.distance == pytest.approx(0.0)
+    assert verdict.distance == pytest.approx(0.15)
     assert not verdict.miss
     assert detector.streak == 0
 
 
 def test_streak_resets_on_hit():
     forecast = _forecast(_scenario("expected", 1.0, a=10.0))
-    detector = ForecastMissDetector(threshold=0.35, patience=3)
-    assert detector.observe(forecast, {"b": 10.0}).miss
+    detector = ForecastMissDetector()
+    assert detector.observe(forecast, _OUTSIDE).miss
     assert detector.streak == 1
-    assert not detector.observe(forecast, {"a": 10.0}).miss
+    assert not detector.observe(forecast, _INSIDE).miss
     assert detector.streak == 0
 
 
 def test_escalates_at_patience_and_resets():
+    assert forecast_miss.MISS_PATIENCE == 2
     forecast = _forecast(_scenario("expected", 1.0, a=10.0))
-    detector = ForecastMissDetector(threshold=0.35, patience=2)
-    first = detector.observe(forecast, {"b": 10.0})
+    detector = ForecastMissDetector()
+    first = detector.observe(forecast, _OUTSIDE)
     assert first.miss and not first.escalate
-    second = detector.observe(forecast, {"b": 10.0})
+    second = detector.observe(forecast, _OUTSIDE)
     assert second.escalate
     assert second.streak == 2  # reports the streak that fired
     # escalation consumed the streak: a full patience window is needed
     # before the detector can fire again
     assert detector.streak == 0
-    third = detector.observe(forecast, {"b": 10.0})
+    third = detector.observe(forecast, _OUTSIDE)
     assert third.miss and not third.escalate
 
 
 def test_reset_forgets_the_streak():
     forecast = _forecast(_scenario("expected", 1.0, a=10.0))
-    detector = ForecastMissDetector(threshold=0.35, patience=2)
-    detector.observe(forecast, {"b": 10.0})
+    detector = ForecastMissDetector()
+    detector.observe(forecast, _OUTSIDE)
     detector.reset()
     assert detector.streak == 0
-    assert not detector.observe(forecast, {"b": 10.0}).escalate
+    assert not detector.observe(forecast, _OUTSIDE).escalate

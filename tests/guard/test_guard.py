@@ -13,7 +13,6 @@ from repro.forecasting.scenarios import Forecast, WorkloadScenario
 from repro.guard import (
     CommitGuard,
     CommitResolution,
-    GuardConfig,
     RegressionStatus,
     RegressionVerdict,
 )
@@ -74,29 +73,22 @@ def _forecast(**frequencies):
     )
 
 
-def _config(**overrides):
-    base = dict(
-        baseline_samples=2,
-        min_samples=2,
-        probation_samples=4,
-        regression_bound=0.30,
-        repeat_offender_after=2,
-        tv_threshold=0.20,
-        miss_patience=2,
-        escalation_cooldown_ms=1_000.0,
-    )
-    base.update(overrides)
-    return GuardConfig(**base)
+@pytest.fixture(autouse=True)
+def short_windows(monkeypatch):
+    """Windows a handful of synthetic samples can fill."""
+    monkeypatch.setattr("repro.guard.guard.BASELINE_SAMPLES", 2)
+    monkeypatch.setattr("repro.guard.regression.MIN_SAMPLES", 2)
+    monkeypatch.setattr("repro.guard.guard.PROBATION_SAMPLES", 4)
+    monkeypatch.setattr("repro.guard.guard.ESCALATION_COOLDOWN_MS", 1_000.0)
 
 
-def _guard(config=None, monitor=None):
-    monitor = monitor or FakeMonitor()
+def _guard():
+    monitor = FakeMonitor()
     registry = MetricRegistry()
     events = EventLog()
     guard = CommitGuard(
         monitor,
         ConfigurationInstanceStorage(),
-        config=config or _config(),
         registry=registry,
         events=events,
     )
@@ -139,11 +131,7 @@ def test_probation_opens_with_pre_commit_baseline():
     assert event.data["state"] == "on_probation"
 
 
-def test_no_probation_when_disabled_or_nothing_reversible():
-    guard, monitor, _, _ = _guard(config=_config(enabled=False))
-    monitor.add(1.0, 5.0)
-    assert _open(guard, now_ms=10.0) is None
-
+def test_no_probation_when_nothing_reversible():
     guard, monitor, _, _ = _guard()
     monitor.add(1.0, 5.0)
     assert _open(guard, now_ms=10.0, inverse_actions=()) is None

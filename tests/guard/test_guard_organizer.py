@@ -14,7 +14,7 @@ from repro.core.triggers import (
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
 from repro.forecasting.predictor import WorkloadPredictor
-from repro.guard import CommitResolution, GuardConfig
+from repro.guard import CommitResolution, guard
 from repro.kpi.metrics import (
     GUARD_COMMITS,
     GUARD_ESCALATIONS,
@@ -35,28 +35,18 @@ from repro.workload import swap_dominance
 from tests.conftest import run_closed_loop
 from tests.guard.miscalibrated import MiscalibratedAssessor
 
-# tv_threshold 1.0 isolates the regression watchdog: with only ~25
-# sampled queries per bin the template-mix noise sits far above the
-# trace-level calibration of the default threshold (the forecast-miss
-# path has its own unit tests and the closed-loop cases at the end)
-GUARD = GuardConfig(
-    baseline_samples=3,
-    min_samples=2,
-    probation_samples=4,
-    regression_bound=0.30,
-    tv_threshold=1.0,
-)
-# the closed-loop cases run whole traces, so the default tv_threshold
-# applies and the windows can be longer
-LOOP_GUARD = GuardConfig(
-    baseline_samples=4,
-    min_samples=3,
-    probation_samples=8,
-    regression_bound=0.30,
-)
+
+@pytest.fixture
+def regression_watchdog_only(monkeypatch):
+    """A forecast-miss threshold of 1.0 isolates the regression watchdog:
+    with only ~25 sampled queries per bin the template-mix noise sits far
+    above the trace-level calibration of the product threshold (the
+    forecast-miss path has its own unit tests and the closed-loop cases
+    at the end, which run whole traces under the product's constants)."""
+    monkeypatch.setattr("repro.guard.forecast_miss.TV_THRESHOLD", 1.0)
 
 
-def _organizer(retail_suite, tuners, guard=GUARD):
+def _organizer(retail_suite, tuners):
     db = retail_suite.database
     predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))
     monitor = RuntimeKPIMonitor(db)
@@ -65,9 +55,7 @@ def _organizer(retail_suite, tuners, guard=GUARD):
         predictor,
         tuners,
         monitor=monitor,
-        config=OrganizerConfig(
-            horizon_bins=3, min_history_bins=3, guard=guard
-        ),
+        config=OrganizerConfig(horizon_bins=3, min_history_bins=3),
     )
     return db, organizer, predictor, monitor
 
@@ -90,6 +78,7 @@ def _observed_by_commit(events):
     }
 
 
+@pytest.mark.usefixtures("regression_watchdog_only")
 def test_committed_pass_enters_and_passes_probation(retail_suite):
     db, organizer, predictor, monitor = _organizer(
         retail_suite, [Tuner(IndexSelectionFeature(), retail_suite.database)]
@@ -107,9 +96,9 @@ def test_committed_pass_enters_and_passes_probation(retail_suite):
     registry = organizer.telemetry.registry
     assert registry.snapshot()[GUARD_COMMITS] == 1
 
-    # a healthy workload graduates the commit after probation_samples
+    # a healthy workload graduates the commit after PROBATION_SAMPLES
     after_commit = ConfigurationInstance.capture(db)
-    for i in range(GUARD.probation_samples):
+    for i in range(guard.PROBATION_SAMPLES):
         _run_bin(retail_suite, db, predictor, monitor, seed=200 + i)
         assert organizer.guard_tick() is None
     assert organizer.guard.active_commit is None
@@ -153,7 +142,7 @@ def test_miscalibrated_commit_is_detected_and_rolled_back(retail_suite):
     # same workload, now measurably slower: the watchdog confirms within
     # the probation window and the organizer rolls back bit-identically
     regressed_ms = []
-    for i in range(GUARD.probation_samples):
+    for i in range(guard.PROBATION_SAMPLES):
         regressed_ms.append(
             _run_bin(retail_suite, db, predictor, monitor, seed=200 + i)
         )
@@ -189,31 +178,13 @@ def test_miscalibrated_commit_is_detected_and_rolled_back(retail_suite):
         assert organizer.guard.regression_streak(feature) == 1
 
 
-def test_guard_disabled_retains_nothing(retail_suite):
-    db, organizer, predictor, monitor = _organizer(
-        retail_suite,
-        [Tuner(IndexSelectionFeature(), retail_suite.database)],
-        guard=GuardConfig(enabled=False),
-    )
-    for i in range(4):
-        _run_bin(retail_suite, db, predictor, monitor, seed=100 + i)
-    report = organizer.run_tuning()
-    assert report is not None
-    assert organizer.guard.active_commit is None
-    (record,) = organizer.store.history()
-    assert record.commit_id is None and record.inverse_actions == ()
-    assert organizer.guard_tick() is None
-
-
 def test_driver_wires_guard_into_shared_registry(retail_suite):
     db = retail_suite.database
     driver = Driver(
         [IndexSelectionFeature()],
         triggers=[NeverTrigger()],
         config=DriverConfig(
-            organizer=OrganizerConfig(
-                horizon_bins=2, min_history_bins=2, guard=GUARD
-            )
+            organizer=OrganizerConfig(horizon_bins=2, min_history_bins=2)
         ),
     )
     db.plugin_host.attach(driver)
@@ -243,9 +214,7 @@ def _closed_loop(seed, bins, tune_every_bins, swap_at=None):
         standard_features()[:2],
         triggers=[PeriodicTrigger(every_ms=tune_every_bins * 60_000.0)],
         config=DriverConfig(
-            organizer=OrganizerConfig(
-                horizon_bins=3, min_history_bins=3, guard=LOOP_GUARD
-            )
+            organizer=OrganizerConfig(horizon_bins=3, min_history_bins=3)
         ),
     )
     run_closed_loop(

@@ -7,7 +7,7 @@ from repro.configuration.config import ConfigurationInstance
 from repro.configuration.delta import ConfigurationDelta
 from repro.dbms.knobs import SCAN_THREADS_KNOB
 from repro.errors import ActionError, KnobError, TuningAbortedError
-from repro.faults import RetryPolicy
+from repro.faults import recovery
 from repro.kpi.metrics import (
     ACTION_FAILURES,
     ACTION_RETRIES,
@@ -101,14 +101,15 @@ def test_parallel_transient_retry_keeps_batch_semantics(retail_suite):
     executor = ParallelExecutor(
         worker_count=2,
         injector=ScriptedInjector(["transient", "ok", "ok", "ok"]),
-        retry=RetryPolicy(max_retries=2, base_backoff_ms=25.0),
     )
     clock_before = db.clock.now_ms
     report = executor.execute(_delta(), db)
     assert report.retries == 1
-    assert report.backoff_ms == 25.0
+    assert report.backoff_ms == recovery.BASE_BACKOFF_MS
     costs = report.action_costs_ms
-    expected_elapsed = 25.0 + max(costs[0], costs[1]) + costs[2]
+    expected_elapsed = (
+        recovery.BASE_BACKOFF_MS + max(costs[0], costs[1]) + costs[2]
+    )
     assert db.clock.now_ms - clock_before == pytest.approx(expected_elapsed)
     assert report.elapsed_ms == pytest.approx(expected_elapsed)
 
@@ -118,7 +119,6 @@ def test_executor_counters_flow_through_telemetry(retail_suite):
     telemetry = Telemetry(db.clock)
     executor = SequentialExecutor(
         injector=ScriptedInjector(["ok", "transient", "permanent"]),
-        retry=RetryPolicy(max_retries=5, base_backoff_ms=10.0),
         telemetry=telemetry,
     )
     with pytest.raises(TuningAbortedError):
