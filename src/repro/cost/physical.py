@@ -14,11 +14,26 @@ than the engine.
 from __future__ import annotations
 
 from repro.cost.base import CostEstimator
+from repro.dbms.chunk import Chunk
 from repro.dbms.database import Database
+from repro.dbms.executor import BufferPool
 from repro.dbms.knobs import SCAN_THREADS_KNOB
-from repro.plan.binder import resolve_tier
+from repro.dbms.storage_tiers import StorageTier
 from repro.plan.ir import PRUNE_CHECK_UNITS, PlanStep, StepKind
 from repro.workload.query import Query
+
+
+def _resolve_tier(chunk: Chunk, table_name: str, pool: BufferPool) -> StorageTier:
+    """Effective tier of ``chunk`` for one pricing: DRAM when it is
+    DRAM-resident or its non-DRAM copy sits in the pool, else its own.
+    A tier is not part of a plan, since the pool changes with every
+    admission; the kernel's tier pass applies the same rule inline."""
+    tier = chunk.tier
+    if tier is StorageTier.DRAM:
+        return tier
+    if pool.peek((table_name, chunk.chunk_id)):
+        return StorageTier.DRAM
+    return tier
 
 
 class PhysicalCostModel(CostEstimator):
@@ -68,8 +83,8 @@ class PhysicalCostModel(CostEstimator):
 
         plan = db.planner.plan_for(query, table)
         for chunk, step in zip(table.chunks(), plan.steps, strict=True):
-            # analytic pricing never mutates the pool: resolve_tier peeks
-            tier = resolve_tier(chunk, table.name, pool)
+            # analytic pricing never mutates the pool: _resolve_tier peeks
+            tier = _resolve_tier(chunk, table.name, pool)
             scan_units, probe_units, live = self._estimate_step(chunk, step)
             total += hardware.scan_ms(scan_units, tier, threads)
             total += hardware.probe_ms(probe_units, tier)

@@ -208,8 +208,8 @@ class QueryExecutor:
         plan = self._planner.plan_for(query, table)
         # the aggregate spec and projected-column list derive from the
         # query and schema alone, both frozen for the plan's lifetime —
-        # memoised on the plan object like its kernel arrays
-        preamble = plan.__dict__.get("_exec_preamble")
+        # kept in the plan's memo beside what the kernel binds
+        preamble = plan.memo.get("preamble")
         if preamble is None:
             agg_spec = (
                 AggregateSpec(query.aggregate, query.aggregate_column)
@@ -221,7 +221,7 @@ class QueryExecutor:
                 if query.projection is not None
                 else list(table.schema.column_names)
             )
-            object.__setattr__(plan, "_exec_preamble", (agg_spec, projected))
+            plan.memo["preamble"] = (agg_spec, projected)
         else:
             agg_spec, projected = preamble
         work, scan_ms, probe_ms, agg_values, out_columns = run_plan(

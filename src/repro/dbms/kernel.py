@@ -1,13 +1,14 @@
 """The vectorized plan-execution kernel.
 
 :func:`run_plan` is the executor's one execution path, the batched form
-of a per-chunk loop. It consumes the compile-time arrays a plan carries
-(:class:`~repro.plan.kernel.PlanKernel`) and restructures one execution
-into three passes:
+of a per-chunk loop. It runs from the plan's own steps: on a plan's first
+execution one pass over :attr:`~repro.plan.ir.PhysicalPlan.steps` binds
+everything later executions reuse, and keeps it in the plan's ``memo``.
+Each execution is then three passes:
 
 1. **Data pass** — the pruned majority of steps never enters it: their
-   zone-map charges were frozen into ``fixed_scan_tuple`` at compile
-   time. Each maximal *run* of consecutive scanned chunks is evaluated at
+   zone-map charges were settled into the fixed charges when the plan
+   was bound. Each maximal *run* of consecutive scanned chunks is evaluated at
    once over the table's rows (:meth:`~repro.dbms.table.Table.rows`):
    one ufunc per predicate over the run's row slice, each predicate bound
    once per compiled plan and run, the masks combined with ``&=``, and
@@ -43,8 +44,7 @@ from repro.dbms.hardware import NS_PER_MS, HardwareProfile
 from repro.dbms.operators import AggregateSpec, WorkSummary
 from repro.dbms.segments import ColumnRows, Segment, _compare_array
 from repro.dbms.storage_tiers import StorageTier
-from repro.plan.ir import PhysicalPlan, StepKind
-from repro.plan.kernel import LiveStep
+from repro.plan.ir import PRUNE_CHECK_UNITS, PhysicalPlan, PlanStep, StepKind
 
 if TYPE_CHECKING:
     from repro.dbms.chunk import Chunk
@@ -73,13 +73,13 @@ class _Run:
         table: "Table",
         chunks: tuple["Chunk", ...],
         starts: list[int],
-        steps: tuple[LiveStep, ...],
+        steps: tuple[PlanStep, ...],
+        positions: tuple[int, ...],
     ) -> None:
-        positions = tuple(step.position for step in steps)
         start = starts[positions[0]]
         self.positions = positions
         #: per chunk, the projected output bytes of a matched row
-        self.row_bytes = tuple(step.width for step in steps)
+        self.row_bytes = tuple(steps[i].output_width for i in positions)
         self.start = start
         self.stop = starts[positions[-1] + 1]
         #: each chunk's first row within the run
@@ -88,7 +88,8 @@ class _Run:
             dtype=np.int32 if self.stop - start < 2**31 else np.int64,
         )
         bound = []
-        for column, op, value in steps[0].predicates:
+        for pred in steps[positions[0]].scan_predicates:
+            column, op, value = pred.column, pred.op, pred.value
             segments = [chunks[i].segment(column) for i in positions]
             rows = table.rows(column)
             if rows.exact(value):
@@ -140,25 +141,67 @@ def _bind_each(
     return np.concatenate(masks).copy, tuple(raisers)
 
 
-def _bind_step(live: LiveStep, chunk: "Chunk") -> tuple:
+def _bind_step(position: int, step: PlanStep, chunk: "Chunk") -> tuple:
     """An index probe, or a scan without predicates, run per step:
-    ``(live step, index, residual predicates)``."""
-    if live.step.kind is not StepKind.INDEX_PROBE:
-        return live, None, ()
+    ``(position, step, index, residual predicates)``."""
+    if step.kind is not StepKind.INDEX_PROBE:
+        return position, step, None, ()
     # residuals filter the values gathered at the probed rows
     preds = []
-    for column, op, value in live.predicates:
-        segment = chunk.segment(column)
+    for pred in step.scan_predicates:
+        segment = chunk.segment(pred.column)
         preds.append(
             (
                 segment.take,
                 segment.scan_units,
                 segment.scan_overhead_units(),
-                op,
-                value,
+                pred.op,
+                pred.value,
             )
         )
-    return live, chunk.index(live.index_key), tuple(preds)
+    return position, step, chunk.index(step.index_key), tuple(preds)
+
+
+def _bind(
+    steps: tuple[PlanStep, ...], table: "Table", chunks: tuple["Chunk", ...]
+) -> tuple[list, tuple[float, ...], int]:
+    """One pass over a plan's steps: ``(items, fixed charges, index-probe
+    count)``. Items are the runs of scanned chunks and the per-step index
+    probes and predicate-less scans, in plan order; the fixed charges are
+    each step's compile-time scan units — the zone-map checks of a pruned
+    step, 0 elsewhere, where the data pass fills in the work."""
+    starts = [0]
+    for chunk in chunks:
+        starts.append(starts[-1] + chunk.row_count)
+    items: list = []
+    fixed: list[float] = []
+    index_count = 0
+    run: list[int] = []
+
+    def close_run() -> None:
+        if run:
+            items.append(_Run(table, chunks, starts, steps, tuple(run)))
+            run.clear()
+
+    for i, step in enumerate(steps):
+        kind = step.kind
+        if kind is StepKind.PRUNE:
+            fixed.append(PRUNE_CHECK_UNITS * step.predicate_count)
+            close_run()
+            continue
+        fixed.append(0.0)
+        if kind is StepKind.FULL_SCAN and step.scan_predicates:
+            # a run extends over adjacent scans with the same predicates
+            if run and steps[run[-1]].scan_predicates != step.scan_predicates:
+                close_run()
+            run.append(i)
+            continue
+        close_run()
+        if kind is StepKind.INDEX_PROBE:
+            index_count += 1
+        items.append(_bind_step(i, step, chunks[i]))
+    close_run()
+    return items, tuple(fixed), index_count
 
 
 def _popcounts(mask: np.ndarray, offsets: np.ndarray) -> list[int]:
@@ -207,9 +250,9 @@ def run_plan(
 ]:
     """Run one compiled plan batched; returns what the executor tail needs:
     ``(work, scan_ms, probe_ms, agg_values, out_columns)``."""
-    kern = plan.kernel()
+    steps = plan.steps
     chunks = table.chunks()
-    n = kern.size
+    n = len(steps)
     if len(chunks) != n:
         # mirror the scalar loop's zip(..., strict=True) contract
         raise ValueError(
@@ -217,10 +260,23 @@ def run_plan(
             f"{len(chunks)} chunks"
         )
 
+    # Per-plan binding: runs of scanned chunks with each predicate bound
+    # over the run's slice of the table-wide rows; index probes with their
+    # index and residuals' segment methods — resolved once per compiled
+    # plan. Sound because the planner finds this plan — and with it this
+    # memo — again only under a footprint that names, chunk by chunk, the
+    # row order, encodings and indexes bound here (Table.footprint), and a
+    # name fixes a structure's content; the table-wide rows are a function
+    # of the row order alone. An append changes the footprint too.
+    memo = plan.memo
+    bound = memo.get("bound")
+    if bound is None:
+        bound = memo["bound"] = _bind(steps, table, chunks)
+    items, fixed, index_count = bound
+
     work = WorkSummary()
     work.chunks_visited = n
-    work.chunks_via_index = kern.index_count
-    work.per_chunk = list(kern.per_chunk)
+    work.chunks_via_index = index_count
 
     agg_values: list[np.ndarray] = []
     collect_output = agg_spec is None
@@ -240,42 +296,8 @@ def run_plan(
     #: per surviving step: (position, scan units, probe units)
     live_work: list[tuple[int, float, float]] = []
 
-    # Per-kernel pre-binding: runs of scanned chunks with each predicate
-    # bound over the run's slice of the table-wide rows; index probes with
-    # their index and residuals' segment methods — resolved once per
-    # compiled plan. Sound because the planner finds this plan — and with
-    # it this cache — again only under a footprint that names, chunk by
-    # chunk, the row order, encodings and indexes bound here
-    # (Table.footprint), and a name fixes a structure's content; the
-    # table-wide rows are a function of the row order alone. An append
-    # changes the footprint too.
-    bound = kern.cache.get("bound")
-    if bound is None:
-        starts = [0]
-        for chunk in chunks:
-            starts.append(starts[-1] + chunk.row_count)
-        bound = []
-        live = kern.live
-        j = 0
-        while j < len(live):
-            step = live[j]
-            k = j + 1
-            if step.step.kind is StepKind.INDEX_PROBE or not step.predicates:
-                bound.append(_bind_step(step, chunks[step.position]))
-            else:
-                while (
-                    k < len(live)
-                    and live[k].position == live[k - 1].position + 1
-                    and live[k].step.kind is StepKind.FULL_SCAN
-                    and live[k].predicates == step.predicates
-                ):
-                    k += 1
-                bound.append(_Run(table, chunks, starts, live[j:k]))
-            j = k
-        kern.cache["bound"] = bound
-
     # -- data pass: runs of scanned chunks at once, other steps one by one
-    for item in bound:
+    for item in items:
         if type(item) is _Run:
             run = item
             mask = run.first()
@@ -327,18 +349,17 @@ def run_plan(
                     )
             continue
 
-        live, index, preds = item
-        i = live.position
+        i, step, index, preds = item
         chunk = chunks[i]
         su = 0.0
         pu = 0.0
         positions = None
         if index is not None:
             positions = index.lookup(
-                live.equal_values, live.range_predicates
+                step.equal_values, step.range_predicates
             ).astype(np.int64)
             pu = index.probe_cost_units(
-                live.probed_columns, len(positions)
+                step.probed_columns, len(positions)
             )
             for take, scan_units, overhead, op, value in preds:
                 if len(positions) == 0:
@@ -362,7 +383,7 @@ def run_plan(
             # the scalar loop only folds chunks with matches (zero-match
             # chunks `continue` before the charge), and a skipped `+= 0.0`
             # is a float identity anyway
-            output_bytes += count * live.width
+            output_bytes += count * step.output_width
             if materialize:
                 for name in projected:
                     out_columns[name].append(
@@ -401,15 +422,12 @@ def run_plan(
     speedup = max(1.0, float(threads)) ** hardware.parallel_efficiency_exponent
     # the fixed charges price to constants at the DRAM multiplier
     key = (ns_scan, dram, speedup)
-    priced_cached = kern.cache.get("priced")
+    priced_cached = memo.get("priced")
     if priced_cached is None or priced_cached[0] != key:
-        base = [
-            u * ns_scan * dram / speedup / NS_PER_MS
-            for u in kern.fixed_scan_tuple
-        ]
-        kern.cache["priced"] = priced_cached = (key, base)
+        base = [u * ns_scan * dram / speedup / NS_PER_MS for u in fixed]
+        memo["priced"] = priced_cached = (key, base)
     priced = priced_cached[1].copy()
-    units = list(kern.fixed_scan_tuple)
+    units = list(fixed)
     probe_ms = 0.0
     probe_units = 0.0
     for i, su, pu in live_work:

@@ -20,7 +20,7 @@ through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -270,5 +270,3 @@ class WorkSummary:
     chunks_via_index: int = 0
     buffer_hits: int = 0
     buffer_misses: int = 0
-    #: ``(chunk_id, access-path kind)`` per chunk, in execution order
-    per_chunk: list[tuple[int, StepKind]] = field(default_factory=list)

@@ -7,18 +7,14 @@ optimizer's probe path reuses — see :doc:`docs/planner` for the
 lifecycle.
 """
 
-from repro.plan.binder import resolve_tier
 from repro.plan.ir import PRUNE_CHECK_UNITS, PhysicalPlan, PlanStep, StepKind
-from repro.plan.kernel import PlanKernel
 from repro.plan.planner import DEFAULT_PLAN_CACHE_SIZE, QueryPlanner
 
 __all__ = [
     "DEFAULT_PLAN_CACHE_SIZE",
     "PRUNE_CHECK_UNITS",
     "PhysicalPlan",
-    "PlanKernel",
     "PlanStep",
     "QueryPlanner",
     "StepKind",
-    "resolve_tier",
 ]

@@ -17,12 +17,16 @@ kinds, index key columns (not index objects — re-encodes and sorts replace
 a chunk's indexes, so they are looked up again at bind time), residual
 predicate order, estimated selectivities, and per-row output widths from
 chunk statistics. Storage tier and buffer-pool residency are **not** part
-of a plan — they change with every pool admission and are resolved at
-bind time by whoever consumes the plan (see :mod:`repro.plan.binder`).
-That split is what lets one compiled plan be shared by the query executor
-(which runs it against real data), the physical cost model (which prices
-it from statistics), and the what-if optimizer's probe path — and lets it
-stay cached across buffer-pool traffic.
+of a plan — they change with every pool admission and are resolved per
+access by whoever consumes the plan: the execution kernel's tier pass
+(:mod:`repro.dbms.kernel`) and the physical cost model
+(:mod:`repro.cost.physical`). That split is what lets one compiled plan
+be shared by the query executor (which runs it against real data), the
+physical cost model (which prices it from statistics), and the what-if
+optimizer's probe path — and lets it stay cached across buffer-pool
+traffic. What execution derives from the steps — the bound runs of
+scanned chunks, the fixed prune charges, the priced constants — is kept
+in the plan's :attr:`PhysicalPlan.memo`, which no pickle carries.
 
 Like :mod:`repro.workload.query`, this module imports nothing from the
 DBMS substrate, so every layer can depend on it without cycles.
@@ -31,7 +35,7 @@ DBMS substrate, so every layer can depend on it without cycles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.workload.predicate import Predicate
 from repro.workload.query import Query
@@ -95,25 +99,20 @@ class PhysicalPlan:
     table: str
     query: Query
     steps: tuple[PlanStep, ...]
-    #: chunk count of the table at compile time
-    chunk_count: int
+    #: what consumers derive from the steps once per plan — the execution
+    #: kernel's bound runs and fixed charges, the executor's aggregate spec
+    #: and projection; memoised derivations only, so mutable on the frozen
+    #: dataclass by design and emptied in every pickle
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __getstate__(self) -> dict[str, object]:
+        # the next execution rebuilds the memo; pickled, it would carry
+        # every segment and index the plan ever bound
+        return {**self.__dict__, "memo": {}}
 
     def step_kinds(self) -> tuple[StepKind, ...]:
         """Per-chunk access-path kinds, in chunk order."""
         return tuple(step.kind for step in self.steps)
-
-    def kernel(self):
-        """The plan's memoised :class:`~repro.plan.kernel.PlanKernel`.
-
-        Deferred import: the kernel module depends on this one.
-        """
-        kernel = self.__dict__.get("_kernel")
-        if kernel is None:
-            from repro.plan.kernel import PlanKernel
-
-            kernel = PlanKernel.from_plan(self)
-            object.__setattr__(self, "_kernel", kernel)
-        return kernel
 
     def count(self, kind: StepKind) -> int:
         return sum(1 for step in self.steps if step.kind is kind)
@@ -132,7 +131,7 @@ class PhysicalPlan:
 
     def __repr__(self) -> str:
         return (
-            f"PhysicalPlan(table={self.table!r}, chunks={self.chunk_count}, "
+            f"PhysicalPlan(table={self.table!r}, chunks={len(self.steps)}, "
             f"prune={self.pruned_chunks}, index={self.index_chunks}, "
             f"scan={self.scanned_chunks})"
         )

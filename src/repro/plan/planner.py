@@ -143,17 +143,7 @@ class QueryPlanner:
             steps.append(compile_chunk_step(chunk, predicates, width))
         self._compiles.inc()
         self._compile_chunks.inc(float(len(chunks)))
-        plan = PhysicalPlan(
-            table=table.name,
-            query=query,
-            steps=tuple(steps),
-            chunk_count=len(chunks),
-        )
-        # Precompute the execution-kernel arrays (step kinds, chunk ids,
-        # prune charges, output widths) while the steps are hot: every
-        # later execution of this cached plan runs straight from them.
-        plan.kernel()
-        return plan
+        return PhysicalPlan(table=table.name, query=query, steps=tuple(steps))
 
     def plan_for(self, query: "Query", table: "Table") -> PhysicalPlan:
         """The compiled plan for ``query``, from the cache when possible.

@@ -7,6 +7,7 @@ from repro.cost.calibration import calibration_queries, run_startup_calibration
 from repro.cost.learned import LearnedCostModel
 from repro.cost.logical import LogicalCostModel
 from repro.cost.physical import PhysicalCostModel
+from repro.dbms.hardware import HardwareProfile
 from repro.dbms.storage_tiers import StorageTier
 from repro.errors import CalibrationError
 from repro.workload.predicate import Predicate
@@ -65,6 +66,47 @@ def test_physical_model_sees_indexes_and_tiers():
         db.move_chunk("events", chunk_id, StorageTier.SSD)
     on_ssd = model.estimate_query_ms(query)
     assert on_ssd > with_index
+
+
+def test_physical_model_prices_a_pooled_chunk_as_dram_and_only_peeks(
+    monkeypatch,
+):
+    """A chunk off DRAM whose copy sits in the buffer pool prices as DRAM,
+    every other chunk at its own tier; pricing only peeks, so the pool's
+    entries, bytes and LRU order are as they were."""
+    db = make_small_database(rows=5_000, chunk_size=1_000)
+    chunks = db.table("events").chunks()
+    pooled, unpooled, nvm, pooled_too = (c.chunk_id for c in chunks[:4])
+    for chunk_id in (pooled, unpooled, pooled_too):
+        db.move_chunk("events", chunk_id, StorageTier.SSD)
+    db.move_chunk("events", nvm, StorageTier.NVM)
+    pool = db.executor.buffer_pool
+    pool.clear()
+    for chunk in (chunks[0], chunks[3]):
+        pool.access(("events", chunk.chunk_id), chunk.data_bytes())
+    entries = list(pool._entries.items())
+    used = pool.used_bytes
+
+    tiers = []
+    scan_ms = HardwareProfile.scan_ms
+
+    def recording(self, scan_units, tier, threads=1):
+        tiers.append(tier)
+        return scan_ms(self, scan_units, tier, threads)
+
+    monkeypatch.setattr(HardwareProfile, "scan_ms", recording)
+    query = Query("events", (Predicate("value", "<", 5.0),), aggregate="count")
+    assert PhysicalCostModel(db).estimate_query_ms(query) > 0
+    assert tiers == [
+        StorageTier.DRAM,  # pooled SSD
+        StorageTier.SSD,
+        StorageTier.NVM,
+        StorageTier.DRAM,  # pooled SSD
+        StorageTier.DRAM,
+    ]
+    # an access would have moved the first entry behind the second
+    assert list(pool._entries.items()) == entries
+    assert pool.used_bytes == used
 
 
 def test_learned_model_requires_calibration():

@@ -217,19 +217,19 @@ def _rewrite_format_version(path, version):
 def test_checkpoint_of_another_format_version_is_refused(tmp_path):
     """A build reads its own FORMAT_VERSION only: another one is a clean
     per-file error that names both, never a tenant quarantine."""
-    assert FORMAT_VERSION == 7
+    assert FORMAT_VERSION == 8
     fleet = _build(1, checkpoint_dir=tmp_path, checkpoint_every=2)
     fleet.run(4)  # epochs 2 and 4 on disk
-    _rewrite_format_version(checkpoint_path(tmp_path, 4), 6)
+    _rewrite_format_version(checkpoint_path(tmp_path, 4), 7)
     with pytest.raises(
-        CheckpointError, match="format version 6; this build reads version 7"
+        CheckpointError, match="format version 7; this build reads version 8"
     ):
         load_checkpoint(checkpoint_path(tmp_path, 4))
     ckpt, path = latest_checkpoint(tmp_path)
     assert (ckpt.next_bin, path) == (2, checkpoint_path(tmp_path, 2))
 
-    _rewrite_format_version(checkpoint_path(tmp_path, 2), 8)
-    with pytest.raises(CheckpointError, match="version 6.*version 8"):
+    _rewrite_format_version(checkpoint_path(tmp_path, 2), 9)
+    with pytest.raises(CheckpointError, match="version 7.*version 9"):
         FleetDriver.resume(tmp_path)
     with pytest.raises(CheckpointError, match="every checkpoint failed"):
         fleet.restore(tmp_path)

@@ -1,10 +1,14 @@
 """Tests for shared tuning priors: harvest, what-if validation, replay."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.configuration.config import ConfigurationInstance
+from repro.configuration.store import CommitResolution
 from repro.core.organizer import FLEET_REPLAY_TRIGGER
 from repro.fleet import FleetConfig, TenantSpec, build_fleet
+from repro.fleet.arbiter import FleetOrganizer, TenantDigest
 
 BINS = 9
 ROWS = 4_000
@@ -146,3 +150,71 @@ def test_priors_can_be_disabled():
     report = fleet.run()
     assert not fleet.arbiter.priors
     assert report.total_replays == 0
+
+
+class _RecordingTransport:
+    """A replay transport over fixed digests that records every attempt
+    and decides none (``None``: retry next bin)."""
+
+    def __init__(self, digests):
+        self._digests = digests
+        self.attempts = []
+
+    def active_reconfigurations(self):
+        return 0
+
+    def digest(self, tenant):
+        return self._digests[tenant]
+
+    def attempt(self, prior, tenant):
+        self.attempts.append((prior, tenant))
+        return None
+
+
+def test_item_6c_a_prior_whose_commit_was_rolled_back_is_kept_and_replayed(
+    monkeypatch,
+):
+    """ROADMAP item 6c, pinned as it stands today: the arbiter neither
+    retires a prior whose source commit the guard rolled back nor gates
+    replay on the source's outcome. When 6c lands, both answers flip."""
+    # every busy post-commit sample confirms a regression, so the source
+    # tenant's guard rolls back the commit its prior was harvested from
+    monkeypatch.setattr("repro.guard.regression.REGRESSION_BOUND", -1.0)
+    fleet = build_fleet(2, bins=BINS, rows=ROWS, specs=_twins())
+    fleet.run()
+    rolled_back = []
+    for prior in fleet.arbiter.priors:
+        (source,) = [
+            record
+            for record in fleet.tenant(prior.source).store.history()
+            if record.applied_at_ms == prior.created_at_ms
+            and record.actions == prior.actions
+        ]
+        if source.resolution is CommitResolution.ROLLED_BACK:
+            rolled_back.append(prior)
+    assert rolled_back
+    prior = rolled_back[0]
+
+    # kept: the arbiter still holds it after the rollback
+    assert prior in fleet.arbiter.priors
+
+    # replayed: a fresh arbiter given the same harvest sends it to a
+    # look-alike target that has not tuned since
+    arbiter = FleetOrganizer()
+    for ctx in fleet.tenants:
+        arbiter.register(ctx)
+    arbiter.ingest_harvest(replace(prior, prior_id=None))
+    (readmitted,) = arbiter.priors
+    lookalike = TenantDigest(
+        tenant="t1",
+        index=1,
+        hotness=1.0,
+        mix=dict(prior.mix),
+        guard_active=False,
+        last_tuning_ms=None,
+    )
+    transport = _RecordingTransport(
+        {"t0": replace(lookalike, tenant="t0", index=0), "t1": lookalike}
+    )
+    arbiter.replay_round(transport)
+    assert transport.attempts == [(readmitted, "t1")]

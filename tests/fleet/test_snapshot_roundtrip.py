@@ -113,7 +113,7 @@ def test_executing_a_plan_adds_nothing_to_its_pickle():
                 executor.execute(query, table, probe=True)
                 executor.execute(query, table)
             assert planner.plan_for(query, table) is plan
-            assert plan.kernel().cache  # bound and priced, yet not pickled
+            assert plan.memo  # bound and priced, yet not pickled
             assert len(pickle.dumps(plan)) <= fresh + 256
 
 

@@ -195,7 +195,6 @@ def _assert_identical(label: str, kernel, scalar) -> None:
         "chunks_via_index",
         "buffer_hits",
         "buffer_misses",
-        "per_chunk",
     ):
         assert getattr(kw, field) == getattr(sw, field), (label, field)
     if scalar.rows is None:
@@ -363,7 +362,7 @@ def test_one_cached_plan_priced_across_a_placement_change():
             reference_runs += calls.count
             _assert_identical(f"{tag}:{label}", kernel, scalar)
             plan = db_kernel.planner.plan_for(query, db_kernel.table("events"))
-            plans.setdefault(label, set()).add(id(plan.kernel().cache))
+            plans.setdefault(label, set()).add(id(plan.memo))
 
     def move(chunk_id: int, tier: StorageTier) -> None:
         for db in (db_kernel, db_scalar):

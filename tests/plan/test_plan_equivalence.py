@@ -55,8 +55,9 @@ def test_executor_and_estimator_share_one_plan(query):
 
     plan = db.planner.plan_for(query, table)
     result = db.execute(query)
-    executed_kinds = [kind for _chunk_id, kind in result.report.work.per_chunk]
-    assert tuple(executed_kinds) == plan.step_kinds()
+    work = result.report.work
+    assert work.chunks_visited == len(plan.steps)
+    assert work.chunks_via_index == plan.index_chunks
 
     # the estimator prices the identical cached plan object — zero extra
     # compiles, and therefore zero chance of a divergent access path
@@ -80,9 +81,9 @@ def test_plans_agree_after_every_structural_mutation():
         model.estimate_query_ms(query)
         result = db.execute(query)
         plan = db.planner.plan_for(query, db.table("events"))
-        assert [k for _cid, k in result.report.work.per_chunk] == list(
-            plan.step_kinds()
-        )
+        work = result.report.work
+        assert work.chunks_visited == len(plan.steps)
+        assert work.chunks_via_index == plan.index_chunks
 
 
 def test_results_identical_with_and_without_plan_cache():

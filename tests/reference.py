@@ -152,7 +152,6 @@ def scalar_run_plan(
         work.chunks_visited += 1
         if result.used_index:
             work.chunks_via_index += 1
-        work.per_chunk.append((chunk.chunk_id, step.kind))
 
         # a non-DRAM chunk that hits the pool behaves as DRAM; a probe
         # only peeks, an accounted run admits misses and refreshes hits
