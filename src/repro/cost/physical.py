@@ -20,6 +20,7 @@ from repro.dbms.executor import BufferPool
 from repro.dbms.knobs import SCAN_THREADS_KNOB
 from repro.dbms.storage_tiers import StorageTier
 from repro.plan.ir import PRUNE_CHECK_UNITS, PlanStep, StepKind
+from repro.workload.predicate import Predicate
 from repro.workload.query import Query
 
 
@@ -45,7 +46,7 @@ class PhysicalCostModel(CostEstimator):
         self._db = database
 
     def _estimate_step(
-        self, chunk, step: PlanStep
+        self, chunk, step: PlanStep, predicates: tuple[Predicate, ...]
     ) -> tuple[float, float, float]:
         """Estimated ``(scan_units, probe_units, rows_out)`` of one step."""
         if step.kind is StepKind.PRUNE:
@@ -62,7 +63,8 @@ class PhysicalCostModel(CostEstimator):
             )
         else:
             live = float(chunk.row_count)
-        for pred in step.scan_predicates:
+        for position in step.scan_positions:
+            pred = predicates[position]
             segment = chunk.segment(pred.column)
             scan_units += segment.scan_units(int(live))
             scan_units += segment.scan_overhead_units()
@@ -82,10 +84,13 @@ class PhysicalCostModel(CostEstimator):
         output_bytes = 0.0
 
         plan = db.planner.plan_for(query, table)
+        predicates = query.predicates
         for chunk, step in zip(table.chunks(), plan.steps, strict=True):
             # analytic pricing never mutates the pool: _resolve_tier peeks
             tier = _resolve_tier(chunk, table.name, pool)
-            scan_units, probe_units, live = self._estimate_step(chunk, step)
+            scan_units, probe_units, live = self._estimate_step(
+                chunk, step, predicates
+            )
             total += hardware.scan_ms(scan_units, tier, threads)
             total += hardware.probe_ms(probe_units, tier)
             matched_total += live

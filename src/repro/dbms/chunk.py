@@ -152,8 +152,8 @@ class Chunk:
         """``derived`` is the owning table's memo of what it has derived
         from its chunks' physical state (footprints by predicate-column
         tuple; under ``None`` the non-DRAM scan; under ``"rows"`` the
-        table-wide rows); a mutation here drops from it what it
-        outdates."""
+        table-wide rows; under ``"zones"`` the zone maps); a mutation here
+        drops from it what it outdates."""
         self._chunk_id = chunk_id
         self._derived: dict = derived if derived is not None else {}
         self._schema = schema
@@ -301,7 +301,12 @@ class Chunk:
         self._row_order += 1
         self._sort_column = sort_column
         self._data_bytes = None
-        self._derived.clear()
+        # zone maps, like statistics, do not see the row order
+        derived = self._derived
+        zones = derived.pop("zones", None)
+        derived.clear()
+        if zones is not None:
+            derived["zones"] = zones
         return rebuilt
 
     def sort_by(self, column: str) -> tuple["np.ndarray", list[tuple[str, ...]]]:

@@ -1,14 +1,20 @@
-"""The vectorized plan-execution kernel.
+"""Plan compilation and the vectorized plan-execution kernel.
+
+:func:`compile_plan` builds a plan's steps and binds them in one pass:
+the query shape's :class:`~repro.dbms.operators.AccessPaths` give every
+step no literal enters, and a layout per set of live chunks — kept with
+them — gives the runs of scanned chunks, the probes and the fixed
+charges, which no literal enters either. Per literal it binds each run's
+predicates over the table's rows and each probe's lookup, and the
+planner keeps the result in the plan's ``memo``.
 
 :func:`run_plan` is the executor's one execution path, the batched form
-of a per-chunk loop. It runs from the plan's own steps: on a plan's first
-execution one pass over :attr:`~repro.plan.ir.PhysicalPlan.steps` binds
-everything later executions reuse, and keeps it in the plan's ``memo``.
-Each execution is then three passes:
+of a per-chunk loop, and runs from that memo. Each execution is three
+passes:
 
 1. **Data pass** — the pruned majority of steps never enters it: their
-   zone-map charges were settled into the fixed charges when the plan
-   was bound. Each maximal *run* of consecutive scanned chunks is evaluated at
+   zone-map charges are the layout's fixed charges. Each maximal *run*
+   of consecutive scanned chunks is evaluated at
    once over the table's rows (:meth:`~repro.dbms.table.Table.rows`):
    one ufunc per predicate over the run's row slice, each predicate bound
    once per compiled plan and run, the masks combined with ``&=``, and
@@ -36,25 +42,32 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.dbms.hardware import NS_PER_MS, HardwareProfile
-from repro.dbms.operators import AggregateSpec, WorkSummary
+from repro.dbms.operators import (
+    AccessPaths,
+    AggregateSpec,
+    WorkSummary,
+    access_paths,
+)
 from repro.dbms.segments import ColumnRows, Segment, _compare_array
 from repro.dbms.storage_tiers import StorageTier
 from repro.plan.ir import PRUNE_CHECK_UNITS, PhysicalPlan, PlanStep, StepKind
+from repro.workload.predicate import Predicate
+from repro.workload.query import Query
 
 if TYPE_CHECKING:
-    from repro.dbms.chunk import Chunk
     from repro.dbms.executor import BufferPool
     from repro.dbms.table import Table
 
 
-class _Run:
-    """A maximal run of consecutive scanned chunks with one predicate list,
-    bound over the table-wide rows ``start:stop``."""
+class _Span:
+    """A maximal run of consecutive scanned chunks, over the table-wide
+    rows ``start:stop``: what execution charges a run and splits it by,
+    which no literal enters."""
 
     __slots__ = (
         "positions",
@@ -62,20 +75,21 @@ class _Run:
         "start",
         "stop",
         "offsets",
-        "first",
+        "rows",
+        "segments",
         "first_charges",
-        "rest",
-        "raised",
+        "charges",
     )
 
     def __init__(
         self,
         table: "Table",
-        chunks: tuple["Chunk", ...],
+        paths: AccessPaths,
         starts: list[int],
-        steps: tuple[PlanStep, ...],
+        steps: list[PlanStep],
         positions: tuple[int, ...],
     ) -> None:
+        chunks = paths.chunks
         start = starts[positions[0]]
         self.positions = positions
         #: per chunk, the projected output bytes of a matched row
@@ -87,35 +101,51 @@ class _Run:
             [starts[i] - start for i in positions],
             dtype=np.int32 if self.stop - start < 2**31 else np.int64,
         )
-        bound = []
-        for pred in steps[positions[0]].scan_predicates:
-            column, op, value = pred.column, pred.op, pred.value
-            segments = [chunks[i].segment(column) for i in positions]
-            rows = table.rows(column)
-            if rows.exact(value):
-                mask = rows.bind_slice(start, self.stop, op, value)
-                raisers: tuple = ()
-            else:
-                mask, raisers = _bind_each(segments, op, value)
-            bound.append((mask, segments, raisers))
-        (self.first, segments, raisers), *rest = bound
+        #: per predicate, in evaluation order, the table-wide rows and the
+        #: run's segments of its column
+        self.rows = tuple(table.rows(column) for column in paths.columns)
+        self.segments = tuple(
+            [chunks[i].segment(column) for i in positions]
+            for column in paths.columns
+        )
         # every chunk is alive at the first predicate: its charge is a
-        # constant, and its first raising chunk raises
+        # constant
         self.first_charges = [
             (0.0 + segment.scan_units(chunks[i].row_count))
             + segment.scan_overhead_units()
-            for segment, i in zip(segments, positions)
+            for segment, i in zip(self.segments[0], positions)
         ]
+        #: per later predicate, per chunk ``(scan_units, overhead)``
+        self.charges = tuple(
+            tuple((s.scan_units, s.scan_overhead_units()) for s in segments)
+            for segments in self.segments[1:]
+        )
+
+
+class _Run:
+    """A span with each predicate bound over its rows for one query's
+    literals."""
+
+    __slots__ = ("span", "first", "raised", "rest")
+
+    def __init__(self, span: _Span, predicates: tuple[Predicate, ...]) -> None:
+        self.span = span
+        start, stop = span.start, span.stop
+        bound = []
+        for pred, rows, segments in zip(predicates, span.rows, span.segments):
+            op, value = pred.op, pred.value
+            if rows.exact(value):
+                bound.append((rows.bind_slice(start, stop, op, value), ()))
+            else:
+                bound.append(_bind_each(segments, op, value))
+        self.first, raisers = bound[0]
+        # its first raising chunk raises at the first predicate
         self.raised = raisers[0] if raisers else None
         #: ``(mask, per-chunk (scan_units, overhead), raisers)`` of every
         #: later predicate
         self.rest = tuple(
-            (
-                mask,
-                tuple((s.scan_units, s.scan_overhead_units()) for s in segments),
-                raisers,
-            )
-            for mask, segments, raisers in rest
+            (mask, charges, raisers)
+            for (mask, raisers), charges in zip(bound[1:], span.charges)
         )
 
 
@@ -141,67 +171,148 @@ def _bind_each(
     return np.concatenate(masks).copy, tuple(raisers)
 
 
-def _bind_step(position: int, step: PlanStep, chunk: "Chunk") -> tuple:
-    """An index probe, or a scan without predicates, run per step:
-    ``(position, step, index, residual predicates)``."""
-    if step.kind is not StepKind.INDEX_PROBE:
-        return position, step, None, ()
-    # residuals filter the values gathered at the probed rows
-    preds = []
-    for pred in step.scan_predicates:
-        segment = chunk.segment(pred.column)
-        preds.append(
-            (
-                segment.take,
-                segment.scan_units,
-                segment.scan_overhead_units(),
-                pred.op,
-                pred.value,
-            )
-        )
-    return position, step, chunk.index(step.index_key), tuple(preds)
+class _Layout:
+    """What execution derives from one set of live chunks and probe
+    choices of an :class:`AccessPaths`, which no literal enters: the
+    steps; the spans of scanned chunks and the probes in plan order —
+    a probe, or a scan without predicates, as ``(position, output width,
+    index, probed columns, per residual (take, scan_units, overhead),
+    position of its literals' signature)``; each step's fixed charge —
+    the zone-map checks of a pruned step, 0 elsewhere, where the data
+    pass fills in the work — and the index-probe count."""
 
+    __slots__ = ("steps", "items", "spans", "signatures", "fixed", "index_count")
 
-def _bind(
-    steps: tuple[PlanStep, ...], table: "Table", chunks: tuple["Chunk", ...]
-) -> tuple[list, tuple[float, ...], int]:
-    """One pass over a plan's steps: ``(items, fixed charges, index-probe
-    count)``. Items are the runs of scanned chunks and the per-step index
-    probes and predicate-less scans, in plan order; the fixed charges are
-    each step's compile-time scan units — the zone-map checks of a pruned
-    step, 0 elsewhere, where the data pass fills in the work."""
-    starts = [0]
-    for chunk in chunks:
-        starts.append(starts[-1] + chunk.row_count)
-    items: list = []
-    fixed: list[float] = []
-    index_count = 0
-    run: list[int] = []
-
-    def close_run() -> None:
-        if run:
-            items.append(_Run(table, chunks, starts, steps, tuple(run)))
-            run.clear()
-
-    for i, step in enumerate(steps):
-        kind = step.kind
-        if kind is StepKind.PRUNE:
-            fixed.append(PRUNE_CHECK_UNITS * step.predicate_count)
-            close_run()
-            continue
-        fixed.append(0.0)
-        if kind is StepKind.FULL_SCAN and step.scan_predicates:
-            # a run extends over adjacent scans with the same predicates
-            if run and steps[run[-1]].scan_predicates != step.scan_predicates:
-                close_run()
-            run.append(i)
-            continue
-        close_run()
-        if kind is StepKind.INDEX_PROBE:
+    def __init__(
+        self,
+        table: "Table",
+        paths: AccessPaths,
+        pruned: Sequence[bool],
+        chosen: tuple[tuple[int, int, PlanStep], ...],
+    ) -> None:
+        steps = list(paths.live_steps)
+        for i, step in enumerate(paths.pruned_steps):
+            if pruned[i]:
+                steps[i] = step
+        for i, _k, step in chosen:
+            steps[i] = step
+        self.steps = tuple(steps)
+        #: each chunk's first row in the table, and the row count at the end
+        starts = [0]
+        for chunk in paths.chunks:
+            starts.append(starts[-1] + chunk.row_count)
+        items: list = []
+        #: per probe kind, the positions of its equalities, ranges and
+        #: residuals — the literals it is bound with
+        signatures: dict[tuple, int] = {}
+        fixed: list[float] = []
+        index_count = 0
+        run: list[int] = []
+        for i, step in enumerate(steps):
+            kind = step.kind
+            if kind is StepKind.PRUNE:
+                fixed.append(PRUNE_CHECK_UNITS * step.predicate_count)
+            else:
+                fixed.append(0.0)
+                if kind is StepKind.FULL_SCAN and step.scan_positions:
+                    # a run extends over adjacent scans: every scan of a
+                    # plan evaluates all its predicates in query order
+                    run.append(i)
+                    continue
+            if run:
+                items.append(_Span(table, paths, starts, steps, tuple(run)))
+                run.clear()
+            if kind is StepKind.PRUNE:
+                continue
+            if kind is StepKind.FULL_SCAN:
+                items.append((i, step.output_width, None, 0, (), -1))
+                continue
             index_count += 1
-        items.append(_bind_step(i, step, chunks[i]))
-    close_run()
-    return items, tuple(fixed), index_count
+            chunk = paths.chunks[i]
+            # residuals filter the values gathered at the probed rows
+            methods = []
+            for p in step.scan_positions:
+                segment = chunk.segment(paths.columns[p])
+                methods.append(
+                    (segment.take, segment.scan_units, segment.scan_overhead_units())
+                )
+            signature = (
+                step.equal_positions,
+                step.range_positions,
+                step.scan_positions,
+            )
+            items.append(
+                (
+                    i,
+                    step.output_width,
+                    chunk.index(step.index_key),
+                    step.probed_columns,
+                    tuple(methods),
+                    signatures.setdefault(signature, len(signatures)),
+                )
+            )
+        if run:
+            items.append(_Span(table, paths, starts, steps, tuple(run)))
+        self.items = tuple(items)
+        #: where in ``items`` the spans are
+        self.spans = tuple(
+            k for k, item in enumerate(items) if type(item) is _Span
+        )
+        self.signatures = tuple(signatures)
+        self.fixed = tuple(fixed)
+        self.index_count = index_count
+
+    def bind(self, predicates: tuple[Predicate, ...]) -> tuple:
+        """``(items, literals, fixed charges, index-probe count)`` for one
+        query's literals: each span bound as a :class:`_Run`, and per
+        probe signature the values of its lookup's equalities, its
+        ranges' ``(op, value)`` and its residuals' ``(op, value)``."""
+        items = self.items
+        if self.spans:
+            items = list(items)
+            for k in self.spans:
+                items[k] = _Run(items[k], predicates)
+        literals = tuple(
+            [
+                (
+                    tuple([predicates[p].value for p in equal]),
+                    tuple([(predicates[p].op, predicates[p].value) for p in ranges]),
+                    tuple([(predicates[p].op, predicates[p].value) for p in scan]),
+                )
+                for equal, ranges, scan in self.signatures
+            ]
+        )
+        return items, literals, self.fixed, self.index_count
+
+
+def compile_plan(query: Query, table: "Table") -> tuple[tuple[PlanStep, ...], tuple]:
+    """Compile ``query`` against ``table``: ``(steps, bound)``, where
+    ``bound`` is what :func:`run_plan` executes the steps from.
+
+    The shape's :class:`AccessPaths` hold every step no literal enters,
+    and a :class:`_Layout` per set of live chunks everything execution
+    derives from them; what is left per literal is one zone-map pass
+    per predicate, the probe choices a range decides, and binding the
+    predicates over the live spans.
+    """
+    predicates = query.predicates
+    paths = access_paths(query, table)
+    pruned = paths.prune(predicates)
+    chosen = paths.choose(predicates, pruned)
+    key = bytes(pruned)
+    if chosen:
+        key = (key, tuple([k for _i, k, _step in chosen]))
+    layout = paths.layouts.get(key)
+    if layout is None:
+        layout = paths.layouts[key] = _Layout(table, paths, pruned, chosen)
+    steps = layout.steps
+    if chosen:
+        # a range's estimate is the literal's: the steps are this plan's
+        steps = list(steps)
+        for i, _k, step in chosen:
+            steps[i] = step
+        steps = tuple(steps)
+    return steps, layout.bind(predicates)
 
 
 def _popcounts(mask: np.ndarray, offsets: np.ndarray) -> list[int]:
@@ -216,7 +327,7 @@ def _popcounts(mask: np.ndarray, offsets: np.ndarray) -> list[int]:
 
 
 def _projected(
-    rows: ColumnRows, run: _Run, mask: np.ndarray, counts: list[int]
+    rows: ColumnRows, run: _Span, mask: np.ndarray, counts: list[int]
 ) -> np.ndarray:
     """A run's matched rows of one projected column, in the dtype the
     scalar loop's concatenation of per-chunk gathers has: a string column
@@ -260,19 +371,21 @@ def run_plan(
             f"{len(chunks)} chunks"
         )
 
-    # Per-plan binding: runs of scanned chunks with each predicate bound
-    # over the run's slice of the table-wide rows; index probes with their
-    # index and residuals' segment methods — resolved once per compiled
-    # plan. Sound because the planner finds this plan — and with it this
-    # memo — again only under a footprint that names, chunk by chunk, the
-    # row order, encodings and indexes bound here (Table.footprint), and a
-    # name fixes a structure's content; the table-wide rows are a function
-    # of the row order alone. An append changes the footprint too.
+    # Per-plan binding, filled by compile: runs of scanned chunks with
+    # each predicate bound over the run's slice of the table-wide rows;
+    # index probes with their index, literals and residuals' segment
+    # methods. Sound because the planner finds this plan — and with it
+    # this memo — again only under a footprint that names, chunk by
+    # chunk, the row order, encodings and indexes bound here
+    # (Table.footprint), and a name fixes a structure's content; the
+    # table-wide rows are a function of the row order alone. An append
+    # changes the footprint too. A plan restored from a pickle carries no
+    # memo and binds again, to the same steps.
     memo = plan.memo
     bound = memo.get("bound")
     if bound is None:
-        bound = memo["bound"] = _bind(steps, table, chunks)
-    items, fixed, index_count = bound
+        bound = memo["bound"] = compile_plan(plan.query, table)[1]
+    items, literals, fixed, index_count = bound
 
     work = WorkSummary()
     work.chunks_visited = n
@@ -299,11 +412,11 @@ def run_plan(
     # -- data pass: runs of scanned chunks at once, other steps one by one
     for item in items:
         if type(item) is _Run:
-            run = item
-            mask = run.first()
+            run = item.span
+            mask = item.first()
             su = run.first_charges.copy()
-            raised = run.raised
-            for bound_mask, charges, raisers in run.rest:
+            raised = item.raised
+            for bound_mask, charges, raisers in item.rest:
                 # the scalar loop charges predicate j on a chunk's rows
                 # alive after j - 1, and stops at a chunk with none
                 counts = _popcounts(mask, run.offsets)
@@ -349,19 +462,20 @@ def run_plan(
                     )
             continue
 
-        i, step, index, preds = item
+        i, width, index, probed, methods, signature = item
         chunk = chunks[i]
         su = 0.0
         pu = 0.0
         positions = None
         if index is not None:
-            positions = index.lookup(
-                step.equal_values, step.range_predicates
-            ).astype(np.int64)
-            pu = index.probe_cost_units(
-                step.probed_columns, len(positions)
+            equal_values, range_predicates, residual = literals[signature]
+            positions = index.lookup(equal_values, range_predicates).astype(
+                np.int64
             )
-            for take, scan_units, overhead, op, value in preds:
+            pu = index.probe_cost_units(probed, len(positions))
+            for (take, scan_units, overhead), (op, value) in zip(
+                methods, residual
+            ):
                 if len(positions) == 0:
                     break
                 su += scan_units(len(positions))
@@ -383,7 +497,7 @@ def run_plan(
             # the scalar loop only folds chunks with matches (zero-match
             # chunks `continue` before the charge), and a skipped `+= 0.0`
             # is a float identity anyway
-            output_bytes += count * step.output_width
+            output_bytes += count * width
             if materialize:
                 for name in projected:
                     out_columns[name].append(

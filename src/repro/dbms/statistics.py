@@ -182,11 +182,18 @@ class ColumnStatistics:
             return 0.0
         return self._numeric_range_fraction(float(lo), float(hi))
 
+    def equal_selectivity(self) -> float:
+        """Expected fraction of rows one equality matches: uniform over
+        the distinct values, whatever the literal."""
+        if self.row_count == 0:
+            return 0.0
+        return 1.0 / max(self.distinct_count, 1)
+
     def selectivity(self, op: str, value: object) -> float:
         """Expected fraction of rows satisfying ``column <op> value``."""
         if self.row_count == 0:
             return 0.0
-        uniform_eq = 1.0 / max(self.distinct_count, 1)
+        uniform_eq = self.equal_selectivity()
         if not self.data_type.is_numeric:
             if op == "=":
                 return uniform_eq

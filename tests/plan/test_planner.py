@@ -44,8 +44,9 @@ def test_index_probe_steps_carry_residual_predicates():
     (step,) = plan.steps
     assert step.kind is StepKind.INDEX_PROBE
     assert step.index_key == ("user",)
-    assert step.equal_values == (7,)
-    assert [p.column for p in step.scan_predicates] == ["value"]
+    # a step names predicates by position in the query
+    assert step.equal_positions == (0,)
+    assert step.scan_positions == (1,)
 
 
 def test_plan_for_caches_until_a_structural_change():
@@ -192,3 +193,48 @@ def test_standalone_executor_caches_plans_per_table():
     table.chunks()[0].create_index(["user"])
     result = executor.execute(query, table)
     assert result.report.work.chunks_via_index == 1
+
+
+def test_tied_indexes_are_compiled_by_key_not_by_creation_order():
+    # (user, id) and (user, value) tie on every score for an equality on
+    # `user` alone: the compiled step names the smaller key whichever
+    # index was created first, and after a drop and re-create
+    query = Query("events", (Predicate("user", "=", 5),), aggregate="count")
+    chosen = []
+    for order in ((["user", "id"], ["user", "value"]), (["user", "value"], ["user", "id"])):
+        db = make_small_database(rows=2_000, chunk_size=1_000)
+        for columns in order:
+            db.create_index("events", columns)
+        chosen.append(db.planner.compile(query, db.table("events")).steps[0].index_key)
+        db.drop_index("events", ["user", "id"])
+        db.create_index("events", ["user", "id"])
+        chosen.append(db.planner.compile(query, db.table("events")).steps[0].index_key)
+    assert chosen == [("user", "id")] * 4
+
+
+def test_one_shape_probes_or_scans_by_its_range_literals():
+    """A range decides between a probe and a scan on the same live
+    chunks: each literal's plan executes as the reference executes its
+    steps, whatever plan of the shape was compiled before it."""
+    from tests.reference import reference_compile, scalar_reference
+
+    dbs = [make_small_database(rows=4_000, chunk_size=1_000) for _ in range(2)]
+    for db in dbs:
+        db.create_index("events", ["value"])
+    kinds = set()
+    for lo, hi in ((2.0, 2.1), (1.0, 9.0), (5.0, 5.2), (0.5, 8.5)):
+        query = Query(
+            "events",
+            (Predicate("value", ">=", lo), Predicate("value", "<=", hi)),
+            aggregate="count",
+        )
+        table = dbs[0].table("events")
+        plan = dbs[0].planner.plan_for(query, table)
+        assert plan.steps == reference_compile(query, table)
+        kinds.update(plan.step_kinds())
+        kernel = dbs[0].execute(query)
+        with scalar_reference() as calls:
+            scalar = dbs[1].execute(query)
+        assert calls.count == 1
+        assert kernel.report == scalar.report
+    assert kinds == {StepKind.INDEX_PROBE, StepKind.FULL_SCAN}

@@ -138,13 +138,13 @@ def test_fleet_resume_failures_exit_2_with_one_line(capsys, tmp_path):
     checkpointed = ["--checkpoint-dir", str(tmp_path), "--checkpoint-every", "2"]
     assert main(fleet + checkpointed) == 0
     (written,) = tmp_path.iterdir()
-    _rewrite_format_version(written, 7)
+    _rewrite_format_version(written, 8)
     capsys.readouterr()
     assert _exit_status(resume) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    assert "format version 7; this build reads version 8" in captured.err
+    assert "format version 8; this build reads version 9" in captured.err
 
 
 def test_importing_the_package_does_not_import_scipy():

@@ -1,8 +1,17 @@
 """Tests for the retail benchmark suite."""
 
 import numpy as np
+import pytest
 
-from repro.workload.benchmarks import build_retail_suite, default_rates
+from repro.workload.benchmarks import (
+    _COUNTRY_CDF,
+    _COUNTRY_P,
+    _STATUS_CDF,
+    _STATUS_P,
+    _pick,
+    build_retail_suite,
+    default_rates,
+)
 
 
 def test_suite_builds_both_tables():
@@ -58,3 +67,17 @@ def test_seed_determinism():
     av = a.database.table("orders").chunks()[0].segment("customer").values()
     bv = b.database.table("orders").chunks()[0].segment("customer").values()
     np.testing.assert_array_equal(av, bv)
+
+
+@pytest.mark.parametrize(
+    "p, cdf",
+    [(_COUNTRY_P, _COUNTRY_CDF), (_STATUS_P, _STATUS_CDF)],
+    ids=["country", "status"],
+)
+def test_per_query_sampler_draws_what_choice_draws(p, cdf):
+    """The samplers' settled CDFs draw what ``rng.choice(n, p=p)`` draws,
+    one uniform per query, so every literal stream is unchanged."""
+    old, new = np.random.default_rng(7), np.random.default_rng(7)
+    expected = [int(old.choice(len(p), p=p)) for _ in range(100_000)]
+    assert [_pick(new, cdf) for _ in range(100_000)] == expected
+    assert old.random() == new.random()
