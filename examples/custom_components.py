@@ -23,7 +23,7 @@ from repro.dbms.plugin import Plugin
 from repro.forecasting import WorkloadAnalyzer, WorkloadPredictor
 from repro.forecasting.models.base import ForecastModel
 from repro.tuning import IndexSelectionFeature
-from repro.tuning.selectors.base import Selector, default_score_fn
+from repro.tuning.selectors.base import Selector
 from repro.util.units import MIB
 from repro.workload import build_retail_suite
 
@@ -56,12 +56,8 @@ class TopKSelector(Selector):
     def __init__(self, k: int = 3) -> None:
         self._k = k
 
-    def select(self, assessments, budgets, probabilities,
-               reconfiguration_weight=0.0, score_fn=None):
+    def select(self, assessments, budgets, score):
         del budgets  # this toy selector ignores budgets
-        score = score_fn or default_score_fn(
-            probabilities, reconfiguration_weight
-        )
         ranked = sorted(assessments, key=score, reverse=True)
         return [a for a in ranked[: self._k] if score(a) > 0]
 

@@ -537,10 +537,20 @@ class Organizer:
         return tuple(admitted), tuple(quarantined)
 
     def _record_run_outcomes(self, report: RecursiveTuningReport) -> None:
-        """Feed per-feature application outcomes into the breaker and
-        emit FAULT/ROLLBACK/QUARANTINE events for failed runs."""
+        """Feed per-feature application outcomes into the breaker, emit
+        FAULT/ROLLBACK/QUARANTINE events for failed runs and a SKIP event
+        for a feature whose selection had no feasible answer."""
         now = self._db.clock.now_ms
         for run in report.runs:
+            if run.result.infeasible:
+                self._events.log(
+                    now,
+                    EventKind.SKIP,
+                    f"feature {run.feature!r} keeps its setting: "
+                    f"{run.result.infeasible}",
+                    feature=run.feature,
+                    reason=run.result.infeasible,
+                )
             if not run.failed:
                 if self._quarantine.record_success(run.feature):
                     self._events.log(

@@ -54,23 +54,6 @@ class Assessment:
         )
         return math.sqrt(max(variance, 0.0))
 
-    def net_benefit(
-        self,
-        probabilities: Mapping[str, float],
-        reconfiguration_weight: float = 0.0,
-    ) -> float:
-        """Expected desirability minus weighted reconfiguration cost.
-
-        The weight expresses how heavily one-time costs count against the
-        recurring benefit; 0 ignores them, 1 treats one application as
-        costly as one forecast horizon of benefit (Section II-D.b's
-        mechanism for finding minimally invasive changes).
-        """
-        return (
-            self.expected(probabilities)
-            - reconfiguration_weight * self.one_time_cost_ms
-        )
-
     def permanent_cost(self, resource: str) -> float:
         return self.permanent_costs.get(resource, 0.0)
 

@@ -4,7 +4,6 @@ from repro.tuning.selectors.base import (
     ScoreFn,
     Selector,
     budget_violations,
-    default_score_fn,
     group_members,
     resource_usage,
     validate_selection,
@@ -38,7 +37,6 @@ __all__ = [
     "VALUE_AT_RISK",
     "WORST_CASE",
     "budget_violations",
-    "default_score_fn",
     "exponential_utility",
     "group_members",
     "resource_usage",

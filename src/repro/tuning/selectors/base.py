@@ -5,13 +5,18 @@ specified constraints, e.g., a memory budget for indexes" (Section II-D.c).
 
 The selection problem all selectors solve:
 
-- maximise the summed score of chosen assessments (default score: expected
-  desirability minus weighted reconfiguration cost);
+- maximise the summed score of chosen assessments, under the one score
+  the tuner hands in (the selector's desirability criterion minus the
+  weighted one-time cost, built once in ``Tuner.propose``);
 - subject to resource budgets: the summed permanent costs per resource must
   not exceed the given (possibly negative) budget — budgets are *relative
   to the feature's reset baseline*, matching how assessors measure costs;
 - subject to exclusion groups: at most one member per group, exactly one
   for required groups.
+
+A selector that finds no feasible selection raises
+:class:`~repro.errors.SelectionError` and nothing else does; the tuner
+answers it with the current setting (an empty delta).
 """
 
 from __future__ import annotations
@@ -19,15 +24,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping
 
+from repro.errors import SelectionError
 from repro.tuning.assessment import Assessment
 
 ScoreFn = Callable[[Assessment], float]
-
-
-def default_score_fn(
-    probabilities: Mapping[str, float], reconfiguration_weight: float
-) -> ScoreFn:
-    return lambda a: a.net_benefit(probabilities, reconfiguration_weight)
 
 
 def group_members(
@@ -67,6 +67,27 @@ def budget_violations(
     }
 
 
+def over_budget(what: str, violations: Mapping[str, float]) -> SelectionError:
+    """The one answer for "no feasible selection", naming every excess."""
+    return SelectionError(
+        f"{what} cannot satisfy budgets: "
+        + ", ".join(f"{r} over by {e:.0f}" for r, e in violations.items())
+    )
+
+
+def fits(
+    assessment: Assessment,
+    usage: Mapping[str, float],
+    budgets: Mapping[str, float],
+) -> bool:
+    """Whether adding ``assessment`` to a selection that uses ``usage``
+    keeps every budget."""
+    return not budget_violations(
+        {r: usage.get(r, 0.0) + assessment.permanent_cost(r) for r in budgets},
+        budgets,
+    )
+
+
 def validate_selection(
     assessments: list[Assessment],
     chosen: set[int],
@@ -92,13 +113,17 @@ class Selector(ABC):
 
     name: str = "selector"
 
+    def desirability(self, probabilities: Mapping[str, float]) -> ScoreFn:
+        """The selection criterion: probability-weighted desirability.
+        Risk-averse selectors override it (see ``RobustSelector``)."""
+        return lambda a: a.expected(probabilities)
+
     @abstractmethod
     def select(
         self,
         assessments: list[Assessment],
         budgets: Mapping[str, float],
-        probabilities: Mapping[str, float],
-        reconfiguration_weight: float = 0.0,
-        score_fn: ScoreFn | None = None,
+        score: ScoreFn,
     ) -> list[Assessment]:
-        """Return the chosen assessments (a feasible subset)."""
+        """Return the chosen assessments (a feasible subset) maximising
+        the summed ``score``; raise ``SelectionError`` when none exists."""

@@ -25,7 +25,6 @@ from repro.tuning.selectors.base import (
     ScoreFn,
     Selector,
     budget_violations,
-    default_score_fn,
     group_members,
     resource_usage,
 )
@@ -59,17 +58,17 @@ class _Problem:
             chosen.add(index)
         return chosen
 
-    def fitness(self, chosen: set[int], penalty_scale: float) -> float:
-        total = sum(self.scores[i] for i in chosen)
+    def violations(self, chosen: set[int]) -> dict[str, float]:
         usage = resource_usage(self.assessments, chosen, list(self.budgets))
-        for resource, excess in budget_violations(usage, self.budgets).items():
+        return budget_violations(usage, self.budgets)
+
+    def fitness(
+        self, total: float, violations: Mapping[str, float], penalty_scale: float
+    ) -> float:
+        for resource, excess in violations.items():
             limit = abs(self.budgets[resource]) + 1.0
             total -= penalty_scale * (1.0 + excess / limit)
         return total
-
-    def is_feasible(self, chosen: set[int]) -> bool:
-        usage = resource_usage(self.assessments, chosen, list(self.budgets))
-        return not budget_violations(usage, self.budgets)
 
 
 class GeneticSelector(Selector):
@@ -87,7 +86,7 @@ class GeneticSelector(Selector):
         seed: int = 0,
     ) -> None:
         if population_size < 4:
-            raise SelectionError("population_size must be at least 4")
+            raise ValueError("population_size must be at least 4")
         self._population_size = population_size
         self._generations = generations
         self._mutation_rate = mutation_rate
@@ -122,15 +121,8 @@ class GeneticSelector(Selector):
         self,
         assessments: list[Assessment],
         budgets: Mapping[str, float],
-        probabilities: Mapping[str, float],
-        reconfiguration_weight: float = 0.0,
-        score_fn: ScoreFn | None = None,
+        score: ScoreFn,
     ) -> list[Assessment]:
-        if not assessments:
-            return []
-        score = score_fn or default_score_fn(
-            probabilities, reconfiguration_weight
-        )
         scores = [score(a) for a in assessments]
         groups, required = group_members(assessments)
         group_slots = [groups[g] for g in sorted(required)]
@@ -151,12 +143,13 @@ class GeneticSelector(Selector):
         def evaluate(genome: np.ndarray) -> float:
             nonlocal best_feasible
             chosen = problem.decode(genome)
-            fitness = problem.fitness(chosen, penalty_scale)
-            if problem.is_feasible(chosen):
-                value = sum(scores[i] for i in chosen)
-                if best_feasible is None or value > best_feasible[0]:
-                    best_feasible = (value, chosen)
-            return fitness
+            value = sum(scores[i] for i in chosen)
+            violations = problem.violations(chosen)
+            if not violations and (
+                best_feasible is None or value > best_feasible[0]
+            ):
+                best_feasible = (value, chosen)
+            return problem.fitness(value, violations, penalty_scale)
 
         fitnesses = [evaluate(g) for g in population]
         for _generation in range(self._generations):

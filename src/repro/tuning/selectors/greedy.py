@@ -23,8 +23,9 @@ from repro.tuning.selectors.base import (
     ScoreFn,
     Selector,
     budget_violations,
-    default_score_fn,
+    fits,
     group_members,
+    over_budget,
     resource_usage,
 )
 
@@ -34,31 +35,12 @@ class GreedySelector(Selector):
 
     name = "greedy"
 
-    def _fits(
-        self,
-        assessment: Assessment,
-        usage: Mapping[str, float],
-        budgets: Mapping[str, float],
-    ) -> bool:
-        for resource, limit in budgets.items():
-            new_usage = usage.get(resource, 0.0) + assessment.permanent_cost(
-                resource
-            )
-            if new_usage > limit + 1e-6:
-                return False
-        return True
-
     def select(
         self,
         assessments: list[Assessment],
         budgets: Mapping[str, float],
-        probabilities: Mapping[str, float],
-        reconfiguration_weight: float = 0.0,
-        score_fn: ScoreFn | None = None,
+        score: ScoreFn,
     ) -> list[Assessment]:
-        score = score_fn or default_score_fn(
-            probabilities, reconfiguration_weight
-        )
         scores = [score(a) for a in assessments]
         groups, required = group_members(assessments)
         resources = list(budgets)
@@ -93,7 +75,7 @@ class GreedySelector(Selector):
             group = assessments[i].candidate.group
             if group is not None and group in group_of:
                 continue
-            if not self._fits(assessments[i], usage, budgets):
+            if not fits(assessments[i], usage, budgets):
                 continue
             chosen.add(i)
             if group is not None:
@@ -143,12 +125,7 @@ class GreedySelector(Selector):
                 if best_move is None or move[0] < best_move[0]:
                     best_move = move
             if best_move is None:
-                raise SelectionError(
-                    "greedy repair cannot satisfy budgets: "
-                    + ", ".join(
-                        f"{r} over by {e:.0f}" for r, e in violations.items()
-                    )
-                )
+                raise over_budget("greedy repair", violations)
             _penalty, group, removed, added = best_move
             chosen.discard(removed)
             if added is not None:

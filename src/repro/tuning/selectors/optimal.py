@@ -19,8 +19,9 @@ from repro.tuning.assessment import Assessment
 from repro.tuning.selectors.base import (
     ScoreFn,
     Selector,
-    default_score_fn,
+    budget_violations,
     group_members,
+    over_budget,
 )
 
 
@@ -36,18 +37,16 @@ class OptimalSelector(Selector):
         self,
         assessments: list[Assessment],
         budgets: Mapping[str, float],
-        probabilities: Mapping[str, float],
-        reconfiguration_weight: float = 0.0,
-        score_fn: ScoreFn | None = None,
+        score: ScoreFn,
     ) -> list[Assessment]:
         if not assessments:
+            # the empty selection is the only one
+            if violations := budget_violations(dict.fromkeys(budgets, 0.0), budgets):
+                raise over_budget("the empty selection", violations)
             return []
         # imported where the program is solved (see ordering/lp.py)
         from scipy.optimize import LinearConstraint, milp
 
-        score = score_fn or default_score_fn(
-            probabilities, reconfiguration_weight
-        )
         n = len(assessments)
         scores = np.array([score(a) for a in assessments])
 

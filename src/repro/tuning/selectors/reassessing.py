@@ -20,17 +20,10 @@ from collections.abc import Mapping
 
 from repro.configuration.delta import ConfigurationDelta
 from repro.dbms.database import Database
-from repro.errors import SelectionError
 from repro.forecasting.scenarios import Forecast
 from repro.tuning.assessment import Assessment
 from repro.tuning.assessors.base import Assessor
-from repro.tuning.selectors.base import (
-    ScoreFn,
-    Selector,
-    budget_violations,
-    default_score_fn,
-    resource_usage,
-)
+from repro.tuning.selectors.base import ScoreFn, Selector, fits
 
 
 class ReassessingGreedySelector(Selector):
@@ -38,9 +31,9 @@ class ReassessingGreedySelector(Selector):
 
     Requires the construction context (assessor, database, forecast, and
     the feature's reset delta) because re-assessment replays the assessment
-    machinery; the :class:`~repro.tuning.tuner.Tuner` wires this up when
-    given a factory, or construct it directly as shown in the ablation
-    bench ``benchmarks/bench_a2_reassessment.py``.
+    machinery, so it is built per forecast and handed to the
+    :class:`~repro.tuning.tuner.Tuner` as its selector, as the ablation
+    bench ``benchmarks/bench_a2_reassessment.py`` does.
 
     Only ungrouped (optional) candidates are supported — re-assessment
     semantics for required exclusion groups (encodings, placements) would
@@ -59,7 +52,7 @@ class ReassessingGreedySelector(Selector):
         max_picks: int | None = None,
     ) -> None:
         if not assessor.supports_reassessment:
-            raise SelectionError(
+            raise ValueError(
                 f"assessor {type(assessor).__name__} does not support "
                 "re-assessment"
             )
@@ -73,43 +66,29 @@ class ReassessingGreedySelector(Selector):
         self,
         assessments: list[Assessment],
         budgets: Mapping[str, float],
-        probabilities: Mapping[str, float],
-        reconfiguration_weight: float = 0.0,
-        score_fn: ScoreFn | None = None,
+        score: ScoreFn,
     ) -> list[Assessment]:
         if any(a.candidate.group_required for a in assessments):
-            raise SelectionError(
+            raise ValueError(
                 "ReassessingGreedySelector does not support required "
                 "exclusion groups; use it for index selection"
             )
-        score = score_fn or default_score_fn(
-            probabilities, reconfiguration_weight
-        )
         remaining = list(assessments)
         chosen: list[Assessment] = []
         chosen_actions: list = []
-        resources = list(budgets)
-
-        def fits(assessment: Assessment) -> bool:
-            usage = resource_usage(
-                assessments, set(), resources
-            )  # fresh dict of zeros
-            for a in chosen:
-                for r in resources:
-                    usage[r] += a.permanent_cost(r)
-            for r in resources:
-                usage[r] += assessment.permanent_cost(r)
-            return not budget_violations(usage, budgets)
+        usage = dict.fromkeys(budgets, 0.0)
 
         picks_left = self._max_picks or len(assessments)
         while remaining and picks_left > 0:
             best = max(remaining, key=score)
             if score(best) <= 0:
                 break
-            if not fits(best):
+            if not fits(best, usage, budgets):
                 remaining.remove(best)
                 continue
             chosen.append(best)
+            for r in usage:
+                usage[r] += best.permanent_cost(r)
             chosen_actions.extend(best.candidate.actions())
             remaining = [a for a in remaining if a is not best]
             picks_left -= 1

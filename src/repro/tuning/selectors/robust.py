@@ -6,10 +6,11 @@ expected case (cf. CliffGuard [22]). Criteria based on mean-variance
 optimization, utility functions, value at risk, and worst-case
 considerations can be used" (Section II-D.c).
 
-Implemented as a scoring wrapper: the per-candidate scenario desirabilities
-are collapsed by a risk criterion into a single robust score, and any base
-selector (greedy, optimal, genetic) performs the combinatorial search under
-that score.
+Implemented as a criterion wrapper: the selector's ``desirability`` hook
+collapses the per-candidate scenario desirabilities by a risk criterion
+into one robust value, the tuner charges the one-time cost against it as
+for every selector, and any base selector (greedy, optimal, genetic)
+performs the combinatorial search under that score.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from repro.errors import SelectionError
 from repro.tuning.assessment import Assessment
 from repro.tuning.selectors.base import ScoreFn, Selector
 
@@ -70,14 +70,14 @@ class RobustSelector(Selector):
         risk_tolerance_ms: float = 50.0,
     ) -> None:
         if criterion not in CRITERIA:
-            raise SelectionError(
+            raise ValueError(
                 f"unknown robustness criterion {criterion!r}; "
                 f"expected one of {CRITERIA}"
             )
         if not 0.0 < alpha <= 1.0:
-            raise SelectionError("alpha must be in (0, 1]")
+            raise ValueError("alpha must be in (0, 1]")
         if risk_tolerance_ms <= 0:
-            raise SelectionError("risk_tolerance_ms must be positive")
+            raise ValueError("risk_tolerance_ms must be positive")
         self._base = base
         self._criterion = criterion
         self._risk_aversion = risk_aversion
@@ -85,47 +85,31 @@ class RobustSelector(Selector):
         self._risk_tolerance_ms = risk_tolerance_ms
         self.name = f"robust-{criterion}"
 
-    def robust_score_fn(
-        self,
-        probabilities: Mapping[str, float],
-        reconfiguration_weight: float,
-    ) -> ScoreFn:
-        def score(a: Assessment) -> float:
+    def desirability(self, probabilities: Mapping[str, float]) -> ScoreFn:
+        """The risk criterion collapsing a candidate's per-scenario
+        desirabilities into one robust value."""
+
+        def core(a: Assessment) -> float:
             if self._criterion == WORST_CASE:
-                core = a.worst_case()
-            elif self._criterion == MEAN_VARIANCE:
-                core = a.expected(probabilities) - self._risk_aversion * a.std(
+                return a.worst_case()
+            if self._criterion == MEAN_VARIANCE:
+                return a.expected(probabilities) - self._risk_aversion * a.std(
                     probabilities
                 )
-            elif self._criterion == VALUE_AT_RISK:
-                core = value_at_risk(
-                    a.desirability, probabilities, self._alpha
-                )
-            else:  # UTILITY
-                core = sum(
-                    probabilities.get(name, 0.0)
-                    * exponential_utility(value, self._risk_tolerance_ms)
-                    for name, value in a.desirability.items()
-                )
-            return core - reconfiguration_weight * a.one_time_cost_ms
+            if self._criterion == VALUE_AT_RISK:
+                return value_at_risk(a.desirability, probabilities, self._alpha)
+            return sum(  # UTILITY
+                probabilities.get(name, 0.0)
+                * exponential_utility(value, self._risk_tolerance_ms)
+                for name, value in a.desirability.items()
+            )
 
-        return score
+        return core
 
     def select(
         self,
         assessments: list[Assessment],
         budgets: Mapping[str, float],
-        probabilities: Mapping[str, float],
-        reconfiguration_weight: float = 0.0,
-        score_fn: ScoreFn | None = None,
+        score: ScoreFn,
     ) -> list[Assessment]:
-        chosen_score = score_fn or self.robust_score_fn(
-            probabilities, reconfiguration_weight
-        )
-        return self._base.select(
-            assessments,
-            budgets,
-            probabilities,
-            reconfiguration_weight,
-            score_fn=chosen_score,
-        )
+        return self._base.select(assessments, budgets, score)

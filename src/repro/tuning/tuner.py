@@ -16,7 +16,7 @@ from repro.configuration.constraints import ConstraintSet
 from repro.configuration.delta import ConfigurationDelta
 from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.database import Database
-from repro.errors import TuningAbortedError
+from repro.errors import SelectionError, TuningAbortedError
 from repro.forecasting.scenarios import Forecast
 from repro.telemetry import Telemetry, Tracer
 from repro.tuning.assessment import Assessment
@@ -44,6 +44,9 @@ class TuningResult:
     reconfiguration_cost_ms: float = 0.0
     candidate_count: int = 0
     selector_name: str = ""
+    #: why no candidate set fits the budgets and groups ("" when one
+    #: does); the delta is then empty and the feature keeps its setting
+    infeasible: str = ""
 
     @property
     def is_noop(self) -> bool:
@@ -64,7 +67,13 @@ class Tuner:
         optimizer: WhatIfOptimizer | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        """``optimizer`` (when no explicit ``assessor`` is given) makes the
+        """``reconfiguration_weight`` expresses how heavily one-time costs
+        count against the recurring benefit (Section II-D.b's mechanism
+        for finding minimally invasive changes): a candidate scores the
+        selector's desirability minus the weight times its one-time cost.
+        0 ignores one-time costs; 1 treats one application as costly as
+        one forecast horizon of benefit.
+        ``optimizer`` (when no explicit ``assessor`` is given) makes the
         feature's default assessor price through a shared what-if
         optimizer, so all features reuse one cost cache.
         ``telemetry`` (the driver's shared spine) adds
@@ -95,7 +104,12 @@ class Tuner:
         forecast: Forecast,
         constraints: ConstraintSet | None = None,
     ) -> TuningResult:
-        """Run enumerate → assess → select; returns a plan, applies nothing."""
+        """Run enumerate → assess → select; returns a plan, applies nothing.
+
+        A selector that finds no feasible selection (``SelectionError``)
+        proposes the current setting: an empty delta, with the reason in
+        ``TuningResult.infeasible`` and on the ``select`` span.
+        """
         db = self._db
         constraints = constraints or ConstraintSet()
 
@@ -120,14 +134,26 @@ class Tuner:
 
         budgets = self._feature.budgets(db, constraints, forecast)
         probabilities = {s.name: s.probability for s in forecast.scenarios}
+        core = self._selector.desirability(probabilities)
+
+        def score(a: Assessment) -> float:
+            return core(a) - self._reconfiguration_weight * a.one_time_cost_ms
 
         with self._tracer.span("select", selector=self._selector.name) as span:
-            chosen = self._selector.select(
-                assessments,
-                budgets,
-                probabilities,
-                self._reconfiguration_weight,
-            )
+            try:
+                chosen = self._selector.select(assessments, budgets, score)
+            except SelectionError as exc:
+                # no feasible selection: the feature keeps its setting
+                span.tag(infeasible=str(exc))
+                return TuningResult(
+                    feature=self.feature_name,
+                    assessments=assessments,
+                    chosen=[],
+                    delta=ConfigurationDelta([]),
+                    candidate_count=len(candidates),
+                    selector_name=self._selector.name,
+                    infeasible=str(exc),
+                )
             span.tag(chosen=len(chosen))
 
         problems = validate_selection(

@@ -97,6 +97,29 @@ def test_probe_mode_does_not_touch_buffer_pool():
     assert result.report.work.buffer_hits == 1
 
 
+def test_a_query_that_raises_leaves_the_buffer_pool_as_it_found_it():
+    """The ``id`` predicate prunes chunks 0-2 and ``user >= '7'`` raises
+    on the chunks it cannot prune: the pool admits nothing and refreshes
+    no entry, cold or warm."""
+    db = make_small_database(rows=3_000, chunk_size=500)
+    for chunk in range(6):
+        db.move_chunk("events", chunk, StorageTier.NVM)
+    pool = db.executor.buffer_pool
+    failing = Query(
+        "events",
+        (Predicate("id", ">=", 1500), Predicate("user", ">=", "7")),
+        aggregate="count",
+    )
+    with pytest.raises(TypeError):
+        db.execute(failing)
+    assert pool.entry_count == 0
+    db.execute("SELECT COUNT(*) FROM events")
+    warm = list(pool._entries.items())
+    with pytest.raises(TypeError):
+        db.execute(failing)
+    assert list(pool._entries.items()) == warm
+
+
 # ----------------------------------------------------------------------
 # BufferPool unit tests
 

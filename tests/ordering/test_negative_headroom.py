@@ -1,17 +1,14 @@
-"""ROADMAP item 1a, pinned: dependence measurement with ``buffer_pool``
-under a DRAM budget below the data.
+"""ROADMAP item 1a: dependence measurement with ``buffer_pool`` under a
+DRAM budget below the data.
 
 ``BufferPoolFeature`` gives the pool the DRAM headroom next to the
 DRAM-resident chunks. On E1's base state that headroom is negative, so
-every pool capacity is infeasible and the greedy repair raises. This
-records today's behaviour; item 1a (a feature with no feasible candidate
-proposes no change) is the change that flips it.
+every pool capacity is infeasible. A feature with no feasible candidate
+proposes no change, so the matrix is measured: the pool keeps its
+setting on the reset baseline and its single run costs nothing.
 """
 
-import pytest
-
 from repro.configuration.config import ConfigurationInstance
-from repro.errors import SelectionError
 from repro.ordering.recursive import RecursiveTuningPlanner
 from repro.tuning import standard_features
 from repro.tuning.tuner import Tuner
@@ -19,7 +16,7 @@ from repro.tuning.tuner import Tuner
 from tests.conftest import make_dram_pressed_retail, make_forecast
 
 
-def test_item_1a_measure_dependencies_raises_under_negative_dram_headroom():
+def test_item_1a_measures_the_matrix_under_negative_dram_headroom():
     suite, constraints = make_dram_pressed_retail()
     db = suite.database
     tuners = [
@@ -28,9 +25,11 @@ def test_item_1a_measure_dependencies_raises_under_negative_dram_headroom():
     ]
     planner = RecursiveTuningPlanner(db, tuners, constraints)
     before = ConfigurationInstance.capture(db)
-    with pytest.raises(
-        SelectionError,
-        match="greedy repair cannot satisfy budgets: dram_bytes over by 515400",
-    ):
-        planner.measure_dependencies(make_forecast(suite))
+
+    matrix = planner.measure_dependencies(make_forecast(suite))
+
+    assert matrix.features == tuple(sorted(t.feature_name for t in tuners))
+    assert "buffer_pool" in matrix.features
+    assert len(matrix.w_pair) == 5 * 4
+    assert matrix.tuning_cost_ms["buffer_pool"] == 0.0
     assert ConfigurationInstance.capture(db) == before

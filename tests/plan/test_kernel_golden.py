@@ -741,18 +741,21 @@ def _compiled(compile_steps, query: Query, table):
         return type(exc)
 
 
+def _pool(db: Database) -> list:
+    """The buffer pool's entries in LRU order."""
+    return list(db.executor.buffer_pool._entries.items())
+
+
 def _assert_same_outcome(label, kernel_db: Database, scalar_db: Database, query):
     """The product's execution of ``query`` against the scalar
-    reference's, field by field, or the same exception type."""
+    reference's, field by field, or the same exception type; and the
+    buffer pool each leaves behind, a raising query's included."""
     kernel = _outcome(kernel_db, query, True)
     with scalar_reference() as calls:
         scalar = _outcome(scalar_db, query, True)
+    assert _pool(kernel_db) == _pool(scalar_db), label
     if isinstance(scalar, type) or isinstance(kernel, type):
         assert kernel == scalar, label
-        # the per-chunk loop admitted the chunks before the one it raised
-        # at, the kernel's tier pass never ran: start both pools over
-        for db in (kernel_db, scalar_db):
-            db.executor.buffer_pool.clear()
         return
     assert calls.count == 1, label
     _assert_identical(label, kernel, scalar)

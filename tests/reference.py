@@ -380,31 +380,15 @@ def scalar_run_plan(
     agg_values: list[np.ndarray] = []
     out_columns: dict[str, list[np.ndarray]] = {name: [] for name in projected}
     predicates = plan.query.predicates
+    ran = []
     for chunk, step in zip(table.chunks(), plan.steps, strict=True):
         result = execute_step(chunk, step, predicates)
+        ran.append((chunk, result))
         work.chunks_visited += 1
         if result.used_index:
             work.chunks_via_index += 1
-
-        # a non-DRAM chunk that hits the pool behaves as DRAM; a probe
-        # only peeks, an accounted run admits misses and refreshes hits
-        tier = chunk.tier
-        if tier is not StorageTier.DRAM:
-            key = (table.name, chunk.chunk_id)
-            if probe:
-                hit = pool.peek(key)
-            else:
-                hit = pool.access(key, chunk.data_bytes())
-            if hit:
-                tier = StorageTier.DRAM
-                work.buffer_hits += 1
-            else:
-                work.buffer_misses += 1
-
         work.scan_units += result.scan_units
         work.probe_units += result.probe_units
-        scan_ms += hardware.scan_ms(result.scan_units, tier, threads)
-        probe_ms += hardware.probe_ms(result.probe_units, tier)
 
         matched = result.positions
         work.rows_matched += len(matched)
@@ -421,6 +405,26 @@ def scalar_run_plan(
             if materialize:
                 for name in projected:
                     out_columns[name].append(chunk.segment(name).take(matched))
+
+    # only a query that ran on every chunk consults the pool, so one that
+    # raised above leaves it as it found it; a non-DRAM chunk that hits
+    # the pool behaves as DRAM; a probe only peeks, an accounted run
+    # admits misses and refreshes hits
+    for chunk, result in ran:
+        tier = chunk.tier
+        if tier is not StorageTier.DRAM:
+            key = (table.name, chunk.chunk_id)
+            if probe:
+                hit = pool.peek(key)
+            else:
+                hit = pool.access(key, chunk.data_bytes())
+            if hit:
+                tier = StorageTier.DRAM
+                work.buffer_hits += 1
+            else:
+                work.buffer_misses += 1
+        scan_ms += hardware.scan_ms(result.scan_units, tier, threads)
+        probe_ms += hardware.probe_ms(result.probe_units, tier)
     return work, scan_ms, probe_ms, agg_values, out_columns
 
 

@@ -67,13 +67,6 @@ def test_worst_case_and_std():
     assert flat.std(PROBS) == pytest.approx(0.0)
 
 
-def test_net_benefit_subtracts_weighted_one_time_cost():
-    a = _assessment({"expected": 10.0}, one_time_cost_ms=4.0)
-    probabilities = {"expected": 1.0}
-    assert a.net_benefit(probabilities) == 10.0
-    assert a.net_benefit(probabilities, reconfiguration_weight=0.5) == 8.0
-
-
 def test_permanent_cost_defaults_to_zero():
     a = _assessment({"expected": 1.0})
     assert a.permanent_cost("index_memory_bytes") == 0.0

@@ -22,8 +22,7 @@ class _BudgetIgnoringSelector(Selector):
 
     name = "take-everything"
 
-    def select(self, assessments, budgets, probabilities,
-               reconfiguration_weight=0.0, score_fn=None):
+    def select(self, assessments, budgets, score):
         return list(assessments)
 
 
@@ -32,8 +31,7 @@ class _DuplicatingSelector(Selector):
 
     name = "duplicator"
 
-    def select(self, assessments, budgets, probabilities,
-               reconfiguration_weight=0.0, score_fn=None):
+    def select(self, assessments, budgets, score):
         return list(assessments) + list(assessments)
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.configuration.constraints import INDEX_MEMORY
 from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.segments import EncodingType
-from repro.errors import SelectionError
 from repro.tuning.assessment import Assessment
 from repro.tuning.assessors.cost_model import CostModelAssessor
 from repro.tuning.candidate import EncodingCandidate, IndexCandidate
@@ -44,7 +43,9 @@ def test_reassessment_avoids_redundant_overlapping_indexes(retail_suite):
     ]
     assert len(overlapping) >= 2  # (customer) and (customer, order_date)
 
-    chosen = selector.select(assessments, {INDEX_MEMORY: 8 * MIB}, probabilities)
+    chosen = selector.select(
+        assessments, {INDEX_MEMORY: 8 * MIB}, selector.desirability(probabilities)
+    )
     customer_rooted = [
         a
         for a in chosen
@@ -57,7 +58,9 @@ def test_reassessment_avoids_redundant_overlapping_indexes(retail_suite):
 def test_reassessment_respects_budget(retail_suite):
     db, assessments, selector, probabilities = _setup(retail_suite)
     budget = 512 * 1024
-    chosen = selector.select(assessments, {INDEX_MEMORY: budget}, probabilities)
+    chosen = selector.select(
+        assessments, {INDEX_MEMORY: budget}, selector.desirability(probabilities)
+    )
     used = sum(a.permanent_cost(INDEX_MEMORY) for a in chosen)
     assert used <= budget
     assert db.index_bytes() == 0  # selection is hypothetical only
@@ -71,7 +74,9 @@ def test_reassessment_stops_at_max_picks(retail_suite):
     selector = ReassessingGreedySelector(
         assessor, db, forecast, feature.reset_delta(db, forecast), max_picks=2
     )
-    chosen = selector.select(assessments, {INDEX_MEMORY: 64 * MIB}, probabilities)
+    chosen = selector.select(
+        assessments, {INDEX_MEMORY: 64 * MIB}, selector.desirability(probabilities)
+    )
     assert len(chosen) <= 2
 
 
@@ -84,8 +89,8 @@ def test_rejects_required_groups(retail_suite):
         candidate=EncodingCandidate("orders", "status", EncodingType.DICTIONARY),
         desirability={"expected": 1.0},
     )
-    with pytest.raises(SelectionError):
-        selector.select([grouped], {}, {"expected": 1.0})
+    with pytest.raises(ValueError):
+        selector.select([grouped], {}, selector.desirability({"expected": 1.0}))
 
 
 def test_rejects_non_reassessing_assessor(retail_suite):
@@ -95,5 +100,5 @@ def test_rejects_non_reassessing_assessor(retail_suite):
     class Frozen(CostModelAssessor):
         supports_reassessment = False
 
-    with pytest.raises(SelectionError):
+    with pytest.raises(ValueError):
         ReassessingGreedySelector(Frozen(WhatIfOptimizer(db)), db, forecast)

@@ -9,7 +9,9 @@ from repro.configuration.constraints import (
     ResourceBudget,
 )
 from repro.telemetry import Telemetry
-from repro.tuning.selectors import OptimalSelector
+from repro.tuning.assessment import Assessment
+from repro.tuning.candidate import IndexCandidate
+from repro.tuning.selectors import GreedySelector, OptimalSelector, RobustSelector
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
@@ -96,6 +98,44 @@ def test_reconfiguration_weight_shrinks_delta(retail_suite):
         IndexSelectionFeature(), db, reconfiguration_weight=5.0
     ).propose(forecast)
     assert len(cautious.chosen) <= len(eager.chosen)
+
+
+class _RecordingSelector(GreedySelector):
+    """Greedy selection that keeps the score the tuner handed it."""
+
+    def select(self, assessments, budgets, score):
+        self.score = score
+        return super().select(assessments, budgets, score)
+
+
+def test_the_score_subtracts_weighted_one_time_cost(retail_suite):
+    """The tuner charges ``weight * one_time_cost_ms`` against the
+    selector's criterion, the robust one included."""
+    db = retail_suite.database
+    forecast = make_forecast(retail_suite)
+    probe = Assessment(
+        candidate=IndexCandidate("t", ("x",)),
+        desirability={name: 10.0 for name in forecast.scenario_names},
+        one_time_cost_ms=4.0,
+    )
+    probe.desirability[forecast.scenario_names[-1]] = 6.0
+    expected = probe.expected(
+        {s.name: s.probability for s in forecast.scenarios}
+    )
+    for weight in (0.0, 0.5):
+        plain = _RecordingSelector()
+        Tuner(
+            IndexSelectionFeature(), db, selector=plain,
+            reconfiguration_weight=weight,
+        ).propose(forecast)
+        assert plain.score(probe) == expected - weight * 4.0
+        base = _RecordingSelector()
+        Tuner(
+            IndexSelectionFeature(), db,
+            selector=RobustSelector(base, "worst_case"),
+            reconfiguration_weight=weight,
+        ).propose(forecast)
+        assert base.score(probe) == 6.0 - weight * 4.0
 
 
 def test_predicted_benefit_is_probability_weighted(retail_suite):
