@@ -36,10 +36,6 @@ framework end to end, including every substrate it depends on:
 - :mod:`repro.fleet` — fleet-scale multi-tenancy: per-tenant contexts,
   a fleet organizer arbitrating the tuning budget across tenants, and
   shared tuning priors replayed onto look-alike tenants;
-- :mod:`repro.policy` — goal-driven planning: declarative objectives
-  (latency, memory, throughput) compiled into multi-feature
-  reconfiguration plans, evaluated with the what-if oracle and executed
-  under guard probation.
 
 Quickstart::
 
@@ -90,14 +86,6 @@ from repro.ordering import (
     RecursiveTuningPlanner,
 )
 from repro.plan import PhysicalPlan, PlanStep, QueryPlanner, StepKind
-from repro.policy import (
-    LatencyObjective,
-    MemoryBudgetObjective,
-    ObjectiveViolationTrigger,
-    Policy,
-    PolicyEngine,
-    ThroughputObjective,
-)
 from repro.telemetry import (
     MetricRegistry,
     Telemetry,
@@ -131,19 +119,14 @@ __all__ = [
     "FleetOrganizer",
     "Forecast",
     "LPOrderOptimizer",
-    "LatencyObjective",
     "LearnedCostModel",
     "LogicalCostModel",
-    "MemoryBudgetObjective",
     "MetricRegistry",
-    "ObjectiveViolationTrigger",
     "Organizer",
     "OrganizerConfig",
     "PhysicalCostModel",
     "PhysicalPlan",
     "PlanStep",
-    "Policy",
-    "PolicyEngine",
     "Predicate",
     "Query",
     "QueryPlanner",
@@ -154,7 +137,6 @@ __all__ = [
     "StorageTier",
     "TableSchema",
     "Telemetry",
-    "ThroughputObjective",
     "TelemetryConfig",
     "TenantContext",
     "Tracer",

@@ -19,10 +19,6 @@ Commands:
 - ``guard``       — run the closed loop with a mid-trace dominance swap
                     and print the guarded-commit record: probation
                     ledger, forecast-miss escalations, and GUARD events;
-- ``policy``      — run the closed loop under declared objectives (p99 /
-                    mean latency, memory budget, throughput floor) and
-                    print the POLICY plan record plus the final
-                    objective status;
 - ``components``  — list every registered exchangeable component.
 """
 
@@ -38,15 +34,13 @@ from repro import __version__
 @contextlib.contextmanager
 def _rejecting_bad_input(command: str):
     """A value the parser could not judge alone (an unknown family, a
-    missing file, an unusable checkpoint directory, a bad objective) is
-    an option error — one stderr line and exit status 2 — not a
-    traceback."""
-    from repro.errors import PolicyError
+    missing file, an unusable checkpoint directory) is an option error —
+    one stderr line and exit status 2 — not a traceback."""
     from repro.fleet.checkpoint import CheckpointError
 
     try:
         yield
-    except (ValueError, OSError, CheckpointError, PolicyError) as exc:
+    except (ValueError, OSError, CheckpointError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -516,69 +510,6 @@ def _cmd_guard(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_config(args: argparse.Namespace):
-    """Build the Policy from --objectives YAML or the inline flags."""
-    from repro.policy import (
-        LatencyObjective,
-        MemoryBudgetObjective,
-        Policy,
-        ThroughputObjective,
-    )
-    from repro.util.units import MIB
-
-    with _rejecting_bad_input(args.command):
-        if args.objectives:
-            return Policy.from_yaml_file(args.objectives)
-        objectives = []
-        if args.p99_ms is not None:
-            objectives.append(LatencyObjective(bound_ms=args.p99_ms))
-        if args.mean_ms is not None:
-            objectives.append(
-                LatencyObjective(bound_ms=args.mean_ms, metric="mean")
-            )
-        if args.memory_mib is not None:
-            objectives.append(
-                MemoryBudgetObjective(bound_bytes=args.memory_mib * MIB)
-            )
-        if args.min_qps is not None:
-            objectives.append(ThroughputObjective(min_qps=args.min_qps))
-        if not objectives:
-            raise SystemExit(
-                "declare at least one objective (--p99-ms / --mean-ms / "
-                "--memory-mib / --min-qps) or pass --objectives <yaml>"
-            )
-        return Policy(
-            objectives=tuple(objectives),
-            violation_patience=args.patience,
-        )
-
-
-def _cmd_policy(args: argparse.Namespace) -> int:
-    from repro.core import EventKind
-    from repro.kpi.metrics import POLICY_KPIS
-
-    policy = _policy_config(args)
-    suite, trace = _workload(args)
-    ctx, simulation = _attach(args, suite, trace, policy=policy)
-
-    names = ", ".join(o.name or o.kind for o in policy.objectives)
-    print(f"simulating {args.bins} bins of the {args.suite} workload "
-          f"under declared objectives: {names}")
-    _print_bins(simulation.run())
-
-    _print_events(ctx, (EventKind.POLICY,), "policy events:")
-    _print_counters(ctx, "policy record:", POLICY_KPIS, 24)
-
-    assessment = ctx.organizer.policy_status()
-    print("\nfinal objective status:")
-    for status in assessment.statuses:
-        verdict = "met    " if status.satisfied else "VIOLATED"
-        print(f"  {verdict} {status.name}: {status.detail} "
-              f"(margin {status.margin:+.2%})")
-    print(f"  composite score: {assessment.score:+.4f}")
-    return 0 if assessment.satisfied else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -704,25 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="second swapped family (default: lowest rate)")
     guard.set_defaults(run=_cmd_guard)
 
-    policy = commands.add_parser(
-        "policy", help="run the closed loop under declared objectives"
-    )
-    common(policy, bins=24)
-    policy.add_argument("--p99-ms", type=float, default=None,
-                        help="p99 query latency bound (ms)")
-    policy.add_argument("--mean-ms", type=float, default=None,
-                        help="mean query latency bound (ms)")
-    policy.add_argument("--memory-mib", type=float, default=None,
-                        help="index memory budget objective (MiB)")
-    policy.add_argument("--min-qps", type=float, default=None,
-                        help="throughput floor (queries/second)")
-    policy.add_argument("--patience", type=int, default=2,
-                        help="consecutive violated evaluations before the "
-                             "objective trigger fires")
-    policy.add_argument("--objectives", default=None,
-                        help="YAML file declaring the objectives "
-                             "(overrides the inline flags)")
-    policy.set_defaults(run=_cmd_policy)
     return parser
 
 

@@ -26,7 +26,6 @@ from repro.tuning.features.base import FeatureTuner
 
 if TYPE_CHECKING:
     from repro.fleet.context import TenantContext
-    from repro.policy.objectives import Policy
 
 
 @dataclass
@@ -46,10 +45,6 @@ class DriverConfig:
     #: tenant id labelling every event and span record this
     #: driver's components produce ('' = single-tenant; see docs/fleet.md)
     tenant: str = ""
-    #: declared objectives for goal-driven planning; when set the
-    #: organizer runs plan-propose / plan-evaluate / plan-execute passes
-    #: instead of the trigger-reactive path (see docs/policy.md)
-    policy: "Policy | None" = None
 
 
 class Driver(Plugin):

@@ -30,7 +30,6 @@ class EventKind(enum.Enum):
     ROLLBACK = "rollback"
     QUARANTINE = "quarantine"
     GUARD = "guard"
-    POLICY = "policy"
     #: a durable fleet checkpoint was written (fleet-level; see
     #: repro.fleet.checkpoint)
     CHECKPOINT = "checkpoint"

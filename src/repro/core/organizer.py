@@ -8,8 +8,8 @@ impact per cost, runs the recursive tuning, and stores the resulting
 configuration instance with its predicted and measured benefit — closing
 the feedback loop.
 
-A pass is written once: ``run_tuning`` and ``run_policy_pass`` enter the
-same body, ``_run_pass``, without and with the policy engine.
+A pass is written once, in ``run_tuning``: a periodic tick, a forecast-miss
+escalation and a manual request all run that one body.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ from repro.ordering.recursive import (
     RecursiveTuningPlanner,
     RecursiveTuningReport,
 )
-from repro.policy.engine import (
-    POLICY_TRIGGER,
-    ObjectiveViolationTrigger,
-    PolicyEngine,
-    PolicyPlanReport,
-)
-from repro.policy.objectives import Policy
 from repro.telemetry import Telemetry
 from repro.tuning.executors.base import ApplicationReport, TuningExecutor
 from repro.tuning.executors.sequential import SequentialExecutor
@@ -116,9 +109,6 @@ class OrganizerRunReport:
     skipped_features: tuple[str, ...] = field(default_factory=tuple)
     #: features excluded from this pass by the quarantine breaker
     quarantined_features: tuple[str, ...] = field(default_factory=tuple)
-    #: the plan-propose/plan-evaluate record of a policy pass (None for
-    #: trigger-reactive passes)
-    plan: PolicyPlanReport | None = None
 
 
 class Organizer:
@@ -138,7 +128,6 @@ class Organizer:
         optimizer: WhatIfOptimizer | None = None,
         executor: TuningExecutor | None = None,
         telemetry: Telemetry | None = None,
-        policy: Policy | None = None,
     ) -> None:
         self._db = db
         self._predictor = predictor
@@ -201,17 +190,6 @@ class Organizer:
         # fleet hooks: both stay None outside a fleet, costing nothing
         self._admission: AdmissionHook | None = None
         self._commit_listener: CommitListener | None = None
-        # goal-driven mode: with a policy declared every pass goes
-        # through plan-propose / plan-evaluate / plan-execute, and the
-        # objective-violation trigger joins the reactive ones; without
-        # one the trigger-reactive path below runs unchanged
-        self._engine: PolicyEngine | None = None
-        if policy is not None:
-            self._engine = PolicyEngine(policy, self._telemetry.registry)
-            self._triggers = [
-                *self._triggers,
-                ObjectiveViolationTrigger(self._engine),
-            ]
 
     # ------------------------------------------------------------------
 
@@ -251,11 +229,6 @@ class Organizer:
     def cached_order(self) -> tuple[str, ...] | None:
         return self._cached_order
 
-    @property
-    def policy(self) -> Policy | None:
-        """The declared policy, when goal-driven planning is configured."""
-        return self._engine.policy if self._engine is not None else None
-
     def __getstate__(self) -> dict[str, object]:
         # the fleet hooks belong to whoever hosts this organizer, not to
         # its state: a pickle leaves them behind
@@ -294,18 +267,6 @@ class Organizer:
             horizon_bins=self._config.horizon_bins,
             last_tuning_ms=self._last_tuning_ms,
         )
-
-    def policy_status(self):
-        """Assess the declared objectives against the current context.
-
-        Returns a :class:`~repro.policy.objectives.PolicyAssessment`, or
-        ``None`` when no policy is configured. A pure read: unlike the
-        engine's trigger-path assessment it does not advance the
-        ``policy_evaluations`` counters.
-        """
-        if self._engine is None:
-            return None
-        return self._engine.policy.assess(self._context())
 
     def evaluate_triggers(self) -> TriggerDecision:
         """First firing trigger wins; otherwise the last negative decision."""
@@ -387,16 +348,6 @@ class Organizer:
                     **decision.details,
                 )
                 return None
-        return self._run_decided(decision)
-
-    def _run_decided(
-        self, decision: TriggerDecision
-    ) -> OrganizerRunReport | None:
-        """Where a firing decision ends, periodic or escalated: the
-        goal-driven pass with a policy configured, else the
-        trigger-reactive one."""
-        if self._engine is not None:
-            return self.run_policy_pass(decision)
         return self.run_tuning(decision)
 
     # ------------------------------------------------------------------
@@ -466,11 +417,7 @@ class Organizer:
 
         The cached tuning order was computed for the old mix, so it is
         invalidated first — the escalation pass re-measures dependencies
-        and re-solves the ordering LP against the fresh forecast. With a
-        policy configured, the escalation *re-plans*: candidate plans
-        are re-proposed and re-evaluated against the declared objectives
-        under the fresh forecast instead of blindly re-running the
-        reactive pass.
+        and re-solves the ordering LP against the fresh forecast.
         """
         self._cached_order = None
         decision = TriggerDecision(
@@ -480,17 +427,7 @@ class Organizer:
             f"scenario {verdict.nearest_scenario!r}",
             {"distance": verdict.distance},
         )
-        if self._engine is not None:
-            self._engine.note_replan()
-            self._events.log(
-                self._db.clock.now_ms,
-                EventKind.POLICY,
-                "forecast miss: re-planning against the declared "
-                f"objectives ({decision.reason})",
-                distance=verdict.distance,
-                nearest_scenario=verdict.nearest_scenario,
-            )
-        return self._run_decided(decision)
+        return self.run_tuning(decision)
 
     def _feature_subset(self, order: tuple[str, ...]) -> tuple[str, ...]:
         budget = self._config.tuning_time_budget_ms
@@ -591,14 +528,14 @@ class Organizer:
                     probation_ms=quarantine.PROBATION_MS,
                 )
 
-    def _begin_pass(self, decision: TriggerDecision, label: str):
+    def _begin_pass(self, decision: TriggerDecision):
         """Where every pass begins: forecast, guard note, interval, event.
 
         The forecast this pass tunes for is also the envelope the guard
         later judges the live workload against (forecast-miss
         detection). Per-pass metric deltas come from a registry interval
         read, so any counter a component registers (cache, executor,
-        policy engine, future subsystems) is automatically measurable
+        breaker, future subsystems) is automatically measurable
         over the pass.
         """
         now = self._db.clock.now_ms
@@ -608,7 +545,7 @@ class Organizer:
         self._events.log(
             now,
             EventKind.TUNING_STARTED,
-            f"{label} pass triggered by {decision.trigger}",
+            f"tuning pass triggered by {decision.trigger}",
             trigger=decision.trigger,
             **decision.details,
         )
@@ -755,128 +692,29 @@ class Organizer:
         )
         return record
 
-    def _choose_plan(
-        self,
-        engine: PolicyEngine,
-        decision: TriggerDecision,
-        forecast: "Forecast",
-        subset: tuple[str, ...],
-        pass_span,
-    ) -> PolicyPlanReport | None:
-        """The pass body's planning step, taken with an engine: every
-        admitted feature *proposes* (applying nothing), the proposed
-        plan prefixes are priced against the declared objectives with
-        the batched what-if oracle, and one alternative is chosen.
-        Returns ``None`` when no feature proposes a change."""
-        with self._tracer.span("plan_propose") as propose_span:
-            steps = engine.propose_steps(
-                tuners=self._planner.tuners,
-                order=subset,
-                forecast=forecast,
-                constraints=self._constraints,
-                optimizer=self._optimizer,
-            )
-            propose_span.tag(steps=len(steps))
-        if not steps:
-            # an empty plan still counts as an attempt: objectives
-            # that no feature can improve must not re-propose every
-            # tick, so the cooldown restarts (unlike a zero-feature
-            # budget skip, where no work was even possible)
-            now = self._db.clock.now_ms
-            self._last_tuning_ms = now
-            self._events.log(
-                now,
-                EventKind.SKIP,
-                "policy pass skipped: no feature proposes a change",
-                trigger=decision.trigger,
-                **decision.details,
-            )
-            pass_span.tag(skipped="empty plan")
-            return None
-
-        with self._tracer.span("plan_evaluate") as eval_span:
-            plan_report = engine.evaluate_plans(
-                steps=steps,
-                forecast=forecast,
-                optimizer=self._optimizer,
-                db=self._db,
-                context=self._context(),
-            )
-            chosen = plan_report.chosen
-            eval_span.tag(
-                alternatives=len(plan_report.alternatives),
-                chosen=len(chosen.steps),
-                feasible=chosen.feasible,
-            )
-        self._events.log(
-            self._db.clock.now_ms,
-            EventKind.POLICY,
-            f"plan chosen: {' -> '.join(chosen.features)} "
-            f"({'meets' if chosen.feasible else 'closest to'} the "
-            f"declared objectives; predicted workload "
-            f"{plan_report.baseline_cost_ms:.2f} -> "
-            f"{chosen.metrics.expected_cost_ms:.2f} ms)",
-            trigger=decision.trigger,
-            features=list(chosen.features),
-            alternatives=len(plan_report.alternatives),
-            feasible=chosen.feasible,
-            baseline_cost_ms=plan_report.baseline_cost_ms,
-            predicted_cost_ms=chosen.metrics.expected_cost_ms,
-            score=chosen.score,
-            **{f"{s.name}_margin": s.margin for s in chosen.statuses},
-        )
-        return plan_report
-
-    def _run_pass(
-        self, decision: TriggerDecision, engine: PolicyEngine | None
+    def run_tuning(
+        self, decision: TriggerDecision | None = None
     ) -> OrganizerRunReport | None:
-        """The one pass body: begin, select the features, plan, tune,
-        commit, report.
-
-        Without an ``engine`` the selected features are tuned in order,
-        each proposing against the state its predecessors left behind.
-        With one, :meth:`_choose_plan` comes first and only the chosen
-        alternative's features run, applying their evaluated proposals
-        verbatim — gated and committed like any other pass.
+        """The one pass body (also callable manually): begin, select the
+        features, tune them in order — each proposing against the state
+        its predecessors left behind — commit, report.
 
         Returns ``None``, with nothing recorded, when no feature survives
-        the selection (no work was possible) or, with an engine, when no
-        feature proposes a change (an attempt: the cooldown restarts).
+        the selection (no work was possible).
         """
-        label = "tuning" if engine is None else "policy"
-        forecast, interval = self._begin_pass(decision, label)
+        decision = decision or TriggerDecision(True, "manual", "manual request")
+        forecast, interval = self._begin_pass(decision)
 
-        tags = {} if engine is None else {"mode": "policy"}
         with self._tracer.span(
-            "tuning_pass", trigger=decision.trigger, **tags
+            "tuning_pass", trigger=decision.trigger
         ) as pass_span:
             selected = self._select_features(forecast, pass_span)
             if selected is None:
                 return None
             order, skipped, quarantined = selected
-
-            plan_report: PolicyPlanReport | None = None
-            proposals = None
-            if engine is not None:
-                plan_report = self._choose_plan(
-                    engine, decision, forecast, order, pass_span
-                )
-                if plan_report is None:
-                    return None
-                chosen = plan_report.chosen
-                in_plan = set(chosen.features)
-                skipped += tuple(n for n in order if n not in in_plan)
-                order = chosen.features
-                proposals = {s.feature: s.result for s in chosen.steps}
-
             report = self._planner.run(
-                forecast,
-                order=order,
-                executor=self._executor,
-                proposals=proposals,
+                forecast, order=order, executor=self._executor
             )
-            if plan_report is not None:
-                engine.note_executed(plan_report.chosen)
             record = self._commit_pass(decision, interval, pass_span, report)
         run_report = OrganizerRunReport(
             decision=decision,
@@ -885,35 +723,15 @@ class Organizer:
             record=record,
             skipped_features=skipped,
             quarantined_features=quarantined,
-            plan=plan_report,
         )
         if self._commit_listener is not None:
             self._commit_listener(self, run_report)
         return run_report
 
-    def run_tuning(
-        self, decision: TriggerDecision | None = None
-    ) -> OrganizerRunReport | None:
-        """Run one trigger-reactive tuning pass (also callable manually):
-        the pass body with no engine."""
-        return self._run_pass(
-            decision or TriggerDecision(True, "manual", "manual request"),
-            None,
-        )
-
-    def run_policy_pass(
-        self, decision: TriggerDecision | None = None
-    ) -> OrganizerRunReport | None:
-        """Run one goal-driven pass — plan-propose, plan-evaluate,
-        plan-execute: the pass body with the policy engine (without one
-        configured, the reactive pass)."""
-        if self._engine is None:
-            return self.run_tuning(decision)
-        return self._run_pass(
-            decision
-            or TriggerDecision(True, POLICY_TRIGGER, "manual policy pass"),
-            self._engine,
-        )
+    # kept for the second "core.run_tuning" row of TARGETS in
+    # bench/tracing.py, which looks this name up; it goes with that row.
+    # Nothing calls it.
+    run_policy_pass = run_tuning
 
     # ------------------------------------------------------------------
     # fleet prior replay

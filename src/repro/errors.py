@@ -129,7 +129,3 @@ class PluginError(ReproError):
 
 class ConfigurationError(ReproError):
     """A configuration instance or delta is inconsistent."""
-
-
-class PolicyError(ReproError):
-    """A policy declaration (objectives, config, YAML) is invalid."""

@@ -181,7 +181,6 @@ class TenantContext:
             optimizer=optimizer,
             executor=executor,
             telemetry=telemetry,
-            policy=config.policy,
         )
         # sampled per-query spans + exec work counters of served queries
         database.bind_telemetry(telemetry)

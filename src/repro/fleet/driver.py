@@ -747,16 +747,12 @@ def default_tenant_driver(
     tune_every_bins: int = DEFAULT_TUNE_EVERY_BINS,
     index_budget_mib: float = DEFAULT_INDEX_BUDGET_MIB,
     organizer: OrganizerConfig | None = None,
-    policy=None,
 ) -> Driver:
     """The standard per-tenant driver, labelled with the tenant id.
 
     Mirrors the single-tenant CLI setup (periodic + forecast-drift
     triggers, index memory budget, 4-bin horizon); the golden tests
-    construct the legacy arm with exactly these parameters. ``policy``
-    (a :class:`~repro.policy.objectives.Policy`) switches the tenant's
-    organizer to goal-driven planning; its passes are fleet-arbitrated
-    like any other non-urgent trigger.
+    construct the legacy arm with exactly these parameters.
     """
     from repro.configuration import INDEX_MEMORY
     from repro.configuration.constraints import ConstraintSet, ResourceBudget
@@ -782,7 +778,6 @@ def default_tenant_driver(
             or OrganizerConfig(
                 horizon_bins=4, min_history_bins=4, cooldown_ms=3 * 60_000
             ),
-            policy=policy,
         ),
     )
 
@@ -802,7 +797,6 @@ def build_fleet(
     specs: list[TenantSpec] | None = None,
     parallel: str | None = None,
     workers: int | None = None,
-    policy=None,
     checkpoint_dir: Path | str | None = None,
     checkpoint_every: int = 0,
 ) -> FleetDriver:
@@ -817,9 +811,7 @@ def build_fleet(
     Pass explicit ``specs`` to override the layout entirely (e.g. two
     digital-twin tenants sharing every seed — the replay identity tests).
     """
-    custom_layout = (
-        specs is not None or organizer is not None or policy is not None
-    )
+    custom_layout = specs is not None or organizer is not None
     if specs is None:
         specs = tenant_specs(
             n_tenants,
@@ -837,7 +829,6 @@ def build_fleet(
             tune_every_bins=tune_every_bins,
             index_budget_mib=index_budget_mib,
             organizer=organizer,
-            policy=policy,
         )
         db.plugin_host.attach(driver)
         ctx = driver.context

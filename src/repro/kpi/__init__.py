@@ -9,7 +9,6 @@ from repro.kpi.metrics import (
     MEMORY_BYTES,
     MEMORY_UTILIZATION,
     P99_QUERY_MS,
-    POLICY_KPIS,
     QUERIES_EXECUTED,
     RECONFIGURATION_MS,
     SYSTEM_KPIS,
@@ -30,7 +29,6 @@ __all__ = [
     "MEMORY_BYTES",
     "MEMORY_UTILIZATION",
     "P99_QUERY_MS",
-    "POLICY_KPIS",
     "QUERIES_EXECUTED",
     "RECONFIGURATION_MS",
     "RuntimeKPIMonitor",

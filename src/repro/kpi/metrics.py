@@ -116,27 +116,6 @@ GUARD_KPIS = (
     GUARD_ESCALATIONS,
 )
 
-# policy-engine counters (goal-driven planning; see repro.policy and
-# docs/policy.md). The engine owns all policy_* names; they live in the
-# shared telemetry MetricRegistry like the fault and guard counters.
-POLICY_EVALUATIONS = "policy_evaluations"
-POLICY_VIOLATIONS = "policy_violations"
-POLICY_STEPS_PROPOSED = "policy_steps_proposed"
-POLICY_PLANS_EVALUATED = "policy_plans_evaluated"
-POLICY_PLANS_EXECUTED = "policy_plans_executed"
-POLICY_PLANS_INFEASIBLE = "policy_plans_infeasible"
-POLICY_REPLANS = "policy_replans"
-
-POLICY_KPIS = (
-    POLICY_EVALUATIONS,
-    POLICY_VIOLATIONS,
-    POLICY_STEPS_PROPOSED,
-    POLICY_PLANS_EVALUATED,
-    POLICY_PLANS_EXECUTED,
-    POLICY_PLANS_INFEASIBLE,
-    POLICY_REPLANS,
-)
-
 # system-specific KPIs (simulated hardware view)
 CPU_UTILIZATION = "cpu_utilization"
 MEMORY_UTILIZATION = "memory_utilization"

@@ -94,11 +94,6 @@ class RecursiveTuningPlanner:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._tuners))
 
-    @property
-    def tuners(self) -> dict[str, Tuner]:
-        """Feature name → tuner (a copy; the policy engine reads this)."""
-        return dict(self._tuners)
-
     def measure_dependencies(self, forecast: Forecast) -> DependenceMatrix:
         analyzer = DependenceAnalyzer(
             self._db,
@@ -120,16 +115,8 @@ class RecursiveTuningPlanner:
         forecast: Forecast,
         order: tuple[str, ...] | None = None,
         executor: TuningExecutor | None = None,
-        proposals: dict[str, TuningResult] | None = None,
     ) -> RecursiveTuningReport:
-        """Tune all features in ``order`` (or the LP-optimized order).
-
-        ``proposals`` supplies pre-computed tuning results by feature
-        (an evaluated policy plan): a feature with a supplied proposal
-        applies it verbatim instead of re-running enumerate/assess/
-        select, which is what makes an evaluated plan execute exactly
-        as priced.
-        """
+        """Tune all features in ``order`` (or the LP-optimized order)."""
         matrix: DependenceMatrix | None = None
         solution: OrderingSolution | None = None
         if order is None:
@@ -151,12 +138,10 @@ class RecursiveTuningPlanner:
         for name in order:
             tuner = self._tuners[name]
             failure: str | None = None
-            supplied = proposals.get(name) if proposals else None
             with self._tracer.span("feature", name=name) as span:
                 try:
                     result, report = tuner.tune(
-                        forecast, self._constraints, executor,
-                        result=supplied,
+                        forecast, self._constraints, executor
                     )
                 except TuningAbortedError as exc:
                     # the executor rolled the pass back; record the

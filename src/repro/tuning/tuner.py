@@ -219,16 +219,8 @@ class Tuner:
         forecast: Forecast,
         constraints: ConstraintSet | None = None,
         executor: TuningExecutor | None = None,
-        result: TuningResult | None = None,
     ) -> tuple[TuningResult, ApplicationReport]:
-        """Propose and immediately apply.
-
-        An externally-supplied ``result`` (e.g. a step of an evaluated
-        policy plan) skips the propose pipeline and is applied verbatim
-        — the caller vouches that it was proposed against the current
-        database state.
-        """
-        if result is None:
-            result = self.propose(forecast, constraints)
+        """Propose and immediately apply."""
+        result = self.propose(forecast, constraints)
         report = self.apply(result, executor)
         return result, report

@@ -78,15 +78,6 @@ def _exit_status(argv):
     return exit_.value.code
 
 
-#: policy documents the ``policy`` subcommand refuses as option values
-_BAD_POLICY_DOCUMENTS = {
-    "typo.yml": "objectives:\n  - kind: latncy\n    max_ms: 1\n",
-    "list.yml": "- kind: latency\n  max_ms: 1\n",
-    "broken.yml": "objectives: [\n",
-    "zero.yml": "objectives:\n  - kind: latency\n    max_ms: 1\n    weight: 0\n",
-}
-
-
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -97,17 +88,11 @@ _BAD_POLICY_DOCUMENTS = {
             "checkpoint_every must be >= 0",
         ),
         (["guard", "--rows", "2000", "--swap-a", "nosuch"], "'nosuch'"),
-        (["policy", "--objectives", "{tmp}/missing.yml"], "missing.yml"),
         (  # a failed checkpoint write: the directory is under a file
             ["fleet", "--tenants", "2", "--rows", "2000", "--bins", "2",
              "--checkpoint-every", "2", "--checkpoint-dir", "{tmp}/file/ck"],
             "checkpoint write failed",
         ),
-        (["policy", "--p99-ms", "-1"], "bound_ms must be positive"),
-        (["policy", "--objectives", "{tmp}/typo.yml"], "kind 'latncy'"),
-        (["policy", "--objectives", "{tmp}/list.yml"], "must be a mapping"),
-        (["policy", "--objectives", "{tmp}/broken.yml"], "not a YAML document"),
-        (["policy", "--objectives", "{tmp}/zero.yml"], "weight must be positive"),
     ],
 )
 def test_bad_option_values_exit_2_with_one_line(
@@ -115,8 +100,6 @@ def test_bad_option_values_exit_2_with_one_line(
 ):
     """A value argparse cannot judge alone is still an option error."""
     (tmp_path / "file").write_text("in the way")
-    for name, text in _BAD_POLICY_DOCUMENTS.items():
-        (tmp_path / name).write_text(text)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert _exit_status(argv) == 2
     err = capsys.readouterr().err
@@ -242,59 +225,6 @@ def test_guard_command_small(capsys):
     assert "guard_commits" in out
 
 
-def test_policy_command_inline_objectives(capsys):
-    # generous bounds: the objectives are met, so the exit code is 0
-    assert (
-        main(
-            [
-                "policy",
-                "--rows", "3000",
-                "--bins", "8",
-                "--features", "2",
-                "--seed", "3",
-                "--p99-ms", "500",
-                "--memory-mib", "64",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "under declared objectives" in out
-    assert "policy record:" in out
-    assert "policy_evaluations" in out
-    assert "final objective status:" in out
-    assert "composite score:" in out
-
-
-def test_policy_command_yaml_objectives(capsys, tmp_path):
-    spec = tmp_path / "objectives.yaml"
-    spec.write_text(
-        "name: slo\n"
-        "objectives:\n"
-        "  - kind: latency\n"
-        "    metric: mean\n"
-        "    max_ms: 500\n"
-        "  - kind: memory\n"
-        "    max_mib: 64\n"
-    )
-    assert (
-        main(
-            [
-                "policy",
-                "--rows", "3000",
-                "--bins", "8",
-                "--features", "2",
-                "--seed", "3",
-                "--objectives", str(spec),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "under declared objectives" in out
-    assert "mean_query_ms" in out
-
-
 _SMALL = ["--features", "2", "--seed", "3"]
 
 
@@ -308,10 +238,8 @@ _SMALL = ["--features", "2", "--seed", "3"]
          "--swap-at", "4"],
         ["guard", "--rows", "3000", "--bins", "8", "--tune-every-bins", "4",
          "--swap-at", "0"],
-        ["policy", "--rows", "3000", "--bins", "8", "--p99-ms", "500",
-         "--memory-mib", "64"],
     ],
-    ids=["simulate", "faults", "guard-swap", "guard-no-swap", "policy"],
+    ids=["simulate", "faults", "guard-swap", "guard-no-swap"],
 )
 def test_closed_loop_commands_print_only_what_their_run_recorded(
     capsys, argv
@@ -325,11 +253,6 @@ def test_closed_loop_commands_print_only_what_their_run_recorded(
     assert outputs[0] == outputs[1]
     if argv[-2:] == ["--swap-at", "0"]:
         assert "dominance swap" not in outputs[0][1]
-
-
-def test_policy_command_requires_an_objective():
-    with pytest.raises(SystemExit):
-        main(["policy", "--rows", "3000", "--bins", "4"])
 
 
 def test_unknown_suite_rejected():
