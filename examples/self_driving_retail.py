@@ -57,7 +57,6 @@ def main() -> None:
                 horizon_bins=4,
                 min_history_bins=4,
                 cooldown_ms=5 * 60_000,
-                order_refresh_every=3,
             )
         ),
     )

@@ -17,7 +17,7 @@ framework end to end, including every substrate it depends on:
   constraints, and the instance store (one record per committed pass:
   the feedback loop and the probation state);
 - :mod:`repro.tuning` — the Tuner pipeline: enumerators, assessors,
-  selectors (greedy/optimal/genetic/robust), executors, and four feature
+  selectors (greedy/optimal/genetic/robust), the executor, and four feature
   tuners (indexes, compression, placement, buffer pool);
 - :mod:`repro.ordering` — Section III: measured dependence ratios and the
   integer LP that optimizes the multi-feature tuning order;

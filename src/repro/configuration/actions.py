@@ -9,7 +9,7 @@ inverse actions that roll it back. Every configuration change in the
 system is those two in that order, followed by
 ``Database._record_reconfiguration`` unless it is a what-if:
 :meth:`Action.apply` (behind the ``Database`` primitives), the tuning
-executors, what-if evaluation. See docs/components.md, "Changing the
+executor, what-if evaluation. See docs/components.md, "Changing the
 configuration".
 """
 
@@ -46,7 +46,7 @@ class Action(ABC):
         Returns the one-time cost."""
         cost = self.estimate_cost_ms(db)
         self.apply_raw(db)
-        return db._record_reconfiguration(cost, cost, 1)
+        return db._record_reconfiguration(cost, 1)
 
     @abstractmethod
     def apply_raw(self, db: Database) -> list["Action"]:

@@ -29,6 +29,10 @@ from repro.configuration.actions import Action
 from repro.configuration.config import ConfigurationInstance
 from repro.errors import ConfigurationError
 
+#: records kept; at least two, since the record on probation is never
+#: evicted and its successor must fit beside it
+CAPACITY = 256
+
 
 class CommitResolution(enum.Enum):
     """How a record's probation ended."""
@@ -95,12 +99,7 @@ class ConfigurationRecord:
 class ConfigurationInstanceStorage:
     """Append-only history of committed passes plus the one on probation."""
 
-    def __init__(self, capacity: int = 256) -> None:
-        # two: the record on probation is never evicted, and its
-        # successor must fit beside it
-        if capacity < 2:
-            raise ConfigurationError("capacity must be at least 2")
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._records: list[ConfigurationRecord] = []
         self._appended = 0
         self._active: ConfigurationRecord | None = None
@@ -111,7 +110,7 @@ class ConfigurationInstanceStorage:
         capacity the oldest record goes, except the one on probation: it
         holds the only copy of its rollback material."""
         self._records.append(record)
-        if len(self._records) > self._capacity:
+        if len(self._records) > CAPACITY:
             del self._records[1 if self._records[0] is self._active else 0]
         self._appended += 1
         return self._appended - 1

@@ -16,6 +16,10 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.telemetry.sinks import JsonlSink
 
+#: events kept in memory; older ones leave the log (the JSONL export, if
+#: any, keeps them)
+CAPACITY = 1024
+
 
 class EventKind(enum.Enum):
     OBSERVE = "observe"
@@ -25,14 +29,10 @@ class EventKind(enum.Enum):
     TUNING_FINISHED = "tuning_finished"
     ORDER_PLANNED = "order_planned"
     APPLY = "apply"
-    ERROR = "error"
     FAULT = "fault"
     ROLLBACK = "rollback"
     QUARANTINE = "quarantine"
     GUARD = "guard"
-    #: a durable fleet checkpoint was written (fleet-level; see
-    #: repro.fleet.checkpoint)
-    CHECKPOINT = "checkpoint"
     #: the fleet recovered management-layer state — a worker restart, a
     #: checkpoint restore, or a tenant force-quarantined after its
     #: context repeatedly failed to restore
@@ -71,13 +71,10 @@ class EventLog:
 
     def __init__(
         self,
-        capacity: int = 1024,
         sink: "JsonlSink | None" = None,
         tenant: str = "",
     ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self._events: deque[Event] = deque(maxlen=capacity)
+        self._events: deque[Event] = deque(maxlen=CAPACITY)
         self._sink = sink
         self._tenant = tenant
 

@@ -56,8 +56,7 @@ from repro.ordering.recursive import (
     RecursiveTuningReport,
 )
 from repro.telemetry import Telemetry
-from repro.tuning.executors.base import ApplicationReport, TuningExecutor
-from repro.tuning.executors.sequential import SequentialExecutor
+from repro.tuning.executors.sequential import ApplicationReport, SequentialExecutor
 from repro.tuning.tuner import Tuner
 
 if TYPE_CHECKING:
@@ -76,6 +75,9 @@ CommitListener = Callable[["Organizer", "OrganizerRunReport"], None]
 #: Trigger name recorded for passes replayed from a fleet tuning prior.
 FLEET_REPLAY_TRIGGER = "fleet_replay"
 
+#: re-measure dependencies and re-solve the ordering LP every N runs
+ORDER_REFRESH_EVERY = 5
+
 
 @dataclass(frozen=True)
 class OrganizerConfig:
@@ -85,13 +87,10 @@ class OrganizerConfig:
     horizon_bins: int = 6
     #: bins of history required before any tuning
     min_history_bins: int = 4
-    #: re-measure dependencies and re-solve the ordering LP every N runs
-    order_refresh_every: int = 5
     #: simulated ms that must pass between autonomous tuning runs
     cooldown_ms: float = 0.0
     #: defer non-urgent tunings until a low-utilization window
     require_idle: bool = False
-    idle_utilization_threshold: float = 0.5
     #: when set, tune only the features whose single-tuning one-time costs
     #: fit this budget, ranked by impact per cost (Section III-A)
     tuning_time_budget_ms: float | None = None
@@ -126,7 +125,7 @@ class Organizer:
         triggers: list[TuningTrigger] | None = None,
         config: OrganizerConfig | None = None,
         optimizer: WhatIfOptimizer | None = None,
-        executor: TuningExecutor | None = None,
+        executor: SequentialExecutor | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self._db = db
@@ -327,7 +326,7 @@ class Organizer:
             return None
         urgent = decision.trigger == SlaViolationTrigger.name
         if config.require_idle and not urgent:
-            if not self._monitor.is_idle(config.idle_utilization_threshold):
+            if not self._monitor.is_idle():
                 self._events.log(
                     now,
                     EventKind.SKIP,
@@ -565,7 +564,7 @@ class Organizer:
         """
         refresh = (
             self._cached_order is None
-            or self._runs_since_refresh >= self._config.order_refresh_every
+            or self._runs_since_refresh >= ORDER_REFRESH_EVERY
         )
         if refresh and len(self._tuners) >= 2:
             with self._tracer.span("order_refresh") as order_span:

@@ -50,6 +50,11 @@ class TriggerDecision:
 #: left the forecast envelope *now*.
 FORECAST_MISS_TRIGGER = "forecast_miss"
 
+#: bins of observed history the drift trigger needs before it compares
+MIN_HISTORY_BINS = 4
+#: trailing bins that make up the "recent workload" of the comparison
+RECENT_WINDOW_BINS = 4
+
 
 class TuningTrigger(ABC):
     """One policy that can demand a tuning run."""
@@ -73,28 +78,23 @@ class ForecastDriftTrigger(TuningTrigger):
 
     name = "forecast_drift"
 
-    def __init__(
-        self,
-        relative_threshold: float = 0.15,
-        recent_window_bins: int = 4,
-        min_history_bins: int = 4,
-    ) -> None:
+    def __init__(self, relative_threshold: float = 0.15) -> None:
         if relative_threshold <= 0:
             raise ValueError("relative_threshold must be positive")
         self._threshold = relative_threshold
-        self._window = recent_window_bins
-        self._min_history = min_history_bins
 
     def evaluate(self, context: TriggerContext) -> TriggerDecision:
         predictor = context.predictor
-        if not predictor.has_enough_history(self._min_history):
+        if not predictor.has_enough_history(MIN_HISTORY_BINS):
             return self._no("insufficient workload history")
         forecast = predictor.forecast(context.horizon_bins)
         sample_queries = dict(forecast.sample_queries)
         forecast_cost = context.optimizer.scenario_cost_ms(
             forecast.expected, sample_queries
         )
-        recent = predictor.recent_scenario(self._window, context.horizon_bins)
+        recent = predictor.recent_scenario(
+            RECENT_WINDOW_BINS, context.horizon_bins
+        )
         recent_cost = context.optimizer.scenario_cost_ms(
             recent, sample_queries
         )

@@ -23,6 +23,10 @@ from repro.workload.query import Query
 
 #: Minimum observations before the first fit is attempted.
 MIN_OBSERVATIONS = 8
+#: Observations between two periodic refits.
+REFIT_EVERY = 16
+#: Training-set bound; past it the oldest quarter is dropped.
+MAX_OBSERVATIONS = 4096
 
 
 class LearnedCostModel(CostEstimator):
@@ -44,17 +48,8 @@ class LearnedCostModel(CostEstimator):
         "is_aggregate",
     )
 
-    def __init__(
-        self,
-        database: Database,
-        refit_every: int = 16,
-        max_observations: int = 4096,
-    ) -> None:
-        if refit_every < 1:
-            raise CalibrationError("refit_every must be at least 1")
+    def __init__(self, database: Database) -> None:
         self._db = database
-        self._refit_every = refit_every
-        self._max_observations = max_observations
         self._features: list[np.ndarray] = []
         self._targets: list[float] = []
         self._coefficients: np.ndarray | None = None
@@ -116,13 +111,13 @@ class LearnedCostModel(CostEstimator):
         """Record one observed execution; refits periodically."""
         self._features.append(self.features(query))
         self._targets.append(float(elapsed_ms))
-        if len(self._targets) > self._max_observations:
-            del self._features[: self._max_observations // 4]
-            del self._targets[: self._max_observations // 4]
+        if len(self._targets) > MAX_OBSERVATIONS:
+            del self._features[: MAX_OBSERVATIONS // 4]
+            del self._targets[: MAX_OBSERVATIONS // 4]
         self._since_fit += 1
         if (
             len(self._targets) >= MIN_OBSERVATIONS
-            and self._since_fit >= self._refit_every
+            and self._since_fit >= REFIT_EVERY
         ):
             self.refit()
 

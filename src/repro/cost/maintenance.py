@@ -21,19 +21,14 @@ from repro.dbms.database import Database
 from repro.dbms.plugin import Plugin
 from repro.errors import PluginError
 
+#: run the startup calibration suite when the plugin attaches
+CALIBRATE_ON_ATTACH = True
+
 
 class AdaptiveCostMaintenancePlugin(Plugin):
     """Keeps a learned cost model trained on live executions."""
 
-    def __init__(
-        self,
-        calibrate_on_attach: bool = True,
-        refit_every: int = 16,
-        calibration_seed: int = 0,
-    ) -> None:
-        self._calibrate_on_attach = calibrate_on_attach
-        self._refit_every = refit_every
-        self._calibration_seed = calibration_seed
+    def __init__(self) -> None:
         self._db: Database | None = None
         self._model: LearnedCostModel | None = None
         self._last_counts: dict[str, int] = {}
@@ -51,11 +46,9 @@ class AdaptiveCostMaintenancePlugin(Plugin):
 
     def on_attach(self, database: Database) -> None:
         self._db = database
-        self._model = LearnedCostModel(database, refit_every=self._refit_every)
-        if self._calibrate_on_attach:
-            run_startup_calibration(
-                database, self._model, seed=self._calibration_seed
-            )
+        self._model = LearnedCostModel(database)
+        if CALIBRATE_ON_ATTACH:
+            run_startup_calibration(database, self._model)
         self._last_counts = {
             key: count
             for key, (count, _ms) in database.plan_cache.snapshot().items()

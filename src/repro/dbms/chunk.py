@@ -48,6 +48,10 @@ from repro.util.lru import BoundedLRU, CacheStats
 #: eviction only loses reuse.
 _INDEX_MEMO_CAPACITY = 64
 
+#: the encoding every segment of an appended chunk is loaded in; tuning
+#: changes it through SetEncodingAction
+LOAD_ENCODING = EncodingType.UNENCODED
+
 _IndexMemoKey = tuple[tuple[str, ...], tuple[EncodingType, ...]]
 
 
@@ -146,7 +150,6 @@ class Chunk:
         chunk_id: int,
         schema: TableSchema,
         columns: Mapping[str, np.ndarray],
-        default_encoding: EncodingType = EncodingType.UNENCODED,
         derived: dict | None = None,
     ) -> None:
         """``derived`` is the owning table's memo of what it has derived
@@ -167,7 +170,7 @@ class Chunk:
             raise SchemaError(f"ragged chunk column lengths: {lengths}")
         self._row_count = next(iter(lengths.values())) if lengths else 0
         self._segments: dict[str, Segment] = {
-            name: encode_segment(columns[name], schema.data_type(name), default_encoding)
+            name: encode_segment(columns[name], schema.data_type(name), LOAD_ENCODING)
             for name in schema.column_names
         }
         self._indexes: dict[tuple[str, ...], SortedCompositeIndex] = {}

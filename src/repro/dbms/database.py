@@ -81,16 +81,13 @@ class Database:
         self,
         name: str = "db",
         hardware: HardwareProfile | None = None,
-        clock: SimulatedClock | None = None,
-        default_encoding: EncodingType = EncodingType.UNENCODED,
-        plan_cache_capacity: int = 1024,
     ) -> None:
         self.name = name
         self.hardware = hardware or DEFAULT_HARDWARE
-        self.clock = clock or SimulatedClock()
+        self.clock = SimulatedClock()
         self.catalog = Catalog()
         self.knobs = KnobRegistry(standard_knobs())
-        self.plan_cache = QueryPlanCache(plan_cache_capacity)
+        self.plan_cache = QueryPlanCache()
         # the one registry of this database's stack: the planner counts
         # here, and a wired tenant's telemetry spine is built over it
         self.registry = MetricRegistry()
@@ -98,7 +95,6 @@ class Database:
         self.executor = QueryExecutor(self.hardware, self.knobs, self.planner)
         self.plugin_host = PluginHost(self)
         self.counters = RuntimeCounters()
-        self._default_encoding = default_encoding
         self._telemetry: "Telemetry | None" = None
         self._exec_counters = None
         self._query_seq = 0
@@ -111,11 +107,7 @@ class Database:
         schema: TableSchema,
         target_chunk_size: int = DEFAULT_TARGET_CHUNK_SIZE,
     ) -> Table:
-        table = Table(
-            schema,
-            target_chunk_size=target_chunk_size,
-            default_encoding=self._default_encoding,
-        )
+        table = Table(schema, target_chunk_size=target_chunk_size)
         self.catalog.register(table)
         return table
 
@@ -214,14 +206,11 @@ class Database:
     # configuration primitives: accounted entry points over Action.apply
     # (price -> apply raw -> record); each returns its one-time cost
 
-    def _record_reconfiguration(
-        self, work_ms: float, elapsed_ms: float, count: int
-    ) -> float:
+    def _record_reconfiguration(self, work_ms: float, count: int) -> float:
         """Account ``count`` applied configuration changes — the one place
-        that does: the clock advances by the simulated wall time they
-        occupied, the counters by their number and summed work (the two
-        times differ only for parallel application)."""
-        self.clock.advance(elapsed_ms)
+        that does: the clock and the reconfiguration time advance by their
+        work, the reconfiguration counter by their number."""
+        self.clock.advance(work_ms)
         self.counters.reconfigurations += count
         self.counters.total_reconfiguration_ms += work_ms
         return work_ms

@@ -262,7 +262,7 @@ class _Layout:
         self.fixed = tuple(fixed)
         self.index_count = index_count
 
-    def bind(self, predicates: tuple[Predicate, ...]) -> tuple:
+    def for_literals(self, predicates: tuple[Predicate, ...]) -> tuple:
         """``(items, literals, fixed charges, index-probe count)`` for one
         query's literals: each span bound as a :class:`_Run`, and per
         probe signature the values of its lookup's equalities, its
@@ -312,7 +312,7 @@ def compile_plan(query: Query, table: "Table") -> tuple[tuple[PlanStep, ...], tu
         for i, _k, step in chosen:
             steps[i] = step
         steps = tuple(steps)
-    return steps, layout.bind(predicates)
+    return steps, layout.for_literals(predicates)
 
 
 def _popcounts(mask: np.ndarray, offsets: np.ndarray) -> list[int]:

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from repro.util.lru import BoundedLRU
 from repro.workload.query import Query, QueryTemplate
 
+#: query templates whose execution history is kept
+CAPACITY = 1024
+
 
 @dataclass
 class PlanCacheEntry:
@@ -48,10 +51,8 @@ class PlanCacheEntry:
 class QueryPlanCache:
     """LRU-bounded aggregation of executions per query template."""
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity <= 0:
-            raise ValueError("plan cache capacity must be positive")
-        self._entries: BoundedLRU[str, PlanCacheEntry] = BoundedLRU(capacity)
+    def __init__(self) -> None:
+        self._entries: BoundedLRU[str, PlanCacheEntry] = BoundedLRU(CAPACITY)
         self._evictions = 0
 
     @property

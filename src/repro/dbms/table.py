@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.dbms.chunk import Chunk
 from repro.dbms.schema import TableSchema
-from repro.dbms.segments import ColumnRows, EncodingType
+from repro.dbms.segments import ColumnRows
 from repro.dbms.statistics import ColumnStatistics
 from repro.dbms.storage_tiers import StorageTier
 from repro.dbms.types import coerce_array
@@ -91,13 +91,11 @@ class Table:
         self,
         schema: TableSchema,
         target_chunk_size: int = DEFAULT_TARGET_CHUNK_SIZE,
-        default_encoding: EncodingType = EncodingType.UNENCODED,
     ) -> None:
         if target_chunk_size <= 0:
             raise SchemaError("target_chunk_size must be positive")
         self._schema = schema
         self._target_chunk_size = target_chunk_size
-        self._default_encoding = default_encoding
         self._chunks: list[Chunk] = []
         self._next_chunk_id = 0
         #: what has been derived from the chunks' physical state and still
@@ -246,7 +244,6 @@ class Table:
                 self._next_chunk_id,
                 self._schema,
                 {name: arr[start:stop] for name, arr in coerced.items()},
-                default_encoding=self._default_encoding,
                 derived=self._derived,
             )
             self._chunks.append(chunk)

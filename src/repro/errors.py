@@ -90,9 +90,9 @@ class ActionError(TuningError):
 class TuningAbortedError(TuningError):
     """A tuning application failed mid-pass and was rolled back.
 
-    Raised by the failure-aware tuning executors after they restored the
+    Raised by the failure-aware tuning executor after it restored the
     pre-pass configuration. Carries the :class:`~repro.tuning.executors
-    .base.ApplicationReport` of the aborted pass (what was applied, what
+    .sequential.ApplicationReport` of the aborted pass (what was applied, what
     was rolled back, retries spent) so callers can account for the wasted
     work; the tuner additionally attaches the proposed
     ``TuningResult`` and feature name on the way up.

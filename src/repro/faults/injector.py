@@ -60,7 +60,7 @@ class FaultConfig:
 class FaultInjector:
     """Rolls seeded dice in front of action applications.
 
-    The failure-aware tuning executors call :meth:`before_apply` once
+    The failure-aware tuning executor calls :meth:`before_apply` once
     per application attempt. Counters for every injected fault live in
     the given telemetry registry (the driver passes its shared one),
     split by fault class.

@@ -49,7 +49,6 @@ from repro.util.lru import CacheStats
 if TYPE_CHECKING:
     from repro.core.driver import Driver, DriverConfig
     from repro.core.simulation import ClosedLoopSimulation
-    from repro.tuning.executors.base import TuningExecutor
     from repro.workload.trace import WorkloadTrace
 
 #: seasonal period (bins) for the default forecast model
@@ -74,7 +73,7 @@ class TenantContext:
     monitor: RuntimeKPIMonitor
     predictor: WorkloadPredictor
     optimizer: WhatIfOptimizer
-    executor: "TuningExecutor"
+    executor: SequentialExecutor
     tuners: list[Tuner]
     organizer: Organizer
     features: list[FeatureTuner]

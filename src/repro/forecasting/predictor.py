@@ -21,6 +21,9 @@ from repro.forecasting.representation import logical_workload
 from repro.forecasting.scenarios import Forecast, WorkloadScenario
 from repro.workload.query import Query, QueryTemplate
 
+#: bins of per-template history kept; older bins are dropped
+MAX_HISTORY_BINS = 512
+
 
 class WorkloadPredictor:
     """Builds workload history from plan-cache snapshots and forecasts it."""
@@ -30,16 +33,12 @@ class WorkloadPredictor:
         database: Database,
         analyzer: WorkloadAnalyzer,
         bin_duration_ms: float = 60_000.0,
-        max_history_bins: int = 512,
     ) -> None:
         if bin_duration_ms <= 0:
             raise ForecastError("bin_duration_ms must be positive")
-        if max_history_bins < 2:
-            raise ForecastError("max_history_bins must be at least 2")
         self._database = database
         self._analyzer = analyzer
         self._bin_duration_ms = float(bin_duration_ms)
-        self._max_history_bins = max_history_bins
         self._history: dict[str, list[float]] = {}
         self._bin_count = 0
         self._last_counts: dict[str, int] = {}
@@ -79,11 +78,11 @@ class WorkloadPredictor:
         for key, values in self._history.items():
             values.append(bin_counts.get(key, 0.0))
         self._bin_count += 1
-        if self._bin_count > self._max_history_bins:
-            overflow = self._bin_count - self._max_history_bins
+        if self._bin_count > MAX_HISTORY_BINS:
+            overflow = self._bin_count - MAX_HISTORY_BINS
             for values in self._history.values():
                 del values[:overflow]
-            self._bin_count = self._max_history_bins
+            self._bin_count = MAX_HISTORY_BINS
         return bin_counts
 
     def series(self) -> dict[str, np.ndarray]:

@@ -54,7 +54,7 @@ PLAN_CACHE_HIT_RATE = "plan_cache_hit_rate"
 
 # fault/recovery counters (tuning-loop robustness; see repro.faults and
 # docs/robustness.md). The injector owns the faults_* names, the
-# failure-aware executors the action_*/rollback* names, and the
+# failure-aware executor the action_*/rollback* names, and the
 # organizer's feature quarantine the quarantine_* names. All live in the
 # shared telemetry MetricRegistry, so `python -m repro trace` and the
 # organizer's per-pass interval reads see them without bespoke wiring.

@@ -45,6 +45,13 @@ from repro.kpi.metrics import (
 from repro.kpi.system import derive_system_kpis
 from repro.telemetry.metrics import MetricRegistry
 
+#: KPI samples kept; means and percentiles read at most this many
+WINDOW = 64
+#: CPU utilization at or below which a sample counts as idle
+IDLE_THRESHOLD = 0.5
+#: trailing samples that must all be idle for :meth:`RuntimeKPIMonitor.is_idle`
+IDLE_SAMPLES = 2
+
 
 def percentile(values, q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
@@ -61,7 +68,6 @@ class RuntimeKPIMonitor:
     def __init__(
         self,
         db: Database,
-        window: int = 64,
         registry: MetricRegistry | None = None,
         tenant: str = "",
     ) -> None:
@@ -71,11 +77,9 @@ class RuntimeKPIMonitor:
         monitor in a fleet ('' for single-tenant); each tenant owns its
         own monitor, window, and registry — KPIs never mix across tenants
         except through an explicit fleet rollup."""
-        if window < 2:
-            raise ValueError("window must be at least 2")
         self._db = db
         self._tenant = tenant
-        self._samples: deque[KPISample] = deque(maxlen=window)
+        self._samples: deque[KPISample] = deque(maxlen=WINDOW)
         self._last_snapshot = db.runtime_snapshot()
         self._sla_streaks: dict[str, int] = {}
         self._sample_seq = 0
@@ -214,9 +218,11 @@ class RuntimeKPIMonitor:
             if self._sla_streaks.get(sla.metric, 0) >= sla.patience
         ]
 
-    def is_idle(self, threshold: float = 0.3, samples: int = 2) -> bool:
-        """Low-utilization window suitable for resource-intensive tunings."""
-        if len(self._samples) < samples:
+    def is_idle(self) -> bool:
+        """Low-utilization window suitable for resource-intensive tunings:
+        the last :data:`IDLE_SAMPLES` samples are all at or below
+        :data:`IDLE_THRESHOLD` CPU utilization."""
+        if len(self._samples) < IDLE_SAMPLES:
             return False
-        recent = islice(self._samples, len(self._samples) - samples, None)
-        return all(s.get(CPU_UTILIZATION) <= threshold for s in recent)
+        recent = islice(self._samples, len(self._samples) - IDLE_SAMPLES, None)
+        return all(s.get(CPU_UTILIZATION) <= IDLE_THRESHOLD for s in recent)

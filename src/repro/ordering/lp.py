@@ -68,10 +68,10 @@ class OrderingSolution:
 class LPOrderOptimizer:
     """Solves the paper's integer LP with an off-the-shelf MILP solver.
 
-    ``tighten=True`` (default) adds the standard linear-ordering
-    transitivity cuts ``y_AB + y_BC + y_CA ≤ 2`` on top of the paper's
-    formulation. They do not change the feasible integer set (the x/y
-    coupling already forces a total order) but strengthen the relaxation
+    The model adds the standard linear-ordering transitivity cuts
+    ``y_AB + y_BC + y_CA ≤ 2`` on top of the paper's formulation. They do
+    not change the feasible integer set (the x/y coupling already forces a
+    total order) but strengthen the relaxation
     enough that instances beyond |S| ≈ 9 solve in seconds instead of
     minutes — the "large problem instances" of Section V. The reported
     model statistics always describe the paper's base formulation.
@@ -79,11 +79,8 @@ class LPOrderOptimizer:
 
     name = "lp"
 
-    def __init__(
-        self, time_limit_s: float | None = None, tighten: bool = True
-    ) -> None:
+    def __init__(self, time_limit_s: float | None = None) -> None:
         self._time_limit_s = time_limit_s
-        self._tighten = tighten
 
     def optimize(self, matrix: DependenceMatrix) -> OrderingSolution:
         # imported where the LP is solved: scipy.optimize is most of the
@@ -145,20 +142,17 @@ class LPOrderOptimizer:
                 row[index_of[a] * n + k] += step
             constraints.append(LinearConstraint(row, 0.0, np.inf))
 
-        if self._tighten:
-            # transitivity cuts: y_AB + y_BC + y_CA ≤ 2 for distinct A,B,C
-            for a in features:
-                for b in features:
-                    for c in features:
-                        if len({a, b, c}) != 3:
-                            continue
-                        row = np.zeros(n_vars)
-                        row[y_offset[(a, b)]] = 1.0
-                        row[y_offset[(b, c)]] = 1.0
-                        row[y_offset[(c, a)]] = 1.0
-                        constraints.append(
-                            LinearConstraint(row, -np.inf, 2.0)
-                        )
+        # transitivity cuts: y_AB + y_BC + y_CA ≤ 2 for distinct A,B,C
+        for a in features:
+            for b in features:
+                for c in features:
+                    if len({a, b, c}) != 3:
+                        continue
+                    row = np.zeros(n_vars)
+                    row[y_offset[(a, b)]] = 1.0
+                    row[y_offset[(b, c)]] = 1.0
+                    row[y_offset[(c, a)]] = 1.0
+                    constraints.append(LinearConstraint(row, -np.inf, 2.0))
 
         # HiGHS's default relative MIP gap (1e-4) lets it declare an
         # incumbent "optimal" while a strictly better order exists — close

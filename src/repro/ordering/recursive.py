@@ -20,7 +20,7 @@ from repro.forecasting.scenarios import Forecast
 from repro.ordering.dependence import DependenceAnalyzer, DependenceMatrix
 from repro.ordering.lp import LPOrderOptimizer, OrderingSolution
 from repro.telemetry import Telemetry, Tracer
-from repro.tuning.executors.base import ApplicationReport, TuningExecutor
+from repro.tuning.executors.sequential import ApplicationReport, SequentialExecutor
 from repro.tuning.tuner import Tuner, TuningResult
 
 
@@ -114,7 +114,7 @@ class RecursiveTuningPlanner:
         self,
         forecast: Forecast,
         order: tuple[str, ...] | None = None,
-        executor: TuningExecutor | None = None,
+        executor: SequentialExecutor | None = None,
     ) -> RecursiveTuningReport:
         """Tune all features in ``order`` (or the LP-optimized order)."""
         matrix: DependenceMatrix | None = None

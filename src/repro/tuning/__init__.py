@@ -25,9 +25,7 @@ from repro.tuning.enumerators import (
 )
 from repro.tuning.executors import (
     ApplicationReport,
-    ParallelExecutor,
     SequentialExecutor,
-    TuningExecutor,
 )
 from repro.tuning.features import (
     BufferPoolFeature,
@@ -70,7 +68,6 @@ __all__ = [
     "KnobCandidate",
     "KnobEnumerator",
     "OptimalSelector",
-    "ParallelExecutor",
     "PlacementCandidate",
     "PlacementEnumerator",
     "ReassessingGreedySelector",
@@ -82,6 +79,5 @@ __all__ = [
     "SortOrderEnumerator",
     "SortOrderFeature",
     "Tuner",
-    "TuningExecutor",
     "TuningResult",
 ]

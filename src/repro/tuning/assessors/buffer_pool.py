@@ -27,6 +27,9 @@ from repro.tuning.assessors.base import Assessor
 from repro.tuning.candidate import Candidate, KnobCandidate
 from repro.workload.query import Query
 
+#: a warmed scratch pool's steady state estimates the capacity's benefit
+CONFIDENCE = 0.85
+
 
 def _replayed(
     scenario: WorkloadScenario, forecast: Forecast
@@ -43,9 +46,6 @@ class BufferPoolAssessor(Assessor):
     """Measures buffer-pool capacities with warmed scratch pools."""
 
     supports_reassessment = False
-
-    def __init__(self, confidence: float = 0.85) -> None:
-        self._confidence = confidence
 
     def _scenario_cost_with_pool(
         self,
@@ -119,7 +119,7 @@ class BufferPoolAssessor(Assessor):
                 Assessment(
                     candidate=candidate,
                     desirability=desirability,
-                    confidence=self._confidence,
+                    confidence=CONFIDENCE,
                     # the pool reserves DRAM for as long as the knob is set
                     permanent_costs={DRAM_BYTES: float(candidate.value)},
                     one_time_cost_ms=ConfigurationDelta(

@@ -62,14 +62,10 @@ class CostModelAssessor(Assessor):
 
     supports_reassessment = True
 
-    def __init__(
-        self, optimizer: WhatIfOptimizer, confidence: float | None = None
-    ) -> None:
+    def __init__(self, optimizer: WhatIfOptimizer) -> None:
         self._optimizer = optimizer
-        if confidence is None:
-            # measured probe execution is near-exact; analytic models less so
-            confidence = 0.95 if optimizer.is_measured else 0.6
-        self._confidence = confidence
+        # measured probe execution is near-exact; analytic models less so
+        self._confidence = 0.95 if optimizer.is_measured else 0.6
 
     def _template_costs(
         self, forecast: Forecast, tables: set[str] | None

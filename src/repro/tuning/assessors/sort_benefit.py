@@ -27,19 +27,18 @@ from repro.tuning.assessment import Assessment, scenario_benefits
 from repro.tuning.assessors.base import Assessor
 from repro.tuning.candidate import Candidate, SortOrderCandidate
 
+#: below the measuring assessor's 0.95: the benefit depends on a later
+#: compression run realising it
+CONFIDENCE = 0.7
+
 
 class SortBenefitAssessor(Assessor):
     """Measures each sort candidate at its best follow-up encoding."""
 
     supports_reassessment = False
 
-    def __init__(
-        self, optimizer: WhatIfOptimizer, confidence: float = 0.7
-    ) -> None:
-        """Confidence defaults below the measuring assessor's because the
-        benefit depends on a subsequent compression tuning realising it."""
+    def __init__(self, optimizer: WhatIfOptimizer) -> None:
         self._optimizer = optimizer
-        self._confidence = confidence
 
     def _template_costs(self, forecast: Forecast, table: str) -> dict[str, float]:
         keys = []
@@ -105,7 +104,7 @@ class SortBenefitAssessor(Assessor):
                 Assessment(
                     candidate=candidate,
                     desirability=desirability,
-                    confidence=self._confidence,
+                    confidence=CONFIDENCE,
                     permanent_costs={},  # sorting occupies no extra memory
                     one_time_cost_ms=one_time,
                 )

@@ -2,8 +2,7 @@
 
 For every workload-relevant column, one candidate per supported encoding
 (including UNENCODED, the reset state) forms a required exclusion group:
-the selector must pick exactly one encoding per column (or per chunk group
-when chunk granularity is enabled).
+the selector must pick exactly one encoding per column.
 """
 
 from __future__ import annotations
@@ -18,21 +17,19 @@ from repro.tuning.enumerators.base import (
     workload_tables,
 )
 
+#: enumerate every column of the workload tables, not just predicate and
+#: aggregate columns (more memory wins, more work)
+ALL_COLUMNS = False
+
 
 class EncodingEnumerator(Enumerator):
     """Per-column encoding alternatives as required exclusion groups."""
-
-    def __init__(self, all_columns: bool = False, per_chunk: bool = False) -> None:
-        """``all_columns`` enumerates every column of workload tables, not
-        just predicate/aggregate columns (more memory wins, more work)."""
-        self._all_columns = all_columns
-        self._per_chunk = per_chunk
 
     def relevant_columns(
         self, db: Database, forecast: Forecast
     ) -> list[tuple[str, str]]:
         tables = workload_tables(forecast)
-        if self._all_columns:
+        if ALL_COLUMNS:
             columns = []
             for table_name in sorted(tables):
                 if not db.catalog.has_table(table_name):
@@ -59,18 +56,8 @@ class EncodingEnumerator(Enumerator):
             if not table.schema.has_column(column):
                 continue
             data_type = table.schema.data_type(column)
-            encodings = supported_encodings(data_type)
-            if self._per_chunk:
-                for chunk in table.chunks():
-                    for encoding in encodings:
-                        candidates.append(
-                            EncodingCandidate(
-                                table_name, column, encoding, (chunk.chunk_id,)
-                            )
-                        )
-            else:
-                for encoding in encodings:
-                    candidates.append(
-                        EncodingCandidate(table_name, column, encoding, None)
-                    )
+            for encoding in supported_encodings(data_type):
+                candidates.append(
+                    EncodingCandidate(table_name, column, encoding, None)
+                )
         return candidates

@@ -10,8 +10,6 @@ the top ``max_candidates``, never dropping members of required groups.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.dbms.database import Database
 from repro.forecasting.scenarios import Forecast
 from repro.tuning.candidate import Candidate, IndexCandidate
@@ -20,19 +18,14 @@ from repro.tuning.enumerators.base import (
     predicate_column_usage,
 )
 
-Scorer = Callable[[Candidate, Database, Forecast], float]
 
-
-def frequency_score(
-    candidate: Candidate, db: Database, forecast: Forecast
-) -> float:
-    """Default heuristic: expected predicate frequency hitting the candidate.
+def frequency_score(candidate: Candidate, forecast: Forecast) -> float:
+    """The heuristic: expected predicate frequency hitting the candidate.
 
     Index candidates score the usage of their leading column (equality use
     weighted double — that is what a sorted index serves best). Non-index
     candidates score neutrally, since their groups are preserved anyway.
     """
-    del db
     if isinstance(candidate, IndexCandidate):
         usage = predicate_column_usage(forecast)
         slot = usage.get((candidate.table, candidate.columns[0]))
@@ -45,17 +38,11 @@ def frequency_score(
 class RestrictiveEnumerator(Enumerator):
     """Wraps another enumerator and keeps only the best-scoring candidates."""
 
-    def __init__(
-        self,
-        inner: Enumerator,
-        max_candidates: int,
-        scorer: Scorer = frequency_score,
-    ) -> None:
+    def __init__(self, inner: Enumerator, max_candidates: int) -> None:
         if max_candidates < 1:
             raise ValueError("max_candidates must be at least 1")
         self._inner = inner
         self._max_candidates = max_candidates
-        self._scorer = scorer
 
     def candidates(self, db: Database, forecast: Forecast) -> list[Candidate]:
         all_candidates = self._inner.candidates(db, forecast)
@@ -65,7 +52,7 @@ class RestrictiveEnumerator(Enumerator):
             return required + optional
         scored = sorted(
             optional,
-            key=lambda c: self._scorer(c, db, forecast),
+            key=lambda c: frequency_score(c, forecast),
             reverse=True,
         )
         return required + scored[: self._max_candidates]

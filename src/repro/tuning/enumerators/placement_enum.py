@@ -7,8 +7,6 @@ tier, trading DRAM budget against access latency.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.dbms.database import Database
 from repro.dbms.storage_tiers import StorageTier
 from repro.forecasting.scenarios import Forecast
@@ -19,18 +17,13 @@ from repro.tuning.enumerators.base import Enumerator, workload_tables
 class PlacementEnumerator(Enumerator):
     """Chunk × tier alternatives as required exclusion groups."""
 
-    def __init__(self, tiers: Sequence[StorageTier] | None = None) -> None:
-        self._tiers = tuple(tiers) if tiers is not None else tuple(StorageTier)
-        if not self._tiers:
-            raise ValueError("at least one tier is required")
-
     def candidates(self, db: Database, forecast: Forecast) -> list[Candidate]:
         candidates: list[Candidate] = []
         for table_name in sorted(workload_tables(forecast)):
             if not db.catalog.has_table(table_name):
                 continue
             for chunk in db.table(table_name).chunks():
-                for tier in self._tiers:
+                for tier in StorageTier:
                     candidates.append(
                         PlacementCandidate(table_name, chunk.chunk_id, tier)
                     )

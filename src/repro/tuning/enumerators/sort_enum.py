@@ -14,15 +14,12 @@ from repro.forecasting.scenarios import Forecast
 from repro.tuning.candidate import Candidate, SortOrderCandidate
 from repro.tuning.enumerators.base import Enumerator, predicate_column_usage
 
+#: predicate columns per table, most frequent first, that get a candidate
+MAX_COLUMNS = 4
+
 
 class SortOrderEnumerator(Enumerator):
     """Sort candidates from the workload's predicate columns."""
-
-    def __init__(self, per_chunk: bool = False, max_columns: int = 4) -> None:
-        if max_columns < 1:
-            raise ValueError("max_columns must be at least 1")
-        self._per_chunk = per_chunk
-        self._max_columns = max_columns
 
     def candidates(self, db: Database, forecast: Forecast) -> list[Candidate]:
         usage = predicate_column_usage(forecast)
@@ -37,18 +34,9 @@ class SortOrderEnumerator(Enumerator):
                 continue
             table = db.table(table_name)
             ranked = sorted(by_table[table_name], reverse=True)
-            columns = [column for _freq, column in ranked[: self._max_columns]]
+            columns = [column for _freq, column in ranked[:MAX_COLUMNS]]
             for column in sorted(columns):
-                if not table.schema.has_column(column):
-                    continue
-                if self._per_chunk:
-                    for chunk in table.chunks():
-                        candidates.append(
-                            SortOrderCandidate(
-                                table_name, column, (chunk.chunk_id,)
-                            )
-                        )
-                else:
+                if table.schema.has_column(column):
                     candidates.append(
                         SortOrderCandidate(table_name, column, None)
                     )

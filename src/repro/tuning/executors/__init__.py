@@ -1,12 +1,8 @@
-"""Tuning executors: sequential and (simulated) parallel application."""
+"""The tuning executor: sequential application with rollback."""
 
-from repro.tuning.executors.base import ApplicationReport, TuningExecutor
-from repro.tuning.executors.parallel import ParallelExecutor
-from repro.tuning.executors.sequential import SequentialExecutor
+from repro.tuning.executors.sequential import ApplicationReport, SequentialExecutor
 
 __all__ = [
     "ApplicationReport",
-    "ParallelExecutor",
     "SequentialExecutor",
-    "TuningExecutor",
 ]

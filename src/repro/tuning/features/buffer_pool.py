@@ -21,19 +21,19 @@ from repro.tuning.candidate import Candidate, KnobCandidate
 from repro.tuning.enumerators.knob_enum import KnobEnumerator
 from repro.tuning.features.base import FeatureTuner
 
+#: capacities sampled from the buffer-pool knob's stepped range
+MAX_CANDIDATES = 7
+
 
 class BufferPoolFeature(FeatureTuner):
     """Chooses the buffer-pool capacity from its stepped range."""
 
     name = "buffer_pool"
 
-    def __init__(self, max_candidates: int = 7) -> None:
-        self._max_candidates = max_candidates
-
     def make_enumerator(self) -> KnobEnumerator:
         return KnobEnumerator(
             BUFFER_POOL_KNOB,
-            max_candidates=self._max_candidates,
+            max_candidates=MAX_CANDIDATES,
             feature_name=self.name,
         )
 

@@ -32,14 +32,8 @@ class CompressionFeature(FeatureTuner):
 
     name = "compression"
 
-    def __init__(self, all_columns: bool = False, per_chunk: bool = False) -> None:
-        self._all_columns = all_columns
-        self._per_chunk = per_chunk
-
     def make_enumerator(self) -> EncodingEnumerator:
-        return EncodingEnumerator(
-            all_columns=self._all_columns, per_chunk=self._per_chunk
-        )
+        return EncodingEnumerator()
 
     def reset_delta(self, db: Database, forecast: Forecast) -> ConfigurationDelta:
         actions = []

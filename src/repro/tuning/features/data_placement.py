@@ -19,11 +19,8 @@ class DataPlacementFeature(FeatureTuner):
 
     name = "data_placement"
 
-    def __init__(self, tiers: tuple[StorageTier, ...] | None = None) -> None:
-        self._tiers = tiers
-
     def make_enumerator(self) -> PlacementEnumerator:
-        return PlacementEnumerator(self._tiers)
+        return PlacementEnumerator()
 
     def reset_delta(self, db: Database, forecast: Forecast) -> ConfigurationDelta:
         actions = []

@@ -27,14 +27,8 @@ class SortOrderFeature(FeatureTuner):
 
     name = "sort_order"
 
-    def __init__(self, per_chunk: bool = False, max_columns: int = 4) -> None:
-        self._per_chunk = per_chunk
-        self._max_columns = max_columns
-
     def make_enumerator(self) -> SortOrderEnumerator:
-        return SortOrderEnumerator(
-            per_chunk=self._per_chunk, max_columns=self._max_columns
-        )
+        return SortOrderEnumerator()
 
     def make_assessor(self, db: Database, optimizer=None) -> Assessor:
         # sorting pays off *through* later compression; the anticipating

@@ -30,6 +30,15 @@ from repro.tuning.selectors.base import (
 )
 from repro.util.rng import derive_rng
 
+#: genomes per generation
+POPULATION_SIZE = 40
+#: chance that one gene is redrawn (a group member) or flipped (a bit)
+MUTATION_RATE = 0.08
+#: genomes drawn per parent tournament
+TOURNAMENT_SIZE = 3
+#: fittest genomes carried into the next generation unchanged
+ELITE = 2
+
 
 @dataclass
 class _Problem:
@@ -76,22 +85,8 @@ class GeneticSelector(Selector):
 
     name = "genetic"
 
-    def __init__(
-        self,
-        population_size: int = 40,
-        generations: int = 60,
-        mutation_rate: float = 0.08,
-        tournament_size: int = 3,
-        elite: int = 2,
-        seed: int = 0,
-    ) -> None:
-        if population_size < 4:
-            raise ValueError("population_size must be at least 4")
-        self._population_size = population_size
+    def __init__(self, generations: int = 60, seed: int = 0) -> None:
         self._generations = generations
-        self._mutation_rate = mutation_rate
-        self._tournament_size = tournament_size
-        self._elite = elite
         self._seed = seed
 
     def _random_genome(
@@ -109,11 +104,11 @@ class GeneticSelector(Selector):
     ) -> np.ndarray:
         child = genome.copy()
         for slot, members in enumerate(problem.group_slots):
-            if rng.random() < self._mutation_rate:
+            if rng.random() < MUTATION_RATE:
                 child[slot] = float(rng.integers(len(members)))
         offset = len(problem.group_slots)
         for bit in range(len(problem.bit_slots)):
-            if rng.random() < self._mutation_rate:
+            if rng.random() < MUTATION_RATE:
                 child[offset + bit] = 1.0 - child[offset + bit]
         return child
 
@@ -136,7 +131,7 @@ class GeneticSelector(Selector):
         rng = derive_rng(self._seed, "genetic-selector")
         population = [
             self._random_genome(problem, rng)
-            for _ in range(self._population_size)
+            for _ in range(POPULATION_SIZE)
         ]
         best_feasible: tuple[float, set[int]] | None = None
 
@@ -154,11 +149,11 @@ class GeneticSelector(Selector):
         fitnesses = [evaluate(g) for g in population]
         for _generation in range(self._generations):
             order = np.argsort(fitnesses)[::-1]
-            next_population = [population[i].copy() for i in order[: self._elite]]
-            while len(next_population) < self._population_size:
-                picks = rng.integers(0, len(population), self._tournament_size)
+            next_population = [population[i].copy() for i in order[:ELITE]]
+            while len(next_population) < POPULATION_SIZE:
+                picks = rng.integers(0, len(population), TOURNAMENT_SIZE)
                 parent_a = population[max(picks, key=lambda i: fitnesses[i])]
-                picks = rng.integers(0, len(population), self._tournament_size)
+                picks = rng.integers(0, len(population), TOURNAMENT_SIZE)
                 parent_b = population[max(picks, key=lambda i: fitnesses[i])]
                 mask = rng.random(len(parent_a)) < 0.5
                 child = np.where(mask, parent_a, parent_b)

@@ -30,9 +30,6 @@ class OptimalSelector(Selector):
 
     name = "optimal"
 
-    def __init__(self, time_limit_s: float | None = None) -> None:
-        self._time_limit_s = time_limit_s
-
     def select(
         self,
         assessments: list[Assessment],
@@ -67,15 +64,11 @@ class OptimalSelector(Selector):
             lower = 1.0 if group in required else 0.0
             constraints.append(LinearConstraint(row, lower, 1.0))
 
-        options = {}
-        if self._time_limit_s is not None:
-            options["time_limit"] = self._time_limit_s
         result = milp(
             c=-scores,  # milp minimises
             integrality=np.ones(n),
             bounds=(0, 1),
             constraints=constraints or None,
-            options=options or None,
         )
         if not result.success or result.x is None:
             raise SelectionError(

@@ -49,7 +49,6 @@ class ReassessingGreedySelector(Selector):
         db: Database,
         forecast: Forecast,
         reset_delta: ConfigurationDelta | None = None,
-        max_picks: int | None = None,
     ) -> None:
         if not assessor.supports_reassessment:
             raise ValueError(
@@ -60,7 +59,6 @@ class ReassessingGreedySelector(Selector):
         self._db = db
         self._forecast = forecast
         self._reset_delta = reset_delta or ConfigurationDelta([])
-        self._max_picks = max_picks
 
     def select(
         self,
@@ -78,8 +76,7 @@ class ReassessingGreedySelector(Selector):
         chosen_actions: list = []
         usage = dict.fromkeys(budgets, 0.0)
 
-        picks_left = self._max_picks or len(assessments)
-        while remaining and picks_left > 0:
+        while remaining:
             best = max(remaining, key=score)
             if score(best) <= 0:
                 break
@@ -91,7 +88,6 @@ class ReassessingGreedySelector(Selector):
                 usage[r] += best.permanent_cost(r)
             chosen_actions.extend(best.candidate.actions())
             remaining = [a for a in remaining if a is not best]
-            picks_left -= 1
             if not remaining:
                 break
             # re-assess the survivors with reset + chosen applied, so

@@ -22,8 +22,7 @@ from repro.telemetry import Telemetry, Tracer
 from repro.tuning.assessment import Assessment
 from repro.tuning.assessors.base import Assessor
 from repro.tuning.enumerators.base import Enumerator
-from repro.tuning.executors.base import ApplicationReport, TuningExecutor
-from repro.tuning.executors.sequential import SequentialExecutor
+from repro.tuning.executors.sequential import ApplicationReport, SequentialExecutor
 from repro.tuning.features.base import FeatureTuner
 from repro.tuning.selectors.base import Selector, validate_selection
 
@@ -191,7 +190,7 @@ class Tuner:
     def apply(
         self,
         result: TuningResult,
-        executor: TuningExecutor | None = None,
+        executor: SequentialExecutor | None = None,
     ) -> ApplicationReport:
         """Apply a proposed result through a tuning executor.
 
@@ -218,7 +217,7 @@ class Tuner:
         self,
         forecast: Forecast,
         constraints: ConstraintSet | None = None,
-        executor: TuningExecutor | None = None,
+        executor: SequentialExecutor | None = None,
     ) -> tuple[TuningResult, ApplicationReport]:
         """Propose and immediately apply."""
         result = self.propose(forecast, constraints)

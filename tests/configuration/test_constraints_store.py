@@ -1,6 +1,8 @@
 """Tests for constraints (incl. hardware-over-DBMS conflict resolution)
 and the configuration instance storage."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from repro.configuration.constraints import (
     ResourceBudget,
     SlaConstraint,
 )
+from repro.configuration import store as store_module
 from repro.configuration.store import (
     CommitResolution,
     ConfigurationInstanceStorage,
@@ -105,17 +108,19 @@ def test_store_append_and_history():
     assert store.latest() is store.history()[0]
 
 
-def test_store_capacity_eviction():
+def test_store_capacity_eviction(monkeypatch):
+    monkeypatch.setattr("repro.configuration.store.CAPACITY", 2)
     db = make_small_database(rows=200)
-    store = ConfigurationInstanceStorage(capacity=2)
+    store = ConfigurationInstanceStorage()
     for _ in range(3):
         store.append(_record(db))
     assert len(store) == 2
 
 
-def test_store_ids_are_monotone_and_survive_eviction():
+def test_store_ids_are_monotone_and_survive_eviction(monkeypatch):
+    monkeypatch.setattr("repro.configuration.store.CAPACITY", 2)
     db = make_small_database(rows=200)
-    store = ConfigurationInstanceStorage(capacity=2)
+    store = ConfigurationInstanceStorage()
     ids = [store.append(_record(db, predicted=float(i))) for i in range(3)]
     # an id counts appends, not positions: eviction never reuses one
     assert ids == [0, 1, 2]
@@ -140,11 +145,6 @@ def test_store_measurement_and_feedback():
     assert store.feedback("other") == []
     # no feature named: the pass's totals, then its outcomes
     assert store.feedback() == [(10.0, 8.0), (7.0, 6.0), (3.0, 2.0)]
-
-
-def test_store_invalid_capacity():
-    with pytest.raises(ConfigurationError):
-        ConfigurationInstanceStorage(capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +220,11 @@ def test_newer_commit_supersedes_the_active_one():
     assert second.commit_id == 2
 
 
-def test_history_is_bounded():
+def test_history_is_bounded(monkeypatch):
     """One bound, the store's capacity; commit ids stay valid across
     eviction because they count opened probations, not positions."""
-    store = ConfigurationInstanceStorage(capacity=3)
+    monkeypatch.setattr("repro.configuration.store.CAPACITY", 3)
+    store = ConfigurationInstanceStorage()
     for i in range(5):
         _open(store, now_ms=float(i))
         store.resolve(CommitResolution.PASSED, float(i))
@@ -259,7 +260,12 @@ _STORE_OPS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(min_value=2, max_value=4), ops=_STORE_OPS)
 def test_probation_invariants_hold_over_any_sequence(capacity, ops):
-    store = ConfigurationInstanceStorage(capacity=capacity)
+    with patch.object(store_module, "CAPACITY", capacity):
+        _run_store_ops(ops, capacity)
+
+
+def _run_store_ops(ops, capacity):
+    store = ConfigurationInstanceStorage()
     ids = []
     opened = []
     for step, op in enumerate(ops):

@@ -29,10 +29,9 @@ def make_small_database(
     rows: int = 5_000,
     chunk_size: int = 1_000,
     seed: int = 0,
-    plan_cache_capacity: int = 1024,
 ) -> Database:
     """A small single-table database for unit tests."""
-    db = Database(plan_cache_capacity=plan_cache_capacity)
+    db = Database()
     schema = TableSchema.build(
         "events",
         [

@@ -20,17 +20,13 @@ def test_event_log_append_and_filter():
     assert log.latest(EventKind.OBSERVE).message == "saw something"
 
 
-def test_event_log_bounded_capacity():
-    log = EventLog(capacity=3)
+def test_event_log_bounded_capacity(monkeypatch):
+    monkeypatch.setattr("repro.core.events.CAPACITY", 3)
+    log = EventLog()
     for i in range(5):
         log.log(float(i), EventKind.OBSERVE, f"e{i}")
     assert len(log) == 3
     assert log.events()[0].message == "e2"
-
-
-def test_event_log_capacity_validation():
-    with pytest.raises(ValueError):
-        EventLog(capacity=0)
 
 
 def test_event_is_immutable():

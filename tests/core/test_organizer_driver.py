@@ -75,9 +75,10 @@ def test_organizer_respects_history_and_cooldown(retail_suite):
     assert organizer.tick() is None  # cooldown blocks
 
 
-def test_organizer_caches_order_between_runs(retail_suite):
+def test_organizer_caches_order_between_runs(retail_suite, monkeypatch):
+    monkeypatch.setattr("repro.core.organizer.ORDER_REFRESH_EVERY", 100)
     db, predictor = _prepare(retail_suite)
-    organizer = _organizer(db, predictor, order_refresh_every=100)
+    organizer = _organizer(db, predictor)
     first = organizer.tick()
     order_events = organizer.events.events(EventKind.ORDER_PLANNED)
     assert len(order_events) == 1
@@ -87,11 +88,10 @@ def test_organizer_caches_order_between_runs(retail_suite):
     assert second.order == first.order
 
 
-def test_organizer_require_idle_defers(retail_suite):
+def test_organizer_require_idle_defers(retail_suite, monkeypatch):
+    monkeypatch.setattr("repro.kpi.monitor.IDLE_THRESHOLD", 0.01)
     db, predictor = _prepare(retail_suite)
-    organizer = _organizer(
-        db, predictor, require_idle=True, idle_utilization_threshold=0.01
-    )
+    organizer = _organizer(db, predictor, require_idle=True)
     # monitor has no quiet samples yet → defer
     report = organizer.tick()
     assert report is None

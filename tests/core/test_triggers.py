@@ -82,16 +82,17 @@ def test_drift_trigger_quiet_on_stable_workload():
     assert decision.details["drift"] < 0.15
 
 
-def test_drift_trigger_fires_on_growth():
+def test_drift_trigger_fires_on_growth(monkeypatch):
+    monkeypatch.setattr("repro.core.triggers.RECENT_WINDOW_BINS", 6)
     db = make_small_database(rows=2_000)
     predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))
     # naive-last forecasts the last bin; make the last bin much hotter
     for count in (5, 5, 5, 5, 5, 40):
         _run(db, count, 3)
         predictor.observe()
-    decision = ForecastDriftTrigger(
-        relative_threshold=0.5, recent_window_bins=6
-    ).evaluate(_context(db, predictor))
+    decision = ForecastDriftTrigger(relative_threshold=0.5).evaluate(
+        _context(db, predictor)
+    )
     assert decision.should_tune
     assert decision.details["drift"] > 0.5
 
@@ -125,7 +126,7 @@ def test_drift_trigger_validation():
         ForecastDriftTrigger(relative_threshold=0)
 
 
-def test_trigger_precedence_sla_wins_when_all_fire():
+def test_trigger_precedence_sla_wins_when_all_fire(monkeypatch):
     """Trigger precedence is list order: the organizer returns the first
     firing trigger, so an SLA breach outranks drift and periodic when all
     three fire on the same tick."""
@@ -133,6 +134,7 @@ def test_trigger_precedence_sla_wins_when_all_fire():
     from repro.tuning.features import CompressionFeature
     from repro.tuning.tuner import Tuner
 
+    monkeypatch.setattr("repro.core.triggers.RECENT_WINDOW_BINS", 6)
     db = make_small_database(rows=5_000)
     predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))
     # naive-last forecasts the last bin; a hot final bin makes drift fire
@@ -144,7 +146,7 @@ def test_trigger_precedence_sla_wins_when_all_fire():
     )
     triggers = [
         SlaViolationTrigger(),
-        ForecastDriftTrigger(relative_threshold=0.5, recent_window_bins=6),
+        ForecastDriftTrigger(relative_threshold=0.5),
         PeriodicTrigger(every_ms=100.0),
     ]
     organizer = Organizer(

@@ -137,9 +137,10 @@ def test_learned_model_improves_with_observations():
     assert np.median(errors) < 1.0
 
 
-def test_learned_model_adapts_after_config_change():
+def test_learned_model_adapts_after_config_change(monkeypatch):
+    monkeypatch.setattr("repro.cost.learned.REFIT_EVERY", 4)
     db = make_small_database(rows=10_000, chunk_size=2_000)
-    model = LearnedCostModel(db, refit_every=4)
+    model = LearnedCostModel(db)
     run_startup_calibration(db, model, seed=0)
     query = Query("events", (Predicate("user", "=", 5),), aggregate="count")
     db.create_index("events", ["user"])
@@ -159,12 +160,6 @@ def test_learned_model_features_shape():
     features = model.features(Query("events", aggregate="count"))
     assert features.shape == (len(LearnedCostModel.FEATURE_NAMES),)
     assert features[0] == 1.0  # bias
-
-
-def test_learned_model_parameter_validation():
-    db = make_small_database(rows=100)
-    with pytest.raises(CalibrationError):
-        LearnedCostModel(db, refit_every=0)
 
 
 def test_calibration_queries_cover_all_columns():

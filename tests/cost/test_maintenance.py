@@ -44,9 +44,10 @@ def test_plugin_harvests_new_executions_per_tick():
     assert plugin.observations_harvested == baseline + 1  # nothing new
 
 
-def test_model_adapts_to_configuration_changes():
+def test_model_adapts_to_configuration_changes(monkeypatch):
+    monkeypatch.setattr("repro.cost.learned.REFIT_EVERY", 2)
     db = make_small_database(rows=20_000, chunk_size=4_000)
-    plugin = AdaptiveCostMaintenancePlugin(refit_every=2)
+    plugin = AdaptiveCostMaintenancePlugin()
     db.plugin_host.attach(plugin)
     query = Query("events", (Predicate("user", "=", 7),), aggregate="count")
     actual_before = db.executor.execute(
@@ -67,9 +68,10 @@ def test_model_adapts_to_configuration_changes():
     assert abs(estimate - actual_after) < abs(estimate - actual_before)
 
 
-def test_plugin_without_calibration():
+def test_plugin_without_calibration(monkeypatch):
+    monkeypatch.setattr("repro.cost.maintenance.CALIBRATE_ON_ATTACH", False)
     db = make_small_database(rows=1_000)
-    plugin = AdaptiveCostMaintenancePlugin(calibrate_on_attach=False)
+    plugin = AdaptiveCostMaintenancePlugin()
     db.plugin_host.attach(plugin)
     assert not plugin.model.is_fitted
 

@@ -1,7 +1,5 @@
 """Tests for the query plan cache."""
 
-import pytest
-
 from repro.dbms.plan_cache import QueryPlanCache
 from repro.workload.predicate import Predicate
 from repro.workload.query import Query
@@ -32,8 +30,9 @@ def test_sample_query_is_most_recent():
     assert entry.sample_query.predicates[0].value == 42
 
 
-def test_lru_eviction_at_capacity():
-    cache = QueryPlanCache(capacity=2)
+def test_lru_eviction_at_capacity(monkeypatch):
+    monkeypatch.setattr("repro.dbms.plan_cache.CAPACITY", 2)
+    cache = QueryPlanCache()
     cache.record(Query("t", aggregate="count"), 1.0, 0.0)
     cache.record(_query(1), 1.0, 1.0)
     cache.record(Query("t", (Predicate("b", "<", 1),)), 1.0, 2.0)
@@ -43,14 +42,16 @@ def test_lru_eviction_at_capacity():
     assert cache.entry("SELECT COUNT(*) FROM t") is None
 
 
-def test_recording_refreshes_lru_position():
-    cache = QueryPlanCache(capacity=2)
+def test_recording_refreshes_lru_position(monkeypatch):
+    monkeypatch.setattr("repro.dbms.plan_cache.CAPACITY", 2)
+    cache = QueryPlanCache()
     a = Query("t", aggregate="count")
     cache.record(a, 1.0, 0.0)
     cache.record(_query(1), 1.0, 1.0)
     cache.record(a, 1.0, 2.0)  # refresh a
     cache.record(Query("t", (Predicate("b", "<", 1),)), 1.0, 3.0)
     assert cache.entry(a.template().key) is not None
+    assert cache.entry(_query(1).template().key) is None
 
 
 def test_snapshot_shape():
@@ -59,11 +60,6 @@ def test_snapshot_shape():
     snapshot = cache.snapshot()
     key = _query(1).template().key
     assert snapshot[key] == (1, 2.5)
-
-
-def test_invalid_capacity():
-    with pytest.raises(ValueError):
-        QueryPlanCache(capacity=0)
 
 
 def test_clear():

@@ -64,11 +64,12 @@ def test_predictor_builds_series_from_plan_cache_diffs():
     assert predictor.history_bins == 2
 
 
-def test_predictor_counts_a_template_recreated_after_eviction():
+def test_predictor_counts_a_template_recreated_after_eviction(monkeypatch):
     # A x5 | B, C, A x3 through a two-entry plan cache: B and C push A
     # out, so A's entry is recreated and its count restarts below the
     # last snapshot's 5 — all three executions belong to the second bin
-    db = make_small_database(rows=1_000, plan_cache_capacity=2)
+    monkeypatch.setattr("repro.dbms.plan_cache.CAPACITY", 2)
+    db = make_small_database(rows=1_000)
     predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))
     _run_workload(db, 5, 0)
     key = next(iter(predictor.observe()))
@@ -113,11 +114,10 @@ def test_predictor_requires_observations():
         predictor.recent_scenario(2, 2)
 
 
-def test_predictor_history_trimming():
+def test_predictor_history_trimming(monkeypatch):
+    monkeypatch.setattr("repro.forecasting.predictor.MAX_HISTORY_BINS", 3)
     db = make_small_database(rows=200)
-    predictor = WorkloadPredictor(
-        db, WorkloadAnalyzer(NaiveLastValue), max_history_bins=3
-    )
+    predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))
     for i in range(6):
         _run_workload(db, 1, i)
         predictor.observe()
@@ -150,5 +150,3 @@ def test_predictor_parameter_validation():
     analyzer = WorkloadAnalyzer(NaiveLastValue)
     with pytest.raises(ForecastError):
         WorkloadPredictor(db, analyzer, bin_duration_ms=0)
-    with pytest.raises(ForecastError):
-        WorkloadPredictor(db, analyzer, max_history_bins=1)

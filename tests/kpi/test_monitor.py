@@ -73,12 +73,12 @@ def test_cache_miss_rate():
 def test_is_idle_requires_consecutive_quiet_samples():
     db = make_small_database(rows=1_000)
     monitor = RuntimeKPIMonitor(db)
-    assert not monitor.is_idle(samples=2)  # not enough samples yet
+    assert not monitor.is_idle()  # not enough samples yet
     db.clock.advance(1_000)
     monitor.sample()
     db.clock.advance(1_000)
     monitor.sample()
-    assert monitor.is_idle(samples=2)
+    assert monitor.is_idle()
 
 
 def test_sla_streaks_and_breach():
@@ -143,12 +143,6 @@ def test_mean_over_window():
     assert monitor.mean(QUERIES_EXECUTED, last_n=1) == 1.0
     assert len(monitor.history()) == 3
     assert monitor.latest is monitor.history()[-1]
-
-
-def test_window_validation():
-    db = make_small_database(rows=100)
-    with pytest.raises(ValueError):
-        RuntimeKPIMonitor(db, window=1)
 
 
 def test_derive_system_kpis_handles_zero_elapsed():

@@ -78,8 +78,9 @@ def test_unbinding_telemetry_stops_accounting():
     assert telemetry.registry.read("exec_queries") == 1.0
 
 
-def test_event_log_api_is_unchanged_without_a_sink():
-    log = EventLog(capacity=2)
+def test_event_log_api_is_unchanged_without_a_sink(monkeypatch):
+    monkeypatch.setattr("repro.core.events.CAPACITY", 2)
+    log = EventLog()
     log.log(1.0, EventKind.OBSERVE, "first")
     log.log(2.0, EventKind.SKIP, "second", reason="cooldown")
     log.log(3.0, EventKind.APPLY, "third")

@@ -101,11 +101,12 @@ def test_encoding_enumerator_includes_aggregate_columns(
     assert any(c.column == "price" for c in candidates)
 
 
-def test_encoding_enumerator_all_columns_mode(retail_suite, retail_forecast):
+def test_encoding_enumerator_all_columns_mode(
+    retail_suite, retail_forecast, monkeypatch
+):
     narrow = EncodingEnumerator().candidates(retail_suite.database, retail_forecast)
-    wide = EncodingEnumerator(all_columns=True).candidates(
-        retail_suite.database, retail_forecast
-    )
+    monkeypatch.setattr("repro.tuning.enumerators.encoding_enum.ALL_COLUMNS", True)
+    wide = EncodingEnumerator().candidates(retail_suite.database, retail_forecast)
     assert len(wide) > len(narrow)
 
 

@@ -1,13 +1,23 @@
-"""Mid-batch exception safety of the parallel executor (and telemetry)."""
+"""Exception safety and accounting of the tuning executor (and telemetry)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.configuration.actions import CreateIndexAction, SetKnobAction
+from repro.configuration.actions import (
+    CreateIndexAction,
+    DropIndexAction,
+    MoveChunkAction,
+    SetEncodingAction,
+    SetKnobAction,
+    SortChunkAction,
+)
 from repro.configuration.config import ConfigurationInstance
 from repro.configuration.delta import ConfigurationDelta
 from repro.dbms.knobs import SCAN_THREADS_KNOB
-from repro.errors import ActionError, KnobError, TuningAbortedError
-from repro.faults import recovery
+from repro.dbms.segments import EncodingType
+from repro.dbms.storage_tiers import StorageTier
+from repro.errors import ActionError, TuningAbortedError
 from repro.kpi.metrics import (
     ACTION_FAILURES,
     ACTION_RETRIES,
@@ -15,9 +25,9 @@ from repro.kpi.metrics import (
     ROLLBACKS,
 )
 from repro.telemetry import Telemetry
-from repro.tuning.executors import ParallelExecutor, SequentialExecutor
+from repro.tuning.executors import SequentialExecutor
 
-from tests.conftest import ScriptedInjector
+from tests.conftest import ScriptedInjector, make_small_database
 
 
 def _delta():
@@ -30,88 +40,128 @@ def _delta():
     )
 
 
-def test_parallel_failure_after_full_batch_rolls_all_back(retail_suite):
-    db = retail_suite.database
-    executor = ParallelExecutor(
-        worker_count=2, injector=ScriptedInjector(["ok", "ok", "permanent"])
-    )
-    before = ConfigurationInstance.capture(db)
-    footprint_before = db.table("orders").footprint(("customer", "order_date"))
-    with pytest.raises(TuningAbortedError) as excinfo:
-        executor.execute(_delta(), db)
-    assert ConfigurationInstance.capture(db) == before
-    assert db.table("orders").footprint(("customer", "order_date")) == footprint_before
-    report = excinfo.value.report
-    assert report.rolled_back
-    assert report.rollback_actions == 2  # the whole first batch
-    assert report.action_count == 2  # first batch was accounted
-    assert report.finished_ms >= report.started_ms
-    assert report.elapsed_ms > 0.0
+# ----------------------------------------------------------------------
+# the accounting and rollback property
+
+_CHUNKS = st.sampled_from([None, (0,), (1,)])
+_ACTIONS = st.one_of(
+    st.builds(
+        CreateIndexAction,
+        st.just("events"),
+        st.sampled_from([("user",), ("id",), ("user", "kind")]),
+        _CHUNKS,
+    ),
+    st.builds(
+        DropIndexAction, st.just("events"), st.sampled_from([("kind",)]), _CHUNKS
+    ),
+    st.builds(
+        lambda slot, chunks: SetEncodingAction("events", *slot, chunks),
+        st.sampled_from(
+            [
+                ("user", EncodingType.DICTIONARY),
+                ("id", EncodingType.FRAME_OF_REFERENCE),
+                ("kind", EncodingType.RUN_LENGTH),
+                ("value", EncodingType.DICTIONARY),
+            ]
+        ),
+        _CHUNKS,
+    ),
+    st.builds(
+        MoveChunkAction,
+        st.just("events"),
+        st.sampled_from([0, 1]),
+        st.sampled_from(list(StorageTier)),
+    ),
+    st.builds(
+        SortChunkAction, st.just("events"), st.sampled_from(["user", "value"]), _CHUNKS
+    ),
+    st.builds(
+        SetKnobAction, st.just(SCAN_THREADS_KNOB), st.sampled_from([1, 4, 8])
+    ),
+)
+_SCRIPTS = st.lists(st.sampled_from(["ok", "transient", "permanent"]), max_size=10)
+#: every predicate-column tuple a generated action can change the
+#: footprint of
+_FOOTPRINTS = (
+    ("id",),
+    ("user",),
+    ("kind",),
+    ("value",),
+    ("user", "kind"),
+)
 
 
-def test_parallel_mid_batch_failure_accounts_applied_prefix(retail_suite):
-    """The original bug: a raise mid-batch left the DB mutated with no
-    clock advance, no counters, and finished_ms == 0."""
-    db = retail_suite.database
-    executor = ParallelExecutor(
-        worker_count=2, injector=ScriptedInjector(["ok", "permanent"])
-    )
+def _footprints(db, delta):
+    """Every footprint the delta can touch. A row order is named by its
+    generation, and a sort rolled back restores the rows but counts a new
+    one: across a sort, compare what each chunk's footprint names besides
+    it, and the rows themselves."""
+    table = db.table("events")
+    if not any(isinstance(a, SortChunkAction) for a in delta.actions):
+        return {columns: table.footprint(columns) for columns in _FOOTPRINTS}
+    return [
+        (
+            [chunk.footprint(columns)[1:] for columns in _FOOTPRINTS],
+            [chunk.segment(c).values().tolist() for c in table.schema.column_names],
+        )
+        for chunk in table.chunks()
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(actions=st.lists(_ACTIONS, max_size=6), script=_SCRIPTS)
+def test_any_pass_is_accounted_and_a_failed_one_restores_the_instance(
+    actions, script
+):
+    db = make_small_database(rows=600, chunk_size=300)
+    db.create_index("events", ["kind"])  # something for a drop to remove
+    delta = ConfigurationDelta(actions)
     before = ConfigurationInstance.capture(db)
+    footprints_before = _footprints(db, delta)
     clock_before = db.clock.now_ms
-    recon_before = db.counters.reconfigurations
-    with pytest.raises(TuningAbortedError) as excinfo:
-        executor.execute(_delta(), db)
-    report = excinfo.value.report
-    # the DB is rolled back, not left half-mutated
-    assert ConfigurationInstance.capture(db) == before
-    assert db.index_bytes() == 0
-    # the applied prefix (one action) was accounted before the rollback
-    assert report.action_count == 1
-    assert report.action_summaries == [_delta().actions[0].describe()]
-    assert db.counters.reconfigurations - recon_before == 1 + 1  # fwd + undo
-    # the clock saw the prefix work plus the rollback work
-    assert db.clock.now_ms - clock_before == pytest.approx(
-        report.total_work_ms + report.rollback_work_ms
+    reconfigurations_before = db.counters.reconfigurations
+    work_before = db.counters.total_reconfiguration_ms
+
+    executor = SequentialExecutor(injector=ScriptedInjector(script))
+    try:
+        report = executor.execute(delta, db)
+    except TuningAbortedError as exc:
+        report = exc.report
+        # (a) a permanent failure leaves the configuration and every
+        # footprint it touched as they were before the pass
+        assert report.rolled_back
+        assert ConfigurationInstance.capture(db) == before
+        assert _footprints(db, delta) == footprints_before
+        assert report.inverse_actions == []
+    else:
+        assert not report.rolled_back
+        assert report.action_count == len(delta.actions)
+        assert report.action_summaries == delta.describe()
+
+    # (b) each applied action counts once, forward and inverse alike
+    assert (
+        db.counters.reconfigurations - reconfigurations_before
+        == report.action_count + report.rollback_actions
     )
-    # the report is finalised, not abandoned with finished_ms == 0
+    # (c) work is forward plus rollback work; the clock also waits out
+    # the backoff, and the report's elapsed time is the clock's
+    work = report.total_work_ms + report.rollback_work_ms
+    assert db.counters.total_reconfiguration_ms - work_before == pytest.approx(work)
+    assert db.clock.now_ms - clock_before == pytest.approx(work + report.backoff_ms)
+    assert report.elapsed_ms == pytest.approx(work + report.backoff_ms)
     assert report.finished_ms == db.clock.now_ms
-    assert report.elapsed_ms == pytest.approx(
-        report.finished_ms - report.started_ms
-    )
-    assert "order_date" in report.failed_action
+
+    # (d) a clean pass hands over inverse actions that, applied raw in
+    # reverse, restore the pre-pass instance
+    if not report.rolled_back:
+        for inverse in reversed(report.inverse_actions):
+            inverse.apply_raw(db)
+        assert ConfigurationInstance.capture(db) == before
+        assert _footprints(db, delta) == footprints_before
 
 
-def test_parallel_non_action_error_restores_state(retail_suite):
-    db = retail_suite.database
-    executor = ParallelExecutor(worker_count=2)
-    delta = ConfigurationDelta(
-        [
-            CreateIndexAction("orders", ("customer",)),
-            SetKnobAction("no_such_knob", 1.0),
-        ]
-    )
-    before = ConfigurationInstance.capture(db)
-    with pytest.raises(KnobError):
-        executor.execute(delta, db)
-    assert ConfigurationInstance.capture(db) == before
-
-
-def test_parallel_transient_retry_keeps_batch_semantics(retail_suite):
-    db = retail_suite.database
-    executor = ParallelExecutor(
-        worker_count=2,
-        injector=ScriptedInjector(["transient", "ok", "ok", "ok"]),
-    )
-    clock_before = db.clock.now_ms
-    report = executor.execute(_delta(), db)
-    assert report.retries == 1
-    assert report.backoff_ms == recovery.BASE_BACKOFF_MS
-    costs = report.action_costs_ms
-    expected_elapsed = (
-        recovery.BASE_BACKOFF_MS + max(costs[0], costs[1]) + costs[2]
-    )
-    assert db.clock.now_ms - clock_before == pytest.approx(expected_elapsed)
-    assert report.elapsed_ms == pytest.approx(expected_elapsed)
+# ----------------------------------------------------------------------
+# telemetry and fault metadata
 
 
 def test_executor_counters_flow_through_telemetry(retail_suite):

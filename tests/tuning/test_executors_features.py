@@ -1,4 +1,4 @@
-"""Tests for tuning executors and the four feature tuners."""
+"""Tests for the tuning executor and the feature tuners."""
 
 import pytest
 
@@ -13,14 +13,13 @@ from repro.configuration.delta import ConfigurationDelta
 from repro.dbms.knobs import BUFFER_POOL_KNOB, SCAN_THREADS_KNOB
 from repro.dbms.segments import EncodingType
 from repro.dbms.storage_tiers import StorageTier
-from repro.errors import TuningError
 from repro.tuning.candidate import (
     EncodingCandidate,
     IndexCandidate,
     KnobCandidate,
     PlacementCandidate,
 )
-from repro.tuning.executors import ParallelExecutor, SequentialExecutor
+from repro.tuning.executors import SequentialExecutor
 from repro.tuning.features import (
     BufferPoolFeature,
     CompressionFeature,
@@ -52,45 +51,6 @@ def test_sequential_executor_applies_in_order(retail_suite):
     assert report.elapsed_ms == pytest.approx(report.total_work_ms)
     assert db.table("orders").chunks()[0].has_index(["customer"])
     assert db.knobs.get(SCAN_THREADS_KNOB) == 4
-
-
-def test_parallel_executor_overlaps_wall_time(retail_suite):
-    db = retail_suite.database
-    sequential_db = retail_suite.database  # same db: run parallel after revert
-    report = ParallelExecutor(worker_count=3).execute(_delta(), db)
-    assert report.action_count == 3
-    assert report.elapsed_ms < report.total_work_ms
-    assert db.table("orders").chunks()[0].has_index(["customer"])
-    assert db.counters.reconfigurations == 3
-
-
-def test_parallel_executor_validation():
-    with pytest.raises(TuningError):
-        ParallelExecutor(worker_count=0)
-
-
-def test_parallel_executor_batch_accounting(retail_suite):
-    """Clock advances by per-batch max (elapsed); counters record the sum
-    of all per-action costs (work); application order is preserved."""
-    db = retail_suite.database
-    delta = _delta()
-    clock_before = db.clock.now_ms
-    work_before = db.counters.total_reconfiguration_ms
-    report = ParallelExecutor(worker_count=2).execute(delta, db)
-    costs = report.action_costs_ms
-    assert len(costs) == 3
-    # batches of 2 then 1: wall time is max of the pair plus the straggler
-    expected_elapsed = max(costs[0], costs[1]) + costs[2]
-    assert report.elapsed_ms == pytest.approx(expected_elapsed)
-    assert db.clock.now_ms - clock_before == pytest.approx(expected_elapsed)
-    # counters record work, not elapsed time
-    assert db.counters.total_reconfiguration_ms - work_before == pytest.approx(
-        sum(costs)
-    )
-    assert report.total_work_ms == pytest.approx(sum(costs))
-    assert report.elapsed_ms < report.total_work_ms
-    # actions are applied and reported in delta order
-    assert report.action_summaries == delta.describe()
 
 
 # ----------------------------------------------------------------------

@@ -66,20 +66,6 @@ def test_reassessment_respects_budget(retail_suite):
     assert db.index_bytes() == 0  # selection is hypothetical only
 
 
-def test_reassessment_stops_at_max_picks(retail_suite):
-    db, assessments, _selector, probabilities = _setup(retail_suite)
-    forecast = make_forecast(retail_suite)
-    feature = IndexSelectionFeature()
-    assessor = CostModelAssessor(WhatIfOptimizer(db))
-    selector = ReassessingGreedySelector(
-        assessor, db, forecast, feature.reset_delta(db, forecast), max_picks=2
-    )
-    chosen = selector.select(
-        assessments, {INDEX_MEMORY: 64 * MIB}, selector.desirability(probabilities)
-    )
-    assert len(chosen) <= 2
-
-
 def test_rejects_required_groups(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)

@@ -173,11 +173,12 @@ def test_sort_feature_delta_skips_already_sorted(retail_suite):
     assert again.is_empty
 
 
-def test_sort_enumerator_caps_columns(retail_suite):
+def test_sort_enumerator_caps_columns(retail_suite, monkeypatch):
     from repro.tuning.enumerators.sort_enum import SortOrderEnumerator
 
+    monkeypatch.setattr("repro.tuning.enumerators.sort_enum.MAX_COLUMNS", 2)
     forecast = make_forecast(retail_suite)
-    candidates = SortOrderEnumerator(max_columns=2).candidates(
+    candidates = SortOrderEnumerator().candidates(
         retail_suite.database, forecast
     )
     per_table: dict[str, int] = {}
