@@ -1,4 +1,4 @@
-"""Adaptive cost estimation in production mode (paper Section V, implemented).
+"""Adaptive cost estimation (paper Sections II-A.d and V).
 
 Shows the learned-cost-model life cycle:
 
@@ -6,9 +6,9 @@ Shows the learned-cost-model life cycle:
    training data for a specialized cost model");
 2. design exploration (probing calibration queries under temporarily
    built indexes, so the model can price designs it has never seen live);
-3. continuous maintenance from plan-cache harvests during operation;
-4. the driver's ``fast_assessment`` mode: tuning candidates priced by the
-   maintained model instead of measured what-if execution.
+3. pricing a tuning candidate with the model, as paper experiment A1
+   does: ``CostModelAssessor(WhatIfOptimizer(db, model))`` beside the
+   measured what-if optimizer the live loop prices with.
 
 Run:  python examples/adaptive_cost_models.py
 """
@@ -16,26 +16,18 @@ Run:  python examples/adaptive_cost_models.py
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import numpy as np
 
-from repro import (
-    ConstraintSet,
-    Driver,
-    DriverConfig,
-    OrganizerConfig,
-    ResourceBudget,
-    WhatIfOptimizer,
-)
-from repro.configuration import INDEX_MEMORY
-from repro.core import NeverTrigger
+from repro import WhatIfOptimizer
 from repro.cost import (
     LearnedCostModel,
     run_design_exploration,
     run_startup_calibration,
 )
-from repro.tuning import CompressionFeature, IndexSelectionFeature
-from repro.util.units import MIB
+from repro.forecasting import EXPECTED_SCENARIO, Forecast, WorkloadScenario
+from repro.tuning import CostModelAssessor, IndexCandidate
 from repro.workload import Predicate, Query, build_retail_suite
 
 
@@ -71,41 +63,30 @@ def main() -> None:
     print(f"  estimate without index: {before:.4f} ms; with index: {after:.4f} ms")
     db.drop_index("orders", ["customer"])
 
-    # --- stages 3-4: the driver in fast-assessment mode ------------------
-    driver = Driver(
-        [IndexSelectionFeature(), CompressionFeature()],
-        constraints=ConstraintSet([ResourceBudget(INDEX_MEMORY, 4 * MIB)]),
-        triggers=[NeverTrigger()],
-        config=DriverConfig(
-            organizer=OrganizerConfig(horizon_bins=3, min_history_bins=3),
-            fast_assessment=True,
-        ),
+    # --- stage 3: one tuning candidate, priced as A1 prices it -----------
+    queries = suite.mix.sample_queries(60, seed=500)
+    samples = {q.template().key: q for q in queries}
+    frequencies = Counter(q.template().key for q in queries)
+    forecast = Forecast(
+        scenarios=(WorkloadScenario(EXPECTED_SCENARIO, 1.0, frequencies),),
+        horizon_bins=1,
+        bin_duration_ms=60_000.0,
+        sample_queries=samples,
     )
-    db.plugin_host.attach(driver)
-    ctx = driver.context
-    for i in range(4):
-        for q in suite.mix.sample_queries(30, seed=500 + i):
-            db.execute(q)
-        db.plugin_host.tick(db.clock.now_ms)
-    print(f"\nmaintenance harvested "
-          f"{ctx.cost_maintenance.observations_harvested} observations "
-          "from the plan cache")
-
-    forecast = ctx.predictor.forecast(horizon_bins=3)
-    optimizer = WhatIfOptimizer(db)
-    samples = dict(forecast.sample_queries)
-    before_cost = optimizer.scenario_cost_ms(forecast.expected, samples)
-    started = time.perf_counter()
-    report = driver.tune_now()
-    wall = time.perf_counter() - started
-    after_cost = optimizer.scenario_cost_ms(forecast.expected, samples)
-    print(f"fast-assessment tuning pass ({wall:.2f} s wall): "
-          f"{before_cost:.3f} -> {after_cost:.3f} ms "
-          f"({100 * (1 - after_cost / max(before_cost, 1e-9)):.1f}%)")
-    print("applied:")
-    for run in report.tuning.runs:
-        for summary in run.report.action_summaries:
-            print("   ", summary)
+    candidate = IndexCandidate("orders", ("customer",))
+    print(f"\npricing {candidate.describe()} over {len(queries)} queries:")
+    for name, optimizer in (
+        ("measured what-if", WhatIfOptimizer(db)),
+        ("learned model", WhatIfOptimizer(db, model)),
+    ):
+        started = time.perf_counter()
+        [assessment] = CostModelAssessor(optimizer).assess(
+            [candidate], db, forecast
+        )
+        wall = time.perf_counter() - started
+        print(f"  {name:16s} benefit "
+              f"{assessment.desirability[EXPECTED_SCENARIO]:8.3f} ms, "
+              f"confidence {assessment.confidence:.2f} ({wall * 1e3:.1f} ms wall)")
 
 
 if __name__ == "__main__":

@@ -33,10 +33,6 @@ class DriverConfig:
     """Construction parameters of the driver and its components."""
 
     organizer: OrganizerConfig = field(default_factory=OrganizerConfig)
-    #: price candidates with a continuously-maintained learned cost model
-    #: instead of measured what-if execution (the low-overhead production
-    #: mode of §II-A.d / §V); runs startup calibration on attach
-    fast_assessment: bool = False
     #: the telemetry spine (spans, metric registry, sinks) shared by every
     #: component the driver wires up; see docs/telemetry.md
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
@@ -123,6 +119,7 @@ class Driver(Plugin):
 
     def on_tick(self, now_ms: float) -> None:
         """One loop iteration: observe, monitor, maybe tune."""
+        del now_ms  # every component reads the database's clock
         db = self.database
         ctx = self.context
         ctx.predictor.observe()
@@ -137,8 +134,6 @@ class Driver(Plugin):
                 EventKind.APPLY,
                 f"applied escalation tuning pass over {guard_report.order}",
             )
-        if ctx.cost_maintenance is not None:
-            ctx.cost_maintenance.on_tick(now_ms)
         report = ctx.organizer.tick()
         if report is not None:
             ctx.events.log(

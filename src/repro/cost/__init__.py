@@ -8,12 +8,10 @@ from repro.cost.calibration import (
 )
 from repro.cost.learned import LearnedCostModel
 from repro.cost.logical import LogicalCostModel
-from repro.cost.maintenance import AdaptiveCostMaintenancePlugin
 from repro.cost.physical import PhysicalCostModel
 from repro.cost.what_if import WhatIfOptimizer
 
 __all__ = [
-    "AdaptiveCostMaintenancePlugin",
     "CostEstimator",
     "LearnedCostModel",
     "LogicalCostModel",

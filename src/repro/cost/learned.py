@@ -21,10 +21,8 @@ from repro.plan.ir import StepKind
 from repro.errors import CalibrationError
 from repro.workload.query import Query
 
-#: Minimum observations before the first fit is attempted.
+#: Minimum observations a fit needs.
 MIN_OBSERVATIONS = 8
-#: Observations between two periodic refits.
-REFIT_EVERY = 16
 #: Training-set bound; past it the oldest quarter is dropped.
 MAX_OBSERVATIONS = 4096
 
@@ -53,7 +51,6 @@ class LearnedCostModel(CostEstimator):
         self._features: list[np.ndarray] = []
         self._targets: list[float] = []
         self._coefficients: np.ndarray | None = None
-        self._since_fit = 0
 
     # ------------------------------------------------------------------
     # feature extraction
@@ -108,18 +105,13 @@ class LearnedCostModel(CostEstimator):
         return self._coefficients is not None
 
     def observe(self, query: Query, elapsed_ms: float) -> None:
-        """Record one observed execution; refits periodically."""
+        """Record one observed execution; whoever feeds the model calls
+        :meth:`refit` once it has fed them."""
         self._features.append(self.features(query))
         self._targets.append(float(elapsed_ms))
         if len(self._targets) > MAX_OBSERVATIONS:
             del self._features[: MAX_OBSERVATIONS // 4]
             del self._targets[: MAX_OBSERVATIONS // 4]
-        self._since_fit += 1
-        if (
-            len(self._targets) >= MIN_OBSERVATIONS
-            and self._since_fit >= REFIT_EVERY
-        ):
-            self.refit()
 
     def refit(self) -> None:
         if len(self._targets) < MIN_OBSERVATIONS:
@@ -131,7 +123,6 @@ class LearnedCostModel(CostEstimator):
         target = np.array(self._targets)
         coefficients, *_ = np.linalg.lstsq(design, target, rcond=None)
         self._coefficients = coefficients
-        self._since_fit = 0
 
     def estimate_query_ms(self, query: Query) -> float:
         if self._coefficients is None:

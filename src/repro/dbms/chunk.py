@@ -26,6 +26,7 @@ would have without one.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from hashlib import blake2b
 
 import numpy as np
 
@@ -53,6 +54,12 @@ _INDEX_MEMO_CAPACITY = 64
 LOAD_ENCODING = EncodingType.UNENCODED
 
 _IndexMemoKey = tuple[tuple[str, ...], tuple[EncodingType, ...]]
+
+
+def _digest(permutation: "np.ndarray") -> int:
+    """A 64-bit name of a permutation, the same in every process."""
+    data = np.ascontiguousarray(permutation, dtype=np.int64).tobytes()
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
 class _StructureMemo:
@@ -178,9 +185,10 @@ class Chunk:
         self._projected_widths: dict[tuple[str, ...], float] = {}
         self.tier = StorageTier.DRAM
         self._sort_column: str | None = None
-        #: how many permutations the rows have been through: with it a
-        #: (column, encoding) or index key names one structure for good
-        self._row_order = 0
+        #: the name of the rows' order (0: the load order), under which a
+        #: (column, encoding) or index key names one structure for good;
+        #: see apply_permutation
+        self._row_order: int | tuple = 0
         self._data_bytes: int | None = None
         self._memo = _StructureMemo(self._segments, self._indexes)
 
@@ -286,6 +294,12 @@ class Chunk:
         and every index is rebuilt: a new row order is the one change that
         drops the structure memo. Column statistics are order-independent
         and stay cached. Returns the rebuilt index keys for cost accounting.
+
+        An order is named by the order it came from and a digest of the
+        permutation that leads back there. So a permutation that undoes
+        the last one — a rollback's, a what-if's — takes the old name
+        back, and with it every footprint cached for it; any other gets a
+        name that no other order has.
         """
         if len(permutation) != self._row_count:
             raise SchemaError(
@@ -301,7 +315,13 @@ class Chunk:
         for key in rebuilt:
             self._indexes[key] = SortedCompositeIndex.build(key, self._segments)
         self._memo.reseed(self._segments, self._indexes)
-        self._row_order += 1
+        order = self._row_order
+        if type(order) is tuple and order[1] == _digest(permutation):
+            self._row_order = order[0]
+        else:
+            back = np.empty_like(permutation)
+            back[permutation] = np.arange(self._row_count, dtype=back.dtype)
+            self._row_order = (order, _digest(back))
         self._sort_column = sort_column
         self._data_bytes = None
         # zone maps, like statistics, do not see the row order
@@ -394,7 +414,8 @@ class Chunk:
         follow creation order — the key of every index a predicate on its
         leading column could probe (a probe only ever touches key columns
         that carry predicates, whose encodings are already listed). Plain
-        strings and ints, so the tuple hashes fast and pickles small."""
+        strings, ints and tuples of them, so the tuple hashes fast and
+        pickles small."""
         names: list = [self._row_order]
         names.extend(self.segment(c).encoding.value for c in columns)
         names.extend(k for k in sorted(self._indexes) if k[0] in columns)

@@ -37,7 +37,6 @@ class PlanCacheEntry:
     sample_query: Query
     execution_count: int = 0
     total_ms: float = 0.0
-    last_ms: float = 0.0
     first_seen_ms: float = 0.0
     last_seen_ms: float = 0.0
 
@@ -82,7 +81,6 @@ class QueryPlanCache:
             entry.sample_query = query
         entry.execution_count += 1
         entry.total_ms += elapsed_ms
-        entry.last_ms = elapsed_ms
         entry.last_seen_ms = now_ms
         return entry
 

@@ -31,8 +31,6 @@ from repro.configuration.store import ConfigurationInstanceStorage
 from repro.core.events import EventLog
 from repro.core.organizer import Organizer
 from repro.core.triggers import TuningTrigger
-from repro.cost.calibration import run_design_exploration
-from repro.cost.maintenance import AdaptiveCostMaintenancePlugin
 from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.database import Database
 from repro.faults.injector import FaultInjector
@@ -77,7 +75,6 @@ class TenantContext:
     tuners: list[Tuner]
     organizer: Organizer
     features: list[FeatureTuner]
-    cost_maintenance: AdaptiveCostMaintenancePlugin | None = None
     injector: FaultInjector | None = None
     # --- workload slots (fleet-assigned) -------------------------------
     #: the driver whose on_attach wired this context (fleet-assigned;
@@ -134,13 +131,6 @@ class TenantContext:
             partial(SeasonalNaive, DEFAULT_SEASONAL_PERIOD)
         )
         predictor = WorkloadPredictor(database, analyzer)
-        cost_maintenance: AdaptiveCostMaintenancePlugin | None = None
-        if config.fast_assessment:
-            # the context owns the maintenance plugin directly (composition,
-            # not host registration); the driver ticks it from its loop
-            cost_maintenance = AdaptiveCostMaintenancePlugin()
-            cost_maintenance.on_attach(database)
-            run_design_exploration(database, cost_maintenance.model)
         # seeded fault injection (off unless configured): the injector
         # gates executor applications, with its counters in the tenant's
         # registry
@@ -151,22 +141,10 @@ class TenantContext:
             )
         optimizer = WhatIfOptimizer(database, registry=telemetry.registry)
         executor = SequentialExecutor(injector=injector, telemetry=telemetry)
-        tuners: list[Tuner] = []
-        for feature in features:
-            assessor = None
-            if cost_maintenance is not None:
-                assessor = feature.make_fast_assessor(
-                    database, cost_maintenance.model
-                )
-            tuners.append(
-                Tuner(
-                    feature,
-                    database,
-                    assessor=assessor,
-                    optimizer=optimizer,
-                    telemetry=telemetry,
-                )
-            )
+        tuners = [
+            Tuner(feature, database, optimizer=optimizer, telemetry=telemetry)
+            for feature in features
+        ]
         organizer = Organizer(
             database,
             predictor,
@@ -196,7 +174,6 @@ class TenantContext:
             tuners=tuners,
             organizer=organizer,
             features=list(features),
-            cost_maintenance=cost_maintenance,
             injector=injector,
         )
 

@@ -52,13 +52,6 @@ class FeatureTuner(ABC):
         (the organizer attaches the shared cache to KPI monitoring)."""
         return CostModelAssessor(optimizer or WhatIfOptimizer(db))
 
-    def make_fast_assessor(self, db: Database, estimator) -> Assessor | None:
-        """Assessor backed by an analytic/learned estimator instead of
-        measured execution — the low-overhead production mode. Features
-        whose assessment cannot be estimator-driven return ``None`` to keep
-        their specialised assessor."""
-        return CostModelAssessor(WhatIfOptimizer(db, estimator))
-
     def make_selector(self) -> Selector:
         """Default selector: greedy (short runtime, good quality)."""
         return GreedySelector()

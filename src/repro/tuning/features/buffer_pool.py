@@ -43,12 +43,6 @@ class BufferPoolFeature(FeatureTuner):
         del db, optimizer
         return BufferPoolAssessor()
 
-    def make_fast_assessor(self, db: Database, estimator) -> Assessor | None:
-        # buffer-pool benefit is invisible to analytic estimators (it is a
-        # caching effect); keep the scratch-pool measurement
-        del db, estimator
-        return None
-
     def reset_delta(self, db: Database, forecast: Forecast) -> ConfigurationDelta:
         # The buffer-pool assessor measures against the knob default on a
         # scratch pool; no state needs clearing on the real database.

@@ -35,10 +35,6 @@ class SortOrderFeature(FeatureTuner):
         # assessor prices each sort at its best follow-up encoding
         return SortBenefitAssessor(optimizer or WhatIfOptimizer(db))
 
-    def make_fast_assessor(self, db: Database, estimator) -> Assessor | None:
-        # the anticipating assessor composes with analytic estimators too
-        return SortBenefitAssessor(WhatIfOptimizer(db, estimator))
-
     def reset_delta(self, db: Database, forecast: Forecast) -> ConfigurationDelta:
         # ingest order cannot be restored from an instance; assess
         # incrementally against the current order

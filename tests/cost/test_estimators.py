@@ -137,17 +137,17 @@ def test_learned_model_improves_with_observations():
     assert np.median(errors) < 1.0
 
 
-def test_learned_model_adapts_after_config_change(monkeypatch):
-    monkeypatch.setattr("repro.cost.learned.REFIT_EVERY", 4)
+def test_learned_model_adapts_after_config_change():
     db = make_small_database(rows=10_000, chunk_size=2_000)
     model = LearnedCostModel(db)
     run_startup_calibration(db, model, seed=0)
     query = Query("events", (Predicate("user", "=", 5),), aggregate="count")
     db.create_index("events", ["user"])
-    # collect post-change observations; refit happens automatically
+    # collect post-change observations and refit on them
     for value in range(12):
         q = Query("events", (Predicate("user", "=", value),), aggregate="count")
         model.observe(q, _probe(db, q))
+    model.refit()
     estimate = model.estimate_query_ms(query)
     actual = _probe(db, query)
     assert estimate >= db.hardware.overhead_ms()

@@ -17,7 +17,6 @@ def test_record_aggregates_per_template():
     assert entry.execution_count == 2
     assert entry.total_ms == 6.0
     assert entry.mean_ms == 3.0
-    assert entry.last_ms == 4.0
     assert entry.first_seen_ms == 10.0
     assert entry.last_seen_ms == 20.0
 

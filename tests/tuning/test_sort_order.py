@@ -6,6 +6,7 @@ import pytest
 from repro.configuration.actions import SortChunkAction
 from repro.configuration.config import ConfigurationInstance
 from repro.configuration.delta import ConfigurationDelta, diff_configurations
+from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.segments import EncodingType, RunLengthSegment
 from repro.errors import SchemaError
 from repro.tuning.candidate import SortOrderCandidate
@@ -36,6 +37,40 @@ def test_chunk_sort_by_reorders_all_segments():
     chunk.apply_permutation(inverse, None)
     np.testing.assert_array_equal(chunk.segment("id").values(), ids_before)
     assert chunk.sort_column is None
+
+
+_COLUMNS = (("id",), ("user",), ("kind",), ("value",), ("user", "kind"))
+
+
+def _footprints(db):
+    table = db.table("events")
+    return {columns: table.footprint(columns) for columns in _COLUMNS}
+
+
+def test_an_undone_sort_gives_every_footprint_back():
+    db = make_small_database(rows=600, chunk_size=300)
+    before = _footprints(db)
+    sort = ConfigurationDelta([SortChunkAction("events", "user", None)])
+    with WhatIfOptimizer(db).hypothetical(sort):
+        assert all(
+            footprint != before[columns]
+            for columns, footprint in _footprints(db).items()
+        )
+    assert _footprints(db) == before
+
+
+def test_a_new_order_never_takes_an_undone_orders_name():
+    db = make_small_database(rows=600, chunk_size=300)
+    loaded = _footprints(db)
+    by_user = ConfigurationDelta([SortChunkAction("events", "user", None)])
+    undo = by_user.apply_raw(db)
+    sorted_by_user = _footprints(db)
+    undo.apply_raw(db)
+    assert _footprints(db) == loaded
+    ConfigurationDelta([SortChunkAction("events", "value", None)]).apply_raw(db)
+    for columns, footprint in _footprints(db).items():
+        assert footprint != sorted_by_user[columns]
+        assert footprint != loaded[columns]
 
 
 def test_sort_is_idempotent():
