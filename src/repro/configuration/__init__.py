@@ -21,7 +21,7 @@ from repro.configuration.constraints import (
     ResourceBudget,
     SlaConstraint,
 )
-from repro.configuration.delta import ConfigurationDelta, diff_configurations
+from repro.configuration.delta import ConfigurationDelta
 from repro.configuration.store import (
     ConfigurationInstanceStorage,
     ConfigurationRecord,
@@ -49,5 +49,4 @@ __all__ = [
     "SortChunkAction",
     "SlaConstraint",
     "TOTAL_MEMORY",
-    "diff_configurations",
 ]

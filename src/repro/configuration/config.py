@@ -4,8 +4,7 @@
 entities … A particular configuration is called configuration instance"
 (Section II-A.b). An instance records, at chunk granularity, which indexes
 exist, which encoding each column segment uses, where each chunk resides,
-and every knob value. Instances can be captured from a live database and
-diffed into a :class:`~repro.configuration.delta.ConfigurationDelta`.
+and every knob value. Instances are captured from a live database.
 """
 
 from __future__ import annotations
@@ -64,41 +63,3 @@ class ConfigurationInstance:
             sort_orders=tuple(sorted(sort_orders.items())),
             captured_at_ms=db.clock.now_ms,
         )
-
-    # ------------------------------------------------------------------
-    # convenience views
-
-    def encoding_map(self) -> dict[tuple[str, str, int], EncodingType]:
-        return dict(self.encodings)
-
-    def placement_map(self) -> dict[tuple[str, int], StorageTier]:
-        return dict(self.placements)
-
-    def knob_map(self) -> dict[str, float]:
-        return dict(self.knobs)
-
-    def sort_order_map(self) -> dict[tuple[str, int], str | None]:
-        return dict(self.sort_orders)
-
-    def index_count(self) -> int:
-        return len(self.indexes)
-
-    def summary(self) -> dict[str, int]:
-        """Coarse shape of the instance, for logs and the config store."""
-        return {
-            "chunk_indexes": len(self.indexes),
-            "encoded_segments": sum(
-                1
-                for _key, enc in self.encodings
-                if enc is not EncodingType.UNENCODED
-            ),
-            "non_dram_chunks": sum(
-                1
-                for _key, tier in self.placements
-                if tier is not StorageTier.DRAM
-            ),
-            "sorted_chunks": sum(
-                1 for _key, column in self.sort_orders if column is not None
-            ),
-            "knobs": len(self.knobs),
-        }

@@ -9,7 +9,7 @@ hardware resources overwrite externally specified ones."
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.dbms.hardware import HardwareProfile
@@ -79,9 +79,6 @@ class ConstraintSet:
         )
         store[budget.resource] = budget.limit
 
-    def add_sla(self, sla: SlaConstraint) -> None:
-        self._slas.append(sla)
-
     @property
     def slas(self) -> tuple[SlaConstraint, ...]:
         return tuple(self._slas)
@@ -92,17 +89,6 @@ class ConstraintSet:
         if resource in self._hardware:
             return self._hardware[resource]
         return self._dbms.get(resource)
-
-    def check_usage(self, usage: Mapping[str, float]) -> list[str]:
-        """Budget violations of ``usage``, as human-readable strings."""
-        violations = []
-        for resource, amount in usage.items():
-            limit = self.effective_budget(resource)
-            if limit is not None and amount > limit:
-                violations.append(
-                    f"{resource}: {amount:.0f} exceeds budget {limit:.0f}"
-                )
-        return violations
 
     def with_hardware(self, hardware: HardwareProfile) -> "ConstraintSet":
         """A copy with the hardware profile's physical limits added."""

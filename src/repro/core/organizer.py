@@ -149,10 +149,12 @@ class Organizer:
         # __len__, so freshly created (empty) ones are falsy
         self._store = store if store is not None else ConfigurationInstanceStorage()
         self._events = events if events is not None else EventLog()
-        self._triggers = triggers or [
-            SlaViolationTrigger(),
-            ForecastDriftTrigger(),
-        ]
+        # None (not an empty list) asks for the defaults
+        self._triggers = (
+            triggers
+            if triggers is not None
+            else [SlaViolationTrigger(), ForecastDriftTrigger()]
+        )
         self._config = config or OrganizerConfig()
         self._optimizer = optimizer or WhatIfOptimizer(
             db, registry=self._telemetry.registry

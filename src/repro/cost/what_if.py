@@ -34,7 +34,7 @@ from repro.cost.base import CostEstimator
 from repro.dbms.database import Database
 from repro.dbms.knobs import SCAN_THREADS_KNOB
 from repro.dbms.table import Footprint
-from repro.forecasting.scenarios import Forecast, WorkloadScenario
+from repro.forecasting.scenarios import WorkloadScenario
 from repro.kpi.metrics import (
     WHATIF_CACHE_EVICTIONS,
     WHATIF_CACHE_HITS,
@@ -123,10 +123,6 @@ class WhatIfOptimizer:
     def registry(self) -> MetricRegistry:
         """The registry holding the cache counters."""
         return self._registry
-
-    def clear_cache(self) -> None:
-        """Drop all cached costs (counters are kept)."""
-        self._cache.clear()
 
     # ------------------------------------------------------------------
     # pricing
@@ -233,14 +229,6 @@ class WhatIfOptimizer:
         for (frequency, _), cost in zip(weighted, costs):
             total += frequency * cost
         return total
-
-    def forecast_costs(self, forecast: Forecast) -> dict[str, float]:
-        """Workload cost per scenario of the forecast."""
-        sample_queries = dict(forecast.sample_queries)
-        return {
-            scenario.name: self.scenario_cost_ms(scenario, sample_queries)
-            for scenario in forecast.scenarios
-        }
 
     # ------------------------------------------------------------------
     # hypothetical configurations

@@ -203,11 +203,6 @@ class SortedCompositeIndex:
         # positions array — far cheaper than a key comparison
         return units + 0.1 * rows_out
 
-    @staticmethod
-    def supports_operator(op: str) -> bool:
-        """``!=`` cannot be answered by a contiguous sorted-range probe."""
-        return op in ("=", "<", "<=", ">", ">=")
-
     def __repr__(self) -> str:
         return (
             f"SortedCompositeIndex(columns={self._columns}, "

@@ -48,12 +48,6 @@ class Knob:
             v += self.step
         return values
 
-    def clamp(self, value: float) -> float:
-        """Nearest valid value to ``value``."""
-        clamped = min(max(value, self.lower), self.upper)
-        steps = round((clamped - self.lower) / self.step)
-        return min(self.lower + steps * self.step, self.upper)
-
 
 class KnobRegistry:
     """Holds knob definitions and their current values."""
@@ -97,10 +91,6 @@ class KnobRegistry:
 
     def snapshot(self) -> dict[str, float]:
         return dict(self._values)
-
-    def restore(self, values: dict[str, float]) -> None:
-        for name, value in values.items():
-            self.set(name, value)
 
 
 BUFFER_POOL_KNOB = "buffer_pool_bytes"

@@ -100,6 +100,3 @@ class QueryPlanCache:
             key: (entry.execution_count, entry.total_ms)
             for key, entry in self._entries.items()
         }
-
-    def clear(self) -> None:
-        self._entries.clear()

@@ -73,14 +73,3 @@ def coerce_array(values: Sequence | np.ndarray, data_type: DataType) -> np.ndarr
         str_arr = arr.astype(str)
         return str_arr.astype(numpy_dtype_for(DataType.STRING, str_arr))
     raise SchemaError(f"cannot coerce dtype {arr.dtype} to STRING")
-
-
-def value_matches_type(value: object, data_type: DataType) -> bool:
-    """Whether a scalar predicate literal is compatible with ``data_type``."""
-    if data_type is DataType.INT:
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if data_type is DataType.FLOAT:
-        return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
-            value, bool
-        )
-    return isinstance(value, str)

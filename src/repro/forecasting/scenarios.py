@@ -85,12 +85,6 @@ class Forecast:
     def scenario_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.scenarios)
 
-    def template_keys(self) -> tuple[str, ...]:
-        keys: set[str] = set()
-        for s in self.scenarios:
-            keys.update(s.frequencies)
-        return tuple(sorted(keys))
-
     def mean_frequencies(self) -> dict[str, float]:
         """Probability-weighted frequencies across scenarios."""
         mean: dict[str, float] = {}

@@ -2,10 +2,12 @@
 
 "We propose a mechanism to recursively tune all features in a reasonable
 order while taking their dependencies into account" (Section III-A).
-The planner measures the dependence matrix, solves the ordering LP, and
-then tunes the features one by one — each tuning run proposing against the
-database state its predecessors left behind, which is what makes the order
-matter.
+The planner measures the dependence matrix and solves the ordering LP
+(:meth:`RecursiveTuningPlanner.plan_order`); :meth:`~RecursiveTuningPlanner.run`
+then tunes the features one by one in the order its caller passes — each
+tuning run proposing against the database state its predecessors left
+behind, which is what makes the order matter. The organizer decides when
+an order is planned and which one a pass runs.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ class RecursiveTuningReport:
     initial_cost_ms: float
     final_cost_ms: float
     runs: list[FeatureRunRecord] = field(default_factory=list)
-    matrix: DependenceMatrix | None = None
-    ordering_solution: OrderingSolution | None = None
 
     @property
     def improvement(self) -> float:
@@ -113,18 +113,10 @@ class RecursiveTuningPlanner:
     def run(
         self,
         forecast: Forecast,
-        order: tuple[str, ...] | None = None,
+        order: tuple[str, ...],
         executor: SequentialExecutor | None = None,
     ) -> RecursiveTuningReport:
-        """Tune all features in ``order`` (or the LP-optimized order)."""
-        matrix: DependenceMatrix | None = None
-        solution: OrderingSolution | None = None
-        if order is None:
-            if len(self._tuners) >= 2:
-                matrix, solution = self.plan_order(forecast)
-                order = solution.order
-            else:
-                order = self.feature_names
+        """Tune the features in ``order``, one after the other."""
         unknown = set(order) - set(self._tuners)
         if unknown:
             raise OrderingError(f"unknown features in order: {sorted(unknown)}")
@@ -176,6 +168,4 @@ class RecursiveTuningPlanner:
             initial_cost_ms=initial,
             final_cost_ms=current,
             runs=runs,
-            matrix=matrix,
-            ordering_solution=solution,
         )

@@ -128,10 +128,6 @@ class QueryPlanner:
         """Re-bound the LRU (0 disables caching); shrinking evicts."""
         self._cache.resize(cache_size)
 
-    def clear_cache(self) -> None:
-        """Drop all cached plans (counters are kept)."""
-        self._cache.clear()
-
     # ------------------------------------------------------------------
     # compilation
 

@@ -89,16 +89,12 @@ class MetricInterval:
         self._baseline = registry.snapshot_counters()
 
     def deltas(self) -> dict[str, float]:
-        """Per-counter change since the baseline (or since :meth:`restart`)."""
+        """Per-counter change since the baseline."""
         current = self._registry.snapshot_counters()
         return {
             name: value - self._baseline.get(name, 0.0)
             for name, value in current.items()
         }
-
-    def restart(self) -> None:
-        """Re-baseline at the current counter values."""
-        self._baseline = self._registry.snapshot_counters()
 
 
 class MetricRegistry:

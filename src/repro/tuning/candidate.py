@@ -142,7 +142,7 @@ class SortOrderCandidate(Candidate):
 
     At most one sort order can hold per chunk scope, so candidates form an
     optional exclusion group: selecting none keeps the current row order
-    (sorting cannot be diffed back to ingest order).
+    (the ingest order is not part of a configuration instance).
     """
 
     table: str

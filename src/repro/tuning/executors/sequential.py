@@ -219,7 +219,6 @@ class SequentialExecutor:
         self,
         db: Database,
         inverse_actions: list[Action],
-        strategy: str = "guard_rollback",
     ) -> ApplicationReport:
         """Public rollback entry point for *post-commit* rollbacks.
 
@@ -229,7 +228,9 @@ class SequentialExecutor:
         already uses, so clock/counter accounting is identical. Returns
         the finalised report of the rollback.
         """
-        report = ApplicationReport(strategy=strategy, started_ms=db.clock.now_ms)
+        report = ApplicationReport(
+            strategy="guard_rollback", started_ms=db.clock.now_ms
+        )
         self._rollback(db, list(inverse_actions), report)
         report.finished_ms = db.clock.now_ms
         report.elapsed_ms = report.finished_ms - report.started_ms

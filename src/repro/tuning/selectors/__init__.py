@@ -15,11 +15,9 @@ from repro.tuning.selectors.reassessing import ReassessingGreedySelector
 from repro.tuning.selectors.robust import (
     CRITERIA,
     MEAN_VARIANCE,
-    UTILITY,
     VALUE_AT_RISK,
     WORST_CASE,
     RobustSelector,
-    exponential_utility,
     value_at_risk,
 )
 
@@ -33,11 +31,9 @@ __all__ = [
     "RobustSelector",
     "ScoreFn",
     "Selector",
-    "UTILITY",
     "VALUE_AT_RISK",
     "WORST_CASE",
     "budget_violations",
-    "exponential_utility",
     "group_members",
     "resource_usage",
     "validate_selection",

@@ -4,7 +4,8 @@
 stable performance in most cases is preferred over best performance in the
 expected case (cf. CliffGuard [22]). Criteria based on mean-variance
 optimization, utility functions, value at risk, and worst-case
-considerations can be used" (Section II-D.c).
+considerations can be used" (Section II-D.c). Three of the four are
+implemented: worst case, mean-variance and value at risk.
 
 Implemented as a criterion wrapper: the selector's ``desirability`` hook
 collapses the per-candidate scenario desirabilities by a risk criterion
@@ -15,7 +16,6 @@ performs the combinatorial search under that score.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 
 from repro.tuning.assessment import Assessment
@@ -24,9 +24,8 @@ from repro.tuning.selectors.base import ScoreFn, Selector
 WORST_CASE = "worst_case"
 MEAN_VARIANCE = "mean_variance"
 VALUE_AT_RISK = "value_at_risk"
-UTILITY = "utility"
 
-CRITERIA = (WORST_CASE, MEAN_VARIANCE, VALUE_AT_RISK, UTILITY)
+CRITERIA = (WORST_CASE, MEAN_VARIANCE, VALUE_AT_RISK)
 
 
 def value_at_risk(
@@ -51,11 +50,6 @@ def value_at_risk(
     return outcomes[-1][0] if outcomes else 0.0
 
 
-def exponential_utility(benefit_ms: float, risk_tolerance_ms: float) -> float:
-    """CARA utility, scaled so small benefits stay approximately linear."""
-    return risk_tolerance_ms * (1.0 - math.exp(-benefit_ms / risk_tolerance_ms))
-
-
 class RobustSelector(Selector):
     """Risk-criterion scoring on top of a base selector."""
 
@@ -67,7 +61,6 @@ class RobustSelector(Selector):
         criterion: str = WORST_CASE,
         risk_aversion: float = 1.0,
         alpha: float = 0.1,
-        risk_tolerance_ms: float = 50.0,
     ) -> None:
         if criterion not in CRITERIA:
             raise ValueError(
@@ -76,13 +69,10 @@ class RobustSelector(Selector):
             )
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if risk_tolerance_ms <= 0:
-            raise ValueError("risk_tolerance_ms must be positive")
         self._base = base
         self._criterion = criterion
         self._risk_aversion = risk_aversion
         self._alpha = alpha
-        self._risk_tolerance_ms = risk_tolerance_ms
         self.name = f"robust-{criterion}"
 
     def desirability(self, probabilities: Mapping[str, float]) -> ScoreFn:
@@ -96,13 +86,7 @@ class RobustSelector(Selector):
                 return a.expected(probabilities) - self._risk_aversion * a.std(
                     probabilities
                 )
-            if self._criterion == VALUE_AT_RISK:
-                return value_at_risk(a.desirability, probabilities, self._alpha)
-            return sum(  # UTILITY
-                probabilities.get(name, 0.0)
-                * exponential_utility(value, self._risk_tolerance_ms)
-                for name, value in a.desirability.items()
-            )
+            return value_at_risk(a.desirability, probabilities, self._alpha)
 
         return core
 

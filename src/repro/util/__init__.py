@@ -2,13 +2,7 @@
 
 from repro.util.rng import derive_rng, derive_seed
 from repro.util.timer import SimulatedClock
-from repro.util.units import (
-    GIB,
-    KIB,
-    MIB,
-    format_bytes,
-    format_duration,
-)
+from repro.util.units import GIB, KIB, MIB
 from repro.util.tables import render_table
 
 __all__ = [
@@ -18,7 +12,5 @@ __all__ = [
     "KIB",
     "MIB",
     "GIB",
-    "format_bytes",
-    "format_duration",
     "render_table",
 ]

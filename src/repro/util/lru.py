@@ -71,9 +71,6 @@ class BoundedLRU(Generic[K, V]):
             return 0
         return self._evict_to_fit()
 
-    def pop(self, key: K, default: V | None = None) -> V | None:
-        return self._entries.pop(key, default)
-
     def clear(self) -> None:
         self._entries.clear()
 

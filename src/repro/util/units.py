@@ -1,8 +1,7 @@
-"""Byte and duration units plus human-readable formatting.
+"""Byte units.
 
 Costs in this library are expressed in **simulated milliseconds** and sizes
-in **bytes**; these helpers keep magic numbers out of the cost models and
-make benchmark output readable.
+in **bytes**; these constants keep magic numbers out of the cost models.
 """
 
 from __future__ import annotations
@@ -10,28 +9,3 @@ from __future__ import annotations
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
-
-_BYTE_STEPS = [(GIB, "GiB"), (MIB, "MiB"), (KIB, "KiB")]
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Format a byte count with a binary unit suffix, e.g. ``1.50 MiB``."""
-    if num_bytes < 0:
-        return "-" + format_bytes(-num_bytes)
-    for step, suffix in _BYTE_STEPS:
-        if num_bytes >= step:
-            return f"{num_bytes / step:.2f} {suffix}"
-    return f"{num_bytes:.0f} B"
-
-
-def format_duration(milliseconds: float) -> str:
-    """Format a simulated duration, e.g. ``1.25 s`` or ``340.0 ms``."""
-    if milliseconds < 0:
-        return "-" + format_duration(-milliseconds)
-    if milliseconds >= 60_000:
-        return f"{milliseconds / 60_000:.2f} min"
-    if milliseconds >= 1_000:
-        return f"{milliseconds / 1_000:.2f} s"
-    if milliseconds >= 1:
-        return f"{milliseconds:.1f} ms"
-    return f"{milliseconds * 1000:.1f} us"

@@ -85,15 +85,6 @@ class WorkloadMix:
     def family(self, name: str) -> QueryFamily:
         return self._families[name]
 
-    def reweighted(self, factors: Mapping[str, float]) -> "WorkloadMix":
-        """A copy with some family weights multiplied by ``factors``."""
-        new_weights = dict(self._weights)
-        for name, factor in factors.items():
-            if name not in new_weights:
-                raise ValueError(f"unknown family {name!r}")
-            new_weights[name] *= factor
-        return WorkloadMix(list(self._families.values()), new_weights)
-
     def sample_queries(self, count: int, seed: int) -> list[Query]:
         """Draw ``count`` queries according to the family weights."""
         rng = derive_rng(seed, "workload-mix")

@@ -87,24 +87,6 @@ class WorkloadTrace:
             raise KeyError(f"unknown family {name!r}")
         return np.array([b.counts.get(name, 0) for b in self._bins], dtype=float)
 
-    def template_series(self) -> dict[str, np.ndarray]:
-        """Counts per *template key* across bins (families with identical
-        shapes merge, mirroring how the plan cache sees them)."""
-        series: dict[str, np.ndarray] = {}
-        for name, family in self._families.items():
-            key = family.template_key
-            counts = self.family_series(name)
-            if key in series:
-                series[key] = series[key] + counts
-            else:
-                series[key] = counts
-        return series
-
-    def slice(self, start: int, stop: int) -> "WorkloadTrace":
-        return WorkloadTrace(
-            self._bins[start:stop], self._families, self._bin_duration_ms
-        )
-
     def copy(self) -> "WorkloadTrace":
         cloned = [
             TraceBin(b.index, b.start_ms, b.duration_ms, dict(b.counts))

@@ -48,14 +48,6 @@ def test_hardware_overrides_dbms_budget():
     assert constraints.effective_budget(DRAM_BYTES) == 200.0
 
 
-def test_check_usage_reports_violations():
-    constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 100.0)])
-    assert constraints.check_usage({INDEX_MEMORY: 50.0}) == []
-    violations = constraints.check_usage({INDEX_MEMORY: 150.0})
-    assert len(violations) == 1
-    assert INDEX_MEMORY in violations[0]
-
-
 def test_with_hardware_adds_physical_limits():
     hardware = HardwareProfile(dram_capacity_bytes=1_000)
     constraints = ConstraintSet().with_hardware(hardware)
@@ -78,9 +70,9 @@ def test_budget_validation():
 
 
 def test_sla_accessors():
-    constraints = ConstraintSet(slas=[SlaConstraint("mean_query_ms", 5.0)])
-    constraints.add_sla(SlaConstraint("cpu", 0.9, patience=3))
-    assert len(constraints.slas) == 2
+    slas = [SlaConstraint("mean_query_ms", 5.0), SlaConstraint("cpu", 0.9, patience=3)]
+    constraints = ConstraintSet(slas=slas)
+    assert constraints.slas == tuple(slas)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.errors import PluginError
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
 from repro.forecasting.predictor import WorkloadPredictor
+from repro.ordering.lp import LPOrderOptimizer
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
@@ -113,6 +114,49 @@ def test_organizer_manual_run_without_trigger(retail_suite):
     report = organizer.run_tuning()
     assert report.decision.trigger == "manual"
     assert report.tuning.improvement >= 0
+
+
+def test_organizer_with_no_triggers_never_starts_a_pass(retail_suite):
+    db, predictor = _prepare(retail_suite)
+    organizer = Organizer(
+        db,
+        predictor,
+        [Tuner(CompressionFeature(), db)],
+        triggers=[],
+        config=OrganizerConfig(horizon_bins=3, min_history_bins=3),
+    )
+    decision = organizer.evaluate_triggers()
+    assert (decision.should_tune, decision.reason) == (
+        False,
+        "no triggers configured",
+    )
+    assert organizer.tick() is None
+    assert organizer.events.events(EventKind.TUNING_STARTED) == ()
+    # None (not an empty list) keeps the default SLA and drift triggers
+    defaults = Organizer(db, predictor, [Tuner(CompressionFeature(), db)])
+    assert defaults.evaluate_triggers().trigger == "forecast_drift"
+
+
+def test_one_feature_pass_plans_no_order(retail_suite, monkeypatch):
+    def no_lp(self, matrix):
+        raise AssertionError("a one-feature pass solved the ordering LP")
+
+    monkeypatch.setattr(LPOrderOptimizer, "optimize", no_lp)
+    db, predictor = _prepare(retail_suite)
+    organizer = Organizer(
+        db,
+        predictor,
+        [Tuner(IndexSelectionFeature(), db)],
+        constraints=ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)]),
+        triggers=[NeverTrigger()],
+        config=OrganizerConfig(horizon_bins=3, min_history_bins=3),
+    )
+    report = organizer.run_tuning()
+    assert organizer.events.events(EventKind.ORDER_PLANNED) == ()
+    assert report.order == ("index_selection",)
+    assert [run.feature for run in report.tuning.runs] == ["index_selection"]
+    assert report.tuning.runs[0].result.chosen
+    assert db.index_bytes() > 0
 
 
 # ----------------------------------------------------------------------

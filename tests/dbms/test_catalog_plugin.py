@@ -33,15 +33,6 @@ def test_catalog_duplicate_rejected():
         catalog.register(_table())
 
 
-def test_catalog_drop():
-    catalog = Catalog()
-    catalog.register(_table())
-    catalog.drop("t")
-    assert not catalog.has_table("t")
-    with pytest.raises(CatalogError):
-        catalog.drop("t")
-
-
 def test_catalog_unknown_lookup():
     with pytest.raises(CatalogError):
         Catalog().table("missing")

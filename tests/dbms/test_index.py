@@ -102,12 +102,6 @@ def test_probe_cost_grows_with_output():
     assert index.probe_cost_units(1, 100) > index.probe_cost_units(1, 0)
 
 
-def test_supports_operator():
-    assert SortedCompositeIndex.supports_operator("=")
-    assert SortedCompositeIndex.supports_operator("<=")
-    assert not SortedCompositeIndex.supports_operator("!=")
-
-
 def test_build_rejects_empty_and_duplicate_keys():
     segments = _segments()
     with pytest.raises(IndexError_):

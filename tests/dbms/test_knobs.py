@@ -20,13 +20,6 @@ def test_knob_domain_validation():
     assert knob.domain_values() == [0, 2, 4, 6, 8, 10]
 
 
-def test_knob_clamp():
-    knob = Knob("k", lower=0, upper=10, step=2, default=4)
-    assert knob.clamp(5.1) == 6
-    assert knob.clamp(-3) == 0
-    assert knob.clamp(99) == 10
-
-
 def test_invalid_knob_definitions_rejected():
     with pytest.raises(KnobError):
         Knob("k", lower=10, upper=0, step=1, default=5)
@@ -36,15 +29,15 @@ def test_invalid_knob_definitions_rejected():
         Knob("k", lower=0, upper=10, step=2, default=5)
 
 
-def test_registry_set_get_and_restore():
+def test_registry_set_get_and_snapshot():
     registry = KnobRegistry([Knob("k", 0, 10, 1, 3)])
     assert registry.get("k") == 3
     previous = registry.set("k", 7)
     assert previous == 3
     snapshot = registry.snapshot()
     registry.set("k", 2)
-    registry.restore(snapshot)
-    assert registry.get("k") == 7
+    assert registry.get("k") == 2
+    assert snapshot == {"k": 7}
 
 
 def test_registry_rejects_out_of_domain():

@@ -59,10 +59,3 @@ def test_snapshot_shape():
     snapshot = cache.snapshot()
     key = _query(1).template().key
     assert snapshot[key] == (1, 2.5)
-
-
-def test_clear():
-    cache = QueryPlanCache()
-    cache.record(_query(1), 1.0, 0.0)
-    cache.clear()
-    assert len(cache) == 0

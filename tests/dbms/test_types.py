@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dbms.types import DataType, coerce_array, numpy_dtype_for, value_matches_type
+from repro.dbms.types import DataType, coerce_array, numpy_dtype_for
 from repro.errors import SchemaError
 
 
@@ -54,19 +54,3 @@ def test_is_numeric():
     assert DataType.INT.is_numeric
     assert DataType.FLOAT.is_numeric
     assert not DataType.STRING.is_numeric
-
-
-@pytest.mark.parametrize(
-    "value,data_type,expected",
-    [
-        (5, DataType.INT, True),
-        (True, DataType.INT, False),
-        (5.5, DataType.INT, False),
-        (5, DataType.FLOAT, True),
-        (5.5, DataType.FLOAT, True),
-        ("x", DataType.STRING, True),
-        (5, DataType.STRING, False),
-    ],
-)
-def test_value_matches_type(value, data_type, expected):
-    assert value_matches_type(value, data_type) is expected

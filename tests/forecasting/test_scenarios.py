@@ -41,7 +41,6 @@ def test_forecast_accessors():
     assert forecast.expected.name == EXPECTED_SCENARIO
     assert forecast.scenario("worst_case").frequency("q1") == 20.0
     assert forecast.scenario_names == ("expected", "worst_case")
-    assert forecast.template_keys() == ("q1", "q2")
 
 
 def test_forecast_mean_frequencies():

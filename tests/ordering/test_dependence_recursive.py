@@ -182,17 +182,6 @@ def test_recursive_run_with_explicit_order(retail_suite):
     assert db.index_bytes() > 0
 
 
-def test_recursive_run_plans_order_when_not_given(retail_suite):
-    db = retail_suite.database
-    forecast = make_forecast(retail_suite)
-    planner = RecursiveTuningPlanner(db, _tuners(db), _constraints())
-    report = planner.run(forecast)
-    assert report.matrix is not None
-    assert report.ordering_solution is not None
-    assert report.order == report.ordering_solution.order
-    assert report.improvement > 0
-
-
 def test_recursive_run_rejects_unknown_features(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
@@ -204,14 +193,3 @@ def test_recursive_run_rejects_unknown_features(retail_suite):
 def test_planner_requires_tuners(retail_suite):
     with pytest.raises(OrderingError):
         RecursiveTuningPlanner(retail_suite.database, [])
-
-
-def test_single_feature_runs_without_ordering(retail_suite):
-    db = retail_suite.database
-    forecast = make_forecast(retail_suite)
-    planner = RecursiveTuningPlanner(
-        db, [Tuner(IndexSelectionFeature(), db)], _constraints()
-    )
-    report = planner.run(forecast)
-    assert report.order == ("index_selection",)
-    assert report.matrix is None

@@ -26,10 +26,8 @@ from repro.tuning.selectors import (
 )
 from repro.tuning.selectors.robust import (
     MEAN_VARIANCE,
-    UTILITY,
     VALUE_AT_RISK,
     WORST_CASE,
-    exponential_utility,
     value_at_risk,
 )
 from repro.tuning.tuner import Tuner
@@ -252,28 +250,11 @@ def test_var_criterion_selects():
     assert chosen == []  # VaR at 10% is negative → rejected
 
 
-def test_utility_is_concave():
-    assert exponential_utility(10.0, 50.0) < 10.0
-    gain = exponential_utility(10.0, 50.0)
-    loss = -exponential_utility(-10.0, 50.0)
-    assert loss > gain  # losses hurt more
-
-
-def test_utility_criterion_runs():
-    a = _scenario_assessment("a", 5.0, 2.0)
-    chosen = _select(
-        RobustSelector(GreedySelector(), UTILITY), [a], {MEM: 1.0}, SCENARIO_PROBS
-    )
-    assert len(chosen) == 1
-
-
 def test_robust_selector_validation():
     with pytest.raises(ValueError):
         RobustSelector(GreedySelector(), "magic")
     with pytest.raises(ValueError):
         RobustSelector(GreedySelector(), alpha=0.0)
-    with pytest.raises(ValueError):
-        RobustSelector(GreedySelector(), risk_tolerance_ms=0.0)
 
 
 # ----------------------------------------------------------------------

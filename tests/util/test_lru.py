@@ -2,7 +2,7 @@
 
 The model keeps entries oldest-first in a list and does everything by
 linear search, so it is obviously right; Hypothesis drives random
-get/peek/put/pop/resize/clear sequences through both and compares every
+get/peek/put/resize/clear sequences through both and compares every
 return value, the eviction counts, and the full LRU order after each
 step.
 """
@@ -51,10 +51,6 @@ class ListModel:
         self.entries.append((key, value))
         return self._evict()
 
-    def pop(self, key):
-        index = self._find(key)
-        return None if index is None else self.entries.pop(index)[1]
-
     def resize(self, capacity):
         self.capacity = capacity
         return self._evict()
@@ -68,7 +64,6 @@ OPERATIONS = st.one_of(
     st.tuples(st.just("get"), KEYS),
     st.tuples(st.just("peek"), KEYS),
     st.tuples(st.just("put"), KEYS, st.integers()),
-    st.tuples(st.just("pop"), KEYS),
     st.tuples(st.just("resize"), st.integers(min_value=0, max_value=5)),
     st.tuples(st.just("clear")),
 )

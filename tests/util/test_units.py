@@ -1,41 +1,9 @@
-"""Tests for unit formatting."""
+"""Tests for the byte units."""
 
-import pytest
-
-from repro.util.units import GIB, KIB, MIB, format_bytes, format_duration
+from repro.util.units import GIB, KIB, MIB
 
 
 def test_byte_constants():
     assert KIB == 1024
     assert MIB == 1024 * KIB
     assert GIB == 1024 * MIB
-
-
-@pytest.mark.parametrize(
-    "value,expected",
-    [
-        (512, "512 B"),
-        (2048, "2.00 KiB"),
-        (3 * MIB, "3.00 MiB"),
-        (1.5 * GIB, "1.50 GiB"),
-    ],
-)
-def test_format_bytes(value, expected):
-    assert format_bytes(value) == expected
-
-
-def test_format_bytes_negative():
-    assert format_bytes(-2048) == "-2.00 KiB"
-
-
-@pytest.mark.parametrize(
-    "value,expected",
-    [
-        (0.0005, "0.5 us"),
-        (2.5, "2.5 ms"),
-        (1500, "1.50 s"),
-        (120_000, "2.00 min"),
-    ],
-)
-def test_format_duration(value, expected):
-    assert format_duration(value) == expected

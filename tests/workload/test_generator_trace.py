@@ -45,15 +45,6 @@ def test_mix_sampling_respects_weights():
     assert 400 < hot < 500
 
 
-def test_mix_reweighted():
-    mix = WorkloadMix([_family("a"), _family("b")])
-    shifted = mix.reweighted({"a": 3.0})
-    assert shifted.weights["a"] == 3.0
-    assert mix.weights["a"] == 1.0  # original untouched
-    with pytest.raises(ValueError):
-        mix.reweighted({"ghost": 2.0})
-
-
 def test_family_rate_seasonality_and_trend():
     rate = FamilyRate(base=10, amplitude=5, period_bins=8, trend_per_bin=0.5)
     values = [rate.rate_at(i) for i in range(16)]
@@ -78,25 +69,14 @@ def test_generate_trace_rejects_unknown_rates():
         generate_trace({"f": _family("f")}, {"ghost": FamilyRate(1)}, 2, 1.0, 0)
 
 
-def test_trace_series_and_slice():
+def test_trace_family_series():
     families = {"a": _family("a"), "b": _family("b", table="u")}
     rates = {"a": FamilyRate(5), "b": FamilyRate(2)}
     trace = generate_trace(families, rates, 20, 1000.0, seed=0, noise=False)
     series = trace.family_series("a")
     assert series.shape == (20,)
-    assert trace.slice(5, 10).bins[0].index == 5
     with pytest.raises(KeyError):
         trace.family_series("ghost")
-
-
-def test_template_series_merges_same_shapes():
-    # two families with identical shape collapse into one template series
-    families = {"a": _family("a"), "b": _family("b")}
-    rates = {"a": FamilyRate(3), "b": FamilyRate(4)}
-    trace = generate_trace(families, rates, 5, 1000.0, seed=0, noise=False)
-    series = trace.template_series()
-    assert len(series) == 1
-    assert series[next(iter(series))][0] == 7
 
 
 def test_apply_shift_only_after_cut():
