@@ -64,7 +64,7 @@ def test_a1_assessor_tradeoff(benchmark):
     rows = []
     realized = {}
     for name, assessor in assessors.items():
-        tuner = Tuner(IndexSelectionFeature(), db, assessor=assessor)
+        tuner = Tuner(IndexSelectionFeature(), reference, assessor=assessor)
         started = time.perf_counter()
         result = tuner.propose(forecast, constraints)
         wall = time.perf_counter() - started
@@ -105,7 +105,7 @@ def test_a1_assessor_tradeoff(benchmark):
     benchmark(
         lambda: Tuner(
             IndexSelectionFeature(),
-            db,
+            reference,
             assessor=assessors["physical-model"],
         ).propose(forecast, constraints)
     )

@@ -58,7 +58,7 @@ def test_a2_reassessment(benchmark):
     rows = []
     realized = {}
     for name, selector in selectors.items():
-        tuner = Tuner(feature, db, assessor=assessor, selector=selector)
+        tuner = Tuner(feature, reference, assessor=assessor, selector=selector)
         started = time.perf_counter()
         result = tuner.propose(forecast, constraints)
         wall = time.perf_counter() - started
@@ -100,7 +100,7 @@ def test_a2_reassessment(benchmark):
     benchmark.pedantic(
         lambda: Tuner(
             feature,
-            db,
+            reference,
             assessor=assessor,
             selector=ReassessingGreedySelector(assessor, db, forecast, reset),
         ).propose(forecast, constraints),

@@ -13,6 +13,7 @@ from __future__ import annotations
 from conftest import make_forecast, save_table
 
 from repro.configuration import ConstraintSet, INDEX_MEMORY, ResourceBudget
+from repro.cost import WhatIfOptimizer
 from repro.ordering import (
     LPOrderOptimizer,
     RecursiveTuningPlanner,
@@ -36,10 +37,11 @@ def _fresh():
         orders_rows=25_000, inventory_rows=6_000, chunk_size=8_192
     )
     db = suite.database
+    optimizer = WhatIfOptimizer(db)
     tuners = [
-        Tuner(SortOrderFeature(), db),
-        Tuner(CompressionFeature(), db),
-        Tuner(IndexSelectionFeature(), db),
+        Tuner(SortOrderFeature(), optimizer),
+        Tuner(CompressionFeature(), optimizer),
+        Tuner(IndexSelectionFeature(), optimizer),
     ]
     constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)])
     return suite, db, tuners, constraints
@@ -48,10 +50,10 @@ def _fresh():
 def test_e10_sort_enabled_ordering(benchmark):
     suite, db, tuners, constraints = _fresh()
     forecast = make_forecast(suite, families=FAMILIES)
-    planner = RecursiveTuningPlanner(db, tuners, constraints)
+    planner = RecursiveTuningPlanner(tuners, constraints)
 
     matrix = benchmark.pedantic(
-        lambda: planner.measure_dependencies(forecast), rounds=1, iterations=1
+        lambda: planner.measure(forecast), rounds=1, iterations=1
     )
     solution = LPOrderOptimizer().optimize(matrix)
 
@@ -89,7 +91,7 @@ def test_e10_sort_enabled_ordering(benchmark):
     for name, order in orders.items():
         r_suite, r_db, r_tuners, r_constraints = _fresh()
         r_forecast = make_forecast(r_suite, families=FAMILIES)
-        r_planner = RecursiveTuningPlanner(r_db, r_tuners, r_constraints)
+        r_planner = RecursiveTuningPlanner(r_tuners, r_constraints)
         report = r_planner.run(r_forecast, order=order)
         outcomes[name] = report.final_cost_ms
         rows.append(

@@ -58,9 +58,8 @@ def test_e11_candidate_scaling(benchmark):
         optimizer = WhatIfOptimizer(db)
         tuner = Tuner(
             IndexSelectionFeature(),
-            db,
+            optimizer,
             enumerator=enumerator,
-            optimizer=optimizer,
         )
         started = time.perf_counter()
         result = tuner.propose(forecast, constraints)
@@ -107,7 +106,7 @@ def test_e11_candidate_scaling(benchmark):
     benchmark.pedantic(
         lambda: Tuner(
             IndexSelectionFeature(),
-            db,
+            WhatIfOptimizer(db),
             enumerator=RestrictiveEnumerator(IndexEnumerator(max_width=2), 8),
         ).propose(forecast, constraints),
         rounds=1,

@@ -18,6 +18,7 @@ from repro.configuration import (
     INDEX_MEMORY,
     ResourceBudget,
 )
+from repro.cost import WhatIfOptimizer
 from repro.ordering import (
     BruteForceOrderOptimizer,
     LPOrderOptimizer,
@@ -58,10 +59,11 @@ def _fresh():
         orders_rows=ORDERS_ROWS, inventory_rows=INVENTORY_ROWS, chunk_size=8_192
     )
     db = suite.database
+    optimizer = WhatIfOptimizer(db)
     tuners = [
-        Tuner(IndexSelectionFeature(), db),
-        Tuner(CompressionFeature(), db),
-        Tuner(DataPlacementFeature(), db),
+        Tuner(IndexSelectionFeature(), optimizer),
+        Tuner(CompressionFeature(), optimizer),
+        Tuner(DataPlacementFeature(), optimizer),
     ]
     return suite, db, tuners
 
@@ -71,8 +73,8 @@ def test_e1_order_quality(benchmark):
     suite, db, tuners = _fresh()
     forecast = make_forecast(suite)
     constraints = _constraints(db)
-    planner = RecursiveTuningPlanner(db, tuners, constraints)
-    matrix = planner.measure_dependencies(forecast)
+    planner = RecursiveTuningPlanner(tuners, constraints)
+    matrix = planner.measure(forecast)
 
     lp_solution = benchmark(lambda: LPOrderOptimizer().optimize(matrix))
     oracle = BruteForceOrderOptimizer().optimize(matrix)
@@ -91,9 +93,7 @@ def test_e1_order_quality(benchmark):
     for name, order in candidate_orders.items():
         run_suite, run_db, run_tuners = _fresh()
         run_forecast = make_forecast(run_suite)
-        run_planner = RecursiveTuningPlanner(
-            run_db, run_tuners, _constraints(run_db)
-        )
+        run_planner = RecursiveTuningPlanner(run_tuners, _constraints(run_db))
         report = run_planner.run(run_forecast, order=order)
         final_costs[name] = report.final_cost_ms
         rows.append(

@@ -113,7 +113,7 @@ def test_e4_robustness(benchmark):
     rows = []
     outcome = {}
     for name, (selector, policy_forecast) in policies.items():
-        tuner = Tuner(IndexSelectionFeature(), db, selector=selector)
+        tuner = Tuner(IndexSelectionFeature(), WhatIfOptimizer(db), selector=selector)
         result = tuner.propose(policy_forecast, constraints)
         with optimizer.hypothetical(result.delta):
             cost_expected = optimizer.scenario_cost_ms(future_expected, samples)
@@ -154,7 +154,7 @@ def test_e4_robustness(benchmark):
     benchmark(
         lambda: Tuner(
             IndexSelectionFeature(),
-            db,
+            WhatIfOptimizer(db),
             selector=RobustSelector(OptimalSelector(), "worst_case"),
         ).propose(forecast, constraints)
     )

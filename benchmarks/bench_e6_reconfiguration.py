@@ -49,7 +49,9 @@ def test_e6_reconfiguration_balancing(benchmark):
         db = suite.database
         constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)])
         tuner = Tuner(
-            IndexSelectionFeature(), db, reconfiguration_weight=weight
+            IndexSelectionFeature(),
+            WhatIfOptimizer(db),
+            reconfiguration_weight=weight,
         )
         total_actions = 0
         total_reconf_ms = 0.0
@@ -96,7 +98,9 @@ def test_e6_reconfiguration_balancing(benchmark):
         orders_rows=25_000, inventory_rows=6_000, chunk_size=8_192
     )
     tuner = Tuner(
-        IndexSelectionFeature(), suite.database, reconfiguration_weight=2.0
+        IndexSelectionFeature(),
+        WhatIfOptimizer(suite.database),
+        reconfiguration_weight=2.0,
     )
     forecast = _jittered_forecast(suite, 0)
     constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)])

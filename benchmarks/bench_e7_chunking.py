@@ -39,7 +39,9 @@ def test_e7_chunk_granularity(benchmark):
     for budget_name, budget in BUDGETS.items():
         constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, budget)])
         for mode, per_chunk in (("per-table", False), ("per-chunk", True)):
-            tuner = Tuner(IndexSelectionFeature(per_chunk=per_chunk), db)
+            tuner = Tuner(
+                IndexSelectionFeature(per_chunk=per_chunk), WhatIfOptimizer(db)
+            )
             result = tuner.propose(forecast, constraints)
             with optimizer.hypothetical(result.delta):
                 cost = optimizer.scenario_cost_ms(forecast.expected, samples)
@@ -74,7 +76,7 @@ def test_e7_chunk_granularity(benchmark):
     # under the tight budget the chunk-level tuner wins on cost
     assert tight_chunk[0] <= tight_table[0]
 
-    tuner = Tuner(IndexSelectionFeature(per_chunk=True), db)
+    tuner = Tuner(IndexSelectionFeature(per_chunk=True), WhatIfOptimizer(db))
     constraints = ConstraintSet(
         [ResourceBudget(INDEX_MEMORY, BUDGETS["tight"])]
     )

@@ -19,6 +19,7 @@ from repro.configuration import (
     INDEX_MEMORY,
     ResourceBudget,
 )
+from repro.cost import WhatIfOptimizer
 from repro.ordering import (
     DependenceAnalyzer,
     LPOrderOptimizer,
@@ -49,12 +50,13 @@ def test_e9_dependence_matrix(benchmark):
             ResourceBudget(DRAM_BYTES, int(0.85 * data_total)),
         ]
     )
+    optimizer = WhatIfOptimizer(db)
     tuners = [
-        Tuner(IndexSelectionFeature(), db),
-        Tuner(CompressionFeature(), db),
-        Tuner(DataPlacementFeature(), db),
+        Tuner(IndexSelectionFeature(), optimizer),
+        Tuner(CompressionFeature(), optimizer),
+        Tuner(DataPlacementFeature(), optimizer),
     ]
-    analyzer = DependenceAnalyzer(db, tuners, constraints)
+    analyzer = DependenceAnalyzer(tuners, constraints)
 
     matrix = benchmark.pedantic(
         lambda: analyzer.measure(forecast), rounds=1, iterations=1

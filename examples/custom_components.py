@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ConstraintSet, Database, ResourceBudget, Tuner
+from repro import ConstraintSet, Database, ResourceBudget, Tuner, WhatIfOptimizer
 from repro.configuration import INDEX_MEMORY
 from repro.core.component import default_registry
 from repro.dbms.plugin import Plugin
@@ -119,7 +119,7 @@ def main() -> None:
     # the custom selector drives a real tuner
     tuner = Tuner(
         IndexSelectionFeature(),
-        db,
+        WhatIfOptimizer(db),
         selector=registry.create("selector", "top-k", k=3),
     )
     result, report = tuner.tune(

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ConstraintSet, RecursiveTuningPlanner, ResourceBudget, Tuner
+from repro import (
+    ConstraintSet,
+    RecursiveTuningPlanner,
+    ResourceBudget,
+    Tuner,
+    WhatIfOptimizer,
+)
 from repro.configuration import DRAM_BYTES, INDEX_MEMORY
 from repro.forecasting.scenarios import point_forecast
 from repro.ordering import (
@@ -57,10 +63,13 @@ def fresh_setup():
             ResourceBudget(DRAM_BYTES, int(0.85 * data_total)),
         ]
     )
+    # one what-if optimizer per database: every tuner and the planner
+    # share its cost cache
+    optimizer = WhatIfOptimizer(db)
     tuners = [
-        Tuner(IndexSelectionFeature(), db),
-        Tuner(CompressionFeature(), db),
-        Tuner(DataPlacementFeature(), db),
+        Tuner(IndexSelectionFeature(), optimizer),
+        Tuner(CompressionFeature(), optimizer),
+        Tuner(DataPlacementFeature(), optimizer),
     ]
     return suite, db, tuners, constraints
 
@@ -68,10 +77,10 @@ def fresh_setup():
 def main() -> None:
     suite, db, tuners, constraints = fresh_setup()
     forecast = make_forecast(suite)
-    planner = RecursiveTuningPlanner(db, tuners, constraints)
+    planner = RecursiveTuningPlanner(tuners, constraints)
 
     print("measuring W_0, W_A, and W_{A,B} (sandboxed tuning runs)...")
-    matrix = planner.measure_dependencies(forecast)
+    matrix = planner.measure(forecast)
     print(f"\nW_0 (no optimization) = {matrix.w_empty:.3f} ms\n")
 
     print(
@@ -124,7 +133,7 @@ def main() -> None:
     for name, order in candidates.items():
         r_suite, r_db, r_tuners, r_constraints = fresh_setup()
         r_forecast = make_forecast(r_suite)
-        r_planner = RecursiveTuningPlanner(r_db, r_tuners, r_constraints)
+        r_planner = RecursiveTuningPlanner(r_tuners, r_constraints)
         report = r_planner.run(r_forecast, order=order)
         print(
             f"  {name:12s} {' -> '.join(order):55s} "

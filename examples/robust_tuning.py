@@ -99,7 +99,7 @@ def main() -> None:
 
     print(f"index memory budget: {BUDGET // KIB} KiB\n")
     for name, (selector, policy_forecast) in policies.items():
-        tuner = Tuner(IndexSelectionFeature(), db, selector=selector)
+        tuner = Tuner(IndexSelectionFeature(), optimizer, selector=selector)
         result = tuner.propose(policy_forecast, constraints)
         with optimizer.hypothetical(result.delta):
             expected_cost = optimizer.scenario_cost_ms(

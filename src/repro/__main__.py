@@ -45,6 +45,18 @@ def _rejecting_bad_input(command: str):
         raise SystemExit(2) from None
 
 
+def _within(kind, low, high=float("inf")):
+    """An argparse ``type``: a ``kind`` value in ``[low, high]``."""
+
+    def parse(text: str):
+        if not low <= kind(text) <= high:
+            raise argparse.ArgumentTypeError(f"{text} not in [{low}, {high}]")
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
 def _cmd_info(args: argparse.Namespace) -> int:
     del args
     from repro.core.component import default_registry
@@ -296,10 +308,16 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
     from repro import ConstraintSet, RecursiveTuningPlanner, ResourceBudget, Tuner
     from repro.configuration import INDEX_MEMORY
+    from repro.cost.what_if import WhatIfOptimizer
     from repro.forecasting.scenarios import point_forecast
     from repro.util.tables import render_table
     from repro.util.units import MIB
 
+    features = _build_features(args)
+    if len(features) < 2:
+        print(f"{args.command}: an order needs at least two features, "
+              f"got {len(features)}", file=sys.stderr)
+        raise SystemExit(2)
     suite = _build_suite(args.suite, args.rows, args.seed)
     db = suite.database
     rng = np.random.default_rng(args.seed)
@@ -311,11 +329,14 @@ def _cmd_order(args: argparse.Namespace) -> int:
         frequencies[query.template().key] = 10.0
     forecast = point_forecast(frequencies, samples)
 
-    tuners = [Tuner(feature, db) for feature in _build_features(args)]
+    # one what-if optimizer, as in a tenant stack: every W and every
+    # candidate assessment shares its cost cache
+    optimizer = WhatIfOptimizer(db)
+    tuners = [Tuner(feature, optimizer) for feature in features]
     constraints = ConstraintSet(
         [ResourceBudget(INDEX_MEMORY, args.index_budget_mib * MIB)]
     )
-    planner = RecursiveTuningPlanner(db, tuners, constraints)
+    planner = RecursiveTuningPlanner(tuners, constraints)
     print(f"measuring dependence matrix over {len(tuners)} features ...")
     matrix, solution = planner.plan_order(forecast)
     print(f"\nW_0 = {matrix.w_empty:.3f} ms\n")
@@ -340,6 +361,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import TelemetryConfig, render_span_tree
+    from repro.core import EventKind
 
     suite, trace = _workload(args)
     ctx, simulation = _attach(
@@ -355,7 +377,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         pass
     report = ctx.organizer.run_tuning()
     if report is None:
-        print("tuning pass skipped (time budget admits no feature)")
+        print(ctx.events.latest(EventKind.SKIP).message)
         return 1
     span = ctx.telemetry.tracer.last_root("tuning_pass")
     if span is None:
@@ -533,15 +555,17 @@ def build_parser() -> argparse.ArgumentParser:
     #: own default (or a dict of add_argument overrides)
     shared_options = {
         "suite": dict(choices=("retail", "telemetry")),
-        "rows": dict(type=int),
+        # retail's inventory table gets rows // 4 of them
+        "rows": dict(type=_within(int, 4)),
         "seed": dict(type=int),
-        "features": dict(type=int,
-                         help="use only the first N standard features"),
+        "features": dict(type=_within(int, 0),
+                         help="use only the first N standard features "
+                              "(0 = all)"),
         "sort_order": dict(action="store_true",
                            help="include the sort-order feature"),
-        "index_budget_mib": dict(type=float),
-        "bins": dict(type=int),
-        "tune_every_bins": dict(type=int),
+        "index_budget_mib": dict(type=_within(float, 0.0)),
+        "bins": dict(type=_within(int, 1)),
+        "tune_every_bins": dict(type=_within(int, 1)),
     }
 
     def shared(sub: argparse.ArgumentParser, **defaults) -> None:
@@ -615,9 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="compare fault-free and faulty closed-loop runs"
     )
     common(faults, bins=24, tune_every_bins=3)
-    faults.add_argument("--failure-rate", type=float, default=0.10,
+    faults.add_argument("--failure-rate", type=_within(float, 0.0, 1.0),
+                        default=0.10,
                         help="per-action injected failure probability")
-    faults.add_argument("--transient-fraction", type=float, default=0.75,
+    faults.add_argument("--transient-fraction",
+                        type=_within(float, 0.0, 1.0), default=0.75,
                         help="fraction of failures that are retryable")
     faults.add_argument("--fault-seed", type=int, default=2,
                         help="seed of the fault injector's random stream")

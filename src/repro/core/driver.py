@@ -145,7 +145,8 @@ class Driver(Plugin):
     def tune_now(self) -> OrganizerRunReport | None:
         """Force a tuning pass immediately (manual mode).
 
-        Returns ``None`` when the organizer skips the pass because the
-        tuning-time budget admits no feature.
+        Returns ``None`` when the organizer skips the pass because no
+        feature survives it: the tuning-time budget admits none, or every
+        feature is quarantined. The SKIP event says which.
         """
         return self.context.organizer.run_tuning()

@@ -25,7 +25,6 @@ from repro.configuration.store import (
     ConfigurationRecord,
     FeatureOutcome,
 )
-from repro.cost.what_if import WhatIfOptimizer
 from repro.core.events import EventKind, EventLog
 from repro.core.triggers import (
     FORECAST_MISS_TRIGGER,
@@ -35,7 +34,6 @@ from repro.core.triggers import (
     TriggerDecision,
     TuningTrigger,
 )
-from repro.dbms.database import Database
 from repro.errors import TuningAbortedError
 from repro.faults import quarantine
 from repro.faults.quarantine import Admission, FeatureQuarantine
@@ -50,7 +48,6 @@ from repro.kpi.metrics import (
 )
 from repro.kpi.monitor import RuntimeKPIMonitor
 from repro.ordering.heuristics import top_features_by_impact_per_cost
-from repro.ordering.lp import LPOrderOptimizer
 from repro.ordering.recursive import (
     RecursiveTuningPlanner,
     RecursiveTuningReport,
@@ -115,40 +112,29 @@ class Organizer:
 
     def __init__(
         self,
-        db: Database,
         predictor: WorkloadPredictor,
         tuners: list[Tuner],
+        telemetry: Telemetry,
+        monitor: RuntimeKPIMonitor,
+        store: ConfigurationInstanceStorage,
+        events: EventLog,
+        executor: SequentialExecutor,
         constraints: ConstraintSet | None = None,
-        monitor: RuntimeKPIMonitor | None = None,
-        store: ConfigurationInstanceStorage | None = None,
-        events: EventLog | None = None,
         triggers: list[TuningTrigger] | None = None,
         config: OrganizerConfig | None = None,
-        optimizer: WhatIfOptimizer | None = None,
-        executor: SequentialExecutor | None = None,
-        telemetry: Telemetry | None = None,
     ) -> None:
-        self._db = db
+        # the tenant stack's own collaborators (TenantContext.wire): every
+        # change — a pass, a replayed prior, a guard rollback — goes
+        # through the one executor
         self._predictor = predictor
         self._tuners = tuners
         self._constraints = constraints or ConstraintSet()
-        # one telemetry spine for the pass/feature/phase span tree and the
-        # registry interval reads below; the driver passes its shared one
-        self._telemetry = (
-            telemetry if telemetry is not None else Telemetry(db.clock)
-        )
-        self._tracer = self._telemetry.tracer
-        # defaults count on the telemetry registry, so the per-pass
-        # interval reads in run_tuning see the what-if cache counters
-        self._monitor = (
-            monitor
-            if monitor is not None
-            else RuntimeKPIMonitor(db, registry=self._telemetry.registry)
-        )
-        # explicit None checks: EventLog and the instance storage define
-        # __len__, so freshly created (empty) ones are falsy
-        self._store = store if store is not None else ConfigurationInstanceStorage()
-        self._events = events if events is not None else EventLog()
+        self._telemetry = telemetry
+        self._tracer = telemetry.tracer
+        self._monitor = monitor
+        self._store = store
+        self._events = events
+        self._executor = executor
         # None (not an empty list) asks for the defaults
         self._triggers = (
             triggers
@@ -156,25 +142,16 @@ class Organizer:
             else [SlaViolationTrigger(), ForecastDriftTrigger()]
         )
         self._config = config or OrganizerConfig()
-        self._optimizer = optimizer or WhatIfOptimizer(
-            db, registry=self._telemetry.registry
-        )
-        # every change this organizer makes — a pass, a replayed prior, a
-        # guard rollback — is applied through this one executor
-        self._executor = executor or SequentialExecutor(
-            telemetry=self._telemetry
-        )
         # per-feature circuit breaker: graceful degradation when a
         # feature's applications keep failing (see repro.faults)
-        self._quarantine = FeatureQuarantine(registry=self._telemetry.registry)
+        self._quarantine = FeatureQuarantine(registry=telemetry.registry)
         self._planner = RecursiveTuningPlanner(
-            db,
-            tuners,
-            self._constraints,
-            order_optimizer=LPOrderOptimizer(),
-            optimizer=self._optimizer,
-            telemetry=self._telemetry,
+            tuners, self._constraints, telemetry=telemetry
         )
+        # the planner refused tuners that do not share one optimizer:
+        # triggers and the pass's before/after costs price through it too
+        self._optimizer = tuners[0].optimizer
+        self._db = self._optimizer.database
         # the commit guard: probation (held on the store's records),
         # regression watchdog, and forecast-miss escalation, driven from
         # guard_tick()

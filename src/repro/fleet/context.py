@@ -142,22 +142,20 @@ class TenantContext:
         optimizer = WhatIfOptimizer(database, registry=telemetry.registry)
         executor = SequentialExecutor(injector=injector, telemetry=telemetry)
         tuners = [
-            Tuner(feature, database, optimizer=optimizer, telemetry=telemetry)
+            Tuner(feature, optimizer, telemetry=telemetry)
             for feature in features
         ]
         organizer = Organizer(
-            database,
             predictor,
             tuners,
-            constraints=constraints,
+            telemetry=telemetry,
             monitor=monitor,
             store=store,
             events=events,
+            executor=executor,
+            constraints=constraints,
             triggers=triggers,
             config=config.organizer,
-            optimizer=optimizer,
-            executor=executor,
-            telemetry=telemetry,
         )
         # sampled per-query spans + exec work counters of served queries
         database.bind_telemetry(telemetry)

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 from repro.configuration.constraints import ConstraintSet
 from repro.configuration.delta import ConfigurationDelta
-from repro.cost.what_if import WhatIfOptimizer
-from repro.dbms.database import Database
 from repro.errors import OrderingError
 from repro.forecasting.scenarios import Forecast
 from repro.tuning.tuner import Tuner
@@ -116,34 +114,38 @@ def ordering_objective(matrix: DependenceMatrix, order: tuple[str, ...]) -> floa
 
 
 class DependenceAnalyzer:
-    """Measures W_∅, W_A, W_{A,B} via sandboxed tuning runs."""
+    """Measures W_∅, W_A, W_{A,B} via sandboxed tuning runs.
+
+    The tuners carry the database and the one what-if optimizer every W
+    and every assessment prices through; tuners that do not share one
+    are refused."""
 
     def __init__(
         self,
-        db: Database,
         tuners: list[Tuner],
         constraints: ConstraintSet | None = None,
-        optimizer: WhatIfOptimizer | None = None,
-        max_templates: int | None = None,
     ) -> None:
-        """``max_templates`` caps the workload the |S|² measurement runs
-        see — the paper's workload-reduction lever for keeping dependence
-        measurement affordable on large workloads (Section III-A)."""
-        if len(tuners) < 2:
-            raise OrderingError("dependence needs at least two features")
+        if not tuners:
+            raise OrderingError("at least one tuner is required")
         names = [t.feature_name for t in tuners]
         if len(set(names)) != len(names):
             raise OrderingError(f"duplicate feature names: {names}")
-        self._db = db
+        optimizer = tuners[0].optimizer
+        if any(t.optimizer is not optimizer for t in tuners):
+            raise OrderingError(
+                "the tuners price through more than one what-if "
+                "optimizer: a tuning stack shares one"
+            )
         self._tuners = {t.feature_name: t for t in tuners}
         self._constraints = constraints or ConstraintSet()
-        self._optimizer = optimizer or WhatIfOptimizer(db)
-        self._max_templates = max_templates
+        self._optimizer = optimizer
 
     def _full_reset(self, forecast: Forecast) -> ConfigurationDelta:
         reset = ConfigurationDelta([])
         for tuner in self._tuners.values():
-            reset.extend(tuner.feature.reset_delta(self._db, forecast))
+            reset.extend(
+                tuner.feature.reset_delta(self._optimizer.database, forecast)
+            )
         return reset
 
     def _expected_cost(self, forecast: Forecast) -> float:
@@ -156,7 +158,9 @@ class DependenceAnalyzer:
         state; returns the tuning result (nothing is applied)."""
         return self._tuners[name].propose(forecast, self._constraints)
 
-    def measure(self, forecast: Forecast) -> DependenceMatrix:
+    def measure(
+        self, forecast: Forecast, max_templates: int | None = None
+    ) -> DependenceMatrix:
         """Run the full single + pairwise measurement campaign.
 
         Each first stage A is proposed once against the reset baseline
@@ -166,11 +170,17 @@ class DependenceAnalyzer:
         back exactly; the cost cache keys on what a query reads, so a
         delta that leaves a query's columns alone finds the costs priced
         before.
+
+        ``max_templates`` caps the workload the |S|² measurement runs
+        see — the paper's workload-reduction lever for keeping dependence
+        measurement affordable on large workloads (Section III-A).
         """
-        if self._max_templates is not None:
+        if len(self._tuners) < 2:
+            raise OrderingError("dependence needs at least two features")
+        if max_templates is not None:
             from repro.forecasting.scenarios import reduce_templates
 
-            forecast = reduce_templates(forecast, self._max_templates)
+            forecast = reduce_templates(forecast, max_templates)
         names = tuple(sorted(self._tuners))
         w_single: dict[str, float] = {}
         w_pair: dict[tuple[str, str], float] = {}

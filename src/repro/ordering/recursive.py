@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.configuration.constraints import ConstraintSet
-from repro.cost.what_if import WhatIfOptimizer
-from repro.dbms.database import Database
 from repro.errors import OrderingError, TuningAbortedError
 from repro.forecasting.scenarios import Forecast
 from repro.ordering.dependence import DependenceAnalyzer, DependenceMatrix
@@ -67,25 +65,21 @@ class RecursiveTuningReport:
         return tuple(run.feature for run in self.runs if run.failed)
 
 
-class RecursiveTuningPlanner:
-    """Measure dependencies → optimize order → tune features recursively."""
+class RecursiveTuningPlanner(DependenceAnalyzer):
+    """Measure dependencies → optimize order → tune features recursively.
+
+    The dependence analyzer of its tuners (their shared what-if optimizer
+    also prices each run's before/after cost) plus the ordering LP and
+    the recursive run, which a single tuner needs no order for.
+    """
 
     def __init__(
         self,
-        db: Database,
         tuners: list[Tuner],
         constraints: ConstraintSet | None = None,
-        order_optimizer: LPOrderOptimizer | None = None,
-        optimizer: WhatIfOptimizer | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        if not tuners:
-            raise OrderingError("at least one tuner is required")
-        self._db = db
-        self._tuners = {t.feature_name: t for t in tuners}
-        self._constraints = constraints or ConstraintSet()
-        self._order_optimizer = order_optimizer or LPOrderOptimizer()
-        self._optimizer = optimizer or WhatIfOptimizer(db)
+        super().__init__(tuners, constraints)
         self._tracer: Tracer = (
             telemetry.tracer if telemetry is not None else Tracer()
         )
@@ -94,20 +88,11 @@ class RecursiveTuningPlanner:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._tuners))
 
-    def measure_dependencies(self, forecast: Forecast) -> DependenceMatrix:
-        analyzer = DependenceAnalyzer(
-            self._db,
-            list(self._tuners.values()),
-            self._constraints,
-            self._optimizer,
-        )
-        return analyzer.measure(forecast)
-
     def plan_order(
         self, forecast: Forecast
     ) -> tuple[DependenceMatrix, OrderingSolution]:
-        matrix = self.measure_dependencies(forecast)
-        solution = self._order_optimizer.optimize(matrix)
+        matrix = self.measure(forecast)
+        solution = LPOrderOptimizer().optimize(matrix)
         return matrix, solution
 
     def run(

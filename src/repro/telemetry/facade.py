@@ -4,9 +4,10 @@
 database's registry and threads it down through the organizer, the
 tuners, the what-if optimizer, and the database's serve path, so every
 layer reports through the same spine instead of inventing its own
-bookkeeping. Components accept ``telemetry=None`` and fall back to a
-private spine (or a bare :class:`~repro.telemetry.spans.Tracer`) of
-their own, which keeps them usable standalone.
+bookkeeping. The organizer is handed the stack's spine; the tuner,
+planner and executor accept ``telemetry=None`` and fall back to a bare
+:class:`~repro.telemetry.spans.Tracer` (and a private registry where
+they count), which keeps them usable alone.
 """
 
 from __future__ import annotations

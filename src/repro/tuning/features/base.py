@@ -42,15 +42,11 @@ class FeatureTuner(ABC):
     def make_enumerator(self) -> Enumerator:
         """The feature's default candidate enumerator."""
 
-    def make_assessor(
-        self, db: Database, optimizer: WhatIfOptimizer | None = None
-    ) -> Assessor:
-        """Default assessor: measured what-if cost estimation.
-
-        Passing ``optimizer`` shares one what-if optimizer — and with it
-        its cost cache — across features and with the caller
-        (the organizer attaches the shared cache to KPI monitoring)."""
-        return CostModelAssessor(optimizer or WhatIfOptimizer(db))
+    def make_assessor(self, optimizer: WhatIfOptimizer) -> Assessor:
+        """Default assessor: measured what-if cost estimation through the
+        stack's one ``optimizer``, so every feature, the dependence
+        campaign and the organizer share its cost cache."""
+        return CostModelAssessor(optimizer)
 
     def make_selector(self) -> Selector:
         """Default selector: greedy (short runtime, good quality)."""

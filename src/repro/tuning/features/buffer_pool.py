@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.configuration.constraints import DRAM_BYTES, ConstraintSet
 from repro.configuration.delta import ConfigurationDelta
+from repro.cost.what_if import WhatIfOptimizer
 from repro.dbms.database import Database
 from repro.dbms.knobs import BUFFER_POOL_KNOB
 from repro.dbms.storage_tiers import StorageTier
@@ -37,10 +38,10 @@ class BufferPoolFeature(FeatureTuner):
             feature_name=self.name,
         )
 
-    def make_assessor(self, db: Database, optimizer=None) -> Assessor:
+    def make_assessor(self, optimizer: WhatIfOptimizer) -> Assessor:
         # scratch-pool measurement does no what-if pricing; a shared
         # optimizer (and its cost cache) has nothing to offer here
-        del db, optimizer
+        del optimizer
         return BufferPoolAssessor()
 
     def reset_delta(self, db: Database, forecast: Forecast) -> ConfigurationDelta:

@@ -30,10 +30,10 @@ class SortOrderFeature(FeatureTuner):
     def make_enumerator(self) -> SortOrderEnumerator:
         return SortOrderEnumerator()
 
-    def make_assessor(self, db: Database, optimizer=None) -> Assessor:
+    def make_assessor(self, optimizer: WhatIfOptimizer) -> Assessor:
         # sorting pays off *through* later compression; the anticipating
         # assessor prices each sort at its best follow-up encoding
-        return SortBenefitAssessor(optimizer or WhatIfOptimizer(db))
+        return SortBenefitAssessor(optimizer)
 
     def reset_delta(self, db: Database, forecast: Forecast) -> ConfigurationDelta:
         # ingest order cannot be restored from an instance; assess

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.configuration.constraints import ConstraintSet
 from repro.configuration.delta import ConfigurationDelta
 from repro.cost.what_if import WhatIfOptimizer
-from repro.dbms.database import Database
 from repro.errors import SelectionError, TuningAbortedError
 from repro.forecasting.scenarios import Forecast
 from repro.telemetry import Telemetry, Tracer
@@ -58,32 +57,31 @@ class Tuner:
     def __init__(
         self,
         feature: FeatureTuner,
-        db: Database,
+        optimizer: WhatIfOptimizer,
         enumerator: Enumerator | None = None,
         assessor: Assessor | None = None,
         selector: Selector | None = None,
         reconfiguration_weight: float = 0.0,
-        optimizer: WhatIfOptimizer | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        """``reconfiguration_weight`` expresses how heavily one-time costs
+        """``optimizer`` is the stack's one what-if optimizer: the tuner
+        tunes its database, the feature's default assessor prices through
+        it, and a planner over several tuners requires them to share it.
+        ``reconfiguration_weight`` expresses how heavily one-time costs
         count against the recurring benefit (Section II-D.b's mechanism
         for finding minimally invasive changes): a candidate scores the
         selector's desirability minus the weight times its one-time cost.
         0 ignores one-time costs; 1 treats one application as costly as
         one forecast horizon of benefit.
-        ``optimizer`` (when no explicit ``assessor`` is given) makes the
-        feature's default assessor price through a shared what-if
-        optimizer, so all features reuse one cost cache.
         ``telemetry`` (the driver's shared spine) adds
         enumerate/assess/select/execute phase spans around the pipeline
         stages."""
         self._feature = feature
-        self._db = db
+        self._optimizer = optimizer
+        # kept, not read off the optimizer on every call
+        self._db = optimizer.database
         self._enumerator = enumerator or feature.make_enumerator()
-        self._assessor = assessor or feature.make_assessor(
-            db, optimizer=optimizer
-        )
+        self._assessor = assessor or feature.make_assessor(optimizer)
         self._selector = selector or feature.make_selector()
         self._reconfiguration_weight = reconfiguration_weight
         self._tracer: Tracer = (
@@ -93,6 +91,10 @@ class Tuner:
     @property
     def feature(self) -> FeatureTuner:
         return self._feature
+
+    @property
+    def optimizer(self) -> WhatIfOptimizer:
+        return self._optimizer
 
     @property
     def feature_name(self) -> str:

@@ -11,9 +11,15 @@ from repro.configuration.constraints import (
     ConstraintSet,
     ResourceBudget,
 )
+from repro.configuration.store import ConfigurationInstanceStorage
+from repro.core.events import EventLog
+from repro.core.organizer import Organizer
 from repro.core.simulation import BinRecord, ClosedLoopSimulation
 from repro.dbms import Database, DataType, TableSchema
 from repro.errors import ActionError
+from repro.kpi.monitor import RuntimeKPIMonitor
+from repro.telemetry import Telemetry
+from repro.tuning.executors import SequentialExecutor
 from repro.forecasting.scenarios import (
     EXPECTED_SCENARIO,
     WORST_CASE_SCENARIO,
@@ -137,6 +143,38 @@ def make_dram_pressed_retail():
         ]
     )
     return suite, constraints
+
+
+def make_organizer(
+    predictor, tuners, monitor=None, executor=None, **kwargs
+) -> Organizer:
+    """An organizer over ``tuners`` with the rest of its stack built
+    fresh, as ``TenantContext.wire`` builds one: a telemetry spine on the
+    registry of the tuners' what-if optimizer (so a pass reads its cache
+    counters), a KPI monitor on that registry, an empty store and event
+    log, and an executor on the spine. ``monitor`` and ``executor``
+    replace the fresh ones; ``kwargs`` go to the organizer."""
+    optimizer = tuners[0].optimizer
+    db = optimizer.database
+    telemetry = Telemetry(db.clock, registry=optimizer.registry)
+    return Organizer(
+        predictor,
+        tuners,
+        telemetry=telemetry,
+        monitor=(
+            monitor
+            if monitor is not None
+            else RuntimeKPIMonitor(db, registry=telemetry.registry)
+        ),
+        store=ConfigurationInstanceStorage(),
+        events=EventLog(),
+        executor=(
+            executor
+            if executor is not None
+            else SequentialExecutor(telemetry=telemetry)
+        ),
+        **kwargs,
+    )
 
 
 def run_closed_loop(

@@ -9,8 +9,9 @@ the pass goes on.
 
 from repro.configuration.config import ConfigurationInstance
 from repro.core.events import EventKind
-from repro.core.organizer import Organizer, OrganizerConfig
+from repro.core.organizer import OrganizerConfig
 from repro.core.triggers import NeverTrigger
+from repro.cost import WhatIfOptimizer
 from repro.dbms.knobs import BUFFER_POOL_KNOB
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
@@ -22,7 +23,7 @@ from repro.tuning import (
 )
 from repro.tuning.tuner import Tuner
 
-from tests.conftest import make_dram_pressed_retail
+from tests.conftest import make_dram_pressed_retail, make_organizer
 
 
 def _organizer(features):
@@ -33,10 +34,10 @@ def _organizer(features):
         for q in suite.mix.sample_queries(25, seed=100 + i):
             db.execute(q)
         predictor.observe()
-    return db, Organizer(
-        db,
+    optimizer = WhatIfOptimizer(db)
+    return db, make_organizer(
         predictor,
-        [Tuner(feature, db) for feature in features],
+        [Tuner(feature, optimizer) for feature in features],
         constraints=constraints,
         triggers=[NeverTrigger()],
         config=OrganizerConfig(horizon_bins=3, min_history_bins=3),

@@ -11,14 +11,17 @@ from repro.configuration.constraints import (
     ResourceBudget,
 )
 from repro.core.events import EventKind
-from repro.core.organizer import Organizer, OrganizerConfig
+from repro.core.organizer import OrganizerConfig
 from repro.core.triggers import PeriodicTrigger
+from repro.cost import WhatIfOptimizer
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
 from repro.forecasting.predictor import WorkloadPredictor
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
+
+from tests.conftest import make_organizer
 
 
 def _prepared(retail_suite, tuning_time_budget_ms):
@@ -28,10 +31,13 @@ def _prepared(retail_suite, tuning_time_budget_ms):
         for q in retail_suite.mix.sample_queries(25, seed=200 + i):
             db.execute(q)
         predictor.observe()
-    organizer = Organizer(
-        db,
+    optimizer = WhatIfOptimizer(db)
+    organizer = make_organizer(
         predictor,
-        [Tuner(IndexSelectionFeature(), db), Tuner(CompressionFeature(), db)],
+        [
+            Tuner(IndexSelectionFeature(), optimizer),
+            Tuner(CompressionFeature(), optimizer),
+        ],
         constraints=ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)]),
         triggers=[PeriodicTrigger(every_ms=1.0)],
         config=OrganizerConfig(

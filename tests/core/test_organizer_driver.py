@@ -9,8 +9,9 @@ from repro.configuration.constraints import (
 )
 from repro.core.driver import Driver, DriverConfig
 from repro.core.events import EventKind
-from repro.core.organizer import Organizer, OrganizerConfig
+from repro.core.organizer import OrganizerConfig
 from repro.core.triggers import NeverTrigger, PeriodicTrigger
+from repro.cost import WhatIfOptimizer
 from repro.errors import PluginError
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
@@ -19,6 +20,8 @@ from repro.ordering.lp import LPOrderOptimizer
 from repro.tuning.features import CompressionFeature, IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
+
+from tests.conftest import make_organizer
 
 
 def _prepare(retail_suite, bins=5, per_bin=25):
@@ -32,10 +35,13 @@ def _prepare(retail_suite, bins=5, per_bin=25):
 
 
 def _organizer(db, predictor, **config_kwargs):
-    return Organizer(
-        db,
+    optimizer = WhatIfOptimizer(db)
+    return make_organizer(
         predictor,
-        [Tuner(IndexSelectionFeature(), db), Tuner(CompressionFeature(), db)],
+        [
+            Tuner(IndexSelectionFeature(), optimizer),
+            Tuner(CompressionFeature(), optimizer),
+        ],
         constraints=ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)]),
         triggers=[PeriodicTrigger(every_ms=1.0)],
         config=OrganizerConfig(
@@ -103,10 +109,9 @@ def test_organizer_require_idle_defers(retail_suite, monkeypatch):
 
 def test_organizer_manual_run_without_trigger(retail_suite):
     db, predictor = _prepare(retail_suite)
-    organizer = Organizer(
-        db,
+    organizer = make_organizer(
         predictor,
-        [Tuner(CompressionFeature(), db)],
+        [Tuner(CompressionFeature(), WhatIfOptimizer(db))],
         triggers=[NeverTrigger()],
         config=OrganizerConfig(horizon_bins=3, min_history_bins=3),
     )
@@ -118,10 +123,9 @@ def test_organizer_manual_run_without_trigger(retail_suite):
 
 def test_organizer_with_no_triggers_never_starts_a_pass(retail_suite):
     db, predictor = _prepare(retail_suite)
-    organizer = Organizer(
-        db,
+    organizer = make_organizer(
         predictor,
-        [Tuner(CompressionFeature(), db)],
+        [Tuner(CompressionFeature(), WhatIfOptimizer(db))],
         triggers=[],
         config=OrganizerConfig(horizon_bins=3, min_history_bins=3),
     )
@@ -133,7 +137,9 @@ def test_organizer_with_no_triggers_never_starts_a_pass(retail_suite):
     assert organizer.tick() is None
     assert organizer.events.events(EventKind.TUNING_STARTED) == ()
     # None (not an empty list) keeps the default SLA and drift triggers
-    defaults = Organizer(db, predictor, [Tuner(CompressionFeature(), db)])
+    defaults = make_organizer(
+        predictor, [Tuner(CompressionFeature(), WhatIfOptimizer(db))]
+    )
     assert defaults.evaluate_triggers().trigger == "forecast_drift"
 
 
@@ -143,10 +149,9 @@ def test_one_feature_pass_plans_no_order(retail_suite, monkeypatch):
 
     monkeypatch.setattr(LPOrderOptimizer, "optimize", no_lp)
     db, predictor = _prepare(retail_suite)
-    organizer = Organizer(
-        db,
+    organizer = make_organizer(
         predictor,
-        [Tuner(IndexSelectionFeature(), db)],
+        [Tuner(IndexSelectionFeature(), WhatIfOptimizer(db))],
         constraints=ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)]),
         triggers=[NeverTrigger()],
         config=OrganizerConfig(horizon_bins=3, min_history_bins=3),

@@ -18,7 +18,7 @@ from repro.kpi.metrics import MEAN_QUERY_MS
 from repro.kpi.monitor import RuntimeKPIMonitor
 from repro.workload import Predicate, Query
 
-from tests.conftest import make_small_database
+from tests.conftest import make_organizer, make_small_database
 
 
 def _context(db, predictor=None, constraints=None, last_tuning=None):
@@ -130,7 +130,7 @@ def test_trigger_precedence_sla_wins_when_all_fire(monkeypatch):
     """Trigger precedence is list order: the organizer returns the first
     firing trigger, so an SLA breach outranks drift and periodic when all
     three fire on the same tick."""
-    from repro.core.organizer import Organizer, OrganizerConfig
+    from repro.core.organizer import OrganizerConfig
     from repro.tuning.features import CompressionFeature
     from repro.tuning.tuner import Tuner
 
@@ -149,10 +149,9 @@ def test_trigger_precedence_sla_wins_when_all_fire(monkeypatch):
         ForecastDriftTrigger(relative_threshold=0.5),
         PeriodicTrigger(every_ms=100.0),
     ]
-    organizer = Organizer(
-        db,
+    organizer = make_organizer(
         predictor,
-        [Tuner(CompressionFeature(), db)],
+        [Tuner(CompressionFeature(), WhatIfOptimizer(db))],
         constraints=constraints,
         triggers=triggers,
         config=OrganizerConfig(horizon_bins=2, min_history_bins=2),

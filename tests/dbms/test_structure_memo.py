@@ -363,9 +363,12 @@ def test_hypothetical_leaves_configuration_epochs_and_identities():
 def test_second_dependence_measurement_builds_nothing(retail_suite, monkeypatch):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
+    optimizer = WhatIfOptimizer(db)
     analyzer = DependenceAnalyzer(
-        db,
-        [Tuner(IndexSelectionFeature(), db), Tuner(CompressionFeature(), db)],
+        [
+            Tuner(IndexSelectionFeature(), optimizer),
+            Tuner(CompressionFeature(), optimizer),
+        ],
         ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)]),
     )
     first = analyzer.measure(forecast)

@@ -10,8 +10,9 @@ from repro.configuration.constraints import (
 )
 from repro.core.driver import Driver, DriverConfig
 from repro.core.events import EventKind
-from repro.core.organizer import Organizer, OrganizerConfig
+from repro.core.organizer import OrganizerConfig
 from repro.core.triggers import NeverTrigger, PeriodicTrigger
+from repro.cost import WhatIfOptimizer
 from repro.errors import ActionError
 from repro.faults import FaultConfig, FaultInjector, QuarantineState, quarantine
 from repro.forecasting.analyzer import WorkloadAnalyzer
@@ -23,7 +24,7 @@ from repro.tuning.executors import SequentialExecutor
 from repro.tuning.features import IndexSelectionFeature
 from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
-from tests.conftest import run_closed_loop
+from tests.conftest import make_organizer, run_closed_loop
 
 
 class SwitchableInjector:
@@ -54,10 +55,9 @@ def _organizer(retail_suite, injector):
         for q in retail_suite.mix.sample_queries(25, seed=100 + i):
             db.execute(q)
         predictor.observe()
-    organizer = Organizer(
-        db,
+    organizer = make_organizer(
         predictor,
-        [Tuner(IndexSelectionFeature(), db)],
+        [Tuner(IndexSelectionFeature(), WhatIfOptimizer(db))],
         constraints=ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)]),
         config=OrganizerConfig(horizon_bins=3, min_history_bins=3),
         executor=SequentialExecutor(injector=injector),

@@ -107,6 +107,7 @@ def test_dependence_analyzer_accepts_reduction(retail_suite):
         INDEX_MEMORY,
         ResourceBudget,
     )
+    from repro.cost import WhatIfOptimizer
     from repro.ordering import DependenceAnalyzer
     from repro.tuning import CompressionFeature, IndexSelectionFeature, Tuner
     from repro.util.units import MIB
@@ -114,17 +115,15 @@ def test_dependence_analyzer_accepts_reduction(retail_suite):
 
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
+    optimizer = WhatIfOptimizer(db)
     tuners = [
-        Tuner(IndexSelectionFeature(), db),
-        Tuner(CompressionFeature(), db),
+        Tuner(IndexSelectionFeature(), optimizer),
+        Tuner(CompressionFeature(), optimizer),
     ]
     analyzer = DependenceAnalyzer(
-        db,
-        tuners,
-        ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)]),
-        max_templates=3,
+        tuners, ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)])
     )
-    matrix = analyzer.measure(forecast)
+    matrix = analyzer.measure(forecast, max_templates=3)
     assert matrix.w_empty > 0
     assert set(matrix.w_pair) == {
         ("compression", "index_selection"),

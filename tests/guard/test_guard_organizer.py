@@ -5,12 +5,13 @@ import pytest
 from repro.configuration.config import ConfigurationInstance
 from repro.core.driver import Driver, DriverConfig
 from repro.core.events import EventKind
-from repro.core.organizer import Organizer, OrganizerConfig
+from repro.core.organizer import OrganizerConfig
 from repro.core.triggers import (
     FORECAST_MISS_TRIGGER,
     NeverTrigger,
     PeriodicTrigger,
 )
+from repro.cost import WhatIfOptimizer
 from repro.forecasting.analyzer import WorkloadAnalyzer
 from repro.forecasting.models import NaiveLastValue
 from repro.forecasting.predictor import WorkloadPredictor
@@ -32,7 +33,7 @@ from repro.tuning.features import (
 )
 from repro.tuning.tuner import Tuner
 from repro.workload import swap_dominance
-from tests.conftest import run_closed_loop
+from tests.conftest import make_organizer, run_closed_loop
 from tests.guard.miscalibrated import MiscalibratedAssessor
 
 
@@ -50,8 +51,7 @@ def _organizer(retail_suite, tuners):
     db = retail_suite.database
     predictor = WorkloadPredictor(db, WorkloadAnalyzer(NaiveLastValue))
     monitor = RuntimeKPIMonitor(db)
-    organizer = Organizer(
-        db,
+    organizer = make_organizer(
         predictor,
         tuners,
         monitor=monitor,
@@ -81,7 +81,8 @@ def _observed_by_commit(events):
 @pytest.mark.usefixtures("regression_watchdog_only")
 def test_committed_pass_enters_and_passes_probation(retail_suite):
     db, organizer, predictor, monitor = _organizer(
-        retail_suite, [Tuner(IndexSelectionFeature(), retail_suite.database)]
+        retail_suite,
+        [Tuner(IndexSelectionFeature(), WhatIfOptimizer(retail_suite.database))],
     )
     for i in range(4):
         _run_bin(retail_suite, db, predictor, monitor, seed=100 + i)
@@ -111,15 +112,16 @@ def test_committed_pass_enters_and_passes_probation(retail_suite):
 
 def test_miscalibrated_commit_is_detected_and_rolled_back(retail_suite):
     db = retail_suite.database
+    optimizer = WhatIfOptimizer(db)
     # inverted judgement on two features: the pass evicts hot chunks to
     # the slowest tier and shrinks the buffer pool that would otherwise
     # re-cache them — applied cleanly, persistently slower
     bad_tuners = [
         Tuner(
             feature,
-            db,
+            optimizer,
             assessor=MiscalibratedAssessor(
-                feature.make_assessor(db), scale=-1.0
+                feature.make_assessor(optimizer), scale=-1.0
             ),
         )
         for feature in (DataPlacementFeature(), BufferPoolFeature())

@@ -26,9 +26,10 @@ from tests.conftest import make_forecast
 
 
 def _tuners(db):
+    optimizer = WhatIfOptimizer(db)
     return [
-        Tuner(IndexSelectionFeature(), db),
-        Tuner(CompressionFeature(), db),
+        Tuner(IndexSelectionFeature(), optimizer),
+        Tuner(CompressionFeature(), optimizer),
     ]
 
 
@@ -39,7 +40,7 @@ def _constraints():
 def test_measure_produces_consistent_matrix(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
-    analyzer = DependenceAnalyzer(db, _tuners(db), _constraints())
+    analyzer = DependenceAnalyzer(_tuners(db), _constraints())
     before = ConfigurationInstance.capture(db)
     matrix = analyzer.measure(forecast)
     # measurement leaves no trace
@@ -124,7 +125,7 @@ def test_campaign_equals_the_straight_line_reference(seed, monkeypatch):
         db = suite.database
         optimizer = WhatIfOptimizer(db)
         tuners = [
-            Tuner(feature, db, optimizer=optimizer)
+            Tuner(feature, optimizer)
             for feature in standard_features(include_sort_order=True)
         ]
         forecast = make_forecast(suite)
@@ -137,7 +138,7 @@ def test_campaign_equals_the_straight_line_reference(seed, monkeypatch):
     reference, reference_runs = campaign(_straight_line_campaign)
     matrix, runs = campaign(
         lambda db, tuners, constraints, optimizer, forecast: DependenceAnalyzer(
-            db, tuners, constraints, optimizer
+            tuners, constraints
         ).measure(forecast)
     )
     assert len(matrix.features) == 5
@@ -152,20 +153,37 @@ def test_campaign_equals_the_straight_line_reference(seed, monkeypatch):
 
 
 def test_analyzer_requires_two_distinct_features(retail_suite):
-    db = retail_suite.database
+    optimizer = WhatIfOptimizer(retail_suite.database)
+    one = DependenceAnalyzer([Tuner(IndexSelectionFeature(), optimizer)])
     with pytest.raises(OrderingError):
-        DependenceAnalyzer(db, [Tuner(IndexSelectionFeature(), db)])
+        one.measure(make_forecast(retail_suite))
     with pytest.raises(OrderingError):
         DependenceAnalyzer(
-            db,
-            [Tuner(IndexSelectionFeature(), db), Tuner(IndexSelectionFeature(), db)],
+            [
+                Tuner(IndexSelectionFeature(), optimizer),
+                Tuner(IndexSelectionFeature(), optimizer),
+            ],
         )
+
+
+@pytest.mark.parametrize("stack", [DependenceAnalyzer, RecursiveTuningPlanner])
+def test_tuners_of_one_stack_share_one_optimizer(retail_suite, stack):
+    """A planner or an analyzer over tuners that price through two
+    what-if optimizers — two cost caches for one database — is refused."""
+    db = retail_suite.database
+    tuners = [
+        Tuner(IndexSelectionFeature(), WhatIfOptimizer(db)),
+        Tuner(CompressionFeature(), WhatIfOptimizer(db)),
+    ]
+    with pytest.raises(OrderingError, match="more than one what-if optimizer"):
+        stack(tuners, _constraints())
+    stack(_tuners(db), _constraints())  # one shared optimizer is fine
 
 
 def test_recursive_run_with_explicit_order(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
-    planner = RecursiveTuningPlanner(db, _tuners(db), _constraints())
+    planner = RecursiveTuningPlanner(_tuners(db), _constraints())
     report = planner.run(forecast, order=("compression", "index_selection"))
     assert report.order == ("compression", "index_selection")
     assert report.final_cost_ms < report.initial_cost_ms
@@ -185,11 +203,11 @@ def test_recursive_run_with_explicit_order(retail_suite):
 def test_recursive_run_rejects_unknown_features(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
-    planner = RecursiveTuningPlanner(db, _tuners(db), _constraints())
+    planner = RecursiveTuningPlanner(_tuners(db), _constraints())
     with pytest.raises(OrderingError):
         planner.run(forecast, order=("ghost",))
 
 
 def test_planner_requires_tuners(retail_suite):
     with pytest.raises(OrderingError):
-        RecursiveTuningPlanner(retail_suite.database, [])
+        RecursiveTuningPlanner([])

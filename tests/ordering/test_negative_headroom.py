@@ -9,6 +9,7 @@ setting on the reset baseline and its single run costs nothing.
 """
 
 from repro.configuration.config import ConfigurationInstance
+from repro.cost.what_if import WhatIfOptimizer
 from repro.ordering.recursive import RecursiveTuningPlanner
 from repro.tuning import standard_features
 from repro.tuning.tuner import Tuner
@@ -19,14 +20,15 @@ from tests.conftest import make_dram_pressed_retail, make_forecast
 def test_item_1a_measures_the_matrix_under_negative_dram_headroom():
     suite, constraints = make_dram_pressed_retail()
     db = suite.database
+    optimizer = WhatIfOptimizer(db)
     tuners = [
-        Tuner(feature, db)
+        Tuner(feature, optimizer)
         for feature in standard_features(include_sort_order=True)
     ]
-    planner = RecursiveTuningPlanner(db, tuners, constraints)
+    planner = RecursiveTuningPlanner(tuners, constraints)
     before = ConfigurationInstance.capture(db)
 
-    matrix = planner.measure_dependencies(make_forecast(suite))
+    matrix = planner.measure(make_forecast(suite))
 
     assert matrix.features == tuple(sorted(t.feature_name for t in tuners))
     assert "buffer_pool" in matrix.features

@@ -12,6 +12,7 @@ from repro.configuration.constraints import (
     ConstraintSet,
     ResourceBudget,
 )
+from repro.cost.what_if import WhatIfOptimizer
 from repro.ordering import LPOrderOptimizer, RecursiveTuningPlanner
 from repro.tuning import CompressionFeature, SortOrderFeature, Tuner
 from repro.util.units import MIB
@@ -25,12 +26,13 @@ def test_sort_before_compression_dependence(retail_suite):
         retail_suite, families=["status_count", "region_revenue", "urgent_open"]
     )
     constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)])
+    optimizer = WhatIfOptimizer(db)
     tuners = [
-        Tuner(SortOrderFeature(), db),
-        Tuner(CompressionFeature(), db),
+        Tuner(SortOrderFeature(), optimizer),
+        Tuner(CompressionFeature(), optimizer),
     ]
-    planner = RecursiveTuningPlanner(db, tuners, constraints)
-    matrix = planner.measure_dependencies(forecast)
+    planner = RecursiveTuningPlanner(tuners, constraints)
+    matrix = planner.measure(forecast)
 
     # sorting first, then compressing, must be at least as good as the
     # reverse (compression on unsorted data never picks run-length)
@@ -51,11 +53,12 @@ def test_recursive_run_with_sort_feature_improves(retail_suite):
     forecast = make_forecast(
         retail_suite, families=["status_count", "region_revenue"]
     )
+    optimizer = WhatIfOptimizer(db)
     tuners = [
-        Tuner(SortOrderFeature(), db),
-        Tuner(CompressionFeature(), db),
+        Tuner(SortOrderFeature(), optimizer),
+        Tuner(CompressionFeature(), optimizer),
     ]
-    planner = RecursiveTuningPlanner(db, tuners)
+    planner = RecursiveTuningPlanner(tuners)
     report = planner.run(forecast, order=("sort_order", "compression"))
     assert report.improvement > 0.3
     # the sort was actually applied

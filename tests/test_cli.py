@@ -93,6 +93,7 @@ def _exit_status(argv):
              "--checkpoint-every", "2", "--checkpoint-dir", "{tmp}/file/ck"],
             "checkpoint write failed",
         ),
+        (["order", "--features", "1"], "at least two features, got 1"),
     ],
 )
 def test_bad_option_values_exit_2_with_one_line(
@@ -105,6 +106,82 @@ def test_bad_option_values_exit_2_with_one_line(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(argv[0] + ": ")
     assert expected in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["simulate", "--tune-every-bins", "0"], "--tune-every-bins"),
+        (["simulate", "--rows", "0"], "--rows"),
+        (["faults", "--failure-rate", "2"], "--failure-rate"),
+        (["trace", "--bins", "0"], "--bins"),
+        (["order", "--features", "-1"], "--features"),
+    ],
+)
+def test_out_of_range_option_values_exit_2(capsys, argv, option):
+    """A value outside the range an option declares is an argparse
+    error naming the option, not a traceback (or, for a negative
+    --features, a run without the last feature)."""
+    assert _exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[0]}: error: argument {option}: " in err
+    assert "Traceback" not in err
+
+
+def test_order_prices_through_one_optimizer(capsys, monkeypatch):
+    """The ``order`` command builds one what-if optimizer and every W and
+    every candidate assessment reads its cost cache: 268 misses on the
+    default retail run, where a private cache per tuner and one for the
+    planner missed 350 times."""
+    from repro.cost import what_if
+
+    built = []
+
+    class Recorded(what_if.WhatIfOptimizer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(what_if, "WhatIfOptimizer", Recorded)
+    assert main(["order"]) == 0
+    assert "LP order" in capsys.readouterr().out
+    assert [optimizer.cache_stats.misses for optimizer in built] == [268]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "telemetry", "--seed", "3", "--rows", "1000", "--bins", "9"],
+        ["--suite", "telemetry", "--seed", "1"],
+    ],
+    ids=["smallest", "defaults"],
+)
+def test_forecast_drift_fires_on_the_simulate_wiring(monkeypatch, argv):
+    """``simulate``'s drift trigger (relative threshold 0.25 beside the
+    periodic one, 3-minute cooldown) fires on the CLI's own wiring: on
+    the smallest run found to fire it, and at the simulate defaults,
+    where telemetry seed 1 is one of the suite x seed cells it fires in."""
+    from repro import __main__ as cli
+    from repro.core import EventKind
+
+    contexts = []
+    attach = cli._attach
+
+    def recording_attach(*args, **kwargs):
+        ctx, simulation = attach(*args, **kwargs)
+        contexts.append(ctx)
+        return ctx, simulation
+
+    monkeypatch.setattr(cli, "_attach", recording_attach)
+    assert main(["simulate", *argv]) == 0
+    (ctx,) = contexts
+    fired = [
+        event
+        for event in ctx.events.events(EventKind.TRIGGER)
+        if event.message.startswith("forecast_drift:")
+        and event.data["should_tune"]
+    ]
+    assert fired
 
 
 def test_fleet_resume_failures_exit_2_with_one_line(capsys, tmp_path):

@@ -7,6 +7,7 @@ from repro.configuration.constraints import (
     ConstraintSet,
     ResourceBudget,
 )
+from repro.cost import WhatIfOptimizer
 from repro.errors import ForecastError, TuningError
 from repro.forecasting.scenarios import point_forecast
 from repro.tuning.features import IndexSelectionFeature
@@ -40,7 +41,9 @@ def test_tuner_rejects_budget_violating_selection(retail_suite):
     forecast = make_forecast(retail_suite)
     constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 64 * KIB)])
     tuner = Tuner(
-        IndexSelectionFeature(), db, selector=_BudgetIgnoringSelector()
+        IndexSelectionFeature(),
+        WhatIfOptimizer(db),
+        selector=_BudgetIgnoringSelector(),
     )
     with pytest.raises(RuntimeError, match="infeasible"):
         tuner.propose(forecast, constraints)
@@ -55,7 +58,9 @@ def test_empty_forecast_yields_noop_tuning(retail_suite):
 
     ghost = Query("orders", (Predicate("customer", "=", 1),), aggregate="count")
     forecast = point_forecast({}, {ghost.template().key: ghost})
-    result = Tuner(IndexSelectionFeature(), db).propose(forecast)
+    result = Tuner(IndexSelectionFeature(), WhatIfOptimizer(db)).propose(
+        forecast
+    )
     # zero frequencies: nothing has positive benefit, nothing is applied
     assert result.is_noop or result.predicted_benefit_ms == 0.0
 
@@ -81,7 +86,6 @@ def test_buffer_pool_assessor_type_guard(retail_suite):
 
 
 def test_sort_benefit_assessor_type_guard(retail_suite):
-    from repro.cost import WhatIfOptimizer
     from repro.tuning.assessors import SortBenefitAssessor
     from repro.tuning.candidate import IndexCandidate
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cost import WhatIfOptimizer
 from repro.dbms.segments import EncodingType
 from repro.dbms.storage_tiers import StorageTier
 from repro.errors import SelectionError
@@ -409,7 +410,9 @@ def test_an_infeasible_pool_proposes_the_current_setting(selector):
     """E1's DRAM-pressed state leaves the buffer pool a negative
     headroom: every selector's proposal is the current setting."""
     suite, constraints = make_dram_pressed_retail()
-    tuner = Tuner(BufferPoolFeature(), suite.database, selector=selector)
+    tuner = Tuner(
+        BufferPoolFeature(), WhatIfOptimizer(suite.database), selector=selector
+    )
 
     result = tuner.propose(make_forecast(suite), constraints)
 

@@ -157,8 +157,6 @@ def test_sort_order_pays_off_only_through_compression(retail_suite):
     dependence the ordering LP exists to exploit."""
     db = retail_suite.database
     forecast = make_forecast(retail_suite, families=["status_count"])
-    from repro.cost import WhatIfOptimizer
-
     optimizer = WhatIfOptimizer(db)
     samples = dict(forecast.sample_queries)
     w_empty = optimizer.scenario_cost_ms(forecast.expected, samples)
@@ -167,12 +165,12 @@ def test_sort_order_pays_off_only_through_compression(retail_suite):
     from repro.tuning.assessors import CostModelAssessor
 
     myopic = Tuner(
-        SortOrderFeature(), db, assessor=CostModelAssessor(optimizer)
+        SortOrderFeature(), optimizer, assessor=CostModelAssessor(optimizer)
     ).propose(forecast)
     assert myopic.predicted_benefit_ms <= w_empty * 0.05
     # ... while the feature's default anticipating assessor prices the
     # enabling effect and proposes the sort
-    anticipating = Tuner(SortOrderFeature(), db).propose(forecast)
+    anticipating = Tuner(SortOrderFeature(), optimizer).propose(forecast)
     assert anticipating.predicted_benefit_ms > w_empty * 0.5
     assert not anticipating.is_noop
 

@@ -8,6 +8,7 @@ from repro.configuration.constraints import (
     ConstraintSet,
     ResourceBudget,
 )
+from repro.cost import WhatIfOptimizer
 from repro.telemetry import Telemetry
 from repro.tuning.assessment import Assessment
 from repro.tuning.candidate import IndexCandidate
@@ -24,7 +25,9 @@ def test_index_tuning_improves_workload_within_budget(retail_suite):
     forecast = make_forecast(retail_suite)
     constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)])
     telemetry = Telemetry(db.clock)
-    tuner = Tuner(IndexSelectionFeature(), db, telemetry=telemetry)
+    tuner = Tuner(
+        IndexSelectionFeature(), WhatIfOptimizer(db), telemetry=telemetry
+    )
     result = tuner.propose(forecast, constraints)
     assert result.candidate_count > 0
     assert result.chosen
@@ -46,7 +49,7 @@ def test_tuning_is_idempotent_when_reapplied(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
     constraints = ConstraintSet([ResourceBudget(INDEX_MEMORY, 1 * MIB)])
-    tuner = Tuner(IndexSelectionFeature(), db)
+    tuner = Tuner(IndexSelectionFeature(), WhatIfOptimizer(db))
     tuner.tune(forecast, constraints)
     instance = ConfigurationInstance.capture(db)
     result2, _report = tuner.tune(forecast, constraints)
@@ -57,14 +60,12 @@ def test_tuning_is_idempotent_when_reapplied(retail_suite):
 def test_compression_tuning_reduces_cost_and_memory(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite)
-    from repro.cost import WhatIfOptimizer
-
     optimizer = WhatIfOptimizer(db)
     before_cost = optimizer.scenario_cost_ms(
         forecast.expected, dict(forecast.sample_queries)
     )
     before_bytes = db.data_bytes()
-    tuner = Tuner(CompressionFeature(), db)
+    tuner = Tuner(CompressionFeature(), WhatIfOptimizer(db))
     result, _report = tuner.tune(forecast)
     after_cost = optimizer.scenario_cost_ms(
         forecast.expected, dict(forecast.sample_queries)
@@ -79,7 +80,7 @@ def test_tuner_with_custom_selector(retail_suite):
     forecast = make_forecast(retail_suite)
     tuner = Tuner(
         IndexSelectionFeature(),
-        db,
+        WhatIfOptimizer(db),
         selector=OptimalSelector(),
     )
     result = tuner.propose(
@@ -93,9 +94,10 @@ def test_tuner_with_custom_selector(retail_suite):
 def test_reconfiguration_weight_shrinks_delta(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite, frequency=1.0)  # low stakes
-    eager = Tuner(IndexSelectionFeature(), db).propose(forecast)
+    optimizer = WhatIfOptimizer(db)
+    eager = Tuner(IndexSelectionFeature(), optimizer).propose(forecast)
     cautious = Tuner(
-        IndexSelectionFeature(), db, reconfiguration_weight=5.0
+        IndexSelectionFeature(), optimizer, reconfiguration_weight=5.0
     ).propose(forecast)
     assert len(cautious.chosen) <= len(eager.chosen)
 
@@ -125,13 +127,13 @@ def test_the_score_subtracts_weighted_one_time_cost(retail_suite):
     for weight in (0.0, 0.5):
         plain = _RecordingSelector()
         Tuner(
-            IndexSelectionFeature(), db, selector=plain,
+            IndexSelectionFeature(), WhatIfOptimizer(db), selector=plain,
             reconfiguration_weight=weight,
         ).propose(forecast)
         assert plain.score(probe) == expected - weight * 4.0
         base = _RecordingSelector()
         Tuner(
-            IndexSelectionFeature(), db,
+            IndexSelectionFeature(), WhatIfOptimizer(db),
             selector=RobustSelector(base, "worst_case"),
             reconfiguration_weight=weight,
         ).propose(forecast)
@@ -141,7 +143,9 @@ def test_the_score_subtracts_weighted_one_time_cost(retail_suite):
 def test_predicted_benefit_is_probability_weighted(retail_suite):
     db = retail_suite.database
     forecast = make_forecast(retail_suite, families=["point_customer"])
-    result = Tuner(IndexSelectionFeature(), db).propose(forecast)
+    result = Tuner(IndexSelectionFeature(), WhatIfOptimizer(db)).propose(
+        forecast
+    )
     expected = sum(
         forecast.scenario(name).probability * value
         for name, value in result.predicted_desirability.items()

@@ -68,7 +68,7 @@ def test_telemetry_suite_is_tunable():
     before = optimizer.scenario_cost_ms(
         forecast.expected, dict(forecast.sample_queries)
     )
-    tuner = Tuner(IndexSelectionFeature(), db)
+    tuner = Tuner(IndexSelectionFeature(), optimizer)
     tuner.tune(forecast, ConstraintSet([ResourceBudget(INDEX_MEMORY, 2**21)]))
     after = optimizer.scenario_cost_ms(
         forecast.expected, dict(forecast.sample_queries)
