@@ -595,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Zipf volume skew (tenant i scaled (i+1)^-skew)")
     shared(fleet, suite="retail", rows=20_000, seed=7, bins=24,
            tune_every_bins=6, index_budget_mib=64.0)
-    fleet.add_argument("--max-concurrent", type=int, default=3,
+    fleet.add_argument("--max-concurrent", type=_within(int, 1), default=3,
                        help="fleet-wide cap on concurrent reconfigurations")
     fleet.add_argument("--no-priors", action="store_true",
                        help="disable prior sharing (independent tuning)")
@@ -607,13 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "or fork workers (results are bit-identical)")
     fleet.add_argument("--checkpoint-dir", default=None,
                        help="directory for durable fleet checkpoints")
-    fleet.add_argument("--checkpoint-every", type=int, default=0,
+    fleet.add_argument("--checkpoint-every", type=_within(int, 0), default=0,
                        help="write a checkpoint every N bins (0 = off; "
                             "needs --checkpoint-dir)")
     fleet.add_argument("--resume", action="store_true",
                        help="resume from the newest checkpoint in "
                             "--checkpoint-dir instead of starting fresh")
-    fleet.add_argument("--workers", type=int, default=None,
+    fleet.add_argument("--workers", type=_within(int, 1), default=None,
                        help="process-mode worker count (default: cpu count, "
                             "capped at the tenant count)")
     fleet.set_defaults(run=_cmd_fleet)
@@ -654,7 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(guard, bins=24, tune_every_bins=8)
     guard.add_argument("--swap-at", type=int, default=12,
-                       help="swap family dominance at this bin (0 = off)")
+                       help="swap family dominance at this bin, below "
+                            "--bins (0 = off)")
     guard.add_argument("--swap-a", default=None,
                        help="first swapped family (default: highest rate)")
     guard.add_argument("--swap-b", default=None,
@@ -667,6 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "guard" and not 0 <= args.swap_at < args.bins:
+        parser.error(
+            f"argument --swap-at: {args.swap_at} not in [0, {args.bins}): "
+            "not a bin of the run (--bins)"
+        )
     return args.run(args)
 
 

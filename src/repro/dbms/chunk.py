@@ -7,13 +7,16 @@ chunks — which lets per-column statistics be computed once and cached, while
 the physical representation (encodings, indexes, tier) remains mutable.
 
 A segment is a pure function of (row order, column, encoding) and an index
-of (row order, key columns, their encodings), so a chunk keeps every one it
+of (row order, key columns, which of them are dictionary-coded): every other
+encoding keys an index on its decoded values. So a chunk keeps every one it
 has built for its current row order in a :class:`_StructureMemo`:
 re-encoding, index creation and the index refresh after a re-encode — and
 their inverses, which is what a what-if rollback is — swap structures in
-instead of re-encoding and re-sorting. Only a permutation, which starts a
-new row order, drops it. The memo never affects simulated costs or memory
-accounting.
+instead of re-encoding and re-sorting. The sort order of a key-column list
+is the same under every encoding, so the memo sorts each list once and its
+indexes share that one ``positions`` array. Only a permutation, which
+starts a new row order, drops the memo. It never affects simulated costs or
+memory accounting.
 
 Those same keys are how a chunk *names* its structures to the caches above
 it: :meth:`Chunk.footprint` lists, for a set of predicate columns, the row
@@ -33,6 +36,7 @@ import numpy as np
 from repro.dbms.index import SortedCompositeIndex
 from repro.dbms.schema import TableSchema
 from repro.dbms.segments import (
+    DictionarySegment,
     EncodingType,
     Segment,
     encode_segment,
@@ -43,17 +47,19 @@ from repro.errors import IndexError_, SchemaError
 from repro.util.lru import BoundedLRU, CacheStats
 
 #: Bound on one chunk's memoised indexes, sized from the working set
-#: measured on the perf ledger: tuning touches at most 58 distinct
+#: measured on the perf ledger: tuning touched at most 58 distinct
 #: (key, encodings) combinations per chunk on ``tune_loop`` and 57 on
-#: ``fleet_serial``. Live indexes stay referenced by the chunk, so an
-#: eviction only loses reuse.
+#: ``fleet_serial``, which the key on dictionary flags only lowers.
+#: Live indexes stay referenced by the chunk, so an eviction only loses
+#: reuse.
 _INDEX_MEMO_CAPACITY = 64
 
 #: the encoding every segment of an appended chunk is loaded in; tuning
 #: changes it through SetEncodingAction
 LOAD_ENCODING = EncodingType.UNENCODED
 
-_IndexMemoKey = tuple[tuple[str, ...], tuple[EncodingType, ...]]
+#: (key columns, whether each is dictionary-coded)
+_IndexMemoKey = tuple[tuple[str, ...], tuple[bool, ...]]
 
 
 def _digest(permutation: "np.ndarray") -> int:
@@ -68,6 +74,7 @@ class _StructureMemo:
     __slots__ = (
         "_segments",
         "_indexes",
+        "_orders",
         "_hits",
         "_misses",
         "_evictions",
@@ -99,14 +106,20 @@ class _StructureMemo:
             for name, segment in segments.items()
         }
         self._indexes.clear()
+        #: key columns → the one sort order of this row order, owned by
+        #: the first index built on them and shared by the others
+        self._orders: dict[tuple[str, ...], np.ndarray] = {}
         for key, index in indexes.items():
             self._indexes.put(self._index_key(key, segments), index)
+            self._orders[key] = index.positions
 
     @staticmethod
     def _index_key(
         columns: tuple[str, ...], segments: Mapping[str, Segment]
     ) -> _IndexMemoKey:
-        return columns, tuple(segments[name].encoding for name in columns)
+        return columns, tuple(
+            isinstance(segments[name], DictionarySegment) for name in columns
+        )
 
     def segment(
         self, column: str, encoding: EncodingType, current: Segment
@@ -128,12 +141,16 @@ class _StructureMemo:
         self, columns: tuple[str, ...], segments: Mapping[str, Segment]
     ) -> SortedCompositeIndex:
         """The index over ``columns`` of ``segments``, built the first
-        time this combination of key and key-column encodings is seen."""
+        time this key with these dictionary-coded columns is seen — by a
+        sort the first time the key is, and through that sort order after."""
         key = self._index_key(columns, segments)
         index = self._indexes.get(key)
         if index is None:
             self._misses += 1
-            index = SortedCompositeIndex.build(columns, segments)
+            index = SortedCompositeIndex.build(
+                columns, segments, self._orders.get(columns)
+            )
+            self._orders.setdefault(columns, index.positions)
             self._evictions += self._indexes.put(key, index)
         else:
             self._hits += 1
@@ -355,7 +372,8 @@ class Chunk:
         """Re-encode one column; replaces every index whose key contains it.
 
         The segment and the indexes come from the structure memo, so only
-        the first visit of a (column, encoding) state encodes and sorts.
+        the first visit of a (column, encoding) state encodes, and only the
+        first index on a key-column list sorts.
         Returns the key tuples of the replaced indexes so the caller can
         account for the simulated rebuild cost (re-encoding an indexed
         column is a heavier reconfiguration — a real feature interaction).

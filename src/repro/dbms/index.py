@@ -67,9 +67,21 @@ class SortedCompositeIndex:
 
     @classmethod
     def build(
-        cls, columns: Sequence[str], segments: Mapping[str, Segment]
+        cls,
+        columns: Sequence[str],
+        segments: Mapping[str, Segment],
+        positions: np.ndarray | None = None,
     ) -> "SortedCompositeIndex":
-        """Build an index over ``columns`` from the chunk's segments."""
+        """Build an index over ``columns`` from the chunk's segments.
+
+        ``positions`` is the sort order of another index over the same
+        columns of the same rows, whose key columns may differ only in
+        being dictionary-coded. The keys are then gathered through it and
+        the index shares the array instead of sorting: dictionary codes
+        preserve the order of the values they stand for and
+        ``np.lexsort`` is stable, so the order on codes and the order on
+        values are one permutation. Without it, the keys are sorted here.
+        """
         if not columns:
             raise IndexError_("an index needs at least one column")
         if len(set(columns)) != len(columns):
@@ -86,11 +98,17 @@ class SortedCompositeIndex:
                 dictionaries.append(segment.dictionary)
             else:
                 dictionaries.append(None)
-        # np.lexsort treats the *last* key as primary, so reverse.
-        order = np.lexsort(tuple(reversed(key_arrays)))
-        sorted_keys = [keys[order] for keys in key_arrays]
-        positions = order.astype(np.uint32)
+        if positions is None:
+            # np.lexsort treats the *last* key as primary, so reverse.
+            order = np.lexsort(tuple(reversed(key_arrays)))
+            positions = order.astype(np.uint32)
+        sorted_keys = [keys[positions] for keys in key_arrays]
         return cls(tuple(columns), sorted_keys, positions, dictionaries)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The read-only sort order: row positions in key order."""
+        return self._positions
 
     @property
     def columns(self) -> tuple[str, ...]:

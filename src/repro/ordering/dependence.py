@@ -165,14 +165,23 @@ class DependenceAnalyzer:
 
         Each first stage A is proposed once against the reset baseline
         and its hypothetical entered once: ``W_A`` is priced there and
-        every B ≠ A is proposed on top of it — |S|² tuning runs in all.
-        Sandboxing goes through ``optimizer.hypothetical``, which rolls
-        back exactly; the cost cache keys on what a query reads, so a
-        delta that leaves a query's columns alone finds the costs priced
-        before.
+        every B ≠ A is proposed on top of it. Sandboxing goes through
+        ``optimizer.hypothetical``, which rolls back exactly; the cost
+        cache keys on what a query reads, so a delta that leaves a
+        query's columns alone finds the costs priced before.
 
-        ``max_templates`` caps the workload the |S|² measurement runs
-        see — the paper's workload-reduction lever for keeping dependence
+        A first stage whose delta is empty runs no pair proposal:
+        ``W_{A,B} = W_B``. Under an empty delta the state is the reset
+        baseline, and :meth:`Tuner.propose` is a pure function of the
+        state, the forecast and the constraints, so B's proposal there is
+        B's single proposal, priced in the same state. Every single stage
+        is therefore proposed and priced before those pairs are filled
+        in, which makes the campaign |S|² − e·(|S| − 1) tuning runs for e
+        empty single-stage deltas. ``w_single`` and ``w_pair`` keep the
+        insertion order of the full campaign (sorted A, then sorted B).
+
+        ``max_templates`` caps the workload the measurement runs see —
+        the paper's workload-reduction lever for keeping dependence
         measurement affordable on large workloads (Section III-A).
         """
         if len(self._tuners) < 2:
@@ -183,8 +192,9 @@ class DependenceAnalyzer:
             forecast = reduce_templates(forecast, max_templates)
         names = tuple(sorted(self._tuners))
         w_single: dict[str, float] = {}
-        w_pair: dict[tuple[str, str], float] = {}
+        measured_pairs: dict[tuple[str, str], float] = {}
         tuning_cost: dict[str, float] = {}
+        empty_first_stages: set[str] = set()
 
         reset = self._full_reset(forecast)
         with self._optimizer.hypothetical(reset):
@@ -194,13 +204,26 @@ class DependenceAnalyzer:
                 tuning_cost[a] = result_a.reconfiguration_cost_ms
                 with self._optimizer.hypothetical(result_a.delta):
                     w_single[a] = self._expected_cost(forecast)
+                    if result_a.is_noop:
+                        empty_first_stages.add(a)
+                        continue
                     for b in names:
                         if b == a:
                             continue
                         result_b = self._propose(b, forecast)
                         with self._optimizer.hypothetical(result_b.delta):
-                            w_pair[(a, b)] = self._expected_cost(forecast)
+                            measured_pairs[(a, b)] = self._expected_cost(
+                                forecast
+                            )
 
+        w_pair = {
+            (a, b): (
+                w_single[b] if a in empty_first_stages else measured_pairs[(a, b)]
+            )
+            for a in names
+            for b in names
+            if a != b
+        }
         return DependenceMatrix(
             features=names,
             w_empty=w_empty,

@@ -22,7 +22,7 @@ from repro.tuning.tuner import Tuner
 from repro.util.units import MIB
 from repro.workload import build_retail_suite
 
-from tests.conftest import make_forecast
+from tests.conftest import make_dram_pressed_retail, make_forecast
 
 
 def _tuners(db):
@@ -104,16 +104,19 @@ def _straight_line_campaign(db, tuners, constraints, optimizer, forecast):
 
 @pytest.mark.parametrize("seed", [1, 2, 3], ids=lambda s: f"seed {s}")
 def test_campaign_equals_the_straight_line_reference(seed, monkeypatch):
-    """Proposing each first stage once changes no measured cost: on five
-    features the nested campaign returns the matrix of the straight-line
-    one, value for value and in the same dict order, from 25 tuning runs
-    instead of 45, and leaves the database as it found it."""
+    """Proposing each first stage once, and no pair on top of an empty
+    one, changes no measured cost: on five features the nested campaign
+    returns the matrix of the straight-line one, value for value and in
+    the same dict order, from |S|² − e·(|S| − 1) tuning runs instead of
+    |S|·(2|S| − 1) for e empty single-stage deltas, and leaves the
+    database as it found it."""
     proposals = []
     propose = Tuner.propose
 
     def counting_propose(self, forecast, constraints=None):
-        proposals.append(self.feature_name)
-        return propose(self, forecast, constraints)
+        result = propose(self, forecast, constraints)
+        proposals.append(result.is_noop)
+        return result
 
     monkeypatch.setattr(Tuner, "propose", counting_propose)
 
@@ -133,7 +136,7 @@ def test_campaign_equals_the_straight_line_reference(seed, monkeypatch):
         del proposals[:]
         matrix = measure(db, tuners, _constraints(), optimizer, forecast)
         assert ConfigurationInstance.capture(db) == before
-        return matrix, len(proposals)
+        return matrix, list(proposals)
 
     reference, reference_runs = campaign(_straight_line_campaign)
     matrix, runs = campaign(
@@ -141,8 +144,12 @@ def test_campaign_equals_the_straight_line_reference(seed, monkeypatch):
             tuners, constraints
         ).measure(forecast)
     )
-    assert len(matrix.features) == 5
-    assert (reference_runs, runs) == (45, 25)
+    features = len(matrix.features)
+    assert features == 5
+    # the straight line proposes every single stage first
+    empty = sum(reference_runs[:features])
+    assert len(reference_runs) == features * (2 * features - 1)
+    assert len(runs) == features**2 - empty * (features - 1)
     assert matrix.w_empty == reference.w_empty
     for measured in ("w_single", "w_pair", "tuning_cost_ms"):
         assert list(getattr(matrix, measured).items()) == list(
@@ -150,6 +157,53 @@ def test_campaign_equals_the_straight_line_reference(seed, monkeypatch):
         ), measured
     order = LPOrderOptimizer().optimize(matrix).order
     assert order == LPOrderOptimizer().optimize(reference).order
+
+
+def test_an_empty_first_stage_prices_its_pairs_as_a_forced_re_proposal():
+    """ROADMAP item 14a on E1's DRAM-pressed state, where the buffer pool
+    has no feasible capacity and proposes an empty delta: the campaign
+    takes W_{A,B} = W_B for it without proposing B again, and each such
+    W_{A,B} equals the cost of re-proposing A and then B on top of it,
+    priced on a fresh copy of the database through a fresh cost cache."""
+
+    def stack():
+        suite, constraints = make_dram_pressed_retail()
+        optimizer = WhatIfOptimizer(suite.database)
+        tuners = {
+            feature.name: Tuner(feature, optimizer)
+            for feature in standard_features(include_sort_order=True)
+        }
+        return suite, constraints, optimizer, tuners
+
+    suite, constraints, _, tuners = stack()
+    matrix = DependenceAnalyzer(list(tuners.values()), constraints).measure(
+        make_forecast(suite)
+    )
+
+    suite, constraints, optimizer, tuners = stack()
+    db = suite.database
+    forecast = make_forecast(suite)
+    reset = ConfigurationDelta([])
+    for tuner in tuners.values():
+        reset.extend(tuner.feature.reset_delta(db, forecast))
+    forced = {}
+    with optimizer.hypothetical(reset):
+        for a in matrix.features:
+            result_a = tuners[a].propose(forecast, constraints)
+            if not result_a.is_noop:
+                continue
+            with optimizer.hypothetical(result_a.delta):
+                for b in matrix.features:
+                    if b == a:
+                        continue
+                    result_b = tuners[b].propose(forecast, constraints)
+                    with optimizer.hypothetical(result_b.delta):
+                        forced[(a, b)] = optimizer.scenario_cost_ms(
+                            forecast.expected, dict(forecast.sample_queries)
+                        )
+    assert {a for a, _ in forced} == {"buffer_pool"}
+    for (a, b), cost in forced.items():
+        assert matrix.w_pair[(a, b)] == matrix.w_single[b] == cost
 
 
 def test_analyzer_requires_two_distinct_features(retail_suite):

@@ -82,11 +82,7 @@ def _exit_status(argv):
     "argv, expected",
     [
         (["fleet", "--tenants", "0"], "at least one tenant"),
-        (
-            ["fleet", "--tenants", "2", "--rows", "2000", "--bins", "2",
-             "--checkpoint-every", "-1", "--checkpoint-dir", "{tmp}/ck"],
-            "checkpoint_every must be >= 0",
-        ),
+        (["guard", "--rows", "2000", "--swap-b", "nosuch"], "'nosuch'"),
         (["guard", "--rows", "2000", "--swap-a", "nosuch"], "'nosuch'"),
         (  # a failed checkpoint write: the directory is under a file
             ["fleet", "--tenants", "2", "--rows", "2000", "--bins", "2",
@@ -116,6 +112,10 @@ def test_bad_option_values_exit_2_with_one_line(
         (["faults", "--failure-rate", "2"], "--failure-rate"),
         (["trace", "--bins", "0"], "--bins"),
         (["order", "--features", "-1"], "--features"),
+        (["fleet", "--max-concurrent", "0"], "--max-concurrent"),
+        (["fleet", "--workers", "0", "--parallel", "process"], "--workers"),
+        (["fleet", "--checkpoint-every", "-1", "--checkpoint-dir", "ck"],
+         "--checkpoint-every"),
     ],
 )
 def test_out_of_range_option_values_exit_2(capsys, argv, option):
@@ -125,6 +125,17 @@ def test_out_of_range_option_values_exit_2(capsys, argv, option):
     assert _exit_status(argv) == 2
     err = capsys.readouterr().err
     assert f"{argv[0]}: error: argument {option}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("swap_at", ["4", "-3"])
+def test_swap_at_outside_the_run_exits_2(capsys, swap_at):
+    """``guard --swap-at`` names a bin of the run: one at or past --bins,
+    or below 0, would never swap, so the parser refuses it."""
+    argv = ["guard", "--rows", "2000", "--bins", "4", "--swap-at", swap_at]
+    assert _exit_status(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --swap-at: {swap_at} not in [0, 4)" in err
     assert "Traceback" not in err
 
 
